@@ -25,6 +25,7 @@ from .chains import ChainComplex, ChainHomotopy, ChainMap, HomologyGroup, \
 from .elmendorf import AdjunctionReport, CellularityReport, CensusReport, ChainCat, \
     FinSSetCat, FinSetCat, FinSetObj, OrbitDiagram, adjunction_check, \
     arrow_poset_census, cellularity_report, free_cell_diagram, i_lower, i_upper
+from .errors import InternalError
 from .whitehead import Certificate, WhiteheadReport, certificate_search, \
     verify_certificate, whitehead_verify
 from .rings import QQ, PrimeField, ZZ, ring_from_tag

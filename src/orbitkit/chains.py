@@ -6,6 +6,14 @@ G-simplicial set have basis the nondegenerate simplices (identifier
 order); faces that normalize to degenerate simplices contribute zero to
 the differential.
 
+A group action is stored in one of two forms, fixed by the constructor.
+Actions that come from G-sets and G-simplicial sets permute the basis and
+are stored as one G-set of basis indices per degree
+(``ChainComplex.permuted``); their invariants are orbit sums, and matrices
+are derived only on request (``rep_mat``).  General linear actions, such as
+a JSON ``rep``, keep their matrices (``rep=``), and their invariants are
+exact kernels.
+
 Sign conventions are pinned by the verified identities rather than chosen
 in the abstract: d is the alternating face sum, the cone differential is
 d(y, x) = (dy + fx, -dx), and the interval shuffle homotopy built by
@@ -17,9 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalError
 from .exactla import Mat, block_matrix, kernel_basis_field, kernel_z, \
     mat_from_columns, smith_diagonal, solve_exact
 from .groups import Group, Subgroup
+from .gsets import GSet, orbits, validate_gset
 from .simplicial import GSSet, SMap, fixed_sset, prism as build_prism
 from .rings import ZZ
 
@@ -36,9 +46,23 @@ class ChainComplex:
         self._d = {int(n): m for n, m in dict(diffs).items()}
         self.group = group
         self.rep = rep  # {g: {n: Mat}} or None
+        self.action = None  # per-degree GSet of basis indices, or None
         self.basis = basis  # per-degree simplex ids, when built from a GSSet
         if validate:
             self.validate()
+
+    @classmethod
+    def permuted(cls, ring, ranks, diffs, group: Group, action,
+                 basis=None) -> "ChainComplex":
+        """A complex whose group permutes the basis of every degree.
+
+        ``action[n]`` is the G-set of basis indices in degree n: element g
+        sends basis vector i to basis vector ``action[n].act[g][i]``.
+        """
+        c = cls(ring, ranks, diffs, group=group, basis=basis, validate=False)
+        c.action = tuple(action)
+        c.validate()
+        return c
 
     @property
     def top(self) -> int:
@@ -54,6 +78,11 @@ class ChainComplex:
         return m
 
     def rep_mat(self, g: int, n: int) -> Mat:
+        if self.action is not None and 0 <= n <= self.top:
+            m = Mat.zeros(self.ring, self.rank(n), self.rank(n))
+            for j, i in enumerate(self.action[n].act[g]):
+                m.rows[i][j] = self.ring.one
+            return m
         if self.rep is None:
             return Mat.identity(self.ring, self.rank(n))
         mats = self.rep[g]
@@ -79,7 +108,9 @@ class ChainComplex:
         for n in range(2, self.top + 1):
             if not (self.d(n - 1) @ self.d(n)).is_zero():
                 raise ValueError(f"d_{n - 1} d_{n} != 0")
-        if self.group is not None and self.rep is not None:
+        if self.action is not None:
+            self._validate_action()
+        elif self.group is not None and self.rep is not None:
             g = self.group
             for a in g.elements():
                 if a not in self.rep:
@@ -103,6 +134,26 @@ class ChainComplex:
                     if self.rep_mat(a, n - 1) @ self.d(n) != self.d(n) @ self.rep_mat(a, n):
                         raise ValueError(f"representation of {a} does not commute with d_{n}")
 
+    def _validate_action(self):
+        """Permutation actions: checked on index tuples, no matrix products."""
+        if len(self.action) != self.top + 1:
+            raise ValueError("need one permutation action per degree")
+        for n, x in enumerate(self.action):
+            if x.group != self.group or x.size != self.rank(n):
+                raise ValueError(f"action in degree {n} has the wrong shape")
+            validate_gset(x)
+        zero = self.ring.zero
+        for n in range(1, self.top + 1):
+            d = self.d(n).rows
+            # a bijection of index pairs that keeps every nonzero entry
+            # also keeps every zero entry
+            nonzero = [(i, j, v) for i, row in enumerate(d)
+                       for j, v in enumerate(row) if v != zero]
+            for a in self.group.elements():
+                p, q = self.action[n - 1].act[a], self.action[n].act[a]
+                if any(d[p[i]][q[j]] != v for i, j, v in nonzero):
+                    raise ValueError(f"representation of {a} does not commute with d_{n}")
+
     def forget_action(self) -> "ChainComplex":
         return ChainComplex(self.ring, self.ranks, self._d, basis=self.basis,
                             validate=False)
@@ -110,7 +161,7 @@ class ChainComplex:
     def to_json(self) -> dict:
         out = {"ring": self.ring.name, "ranks": list(self.ranks),
                "d": {str(n): self.d(n).to_json() for n in range(1, self.top + 1)}}
-        if self.group is not None and self.rep is not None:
+        if self.group is not None and (self.rep is not None or self.action is not None):
             out["rep"] = {str(g): {str(n): self.rep_mat(g, n).to_json()
                                    for n in range(self.top + 1)}
                           for g in self.group.elements()}
@@ -252,16 +303,11 @@ def normalized_chains(x: GSSet, ring) -> ChainComplex:
                 r = index[n - 1][ref.base]
                 m.rows[r][j] = m.rows[r][j] + (ring.one if i % 2 == 0 else -ring.one)
         diffs[n] = m
-    rep = {}
-    for g in x.group.elements():
-        mats = {}
-        for n in range(top + 1):
-            m = Mat.zeros(ring, ranks[n], ranks[n])
-            for j, s in enumerate(basis[n]):
-                m.rows[index[n][x.act(g, s)]][j] = ring.one
-            mats[n] = m
-        rep[g] = mats
-    return ChainComplex(ring, ranks, diffs, group=x.group, rep=rep, basis=basis)
+    action = [GSet(x.group, ranks[n],
+                   tuple(tuple(index[n][x.action[g][s]] for s in basis[n])
+                         for g in x.group.elements()))
+              for n in range(top + 1)]
+    return ChainComplex.permuted(ring, ranks, diffs, x.group, action, basis=basis)
 
 
 def normalized_chain_map(f: SMap, ring, cx: ChainComplex | None = None,
@@ -286,27 +332,12 @@ def normalized_chain_map(f: SMap, ring, cx: ChainComplex | None = None,
 # invariants
 
 
-def _is_permutation_matrix(m: Mat) -> bool:
-    ring = m.ring
-    if m.nrows != m.ncols:
-        return False
-    for row in m.rows:
-        ones = [v for v in row if v != ring.zero]
-        if len(ones) != 1 or ones[0] != ring.one:
-            return False
-    for j in range(m.ncols):
-        col = [m.rows[i][j] for i in range(m.nrows)]
-        if sum(1 for v in col if v != ring.zero) != 1:
-            return False
-    return True
-
-
 def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
     """Degreewise kernel of (rho(g) - id | g in H), with comparison map.
 
-    For permutation representations the basis is orbit sums (sorted by
-    least moved index); in general an exact kernel basis is computed over
-    the ring (saturated HNF basis over Z, RREF basis over fields).
+    For permutation actions the basis is the H-orbit sums (sorted by least
+    index); for matrix actions an exact kernel basis is computed over the
+    ring (saturated HNF basis over Z, RREF basis over fields).
     """
     if c.group is None:
         raise ValueError("invariants need an equivariant complex")
@@ -322,42 +353,24 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
     nontrivial = [g for g in h.members if g != 0]
     for n in range(c.top + 1):
         r = c.rank(n)
-        if r == 0:
-            bases.append([])
-            continue
-        reps = [c.rep_mat(g, n) for g in nontrivial]
-        if all(_is_permutation_matrix(m) for m in reps):
-            # orbit sums
-            seen = set()
+        if c.action is not None:
             cols = []
-            for j in range(r):
-                if j in seen:
-                    continue
-                orbit = {j}
-                frontier = [j]
-                while frontier:
-                    nxt = []
-                    for m in reps:
-                        for i in frontier:
-                            k = next(idx for idx in range(r)
-                                     if m.rows[idx][i] != ring.zero)
-                            if k not in orbit:
-                                orbit.add(k)
-                                nxt.append(k)
-                    frontier = nxt
-                seen |= orbit
-                col = [ring.one if i in orbit else ring.zero for i in range(r)]
+            for orbit in orbits(c.action[n].act, h.members):
+                col = [ring.zero] * r
+                for i in orbit:
+                    col[i] = ring.one
                 cols.append(col)
-            bases.append(cols)
-            continue
-        stacked_blocks = [[m - Mat.identity(ring, r)] for m in reps]
-        stacked = block_matrix(ring, stacked_blocks)
-        if ring.is_field:
-            cols = kernel_basis_field(stacked)
-        elif ring == ZZ:
-            cols = kernel_z(stacked)
+        elif r == 0:
+            cols = []
         else:
-            raise ValueError(f"no exact kernel for ring {ring}")
+            stacked = block_matrix(ring, [[c.rep_mat(g, n) - Mat.identity(ring, r)]
+                                          for g in nontrivial])
+            if ring.is_field:
+                cols = kernel_basis_field(stacked)
+            elif ring == ZZ:
+                cols = kernel_z(stacked)
+            else:
+                raise ValueError(f"no exact kernel for ring {ring}")
         bases.append(cols)
     kmats = [mat_from_columns(ring, bases[n], c.rank(n)) for n in range(c.top + 1)]
     ranks = [len(bases[n]) for n in range(c.top + 1)]
@@ -365,8 +378,9 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
     for n in range(1, c.top + 1):
         rhs = c.d(n) @ kmats[n]
         sol = solve_exact(kmats[n - 1], rhs)
-        assert sol is not None, \
-            "the differential must restrict to the invariant subcomplex"
+        if sol is None:
+            raise InternalError(
+                "the differential must restrict to the invariant subcomplex")
         diffs[n] = sol
     inv = ChainComplex(ring, ranks, diffs, basis=None)
     incl = ChainMap(inv, c, {n: kmats[n] for n in range(c.top + 1)}, validate=False)
@@ -389,7 +403,8 @@ def fixed_chains_comparison(x: GSSet, h: Subgroup, ring) -> ChainMap:
     mats = {}
     for n in range(max(cfx.top, inv.top) + 1):
         sol = solve_exact(incl.mat(n), into_c.mat(n))
-        assert sol is not None, "fixed chains must land in the invariants"
+        if sol is None:
+            raise InternalError("fixed chains must land in the invariants")
         mats[n] = sol
     return ChainMap(cfx, inv, mats)
 
@@ -402,8 +417,9 @@ def restrict_to_invariants(cf: ChainMap, h: Subgroup) -> ChainMap:
     for n in range(max(inv_src.top, inv_tgt.top) + 1):
         rhs = cf.mat(n) @ incl_src.mat(n)
         sol = solve_exact(incl_tgt.mat(n), rhs)
-        assert sol is not None, \
-            "an equivariant map must send invariants into invariants"
+        if sol is None:
+            raise InternalError(
+                "an equivariant map must send invariants into invariants")
         mats[n] = sol
     return ChainMap(inv_src, inv_tgt, mats)
 
@@ -473,7 +489,7 @@ def is_quasi_iso(f: ChainMap) -> bool:
 # the interval shuffle homotopy
 
 
-class SignConventionError(AssertionError):
+class SignConventionError(InternalError):
     """The prism identity failed; signals an internal sign bug, never user error."""
 
 

@@ -2,7 +2,7 @@
 
 One verb per construction; file-based inputs, deterministic reports.
 Exit codes: 0 success, 1 verification failure (a check that ran and said
-no), 2 invalid input.
+no), 2 invalid input, 3 internal error (a broken invariant: a bug).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import sys
 
 from . import elmendorf as elm
 from .chains import homology, invariants, normalized_chains
+from .errors import InternalError
 from .groups import trivial_subgroup
 from .gsets import orbit_analysis
 from .jsonio import InputError, format_homology, load_family, load_group, \
@@ -287,6 +288,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 from .chains import ChainComplex, ChainMap, chain_maps_equal, compose_chain_maps, \
     identity_chain_map, invariants
+from .errors import InternalError
 from .exactla import Mat, is_invertible, solve_exact
 from .groups import Group, Subgroup
-from .gsets import GSet, coset_gset, orbit_analysis
+from .gsets import GSet, coset_gset, orbit_analysis, orbits, product_gset, trivial_gset
 from .orbitcat import OrbitCategory, OrbitMorphism, compose as compose_morphisms, \
     orbit_morphism
 from .simplicial import GSSet, SMap, SimplexRef, TRIVIAL_GROUP, disjoint_copies, \
@@ -238,7 +239,9 @@ class ChainCat:
         for n in range(x.top + 1):
             rhs = x.rep_mat(a, n) @ incl_k.mat(n)
             sol = solve_exact(incl_h.mat(n), rhs)
-            assert sol is not None, "translation must map K-invariants into H-invariants"
+            if sol is None:
+                raise InternalError(
+                    "translation must map K-invariants into H-invariants")
             mats[n] = sol
         return ChainMap(inv_k, inv_h, mats)
 
@@ -259,7 +262,9 @@ class ChainCat:
         mats = {}
         for n in range(max(x.top, y.top) + 1):
             sol = solve_exact(incl_y.mat(n), m.mat(n) @ incl_x.mat(n))
-            assert sol is not None
+            if sol is None:
+                raise InternalError(
+                    "an equivariant map must send invariants into invariants")
             mats[n] = sol
         return ChainMap(inv_x, inv_y, mats)
 
@@ -533,22 +538,12 @@ def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat) -> Cellulari
     why the comparison can fail for modules.
     """
     gk = coset_gset(g, k)
-    rep = orbit_analysis(gk, h)
-    fixed = list(rep.fixed)
+    fixed = list(orbit_analysis(gk, h).fixed)
 
     if vcat.tag == "finset":
-        from .gsets import GSet as _GSet
         labels = tuple(a)
         lhs = vcat.copower(fixed, labels)
-        size = gk.size * len(labels)
-        act = []
-        for gg in g.elements():
-            row = [0] * size
-            for p in range(gk.size):
-                for li in range(len(labels)):
-                    row[p * len(labels) + li] = gk.act[gg][p] * len(labels) + li
-            act.append(tuple(row))
-        big = FinSetObj(_GSet(g, size, tuple(act)),
+        big = FinSetObj(product_gset(gk, trivial_gset(g, len(labels))),
                         tuple((p, l) for p in range(gk.size) for l in labels))
         rhs = vcat.fixed_value(big, h)
         comparison = VMap.make(lhs, rhs, {pl: pl for pl in lhs})
@@ -570,23 +565,11 @@ def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat) -> Cellulari
     if vcat.tag == "chain":
         ring = vcat.ring
         lhs = vcat.copower(fixed, a)
-        all_cosets = list(range(gk.size))
-        big_plain = vcat.copower(all_cosets, a)
-        rep_mats = {}
-        for gg in g.elements():
-            mats = {}
-            for n in range(a.top + 1):
-                r = a.rank(n)
-                m = Mat.zeros(ring, big_plain.rank(n), big_plain.rank(n))
-                for p in all_cosets:
-                    q = gk.act[gg][p]
-                    for j in range(r):
-                        m.rows[q * r + j][p * r + j] = ring.one
-                mats[n] = m
-            rep_mats[gg] = mats
-        big = ChainComplex(ring, big_plain.ranks,
-                           {n: big_plain.d(n) for n in range(1, big_plain.top + 1)},
-                           group=g, rep=rep_mats)
+        big_plain = vcat.copower(range(gk.size), a)
+        big = ChainComplex.permuted(
+            ring, big_plain.ranks,
+            {n: big_plain.d(n) for n in range(1, big_plain.top + 1)}, g,
+            [product_gset(gk, trivial_gset(g, a.rank(n))) for n in range(a.top + 1)])
         rhs, incl = invariants(big, h)
         mats = {}
         ok = True
@@ -605,31 +588,8 @@ def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat) -> Cellulari
         iso = bool(comparison) and vcat.is_iso(comparison)
         return CellularityReport(vcat.value_descriptor(lhs),
                                  vcat.value_descriptor(rhs), iso,
-                                 len(fixed), len(orbit_sets(gk, h)))
+                                 len(fixed), len(orbits(gk.act, h.members)))
     raise ValueError(f"no cellularity comparison for {vcat.tag}")
-
-
-def orbit_sets(x: GSet, h: Subgroup):
-    """Orbits of the subgroup action on a G-set (sorted by least member)."""
-    seen = set()
-    orbits = []
-    for p in range(x.size):
-        if p in seen:
-            continue
-        orb = {p}
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for q in frontier:
-                for g in h.members:
-                    r = x.act[g][q]
-                    if r not in orb:
-                        orb.add(r)
-                        nxt.append(r)
-            frontier = nxt
-        seen |= orb
-        orbits.append(tuple(sorted(orb)))
-    return orbits
 
 
 # ---------------------------------------------------------------------------

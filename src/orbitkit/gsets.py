@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalError
 from .groups import Group, Subgroup, left_cosets
 
 
@@ -65,11 +66,10 @@ def validate_gset(x: GSet) -> None:
     if x.act[0] != tuple(range(x.size)):
         raise ValueError("identity must act trivially")
     for a in g.elements():
+        pa = x.act[a]
         for b in g.elements():
-            ab = g.mult[a][b]
-            for pt in range(x.size):
-                if x.act[ab][pt] != x.act[a][x.act[b][pt]]:
-                    raise ValueError(f"action not a homomorphism at ({a},{b})")
+            if tuple(pa[pt] for pt in x.act[b]) != x.act[g.mult[a][b]]:
+                raise ValueError(f"action not a homomorphism at ({a},{b})")
 
 
 def make_gmap(source: GSet, target: GSet, values) -> GMap:
@@ -133,6 +133,26 @@ def stabilizer(x: GSet, point: int) -> Subgroup:
     return Subgroup(g, mem)
 
 
+def orbits(perms, members) -> list[tuple[int, ...]]:
+    """Orbits of a subgroup acting through per-element permutations.
+
+    ``perms[g][pt]`` is the image of point pt under group element g:
+    ``GSet.act``, one degree of a chain complex's action, or
+    ``GSSet.action``.  The points are those of the identity's ``perms[0]``.
+    ``members`` are the elements of the subgroup, which must be closed
+    under multiplication.  Each orbit is a sorted tuple; orbits come in
+    order of their least point.
+    """
+    seen = set()
+    out = []
+    for pt in sorted(perms[0]):
+        if pt not in seen:
+            orbit = tuple(sorted({perms[a][pt] for a in members}))
+            seen.update(orbit)
+            out.append(orbit)
+    return out
+
+
 def orbit_analysis(x: GSet, h: Subgroup) -> OrbitReport:
     """Orbits of the full group action plus the H-fixed points.
 
@@ -141,25 +161,14 @@ def orbit_analysis(x: GSet, h: Subgroup) -> OrbitReport:
     """
     if h.parent != x.group:
         raise ValueError("subgroup of a different group")
-    g = x.group
-    seen = set()
-    orbits = []
-    for pt in range(x.size):
-        if pt in seen:
-            continue
-        members = tuple(sorted({x.act[a][pt] for a in g.elements()}))
-        seen.update(members)
-        orbits.append(Orbit(members[0], stabilizer(x, members[0]), members))
-    fixed = tuple(pt for pt in range(x.size)
-                  if all(x.act[a][pt] == pt for a in h.members))
-    return OrbitReport(tuple(orbits), fixed)
+    whole = tuple(Orbit(o[0], stabilizer(x, o[0]), o)
+                  for o in orbits(x.act, x.group.elements()))
+    fixed = tuple(o[0] for o in orbits(x.act, h.members) if len(o) == 1)
+    return OrbitReport(whole, fixed)
 
 
 def is_transitive(x: GSet) -> bool:
-    if x.size == 0:
-        return False
-    rep = orbit_analysis(x, Subgroup(x.group, (0,)))
-    return len(rep.orbits) == 1
+    return x.size > 0 and len(orbits(x.act, x.group.elements())) == 1
 
 
 def equivariant_maps(source: GSet, target: GSet) -> list[GMap]:
@@ -186,8 +195,9 @@ def equivariant_maps(source: GSet, target: GSet) -> list[GMap]:
         values = [target.act[mover[pt]][y] for pt in range(source.size)]
         maps.append(make_gmap(source, target, values))
     evals = [m.values[0] for m in maps]
-    assert sorted(evals) == sorted(fixed) and len(set(evals)) == len(evals), \
-        "evaluation at the base point must biject onto the fixed points"
+    if sorted(evals) != sorted(fixed) or len(set(evals)) != len(evals):
+        raise InternalError(
+            "evaluation at the base point must biject onto the fixed points")
     return maps
 
 

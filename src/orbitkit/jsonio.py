@@ -112,6 +112,8 @@ def load_sset(source, group: Group | None = None) -> GSSet:
                                     or source.startswith(_BUILTIN_SSET)):
         return build_sset(source, group)
     data = _load_json(source) if isinstance(source, (str, Path)) else source
+    if not isinstance(data, dict):
+        raise InputError("sset: expected an object or a built-in name")
     try:
         return build_sset(data, group)
     except ValueError as exc:
@@ -120,8 +122,8 @@ def load_sset(source, group: Group | None = None) -> GSSet:
 
 def load_smap(source, group: Group | None = None) -> SMap:
     data = _load_json(source) if isinstance(source, (str, Path)) else source
-    if not isinstance(data, dict) or "values" not in data:
-        raise InputError("map: needs 'values'")
+    if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
+        raise InputError("map: needs 'values' as an object")
     if "source" not in data or "target" not in data:
         raise InputError("map: needs inline 'source' and 'target' simplicial sets")
     src = load_sset(data["source"], group)
@@ -130,8 +132,11 @@ def load_smap(source, group: Group | None = None) -> SMap:
     for id_str, ref in data["values"].items():
         if isinstance(ref, int):
             values[int(id_str)] = ref
-        else:
+        elif isinstance(ref, list) and len(ref) == 2 and isinstance(ref[1], list):
             values[int(id_str)] = (ref[0], tuple(ref[1]))
+        else:
+            raise InputError(
+                f"map: value of simplex {id_str} must be an id or [base, word]")
     try:
         return make_smap(src, tgt, values)
     except ValueError as exc:

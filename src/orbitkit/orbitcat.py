@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalError
 from .groups import Group, Subgroup
 from .gsets import GMap, coset_gset, make_gmap, orbit_analysis
 
@@ -114,8 +115,9 @@ def build_orbit_category(g: Group, family) -> OrbitCategory:
             cat.hom[(i, j)] = tuple(ms)
             # cross-check against the fixed points of G/K
             fixed = orbit_analysis(coset_gset(g, k), h).fixed
-            assert len(ms) == len(fixed), \
-                f"hom({{{h.label}}},{{{k.label}}}) size mismatch with (G/K)^H"
+            if len(ms) != len(fixed):
+                raise InternalError(
+                    f"hom({{{h.label}}},{{{k.label}}}) size mismatch with (G/K)^H")
     return cat
 
 

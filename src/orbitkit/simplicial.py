@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalError
 from .groups import Group, Subgroup, conjugating_element, cyclic_group, left_cosets
-from .gsets import GSet
+from .gsets import GSet, orbits, trivial_gset
 
 TRIVIAL_GROUP = cyclic_group(1)
+TOP_DIM_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class GSSet:
 
     def __init__(self, group: Group, dim_of: dict[int, int],
                  faces: dict[int, tuple], action: dict[int, dict[int, int]],
-                 validate: bool = True, top_dim_cap: int = 8):
+                 validate: bool = True, top_dim_cap: int = TOP_DIM_CAP):
         self.group = group
         self.dim_of = dict(dim_of)
         self.faces = {x: tuple(fs) for x, fs in faces.items()}
@@ -233,6 +235,8 @@ def standard_simplex(n: int) -> GSSet:
     """Delta[n]: nondegenerate k-simplices are the (k+1)-subsets of 0..n."""
     if n < 0:
         raise ValueError("dimension must be >= 0")
+    if n > TOP_DIM_CAP:  # before enumerating 2^(n+1) - 1 vertex subsets
+        raise ValueError(f"top dimension {n} exceeds cap {TOP_DIM_CAP}")
     ids = {}
     counter = 0
     for k in range(n + 1):
@@ -460,9 +464,8 @@ def fixed_sset(x: GSSet, h: Subgroup) -> tuple[GSSet, SMap]:
     keep = [s for s in x.ids() if all(x.action[g][s] == s for g in h.members)]
     keep_set = set(keep)
     for s in keep:
-        if x.dim(s) > 0:
-            assert all(r.base in keep_set for r in x.faces[s]), \
-                "fixed simplices must be closed under faces"
+        if x.dim(s) > 0 and not all(r.base in keep_set for r in x.faces[s]):
+            raise InternalError("fixed simplices must be closed under faces")
     fx = GSSet(TRIVIAL_GROUP,
                {s: x.dim_of[s] for s in keep},
                {s: x.faces[s] for s in keep if x.dim_of[s] > 0},
@@ -501,19 +504,8 @@ def gtensor(orbit: GSet, a: GSSet) -> GSSet:
 
 def disjoint_copies(a: GSSet, n_copies: int) -> tuple[GSSet, int]:
     """n disjoint copies of a plain simplicial set; returns (sset, stride)."""
-    if a.group.order != 1:
-        raise ValueError("disjoint_copies expects a plain simplicial set")
-    stride = max(a.dim_of, default=-1) + 1
-    dim_of = {}
-    faces = {}
-    for p in range(n_copies):
-        for s, n in a.dim_of.items():
-            dim_of[p * stride + s] = n
-            if n > 0:
-                faces[p * stride + s] = tuple(
-                    SimplexRef(p * stride + r.base, r.word) for r in a.faces[s])
-    return GSSet(TRIVIAL_GROUP, dim_of, faces, _trivial_action(dim_of),
-                 validate=False), stride
+    return (gtensor(trivial_gset(TRIVIAL_GROUP, n_copies), a),
+            max(a.dim_of, default=-1) + 1)
 
 
 @dataclass
@@ -675,26 +667,18 @@ def cell_decomposition(f: SMap, verify: bool = True) -> CellStructure:
     if mono is not None:
         raise ValueError(f"map is not injective: simplex {mono[0]} {mono[1]}")
     b = f.target
-    g = b.group
     image = {f.values[s].base for s in f.source.ids()}
     by_dim = {}
-    for n in sorted(b.simplices):
-        outside = [s for s in b.ids_of_dim(n) if s not in image]
-        seen = set()
-        summands = []
-        for s in outside:
-            if s in seen:
-                continue
-            orbit = sorted({b.action[a][s] for a in g.elements()})
-            assert all(o not in image for o in orbit), \
-                "the image of an equivariant mono is closed under the action"
-            seen.update(orbit)
+    for orbit in orbits(b.action, b.group.elements()):
+        new = [s not in image for s in orbit]
+        if any(new) and not all(new):
+            raise InternalError(
+                "the image of an equivariant mono is closed under the action")
+        if all(new):
             rep = orbit[0]
-            attaching = b.faces.get(rep, ())
-            summands.append(CellSummand(rep, _simplex_stabilizer(b, rep), attaching))
-        if summands:
-            by_dim[n] = tuple(summands)
-    cs = CellStructure(by_dim)
+            by_dim.setdefault(b.dim(rep), []).append(
+                CellSummand(rep, _simplex_stabilizer(b, rep), b.faces.get(rep, ())))
+    cs = CellStructure({n: tuple(by_dim[n]) for n in sorted(by_dim)})
     if verify:
         replay_cell_decomposition(f, cs)
     return cs

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .chains import ChainHomotopy, ChainMap, is_quasi_iso, \
     normalized_chain_map, normalized_chains, restrict_to_invariants
+from .errors import InternalError
 from .exactla import Mat, solve_exact
 from .groups import conjugating_element
 from .simplicial import SMap, _simplex_stabilizer, fixed_sset
@@ -301,8 +302,8 @@ def certificate_search(cf: ChainMap):
     cert = Certificate(ChainMap(tgt, src, g_mats),
                        ChainHomotopy(tgt, tgt, s_mats),
                        ChainHomotopy(src, src, t_mats))
-    assert verify_certificate(cert, cf), \
-        "solver returned a certificate that fails re-verification"
+    if not verify_certificate(cert, cf):
+        raise InternalError("solver returned a certificate that fails re-verification")
     return cert
 
 

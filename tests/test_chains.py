@@ -9,11 +9,15 @@ from orbitkit.chains import ChainComplex, ChainMap, chain_maps_equal, \
     concentrated, disk, fixed_chains_comparison, homology, \
     identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
     normalized_chain_map, normalized_chains, prism_homotopy, zero_complex
+from hypothesis import given, settings, strategies as st
+
 from orbitkit.exactla import Mat
-from orbitkit.groups import full_subgroup, trivial_subgroup
+from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup, \
+    symmetric_group, trivial_subgroup
+from orbitkit.gsets import coset_gset, make_gset, trivial_gset
 from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.simplicial import boundary_simplex, \
-    compose_smaps, make_smap, point_sset, prism, standard_simplex
+    compose_smaps, gtensor, make_smap, point_sset, prism, standard_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +324,36 @@ def test_rep_must_commute_with_d(c2):
               1: {0: Mat(ZZ, 2, 2, [[0, 1], [1, 0]]),
                   1: Mat(ZZ, 1, 1, [[-1]])}}
     ChainComplex(ZZ, (2, 1), {1: d}, group=c2, rep=rep_ok)
+    swap = [make_gset(c2, [[0, 1], [1, 0]]), trivial_gset(c2, 1)]
+    with pytest.raises(ValueError, match="commute"):
+        ChainComplex.permuted(ZZ, (2, 1), {1: d}, c2, swap)
+
+
+ACTION_GROUPS = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                 symmetric_group(3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(group=st.sampled_from(ACTION_GROUPS), data=st.data(),
+       base=st.sampled_from([standard_simplex, boundary_simplex]),
+       n=st.integers(0, 2))
+def test_permutation_and_matrix_actions_agree(group, data, base, n):
+    # orbit sums of the stored permutations against exact kernels of the
+    # same action given as matrices
+    subgroups = all_subgroups(group)
+    k = data.draw(st.sampled_from(subgroups))
+    x = gtensor(coset_gset(group, k), base(n))
+    for ring in (ZZ, QQ, PrimeField(2)):
+        c = normalized_chains(x, ring)
+        m = ChainComplex(ring, c.ranks, {d: c.d(d) for d in range(1, c.top + 1)},
+                         group=group,
+                         rep={g: {d: c.rep_mat(g, d) for d in range(c.top + 1)}
+                              for g in group.elements()})
+        assert c.action is not None and m.action is None
+        for h in subgroups:
+            inv_p, inv_m = invariants(c, h)[0], invariants(m, h)[0]
+            assert inv_p.ranks == inv_m.ranks
+            assert homology(inv_p) == homology(inv_m)
 
 
 def test_json_roundtrip(c2):

@@ -161,6 +161,40 @@ def test_exit_2_on_bad_input(files, capsys, tmp_path):
     assert code2 == 2
 
 
+def test_exit_2_on_simplex_over_the_cap(files, capsys):
+    code, _, err = run(capsys, ["homology", "--sset", "delta:1000", "--ring", "Z"])
+    assert code == 2
+    assert "exceeds cap" in err
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2],                                             # --sset holding a list
+    {"source": "point", "target": "point", "values": [[0, []]]},
+    {"source": "point", "target": "point", "values": {"0": "x"}},
+], ids=["sset-list", "values-list", "value-string"])
+def test_exit_2_on_malformed_json(files, capsys, data):
+    path = files["tmp"] / "malformed.json"
+    path.write_text(json.dumps(data))
+    if isinstance(data, list):
+        argv = ["homology", "--sset", str(path), "--ring", "Z"]
+    else:
+        argv = ["cells", "--map", str(path)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "input error" in err
+
+
+def test_exit_3_on_internal_error(files, capsys, monkeypatch):
+    import orbitkit.whitehead
+    monkeypatch.setattr(orbitkit.whitehead, "verify_certificate",
+                        lambda cert, cf: False)
+    code, _, err = run(capsys, ["whitehead", "--group", files["group"],
+                                "--map", files["to_vee"], "--family", "all",
+                                "--ring", "Z"])
+    assert code == 3
+    assert "internal error" in err and "re-verification" in err
+
+
 def test_exit_2_names_invalid_field(files, capsys, tmp_path):
     bad = tmp_path / "badgroup.json"
     bad.write_text(json.dumps({"order": 2, "mult": [[0, 1], [1, 1]]}))

@@ -130,6 +130,13 @@ def test_standard_simplices():
     assert boundary_simplex(0).top_dim == -1
 
 
+def test_builtin_simplex_over_the_cap_is_rejected_before_enumeration():
+    with pytest.raises(ValueError, match="exceeds cap"):
+        build_sset("delta:1000")
+    with pytest.raises(ValueError, match="exceeds cap"):
+        build_sset("boundary:99")
+
+
 def test_build_sset_by_name_and_dict_roundtrip():
     b2 = build_sset("boundary:2")
     data = sset_to_json(b2)

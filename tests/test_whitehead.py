@@ -1,8 +1,15 @@
 """Certificates: search, verification, and the full hypothesis pipeline."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import orbitkit
 
 from conftest import swap_boundary1, vee, with_trivial_action
 from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, concentrated, \
@@ -284,3 +291,27 @@ def test_whitehead_requires_equivariant_map(c2):
     assert not f.equivariant
     with pytest.raises(ValueError, match="equivariant"):
         whitehead_verify(f, all_subgroups(c2), ZZ)
+
+
+def test_certificate_search_reverifies_under_python_O():
+    # the final re-verification must not be an assert that -O strips
+    script = textwrap.dedent("""
+        import sys
+        import orbitkit.whitehead as w
+        from orbitkit import InternalError, ZZ, identity_smap, \\
+            normalized_chain_map, standard_simplex
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        w.verify_certificate = lambda cert, cf: False
+        cf = normalized_chain_map(identity_smap(standard_simplex(1)), ZZ)
+        try:
+            w.certificate_search(cf)
+        except InternalError:
+            sys.exit(0)
+        sys.exit("returned a certificate that failed re-verification")
+    """)
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
