@@ -26,12 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .exactla import Mat, block_matrix, kernel_basis_field, kernel_z, \
-    mat_from_columns, smith_diagonal, solve_exact
+from .exactla import Mat, block_matrix, kernel_exact, mat_from_columns, \
+    smith_diagonal, solve_exact
 from .groups import Group, Subgroup
 from .gsets import GSet, orbits, validate_gset
 from .simplicial import GSSet, SMap, fixed_sset, prism as build_prism
-from .rings import ZZ
 
 
 class ChainComplex:
@@ -363,14 +362,8 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
         elif r == 0:
             cols = []
         else:
-            stacked = block_matrix(ring, [[c.rep_mat(g, n) - Mat.identity(ring, r)]
-                                          for g in nontrivial])
-            if ring.is_field:
-                cols = kernel_basis_field(stacked)
-            elif ring == ZZ:
-                cols = kernel_z(stacked)
-            else:
-                raise ValueError(f"no exact kernel for ring {ring}")
+            cols = kernel_exact(block_matrix(
+                ring, [[c.rep_mat(g, n) - Mat.identity(ring, r)] for g in nontrivial]))
         bases.append(cols)
     kmats = [mat_from_columns(ring, bases[n], c.rank(n)) for n in range(c.top + 1)]
     ranks = [len(bases[n]) for n in range(c.top + 1)]

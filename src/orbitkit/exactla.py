@@ -476,6 +476,13 @@ def solve_exact(a: Mat, b: Mat):
     return solve_z(a, b)
 
 
+def kernel_exact(m: Mat):
+    """Kernel basis of ``m`` over its ring (saturated over Z, RREF over a field)."""
+    if m.ring.is_field:
+        return kernel_basis_field(m)
+    return kernel_z(m)
+
+
 def is_invertible(m: Mat) -> bool:
     """Invertibility over the matrix's own ring (unimodularity over Z)."""
     if m.nrows != m.ncols:

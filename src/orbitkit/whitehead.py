@@ -3,12 +3,19 @@
 Given an equivariant chain map f, a certificate is explicit data
 (g, s, t): a backward equivariant chain map with homotopies witnessing
 f*g ~ id and g*f ~ id, all commuting with the group representations.
-The search poses every entry of (g, s, t) as an unknown: the chain-map,
-homotopy, and equivariance conditions are simultaneously linear, so one
-exact solve (Hermite-style over Z, elimination over fields) either
-produces a certificate or proves that none of this shape exists over the
-ring.  Over Z a failure does not rule out a rational certificate; query
-the rings separately.
+The search solves in equivariant coordinates.  Each block of g, s and t
+is a combination of a basis of equivariant matrices: for permutation
+actions one indicator per G-orbit of index pairs, since
+Hom_{ZG}(Z[X], Z[Y]) is free on the G-orbits of Y x X; for matrix
+actions a saturated kernel basis of the equivariance constraints; with no
+group the elementary matrices.  The chain-map and homotopy equations are
+linear in these coordinates, and their residuals are equivariant, so for
+permutation actions they are imposed at one index pair per orbit only.
+One exact solve (Hermite-style over Z, elimination over fields) then
+either produces a certificate or proves that none of this shape exists
+over the ring; the certificate is re-verified against the full identities
+for every group element before it is returned.  Over Z a failure does not
+rule out a rational certificate; query the rings separately.
 
 ``whitehead_verify`` packages the hypothesis checks for a simplicial map:
 isotropy of all simplices against the family, quasi-isomorphy of the
@@ -23,11 +30,12 @@ from dataclasses import dataclass, field
 from .chains import ChainHomotopy, ChainMap, is_quasi_iso, \
     normalized_chain_map, normalized_chains, restrict_to_invariants
 from .errors import InternalError
-from .exactla import Mat, solve_exact
+from .exactla import Mat, kernel_exact, solve_exact
 from .groups import conjugating_element
+from .gsets import orbits, product_gset
 from .simplicial import SMap, _simplex_stabilizer, fixed_sset
 
-MAX_UNKNOWNS = 5000
+MAX_CELLS = 2_500_000  # rows x unknowns of one dense system (C8/e x Delta[3]: 2.1M)
 
 
 @dataclass
@@ -91,30 +99,138 @@ class _LinearSystem:
         self.rows = []
         self.rhs = []
 
-    def add(self, coeffs: dict[int, object], rhs):
-        self.rows.append(coeffs)
-        self.rhs.append(rhs)
-
-    def solve(self):
+    def dense(self):
+        """The system as matrices (a, b); refuses one over ``MAX_CELLS``."""
+        cells = len(self.rows) * self.n
+        if cells > MAX_CELLS:
+            raise ValueError(f"{len(self.rows)} rows x {self.n} unknowns = "
+                             f"{cells} cells exceed the cap {MAX_CELLS}")
         ring = self.ring
         a = Mat.zeros(ring, len(self.rows), self.n)
         b = Mat.zeros(ring, len(self.rows), 1)
         for i, (coeffs, r) in enumerate(zip(self.rows, self.rhs)):
             for j, v in coeffs.items():
-                a.rows[i][j] = a.rows[i][j] + v
+                a.rows[i][j] = v
             b.rows[i][0] = r
-        sol = solve_exact(a, b)
+        return a, b
+
+    def solve(self):
+        sol = solve_exact(*self.dense())
         if sol is None:
             return None
         return [sol.rows[j][0] for j in range(self.n)]
+
+    def add_equations(self, terms, positions, diagonal: bool = False):
+        """Rows of sum(A @ X @ B over terms) = (id if diagonal else 0).
+
+        ``terms`` holds triples (A, X, B) with X an unknown block; one row
+        is added per entry (i, j) in ``positions`` that is not trivially
+        0 = 0.  Entry (i, j) of A X B is the sum of A[i][p] X[p][q] B[q][j],
+        and X[p][q] is read off the block's coordinates.
+        """
+        ring = self.ring
+        zero = ring.zero
+        sparse = []
+        for a, x, b in terms:
+            if x.coords:
+                arows = [[(p, v) for p, v in enumerate(row) if v != zero]
+                         for row in a.rows]
+                bcols = [[(q, row[j]) for q, row in enumerate(b.rows) if row[j] != zero]
+                         for j in range(b.ncols)]
+                sparse.append((arows, x.ncols, x.coords, bcols))
+        for i, j in positions:
+            coeffs = {}
+            for arows, ncols, coords, bcols in sparse:
+                for p, av in arows[i]:
+                    for q, bv in bcols[j]:
+                        for k, v in coords[p * ncols + q]:
+                            coeffs[k] = coeffs.get(k, zero) + av * bv * v
+            coeffs = {k: v for k, v in coeffs.items() if v != zero}
+            rhs = ring.one if diagonal and i == j else zero
+            if coeffs or rhs != zero:
+                self.rows.append(coeffs)
+                self.rhs.append(rhs)
+
+
+class _Block:
+    """An unknown equivariant matrix in the coordinates of a basis.
+
+    ``coords[p * ncols + q]`` lists the (unknown, coefficient) pairs whose
+    sum is entry (p, q); the block uses ``size`` unknowns.
+    """
+
+    def __init__(self, nrows: int, ncols: int, coords, size: int):
+        self.nrows, self.ncols, self.coords, self.size = nrows, ncols, coords, size
+
+    def value(self, ring, solution) -> Mat:
+        m = Mat.zeros(ring, self.nrows, self.ncols)
+        for e, pairs in enumerate(self.coords):
+            acc = ring.zero
+            for k, v in pairs:
+                acc = acc + solution[k] * v
+            m.rows[e // self.ncols][e % self.ncols] = acc
+        return m
+
+
+def _pair_orbits(group, left, ln, right, rn):
+    """G-orbits of the index pairs (p, q) of left_ln x right_rn, as p * ncols + q."""
+    prod = product_gset(left.action[ln], right.action[rn])
+    return orbits(prod.act, group.elements())
+
+
+def _positions(group, left, ln, right, rn):
+    """Entries at which an equivariant left_ln x right_rn residual must vanish."""
+    if left.action is None or right.action is None or group is None \
+            or not left.rank(ln) or not right.rank(rn):
+        return [(i, j) for i in range(left.rank(ln)) for j in range(right.rank(rn))]
+    return [divmod(o[0], right.rank(rn))
+            for o in _pair_orbits(group, left, ln, right, rn)]
+
+
+def _block(ring, group, first: int, left, ln, right, rn) -> _Block:
+    """A basis of the equivariant left_ln x right_rn matrices.
+
+    Its unknowns are numbered from ``first``.  Permutation actions on both
+    sides give one indicator per G-orbit of index pairs; other actions
+    give an exact kernel basis of the equivariance constraints; no group
+    gives the elementary matrices.
+    """
+    r, c = left.rank(ln), right.rank(rn)
+    one = ring.one
+    if group is None or not r or not c:
+        return _Block(r, c, [((first + e, one),) for e in range(r * c)], r * c)
+    if left.action is not None and right.action is not None:
+        coords = [None] * (r * c)
+        pair_orbits = _pair_orbits(group, left, ln, right, rn)
+        for k, orbit in enumerate(pair_orbits):
+            for e in orbit:
+                coords[e] = ((first + k, one),)
+        return _Block(r, c, coords, len(pair_orbits))
+    # rho_left(a) X - X rho_right(a) = 0 for every element a
+    x = _block(ring, None, 0, left, ln, right, rn)
+    cons = _LinearSystem(ring, r * c)
+    every = [(i, j) for i in range(r) for j in range(c)]
+    eye_r, eye_c = Mat.identity(ring, r), Mat.identity(ring, c)
+    for a in group.elements():
+        if a:
+            cons.add_equations([(left.rep_mat(a, ln), x, eye_c),
+                                (-eye_r, x, right.rep_mat(a, rn))], every)
+    basis = kernel_exact(cons.dense()[0])
+    coords = [[] for _ in range(r * c)]
+    for k, vec in enumerate(basis):
+        for e, v in enumerate(vec):
+            if v != ring.zero:
+                coords[e].append((first + k, v))
+    return _Block(r, c, coords, len(basis))
 
 
 def certificate_search(cf: ChainMap):
     """Solve for an equivariant homotopy inverse of cf, or return None.
 
-    The unknowns are the entries of g (degreewise backward map), s and t
-    (degree +1 homotopies on target and source).  Infeasibility over Z is
-    reported as absence even if a rational certificate exists.
+    The unknowns are the coordinates of g (degreewise backward map), s
+    and t (degree +1 homotopies on target and source) in bases of
+    equivariant matrices.  Infeasibility over Z is reported as absence
+    even if a rational certificate exists.
     """
     if not cf.equivariant and cf.source.group is not None \
             and cf.source.group.order > 1:
@@ -122,186 +238,47 @@ def certificate_search(cf: ChainMap):
     src, tgt = cf.source, cf.target
     ring = src.ring
     top = max(src.top, tgt.top)
+    # a trivial group imposes nothing: elementary coordinates, every entry
+    group = src.group if tgt.group is not None else None
+    if group is not None and group.order == 1:
+        group = None
 
-    g_idx = {}
-    s_idx = {}
-    t_idx = {}
-    counter = 0
-    for n in range(top + 1):
-        for i in range(src.rank(n)):
-            for j in range(tgt.rank(n)):
-                g_idx[(n, i, j)] = counter
-                counter += 1
-    for n in range(top + 1):
-        for i in range(tgt.rank(n + 1)):
-            for j in range(tgt.rank(n)):
-                s_idx[(n, i, j)] = counter
-                counter += 1
-    for n in range(top + 1):
-        for i in range(src.rank(n + 1)):
-            for j in range(src.rank(n)):
-                t_idx[(n, i, j)] = counter
-                counter += 1
-    if counter > MAX_UNKNOWNS:
-        raise ValueError(f"{counter} unknowns exceed the cap {MAX_UNKNOWNS}")
+    count = 0
+    g, s, t = {}, {}, {}
+    for blocks, left, right, shift in ((g, src, tgt, 0), (s, tgt, tgt, 1),
+                                       (t, src, src, 1)):
+        for n in range(-1, top + 1):
+            blocks[n] = _block(ring, group, count, left, n + shift, right, n)
+            count += blocks[n].size
 
-    sys = _LinearSystem(ring, counter)
-    zero = ring.zero
+    def eye(c, n):
+        return Mat.identity(ring, c.rank(n))
 
-    def add_equation(coeffs, rhs):
-        coeffs = {k: v for k, v in coeffs.items() if v != zero}
-        if not coeffs and rhs == zero:
-            return
-        sys.add(coeffs, rhs)
-
-    # chain-map condition: d_src g_n - g_{n-1} d_tgt = 0
+    system = _LinearSystem(ring, count)
     for n in range(1, top + 1):
-        dsrc, dtgt = src.d(n), tgt.d(n)
-        for i in range(src.rank(n - 1)):
-            for j in range(tgt.rank(n)):
-                coeffs = {}
-                for k in range(src.rank(n)):
-                    v = dsrc.rows[i][k]
-                    if v != zero:
-                        coeffs[g_idx[(n, k, j)]] = coeffs.get(g_idx[(n, k, j)], zero) + v
-                for k in range(tgt.rank(n - 1)):
-                    v = dtgt.rows[k][j]
-                    if v != zero:
-                        key = g_idx[(n - 1, i, k)]
-                        coeffs[key] = coeffs.get(key, zero) - v
-                add_equation(coeffs, zero)
-
-    # homotopy on the target: f g - id = d s + s d
+        # chain map: d_src g_n - g_{n-1} d_tgt = 0
+        system.add_equations([(src.d(n), g[n], eye(tgt, n)),
+                              (-eye(src, n - 1), g[n - 1], tgt.d(n))],
+                             _positions(group, src, n - 1, tgt, n))
     for n in range(top + 1):
-        fmat = cf.mat(n)
-        dn1, dn = tgt.d(n + 1), tgt.d(n)
-        for i in range(tgt.rank(n)):
-            for j in range(tgt.rank(n)):
-                coeffs = {}
-                for k in range(src.rank(n)):
-                    v = fmat.rows[i][k]
-                    if v != zero:
-                        key = g_idx[(n, k, j)]
-                        coeffs[key] = coeffs.get(key, zero) + v
-                for k in range(tgt.rank(n + 1)):
-                    v = dn1.rows[i][k]
-                    if v != zero:
-                        key = s_idx[(n, k, j)]
-                        coeffs[key] = coeffs.get(key, zero) - v
-                for k in range(tgt.rank(n - 1)):
-                    v = dn.rows[k][j]
-                    if v != zero:
-                        key = s_idx[(n - 1, i, k)]
-                        coeffs[key] = coeffs.get(key, zero) - v
-                rhs = ring.one if i == j else zero
-                add_equation(coeffs, rhs)
+        # homotopy on the target: f g - d s - s d = id
+        system.add_equations([(cf.mat(n), g[n], eye(tgt, n)),
+                              (-tgt.d(n + 1), s[n], eye(tgt, n)),
+                              (-eye(tgt, n), s[n - 1], tgt.d(n))],
+                             _positions(group, tgt, n, tgt, n), diagonal=True)
+        # homotopy on the source: g f - d t - t d = id
+        system.add_equations([(eye(src, n), g[n], cf.mat(n)),
+                              (-src.d(n + 1), t[n], eye(src, n)),
+                              (-eye(src, n), t[n - 1], src.d(n))],
+                             _positions(group, src, n, src, n), diagonal=True)
 
-    # homotopy on the source: g f - id = d t + t d
-    for n in range(top + 1):
-        fmat = cf.mat(n)
-        dn1, dn = src.d(n + 1), src.d(n)
-        for i in range(src.rank(n)):
-            for j in range(src.rank(n)):
-                coeffs = {}
-                for k in range(tgt.rank(n)):
-                    v = fmat.rows[k][j]
-                    if v != zero:
-                        key = g_idx[(n, i, k)]
-                        coeffs[key] = coeffs.get(key, zero) + v
-                for k in range(src.rank(n + 1)):
-                    v = dn1.rows[i][k]
-                    if v != zero:
-                        key = t_idx[(n, k, j)]
-                        coeffs[key] = coeffs.get(key, zero) - v
-                for k in range(src.rank(n - 1)):
-                    v = dn.rows[k][j]
-                    if v != zero:
-                        key = t_idx[(n - 1, i, k)]
-                        coeffs[key] = coeffs.get(key, zero) - v
-                rhs = ring.one if i == j else zero
-                add_equation(coeffs, rhs)
-
-    # equivariance of g, s, t
-    if src.group is not None and tgt.group is not None:
-        for a in src.group.elements():
-            if a == 0:
-                continue
-            for n in range(top + 1):
-                rs, rt = src.rep_mat(a, n), tgt.rep_mat(a, n)
-                # rho_src(a) g = g rho_tgt(a)
-                for i in range(src.rank(n)):
-                    for j in range(tgt.rank(n)):
-                        coeffs = {}
-                        for k in range(src.rank(n)):
-                            v = rs.rows[i][k]
-                            if v != zero:
-                                key = g_idx[(n, k, j)]
-                                coeffs[key] = coeffs.get(key, zero) + v
-                        for k in range(tgt.rank(n)):
-                            v = rt.rows[k][j]
-                            if v != zero:
-                                key = g_idx[(n, i, k)]
-                                coeffs[key] = coeffs.get(key, zero) - v
-                        add_equation(coeffs, zero)
-                # rho_tgt(a) s = s rho_tgt(a)
-                rt1 = tgt.rep_mat(a, n + 1)
-                for i in range(tgt.rank(n + 1)):
-                    for j in range(tgt.rank(n)):
-                        coeffs = {}
-                        for k in range(tgt.rank(n + 1)):
-                            v = rt1.rows[i][k]
-                            if v != zero:
-                                key = s_idx[(n, k, j)]
-                                coeffs[key] = coeffs.get(key, zero) + v
-                        for k in range(tgt.rank(n)):
-                            v = rt.rows[k][j]
-                            if v != zero:
-                                key = s_idx[(n, i, k)]
-                                coeffs[key] = coeffs.get(key, zero) - v
-                        add_equation(coeffs, zero)
-                # rho_src(a) t = t rho_src(a)
-                rs1 = src.rep_mat(a, n + 1)
-                for i in range(src.rank(n + 1)):
-                    for j in range(src.rank(n)):
-                        coeffs = {}
-                        for k in range(src.rank(n + 1)):
-                            v = rs1.rows[i][k]
-                            if v != zero:
-                                key = t_idx[(n, k, j)]
-                                coeffs[key] = coeffs.get(key, zero) + v
-                        for k in range(src.rank(n)):
-                            v = rs.rows[k][j]
-                            if v != zero:
-                                key = t_idx[(n, i, k)]
-                                coeffs[key] = coeffs.get(key, zero) - v
-                        add_equation(coeffs, zero)
-
-    solution = sys.solve()
+    solution = system.solve()
     if solution is None:
         return None
-
-    g_mats = {}
-    s_mats = {}
-    t_mats = {}
-    for n in range(top + 1):
-        gm = Mat.zeros(ring, src.rank(n), tgt.rank(n))
-        for i in range(src.rank(n)):
-            for j in range(tgt.rank(n)):
-                gm.rows[i][j] = solution[g_idx[(n, i, j)]]
-        g_mats[n] = gm
-        sm = Mat.zeros(ring, tgt.rank(n + 1), tgt.rank(n))
-        for i in range(tgt.rank(n + 1)):
-            for j in range(tgt.rank(n)):
-                sm.rows[i][j] = solution[s_idx[(n, i, j)]]
-        s_mats[n] = sm
-        tm = Mat.zeros(ring, src.rank(n + 1), src.rank(n))
-        for i in range(src.rank(n + 1)):
-            for j in range(src.rank(n)):
-                tm.rows[i][j] = solution[t_idx[(n, i, j)]]
-        t_mats[n] = tm
-    cert = Certificate(ChainMap(tgt, src, g_mats),
-                       ChainHomotopy(tgt, tgt, s_mats),
-                       ChainHomotopy(src, src, t_mats))
+    g, s, t = ({n: blocks[n].value(ring, solution) for n in range(top + 1)}
+               for blocks in (g, s, t))
+    cert = Certificate(ChainMap(tgt, src, g), ChainHomotopy(tgt, tgt, s),
+                       ChainHomotopy(src, src, t))
     if not verify_certificate(cert, cf):
         raise InternalError("solver returned a certificate that fails re-verification")
     return cert

@@ -1,11 +1,18 @@
 """CLI verbs: outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from orbitkit.chains import ChainHomotopy, ChainMap, normalized_chain_map
 from orbitkit.cli import main
-from orbitkit.simplicial import sset_to_json
+from orbitkit.exactla import Mat
+from orbitkit.gsets import regular_gset
+from orbitkit.jsonio import load_group, load_smap
+from orbitkit.rings import ZZ
+from orbitkit.simplicial import gtensor, sset_to_json, standard_simplex
+from orbitkit.whitehead import Certificate, verify_certificate
 from conftest import swap_boundary1, vee
 from orbitkit.groups import cyclic_group
 
@@ -140,6 +147,34 @@ def test_whitehead_verb_pass(files, capsys):
                                 "--ring", "Z"])
     assert code == 0
     assert "certificate: found and verified" in out
+
+
+def test_whitehead_json_certificate_reverifies(files, capsys):
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    free = sset_to_json(gtensor(regular_gset(cyclic_group(2)), standard_simplex(1)))
+    ident = files["tmp"] / "identity.json"
+    ident.write_text(json.dumps({
+        "source": free, "target": free,
+        "values": {s: [int(s), []] for ids in free["simplices"].values()
+                   for s in map(str, ids)}}))
+    for path in (fixtures / "point_to_vee.json", ident):
+        code, out, _ = run(capsys, ["whitehead", "--group", files["group"],
+                                    "--map", str(path), "--family", "all",
+                                    "--ring", "Z", "--format", "json"])
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        cf = normalized_chain_map(load_smap(str(path), load_group(files["group"])), ZZ)
+        src, tgt = cf.source, cf.target
+
+        def mats(key, rows_of, cols_of):
+            return {int(n): Mat(ZZ, rows_of(int(n)), cols_of(int(n)), m)
+                    for n, m in cert[key].items()}
+
+        parsed = Certificate(
+            ChainMap(tgt, src, mats("g", src.rank, tgt.rank)),
+            ChainHomotopy(tgt, tgt, mats("s", lambda n: tgt.rank(n + 1), tgt.rank)),
+            ChainHomotopy(src, src, mats("t", lambda n: src.rank(n + 1), src.rank)))
+        assert verify_certificate(parsed, cf)
 
 
 def test_whitehead_verb_fail(files, capsys):

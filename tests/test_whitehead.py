@@ -16,11 +16,12 @@ from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, concentrated,
     identity_chain_map, is_quasi_iso, normalized_chain_map, \
     normalized_chains, zero_complex
 from orbitkit.exactla import Mat
-from orbitkit.groups import all_subgroups, full_subgroup, trivial_subgroup
+from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup, \
+    trivial_subgroup
 from orbitkit.gsets import regular_gset
 from orbitkit.rings import PrimeField, QQ, ZZ
-from orbitkit.simplicial import SMap, SimplexRef, empty_sset, gtensor, make_smap, \
-    point_sset, standard_simplex
+from orbitkit.simplicial import SMap, SimplexRef, empty_sset, gtensor, \
+    identity_smap, make_smap, point_sset, prism, standard_simplex
 from orbitkit.whitehead import Certificate, certificate_search, isotropy_check, \
     verify_certificate, whitehead_verify
 
@@ -192,13 +193,73 @@ def test_unknown_cap():
     import orbitkit.whitehead as wh
     big = ChainComplex(ZZ, (80,), {})
     cf = identity_chain_map(big)
-    old = wh.MAX_UNKNOWNS
+    old = wh.MAX_CELLS
     try:
-        wh.MAX_UNKNOWNS = 100
+        wh.MAX_CELLS = 100
         with pytest.raises(ValueError, match="cap"):
             certificate_search(cf)
     finally:
-        wh.MAX_UNKNOWNS = old
+        wh.MAX_CELLS = old
+
+
+def free_simplex(order, n):
+    return gtensor(regular_gset(cyclic_group(order)), standard_simplex(n))
+
+
+def test_search_solves_in_orbit_coordinates(monkeypatch):
+    import orbitkit.whitehead as wh
+    shapes = []
+    solve = wh.solve_exact
+
+    def spy(a, b):
+        shapes.append((a.nrows, a.ncols))
+        return solve(a, b)
+
+    monkeypatch.setattr(wh, "solve_exact", spy)
+    cf = normalized_chain_map(identity_smap(free_simplex(4, 1)), ZZ)
+    assert verify_certificate(certificate_search(cf), cf)
+    # one unknown per C4-orbit of index pairs (144 entries / 4), and no
+    # equivariance rows (624 rows when every entry was an unknown)
+    rows, unknowns = shapes[-1]
+    assert unknowns == 36 and rows <= 48
+    for f in (identity_smap(free_simplex(8, 2)), prism(free_simplex(4, 1)).end0):
+        cf = normalized_chain_map(f, ZZ)
+        cert = certificate_search(cf)
+        assert cert is not None and verify_certificate(cert, cf)
+
+
+def as_matrix_action(c):
+    """The same G-complex with its action stored as matrices."""
+    return ChainComplex(c.ring, c.ranks, {n: c.d(n) for n in range(1, c.top + 1)},
+                        group=c.group,
+                        rep={a: {n: c.rep_mat(a, n) for n in range(c.top + 1)}
+                             for a in c.group.elements()})
+
+
+def action_forms(cf):
+    """cf with both sides permuted, both as matrices, and mixed."""
+    mats = {n: cf.mat(n) for n in range(cf.top + 1)}
+    src, tgt = as_matrix_action(cf.source), as_matrix_action(cf.target)
+    return [cf, ChainMap(src, tgt, mats), ChainMap(cf.source, tgt, mats)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, PrimeField(2)], ids=str)
+def test_permutation_and_matrix_actions_give_one_verdict(ring):
+    c2 = cyclic_group(2)
+    x = free_simplex(2, 1)
+    maps = [normalized_chain_map(identity_smap(x), ring),
+            normalized_chain_map(prism(x).end0, ring)]
+    # 2 id on R[C2] in degree 0: inverse over Q only (2 = 0 in F_2)
+    reg = ChainComplex.permuted(ring, (2,), {}, c2, [regular_gset(c2)])
+    maps.append(ChainMap(reg, reg, {0: Mat.identity(ring, 2).scale(2)}))
+    expect = [True, True, ring == QQ]
+    for cf, found in zip(maps, expect):
+        for form in action_forms(cf):
+            assert form.equivariant
+            cert = certificate_search(form)
+            assert (cert is not None) == found
+            if cert is not None:
+                assert verify_certificate(cert, form)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +359,20 @@ def test_certificate_search_reverifies_under_python_O():
     script = textwrap.dedent("""
         import sys
         import orbitkit.whitehead as w
-        from orbitkit import InternalError, ZZ, identity_smap, \\
-            normalized_chain_map, standard_simplex
+        from orbitkit import InternalError, ZZ, cyclic_group, gtensor, \\
+            identity_smap, normalized_chain_map, regular_gset, standard_simplex
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         w.verify_certificate = lambda cert, cf: False
-        cf = normalized_chain_map(identity_smap(standard_simplex(1)), ZZ)
-        try:
-            w.certificate_search(cf)
-        except InternalError:
-            sys.exit(0)
-        sys.exit("returned a certificate that failed re-verification")
+        c2 = cyclic_group(2)
+        for x in (standard_simplex(1),
+                  gtensor(regular_gset(c2), standard_simplex(1))):
+            cf = normalized_chain_map(identity_smap(x), ZZ)
+            try:
+                w.certificate_search(cf)
+            except InternalError:
+                continue
+            sys.exit("returned a certificate that failed re-verification")
     """)
     src = str(Path(orbitkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
