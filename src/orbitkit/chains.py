@@ -167,8 +167,8 @@ class ChainComplex:
         return out
 
     def __repr__(self):
-        tag = "EqChainComplex" if self.equivariant else "ChainComplex"
-        return f"{tag}({self.ring}, ranks={self.ranks})"
+        kind = "EqChainComplex" if self.equivariant else "ChainComplex"
+        return f"{kind}({self.ring}, ranks={self.ranks})"
 
 
 def concentrated(ring, n: int, rank_: int = 1) -> ChainComplex:
@@ -255,14 +255,19 @@ class ChainHomotopy:
 
 
 def identity_chain_map(c: ChainComplex) -> ChainMap:
-    return ChainMap(c, c, {n: Mat.identity(c.ring, c.rank(n))
-                           for n in range(c.top + 1)}, validate=False)
+    ident = ChainMap(c, c, {n: Mat.identity(c.ring, c.rank(n))
+                            for n in range(c.top + 1)}, validate=False)
+    ident.equivariant = c.group is not None
+    return ident
 
 
 def compose_chain_maps(second: ChainMap, first: ChainMap) -> ChainMap:
+    """second o first; equivariant when both factors are."""
     mats = {n: second.mat(n) @ first.mat(n)
             for n in range(max(second.top, first.top) + 1)}
-    return ChainMap(first.source, second.target, mats, validate=False)
+    comp = ChainMap(first.source, second.target, mats, validate=False)
+    comp.equivariant = first.equivariant and second.equivariant
+    return comp
 
 
 def chain_maps_equal(a: ChainMap, b: ChainMap) -> bool:

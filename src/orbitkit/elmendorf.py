@@ -8,11 +8,26 @@ diagram of its fixed points.  Both the unit and counit of this adjunction
 are constructed explicitly, and the reports record whether they are
 isomorphisms, value by value.
 
-Three value categories are supported: finite sets, finite plain simplicial
-sets, and chain complexes over an exact ring.  They share a small informal
-interface (identity/compose/compare maps, fixed points, copowers); the
-arrow-poset example is handled separately by ``arrow_poset_census`` since
-a diagram valued in 0 -> 1 is just a monotone truth assignment.
+Three value categories are supported: finite sets (``FinSetCat``), finite
+plain simplicial sets (``FinSSetCat``), and chain complexes over an exact
+ring (``ChainCat``).  Every construction below is written once against the
+methods they all provide:
+
+* maps: ``identity``, ``compose``, ``maps_equal``, ``is_iso``; every map
+  has a ``source`` and a ``target`` value;
+* G-objects: ``gobject(group, carrier, action_maps)`` equips a value with
+  an action, ``action_as_map(x, g)`` reads one element's action back;
+* fixed points: ``fixed_value(x, h)``, its inclusion ``fixed_inclusion(x,
+  h)`` into the underlying value, ``connect_fixed(x, a, k, h)`` for the
+  translation x^K -> x^H by a, and ``corestrict(m, x, h)`` for a map that
+  lands in x^H;
+* copowers: ``copower(keys, c)``, ``copower_remap(src_keys, tgt_keys,
+  keymap, c)``, and ``tensor(orbit, c)``, the G-object G/K (x) c;
+* reports: ``value_descriptor(v)`` and ``orbit_count(orbit, h)``, the
+  H-orbit count of G/K for chains and ``None`` otherwise.
+
+The arrow-poset example is handled separately by ``arrow_poset_census``
+since a diagram valued in 0 -> 1 is just a monotone truth assignment.
 """
 
 from __future__ import annotations
@@ -24,7 +39,8 @@ from .chains import ChainComplex, ChainMap, chain_maps_equal, compose_chain_maps
 from .errors import InternalError
 from .exactla import Mat, is_invertible, solve_exact
 from .groups import Group, Subgroup
-from .gsets import GSet, coset_gset, orbit_analysis, orbits, product_gset, trivial_gset
+from .gsets import GSet, coset_gset, make_gset, orbit_analysis, orbits, product_gset, \
+    trivial_gset
 from .orbitcat import OrbitCategory, OrbitMorphism, compose as compose_morphisms, \
     orbit_morphism
 from .simplicial import GSSet, SMap, SimplexRef, TRIVIAL_GROUP, disjoint_copies, \
@@ -39,8 +55,8 @@ from .simplicial import GSSet, SMap, SimplexRef, TRIVIAL_GROUP, disjoint_copies,
 class VMap:
     """A function between finite-set values (label tuples)."""
 
-    src: tuple
-    tgt: tuple
+    source: tuple
+    target: tuple
     fn: tuple  # pairs (label, image), sorted
 
     @classmethod
@@ -70,28 +86,36 @@ class FinSetObj:
 
 
 class FinSetCat:
-    tag = "finset"
-
     def identity(self, v):
         return VMap.make(v, v, {l: l for l in v})
 
     def compose(self, m2: VMap, m1: VMap) -> VMap:
         d1, d2 = m1.as_dict(), m2.as_dict()
-        return VMap.make(m1.src, m2.tgt, {l: d2[d1[l]] for l in m1.src})
+        return VMap.make(m1.source, m2.target, {l: d2[d1[l]] for l in m1.source})
 
     def maps_equal(self, a: VMap, b: VMap) -> bool:
-        return a.src == b.src and a.tgt == b.tgt and a.as_dict() == b.as_dict()
+        return (a.source == b.source and a.target == b.target
+                and a.as_dict() == b.as_dict())
 
     def is_iso(self, m: VMap) -> bool:
         values = list(m.as_dict().values())
-        return len(values) == len(m.tgt) and set(values) == set(m.tgt)
+        return len(values) == len(m.target) and set(values) == set(m.target)
 
-    def underlying_value(self, x: FinSetObj):
-        return x.labels
+    def gobject(self, group: Group, carrier, action_maps) -> FinSetObj:
+        pos = {l: i for i, l in enumerate(carrier)}
+        perms = {}
+        for g in group.elements():
+            d = action_maps[g].as_dict()
+            perms[g] = [pos[d[l]] for l in carrier]
+        return FinSetObj(make_gset(group, perms), tuple(carrier))
 
     def fixed_value(self, x: FinSetObj, h: Subgroup):
         rep = orbit_analysis(x.gset, h)
         return tuple(x.labels[p] for p in rep.fixed)
+
+    def fixed_inclusion(self, x: FinSetObj, h: Subgroup) -> VMap:
+        src = self.fixed_value(x, h)
+        return VMap.make(src, x.labels, {l: l for l in src})
 
     def action_as_map(self, x: FinSetObj, g: int) -> VMap:
         return VMap.make(x.labels, x.labels,
@@ -106,14 +130,7 @@ class FinSetCat:
 
     def corestrict(self, m: VMap, x: FinSetObj, h: Subgroup) -> VMap:
         tgt = self.fixed_value(x, h)
-        return VMap.make(m.src, tgt, m.as_dict())
-
-    def restrict_to_fixed(self, m: VMap, x: FinSetObj, y: FinSetObj,
-                          h: Subgroup) -> VMap:
-        src = self.fixed_value(x, h)
-        tgt = self.fixed_value(y, h)
-        d = m.as_dict()
-        return VMap.make(src, tgt, {l: d[l] for l in src})
+        return VMap.make(m.source, tgt, m.as_dict())
 
     def copower(self, keys, c):
         return tuple((k, l) for k in keys for l in c)
@@ -123,23 +140,22 @@ class FinSetCat:
         tgt = self.copower(tgt_keys, c)
         return VMap.make(src, tgt, {(k, l): (keymap[k], l) for k, l in src})
 
+    def tensor(self, orbit: GSet, c) -> FinSetObj:
+        return FinSetObj(product_gset(orbit, trivial_gset(orbit.group, len(c))),
+                         self.copower(range(orbit.size), c))
+
     def value_descriptor(self, v):
         return len(v)
+
+    def orbit_count(self, orbit: GSet, h: Subgroup):
+        return None
 
 
 # ---------------------------------------------------------------------------
 # finite simplicial sets
 
 
-def forget_action(x: GSSet) -> GSSet:
-    return GSSet(TRIVIAL_GROUP, x.dim_of,
-                 {s: x.faces[s] for s in x.faces},
-                 {0: {s: s for s in x.dim_of}}, validate=False)
-
-
 class FinSSetCat:
-    tag = "finsset"
-
     def identity(self, v: GSSet) -> SMap:
         return identity_smap(v)
 
@@ -152,14 +168,25 @@ class FinSSetCat:
     def is_iso(self, m: SMap) -> bool:
         return m.is_iso()
 
-    def underlying_value(self, x: GSSet) -> GSSet:
-        return forget_action(x)
+    def gobject(self, group: Group, carrier: GSSet, action_maps) -> GSSet:
+        action = {}
+        for g in group.elements():
+            vals = action_maps[g].values
+            if any(r.degenerate for r in vals.values()):
+                raise ValueError("action maps must be automorphisms")
+            action[g] = {s: vals[s].base for s in carrier.dim_of}
+        return GSSet(group, carrier.dim_of,
+                     {s: carrier.faces[s] for s in carrier.faces}, action)
 
     def fixed_value(self, x: GSSet, h: Subgroup) -> GSSet:
         return fixed_sset(x, h)[0]
 
+    def fixed_inclusion(self, x: GSSet, h: Subgroup) -> SMap:
+        return fixed_sset(x, h)[1]
+
     def action_as_map(self, x: GSSet, g: int) -> SMap:
-        plain = forget_action(x)
+        plain = GSSet(TRIVIAL_GROUP, x.dim_of, {s: x.faces[s] for s in x.faces},
+                      {0: {s: s for s in x.dim_of}}, validate=False)
         return SMap(plain, plain, {s: SimplexRef(x.act(g, s)) for s in x.ids()})
 
     def connect_fixed(self, x: GSSet, a: int, k: Subgroup, h: Subgroup) -> SMap:
@@ -170,11 +197,6 @@ class FinSSetCat:
     def corestrict(self, m: SMap, x: GSSet, h: Subgroup) -> SMap:
         tgt = self.fixed_value(x, h)
         return SMap(m.source, tgt, dict(m.values))
-
-    def restrict_to_fixed(self, m: SMap, x: GSSet, y: GSSet, h: Subgroup) -> SMap:
-        src = self.fixed_value(x, h)
-        tgt = self.fixed_value(y, h)
-        return SMap(src, tgt, {s: m.values[s] for s in src.ids()})
 
     def copower(self, keys, c: GSSet) -> GSSet:
         return disjoint_copies(c, len(keys))[0]
@@ -190,8 +212,14 @@ class FinSSetCat:
                 values[p * stride + s] = SimplexRef(q * stride + s)
         return SMap(src, tgt, values)
 
+    def tensor(self, orbit: GSet, c: GSSet) -> GSSet:
+        return gtensor(orbit, c)
+
     def value_descriptor(self, v: GSSet):
         return {str(n): len(v.simplices[n]) for n in sorted(v.simplices)}
+
+    def orbit_count(self, orbit: GSet, h: Subgroup):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +227,6 @@ class FinSSetCat:
 
 
 class ChainCat:
-    tag = "chain"
-
     def __init__(self, ring):
         self.ring = ring
 
@@ -217,8 +243,12 @@ class ChainCat:
         return all(is_invertible(m.mat(n)) and m.source.rank(n) == m.target.rank(n)
                    for n in range(max(m.source.top, m.target.top) + 1))
 
-    def underlying_value(self, x: ChainComplex) -> ChainComplex:
-        return x.forget_action()
+    def gobject(self, group: Group, carrier: ChainComplex, action_maps) -> ChainComplex:
+        rep = {g: {n: action_maps[g].mat(n) for n in range(carrier.top + 1)}
+               for g in group.elements()}
+        return ChainComplex(carrier.ring, carrier.ranks,
+                            {n: carrier.d(n) for n in range(1, carrier.top + 1)},
+                            group=group, rep=rep)
 
     def fixed_value(self, x: ChainComplex, h: Subgroup) -> ChainComplex:
         return invariants(x, h)[0]
@@ -255,19 +285,6 @@ class ChainCat:
             mats[n] = sol
         return ChainMap(m.source, inv_h, mats)
 
-    def restrict_to_fixed(self, m: ChainMap, x: ChainComplex, y: ChainComplex,
-                          h: Subgroup) -> ChainMap:
-        inv_x, incl_x = invariants(x, h)
-        inv_y, incl_y = invariants(y, h)
-        mats = {}
-        for n in range(max(x.top, y.top) + 1):
-            sol = solve_exact(incl_y.mat(n), m.mat(n) @ incl_x.mat(n))
-            if sol is None:
-                raise InternalError(
-                    "an equivariant map must send invariants into invariants")
-            mats[n] = sol
-        return ChainMap(inv_x, inv_y, mats)
-
     def copower(self, keys, c: ChainComplex) -> ChainComplex:
         k = len(keys)
         ranks = [k * c.rank(n) for n in range(c.top + 1)]
@@ -297,8 +314,19 @@ class ChainCat:
             mats[n] = m
         return ChainMap(src, tgt, mats, validate=False)
 
+    def tensor(self, orbit: GSet, c: ChainComplex) -> ChainComplex:
+        plain = self.copower(range(orbit.size), c)
+        return ChainComplex.permuted(
+            self.ring, plain.ranks, {n: plain.d(n) for n in range(1, plain.top + 1)},
+            orbit.group,
+            [product_gset(orbit, trivial_gset(orbit.group, c.rank(n)))
+             for n in range(c.top + 1)])
+
     def value_descriptor(self, v: ChainComplex):
         return list(v.ranks)
+
+    def orbit_count(self, orbit: GSet, h: Subgroup) -> int:
+        return len(orbits(orbit.act, h.members))
 
 
 # ---------------------------------------------------------------------------
@@ -360,35 +388,7 @@ def i_upper(t: OrbitDiagram):
     for g in group.elements():
         m = orbit_morphism(e_sub, e_sub, g)
         action_maps[g] = t.maps[(e_idx, e_idx, m.rep)]
-    return _build_gform(t.vcat, group, carrier, action_maps)
-
-
-def _build_gform(vcat, group: Group, carrier, action_maps):
-    if vcat.tag == "finset":
-        from .gsets import make_gset
-        labels = carrier
-        pos = {l: i for i, l in enumerate(labels)}
-        perms = {}
-        for g in group.elements():
-            d = action_maps[g].as_dict()
-            perms[g] = [pos[d[l]] for l in labels]
-        return FinSetObj(make_gset(group, perms), tuple(labels))
-    if vcat.tag == "finsset":
-        action = {}
-        for g in group.elements():
-            vals = action_maps[g].values
-            if any(r.degenerate for r in vals.values()):
-                raise ValueError("action maps must be automorphisms")
-            action[g] = {s: vals[s].base for s in carrier.dim_of}
-        return GSSet(group, carrier.dim_of,
-                     {s: carrier.faces[s] for s in carrier.faces}, action)
-    if vcat.tag == "chain":
-        rep = {g: {n: action_maps[g].mat(n) for n in range(carrier.top + 1)}
-               for g in group.elements()}
-        return ChainComplex(carrier.ring, carrier.ranks,
-                            {n: carrier.d(n) for n in range(1, carrier.top + 1)},
-                            group=group, rep=rep)
-    raise ValueError(f"no G-object builder for {vcat.tag}")
+    return t.vcat.gobject(group, carrier, action_maps)
 
 
 def i_lower(x, cat: OrbitCategory, vcat) -> OrbitDiagram:
@@ -454,16 +454,7 @@ def counit_map(x, cat: OrbitCategory, vcat):
     """The counit i_upper(i_lower(x)) -> x on underlying values."""
     d = i_lower(x, cat, vcat)
     lhs = i_upper(d)
-    e_sub = cat.family[_trivial_index(cat)]
-    if vcat.tag == "finset":
-        eps = VMap.make(lhs.labels, x.labels, {l: l for l in lhs.labels})
-    elif vcat.tag == "finsset":
-        eps = SMap(forget_action(lhs), forget_action(x),
-                   {s: SimplexRef(s) for s in lhs.ids()})
-    else:
-        eps = ChainMap(lhs.forget_action(), x.forget_action(),
-                       {n: invariants(x, e_sub)[1].mat(n) for n in range(x.top + 1)},
-                       validate=False)
+    eps = vcat.fixed_inclusion(x, cat.family[_trivial_index(cat)])
     return d, lhs, eps
 
 
@@ -499,7 +490,12 @@ def adjunction_check(t: OrbitDiagram, x) -> AdjunctionReport:
     units_dx = unit_maps(d_x)[1]
     tri_right = True
     for i, h in enumerate(cat.family):
-        eps_fixed = vcat.restrict_to_fixed(eps_x, lhs_x, x, h)
+        try:
+            eps_fixed = vcat.corestrict(
+                vcat.compose(eps_x, vcat.fixed_inclusion(lhs_x, h)), x, h)
+        except ValueError as exc:
+            raise InternalError(
+                f"the counit must send {h.label}-fixed points to fixed points: {exc}")
         comp = vcat.compose(eps_fixed, units_dx[i])
         if not vcat.maps_equal(comp, vcat.identity(d_x.values[i])):
             tri_right = False
@@ -539,57 +535,12 @@ def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat) -> Cellulari
     """
     gk = coset_gset(g, k)
     fixed = list(orbit_analysis(gk, h).fixed)
-
-    if vcat.tag == "finset":
-        labels = tuple(a)
-        lhs = vcat.copower(fixed, labels)
-        big = FinSetObj(product_gset(gk, trivial_gset(g, len(labels))),
-                        tuple((p, l) for p in range(gk.size) for l in labels))
-        rhs = vcat.fixed_value(big, h)
-        comparison = VMap.make(lhs, rhs, {pl: pl for pl in lhs})
-        return CellularityReport(vcat.value_descriptor(lhs),
-                                 vcat.value_descriptor(rhs),
-                                 vcat.is_iso(comparison), len(fixed))
-    if vcat.tag == "finsset":
-        lhs, stride = disjoint_copies(a, len(fixed))
-        big = gtensor(gk, a)
-        rhs = vcat.fixed_value(big, h)
-        values = {}
-        for p, c in enumerate(fixed):
-            for s in a.dim_of:
-                values[p * stride + s] = SimplexRef(c * stride + s)
-        comparison = SMap(lhs, rhs, values)
-        return CellularityReport(vcat.value_descriptor(lhs),
-                                 vcat.value_descriptor(rhs),
-                                 vcat.is_iso(comparison), len(fixed))
-    if vcat.tag == "chain":
-        ring = vcat.ring
-        lhs = vcat.copower(fixed, a)
-        big_plain = vcat.copower(range(gk.size), a)
-        big = ChainComplex.permuted(
-            ring, big_plain.ranks,
-            {n: big_plain.d(n) for n in range(1, big_plain.top + 1)}, g,
-            [product_gset(gk, trivial_gset(g, a.rank(n))) for n in range(a.top + 1)])
-        rhs, incl = invariants(big, h)
-        mats = {}
-        ok = True
-        for n in range(a.top + 1):
-            cols = Mat.zeros(ring, big.rank(n), lhs.rank(n))
-            r = a.rank(n)
-            for p, c in enumerate(fixed):
-                for j in range(r):
-                    cols.rows[c * r + j][p * r + j] = ring.one
-            sol = solve_exact(incl.mat(n), cols)
-            if sol is None:
-                ok = False
-                break
-            mats[n] = sol
-        comparison = ChainMap(lhs, rhs, mats, validate=False) if ok else None
-        iso = bool(comparison) and vcat.is_iso(comparison)
-        return CellularityReport(vcat.value_descriptor(lhs),
-                                 vcat.value_descriptor(rhs), iso,
-                                 len(fixed), len(orbits(gk.act, h.members)))
-    raise ValueError(f"no cellularity comparison for {vcat.tag}")
+    into_all = vcat.copower_remap(fixed, range(gk.size), {c: c for c in fixed}, a)
+    comparison = vcat.corestrict(into_all, vcat.tensor(gk, a), h)
+    return CellularityReport(vcat.value_descriptor(comparison.source),
+                             vcat.value_descriptor(comparison.target),
+                             vcat.is_iso(comparison), len(fixed),
+                             vcat.orbit_count(gk, h))
 
 
 # ---------------------------------------------------------------------------

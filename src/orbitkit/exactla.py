@@ -12,7 +12,8 @@ part:
   integer solver ``solve_z`` (Hermite-style forward substitution with
   divisibility checks).
 
-Field routines (Q and F_p) go through reduced row echelon form.
+Field routines (Q and F_p), the field case of ``smith_diagonal`` included,
+go through reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -182,115 +183,68 @@ def smith_diagonal(m: Mat):
 
     Over Z the result is the canonical nonnegative invariant-factor chain
     (each entry divides the next); over a field it is 1 repeated rank
-    times.  Pivot choice: smallest ``ring.pivot_key``, ties broken by
-    (row, column) position.
+    times, read off ``rref``.  Pivot choice over Z: smallest absolute
+    value, ties broken by (row, column) position.
     """
-    ring = m.ring
+    if m.ring.is_field:
+        return [m.ring.one] * len(rref(m)[1])
     a = [list(r) for r in m.rows]
     nr, nc = m.nrows, m.ncols
-    z = ring.zero
     diag = []
     t = 0
-    while True:
+    while t < nr and t < nc:
         pivot = None
         best = None
         for i in range(t, nr):
             for j in range(t, nc):
                 v = a[i][j]
-                if v != z:
-                    k = ring.pivot_key(v)
-                    if best is None or k < best:
-                        best = k
-                        pivot = (i, j)
-                        if ring.is_field:
-                            break
-            if ring.is_field and pivot is not None:
-                break
+                if v != 0 and (best is None or abs(v) < best):
+                    best = abs(v)
+                    pivot = (i, j)
         if pivot is None:
             break
         pi, pj = pivot
         a[t], a[pi] = a[pi], a[t]
         for row in a:
             row[t], row[pj] = row[pj], row[t]
-        if ring.is_field:
-            p = a[t][t]
-            for i in range(t + 1, nr):
-                v = a[i][t]
-                if v != z:
-                    f = v / p
-                    a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-            for j in range(t + 1, nc):
-                v = a[t][j]
-                if v != z:
-                    f = v / p
+        # clear the pivot's row and column; a nonzero remainder is smaller
+        # than the pivot, so re-pivot on it
+        p = a[t][t]
+        dirty = False
+        for i in range(t + 1, nr):
+            v = a[i][t]
+            if v != 0:
+                q = v // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                if a[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, nc):
+            v = a[t][j]
+            if v != 0:
+                q = v // p
+                if q:
                     for i in range(nr):
-                        a[i][j] = a[i][j] - f * a[i][t]
-            diag.append(ring.one)
-            t += 1
+                        a[i][j] = a[i][j] - q * a[i][t]
+                if a[t][j] != 0:
+                    dirty = True
+        if dirty:
             continue
-        # integer case: reduce until the pivot clears its row and column
-        # and divides every remaining entry
-        while True:
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                v = a[i][t]
-                if v != 0:
-                    q = v // p
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, nc):
-                v = a[t][j]
-                if v != 0:
-                    q = v // p
-                    if q:
-                        for i in range(nr):
-                            a[i][j] = a[i][j] - q * a[i][t]
-                    if a[t][j] != 0:
-                        dirty = True
-            if dirty:
-                # a smaller remainder appeared; re-pivot on it
-                best = None
-                pivot = None
-                for i in range(t, nr):
-                    for j in range(t, nc):
-                        v = a[i][j]
-                        if v != 0:
-                            k = abs(v)
-                            if best is None or k < best:
-                                best = k
-                                pivot = (i, j)
-                pi, pj = pivot
-                a[t], a[pi] = a[pi], a[t]
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-                continue
-            # row and column are clear; enforce divisibility of the block
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
+        # row and column are clear; the pivot must divide the whole block
+        # (a unit always does), else an offending row is added to the pivot
+        # row and reduced again
+        offender = None if abs(p) == 1 else next(
+            (i for i in range(t + 1, nr) if any(v % p for v in a[i][t + 1:])), None)
+        if offender is not None:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        diag.append(abs(a[t][t]))
+            continue
+        diag.append(abs(p))
         t += 1
-        if t >= nr or t >= nc:
-            break
     return diag
 
 
 def rank(m: Mat) -> int:
-    if m.ring.is_field:
-        return len(rref(m)[1])
-    return len([d for d in smith_diagonal(m) if d != m.ring.zero])
+    return len(smith_diagonal(m))
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +269,16 @@ def rref(m: Mat):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        p = a[r][c]
-        a[r] = [v / p for v in a[r]]
+        inv = ring.one / a[r][c]
+        row = a[r] = [v * inv for v in a[r]]
+        # columns before c are zero in the pivot row; update only its nonzeros
+        nonzero = [j for j in range(c, m.ncols) if row[j] != z]
         for i in range(m.nrows):
-            if i != r and a[i][c] != z:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f != z:
+                ai = a[i]
+                for j in nonzero:
+                    ai[j] = ai[j] - f * row[j]
         pivots.append(c)
         r += 1
         if r == m.nrows:
@@ -487,7 +445,5 @@ def is_invertible(m: Mat) -> bool:
     """Invertibility over the matrix's own ring (unimodularity over Z)."""
     if m.nrows != m.ncols:
         return False
-    if m.ring.is_field:
-        return rank(m) == m.nrows
     diag = smith_diagonal(m)
     return len(diag) == m.nrows and all(d == 1 for d in diag)

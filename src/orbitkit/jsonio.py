@@ -75,11 +75,17 @@ def load_family(selector, group: Group) -> list[Subgroup]:
 
 def load_gset(source, group: Group) -> GSet:
     data = _load_json(source) if isinstance(source, (str, Path)) else source
-    if "action" not in data or "size" not in data:
+    if not isinstance(data, dict) or "action" not in data or "size" not in data:
         raise InputError("gset: needs 'size' and 'action'")
     size = data["size"]
+    if not isinstance(size, int) or size < 0:
+        raise InputError("gset: 'size' must be a nonnegative integer")
+    if not isinstance(data["action"], dict):
+        raise InputError("gset: 'action' must be an object")
     perms = {}
     for g_str, perm in data["action"].items():
+        if not isinstance(perm, list) or not all(isinstance(p, int) for p in perm):
+            raise InputError(f"gset: action of {g_str} must be a list of points")
         perms[int(g_str)] = perm
     for g in group.elements():
         if g not in perms:

@@ -101,9 +101,6 @@ class IntegerRing:
     zero = 0
     one = 1
 
-    def pivot_key(self, v):
-        return abs(v)
-
     def to_json(self, v):
         return v
 
@@ -134,9 +131,6 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def pivot_key(self, v):
-        return 1
 
     def to_json(self, v):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
@@ -172,9 +166,6 @@ class PrimeField:
         if isinstance(x, str):
             return FpElement(self.p, int(x))
         raise ValueError(f"not an F_{self.p} element: {x!r}")
-
-    def pivot_key(self, v):
-        return 1
 
     def to_json(self, v):
         return v.v

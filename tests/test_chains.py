@@ -230,6 +230,44 @@ def test_homology_smith_path_matches_field_gauss_oracle(p):
             assert hs[n].torsion == ()
 
 
+def random_z_complex(rng, max_rank=5, top=3):
+    """Random integer complex; each d_{n+1} maps into a sublattice of ker d_n,
+    so homology often has torsion."""
+    from orbitkit.exactla import kernel_z, mat_from_columns
+    ranks = [rng.randint(1, max_rank) for _ in range(top + 1)]
+    diffs = {}
+    kernel = [[int(i == j) for i in range(ranks[0])] for j in range(ranks[0])]
+    for n in range(1, top + 1):
+        k = mat_from_columns(ZZ, kernel, ranks[n - 1])
+        rows = [[rng.randint(-3, 3) for _ in range(ranks[n])] for _ in range(k.ncols)]
+        diffs[n] = k @ Mat(ZZ, k.ncols, ranks[n], rows)
+        kernel = kernel_z(diffs[n])
+    return ChainComplex(ZZ, ranks, diffs)
+
+
+def test_universal_coefficients_across_z_q_fp():
+    """Field homology (row reduction) against integer homology (Smith form):
+    b_n over Q is the free rank over Z, and over F_p each Z/t with p | t in
+    degrees n and n-1 adds one dimension."""
+    rng = random.Random(2027)
+    torsion_seen = 0
+    for _ in range(40):
+        c = random_z_complex(rng)
+        hz = homology(c)
+        torsion_seen += sum(len(h.torsion) for h in hz)
+        for ring in (QQ, PrimeField(2), PrimeField(3), PrimeField(5)):
+            cf = ChainComplex(ring, c.ranks, {n: Mat(ring, c.rank(n - 1), c.rank(n),
+                                                     c.d(n).rows)
+                                              for n in range(1, c.top + 1)})
+            for n, h in enumerate(homology(cf)):
+                want = hz[n].free_rank
+                if ring != QQ:
+                    below = hz[n - 1].torsion if n else ()
+                    want += sum(1 for t in hz[n].torsion + below if t % ring.p == 0)
+                assert (h.free_rank, h.torsion) == (want, ()), (ring, n)
+    assert torsion_seen >= 20
+
+
 # ---------------------------------------------------------------------------
 # quasi-isomorphisms
 

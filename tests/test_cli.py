@@ -202,18 +202,22 @@ def test_exit_2_on_simplex_over_the_cap(files, capsys):
     assert "exceeds cap" in err
 
 
-@pytest.mark.parametrize("data", [
-    [1, 2],                                             # --sset holding a list
-    {"source": "point", "target": "point", "values": [[0, []]]},
-    {"source": "point", "target": "point", "values": {"0": "x"}},
-], ids=["sset-list", "values-list", "value-string"])
-def test_exit_2_on_malformed_json(files, capsys, data):
+@pytest.mark.parametrize("verb,data", [
+    ("homology", [1, 2]),                               # --sset holding a list
+    ("cells", {"source": "point", "target": "point", "values": [[0, []]]}),
+    ("cells", {"source": "point", "target": "point", "values": {"0": "x"}}),
+    ("fixed-points", {"size": 2, "action": [[0, 1], [1, 0]]}),
+    ("fixed-points", {"size": 2, "action": {"0": [0, 1], "1": 5}}),
+    ("fixed-points", {"size": "2", "action": {"1": [1, 0]}}),
+], ids=["sset-list", "values-list", "value-string", "gset-action-list",
+        "gset-perm-number", "gset-size-string"])
+def test_exit_2_on_malformed_json(files, capsys, verb, data):
     path = files["tmp"] / "malformed.json"
     path.write_text(json.dumps(data))
-    if isinstance(data, list):
-        argv = ["homology", "--sset", str(path), "--ring", "Z"]
-    else:
-        argv = ["cells", "--map", str(path)]
+    argv = {"homology": ["homology", "--sset", str(path), "--ring", "Z"],
+            "cells": ["cells", "--map", str(path)],
+            "fixed-points": ["fixed-points", "--sset", str(path),
+                             "--group", files["group"]]}[verb]
     code, _, err = run(capsys, argv)
     assert code == 2
     assert "input error" in err

@@ -11,9 +11,10 @@ from orbitkit.elmendorf import ChainCat, FinSSetCat, FinSetCat, \
     cellularity_report, free_cell_diagram, i_lower, i_upper, unit_maps
 from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup, \
     subgroup, symmetric_group, trivial_subgroup
-from orbitkit.gsets import coset_gset, regular_gset, trivial_gset
+from orbitkit.errors import InternalError
+from orbitkit.gsets import coset_gset, make_gset, regular_gset, trivial_gset
 from orbitkit.orbitcat import build_orbit_category
-from orbitkit.rings import ZZ
+from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.simplicial import boundary_simplex, standard_simplex
 
 
@@ -65,7 +66,7 @@ def test_i_lower_trivial_action_constant(c2cat):
     d = i_lower(x, cat, vc)
     assert len(d.values[0]) == 3 and len(d.values[1]) == 3
     for key, m in d.maps.items():
-        assert m.as_dict() == {l: l for l in m.src}
+        assert m.as_dict() == {l: l for l in m.source}
 
 
 def test_i_lower_regular_set(c2cat):
@@ -171,19 +172,56 @@ def test_counit_iso_for_sset_and_chain_fixtures(c2cat):
 
 
 def test_unit_iso_on_free_cells_matches_cellularity():
-    for g in (cyclic_group(2), symmetric_group(3)):
+    """One generic comparison: the unit at G/H of hom(-, G/K) (x) c is the
+    cellularity map (G/K)^H (x) c -> (G/K (x) c)^H, in every value category."""
+    c4, s3 = cyclic_group(4), symmetric_group(3)
+    rings = (ZZ, QQ, PrimeField(2))
+    cases = []
+    for g in (c4, s3):
+        cases += [(g, FinSetCat(), cell) for cell in (("*",), ("a", "b"))]
+        cases += [(g, FinSSetCat(), cell) for cell in (
+            standard_simplex(0), boundary_simplex(1), standard_simplex(1))]
+        cases += [(g, ChainCat(r), concentrated(r, 0)) for r in rings]
+    # the chains of Delta[1] over Q and F_2 take seconds on S3; C4 covers them
+    cases += [(c4, ChainCat(r), normalized_chains(standard_simplex(1), r))
+              for r in rings]
+    cases.append((s3, ChainCat(ZZ), normalized_chains(standard_simplex(1), ZZ)))
+    for g, vc, cell in cases:
         fam = all_subgroups(g)
         cat = build_orbit_category(g, fam)
-        vs = FinSSetCat()
-        for cell in (standard_simplex(0), boundary_simplex(1), standard_simplex(1)):
-            for k in fam:
-                t = free_cell_diagram(cat, k, cell, vs)
-                x = i_upper(t)
-                rep = adjunction_check(t, x)
-                for h in fam:
-                    cr = cellularity_report(g, h, k, cell, vs)
-                    assert rep.unit_per_object[h.label] == cr.iso, (k.label, h.label)
-                assert rep.unit_iso
+        for k in fam:
+            t = free_cell_diagram(cat, k, cell, vc)
+            rep = adjunction_check(t, i_upper(t))
+            for h in fam:
+                cr = cellularity_report(g, h, k, cell, vc)
+                assert rep.unit_per_object[h.label] == cr.iso, (vc, k.label, h.label)
+                if isinstance(vc, ChainCat):
+                    assert cr.iso == (cr.fixed_cosets == cr.orbit_count)
+                else:
+                    assert cr.iso and cr.orbit_count is None
+            assert rep.unit_iso == all(rep.unit_per_object.values())
+
+
+def test_counit_that_misses_fixed_points_is_internal_error(c2cat):
+    g, cat = c2cat
+
+    x = FinSetObj.plain(make_gset(g, {0: [0, 1, 2], 1: [0, 2, 1]}))
+
+    class SwappedCounit(FinSetCat):
+        """The counit of x swaps its fixed point 0 with the moved point 1."""
+
+        def fixed_inclusion(self, y, h):
+            m = super().fixed_inclusion(y, h)
+            if y is not x or not h.is_trivial():
+                return m
+            d = m.as_dict()
+            d[0], d[1] = d[1], d[0]
+            return VMap.make(m.source, m.target, d)
+
+    vc = SwappedCounit()
+    t = free_cell_diagram(cat, trivial_subgroup(g), ("*",), vc)
+    with pytest.raises(InternalError, match="counit"):
+        adjunction_check(t, x)
 
 
 def test_unit_fails_on_chain_free_cell(c2cat):

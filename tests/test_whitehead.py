@@ -12,9 +12,9 @@ import pytest
 import orbitkit
 
 from conftest import swap_boundary1, vee, with_trivial_action
-from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, concentrated, \
-    identity_chain_map, is_quasi_iso, normalized_chain_map, \
-    normalized_chains, zero_complex
+from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, \
+    compose_chain_maps, concentrated, identity_chain_map, is_quasi_iso, \
+    normalized_chain_map, normalized_chains, zero_complex
 from orbitkit.exactla import Mat
 from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup, \
     trivial_subgroup
@@ -226,6 +226,19 @@ def test_search_solves_in_orbit_coordinates(monkeypatch):
         cf = normalized_chain_map(f, ZZ)
         cert = certificate_search(cf)
         assert cert is not None and verify_certificate(cert, cf)
+
+
+def test_identity_and_composite_chain_maps_keep_equivariance():
+    c = normalized_chains(free_simplex(2, 1), ZZ)
+    ident = identity_chain_map(c)
+    comp = compose_chain_maps(ident, ident)
+    for f in (ident, comp):
+        assert f.equivariant
+        cert = certificate_search(f)
+        assert cert is not None and verify_certificate(cert, f)
+    unchecked = ChainMap(c, c, {n: ident.mat(n) for n in range(c.top + 1)},
+                         validate=False)
+    assert not compose_chain_maps(ident, unchecked).equivariant
 
 
 def as_matrix_action(c):
