@@ -385,6 +385,18 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
     return inv, incl
 
 
+def corestrict(f: ChainMap, incl: ChainMap) -> ChainMap:
+    """The g with incl o g = f; callers know f lands in the image of incl."""
+    mats = {}
+    for n in range(max(f.source.top, incl.source.top) + 1):
+        sol = solve_exact(incl.mat(n), f.mat(n))
+        if sol is None:
+            raise InternalError(
+                f"the map does not factor through the inclusion in degree {n}")
+        mats[n] = sol
+    return ChainMap(f.source, incl.source, mats)
+
+
 def fixed_chains_comparison(x: GSSet, h: Subgroup, ring) -> ChainMap:
     """Canonical map C(X^H) -> C(X)^H (fixed simplices are singleton orbit sums).
 
@@ -394,32 +406,14 @@ def fixed_chains_comparison(x: GSSet, h: Subgroup, ring) -> ChainMap:
     complement of the fixed subcomplex contributes orbit sums.
     """
     c = normalized_chains(x, ring)
-    inv, incl = invariants(c, h)
-    fx, fincl = fixed_sset(x, h)
-    cfx = normalized_chains(fx, ring)
-    into_c = normalized_chain_map(fincl, ring, cfx, c)
-    mats = {}
-    for n in range(max(cfx.top, inv.top) + 1):
-        sol = solve_exact(incl.mat(n), into_c.mat(n))
-        if sol is None:
-            raise InternalError("fixed chains must land in the invariants")
-        mats[n] = sol
-    return ChainMap(cfx, inv, mats)
+    return corestrict(normalized_chain_map(fixed_sset(x, h)[1], ring, cy=c),
+                      invariants(c, h)[1])
 
 
 def restrict_to_invariants(cf: ChainMap, h: Subgroup) -> ChainMap:
     """The induced map between H-invariant subcomplexes of an equivariant map."""
-    inv_src, incl_src = invariants(cf.source, h)
-    inv_tgt, incl_tgt = invariants(cf.target, h)
-    mats = {}
-    for n in range(max(inv_src.top, inv_tgt.top) + 1):
-        rhs = cf.mat(n) @ incl_src.mat(n)
-        sol = solve_exact(incl_tgt.mat(n), rhs)
-        if sol is None:
-            raise InternalError(
-                "an equivariant map must send invariants into invariants")
-        mats[n] = sol
-    return ChainMap(inv_src, inv_tgt, mats)
+    return corestrict(compose_chain_maps(cf, invariants(cf.source, h)[1]),
+                      invariants(cf.target, h)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ methods they all provide:
   has a ``source`` and a ``target`` value;
 * G-objects: ``gobject(group, carrier, action_maps)`` equips a value with
   an action, ``action_as_map(x, g)`` reads one element's action back;
-* fixed points: ``fixed_value(x, h)``, its inclusion ``fixed_inclusion(x,
-  h)`` into the underlying value, ``connect_fixed(x, a, k, h)`` for the
-  translation x^K -> x^H by a, and ``corestrict(m, x, h)`` for a map that
-  lands in x^H;
+* fixed points: ``fixed(x, h)``, the inclusion x^H -> x (its ``source``
+  is the fixed value), and ``corestrict(m, incl)``, which factors a map m
+  through such an inclusion; ``i_lower`` builds every structure map from
+  these two and ``action_as_map``;
 * copowers: ``copower(keys, c)``, ``copower_remap(src_keys, tgt_keys,
   keymap, c)``, and ``tensor(orbit, c)``, the G-object G/K (x) c;
 * reports: ``value_descriptor(v)`` and ``orbit_count(orbit, h)``, the
@@ -35,14 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chains import ChainComplex, ChainMap, chain_maps_equal, compose_chain_maps, \
-    identity_chain_map, invariants
+    corestrict, identity_chain_map, invariants
 from .errors import InternalError
-from .exactla import Mat, is_invertible, solve_exact
+from .exactla import Mat, is_invertible
 from .groups import Group, Subgroup
 from .gsets import GSet, coset_gset, make_gset, orbit_analysis, orbits, product_gset, \
     trivial_gset
-from .orbitcat import OrbitCategory, OrbitMorphism, compose as compose_morphisms, \
-    orbit_morphism
+from .orbitcat import OrbitCategory, OrbitMorphism, compose as compose_morphisms
 from .simplicial import GSSet, SMap, SimplexRef, TRIVIAL_GROUP, disjoint_copies, \
     fixed_sset, gtensor, identity_smap, compose_smaps, smaps_equal
 
@@ -109,12 +108,8 @@ class FinSetCat:
             perms[g] = [pos[d[l]] for l in carrier]
         return FinSetObj(make_gset(group, perms), tuple(carrier))
 
-    def fixed_value(self, x: FinSetObj, h: Subgroup):
-        rep = orbit_analysis(x.gset, h)
-        return tuple(x.labels[p] for p in rep.fixed)
-
-    def fixed_inclusion(self, x: FinSetObj, h: Subgroup) -> VMap:
-        src = self.fixed_value(x, h)
+    def fixed(self, x: FinSetObj, h: Subgroup) -> VMap:
+        src = tuple(x.labels[p] for p in orbit_analysis(x.gset, h).fixed)
         return VMap.make(src, x.labels, {l: l for l in src})
 
     def action_as_map(self, x: FinSetObj, g: int) -> VMap:
@@ -122,15 +117,9 @@ class FinSetCat:
                          {x.labels[p]: x.labels[x.gset.act[g][p]]
                           for p in range(x.gset.size)})
 
-    def connect_fixed(self, x: FinSetObj, a: int, k: Subgroup, h: Subgroup) -> VMap:
-        src = self.fixed_value(x, k)
-        tgt = self.fixed_value(x, h)
-        pos = {l: p for p, l in enumerate(x.labels)}
-        return VMap.make(src, tgt, {l: x.labels[x.gset.act[a][pos[l]]] for l in src})
-
-    def corestrict(self, m: VMap, x: FinSetObj, h: Subgroup) -> VMap:
-        tgt = self.fixed_value(x, h)
-        return VMap.make(m.source, tgt, m.as_dict())
+    def corestrict(self, m: VMap, incl: VMap) -> VMap:
+        # fixed points keep their labels; make rejects a map that misses them
+        return VMap.make(m.source, incl.source, m.as_dict())
 
     def copower(self, keys, c):
         return tuple((k, l) for k in keys for l in c)
@@ -178,10 +167,7 @@ class FinSSetCat:
         return GSSet(group, carrier.dim_of,
                      {s: carrier.faces[s] for s in carrier.faces}, action)
 
-    def fixed_value(self, x: GSSet, h: Subgroup) -> GSSet:
-        return fixed_sset(x, h)[0]
-
-    def fixed_inclusion(self, x: GSSet, h: Subgroup) -> SMap:
+    def fixed(self, x: GSSet, h: Subgroup) -> SMap:
         return fixed_sset(x, h)[1]
 
     def action_as_map(self, x: GSSet, g: int) -> SMap:
@@ -189,14 +175,9 @@ class FinSSetCat:
                       {0: {s: s for s in x.dim_of}}, validate=False)
         return SMap(plain, plain, {s: SimplexRef(x.act(g, s)) for s in x.ids()})
 
-    def connect_fixed(self, x: GSSet, a: int, k: Subgroup, h: Subgroup) -> SMap:
-        src = self.fixed_value(x, k)
-        tgt = self.fixed_value(x, h)
-        return SMap(src, tgt, {s: SimplexRef(x.act(a, s)) for s in src.ids()})
-
-    def corestrict(self, m: SMap, x: GSSet, h: Subgroup) -> SMap:
-        tgt = self.fixed_value(x, h)
-        return SMap(m.source, tgt, dict(m.values))
+    def corestrict(self, m: SMap, incl: SMap) -> SMap:
+        # fixed simplices keep their ids; SMap rejects a map that misses them
+        return SMap(m.source, incl.source, dict(m.values))
 
     def copower(self, keys, c: GSSet) -> GSSet:
         return disjoint_copies(c, len(keys))[0]
@@ -250,10 +231,7 @@ class ChainCat:
                             {n: carrier.d(n) for n in range(1, carrier.top + 1)},
                             group=group, rep=rep)
 
-    def fixed_value(self, x: ChainComplex, h: Subgroup) -> ChainComplex:
-        return invariants(x, h)[0]
-
-    def fixed_inclusion(self, x: ChainComplex, h: Subgroup) -> ChainMap:
+    def fixed(self, x: ChainComplex, h: Subgroup) -> ChainMap:
         return invariants(x, h)[1]
 
     def action_as_map(self, x: ChainComplex, g: int) -> ChainMap:
@@ -261,29 +239,7 @@ class ChainCat:
         return ChainMap(plain, plain, {n: x.rep_mat(g, n)
                                        for n in range(x.top + 1)}, validate=False)
 
-    def connect_fixed(self, x: ChainComplex, a: int, k: Subgroup,
-                      h: Subgroup) -> ChainMap:
-        inv_k, incl_k = invariants(x, k)
-        inv_h, incl_h = invariants(x, h)
-        mats = {}
-        for n in range(x.top + 1):
-            rhs = x.rep_mat(a, n) @ incl_k.mat(n)
-            sol = solve_exact(incl_h.mat(n), rhs)
-            if sol is None:
-                raise InternalError(
-                    "translation must map K-invariants into H-invariants")
-            mats[n] = sol
-        return ChainMap(inv_k, inv_h, mats)
-
-    def corestrict(self, m: ChainMap, x: ChainComplex, h: Subgroup) -> ChainMap:
-        inv_h, incl_h = invariants(x, h)
-        mats = {}
-        for n in range(max(m.top, x.top) + 1):
-            sol = solve_exact(incl_h.mat(n), m.mat(n))
-            if sol is None:
-                raise ValueError(f"map does not land in the invariants in degree {n}")
-            mats[n] = sol
-        return ChainMap(m.source, inv_h, mats)
+    corestrict = staticmethod(corestrict)
 
     def copower(self, keys, c: ChainComplex) -> ChainComplex:
         k = len(keys)
@@ -336,14 +292,12 @@ class ChainCat:
 class OrbitDiagram:
     """Contravariant diagram on the orbit category, valued in ``vcat``."""
 
-    def __init__(self, cat: OrbitCategory, vcat, values: dict, maps: dict,
-                 validate: bool = True):
+    def __init__(self, cat: OrbitCategory, vcat, values: dict, maps: dict):
         self.cat = cat
         self.vcat = vcat
         self.values = dict(values)
         self.maps = dict(maps)  # (src_idx, tgt_idx, rep) -> map values[tgt] -> values[src]
-        if validate:
-            self.check_functorial()
+        self.check_functorial()
 
     def structure_map(self, m: OrbitMorphism):
         i = self.cat.object_index(m.source)
@@ -359,15 +313,15 @@ class OrbitDiagram:
             if not vc.maps_equal(got, vc.identity(self.values[i])):
                 raise ValueError(f"identity of object {i} is not the identity map")
         for m1 in cat.all_morphisms():
-            for m2 in cat.all_morphisms():
-                if m1.target.members != m2.source.members:
-                    continue
-                comp = compose_morphisms(m2, m1)
-                lhs = self.structure_map(comp)
-                rhs = vc.compose(self.structure_map(m1), self.structure_map(m2))
-                if not vc.maps_equal(lhs, rhs):
-                    raise ValueError(
-                        f"functoriality fails at {m2!r} o {m1!r}")
+            j = cat.object_index(m1.target)
+            for l in range(len(cat.family)):
+                for m2 in cat.hom[(j, l)]:
+                    comp = compose_morphisms(m2, m1)
+                    lhs = self.structure_map(comp)
+                    rhs = vc.compose(self.structure_map(m1), self.structure_map(m2))
+                    if not vc.maps_equal(lhs, rhs):
+                        raise ValueError(
+                            f"functoriality fails at {m2!r} o {m1!r}")
 
 
 def _trivial_index(cat: OrbitCategory) -> int:
@@ -379,27 +333,32 @@ def _trivial_index(cat: OrbitCategory) -> int:
 
 def i_upper(t: OrbitDiagram):
     """Evaluate at G/{e}; the orbit endomorphisms become the group action."""
-    cat = t.cat
-    e_idx = _trivial_index(cat)
-    e_sub = cat.family[e_idx]
-    carrier = t.values[e_idx]
-    group = cat.group
-    action_maps = {}
-    for g in group.elements():
-        m = orbit_morphism(e_sub, e_sub, g)
-        action_maps[g] = t.maps[(e_idx, e_idx, m.rep)]
-    return t.vcat.gobject(group, carrier, action_maps)
+    e_idx = _trivial_index(t.cat)
+    # R_g: G/e -> G/e is stored by its coset {g}, so its rep is g
+    action_maps = {g: t.maps[(e_idx, e_idx, g)] for g in t.cat.group.elements()}
+    return t.vcat.gobject(t.cat.group, t.values[e_idx], action_maps)
+
+
+def _corestrict(vcat, m, incl, what: str):
+    try:  # every caller's map lands in the subobject, or orbitkit has a bug
+        return vcat.corestrict(m, incl)
+    except (ValueError, InternalError) as exc:
+        raise InternalError(f"{what}: {exc}") from exc
 
 
 def i_lower(x, cat: OrbitCategory, vcat) -> OrbitDiagram:
-    """The orbit diagram of fixed points of a G-object."""
-    values = {i: vcat.fixed_value(x, h) for i, h in enumerate(cat.family)}
+    """The diagram G/H -> x^H; R_a: G/H -> G/K gives the translation x^K -> x^H."""
+    fixed = [vcat.fixed(x, h) for h in cat.family]
+    act = {g: vcat.action_as_map(x, g) for g in cat.group.elements()}
     maps = {}
     for m in cat.all_morphisms():
         i = cat.object_index(m.source)
         j = cat.object_index(m.target)
-        maps[(i, j, m.rep)] = vcat.connect_fixed(x, m.rep, m.target, m.source)
-    return OrbitDiagram(cat, vcat, values, maps)
+        maps[(i, j, m.rep)] = _corestrict(
+            vcat, vcat.compose(act[m.rep], fixed[j]), fixed[i],
+            f"the translation by {m.rep} must map {m.target.label}-fixed points "
+            f"to {m.source.label}-fixed points")
+    return OrbitDiagram(cat, vcat, {i: f.source for i, f in enumerate(fixed)}, maps)
 
 
 def free_cell_diagram(cat: OrbitCategory, k: Subgroup, c, vcat) -> OrbitDiagram:
@@ -437,24 +396,18 @@ class AdjunctionReport:
 
 def unit_maps(t: OrbitDiagram):
     """The unit T -> i_lower(i_upper(T)) as per-object corestrictions."""
-    cat = t.cat
-    vcat = t.vcat
-    e_idx = _trivial_index(cat)
-    e_sub = cat.family[e_idx]
+    e_idx = _trivial_index(t.cat)
     x = i_upper(t)
-    out = {}
-    for i, h in enumerate(cat.family):
-        m = orbit_morphism(e_sub, h, 0)
-        into_carrier = t.maps[(e_idx, i, m.rep)]
-        out[i] = vcat.corestrict(into_carrier, x, h)
-    return x, out
+    # the projection R_0: G/e -> G/H maps the carrier T(G/e) to T(G/H)
+    return x, {i: t.vcat.corestrict(t.maps[(e_idx, i, 0)], t.vcat.fixed(x, h))
+               for i, h in enumerate(t.cat.family)}
 
 
 def counit_map(x, cat: OrbitCategory, vcat):
     """The counit i_upper(i_lower(x)) -> x on underlying values."""
     d = i_lower(x, cat, vcat)
     lhs = i_upper(d)
-    eps = vcat.fixed_inclusion(x, cat.family[_trivial_index(cat)])
+    eps = vcat.fixed(x, cat.family[_trivial_index(cat)])
     return d, lhs, eps
 
 
@@ -473,29 +426,22 @@ def adjunction_check(t: OrbitDiagram, x) -> AdjunctionReport:
 
     d_x, lhs_x, eps_x = counit_map(x, cat, vcat)
     counit_ok = vcat.is_iso(eps_x)
-    eq_ok = True
-    for g in cat.group.elements():
-        a1 = vcat.compose(vcat.action_as_map(x, g), eps_x)
-        a2 = vcat.compose(eps_x, vcat.action_as_map(lhs_x, g))
-        if not vcat.maps_equal(a1, a2):
-            eq_ok = False
+    eq_ok = all(vcat.maps_equal(vcat.compose(vcat.action_as_map(x, g), eps_x),
+                                vcat.compose(eps_x, vcat.action_as_map(lhs_x, g)))
+                for g in cat.group.elements())
 
     # triangle 1: counit(i_upper T) o i_upper(unit) = id on the carrier
-    d_t, lhs_t, eps_t = counit_map(xt, cat, vcat)
-    unit_at_e = units[e_idx]
-    tri_left = vcat.maps_equal(vcat.compose(eps_t, unit_at_e),
+    eps_t = counit_map(xt, cat, vcat)[2]
+    tri_left = vcat.maps_equal(vcat.compose(eps_t, units[e_idx]),
                                vcat.identity(t.values[e_idx]))
 
     # triangle 2: (fixed points of the counit) o unit(i_lower x) = id, per object
     units_dx = unit_maps(d_x)[1]
     tri_right = True
     for i, h in enumerate(cat.family):
-        try:
-            eps_fixed = vcat.corestrict(
-                vcat.compose(eps_x, vcat.fixed_inclusion(lhs_x, h)), x, h)
-        except ValueError as exc:
-            raise InternalError(
-                f"the counit must send {h.label}-fixed points to fixed points: {exc}")
+        eps_fixed = _corestrict(
+            vcat, vcat.compose(eps_x, vcat.fixed(lhs_x, h)), vcat.fixed(x, h),
+            f"the counit must send {h.label}-fixed points to fixed points")
         comp = vcat.compose(eps_fixed, units_dx[i])
         if not vcat.maps_equal(comp, vcat.identity(d_x.values[i])):
             tri_right = False
@@ -536,7 +482,7 @@ def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat) -> Cellulari
     gk = coset_gset(g, k)
     fixed = list(orbit_analysis(gk, h).fixed)
     into_all = vcat.copower_remap(fixed, range(gk.size), {c: c for c in fixed}, a)
-    comparison = vcat.corestrict(into_all, vcat.tensor(gk, a), h)
+    comparison = vcat.corestrict(into_all, vcat.fixed(vcat.tensor(gk, a), h))
     return CellularityReport(vcat.value_descriptor(comparison.source),
                              vcat.value_descriptor(comparison.target),
                              vcat.is_iso(comparison), len(fixed),

@@ -38,7 +38,7 @@ class GMap:
         return self.values[x]
 
 
-def make_gset(group: Group, perms, validate: bool = True) -> GSet:
+def make_gset(group: Group, perms) -> GSet:
     """Build a validated GSet from per-element permutations.
 
     ``perms`` maps each group element to a permutation of ``0..size-1``
@@ -52,8 +52,7 @@ def make_gset(group: Group, perms, validate: bool = True) -> GSet:
         raise ValueError("need one permutation per group element")
     size = len(act[0]) if act else 0
     x = GSet(group, size, tuple(act))
-    if validate:
-        validate_gset(x)
+    validate_gset(x)
     return x
 
 

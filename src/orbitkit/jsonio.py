@@ -45,10 +45,36 @@ def _load_json(path) -> object:
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
+def _ints(v, depth: int = 1) -> bool:
+    """v is a list of integers (depth 1) or a list of values of depth - 1."""
+    return isinstance(v, list) and all(
+        isinstance(x, int) if depth == 1 else _ints(x, depth - 1) for x in v)
+
+
+def _values(v, ok) -> bool:
+    return isinstance(v, dict) and all(map(ok, v.values()))
+
+
+# checks of the fields of a G-sset object, with what each must be
+_SSET_FIELDS = {
+    "dims": ("an integer", lambda v: isinstance(v, int)),
+    "simplices": ("an object of id lists", lambda v: _values(v, _ints)),
+    "faces": ("an object of lists of [base, word]", lambda v: _values(
+        v, lambda fs: isinstance(fs, list) and all(
+            isinstance(f, list) and len(f) == 2 and isinstance(f[0], int) and _ints(f[1])
+            for f in fs))),
+    "action": ("an object of id objects", lambda v: v is None or _values(
+        v, lambda m: isinstance(m, dict) and _ints(list(m.values())))),
+}
+
+
 def load_group(source) -> Group:
     data = _load_json(source) if isinstance(source, (str, Path)) else source
     if not isinstance(data, dict):
         raise InputError("group: expected an object with 'mult' or 'generators'")
+    key = "mult" if "mult" in data else "generators"
+    if not _ints(data.get(key, []), 2):
+        raise InputError(f"group: '{key}' must be a list of integer lists")
     try:
         return make_group(data)
     except ValueError as exc:
@@ -66,6 +92,8 @@ def load_family(selector, group: Group) -> list[Subgroup]:
         raise InputError("family: expected a list of member lists")
     out = []
     for i, members in enumerate(data):
+        if not _ints(members):
+            raise InputError(f"family[{i}]: expected a list of group elements")
         try:
             out.append(subgroup(group, members))
         except ValueError as exc:
@@ -84,7 +112,7 @@ def load_gset(source, group: Group) -> GSet:
         raise InputError("gset: 'action' must be an object")
     perms = {}
     for g_str, perm in data["action"].items():
-        if not isinstance(perm, list) or not all(isinstance(p, int) for p in perm):
+        if not _ints(perm):
             raise InputError(f"gset: action of {g_str} must be a list of points")
         perms[int(g_str)] = perm
     for g in group.elements():
@@ -120,6 +148,9 @@ def load_sset(source, group: Group | None = None) -> GSSet:
     data = _load_json(source) if isinstance(source, (str, Path)) else source
     if not isinstance(data, dict):
         raise InputError("sset: expected an object or a built-in name")
+    for key, (shape, ok) in _SSET_FIELDS.items():
+        if key in data and not ok(data[key]):
+            raise InputError(f"sset: '{key}' must be {shape}")
     try:
         return build_sset(data, group)
     except ValueError as exc:
@@ -138,7 +169,8 @@ def load_smap(source, group: Group | None = None) -> SMap:
     for id_str, ref in data["values"].items():
         if isinstance(ref, int):
             values[int(id_str)] = ref
-        elif isinstance(ref, list) and len(ref) == 2 and isinstance(ref[1], list):
+        elif isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], int) \
+                and _ints(ref[1]):
             values[int(id_str)] = (ref[0], tuple(ref[1]))
         else:
             raise InputError(

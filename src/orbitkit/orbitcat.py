@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, left_cosets
 from .gsets import GMap, coset_gset, make_gmap, orbit_analysis
 
 
@@ -135,16 +135,11 @@ def realize(m: OrbitMorphism) -> GMap:
     g = m.source.parent
     src = coset_gset(g, m.source)
     tgt = coset_gset(g, m.target)
-    src_cosets = _cosets_in_order(g, m.source)
-    tgt_index = {c: i for i, c in enumerate(_cosets_in_order(g, m.target))}
+    src_cosets = left_cosets(g, m.source)
+    tgt_index = {c: i for i, c in enumerate(left_cosets(g, m.target))}
     values = []
     for c in src_cosets:
         rep = c[0]
         image = tuple(sorted(g.mult[g.mult[rep][m.rep]][x] for x in m.target.members))
         values.append(tgt_index[image])
     return make_gmap(src, tgt, values)
-
-
-def _cosets_in_order(g: Group, h: Subgroup):
-    from .groups import left_cosets
-    return left_cosets(g, h)

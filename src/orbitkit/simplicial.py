@@ -69,7 +69,7 @@ class GSSet:
 
     def __init__(self, group: Group, dim_of: dict[int, int],
                  faces: dict[int, tuple], action: dict[int, dict[int, int]],
-                 validate: bool = True, top_dim_cap: int = TOP_DIM_CAP):
+                 validate: bool = True):
         self.group = group
         self.dim_of = dict(dim_of)
         self.faces = {x: tuple(fs) for x, fs in faces.items()}
@@ -80,8 +80,8 @@ class GSSet:
             self.simplices[n].append(x)
         self.simplices = {n: tuple(sorted(ids)) for n, ids in self.simplices.items()}
         self.top_dim = max(self.dim_of.values(), default=-1)
-        if self.top_dim > top_dim_cap:
-            raise ValueError(f"top dimension {self.top_dim} exceeds cap {top_dim_cap}")
+        if self.top_dim > TOP_DIM_CAP:
+            raise ValueError(f"top dimension {self.top_dim} exceeds cap {TOP_DIM_CAP}")
         if validate:
             self.validate()
 
@@ -346,14 +346,12 @@ class SMap:
     share the acting group and the values commute with it.
     """
 
-    def __init__(self, source: GSSet, target: GSSet, values: dict[int, SimplexRef],
-                 validate: bool = True):
+    def __init__(self, source: GSSet, target: GSSet, values: dict[int, SimplexRef]):
         self.source = source
         self.target = target
         self.values = dict(values)
         self.equivariant = False
-        if validate:
-            self._validate()
+        self._validate()
 
     def push(self, ref: SimplexRef) -> SimplexRef:
         return _apply_letters(self.values[ref.base], ref.word)

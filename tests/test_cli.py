@@ -1,10 +1,15 @@
 """CLI verbs: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import orbitkit
 from orbitkit.chains import ChainHomotopy, ChainMap, normalized_chain_map
 from orbitkit.cli import main
 from orbitkit.exactla import Mat
@@ -206,18 +211,33 @@ def test_exit_2_on_simplex_over_the_cap(files, capsys):
     ("homology", [1, 2]),                               # --sset holding a list
     ("cells", {"source": "point", "target": "point", "values": [[0, []]]}),
     ("cells", {"source": "point", "target": "point", "values": {"0": "x"}}),
+    ("cells", {"source": "point", "target": "point", "values": {"0": [[1], []]}}),
+    ("cells", {"source": "point", "target": "point", "values": {"0": [0, [[1]]]}}),
     ("fixed-points", {"size": 2, "action": [[0, 1], [1, 0]]}),
     ("fixed-points", {"size": 2, "action": {"0": [0, 1], "1": 5}}),
     ("fixed-points", {"size": "2", "action": {"1": [1, 0]}}),
-], ids=["sset-list", "values-list", "value-string", "gset-action-list",
-        "gset-perm-number", "gset-size-string"])
+    ("census", {"degree": 3, "generators": 5}),
+    ("census", {"order": 2, "mult": 7}),
+    ("census-family", [5]),
+    ("census-family", [[0, "a"]]),
+    ("homology", {"simplices": {"0": 5}}),
+    ("homology", {"simplices": {"0": [0], "1": [1]}, "faces": {"1": 5}}),
+    ("homology", {"simplices": {"0": [0]}, "action": {"0": 3}}),
+], ids=["sset-list", "values-list", "value-string", "value-base-list",
+        "value-word-nested", "gset-action-list",
+        "gset-perm-number", "gset-size-string", "group-generators-number",
+        "group-mult-number", "family-member-number", "family-member-string",
+        "sset-simplices-number", "sset-faces-number", "sset-action-number"])
 def test_exit_2_on_malformed_json(files, capsys, verb, data):
     path = files["tmp"] / "malformed.json"
     path.write_text(json.dumps(data))
     argv = {"homology": ["homology", "--sset", str(path), "--ring", "Z"],
             "cells": ["cells", "--map", str(path)],
             "fixed-points": ["fixed-points", "--sset", str(path),
-                             "--group", files["group"]]}[verb]
+                             "--group", files["group"]],
+            "census": ["census", "--group", str(path)],
+            "census-family": ["census", "--group", files["group"],
+                              "--family", str(path)]}[verb]
     code, _, err = run(capsys, argv)
     assert code == 2
     assert "input error" in err
@@ -232,6 +252,60 @@ def test_exit_3_on_internal_error(files, capsys, monkeypatch):
                                 "--ring", "Z"])
     assert code == 3
     assert "internal error" in err and "re-verification" in err
+
+
+def test_failed_corestrictions_exit_3_under_python_O():
+    # the corestriction checks must be raises that -O keeps, not asserts
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from orbitkit import InternalError, ZZ, chains, cyclic_group, elmendorf, \\
+            gtensor, regular_gset, standard_simplex, trivial_subgroup
+        from orbitkit.cli import main
+        from orbitkit.exactla import Mat
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        group, smap = sys.argv[1:3]
+
+        def exit_3(argv, words):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code != 3 or words not in err.getvalue():
+                sys.exit(f"{argv[0]}: exit {code}, stderr {err.getvalue()!r}")
+
+        def projection(self, x, g):
+            # not a translation: keeps the first basis vector, kills the rest
+            mats = {}
+            for n in range(x.top + 1):
+                mats[n] = Mat.zeros(x.ring, x.rank(n), x.rank(n))
+                if x.rank(n):
+                    mats[n].rows[0][0] = x.ring.one
+            plain = x.forget_action()
+            return chains.ChainMap(plain, plain, mats, validate=False)
+
+        elmendorf.ChainCat.action_as_map = projection
+        exit_3(["elmendorf", "--group", group, "--family", "all", "--ring", "Z"],
+               "translation")
+        chains.solve_exact = lambda a, b: None
+        exit_3(["whitehead", "--group", group, "--map", smap, "--family", "all",
+                "--ring", "Z"], "does not factor")
+        c2 = cyclic_group(2)
+        try:
+            chains.fixed_chains_comparison(
+                gtensor(regular_gset(c2), standard_simplex(1)),
+                trivial_subgroup(c2), ZZ)
+        except InternalError:
+            sys.exit(0)
+        sys.exit("fixed_chains_comparison returned a map")
+    """)
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script,
+                           str(fixtures / "c2.json"), str(fixtures / "point_to_vee.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_exit_2_names_invalid_field(files, capsys, tmp_path):

@@ -5,7 +5,9 @@ from itertools import product as iproduct
 import pytest
 
 from conftest import swap_boundary1, vee, with_trivial_action
-from orbitkit.chains import concentrated, homology, normalized_chains
+from orbitkit import chains, elmendorf
+from orbitkit.chains import concentrated, homology, invariants, \
+    normalized_chains
 from orbitkit.elmendorf import ChainCat, FinSSetCat, FinSetCat, \
     FinSetObj, OrbitDiagram, VMap, adjunction_check, arrow_poset_census, \
     cellularity_report, free_cell_diagram, i_lower, i_upper, unit_maps
@@ -15,7 +17,7 @@ from orbitkit.errors import InternalError
 from orbitkit.gsets import coset_gset, make_gset, regular_gset, trivial_gset
 from orbitkit.orbitcat import build_orbit_category
 from orbitkit.rings import PrimeField, QQ, ZZ
-from orbitkit.simplicial import boundary_simplex, standard_simplex
+from orbitkit.simplicial import boundary_simplex, gtensor, standard_simplex
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,50 @@ def test_i_lower_chain_regular(c2cat):
     d = i_lower(x, cat, cc)
     assert d.values[0].ranks == (2,)
     assert d.values[1].ranks == (1,)
+
+
+def structure_map_cases(g, cat):
+    """(value category, G-object) pairs with varied fixed points on g."""
+    cosets = [coset_gset(g, k) for k in cat.family]
+    cases = [(FinSetCat(), FinSetObj.plain(c)) for c in cosets]
+    cases += [(FinSSetCat(), gtensor(c, standard_simplex(1))) for c in cosets]
+    for r in (ZZ, PrimeField(2)):
+        vc = ChainCat(r)
+        cases += [(vc, normalized_chains(gtensor(c, standard_simplex(1)), r))
+                  for c in cosets]
+        # a matrix action, as i_upper builds it
+        cases.append((vc, i_upper(free_cell_diagram(
+            cat, cat.family[0], concentrated(r, 0), vc))))
+    return cases
+
+
+@pytest.mark.parametrize("g", [cyclic_group(2), cyclic_group(4), symmetric_group(3)],
+                         ids=["C2", "C4", "S3"])
+def test_i_lower_structure_maps_are_restricted_translations(g):
+    """fixed(x, H) o T(R_a) = a o fixed(x, K) for every R_a: G/H -> G/K."""
+    cat = build_orbit_category(g, all_subgroups(g))
+    for vc, x in structure_map_cases(g, cat):
+        t = i_lower(x, cat, vc)
+        for m in cat.all_morphisms():
+            lhs = vc.compose(vc.fixed(x, m.source), t.structure_map(m))
+            rhs = vc.compose(vc.action_as_map(x, m.rep), vc.fixed(x, m.target))
+            assert vc.maps_equal(lhs, rhs), (vc, m)
+
+
+def test_i_lower_takes_invariants_once_per_object(monkeypatch):
+    g = cyclic_group(4)
+    cat = build_orbit_category(g, all_subgroups(g))
+    x = normalized_chains(gtensor(regular_gset(g), standard_simplex(1)), ZZ)
+    calls = []
+
+    def counted(c, h):
+        calls.append(h.label)
+        return invariants(c, h)
+
+    monkeypatch.setattr(chains, "invariants", counted)
+    monkeypatch.setattr(elmendorf, "invariants", counted)
+    i_lower(x, cat, ChainCat(ZZ))
+    assert sorted(calls) == sorted(h.label for h in cat.family)
 
 
 def test_orbit_diagram_rejects_nonfunctorial_data(c2cat):
@@ -202,23 +248,22 @@ def test_unit_iso_on_free_cells_matches_cellularity():
             assert rep.unit_iso == all(rep.unit_per_object.values())
 
 
-def test_counit_that_misses_fixed_points_is_internal_error(c2cat):
+def test_counit_that_misses_fixed_points_is_internal_error(c2cat, monkeypatch):
     g, cat = c2cat
-
     x = FinSetObj.plain(make_gset(g, {0: [0, 1, 2], 1: [0, 2, 1]}))
+    counit_map = elmendorf.counit_map
 
-    class SwappedCounit(FinSetCat):
+    def swapped_counit(y, cat, vcat):
         """The counit of x swaps its fixed point 0 with the moved point 1."""
+        d, lhs, eps = counit_map(y, cat, vcat)
+        if y is x:
+            m = eps.as_dict()
+            m[0], m[1] = m[1], m[0]
+            eps = VMap.make(eps.source, eps.target, m)
+        return d, lhs, eps
 
-        def fixed_inclusion(self, y, h):
-            m = super().fixed_inclusion(y, h)
-            if y is not x or not h.is_trivial():
-                return m
-            d = m.as_dict()
-            d[0], d[1] = d[1], d[0]
-            return VMap.make(m.source, m.target, d)
-
-    vc = SwappedCounit()
+    monkeypatch.setattr(elmendorf, "counit_map", swapped_counit)
+    vc = FinSetCat()
     t = free_cell_diagram(cat, trivial_subgroup(g), ("*",), vc)
     with pytest.raises(InternalError, match="counit"):
         adjunction_check(t, x)
