@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .errors import InternalError
 from .exactla import Mat, block_matrix, kernel_exact, mat_from_columns, \
     smith_diagonal, solve_exact
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, check_action_laws
 from .gsets import GSet, orbits, validate_gset
 from .simplicial import GSSet, SMap, fixed_sset, prism as build_prism
 
@@ -120,15 +120,9 @@ class ChainComplex:
                         raise ValueError(f"representation of {a} in degree {n} "
                                          "has the wrong shape")
             for n in range(self.top + 1):
-                if self.rep_mat(0, n) != Mat.identity(self.ring, self.rank(n)):
-                    raise ValueError("identity element must act as the identity")
-            for a in g.elements():
-                for b in g.elements():
-                    ab = g.mult[a][b]
-                    for n in range(self.top + 1):
-                        if self.rep_mat(a, n) @ self.rep_mat(b, n) != self.rep_mat(ab, n):
-                            raise ValueError(f"representation not a homomorphism at ({a},{b})")
-            for a in g.elements():
+                check_action_laws(g, lambda a: self.rep_mat(a, n), Mat.__matmul__,
+                                  Mat.identity(self.ring, self.rank(n)))
+            for a in g.generators:  # a homomorphism: generators suffice
                 for n in range(1, self.top + 1):
                     if self.rep_mat(a, n - 1) @ self.d(n) != self.d(n) @ self.rep_mat(a, n):
                         raise ValueError(f"representation of {a} does not commute with d_{n}")
@@ -148,7 +142,7 @@ class ChainComplex:
             # also keeps every zero entry
             nonzero = [(i, j, v) for i, row in enumerate(d)
                        for j, v in enumerate(row) if v != zero]
-            for a in self.group.elements():
+            for a in self.group.generators:  # a homomorphism: generators suffice
                 p, q = self.action[n - 1].act[a], self.action[n].act[a]
                 if any(d[p[i]][q[j]] != v for i, j, v in nonzero):
                     raise ValueError(f"representation of {a} does not commute with d_{n}")
@@ -227,7 +221,7 @@ class ChainMap:
             self.equivariant = all(
                 self.target.rep_mat(a, n) @ self.mat(n)
                 == self.mat(n) @ self.source.rep_mat(a, n)
-                for a in g.elements() for n in range(self.top + 1))
+                for a in g.generators for n in range(self.top + 1))
 
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
@@ -380,7 +374,8 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
             raise InternalError(
                 "the differential must restrict to the invariant subcomplex")
         diffs[n] = sol
-    inv = ChainComplex(ring, ranks, diffs, basis=None)
+    # incl d' = d incl and incl is injective, so d'd' = 0
+    inv = ChainComplex(ring, ranks, diffs, basis=None, validate=False)
     incl = ChainMap(inv, c, {n: kmats[n] for n in range(c.top + 1)}, validate=False)
     return inv, incl
 
@@ -394,7 +389,8 @@ def corestrict(f: ChainMap, incl: ChainMap) -> ChainMap:
             raise InternalError(
                 f"the map does not factor through the inclusion in degree {n}")
         mats[n] = sol
-    return ChainMap(f.source, incl.source, mats)
+    # incl g = f exactly and incl is injective, so g is a chain map
+    return ChainMap(f.source, incl.source, mats, validate=False)
 
 
 def fixed_chains_comparison(x: GSSet, h: Subgroup, ring) -> ChainMap:
@@ -469,7 +465,8 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         blocks = [[tgt.d(n), f.mat(n - 1)],
                   [Mat.zeros(ring, src.rank(n - 2), tgt.rank(n)), -src.d(n - 1)]]
         diffs[n] = block_matrix(ring, blocks)
-    return ChainComplex(ring, ranks, diffs)
+    # d^2 = 0 because f is a chain map
+    return ChainComplex(ring, ranks, diffs, validate=False)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -527,5 +524,5 @@ def prism_homotopy(hc: ChainMap, x: GSSet) -> ChainHomotopy:
     if hc.equivariant and z.group is not None and cx.group == z.group:
         phi.equivariant = all(
             z.rep_mat(a, n + 1) @ phi.mat(n) == phi.mat(n) @ cx.rep_mat(a, n)
-            for a in cx.group.elements() for n in range(cx.top + 1))
+            for a in cx.group.generators for n in range(cx.top + 1))
     return phi

@@ -89,8 +89,9 @@ class FinSetCat:
         return VMap.make(v, v, {l: l for l in v})
 
     def compose(self, m2: VMap, m1: VMap) -> VMap:
-        d1, d2 = m1.as_dict(), m2.as_dict()
-        return VMap.make(m1.source, m2.target, {l: d2[d1[l]] for l in m1.source})
+        # both maps are total, so the composite is one, in m1's label order
+        d2 = m2.as_dict()
+        return VMap(m1.source, m2.target, tuple((l, d2[v]) for l, v in m1.fn))
 
     def maps_equal(self, a: VMap, b: VMap) -> bool:
         return (a.source == b.source and a.target == b.target
@@ -394,13 +395,12 @@ class AdjunctionReport:
                 "per_object": dict(sorted(self.unit_per_object.items()))}
 
 
-def unit_maps(t: OrbitDiagram):
-    """The unit T -> i_lower(i_upper(T)) as per-object corestrictions."""
+def unit_maps(t: OrbitDiagram, x):
+    """The unit T -> i_lower(x) as per-object corestrictions; x is i_upper(T)."""
     e_idx = _trivial_index(t.cat)
-    x = i_upper(t)
     # the projection R_0: G/e -> G/H maps the carrier T(G/e) to T(G/H)
-    return x, {i: t.vcat.corestrict(t.maps[(e_idx, i, 0)], t.vcat.fixed(x, h))
-               for i, h in enumerate(t.cat.family)}
+    return {i: t.vcat.corestrict(t.maps[(e_idx, i, 0)], t.vcat.fixed(x, h))
+            for i, h in enumerate(t.cat.family)}
 
 
 def counit_map(x, cat: OrbitCategory, vcat):
@@ -421,22 +421,23 @@ def adjunction_check(t: OrbitDiagram, x) -> AdjunctionReport:
     """
     cat, vcat = t.cat, t.vcat
     e_idx = _trivial_index(cat)
-    xt, units = unit_maps(t)
+    xt = i_upper(t)
+    units = unit_maps(t, xt)
     unit_flags = {cat.family[i].label: vcat.is_iso(m) for i, m in units.items()}
 
     d_x, lhs_x, eps_x = counit_map(x, cat, vcat)
     counit_ok = vcat.is_iso(eps_x)
     eq_ok = all(vcat.maps_equal(vcat.compose(vcat.action_as_map(x, g), eps_x),
                                 vcat.compose(eps_x, vcat.action_as_map(lhs_x, g)))
-                for g in cat.group.elements())
+                for g in cat.group.generators)  # both actions are homomorphisms
 
     # triangle 1: counit(i_upper T) o i_upper(unit) = id on the carrier
-    eps_t = counit_map(xt, cat, vcat)[2]
+    eps_t = vcat.fixed(xt, cat.family[e_idx])
     tri_left = vcat.maps_equal(vcat.compose(eps_t, units[e_idx]),
                                vcat.identity(t.values[e_idx]))
 
     # triangle 2: (fixed points of the counit) o unit(i_lower x) = id, per object
-    units_dx = unit_maps(d_x)[1]
+    units_dx = unit_maps(d_x, lhs_x)
     tri_right = True
     for i, h in enumerate(cat.family):
         eps_fixed = _corestrict(

@@ -59,10 +59,6 @@ class Mat:
         i, j = ij
         return self.rows[i][j]
 
-    def __setitem__(self, ij, v):
-        i, j = ij
-        self.rows[i][j] = self.ring.normalize(v)
-
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
@@ -120,11 +116,6 @@ class Mat:
     def is_zero(self):
         z = self.ring.zero
         return all(v == z for r in self.rows for v in r)
-
-    def transpose(self):
-        return Mat(self.ring, self.ncols, self.nrows,
-                   [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-                   normalize=False)
 
     def column(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]

@@ -3,13 +3,16 @@
 Elements are dense identifiers ``0..order-1`` with ``0`` the identity.
 Everything downstream (G-sets, orbit categories, equivariant chains)
 indexes into these tables, so construction validates associativity,
-identity, and inverses exhaustively.  Group order is capped (default 64);
-this is a desk-scale toolkit and all searches are brute force on purpose.
+identity, and inverses exhaustively; actions are then checked on the
+small generating set ``generators`` (``check_action_laws``).  Group order
+is capped (default 64); this is a desk-scale toolkit and all searches are
+brute force on purpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 DEFAULT_ORDER_BOUND = 64
 
@@ -33,6 +36,16 @@ class Group:
     def conjugate(self, a: int, x: int) -> int:
         """a^-1 * x * a."""
         return self.mult[self.mult[self.inv[a]][x]][a]
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Greedy: each one doubles the span at least, so at most log2|G|."""
+        gens, span = [], frozenset([0])
+        for x in self.elements():
+            if x not in span:
+                gens.append(x)
+                span = _closure(self, gens)
+        return tuple(gens)
 
     def __repr__(self):
         return self.name or f"Group(order={self.order})"
@@ -66,6 +79,20 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup({{{self.label}}})"
+
+
+def check_action_laws(g: Group, act, compose, identity) -> None:
+    """Raise ValueError unless a -> act(a) is a homomorphism; compose(p, q) is p o q.
+
+    act(s) o act(b) = act(sb) for generators s and all b suffices (induct on words).
+    """
+    if act(0) != identity:
+        raise ValueError("identity element must act trivially")
+    for s in g.generators:
+        p = act(s)
+        for b in g.elements():
+            if compose(p, act(b)) != act(g.mult[s][b]):
+                raise ValueError(f"action not a homomorphism at ({s},{b})")
 
 
 def _validate_table(order: int, mult) -> None:
@@ -308,5 +335,4 @@ def direct_product(a: Group, b: Group) -> Group:
 
 
 def klein_four_group() -> Group:
-    return group_from_table(direct_product(cyclic_group(2), cyclic_group(2)).mult,
-                            "C2xC2")
+    return direct_product(cyclic_group(2), cyclic_group(2))  # named C2xC2

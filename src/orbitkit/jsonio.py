@@ -181,36 +181,41 @@ def load_smap(source, group: Group | None = None) -> SMap:
         raise InputError(f"map: {exc}")
 
 
+def _rows(v) -> bool:
+    return isinstance(v, list) and all(isinstance(r, list) for r in v)
+
+
 def load_chain_complex(source, group: Group | None = None) -> ChainComplex:
     data = _load_json(source) if isinstance(source, (str, Path)) else source
-    if "ring" not in data or "ranks" not in data:
-        raise InputError("chain complex: needs 'ring' and 'ranks'")
+    if not isinstance(data, dict) or not isinstance(data.get("ring"), str) \
+            or not _ints(data.get("ranks")) or any(r < 0 for r in data["ranks"]):
+        raise InputError("chain complex: needs a 'ring' tag and 'ranks', a list of "
+                         "nonnegative integers")
+    if not _values(data.get("d", {}), _rows) \
+            or not _values(data.get("rep", {}), lambda m: _values(m, _rows)):
+        raise InputError("chain complex: 'd' and each 'rep' entry must be objects "
+                         "of row lists")
+    if "rep" in data and group is None:
+        raise InputError("chain complex: a representation needs a group")
+    ranks = data["ranks"]
+
+    def mat(key: str, lo: int, shift: int, rows):  # degree n, ranks[n - shift] x ranks[n]
+        if not key.isdigit() or not lo <= int(key) < len(ranks):
+            raise ValueError(f"degree {key} is not in {lo}..{len(ranks) - 1}")
+        return int(key), Mat(ring, ranks[int(key) - shift], ranks[int(key)], rows)
+
     try:
         ring = ring_from_tag(data["ring"])
-    except ValueError as exc:
-        raise InputError(f"chain complex: {exc}")
-    ranks = [int(r) for r in data["ranks"]]
-    diffs = {}
-    for n_str, rows in data.get("d", {}).items():
-        n = int(n_str)
-        if not 1 <= n <= len(ranks) - 1:
-            raise InputError(f"chain complex: differential in illegal degree {n}")
-        diffs[n] = Mat(ring, ranks[n - 1], ranks[n], rows)
-    rep = None
-    if "rep" in data:
-        if group is None:
-            raise InputError("chain complex: a representation needs a group")
-        rep = {}
-        for g_str, mats in data["rep"].items():
-            rep[int(g_str)] = {int(n): Mat(ring, ranks[int(n)], ranks[int(n)], rows)
-                               for n, rows in mats.items()}
-        for g in group.elements():
-            if g not in rep:
-                rep[g] = {n: Mat.identity(ring, ranks[n]) for n in range(len(ranks))}
-    try:
-        return ChainComplex(ring, ranks, diffs,
-                            group=group if rep is not None else None, rep=rep)
-    except ValueError as exc:
+        diffs = dict(mat(n, 1, 1, rows) for n, rows in data.get("d", {}).items())
+        rep = None
+        if "rep" in data:
+            rep = {g: {} for g in group.elements()}  # missing matrices are identities
+            for g, mats in data["rep"].items():
+                if not g.isdigit() or int(g) >= group.order:
+                    raise ValueError(f"{g} is not a group element")
+                rep[int(g)] = dict(mat(n, 0, 0, rows) for n, rows in mats.items())
+        return ChainComplex(ring, ranks, diffs, group=group if rep else None, rep=rep)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:  # TypeError: Q pairs
         raise InputError(f"chain complex: {exc}")
 
 

@@ -58,9 +58,6 @@ class OrbitCategory:
     def object_index(self, h: Subgroup) -> int:
         return self.index[h.members]
 
-    def hom_set(self, h: Subgroup, k: Subgroup) -> tuple[OrbitMorphism, ...]:
-        return self.hom[(self.object_index(h), self.object_index(k))]
-
     def identity(self, h: Subgroup) -> OrbitMorphism:
         return orbit_morphism(h, h, 0)
 

@@ -16,15 +16,18 @@ surjection, sorted decreasingly.
 
 Group actions permute nondegenerate simplices dimension-wise and commute
 with faces; degeneracies then commute automatically.  Everything a
-constructor returns has been validated against these axioms.
+constructor returns satisfies these axioms: checked (the action laws on
+generators), or implied by the objects it was derived from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InternalError
-from .groups import Group, Subgroup, conjugating_element, cyclic_group, left_cosets
+from .groups import Group, Subgroup, check_action_laws, conjugating_element, \
+    cyclic_group, left_cosets
 from .gsets import GSet, orbits, trivial_gset
 
 TRIVIAL_GROUP = cyclic_group(1)
@@ -164,26 +167,17 @@ class GSSet:
             m = self.action.get(a)
             if m is None:
                 raise ValueError(f"missing action of group element {a}")
-            if sorted(m) != ids or sorted(m.values()) != ids:
-                raise ValueError(f"action of {a} is not a permutation of the simplices")
-            for x in ids:
-                if self.dim_of[m[x]] != self.dim_of[x]:
-                    raise ValueError(f"action of {a} does not preserve dimension")
-        for x in ids:
-            if self.action[0][x] != x:
-                raise ValueError("identity element must act trivially")
-        for a in g.elements():
-            for b in g.elements():
-                ab = g.mult[a][b]
-                for x in ids:
-                    if self.action[ab][x] != self.action[a][self.action[b][x]]:
-                        raise ValueError(f"action not a homomorphism at ({a},{b})")
-        # faces are equivariant
-        for a in g.elements():
+            if sorted(m) != ids or sorted(m.values()) != ids or any(
+                    self.dim_of[m[x]] != n for x, n in self.dim_of.items()):
+                raise ValueError(f"action of {a} is not a dimension-preserving "
+                                 "permutation of the simplices")
+        check_action_laws(g, self.action.__getitem__,
+                          lambda p, q: {x: p[y] for x, y in q.items()},
+                          {x: x for x in ids})
+        # faces are equivariant; on generators, as the action is a homomorphism
+        for a in g.generators:
             for x, n in self.dim_of.items():
-                if n == 0:
-                    continue
-                for i in range(n + 1):
+                for i in range(n + 1 if n else 0):
                     if self.act_ref(a, self.faces[x][i]) != self.faces[self.action[a][x]][i]:
                         raise ValueError(
                             f"face {i} of simplex {x} is not equivariant under {a}")
@@ -240,7 +234,7 @@ def standard_simplex(n: int) -> GSSet:
     ids = {}
     counter = 0
     for k in range(n + 1):
-        for verts in _subsets(range(n + 1), k + 1):
+        for verts in combinations(range(n + 1), k + 1):
             ids[verts] = counter
             counter += 1
     dim_of = {i: len(v) - 1 for v, i in ids.items()}
@@ -266,11 +260,6 @@ def empty_sset(group: Group = TRIVIAL_GROUP) -> GSSet:
 
 def point_sset() -> GSSet:
     return standard_simplex(0)
-
-
-def _subsets(universe, k):
-    from itertools import combinations
-    return [tuple(c) for c in combinations(universe, k)]
 
 
 def build_sset(spec, group: Group | None = None) -> GSSet:
@@ -346,12 +335,14 @@ class SMap:
     share the acting group and the values commute with it.
     """
 
-    def __init__(self, source: GSSet, target: GSSet, values: dict[int, SimplexRef]):
+    def __init__(self, source: GSSet, target: GSSet, values: dict[int, SimplexRef],
+                 validate: bool = True):
         self.source = source
         self.target = target
         self.values = dict(values)
         self.equivariant = False
-        self._validate()
+        if validate:
+            self._validate()
 
     def push(self, ref: SimplexRef) -> SimplexRef:
         return _apply_letters(self.values[ref.base], ref.word)
@@ -371,7 +362,7 @@ class SMap:
         if src.group == tgt.group:
             self.equivariant = all(
                 self.values[src.act(g, x)] == tgt.act_ref(g, self.values[x])
-                for g in src.group.elements() for x in src.ids())
+                for g in src.group.generators for x in src.ids())
 
     def is_iso(self) -> bool:
         if any(r.degenerate for r in self.values.values()):
@@ -408,10 +399,15 @@ def identity_smap(x: GSSet) -> SMap:
 
 
 def compose_smaps(second: SMap, first: SMap) -> SMap:
-    if first.target is not second.source and first.target.dim_of != second.source.dim_of:
+    mid, mid2 = first.target, second.source
+    if (mid.dim_of, mid.faces) != (mid2.dim_of, mid2.faces):
         raise ValueError("maps are not composable")
-    return SMap(first.source, second.target,
-                {x: second.push(ref) for x, ref in first.values.items()})
+    # simplicial as both factors are; equivariant if both are, through one G-object
+    comp = SMap(first.source, second.target,
+                {x: second.push(ref) for x, ref in first.values.items()}, validate=False)
+    comp.equivariant = first.equivariant and second.equivariant \
+        and (mid.group, mid.action) == (mid2.group, mid2.action)
+    return comp
 
 
 def smaps_equal(a: SMap, b: SMap) -> bool:
@@ -422,7 +418,7 @@ def smaps_equal(a: SMap, b: SMap) -> bool:
 # subobjects, skeleta, fixed points
 
 
-def sub_sset(x: GSSet, keep_ids, validate: bool = True) -> GSSet:
+def sub_sset(x: GSSet, keep_ids) -> GSSet:
     """Subcomplex on the given nondegenerate ids (same identifiers)."""
     keep = set(keep_ids)
     for s in keep:
@@ -432,21 +428,22 @@ def sub_sset(x: GSSet, keep_ids, validate: bool = True) -> GSSet:
             for ref in x.faces[s]:
                 if ref.base not in keep:
                     raise ValueError(f"ids not closed under faces at {s}")
-    for g in x.group.elements():
+    for g in x.group.generators:  # closed under generators, so under G
         for s in keep:
             if x.action[g][s] not in keep:
                 raise ValueError(f"ids not closed under the action at {s}")
+    # closed under faces and the action, so a G-sset because x is one
     return GSSet(x.group,
                  {s: x.dim_of[s] for s in keep},
                  {s: x.faces[s] for s in keep if x.dim_of[s] > 0},
                  {g: {s: x.action[g][s] for s in keep} for g in x.group.elements()},
-                 validate=validate)
+                 validate=False)
 
 
 def skeleton(x: GSSet, n: int) -> tuple[GSSet, SMap]:
     """The n-skeleton (empty for n = -1) with its inclusion."""
     keep = [s for s in x.ids() if x.dim(s) <= n]
-    sk = sub_sset(x, keep, validate=False)
+    sk = sub_sset(x, keep)
     incl = SMap(sk, x, {s: SimplexRef(s) for s in keep})
     return sk, incl
 
@@ -522,7 +519,6 @@ class Prism:
     proj: SMap
     end_id: dict
     mid_id: dict
-    jump_id: dict
     pair_of: dict
 
 
@@ -585,7 +581,6 @@ def prism(x: GSSet) -> Prism:
     product = GSSet(x.group, dim_of, faces, action)
 
     end_id = {}
-    jump_id = {}
     mid_id = {}
     for pr, i in pid.items():
         xi, eta = pr
@@ -595,15 +590,13 @@ def prism(x: GSSet) -> Prism:
                 end_id[(xi.base, 0)] = i
             elif zeros == 0:
                 end_id[(xi.base, 1)] = i
-            else:
-                jump_id[(xi.base, zeros)] = i
         else:
             mid_id[(xi.base, xi.word[0])] = i
 
     end0 = SMap(x, product, {s: SimplexRef(end_id[(s, 0)]) for s in x.ids()})
     end1 = SMap(x, product, {s: SimplexRef(end_id[(s, 1)]) for s in x.ids()})
     proj = SMap(product, x, {i: pair_of[i][0] for i in pair_of})
-    return Prism(product, end0, end1, proj, end_id, mid_id, jump_id, pair_of)
+    return Prism(product, end0, end1, proj, end_id, mid_id, pair_of)
 
 
 # ---------------------------------------------------------------------------
@@ -648,14 +641,13 @@ def _check_mono(f: SMap):
     return None
 
 
-def cell_decomposition(f: SMap, verify: bool = True) -> CellStructure:
+def cell_decomposition(f: SMap) -> CellStructure:
     """Orbit cells of the new simplices of an equivariant monomorphism.
 
     For each dimension n, one summand per orbit of nondegenerate
     n-simplices of B outside the image: the least representative, its
     stabilizer in the full group, and its faces in B (the attaching data).
-    With ``verify`` the stagewise pushout replay is checked; failure
-    raises ReplayError.
+    The stagewise pushout replay is checked; failure raises ReplayError.
     """
     if f.source.group != f.target.group:
         raise ValueError("cell decomposition needs a common acting group")
@@ -677,8 +669,7 @@ def cell_decomposition(f: SMap, verify: bool = True) -> CellStructure:
             by_dim.setdefault(b.dim(rep), []).append(
                 CellSummand(rep, _simplex_stabilizer(b, rep), b.faces.get(rep, ())))
     cs = CellStructure({n: tuple(by_dim[n]) for n in sorted(by_dim)})
-    if verify:
-        replay_cell_decomposition(f, cs)
+    replay_cell_decomposition(f, cs)
     return cs
 
 

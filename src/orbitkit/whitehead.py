@@ -206,15 +206,15 @@ def _block(ring, group, first: int, left, ln, right, rn) -> _Block:
             for e in orbit:
                 coords[e] = ((first + k, one),)
         return _Block(r, c, coords, len(pair_orbits))
-    # rho_left(a) X - X rho_right(a) = 0 for every element a
+    # rho_left(a) X - X rho_right(a) = 0 for every generator a, hence for
+    # every element, as both sides are homomorphisms
     x = _block(ring, None, 0, left, ln, right, rn)
     cons = _LinearSystem(ring, r * c)
     every = [(i, j) for i in range(r) for j in range(c)]
     eye_r, eye_c = Mat.identity(ring, r), Mat.identity(ring, c)
-    for a in group.elements():
-        if a:
-            cons.add_equations([(left.rep_mat(a, ln), x, eye_c),
-                                (-eye_r, x, right.rep_mat(a, rn))], every)
+    for a in group.generators:
+        cons.add_equations([(left.rep_mat(a, ln), x, eye_c),
+                            (-eye_r, x, right.rep_mat(a, rn))], every)
     basis = kernel_exact(cons.dense()[0])
     coords = [[] for _ in range(r * c)]
     for k, vec in enumerate(basis):

@@ -163,7 +163,7 @@ def test_criterion_3_cell_decomposition_replay():
     assert len(fixtures) >= 10
     kinds = set()
     for name, f in fixtures:
-        cs = cell_decomposition(f, verify=False)
+        cs = cell_decomposition(f)
         replay_cell_decomposition(f, cs)  # raises on any mismatch
         stabs = {s.stabilizer.members
                  for d in cs.by_dim.values() for s in d}
@@ -260,9 +260,10 @@ def test_criterion_6_negative_controls():
     assert r.orbit_count == 1      # M_K = H\(G/K) has one orbit
     # (iii) unit on the Ch(Z) free cell is not a quasi-isomorphism
     t = free_cell_diagram(cat, trivial_subgroup(c2), concentrated(ZZ, 0), cc)
-    rep = adjunction_check(t, i_upper(t))
+    x = i_upper(t)
+    rep = adjunction_check(t, x)
     assert rep.unit_per_object["0,1"] is False
-    _, units = unit_maps(t)
+    units = unit_maps(t, x)
     h_src = homology(units[1].source)
     h_tgt = homology(units[1].target)
     assert h_src[0].free_rank == 0 and h_tgt[0].free_rank == 1

@@ -1,5 +1,6 @@
 """Chain complexes: normalized chains, invariants, homology, prism homotopies."""
 
+import json
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from conftest import swap_boundary1, vee
 from orbitkit.chains import ChainComplex, ChainMap, chain_maps_equal, \
     concentrated, disk, fixed_chains_comparison, homology, \
     identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
-    normalized_chain_map, normalized_chains, prism_homotopy, zero_complex
+    normalized_chain_map, normalized_chains, prism_homotopy, \
+    restrict_to_invariants, zero_complex
 from hypothesis import given, settings, strategies as st
 
 from orbitkit.exactla import Mat
@@ -16,8 +18,8 @@ from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup, \
     symmetric_group, trivial_subgroup
 from orbitkit.gsets import coset_gset, make_gset, trivial_gset
 from orbitkit.rings import PrimeField, QQ, ZZ
-from orbitkit.simplicial import boundary_simplex, \
-    compose_smaps, gtensor, make_smap, point_sset, prism, standard_simplex
+from orbitkit.simplicial import SMap, boundary_simplex, compose_smaps, \
+    fixed_sset, gtensor, make_smap, point_sset, prism, standard_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +373,14 @@ ACTION_GROUPS = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
                  symmetric_group(3)]
 
 
+def _with_matrices(c: ChainComplex) -> ChainComplex:
+    """The same complex with its permutation action given as matrices."""
+    return ChainComplex(c.ring, c.ranks, {d: c.d(d) for d in range(1, c.top + 1)},
+                        group=c.group,
+                        rep={g: {d: c.rep_mat(g, d) for d in range(c.top + 1)}
+                             for g in c.group.elements()})
+
+
 @settings(max_examples=25, deadline=None)
 @given(group=st.sampled_from(ACTION_GROUPS), data=st.data(),
        base=st.sampled_from([standard_simplex, boundary_simplex]),
@@ -383,15 +393,47 @@ def test_permutation_and_matrix_actions_agree(group, data, base, n):
     x = gtensor(coset_gset(group, k), base(n))
     for ring in (ZZ, QQ, PrimeField(2)):
         c = normalized_chains(x, ring)
-        m = ChainComplex(ring, c.ranks, {d: c.d(d) for d in range(1, c.top + 1)},
-                         group=group,
-                         rep={g: {d: c.rep_mat(g, d) for d in range(c.top + 1)}
-                              for g in group.elements()})
+        m = _with_matrices(c)
         assert c.action is not None and m.action is None
         for h in subgroups:
             inv_p, inv_m = invariants(c, h)[0], invariants(m, h)[0]
             assert inv_p.ranks == inv_m.ranks
             assert homology(inv_p) == homology(inv_m)
+
+
+BAD_CHAIN_COMPLEXES = {
+    "not-an-object": [1, 2],
+    "ranks-number": {"ring": "Z", "ranks": 5},
+    "rank-string": {"ring": "Z", "ranks": [1, "2"]},
+    "rank-negative": {"ring": "Z", "ranks": [1, -1]},
+    "ring-number": {"ring": 5, "ranks": [1]},
+    "ring-unknown": {"ring": "Fp:x", "ranks": [1]},
+    "d-list": {"ring": "Z", "ranks": [2, 1], "d": [[-1], [1]]},
+    "d-rows-flat": {"ring": "Z", "ranks": [2, 1], "d": {"1": [-1, 1]}},
+    "rep-flat": {"ring": "Z", "ranks": [2, 1], "rep": {"1": [[1]]}},
+    "entry-string": {"ring": "Z", "ranks": [2, 1], "d": {"1": [[-1], ["x"]]}},
+    "entry-fraction-in-Z": {"ring": "Z", "ranks": [1, 1], "d": {"1": [["1/2"]]}},
+    "entry-zero-denominator": {"ring": "Q", "ranks": [1, 1], "d": {"1": [["1/0"]]}},
+    "entry-nested-pair": {"ring": "Q", "ranks": [1, 1], "d": {"1": [[[[1], 2]]]}},
+    "d-wrong-shape": {"ring": "Z", "ranks": [2, 1], "d": {"1": [[-1, 1]]}},
+    "d-degree-name": {"ring": "Z", "ranks": [2, 1], "d": {"x": [[-1], [1]]}},
+    "d-degree-range": {"ring": "Z", "ranks": [2, 1], "d": {"2": [[-1], [1]]}},
+    "rep-element-range": {"ring": "Z", "ranks": [1], "rep": {"5": {"0": [[1]]}}},
+    "rep-degree-range": {"ring": "Z", "ranks": [1], "rep": {"1": {"-1": [[1]]}}},
+    "rep-wrong-shape": {"ring": "Z", "ranks": [2, 1], "rep": {"1": {"1": [[1, 0]]}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CHAIN_COMPLEXES))
+def test_load_chain_complex_rejects_bad_input(c2, tmp_path, name):
+    from orbitkit.jsonio import InputError, load_chain_complex
+    data = BAD_CHAIN_COMPLEXES[name]
+    with pytest.raises(InputError):
+        load_chain_complex(data, c2)
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputError):
+        load_chain_complex(str(path), c2)
 
 
 def test_json_roundtrip(c2):
@@ -408,3 +450,33 @@ def test_json_roundtrip(c2):
     assert data_q["d"]["1"] == [["1/2"]]
     again_q = load_chain_complex(data_q)
     assert again_q.d(1) == cq.d(1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(group=st.sampled_from(ACTION_GROUPS), data=st.data(),
+       base=st.sampled_from([standard_simplex, boundary_simplex]),
+       n=st.integers(0, 2))
+def test_derived_objects_pass_the_checks_they_skip(group, data, base, n):
+    # invariants, corestrict, mapping_cone and compose_smaps build their
+    # results without validating them; validating them here must succeed
+    subgroups = all_subgroups(group)
+    k = data.draw(st.sampled_from(subgroups))
+    x = gtensor(coset_gset(group, k), base(n))
+    pr = prism(x)
+    for second, first in ((pr.proj, pr.end0), (pr.end1, pr.proj),
+                          (pr.end0, fixed_sset(x, k)[1])):
+        comp = compose_smaps(second, first)
+        checked = SMap(first.source, second.target, comp.values)
+        assert checked.values == comp.values
+        assert checked.equivariant or not comp.equivariant
+    for ring in (ZZ, QQ, PrimeField(2)):
+        c = normalized_chains(x, ring)
+        cf = normalized_chain_map(pr.end0, ring, c)
+        for h in subgroups:
+            for cc in (c, _with_matrices(c)):
+                inv, incl = invariants(cc, h)
+                inv.validate()
+                mapping_cone(incl).validate()
+            for g in (fixed_chains_comparison(x, h, ring), restrict_to_invariants(cf, h)):
+                g.validate()
+                mapping_cone(g).validate()

@@ -279,7 +279,7 @@ def test_unit_fails_on_chain_free_cell(c2cat):
     assert rep.unit_per_object["0,1"] is False
     assert not rep.unit_iso
     # homology mismatch at G/C2: source value 0, target invariants Z
-    _, units = unit_maps(t)
+    units = unit_maps(t, x)
     src_h = homology(units[1].source)
     tgt_h = homology(units[1].target)
     assert src_h[0].free_rank == 0

@@ -335,7 +335,7 @@ def test_cell_decomposition_requires_mono(c2):
 def test_replay_detects_corrupted_structure(c2):
     x = vee(c2)
     f = SMap(empty_sset(c2), x, {})
-    cs = cell_decomposition(f, verify=False)
+    cs = cell_decomposition(f)
     from orbitkit.simplicial import CellSummand, CellStructure
     bad = CellStructure({
         0: cs.by_dim[0],
