@@ -301,11 +301,13 @@ def normalized_chains(x: GSSet, ring) -> ChainComplex:
                 r = index[n - 1][ref.base]
                 m.rows[r][j] = m.rows[r][j] + (ring.one if i % 2 == 0 else -ring.one)
         diffs[n] = m
-    action = [GSet(x.group, ranks[n],
-                   tuple(tuple(index[n][x.action[g][s]] for s in basis[n])
-                         for g in x.group.elements()))
-              for n in range(top + 1)]
-    return ChainComplex.permuted(ring, ranks, diffs, x.group, action, basis=basis)
+    # d∘d = 0 and the action laws follow from the validated G-sset x
+    c = ChainComplex(ring, ranks, diffs, group=x.group, basis=basis, validate=False)
+    c.action = tuple(GSet(x.group, ranks[n],
+                          tuple(tuple(index[n][x.action[g][s]] for s in basis[n])
+                                for g in x.group.elements()))
+                     for n in range(top + 1))
+    return c
 
 
 def normalized_chain_map(f: SMap, ring, cx: ChainComplex | None = None,

@@ -47,7 +47,8 @@ def cmd_orbit_cat(args) -> int:
     for key, reps in sorted(payload["hom"].items()):
         h, k = key.split(";")
         lines.append(f"hom({{{h}}} -> {{{k}}}): {len(reps)} morphisms, reps {reps}")
-    lines.append(cat.composition_table_text())
+    if args.format == "text":
+        lines.append(cat.composition_table_text())
     _emit(args, "\n".join(lines), payload)
     return 0
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 DEFAULT_ORDER_BOUND = 64
 
@@ -37,6 +38,13 @@ class Group:
         """a^-1 * x * a."""
         return self.mult[self.mult[self.inv[a]][x]][a]
 
+    def __hash__(self):
+        return self._table_hash
+
+    @cached_property
+    def _table_hash(self) -> int:
+        return hash(self.mult)  # order and inv are functions of mult, as in __eq__
+
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """Greedy: each one doubles the span at least, so at most log2|G|."""
@@ -49,6 +57,11 @@ class Group:
 
     def __repr__(self):
         return self.name or f"Group(order={self.order})"
+
+
+class CosetTable(NamedTuple):
+    reps: tuple[int, ...]   # the least element of each left coset aH, increasing
+    index: tuple[int, ...]  # index[a]: the position in reps of the coset aH
 
 
 @dataclass(frozen=True)
@@ -67,6 +80,19 @@ class Subgroup:
     def label(self) -> str:
         """Stable text key: comma-joined sorted members."""
         return ",".join(str(m) for m in self.members)
+
+    @cached_property
+    def cosets(self) -> CosetTable:
+        """Scanned in increasing order, each coset is first met at its least element."""
+        g = self.parent
+        index = [-1] * g.order
+        reps = []
+        for a in g.elements():
+            if index[a] < 0:
+                for x in self.members:
+                    index[g.mult[a][x]] = len(reps)
+                reps.append(a)
+        return CosetTable(tuple(reps), tuple(index))
 
     def conjugated_by(self, a: int) -> "Subgroup":
         """The subgroup a * H * a^-1."""
@@ -270,7 +296,7 @@ def conjugating_element(h: Subgroup, k: Subgroup):
         raise ValueError("subgroups of different parent groups")
     g = h.parent
     kset = set(k.members)
-    for a in g.elements():
+    for a in k.cosets.reps:  # the test depends on aK only, so the first hit is least
         if all(g.conjugate(a, x) in kset for x in h.members):
             return a
     return None
@@ -280,15 +306,8 @@ def left_cosets(g: Group, h: Subgroup) -> list[tuple[int, ...]]:
     """Left cosets aH as sorted tuples, ordered by least representative."""
     if h.parent != g:
         raise ValueError("subgroup of a different group")
-    seen = set()
-    cosets = []
-    for a in g.elements():
-        if a in seen:
-            continue
-        coset = tuple(sorted(g.mult[a][x] for x in h.members))
-        seen.update(coset)
-        cosets.append(coset)
-    return cosets
+    return [tuple(a for a in g.elements() if h.cosets.index[a] == i)
+            for i in range(len(h.cosets.reps))]
 
 
 # --- stock groups for fixtures and the CLI ---------------------------------

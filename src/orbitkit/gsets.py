@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .groups import Group, Subgroup, check_action_laws, left_cosets, trivial_subgroup
+from .groups import Group, Subgroup, check_action_laws, trivial_subgroup
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,8 @@ def coset_gset(g: Group, h: Subgroup) -> GSet:
     """G/H with left translation; point i is the i-th coset by least rep."""
     if h.parent != g:
         raise ValueError("subgroup of a different group")
-    cosets = left_cosets(g, h)
-    index = {c: i for i, c in enumerate(cosets)}
-    act = []
-    for a in g.elements():
-        row = []
-        for c in cosets:
-            moved = tuple(sorted(g.mult[a][x] for x in c))
-            row.append(index[moved])
-        act.append(tuple(row))
-    return GSet(g, len(cosets), tuple(act))
+    reps, index = h.cosets
+    return GSet(g, len(reps), tuple(tuple(index[row[r]] for r in reps) for row in g.mult))
 
 
 def regular_gset(g: Group) -> GSet:

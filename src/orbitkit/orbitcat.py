@@ -3,8 +3,9 @@
 Objects are coset G-sets G/H for H in the family; a morphism G/H -> G/K is
 the map "right-translate by a", lawful exactly when a^-1 * H * a lands in
 K, and two translates coincide exactly when they define the same coset aK.
-Morphisms are stored by the least element of that coset, so hom sets have
-a canonical order and equality is structural.
+Morphisms are stored by the least element of that coset, read from the
+coset table ``K.cosets``, so equality is structural and composition is a
+lookup; hom sets are cross-checked, as sets of cosets, against (G/K)^H.
 
 The family is an arbitrary list of subgroups: it is not required to be
 closed under conjugation or under passing to subgroups.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .groups import Group, Subgroup, left_cosets
+from .groups import Group, Subgroup
 from .gsets import GMap, coset_gset, make_gmap, orbit_analysis
 
 
@@ -31,8 +32,8 @@ class OrbitMorphism:
         return f"R_{self.rep}[{{{self.source.label}}}->{{{self.target.label}}}]"
 
 
-def _least_coset_rep(g: Group, k: Subgroup, a: int) -> int:
-    return min(g.mult[a][x] for x in k.members)
+def _least_coset_rep(k: Subgroup, a: int) -> int:
+    return k.cosets.reps[k.cosets.index[a]]
 
 
 def orbit_morphism(source: Subgroup, target: Subgroup, a: int) -> OrbitMorphism:
@@ -43,7 +44,7 @@ def orbit_morphism(source: Subgroup, target: Subgroup, a: int) -> OrbitMorphism:
     if not all(g.conjugate(a, x) in kset for x in source.members):
         raise ValueError(
             f"R_{a} is not a morphism: {a}^-1 H {a} is not inside K")
-    return OrbitMorphism(source, target, _least_coset_rep(g, target, a))
+    return OrbitMorphism(source, target, _least_coset_rep(target, a))
 
 
 class OrbitCategory:
@@ -96,25 +97,18 @@ def build_orbit_category(g: Group, family) -> OrbitCategory:
             fam.append(h)
     fam.sort(key=lambda s: (len(s.members), s.members))
     cat = OrbitCategory(g, fam)
-    for i, h in enumerate(fam):
-        for j, k in enumerate(fam):
-            ms = []
-            seen_cosets = set()
-            kset = set(k.members)
-            for a in g.elements():
-                coset = tuple(sorted(g.mult[a][x] for x in k.members))
-                if coset in seen_cosets:
-                    continue
-                seen_cosets.add(coset)
-                if all(g.conjugate(a, x) in kset for x in h.members):
-                    ms.append(OrbitMorphism(h, k, coset[0]))
-            ms.sort(key=lambda m: m.rep)
-            cat.hom[(i, j)] = tuple(ms)
-            # cross-check against the fixed points of G/K
-            fixed = orbit_analysis(coset_gset(g, k), h).fixed
-            if len(ms) != len(fixed):
+    for j, k in enumerate(fam):
+        gk = coset_gset(g, k)
+        kset = set(k.members)
+        for i, h in enumerate(fam):
+            # aK is a morphism iff a^-1 H a lies in K, which depends on aK only
+            ms = tuple(OrbitMorphism(h, k, a) for a in k.cosets.reps
+                       if all(g.conjugate(a, x) in kset for x in h.members))
+            cat.hom[(i, j)] = ms
+            # cross-check against the fixed points of G/K, as sets of cosets
+            if {k.cosets.index[m.rep] for m in ms} != set(orbit_analysis(gk, h).fixed):
                 raise InternalError(
-                    f"hom({{{h.label}}},{{{k.label}}}) size mismatch with (G/K)^H")
+                    f"hom({{{h.label}}},{{{k.label}}}) differs from (G/K)^H")
     return cat
 
 
@@ -122,21 +116,14 @@ def compose(second: OrbitMorphism, first: OrbitMorphism) -> OrbitMorphism:
     """R_b after R_a is R_{ab}: gH -> gaK -> gabL."""
     if first.target.members != second.source.members:
         raise ValueError("morphisms are not composable")
-    g = first.source.parent
-    ab = g.mult[first.rep][second.rep]
-    return orbit_morphism(first.source, second.target, ab)
+    ab = first.source.parent.mult[first.rep][second.rep]
+    # a composite of lawful morphisms is lawful, so only the reduction is left
+    return OrbitMorphism(first.source, second.target, _least_coset_rep(second.target, ab))
 
 
 def realize(m: OrbitMorphism) -> GMap:
     """The underlying G-map of coset G-sets, for faithfulness checks."""
     g = m.source.parent
-    src = coset_gset(g, m.source)
-    tgt = coset_gset(g, m.target)
-    src_cosets = left_cosets(g, m.source)
-    tgt_index = {c: i for i, c in enumerate(left_cosets(g, m.target))}
-    values = []
-    for c in src_cosets:
-        rep = c[0]
-        image = tuple(sorted(g.mult[g.mult[rep][m.rep]][x] for x in m.target.members))
-        values.append(tgt_index[image])
-    return make_gmap(src, tgt, values)
+    index = m.target.cosets.index
+    values = [index[g.mult[r][m.rep]] for r in m.source.cosets.reps]
+    return make_gmap(coset_gset(g, m.source), coset_gset(g, m.target), values)

@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .errors import InternalError
 from .groups import Group, Subgroup, check_action_laws, conjugating_element, \
-    cyclic_group, left_cosets
+    cyclic_group
 from .gsets import GSet, orbits, trivial_gset
 
 TRIVIAL_GROUP = cyclic_group(1)
@@ -701,26 +701,24 @@ def replay_cell_decomposition(f: SMap, cs: CellStructure) -> None:
         dim_of = {s: b.dim_of[s] for s in prev_ids}
         faces = {s: b.faces[s] for s in prev_ids if b.dim_of[s] > 0}
         to_b = {s: s for s in prev_ids}
-        cell_of = {}
-        counter = fresh_start
+        blocks = []  # (first fresh id, coset table); coset i's cell is start + i
+        new_id = fresh_start
         for summand in summands:
-            cosets = left_cosets(g, summand.stabilizer)
-            for c in cosets:
-                new_id = counter
-                counter += 1
-                cell_of[(summand.representative, c)] = new_id
-                to_b[new_id] = b.action[c[0]][summand.representative]
+            blocks.append((new_id, summand.stabilizer.cosets))
+            for r in summand.stabilizer.cosets.reps:
+                to_b[new_id] = b.action[r][summand.representative]
                 dim_of[new_id] = n
                 if n > 0:
                     faces[new_id] = tuple(
-                        SimplexRef(b.action[c[0]][r.base], r.word)
-                        for r in summand.attaching)
+                        SimplexRef(b.action[r][ref.base], ref.word)
+                        for ref in summand.attaching)
+                new_id += 1
         action = {}
         for a in g.elements():
             m = {s: b.action[a][s] for s in prev_ids}
-            for (rep, c), new_id in cell_of.items():
-                moved = tuple(sorted(g.mult[a][x] for x in c))
-                m[new_id] = cell_of[(rep, moved)]
+            for start, (reps, index) in blocks:
+                for i, r in enumerate(reps):
+                    m[start + i] = start + index[g.mult[a][r]]
             action[a] = m
         try:
             pushout = GSSet(g, dim_of, faces, action)

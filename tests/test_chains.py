@@ -457,8 +457,8 @@ def test_json_roundtrip(c2):
        base=st.sampled_from([standard_simplex, boundary_simplex]),
        n=st.integers(0, 2))
 def test_derived_objects_pass_the_checks_they_skip(group, data, base, n):
-    # invariants, corestrict, mapping_cone and compose_smaps build their
-    # results without validating them; validating them here must succeed
+    # normalized_chains, invariants, corestrict, mapping_cone and compose_smaps
+    # build their results without validating them; validating them here must succeed
     subgroups = all_subgroups(group)
     k = data.draw(st.sampled_from(subgroups))
     x = gtensor(coset_gset(group, k), base(n))
@@ -471,6 +471,7 @@ def test_derived_objects_pass_the_checks_they_skip(group, data, base, n):
         assert checked.equivariant or not comp.equivariant
     for ring in (ZZ, QQ, PrimeField(2)):
         c = normalized_chains(x, ring)
+        c.validate()
         cf = normalized_chain_map(pr.end0, ring, c)
         for h in subgroups:
             for cc in (c, _with_matrices(c)):

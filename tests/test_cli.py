@@ -122,6 +122,17 @@ def test_orbit_cat_verb(files, capsys):
     assert payload["hom"]["0;0,1"] == [0]
 
 
+def test_orbit_cat_json_skips_composition_table(files, capsys, monkeypatch):
+    import orbitkit.orbitcat
+
+    def fail(self):
+        raise AssertionError("composition table built for JSON output")
+    monkeypatch.setattr(orbitkit.orbitcat.OrbitCategory, "composition_table_text", fail)
+    code, out, _ = run(capsys, ["orbit-cat", "--group", files["group"],
+                                "--family", "all", "--format", "json"])
+    assert code == 0 and json.loads(out)["objects"] == ["0", "0,1"]
+
+
 def test_fixed_points_gset(files, capsys):
     code, out, _ = run(capsys, ["fixed-points", "--group", files["group"],
                                 "--sset", files["gset"], "--family", "all"])

@@ -1,8 +1,12 @@
-"""The README's command-line examples, compared byte for byte with tests/golden/.
+"""CLI runs compared byte for byte with tests/golden/.
 
-Each example is run in text format and, except `whitehead` (whose
-certificate matrices may differ between versions), with `--format json`.
-The exit code and stdout must equal the stored ones exactly.
+The cases are the README's command-line examples plus a few larger runs
+that the README does not show (`EXTRA`), such as the orbit category of D4
+with all ten subgroups, whose composition table composes every pair of
+composable morphisms.  Each case is run in text format and, except
+`whitehead` (whose certificate matrices may differ between versions), with
+`--format json`.  The exit code and stdout must equal the stored ones
+exactly.
 """
 
 import contextlib
@@ -32,7 +36,13 @@ EXAMPLES = {
                  " --map fixtures/point_to_vee.json --family all --ring Z",
 }
 
-CASES = [(name, fmt) for name in EXAMPLES for fmt in ("text", "json")
+EXTRA = {
+    "orbit-cat-d4": "orbit-cat --group fixtures/d4.json --family all",
+}
+
+RUNS = {**EXAMPLES, **EXTRA}
+
+CASES = [(name, fmt) for name in RUNS for fmt in ("text", "json")
          if not (name == "whitehead" and fmt == "json")]
 
 
@@ -41,9 +51,9 @@ def golden_path(name: str, fmt: str) -> Path:
 
 
 def run_example(name: str, fmt: str) -> tuple[int, str]:
-    """Run one example on the repository's fixtures; return (exit code, stdout)."""
+    """Run one case on the repository's fixtures; return (exit code, stdout)."""
     argv = [str(ROOT / a) if a.startswith("fixtures/") else a
-            for a in EXAMPLES[name].split()]
+            for a in RUNS[name].split()]
     argv += ["--format", "json"] if fmt == "json" else []
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -134,8 +134,41 @@ def test_conjugating_element_identity_and_missing(c2=None):
     assert conjugating_element(h, trivial_subgroup(g)) is None
 
 
+def alternating_group_4():
+    return group_from_generators([[1, 2, 0, 3], [1, 0, 3, 2]], "A4")
+
+
+COSET_GROUPS = [cyclic_group(n) for n in range(2, 9)] + [
+    symmetric_group(3), dihedral_group(4), alternating_group_4(),
+    direct_product(cyclic_group(2), cyclic_group(4)), symmetric_group(4)]
+
+
+@pytest.mark.parametrize("g", COSET_GROUPS, ids=repr)
+def test_coset_table_matches_brute_force(g):
+    for h in all_subgroups(g):
+        brute = {frozenset(g.mult[a][x] for x in h.members) for a in g.elements()}
+        reps, index = h.cosets
+        got = [frozenset(a for a in g.elements() if index[a] == i)
+               for i in range(len(reps))]
+        assert set(got) == brute and len(got) == len(brute)
+        assert list(reps) == sorted(min(c) for c in brute)
+        for a in g.elements():
+            assert reps[index[a]] == min(g.mult[a][x] for x in h.members)
+        assert left_cosets(g, h) == [tuple(sorted(c)) for c in got]
+
+
+def test_equal_groups_built_apart_hash_alike():
+    g = cyclic_group(4)
+    other = group_from_table([list(row) for row in g.mult], "another name")
+    assert other is not g and other == g and hash(other) == hash(g)
+    assert {g: "c4"}[other] == "c4"
+    assert {subgroup(g, [0, 2]): "c2"}[subgroup(other, [0, 2])] == "c2"
+    assert len({g, other, cyclic_group(5)}) == 2
+
+
 def test_conjugating_element_matches_brute_force():
-    for g in (symmetric_group(3), dihedral_group(4)):
+    # the least lawful element of all of G, against a scan of K's coset reps
+    for g in COSET_GROUPS[-5:]:
         subs = all_subgroups(g)
         for h in subs:
             for k in subs:
@@ -145,9 +178,6 @@ def test_conjugating_element_matches_brute_force():
                                 for x in h.members)]
                 if brute:
                     assert got == brute[0]
-                    a = got
-                    assert all(g.conjugate(a, x) in set(k.members)
-                               for x in h.members)
                 else:
                     assert got is None
 

@@ -36,6 +36,7 @@ def test_hom_sizes_match_fixed_points_for_stock_groups():
             for j, k in enumerate(cat.family):
                 fixed = orbit_analysis(coset_gset(g, k), h).fixed
                 assert len(cat.hom[(i, j)]) == len(fixed)
+                assert {k.cosets.index[m.rep] for m in cat.hom[(i, j)]} == set(fixed)
 
 
 def test_identity_and_composition_laws_exhaustive():
@@ -105,6 +106,37 @@ def test_composition_laws_up_to_order_24():
                 c12 = compose(m2, m1)
                 for m3 in by_source.get(m2.target.members, ()):
                     assert compose(m3, c12) == compose(compose(m3, m2), m1)
+
+
+def test_compose_matches_checked_constructor():
+    # compose skips the lawfulness check; orbit_morphism is the oracle
+    from orbitkit.groups import direct_product, group_from_generators
+    a4 = group_from_generators([[1, 2, 0, 3], [1, 0, 3, 2]], "A4")
+    for g in (symmetric_group(3), dihedral_group(4), a4,
+              direct_product(cyclic_group(2), cyclic_group(4))):
+        cat = build_orbit_category(g, all_subgroups(g))
+        ms = list(cat.all_morphisms())
+        for m1 in ms:
+            for m2 in ms:
+                if m1.target.members == m2.source.members:
+                    assert compose(m2, m1) == orbit_morphism(
+                        m1.source, m2.target, g.mult[m1.rep][m2.rep])
+
+
+def test_hom_cross_check_compares_sets(monkeypatch):
+    # fixed points moved to other cosets of G/K keep their count but not their set
+    from types import SimpleNamespace
+    import orbitkit.orbitcat as oc
+    from orbitkit.errors import InternalError
+    real = oc.orbit_analysis
+
+    def shifted(x, h):
+        return SimpleNamespace(fixed=tuple((p + 1) % x.size for p in real(x, h).fixed))
+
+    g = symmetric_group(3)
+    monkeypatch.setattr(oc, "orbit_analysis", shifted)
+    with pytest.raises(InternalError, match="differs from"):
+        build_orbit_category(g, all_subgroups(g))
 
 
 def test_c2_generator_squares_to_identity():
