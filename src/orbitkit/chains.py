@@ -30,7 +30,7 @@ from .exactla import Mat, block_matrix, kernel_exact, mat_from_columns, \
     smith_diagonal, solve_exact
 from .groups import Group, Subgroup, check_action_laws
 from .gsets import GSet, orbits, validate_gset
-from .simplicial import GSSet, SMap, fixed_sset, prism as build_prism
+from .simplicial import GSSet, Prism, SMap, fixed_sset
 
 
 class ChainComplex:
@@ -284,10 +284,14 @@ def homotopy_defect(phi: ChainHomotopy, f: ChainMap, g: ChainMap):
 # normalized chains of a G-simplicial set
 
 
+def _basis(x: GSSet) -> tuple:
+    return tuple(x.ids_of_dim(n) for n in range(max(x.top_dim, 0) + 1))
+
+
 def normalized_chains(x: GSSet, ring) -> ChainComplex:
     """Basis in degree n: the nondegenerate n-simplices in identifier order."""
-    top = max(x.top_dim, 0)
-    basis = tuple(x.ids_of_dim(n) for n in range(top + 1))
+    basis = _basis(x)
+    top = len(basis) - 1
     index = [{s: i for i, s in enumerate(b)} for b in basis]
     ranks = [len(b) for b in basis]
     diffs = {}
@@ -300,6 +304,7 @@ def normalized_chains(x: GSSet, ring) -> ChainComplex:
                     continue
                 r = index[n - 1][ref.base]
                 m.rows[r][j] = m.rows[r][j] + (ring.one if i % 2 == 0 else -ring.one)
+        m.rows = [ring.reduce(row) for row in m.rows]
         diffs[n] = m
     # d∘d = 0 and the action laws follow from the validated G-sset x
     c = ChainComplex(ring, ranks, diffs, group=x.group, basis=basis, validate=False)
@@ -484,21 +489,21 @@ class SignConventionError(InternalError):
     """The prism identity failed; signals an internal sign bug, never user error."""
 
 
-def prism_homotopy(hc: ChainMap, x: GSSet) -> ChainHomotopy:
-    """Extract the chain homotopy carried by a map off the prism.
+def prism_homotopy(hc: ChainMap, pr: Prism) -> ChainHomotopy:
+    """Extract the chain homotopy carried by a map off the prism of x.
 
-    Composes hc with the interval part of the shuffle map: the degree-1
-    generator of the interval pairs a nondegenerate n-simplex with the
-    middle cells (s_j x, eta_j), summed with sign (-1)^j.  The returned
-    phi satisfies  d phi + phi d = (hc o end1) - (hc o end0)  exactly;
-    this identity is re-verified on every call.
+    ``hc`` starts at the normalized chains of ``pr.product``, and x is
+    ``pr.end0.source``.  Composes hc with the interval part of the shuffle
+    map: the degree-1 generator of the interval pairs a nondegenerate
+    n-simplex with the middle cells (s_j x, eta_j), summed with sign
+    (-1)^j.  The returned phi satisfies  d phi + phi d = (hc o end1) -
+    (hc o end0)  exactly; this identity is re-verified on every call.
     """
-    ring = hc.source.ring
-    pr = build_prism(x)
-    cprod = normalized_chains(pr.product, ring)
-    if hc.source.ranks != cprod.ranks or hc.source.basis != cprod.basis:
-        raise ValueError("homotopy source is not the chains of the prism of x")
-    cx = normalized_chains(x, ring)
+    cprod = hc.source
+    ring = cprod.ring
+    if cprod.basis != _basis(pr.product):
+        raise ValueError("homotopy source is not the chains of the prism")
+    cx = normalized_chains(pr.end0.source, ring)
     z = hc.target
     index = [{s: i for i, s in enumerate(b)} for b in cprod.basis]
     mats = {}
@@ -513,6 +518,7 @@ def prism_homotopy(hc: ChainMap, x: GSSet) -> ChainHomotopy:
                     sign = ring.one if j % 2 == 0 else -ring.one
                     for i in range(z.rank(n + 1)):
                         col[i] = col[i] + sign * hc.mat(n + 1).rows[i][hcol]
+                col = ring.reduce(col)
                 for i in range(z.rank(n + 1)):
                     m.rows[i][jcol] = col[i]
         mats[n] = m

@@ -8,6 +8,7 @@ no), 2 invalid input, 3 internal error (a broken invariant: a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -218,6 +219,7 @@ def cmd_census(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="orbitkit",
                                 description="exact equivariant toolkit")

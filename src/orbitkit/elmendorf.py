@@ -365,13 +365,14 @@ def i_lower(x, cat: OrbitCategory, vcat) -> OrbitDiagram:
 def free_cell_diagram(cat: OrbitCategory, k: Subgroup, c, vcat) -> OrbitDiagram:
     """The diagram hom(-, G/K) (x) c: a copower of c over each hom set."""
     k_idx = cat.object_index(k)
-    keys = {i: list(cat.hom[(i, k_idx)]) for i in range(len(cat.family))}
+    # a morphism is keyed by its rep, which is unique within its hom set
+    keys = {i: [mk.rep for mk in cat.hom[(i, k_idx)]] for i in range(len(cat.family))}
     values = {i: vcat.copower(keys[i], c) for i in range(len(cat.family))}
     maps = {}
     for m in cat.all_morphisms():
         i = cat.object_index(m.source)
         j = cat.object_index(m.target)
-        keymap = {mk: compose_morphisms(mk, m) for mk in keys[j]}
+        keymap = {mk.rep: compose_morphisms(mk, m).rep for mk in cat.hom[(j, k_idx)]}
         maps[(i, j, m.rep)] = vcat.copower_remap(keys[j], keys[i], keymap, c)
     return OrbitDiagram(cat, vcat, values, maps)
 

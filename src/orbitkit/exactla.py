@@ -14,6 +14,12 @@ part:
 
 Field routines (Q and F_p), the field case of ``smith_diagonal`` included,
 go through reduced row echelon form.
+
+Entries are added, subtracted and multiplied with the ordinary operators;
+every row of raw results then passes through ``ring.reduce``, so F_p
+entries, plain ``int`` residues, stay in ``0..p-1``.  Pivots are inverted
+by ``ring.inverse``.  The binary operators refuse operands over different
+rings, since residues alone do not say which prime they belong to.
 """
 
 from __future__ import annotations
@@ -22,7 +28,10 @@ from .rings import ZZ
 
 
 class Mat:
-    """Dense matrix over a fixed ring; rows of normalized ring elements."""
+    """Dense matrix over a fixed ring; rows of normalized ring elements.
+
+    Binary operators raise ``ValueError`` on operands over different rings.
+    """
 
     __slots__ = ("ring", "nrows", "ncols", "rows")
 
@@ -69,10 +78,12 @@ class Mat:
         return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
 
     def __matmul__(self, other):
+        self._same_ring(other)
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by "
                              f"{other.nrows}x{other.ncols}")
         z = self.ring.zero
+        red = self.ring.reduce
         out = Mat(self.ring, self.nrows, other.ncols)
         for i in range(self.nrows):
             ri = self.rows[i]
@@ -86,30 +97,40 @@ class Mat:
                     b = rk[j]
                     if b != z:
                         oi[j] = oi[j] + a * b
+            out.rows[i] = red(oi)
         return out
 
     def __add__(self, other):
         self._same_shape(other)
+        red = self.ring.reduce
         return Mat(self.ring, self.nrows, self.ncols,
-                   [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
+                   [red([a + b for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)],
                    normalize=False)
 
     def __sub__(self, other):
         self._same_shape(other)
+        red = self.ring.reduce
         return Mat(self.ring, self.nrows, self.ncols,
-                   [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
+                   [red([a - b for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)],
                    normalize=False)
 
     def __neg__(self):
+        red = self.ring.reduce
         return Mat(self.ring, self.nrows, self.ncols,
-                   [[-a for a in r] for r in self.rows], normalize=False)
+                   [red([-a for a in r]) for r in self.rows], normalize=False)
 
     def scale(self, c):
         c = self.ring.normalize(c)
+        red = self.ring.reduce
         return Mat(self.ring, self.nrows, self.ncols,
-                   [[c * a for a in r] for r in self.rows], normalize=False)
+                   [red([c * a for a in r]) for r in self.rows], normalize=False)
+
+    def _same_ring(self, other):
+        if other.ring != self.ring:
+            raise ValueError(f"mixed rings {self.ring} and {other.ring}")
 
     def _same_shape(self, other):
+        self._same_ring(other)
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
 
@@ -121,6 +142,7 @@ class Mat:
         return [self.rows[i][j] for i in range(self.nrows)]
 
     def hstack(self, other):
+        self._same_ring(other)
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
         return Mat(self.ring, self.nrows, self.ncols + other.ncols,
@@ -249,6 +271,7 @@ def rref(m: Mat):
         raise ValueError("rref needs a field")
     a = [list(r) for r in m.rows]
     z = ring.zero
+    red = ring.reduce
     pivots = []
     r = 0
     for c in range(m.ncols):
@@ -260,8 +283,8 @@ def rref(m: Mat):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = ring.one / a[r][c]
-        row = a[r] = [v * inv for v in a[r]]
+        inv = ring.inverse(a[r][c])
+        row = a[r] = red([v * inv for v in a[r]])
         # columns before c are zero in the pivot row; update only its nonzeros
         nonzero = [j for j in range(c, m.ncols) if row[j] != z]
         for i in range(m.nrows):
@@ -270,6 +293,7 @@ def rref(m: Mat):
                 ai = a[i]
                 for j in nonzero:
                     ai[j] = ai[j] - f * row[j]
+                a[i] = red(ai)
         pivots.append(c)
         r += 1
         if r == m.nrows:
@@ -289,7 +313,7 @@ def kernel_basis_field(m: Mat):
         v[f] = ring.one
         for i, pc in enumerate(pivots):
             v[pc] = -r.rows[i][f]
-        basis.append(v)
+        basis.append(ring.reduce(v))
     return basis
 
 
@@ -300,7 +324,6 @@ def solve_field(a: Mat, b: Mat):
         raise ValueError("shape mismatch in solve")
     aug = a.hstack(b)
     r, pivots = rref(aug)
-    z = ring.zero
     # inconsistent if a pivot lands in the b-block
     for pc in pivots:
         if pc >= a.ncols:

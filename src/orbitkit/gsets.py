@@ -113,10 +113,9 @@ class OrbitReport:
     fixed: tuple[int, ...]
 
 
-def stabilizer(x: GSet, point: int) -> Subgroup:
-    g = x.group
-    mem = tuple(sorted(a for a in g.elements() if x.act[a][point] == point))
-    return Subgroup(g, mem)
+def stabilizer(group: Group, perms, point) -> Subgroup:
+    """The elements g with ``perms[g][point] == point``, for ``perms`` as in ``orbits``."""
+    return Subgroup(group, tuple(a for a in group.elements() if perms[a][point] == point))
 
 
 def orbits(perms, members) -> list[tuple[int, ...]]:
@@ -147,7 +146,7 @@ def orbit_analysis(x: GSet, h: Subgroup) -> OrbitReport:
     """
     if h.parent != x.group:
         raise ValueError("subgroup of a different group")
-    whole = tuple(Orbit(o[0], stabilizer(x, o[0]), o)
+    whole = tuple(Orbit(o[0], stabilizer(x.group, x.act, o[0]), o)
                   for o in orbits(x.act, x.group.elements()))
     fixed = tuple(o[0] for o in orbits(x.act, h.members) if len(o) == 1)
     return OrbitReport(whole, fixed)
@@ -168,7 +167,7 @@ def equivariant_maps(source: GSet, target: GSet) -> list[GMap]:
     if not is_transitive(source):
         raise ValueError("source must be a transitive (coset) G-set")
     g = source.group
-    h = stabilizer(source, 0)
+    h = stabilizer(g, source.act, 0)
     fixed = orbit_analysis(target, h).fixed
     # least group element moving the base point to each source point
     mover = {}

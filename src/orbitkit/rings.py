@@ -1,9 +1,11 @@
 """Coefficient rings with exact arithmetic: Z, Q, and prime fields F_p.
 
-Every ring element supports the ordinary Python operators, so matrix code
-can be written once with ``+``, ``-``, ``*`` and stay exact.  Integers are
-plain ``int``, rationals are ``fractions.Fraction``, and F_p elements are
-the small wrapper class below (canonical residues ``0..p-1``).
+Integers are plain ``int``, rationals are ``fractions.Fraction``, and F_p
+elements are plain ``int`` residues ``0..p-1``.  Matrix code adds,
+subtracts and multiplies entries with the ordinary operators and passes
+each row of raw results through ``ring.reduce``, which returns it unchanged
+over Z and Q and reduces it mod p over F_p.  Fields also provide
+``inverse``; no other code divides ring elements, so no float can appear.
 """
 
 from __future__ import annotations
@@ -11,81 +13,30 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class FpElement:
-    """Residue modulo a prime, with field arithmetic via operators."""
+class Ring:
+    """Name-based equality, and the operations that are the same for Z and F_p."""
 
-    __slots__ = ("p", "v")
+    zero = 0
+    one = 1
 
-    def __init__(self, p: int, v: int):
-        self.p = p
-        self.v = v % p
+    @staticmethod
+    def reduce(row):
+        return row
 
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return FpElement(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.p, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.p, self.v - o.v)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.p, o.v - self.v)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.p, self.v * o.v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.p, self.v * pow(o.v, -1, self.p))
-
-    def __neg__(self):
-        return FpElement(self.p, -self.v)
+    def to_json(self, v):
+        return v
 
     def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
+        return isinstance(other, Ring) and other.name == self.name
 
     def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
+        return hash(self.name)
 
     def __repr__(self):
-        return f"Fp({self.p},{self.v})"
+        return self.name
 
 
-class IntegerRing:
+class IntegerRing(Ring):
     name = "Z"
     is_field = False
 
@@ -98,25 +49,12 @@ class IntegerRing:
             return int(x)
         raise ValueError(f"not an integer: {x!r}")
 
-    zero = 0
-    one = 1
 
-    def to_json(self, v):
-        return v
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("Z")
-
-    def __repr__(self):
-        return "Z"
-
-
-class RationalField:
+class RationalField(Ring):
     name = "Q"
     is_field = True
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def normalize(self, x):
         if isinstance(x, Fraction):
@@ -129,23 +67,15 @@ class RationalField:
             return Fraction(int(x[0]), int(x[1]))
         raise ValueError(f"not a rational: {x!r}")
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    @staticmethod
+    def inverse(x):
+        return 1 / x
 
     def to_json(self, v):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
 
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "Q"
-
-
-class PrimeField:
+class PrimeField(Ring):
     is_field = True
 
     def __init__(self, p: int):
@@ -153,31 +83,18 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"Fp:{p}"
-        self.zero = FpElement(p, 0)
-        self.one = FpElement(p, 1)
 
     def normalize(self, x):
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise ValueError(f"element of F_{x.p} in F_{self.p}")
-            return x
-        if isinstance(x, int):
-            return FpElement(self.p, x)
-        if isinstance(x, str):
-            return FpElement(self.p, int(x))
+        if isinstance(x, (int, str)):
+            return int(x) % self.p
         raise ValueError(f"not an F_{self.p} element: {x!r}")
 
-    def to_json(self, v):
-        return v.v
+    def reduce(self, row):
+        p = self.p
+        return [v % p for v in row]
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
-    def __repr__(self):
-        return self.name
+    def inverse(self, x):
+        return pow(x, -1, self.p)
 
 
 ZZ = IntegerRing()

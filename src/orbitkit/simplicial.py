@@ -28,7 +28,7 @@ from itertools import combinations
 from .errors import InternalError
 from .groups import Group, Subgroup, check_action_laws, conjugating_element, \
     cyclic_group
-from .gsets import GSet, orbits, trivial_gset
+from .gsets import GSet, orbits, stabilizer, trivial_gset
 
 TRIVIAL_GROUP = cyclic_group(1)
 TOP_DIM_CAP = 8
@@ -622,12 +622,6 @@ class ReplayError(ValueError):
     pass
 
 
-def _simplex_stabilizer(b: GSSet, s: int) -> Subgroup:
-    g = b.group
-    mem = tuple(sorted(a for a in g.elements() if b.action[a][s] == s))
-    return Subgroup(g, mem)
-
-
 def _check_mono(f: SMap):
     """First witness that f is not a monomorphism, or None."""
     seen = {}
@@ -667,7 +661,7 @@ def cell_decomposition(f: SMap) -> CellStructure:
         if all(new):
             rep = orbit[0]
             by_dim.setdefault(b.dim(rep), []).append(
-                CellSummand(rep, _simplex_stabilizer(b, rep), b.faces.get(rep, ())))
+                CellSummand(rep, stabilizer(b.group, b.action, rep), b.faces.get(rep, ())))
     cs = CellStructure({n: tuple(by_dim[n]) for n in sorted(by_dim)})
     replay_cell_decomposition(f, cs)
     return cs
@@ -765,7 +759,7 @@ def check_F_cofibration(f: SMap, family) -> CofibrationVerdict:
     for s in sorted(b.ids(), key=lambda s: (b.dim(s), s)):
         if s in image:
             continue
-        stab = _simplex_stabilizer(b, s)
+        stab = stabilizer(b.group, b.action, s)
         if not any(conjugating_element(stab, k) is not None for k in family):
             return CofibrationVerdict(
                 False, s,

@@ -32,8 +32,8 @@ from .chains import ChainHomotopy, ChainMap, is_quasi_iso, \
 from .errors import InternalError
 from .exactla import Mat, kernel_exact, solve_exact
 from .groups import conjugating_element
-from .gsets import orbits, product_gset
-from .simplicial import SMap, _simplex_stabilizer, fixed_sset
+from .gsets import orbits, product_gset, stabilizer
+from .simplicial import SMap, fixed_sset
 
 MAX_CELLS = 2_500_000  # rows x unknowns of one dense system (C8/e x Delta[3]: 2.1M)
 
@@ -145,7 +145,8 @@ class _LinearSystem:
                     for q, bv in bcols[j]:
                         for k, v in coords[p * ncols + q]:
                             coeffs[k] = coeffs.get(k, zero) + av * bv * v
-            coeffs = {k: v for k, v in coeffs.items() if v != zero}
+            coeffs = {k: v for k, v in zip(coeffs, ring.reduce(list(coeffs.values())))
+                      if v != zero}
             rhs = ring.one if diagonal and i == j else zero
             if coeffs or rhs != zero:
                 self.rows.append(coeffs)
@@ -163,13 +164,11 @@ class _Block:
         self.nrows, self.ncols, self.coords, self.size = nrows, ncols, coords, size
 
     def value(self, ring, solution) -> Mat:
-        m = Mat.zeros(ring, self.nrows, self.ncols)
-        for e, pairs in enumerate(self.coords):
-            acc = ring.zero
-            for k, v in pairs:
-                acc = acc + solution[k] * v
-            m.rows[e // self.ncols][e % self.ncols] = acc
-        return m
+        entries = ring.reduce([sum((solution[k] * v for k, v in pairs), ring.zero)
+                               for pairs in self.coords])
+        c = self.ncols
+        return Mat(ring, self.nrows, c, [entries[i * c:(i + 1) * c] for i in range(self.nrows)],
+                   normalize=False)
 
 
 def _pair_orbits(group, left, ln, right, rn):
@@ -342,7 +341,7 @@ def isotropy_check(f: SMap, family) -> IsotropyReport:
     ok_c, ok_s, witness = True, True, None
     for sset in (f.source, f.target):
         for s in sorted(sset.ids(), key=lambda s: (sset.dim(s), s)):
-            stab = _simplex_stabilizer(sset, s)
+            stab = stabilizer(sset.group, sset.action, s)
             conj = any(conjugating_element(stab, k) is not None for k in fam)
             strict = stab.members in strict_members
             if not strict:

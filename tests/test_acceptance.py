@@ -303,8 +303,8 @@ def test_criterion_7_homology_oracle():
             c = random_fp_complex(rng, ring)
             hs = homology(c)  # Smith-normal-form path
             for n in range(c.top + 1):
-                rows_n = [[v.v for v in row] for row in c.d(n).rows]
-                rows_n1 = [[v.v for v in row] for row in c.d(n + 1).rows]
+                rows_n = [list(row) for row in c.d(n).rows]
+                rows_n1 = [list(row) for row in c.d(n + 1).rows]
                 r_n = _gauss_rank_mod_p(rows_n, p) if rows_n and rows_n[0] else 0
                 r_n1 = _gauss_rank_mod_p(rows_n1, p) if rows_n1 and rows_n1[0] else 0
                 assert hs[n].free_rank == c.rank(n) - r_n - r_n1
@@ -332,7 +332,7 @@ def test_criterion_8_prism_homotopy():
         cprod = normalized_chains(pr.product, ZZ)
         for hc in (identity_chain_map(cprod),
                    normalized_chain_map(pr.proj, ZZ, cprod, cx)):
-            phi = prism_homotopy(hc, x)  # verifies the identity internally
+            phi = prism_homotopy(hc, pr)  # verifies the identity internally
             e0 = normalized_chain_map(pr.end0, ZZ, cx, cprod)
             e1 = normalized_chain_map(pr.end1, ZZ, cx, cprod)
             z = hc.target

@@ -223,8 +223,8 @@ def test_homology_smith_path_matches_field_gauss_oracle(p):
         c = random_fp_complex(rng, ring)
         hs = homology(c)
         for n in range(c.top + 1):
-            rows_n = [[v.v for v in row] for row in c.d(n).rows]
-            rows_n1 = [[v.v for v in row] for row in c.d(n + 1).rows]
+            rows_n = [list(row) for row in c.d(n).rows]
+            rows_n1 = [list(row) for row in c.d(n + 1).rows]
             r_n = gauss_rank_mod_p(rows_n, p) if c.rank(n) and c.rank(n - 1) else 0
             r_n1 = gauss_rank_mod_p(rows_n1, p) if c.rank(n + 1) and c.rank(n) else 0
             betti = c.rank(n) - r_n - r_n1
@@ -309,7 +309,7 @@ def test_prism_homotopy_point_against_hand_computation():
     pr = prism(pt)
     cprod = normalized_chains(pr.product, ZZ)
     hc = identity_chain_map(cprod)
-    phi = prism_homotopy(hc, pt)
+    phi = prism_homotopy(hc, pr)
     # phi_0(vertex) = +- the edge; its boundary is the endpoint difference
     assert [abs(v) for row in phi.mat(0).rows for v in row] == [1]
     e0 = normalized_chain_map(pr.end0, ZZ, normalized_chains(pt, ZZ), cprod)
@@ -323,7 +323,7 @@ def test_prism_homotopy_projection_gives_zero_difference():
     cx = normalized_chains(x, ZZ)
     cprod = normalized_chains(pr.product, ZZ)
     hc = normalized_chain_map(pr.proj, ZZ, cprod, cx)
-    phi = prism_homotopy(hc, x)
+    phi = prism_homotopy(hc, pr)
     # both end composites equal the identity, so d phi + phi d = 0
     for n in range(cx.top + 1):
         lhs = cx.d(n + 1) @ phi.mat(n) + phi.mat(n - 1) @ cx.d(n)
@@ -337,7 +337,7 @@ def test_prism_homotopy_equivariant_swap(c2):
     cprod = normalized_chains(pr.product, ZZ)
     hc = normalized_chain_map(pr.proj, ZZ, cprod, cx)
     assert hc.equivariant
-    phi = prism_homotopy(hc, x)
+    phi = prism_homotopy(hc, pr)
     assert phi.equivariant
     for g in c2.elements():
         assert cx.rep_mat(g, 1) @ phi.mat(0) == phi.mat(0) @ cx.rep_mat(g, 0)
@@ -347,7 +347,7 @@ def test_prism_homotopy_rejects_wrong_source():
     x = standard_simplex(1)
     cx = normalized_chains(x, ZZ)
     with pytest.raises(ValueError, match="prism"):
-        prism_homotopy(identity_chain_map(cx), x)
+        prism_homotopy(identity_chain_map(cx), prism(x))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit.cli import main
+from orbitkit.cli import main, make_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -67,6 +67,14 @@ def test_readme_example_matches_golden(name, fmt):
     lines = golden_path(name, fmt).read_text().split("\n", 1)
     assert lines[0] == f"exit {code}"
     assert out == lines[1]
+
+
+def test_one_parser_serves_every_verb_and_format():
+    """The parser is built once per process; reuse must not leak state between runs."""
+    assert make_parser() is make_parser()
+    for name, fmt in list(reversed(CASES)) * 2:
+        code, out = run_example(name, fmt)
+        assert f"exit {code}\n{out}" == golden_path(name, fmt).read_text(), (name, fmt)
 
 
 if __name__ == "__main__":
