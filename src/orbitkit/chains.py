@@ -12,7 +12,8 @@ are stored as one G-set of basis indices per degree
 (``ChainComplex.permuted``); their invariants are orbit sums, and matrices
 are derived only on request (``rep_mat``).  General linear actions, such as
 a JSON ``rep``, keep their matrices (``rep=``), and their invariants are
-exact kernels.
+exact kernels.  Their inclusion carries a left inverse (``incl.coords``), so
+d on them and ``corestrict`` are products with it, checked by multiplying back.
 
 Sign conventions are pinned by the verified identities rather than chosen
 in the abstract: d is the alternating face sum, the cone differential is
@@ -26,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .exactla import Mat, block_matrix, kernel_exact, mat_from_columns, \
-    smith_diagonal, solve_exact
+from .exactla import Mat, block_matrix, kernel_exact, smith_diagonal, \
+    solve_exact
 from .groups import Group, Subgroup, check_action_laws
 from .gsets import GSet, orbits, validate_gset
 from .simplicial import GSSet, Prism, SMap, fixed_sset
@@ -342,7 +343,10 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
 
     For permutation actions the basis is the H-orbit sums (sorted by least
     index); for matrix actions an exact kernel basis is computed over the
-    ring (saturated HNF basis over Z, RREF basis over fields).
+    ring (saturated HNF basis over Z, RREF basis over fields).  The
+    inclusion K carries a left inverse P = ``incl.coords``: each orbit sum's
+    entry at its least index, or one solve of P K = 1 per degree (over Z it
+    exists because the kernel is saturated).  d' = P d K, checked.
     """
     if c.group is None:
         raise ValueError("invariants need an equivariant complex")
@@ -351,51 +355,54 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
     ring = c.ring
     if h.is_trivial():
         plain = c.forget_action()
-        incl = ChainMap(plain, c, {n: Mat.identity(ring, c.rank(n))
-                                   for n in range(c.top + 1)}, validate=False)
+        ids = [Mat.identity(ring, c.rank(n)) for n in range(c.top + 1)]
+        incl = ChainMap(plain, c, dict(enumerate(ids)), validate=False)
+        incl.coords = ids
         return plain, incl
-    bases = []
+    kmats, pmats = [], []
     nontrivial = [g for g in h.members if g != 0]
     for n in range(c.top + 1):
         r = c.rank(n)
         if c.action is not None:
-            cols = []
-            for orbit in orbits(c.action[n].act, h.members):
-                col = [ring.zero] * r
+            orbs = orbits(c.action[n].act, h.members)
+            k, p = Mat(ring, r, len(orbs)), Mat(ring, len(orbs), r)
+            for j, orbit in enumerate(orbs):
                 for i in orbit:
-                    col[i] = ring.one
-                cols.append(col)
-        elif r == 0:
-            cols = []
+                    k.rows[i][j] = ring.one
+                p.rows[j][orbit[0]] = ring.one
         else:
             cols = kernel_exact(block_matrix(
                 ring, [[c.rep_mat(g, n) - Mat.identity(ring, r)] for g in nontrivial]))
-        bases.append(cols)
-    kmats = [mat_from_columns(ring, bases[n], c.rank(n)) for n in range(c.top + 1)]
-    ranks = [len(bases[n]) for n in range(c.top + 1)]
-    diffs = {}
-    for n in range(1, c.top + 1):
-        rhs = c.d(n) @ kmats[n]
-        sol = solve_exact(kmats[n - 1], rhs)
-        if sol is None:
-            raise InternalError(
-                "the differential must restrict to the invariant subcomplex")
-        diffs[n] = sol
+            k = Mat(ring, len(cols), r, cols, normalize=False).transpose()
+            p = solve_exact(k.transpose(), Mat.identity(ring, len(cols)))
+            if p is None:
+                raise InternalError("the invariant basis has no left inverse")
+            p = p.transpose()
+        kmats.append(k)
+        pmats.append(p)
+    diffs = {n: _through(kmats[n - 1], pmats[n - 1], c.d(n) @ kmats[n],
+                         "the differential must restrict to the invariant subcomplex")
+             for n in range(1, c.top + 1)}
     # incl d' = d incl and incl is injective, so d'd' = 0
-    inv = ChainComplex(ring, ranks, diffs, basis=None, validate=False)
-    incl = ChainMap(inv, c, {n: kmats[n] for n in range(c.top + 1)}, validate=False)
+    inv = ChainComplex(ring, [k.ncols for k in kmats], diffs, basis=None, validate=False)
+    incl = ChainMap(inv, c, dict(enumerate(kmats)), validate=False)
+    incl.coords = pmats
     return inv, incl
 
 
+def _through(k: Mat, p: Mat, m: Mat, what: str) -> Mat:
+    """The x with k x = m, read off as p m (p k = 1); raises unless k x = m."""
+    x = p @ m
+    if k @ x != m:
+        raise InternalError(what)
+    return x
+
+
 def corestrict(f: ChainMap, incl: ChainMap) -> ChainMap:
-    """The g with incl o g = f; callers know f lands in the image of incl."""
-    mats = {}
-    for n in range(max(f.source.top, incl.source.top) + 1):
-        sol = solve_exact(incl.mat(n), f.mat(n))
-        if sol is None:
-            raise InternalError(
-                f"the map does not factor through the inclusion in degree {n}")
-        mats[n] = sol
+    """g = coords o f, checked to satisfy incl o g = f; incl is from ``invariants``."""
+    mats = {n: _through(incl.mat(n), p, f.mat(n),
+                        f"the map does not factor through the inclusion in degree {n}")
+            for n, p in enumerate(incl.coords)}
     # incl g = f exactly and incl is injective, so g is a chain map
     return ChainMap(f.source, incl.source, mats, validate=False)
 

@@ -82,7 +82,6 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by "
                              f"{other.nrows}x{other.ncols}")
-        z = self.ring.zero
         red = self.ring.reduce
         out = Mat(self.ring, self.nrows, other.ncols)
         for i in range(self.nrows):
@@ -90,12 +89,12 @@ class Mat:
             oi = out.rows[i]
             for k in range(self.ncols):
                 a = ri[k]
-                if a == z:
+                if not a:
                     continue
                 rk = other.rows[k]
                 for j in range(other.ncols):
                     b = rk[j]
-                    if b != z:
+                    if b:
                         oi[j] = oi[j] + a * b
             out.rows[i] = red(oi)
         return out
@@ -135,11 +134,14 @@ class Mat:
             raise ValueError("shape mismatch")
 
     def is_zero(self):
-        z = self.ring.zero
-        return all(v == z for r in self.rows for v in r)
+        return not any(any(r) for r in self.rows)
 
     def column(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
+
+    def transpose(self):
+        return Mat(self.ring, self.ncols, self.nrows,
+                   [self.column(j) for j in range(self.ncols)], normalize=False)
 
     def hstack(self, other):
         self._same_ring(other)
@@ -156,16 +158,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.ring}, {self.nrows}x{self.ncols})"
-
-
-def mat_from_columns(ring, cols, nrows):
-    m = Mat(ring, nrows, len(cols))
-    for j, c in enumerate(cols):
-        if len(c) != nrows:
-            raise ValueError("column length mismatch")
-        for i, v in enumerate(c):
-            m.rows[i][j] = ring.normalize(v)
-    return m
 
 
 def block_matrix(ring, blocks):
@@ -270,14 +262,13 @@ def rref(m: Mat):
     if not ring.is_field:
         raise ValueError("rref needs a field")
     a = [list(r) for r in m.rows]
-    z = ring.zero
     red = ring.reduce
     pivots = []
     r = 0
     for c in range(m.ncols):
         pr = None
         for i in range(r, m.nrows):
-            if a[i][c] != z:
+            if a[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -286,10 +277,10 @@ def rref(m: Mat):
         inv = ring.inverse(a[r][c])
         row = a[r] = red([v * inv for v in a[r]])
         # columns before c are zero in the pivot row; update only its nonzeros
-        nonzero = [j for j in range(c, m.ncols) if row[j] != z]
+        nonzero = [j for j in range(c, m.ncols) if row[j]]
         for i in range(m.nrows):
             f = a[i][c]
-            if i != r and f != z:
+            if i != r and f:
                 ai = a[i]
                 for j in nonzero:
                     ai[j] = ai[j] - f * row[j]

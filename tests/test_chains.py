@@ -6,13 +6,15 @@ import random
 import pytest
 
 from conftest import swap_boundary1, vee
+from orbitkit import chains
 from orbitkit.chains import ChainComplex, ChainMap, chain_maps_equal, \
-    concentrated, disk, fixed_chains_comparison, homology, \
+    concentrated, corestrict, disk, fixed_chains_comparison, homology, \
     identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
     normalized_chain_map, normalized_chains, prism_homotopy, \
     restrict_to_invariants, zero_complex
 from hypothesis import given, settings, strategies as st
 
+from orbitkit.errors import InternalError
 from orbitkit.exactla import Mat
 from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup, \
     symmetric_group, trivial_subgroup
@@ -121,6 +123,49 @@ def test_invariants_differential_commutes(c2):
     assert incl.mat(0) @ inv.d(1) == c.d(1) @ incl.mat(1)
 
 
+def test_invariant_lattice_without_unit_coordinate(c2):
+    # the involution fixes Z(2, 3) only; no coordinate of (2, 3) is a unit,
+    # so the left inverse of the inclusion comes from a solve over Z
+    rep = {0: {0: Mat.identity(ZZ, 2)}, 1: {0: Mat(ZZ, 2, 2, [[7, -4], [12, -7]])}}
+    c = ChainComplex(ZZ, (2,), {}, group=c2, rep=rep)
+    inv, incl = invariants(c, full_subgroup(c2))
+    assert inv.ranks == (1,)
+    assert incl.mat(0).to_lists() in ([[2], [3]], [[-2], [-3]])
+    assert all(type(v) is int for row in incl.coords[0].rows for v in row)
+    assert incl.coords[0] @ incl.mat(0) == Mat.identity(ZZ, 1)
+    hits_e1 = ChainMap(concentrated(ZZ, 0), c, {0: Mat(ZZ, 2, 1, [[1], [0]])})
+    with pytest.raises(InternalError, match="does not factor"):
+        corestrict(hits_e1, incl)
+
+
+def test_invariants_reject_a_differential_that_does_not_restrict(c2):
+    # built without validation: d sends the one 1-cell to one point of a swapped pair
+    c = ChainComplex(ZZ, (2, 1), {1: Mat(ZZ, 2, 1, [[1], [0]])}, group=c2,
+                     validate=False)
+    c.action = (coset_gset(c2, trivial_subgroup(c2)), trivial_gset(c2, 1))
+    with pytest.raises(InternalError, match="must restrict"):
+        invariants(c, full_subgroup(c2))
+
+
+def test_orbit_sums_factor_without_solving(c2, monkeypatch):
+    solve, calls = chains.solve_exact, []
+
+    def counting_solve(a, b):
+        calls.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(chains, "solve_exact", counting_solve)
+    c = normalized_chains(vee(c2), ZZ)
+    for h in (trivial_subgroup(c2), full_subgroup(c2)):
+        inv, incl = invariants(c, h)
+        assert chain_maps_equal(corestrict(incl, incl), identity_chain_map(inv))
+        fixed_chains_comparison(vee(c2), h, ZZ)
+    assert calls == []
+    # matrix actions solve once per degree, for the left inverse
+    invariants(_with_matrices(c), full_subgroup(c2))
+    assert len(calls) == c.top + 1
+
+
 def test_fixed_chains_comparison_injective_never_conflated(c2):
     x = vee(c2)
     cmp_map = fixed_chains_comparison(x, full_subgroup(c2), ZZ)
@@ -191,7 +236,7 @@ def gauss_rank_mod_p(rows, p):
 
 def random_fp_complex(rng, ring, max_rank=6, top=3):
     """Random complex over F_p with d*d = 0 by construction."""
-    from orbitkit.exactla import kernel_basis_field, mat_from_columns
+    from orbitkit.exactla import kernel_basis_field
     ranks = [rng.randint(0, max_rank) for _ in range(top + 1)]
     diffs = {}
     prev_kernel = None
@@ -205,7 +250,7 @@ def random_fp_complex(rng, ring, max_rank=6, top=3):
                     [[rng.randint(-3, 3) for _ in range(ranks[n])]
                      for _ in range(ranks[n - 1])])
         else:
-            k = mat_from_columns(ring, prev_kernel, ranks[n - 1])
+            k = Mat(ring, len(prev_kernel), ranks[n - 1], prev_kernel).transpose()
             coeff = Mat(ring, k.ncols, ranks[n],
                         [[rng.randint(-3, 3) for _ in range(ranks[n])]
                          for _ in range(k.ncols)])
@@ -235,12 +280,12 @@ def test_homology_smith_path_matches_field_gauss_oracle(p):
 def random_z_complex(rng, max_rank=5, top=3):
     """Random integer complex; each d_{n+1} maps into a sublattice of ker d_n,
     so homology often has torsion."""
-    from orbitkit.exactla import kernel_z, mat_from_columns
+    from orbitkit.exactla import kernel_z
     ranks = [rng.randint(1, max_rank) for _ in range(top + 1)]
     diffs = {}
     kernel = [[int(i == j) for i in range(ranks[0])] for j in range(ranks[0])]
     for n in range(1, top + 1):
-        k = mat_from_columns(ZZ, kernel, ranks[n - 1])
+        k = Mat(ZZ, len(kernel), ranks[n - 1], kernel).transpose()
         rows = [[rng.randint(-3, 3) for _ in range(ranks[n])] for _ in range(k.ncols)]
         diffs[n] = k @ Mat(ZZ, k.ncols, ranks[n], rows)
         kernel = kernel_z(diffs[n])
@@ -478,6 +523,9 @@ def test_derived_objects_pass_the_checks_they_skip(group, data, base, n):
                 inv, incl = invariants(cc, h)
                 inv.validate()
                 mapping_cone(incl).validate()
+                assert all(incl.coords[d] @ incl.mat(d) == Mat.identity(ring, inv.rank(d))
+                           for d in range(cc.top + 1))
+                assert chain_maps_equal(corestrict(incl, incl), identity_chain_map(inv))
             for g in (fixed_chains_comparison(x, h, ring), restrict_to_invariants(cf, h)):
                 g.validate()
                 mapping_cone(g).validate()

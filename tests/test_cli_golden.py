@@ -38,6 +38,8 @@ EXAMPLES = {
 
 EXTRA = {
     "orbit-cat-d4": "orbit-cat --group fixtures/d4.json --family all",
+    "elmendorf-s3-f3": "elmendorf --group fixtures/s3.json --family all"
+                       " --ring Fp:3",
 }
 
 RUNS = {**EXAMPLES, **EXTRA}

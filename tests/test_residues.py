@@ -18,8 +18,7 @@ from conftest import vee
 from test_chains import gauss_rank_mod_p
 from orbitkit.chains import ChainComplex, identity_chain_map, invariants, \
     normalized_chains
-from orbitkit.exactla import Mat, kernel_basis_field, mat_from_columns, rank, rref, \
-    solve_field
+from orbitkit.exactla import Mat, kernel_basis_field, rank, rref, solve_field
 from orbitkit.groups import all_subgroups, full_subgroup
 from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.whitehead import certificate_search
@@ -58,7 +57,7 @@ def test_every_fp_entry_is_a_residue(p, data, m, n, k):
     kernel = kernel_basis_field(a)
     assert len(kernel) == n - len(pivots)
     if kernel:
-        km = mat_from_columns(ring, kernel, n)
+        km = Mat(ring, len(kernel), n, kernel).transpose()
         assert_residues(km, p)
         assert (a @ km).is_zero()
 

@@ -82,7 +82,7 @@ def test_certificate_respects_equivariance(c2):
 
 
 def random_field_complex(rng, ring, max_rank=4, top=2):
-    from orbitkit.exactla import kernel_basis_field, mat_from_columns
+    from orbitkit.exactla import kernel_basis_field
     ranks = [rng.randint(0, max_rank) for _ in range(top + 1)]
     diffs = {}
     prev_kernel = None
@@ -96,7 +96,7 @@ def random_field_complex(rng, ring, max_rank=4, top=2):
                     [[rng.randint(-2, 2) for _ in range(ranks[n])]
                      for _ in range(ranks[n - 1])])
         else:
-            k = mat_from_columns(ring, prev_kernel, ranks[n - 1])
+            k = Mat(ring, len(prev_kernel), ranks[n - 1], prev_kernel).transpose()
             m = k @ Mat(ring, k.ncols, ranks[n],
                         [[rng.randint(-2, 2) for _ in range(ranks[n])]
                          for _ in range(k.ncols)])
