@@ -18,7 +18,7 @@ from .errors import InternalError
 from .groups import trivial_subgroup
 from .gsets import orbit_analysis
 from .jsonio import InputError, format_homology, load_family, load_group, \
-    load_gset, load_sset, load_smap, is_gset_data, _load_json
+    load_gset, load_sset, load_smap, is_gset_data, sset_data
 from .orbitcat import build_orbit_category
 from .rings import ring_from_tag
 from .simplicial import cell_decomposition, check_F_cofibration, fixed_sset, \
@@ -56,11 +56,7 @@ def cmd_orbit_cat(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     group = load_group(args.group) if args.group else None
-    from .jsonio import _BUILTIN_SSET
-    if args.sset in _BUILTIN_SSET or args.sset.startswith(_BUILTIN_SSET):
-        data = args.sset
-    else:
-        data = _load_json(args.sset)
+    data = sset_data(args.sset)
     family = _family(args, group) if group else None
     lines = []
     payload = {}

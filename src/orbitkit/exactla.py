@@ -2,15 +2,18 @@
 
 Matrices are dense lists of rows tagged with their ring; all arithmetic is
 exact (no floats anywhere).  The integer routines are the load-bearing
-part:
+part, and all of them run on one elimination loop, ``_echelon``: integer
+column reduction of a list of rows, pivoting row by row on the entry of
+smallest absolute value (lowest column on ties), so the output is
+reproducible.
 
-* ``smith_diagonal`` -- Smith normal form diagonal by elementary row/column
-  operations, pivoting on the smallest nonzero absolute value with
-  position as the tie-break, so the output is reproducible.
 * ``column_echelon_z`` -- integer column echelon form A*U = H with U
-  unimodular; it yields saturated kernel bases and drives the exact
-  integer solver ``solve_z`` (Hermite-style forward substitution with
-  divisibility checks).
+  unimodular, recorded by the identity rows stacked under A; it yields
+  saturated kernel bases and drives the exact integer solver ``solve_z``
+  (Hermite-style forward substitution with divisibility checks).
+* ``smith_diagonal`` -- Smith normal form diagonal by alternating column
+  echelon forms of the matrix and of its transposed pivot columns, then
+  gcd/lcm steps into divisor order.
 
 Field routines (Q and F_p), the field case of ``smith_diagonal`` included,
 go through reduced row echelon form.
@@ -23,6 +26,8 @@ rings, since residues alone do not say which prime they belong to.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .rings import ZZ
 
@@ -188,64 +193,31 @@ def smith_diagonal(m: Mat):
 
     Over Z the result is the canonical nonnegative invariant-factor chain
     (each entry divides the next); over a field it is 1 repeated rank
-    times, read off ``rref``.  Pivot choice over Z: smallest absolute
-    value, ties broken by (row, column) position.
+    times, read off ``rref``.  Over Z the matrix is column-echeloned by
+    ``_echelon`` and its pivot columns transposed, until each pivot column
+    holds only its pivot (the alternating Hermite passes of Kannan and
+    Bachem); the pivots are then put in divisor order.
     """
     if m.ring.is_field:
         return [m.ring.one] * len(rref(m)[1])
+    # Termination: each pass either shrinks the leading pivot p (to the gcd
+    # of its column, when p does not divide it) or clears its row and
+    # column, after which later passes leave it alone; the same then holds
+    # for the leading pivot of the block after it, and pivots are positive.
     a = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    diag = []
-    t = 0
-    while t < nr and t < nc:
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = a[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
+    while True:
+        pivots = _echelon(a, len(a))
+        k = len(pivots)
+        if sum(1 for row in a for v in row[:k] if v) == k:
             break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        # clear the pivot's row and column; a nonzero remainder is smaller
-        # than the pivot, so re-pivot on it
-        p = a[t][t]
-        dirty = False
-        for i in range(t + 1, nr):
-            v = a[i][t]
-            if v != 0:
-                q = v // p
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, nc):
-            v = a[t][j]
-            if v != 0:
-                q = v // p
-                if q:
-                    for i in range(nr):
-                        a[i][j] = a[i][j] - q * a[i][t]
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # row and column are clear; the pivot must divide the whole block
-        # (a unit always does), else an offending row is added to the pivot
-        # row and reduced again
-        offender = None if abs(p) == 1 else next(
-            (i for i in range(t + 1, nr) if any(v % p for v in a[i][t + 1:])), None)
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            continue
-        diag.append(abs(p))
-        t += 1
-    return diag
+        a = [[row[j] for row in a] for j in range(k)]
+    d = [a[r][c] for r, c in pivots]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if d[j] % d[i]:
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 def rank(m: Mat) -> int:
@@ -274,9 +246,12 @@ def rref(m: Mat):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = ring.inverse(a[r][c])
-        row = a[r] = red([v * inv for v in a[r]])
-        # columns before c are zero in the pivot row; update only its nonzeros
+        row = a[r]
+        # columns before c are zero in the pivot row; scale and update only
+        # from c on
+        inv = ring.inverse(row[c])
+        if inv != 1:
+            row[c:] = red([v * inv for v in row[c:]])
         nonzero = [j for j in range(c, m.ncols) if row[j]]
         for i in range(m.nrows):
             f = a[i][c]
@@ -331,58 +306,65 @@ def solve_field(a: Mat, b: Mat):
 # integer column echelon (Hermite-style) and exact solving over Z
 
 
-def column_echelon_z(m: Mat):
-    """Integer column echelon form.
+def _echelon(rows, nr):
+    """Column-reduce the integer ``rows`` in place; return the pivots.
 
-    Returns (H, U, pivots) with ``m @ U == H``, U unimodular, and pivots a
-    list of (row, col) positions with strictly increasing rows and columns
-    0,1,2,...  Columns past the last pivot are zero.
+    Only rows ``< nr`` choose pivots; the rows below follow the column
+    operations.  Row by row, the entry of smallest absolute value in the
+    columns not yet used (lowest column on ties) is swapped into the next
+    column and reduces the others, until it is the row's only nonzero
+    there; it is made positive.  Pivots are (row, col) positions with
+    strictly increasing rows and columns 0, 1, 2, ...
     """
-    if m.ring != ZZ:
-        raise ValueError("column_echelon_z needs ring Z")
-    nr, nc = m.nrows, m.ncols
-    h = [list(r) for r in m.rows]
-    u = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    nc = len(rows[0]) if rows else 0
     pivots = []
     col = 0
     for row in range(nr):
         if col >= nc:
             break
-        # gcd-combine columns >= col until row has a single nonzero at col
+        h = rows[row]
         while True:
-            js = [j for j in range(col, nc) if h[row][j] != 0]
+            js = [j for j in range(col, nc) if h[j]]
             if not js:
                 break
-            jmin = min(js, key=lambda j: (abs(h[row][j]), j))
+            jmin = min(js, key=lambda j: (abs(h[j]), j))
             if jmin != col:
-                for arr in (h, u):
-                    for r_ in arr:
-                        r_[col], r_[jmin] = r_[jmin], r_[col]
-            done = True
-            p = h[row][col]
-            for j in range(col + 1, nc):
-                v = h[row][j]
-                if v != 0:
-                    q = v // p
-                    for r_ in h:
-                        r_[j] -= q * r_[col]
-                    for r_ in u:
-                        r_[j] -= q * r_[col]
-                    if h[row][j] != 0:
-                        done = False
-            if done:
+                for r in rows:
+                    r[col], r[jmin] = r[jmin], r[col]
+            p = h[col]
+            qs = [(j, h[j] // p) for j in range(col + 1, nc) if h[j]]
+            if not qs:
                 break
-        if h[row][col] != 0:
-            if h[row][col] < 0:
-                for r_ in h:
-                    r_[col] = -r_[col]
-                for r_ in u:
-                    r_[col] = -r_[col]
+            for r in rows:
+                c = r[col]
+                if c:
+                    for j, q in qs:
+                        r[j] -= q * c
+        if h[col]:
+            if h[col] < 0:
+                for r in rows:
+                    r[col] = -r[col]
             pivots.append((row, col))
             col += 1
-    hm = Mat(ZZ, nr, nc, h, normalize=False)
-    um = Mat(ZZ, nc, nc, u, normalize=False)
-    return hm, um, pivots
+    return pivots
+
+
+def column_echelon_z(m: Mat):
+    """Integer column echelon form.
+
+    Returns (H, U, pivots) with ``m @ U == H``, U unimodular, and pivots a
+    list of (row, col) positions with strictly increasing rows and columns
+    0,1,2,...  Columns past the last pivot are zero.  U is recorded by
+    stacking the identity under ``m`` for ``_echelon``.
+    """
+    if m.ring != ZZ:
+        raise ValueError("column_echelon_z needs ring Z")
+    nr, nc = m.nrows, m.ncols
+    rows = [list(r) for r in m.rows] + [[int(i == j) for j in range(nc)]
+                                        for i in range(nc)]
+    pivots = _echelon(rows, nr)
+    return (Mat(ZZ, nr, nc, rows[:nr], normalize=False),
+            Mat(ZZ, nc, nc, rows[nr:], normalize=False), pivots)
 
 
 def kernel_z(m: Mat):

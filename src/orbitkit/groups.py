@@ -25,12 +25,6 @@ class Group:
     inv: tuple[int, ...]
     name: str = field(default="", compare=False)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -72,9 +66,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def contains(self, x: int) -> bool:
-        return x in self.members
 
     @property
     def label(self) -> str:

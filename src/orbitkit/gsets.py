@@ -22,9 +22,6 @@ class GSet:
     size: int
     act: tuple[tuple[int, ...], ...]  # act[g][point]
 
-    def apply(self, g: int, x: int) -> int:
-        return self.act[g][x]
-
     def __repr__(self):
         return f"GSet(|X|={self.size} over {self.group!r})"
 

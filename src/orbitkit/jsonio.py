@@ -138,14 +138,19 @@ def is_gset_data(data) -> bool:
     return isinstance(data, dict) and "size" in data and "simplices" not in data
 
 
-_BUILTIN_SSET = ("point", "empty", "delta:", "boundary:")
+def sset_data(source):
+    """A built-in simplicial-set name as given, else the data of a JSON file
+    path, else ``source`` itself: what ``load_sset`` builds from."""
+    if isinstance(source, str) and (source in ("point", "empty")
+                                    or source.startswith(("delta:", "boundary:"))):
+        return source
+    return _load_json(source) if isinstance(source, (str, Path)) else source
 
 
 def load_sset(source, group: Group | None = None) -> GSSet:
-    if isinstance(source, str) and (source in _BUILTIN_SSET
-                                    or source.startswith(_BUILTIN_SSET)):
-        return build_sset(source, group)
-    data = _load_json(source) if isinstance(source, (str, Path)) else source
+    data = sset_data(source)
+    if isinstance(data, str):
+        return build_sset(data, group)
     if not isinstance(data, dict):
         raise InputError("sset: expected an object or a built-in name")
     for key, (shape, ok) in _SSET_FIELDS.items():

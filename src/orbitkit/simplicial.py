@@ -452,7 +452,8 @@ def fixed_sset(x: GSSet, h: Subgroup) -> tuple[GSSet, SMap]:
     """The subcomplex of simplices fixed by every element of h.
 
     Returned as a plain simplicial set (trivial action) with the inclusion
-    into x.  Face closure is automatic but asserted.
+    into x.  Face closure is automatic but asserted; the inclusion is the
+    identity on the kept ids, whose faces are x's, so it is not re-validated.
     """
     if h.parent != x.group:
         raise ValueError("subgroup of a different group")
@@ -465,7 +466,8 @@ def fixed_sset(x: GSSet, h: Subgroup) -> tuple[GSSet, SMap]:
                {s: x.dim_of[s] for s in keep},
                {s: x.faces[s] for s in keep if x.dim_of[s] > 0},
                _trivial_action(keep), validate=False)
-    incl = SMap(fx, x, {s: SimplexRef(s) for s in keep})
+    incl = SMap(fx, x, {s: SimplexRef(s) for s in keep}, validate=False)
+    incl.equivariant = fx.group == x.group
     return fx, incl
 
 
@@ -613,9 +615,6 @@ class CellSummand:
 @dataclass
 class CellStructure:
     by_dim: dict[int, tuple[CellSummand, ...]]
-
-    def total_orbits(self) -> int:
-        return sum(len(v) for v in self.by_dim.values())
 
 
 class ReplayError(ValueError):

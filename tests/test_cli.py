@@ -201,6 +201,17 @@ def test_whitehead_verb_fail(files, capsys):
     assert "failing subgroups" in out
 
 
+def test_sset_file_named_like_a_builtin_is_read(capsys, tmp_path, monkeypatch):
+    """Only "point" and "empty" are built-in names; "points.json" is a file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "points.json").write_text(
+        json.dumps({"dims": 0, "simplices": {"0": [0, 1]}, "faces": {}}))
+    code, out, _ = run(capsys, ["homology", "--sset", "points.json", "--ring", "Z"])
+    assert code == 0 and out.startswith("H0=Z^2\n")
+    code, out, _ = run(capsys, ["fixed-points", "--sset", "points.json"])
+    assert code == 0 and "{'0': 2}" in out
+
+
 def test_exit_2_on_bad_input(files, capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

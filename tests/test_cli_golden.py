@@ -40,6 +40,7 @@ EXTRA = {
     "orbit-cat-d4": "orbit-cat --group fixtures/d4.json --family all",
     "elmendorf-s3-f3": "elmendorf --group fixtures/s3.json --family all"
                        " --ring Fp:3",
+    "homology-moore-z6": "homology --sset fixtures/moore_z6.json --ring Z",
 }
 
 RUNS = {**EXAMPLES, **EXTRA}

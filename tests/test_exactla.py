@@ -1,9 +1,9 @@
 """Exact linear algebra against independent oracles.
 
 The Smith diagonal is checked with determinantal divisors (the gcd of all
-k x k minors equals d_1 * ... * d_k), the integer solver against an
-SNF-based solvability criterion, and kernels against rank counting and
-saturation.
+k x k minors equals d_1 * ... * d_k) and, where sympy is installed, against
+sympy's Smith normal form; the integer solver against an SNF-based
+solvability criterion, and kernels against rank counting and saturation.
 """
 
 import random
@@ -12,6 +12,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_chains import gauss_rank_mod_p
 from orbitkit.exactla import Mat, column_echelon_z, is_invertible, \
@@ -75,6 +76,34 @@ def test_smith_matches_determinantal_divisors():
             assert minor_gcds(rows, len(diag) + 1) == 0
 
 
+@st.composite
+def torsion_matrices(draw):
+    """B @ C with shapes up to 8 x 8, some rows and columns then zeroed.
+
+    Sparse factors make diagonals such as (2, 3), which the Smith form must
+    still put in divisor order, common.
+    """
+    m, k, n = (draw(st.integers(1, 8)) for _ in range(3))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 5])
+    b = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
+    c = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    zero_rows = draw(st.sets(st.integers(0, m - 1)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    return [[0 if i in zero_rows or j in zero_cols else
+             sum(b[i][t] * c[t][j] for t in range(k)) for j in range(n)]
+            for i in range(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=torsion_matrices())
+def test_smith_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    want = [abs(int(v)) for v in snf.diagonal() if v != 0]
+    assert smith_diagonal(zmat(rows)) == want
+
+
 def test_smith_diagonal_over_prime_field_counts_rank():
     rng = random.Random(11)
     for p in (2, 3):
@@ -97,6 +126,7 @@ def test_column_echelon_transform_invariant():
         a = zmat([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
         h, u, pivots = column_echelon_z(a)
         assert a @ u == h
+        assert abs(_det(u.rows)) == 1
         assert is_invertible(u)
         rows_seen = [r for r, _ in pivots]
         assert rows_seen == sorted(rows_seen)
