@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .exactla import Mat, block_matrix, kernel_exact, smith_diagonal, \
-    solve_exact
+from .exactla import Mat, kernel_exact, smith_diagonal, solve_exact
 from .groups import Group, Subgroup, check_action_laws
 from .gsets import GSet, orbits, validate_gset
 from .simplicial import GSSet, Prism, SMap, fixed_sset
@@ -343,7 +342,7 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
 
     For permutation actions the basis is the H-orbit sums (sorted by least
     index); for matrix actions an exact kernel basis is computed over the
-    ring (saturated HNF basis over Z, RREF basis over fields).  The
+    ring (saturated HNF basis over Z and Q, RREF basis over F_p).  The
     inclusion K carries a left inverse P = ``incl.coords``: each orbit sum's
     entry at its least index, or one solve of P K = 1 per degree (over Z it
     exists because the kernel is saturated).  d' = P d K, checked.
@@ -371,8 +370,9 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
                     k.rows[i][j] = ring.one
                 p.rows[j][orbit[0]] = ring.one
         else:
-            cols = kernel_exact(block_matrix(
-                ring, [[c.rep_mat(g, n) - Mat.identity(ring, r)] for g in nontrivial]))
+            stack = [row for g in nontrivial
+                     for row in (c.rep_mat(g, n) - Mat.identity(ring, r)).rows]
+            cols = kernel_exact(Mat(ring, len(stack), r, stack, normalize=False))
             k = Mat(ring, len(cols), r, cols, normalize=False).transpose()
             p = solve_exact(k.transpose(), Mat.identity(ring, len(cols)))
             if p is None:
@@ -476,9 +476,9 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     ranks = [tgt.rank(n) + src.rank(n - 1) for n in range(top + 1)]
     diffs = {}
     for n in range(1, top + 1):
-        blocks = [[tgt.d(n), f.mat(n - 1)],
-                  [Mat.zeros(ring, src.rank(n - 2), tgt.rank(n)), -src.d(n - 1)]]
-        diffs[n] = block_matrix(ring, blocks)
+        rows = [r + s for r, s in zip(tgt.d(n).rows, f.mat(n - 1).rows)]
+        rows += [[ring.zero] * tgt.rank(n) + r for r in (-src.d(n - 1)).rows]
+        diffs[n] = Mat(ring, ranks[n - 1], ranks[n], rows, normalize=False)
     # d^2 = 0 because f is a chain map
     return ChainComplex(ring, ranks, diffs, validate=False)
 

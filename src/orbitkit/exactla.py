@@ -1,35 +1,38 @@
 """Exact linear algebra over Z, Q, and F_p.
 
 Matrices are dense lists of rows tagged with their ring; all arithmetic is
-exact (no floats anywhere).  The integer routines are the load-bearing
-part, and all of them run on one elimination loop, ``_echelon``: integer
-column reduction of a list of rows, pivoting row by row on the entry of
-smallest absolute value (lowest column on ties), so the output is
-reproducible.
+exact (no floats anywhere).  Z and Q share one elimination loop,
+``_echelon``: integer column reduction of a list of rows, pivoting row by
+row on the entry of smallest absolute value (lowest column on ties), so
+the output is reproducible.  Q enters it with each row times the lcm of
+its denominators (``_over_z``), which keeps the row space over Q.
 
 * ``column_echelon_z`` -- integer column echelon form A*U = H with U
   unimodular, recorded by the identity rows stacked under A; it yields
-  saturated kernel bases and drives the exact integer solver ``solve_z``
-  (Hermite-style forward substitution with divisibility checks).
+  saturated kernel bases (over Q, of the cleared matrix) and drives the
+  exact solver ``solve_z`` (Hermite-style forward substitution: over Z a
+  pivot must divide its residual, over Q the exact quotient is taken).
 * ``smith_diagonal`` -- Smith normal form diagonal by alternating column
   echelon forms of the matrix and of its transposed pivot columns, then
-  gcd/lcm steps into divisor order.
+  gcd/lcm steps into divisor order; over Q only the pivots are counted.
 
-Field routines (Q and F_p), the field case of ``smith_diagonal`` included,
-go through reduced row echelon form.
+F_p (``_modular``) goes through reduced row echelon form, ``rref``.
 
 Entries are added, subtracted and multiplied with the ordinary operators;
 every row of raw results then passes through ``ring.reduce``, so F_p
-entries, plain ``int`` residues, stay in ``0..p-1``.  Pivots are inverted
-by ``ring.inverse``.  The binary operators refuse operands over different
-rings, since residues alone do not say which prime they belong to.
+entries, plain ``int`` residues, stay in ``0..p-1``, and integral Q
+entries stay plain ``int``.  Ring elements are divided only by the Q
+quotient in ``solve_z``.  The binary operators refuse operands over
+different rings, since residues alone do not say which prime they belong
+to.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
-from .rings import ZZ
+from .rings import ZZ, PrimeField
 
 
 class Mat:
@@ -148,13 +151,6 @@ class Mat:
         return Mat(self.ring, self.ncols, self.nrows,
                    [self.column(j) for j in range(self.ncols)], normalize=False)
 
-    def hstack(self, other):
-        self._same_ring(other)
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        return Mat(self.ring, self.nrows, self.ncols + other.ncols,
-                   [r + s for r, s in zip(self.rows, other.rows)], normalize=False)
-
     def to_lists(self):
         return [list(r) for r in self.rows]
 
@@ -163,25 +159,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.ring}, {self.nrows}x{self.ncols})"
-
-
-def block_matrix(ring, blocks):
-    """Assemble [[A, B], [C, D], ...] from a grid of Mat blocks."""
-    nrows = sum(row[0].nrows for row in blocks)
-    ncols = sum(b.ncols for b in blocks[0])
-    out = Mat(ring, nrows, ncols)
-    i0 = 0
-    for brow in blocks:
-        j0 = 0
-        h = brow[0].nrows
-        for b in brow:
-            if b.nrows != h:
-                raise ValueError("ragged block row")
-            for i in range(b.nrows):
-                out.rows[i0 + i][j0:j0 + b.ncols] = list(b.rows[i])
-            j0 += b.ncols
-        i0 += h
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +170,21 @@ def smith_diagonal(m: Mat):
 
     Over Z the result is the canonical nonnegative invariant-factor chain
     (each entry divides the next); over a field it is 1 repeated rank
-    times, read off ``rref``.  Over Z the matrix is column-echeloned by
+    times, the pivots of ``rref`` over F_p and of one ``_echelon`` pass of
+    the cleared rows over Q.  Over Z the matrix is column-echeloned by
     ``_echelon`` and its pivot columns transposed, until each pivot column
     holds only its pivot (the alternating Hermite passes of Kannan and
     Bachem); the pivots are then put in divisor order.
     """
+    if _modular(m.ring):
+        return [1] * len(rref(m)[1])
+    a = [list(r) for r in _over_z(m).rows]
     if m.ring.is_field:
-        return [m.ring.one] * len(rref(m)[1])
+        return [1] * len(_echelon(a, len(a)))
     # Termination: each pass either shrinks the leading pivot p (to the gcd
     # of its column, when p does not divide it) or clears its row and
     # column, after which later passes leave it alone; the same then holds
     # for the leading pivot of the block after it, and pivots are positive.
-    a = [list(r) for r in m.rows]
     while True:
         pivots = _echelon(a, len(a))
         k = len(pivots)
@@ -225,41 +205,41 @@ def rank(m: Mat) -> int:
 
 
 # ---------------------------------------------------------------------------
-# field elimination
+# elimination over F_p
+
+
+def _modular(ring) -> bool:
+    """F_p, eliminated by ``rref``; Z and Q run on ``_echelon``."""
+    return isinstance(ring, PrimeField)
 
 
 def rref(m: Mat):
-    """Reduced row echelon form; returns (R, pivot column list)."""
+    """Reduced row echelon form over F_p; returns (R, pivot column list)."""
     ring = m.ring
-    if not ring.is_field:
-        raise ValueError("rref needs a field")
+    if not _modular(ring):
+        raise ValueError("rref needs a prime field")
+    p = ring.p
     a = [list(r) for r in m.rows]
-    red = ring.reduce
     pivots = []
     r = 0
     for c in range(m.ncols):
-        pr = None
-        for i in range(r, m.nrows):
-            if a[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, m.nrows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
         row = a[r]
         # columns before c are zero in the pivot row; scale and update only
         # from c on
-        inv = ring.inverse(row[c])
+        inv = pow(row[c], -1, p)
         if inv != 1:
-            row[c:] = red([v * inv for v in row[c:]])
+            row[c:] = [v * inv % p for v in row[c:]]
         nonzero = [j for j in range(c, m.ncols) if row[j]]
         for i in range(m.nrows):
             f = a[i][c]
             if i != r and f:
                 ai = a[i]
                 for j in nonzero:
-                    ai[j] = ai[j] - f * row[j]
-                a[i] = red(ai)
+                    ai[j] = (ai[j] - f * row[j]) % p
         pivots.append(c)
         r += 1
         if r == m.nrows:
@@ -268,42 +248,52 @@ def rref(m: Mat):
 
 
 def kernel_basis_field(m: Mat):
-    """Columns spanning ker(m) over a field, in RREF-canonical form."""
-    ring = m.ring
+    """Columns spanning ker(m) over F_p, in RREF-canonical form."""
     r, pivots = rref(m)
     pivot_set = set(pivots)
     free = [j for j in range(m.ncols) if j not in pivot_set]
     basis = []
     for f in free:
-        v = [ring.zero] * m.ncols
-        v[f] = ring.one
+        v = [0] * m.ncols
+        v[f] = 1
         for i, pc in enumerate(pivots):
             v[pc] = -r.rows[i][f]
-        basis.append(ring.reduce(v))
+        basis.append(m.ring.reduce(v))
     return basis
 
 
 def solve_field(a: Mat, b: Mat):
-    """One solution X of a @ X = b over a field, or None."""
-    ring = a.ring
+    """One solution X of a @ X = b over F_p, or None."""
     if a.nrows != b.nrows:
         raise ValueError("shape mismatch in solve")
-    aug = a.hstack(b)
-    r, pivots = rref(aug)
+    r, pivots = rref(Mat(a.ring, a.nrows, a.ncols + b.ncols,
+                         [ra + rb for ra, rb in zip(a.rows, b.rows)], normalize=False))
     # inconsistent if a pivot lands in the b-block
-    for pc in pivots:
-        if pc >= a.ncols:
-            return None
-    x = Mat(ring, a.ncols, b.ncols)
+    if pivots and pivots[-1] >= a.ncols:
+        return None
+    x = Mat(a.ring, a.ncols, b.ncols)
     for i, pc in enumerate(pivots):
-        for j in range(b.ncols):
-            x.rows[pc][j] = r.rows[i][a.ncols + j]
-    # rows of aug beyond the pivots must be zero, guaranteed by RREF
+        x.rows[pc] = r.rows[i][a.ncols:]
     return x
 
 
 # ---------------------------------------------------------------------------
-# integer column echelon (Hermite-style) and exact solving over Z
+# integer column echelon (Hermite-style) and exact solving over Z and Q
+
+
+def _over_z(m: Mat) -> Mat:
+    """``m`` over Z: over Q each row holding a fraction is multiplied by the lcm
+    of its denominators, which keeps the row space over Q (rank, kernel, and
+    the solutions of [A | b]).  Integral Q entries are already ``int``."""
+    if m.ring == ZZ:
+        return m
+    rows = []
+    for row in m.rows:
+        if Fraction in set(map(type, row)):
+            d = lcm(*[v.denominator for v in row])
+            row = [v.numerator * (d // v.denominator) for v in row]
+        rows.append(row)
+    return Mat(ZZ, m.nrows, m.ncols, rows, normalize=False)
 
 
 def _echelon(rows, nr):
@@ -374,58 +364,66 @@ def kernel_z(m: Mat):
     rational kernel vectors with integer entries.
     """
     _, u, pivots = column_echelon_z(m)
-    first_free = len(pivots)
-    return [u.column(j) for j in range(first_free, m.ncols)]
+    return [u.column(j) for j in range(len(pivots), m.ncols)]
 
 
 def solve_z(a: Mat, b: Mat):
-    """One integer solution X of a @ X = b, or None if none exists."""
-    if a.ring != ZZ or b.ring != ZZ:
-        raise ValueError("solve_z needs ring Z")
+    """One solution X of a @ X = b over Z or Q, or None if none exists.
+
+    Each row of [a | b] is cleared as one row, the cleared a is column
+    echeloned to H = a U, and H y = b is solved by forward substitution;
+    X = U y.  A pivot that does not divide its residual means no solution
+    over Z and gives the exact quotient over Q.
+    """
+    ring = a.ring
+    if _modular(ring) or b.ring != ring:
+        raise ValueError("solve_z needs ring Z or Q")
     if a.nrows != b.nrows:
         raise ValueError("shape mismatch in solve_z")
-    h, u, pivots = column_echelon_z(a)
-    piv_at_row = {r: c for r, c in pivots}
-    x = Mat(ZZ, a.ncols, b.ncols)
+    n = a.ncols
+    rows = _over_z(Mat(ring, a.nrows, n + b.ncols,
+                       [ra + rb for ra, rb in zip(a.rows, b.rows)], normalize=False)).rows
+    h, u, pivots = column_echelon_z(Mat(ZZ, a.nrows, n, [r[:n] for r in rows],
+                                        normalize=False))
+    piv_at_row = dict(pivots)
+    x = Mat(ring, n, b.ncols)
     for j in range(b.ncols):
-        y = [0] * a.ncols
-        for row in range(a.nrows):
+        y = [0] * n
+        for row, hrow in enumerate(h.rows):
             # residual after known pivot variables (later pivots still 0)
-            acc = b.rows[row][j]
-            for _, c2 in pivots:
-                if y[c2] and h.rows[row][c2]:
-                    acc -= h.rows[row][c2] * y[c2]
-            if row in piv_at_row:
-                c = piv_at_row[row]
-                p = h.rows[row][c]
-                if acc % p != 0:
+            acc = rows[row][n + j] - sum(v * w for v, w in zip(hrow, y) if w)
+            c = piv_at_row.get(row)
+            if c is None:
+                if acc:
                     return None
-                y[c] = acc // p
+            elif acc % hrow[c] == 0:
+                y[c] = acc // hrow[c]
+            elif ring.is_field:
+                y[c] = Fraction(acc, hrow[c])
             else:
-                if acc != 0:
-                    return None
-        xs = [0] * a.ncols
-        for c in range(a.ncols):
-            if y[c]:
-                for i in range(a.ncols):
-                    xs[i] += u.rows[i][c] * y[c]
-        for i in range(a.ncols):
-            x.rows[i][j] = xs[i]
+                return None
+        xs = [0] * n
+        for c, yc in enumerate(y):
+            if yc:
+                for i, urow in enumerate(u.rows):
+                    xs[i] += urow[c] * yc
+        for i, v in enumerate(ring.reduce(xs)):
+            x.rows[i][j] = v
     return x
 
 
 def solve_exact(a: Mat, b: Mat):
-    """Exact solution of a @ X = b over the matrix ring (Z or a field)."""
-    if a.ring.is_field:
+    """Exact solution of a @ X = b over the matrix ring (Z, Q or F_p)."""
+    if _modular(a.ring):
         return solve_field(a, b)
     return solve_z(a, b)
 
 
 def kernel_exact(m: Mat):
-    """Kernel basis of ``m`` over its ring (saturated over Z, RREF over a field)."""
-    if m.ring.is_field:
+    """Kernel basis of ``m``: ``kernel_z`` of the cleared rows over Z and Q, RREF over F_p."""
+    if _modular(m.ring):
         return kernel_basis_field(m)
-    return kernel_z(m)
+    return kernel_z(_over_z(m))
 
 
 def is_invertible(m: Mat) -> bool:

@@ -1,20 +1,26 @@
 """Coefficient rings with exact arithmetic: Z, Q, and prime fields F_p.
 
-Integers are plain ``int``, rationals are ``fractions.Fraction``, and F_p
-elements are plain ``int`` residues ``0..p-1``.  Matrix code adds,
-subtracts and multiplies entries with the ordinary operators and passes
-each row of raw results through ``ring.reduce``, which returns it unchanged
-over Z and Q and reduces it mod p over F_p.  Fields also provide
-``inverse``; no other code divides ring elements, so no float can appear.
+Integers are plain ``int``; rationals are plain ``int`` when integral and
+``fractions.Fraction`` otherwise; F_p elements are plain ``int`` residues
+``0..p-1``.  Matrix code adds, subtracts and multiplies entries with the
+ordinary operators and passes each row of raw results through
+``ring.reduce``, which returns it unchanged over Z, turns integral
+fractions back into ``int`` over Q, and reduces it mod p over F_p.  Rings
+never divide: ``exactla`` clears rational rows to integers and inverts
+F_p pivots by ``pow``, so no float can appear.  JSON booleans are not
+entries of any ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
+
+MAX_PRIME = 2 ** 32  # trial division up to sqrt(p) stays under 66k steps
 
 
 class Ring:
-    """Name-based equality, and the operations that are the same for Z and F_p."""
+    """Name-based equality, ``zero`` and ``one``, and the plain ``reduce`` of Z."""
 
     zero = 0
     one = 1
@@ -41,35 +47,31 @@ class IntegerRing(Ring):
     is_field = False
 
     def normalize(self, x):
-        if isinstance(x, int):
-            return x
+        if isinstance(x, (int, str)) and not isinstance(x, bool):
+            return int(x)
         if isinstance(x, Fraction) and x.denominator == 1:
-            return int(x)
-        if isinstance(x, str):
-            return int(x)
+            return x.numerator
         raise ValueError(f"not an integer: {x!r}")
 
 
 class RationalField(Ring):
     name = "Q"
     is_field = True
-    zero = Fraction(0)
-    one = Fraction(1)
 
     def normalize(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
         if isinstance(x, (list, tuple)) and len(x) == 2:
-            return Fraction(int(x[0]), int(x[1]))
-        raise ValueError(f"not a rational: {x!r}")
+            x = Fraction(ZZ.normalize(x[0]), ZZ.normalize(x[1]))
+        elif isinstance(x, (int, str, Fraction)) and not isinstance(x, bool):
+            x = Fraction(x)
+        else:
+            raise ValueError(f"not a rational: {x!r}")
+        return x.numerator if x.denominator == 1 else x
 
     @staticmethod
-    def inverse(x):
-        return 1 / x
+    def reduce(row):
+        return [v if type(v) is int or v.denominator != 1 else v.numerator for v in row]
 
     def to_json(self, v):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
@@ -79,22 +81,21 @@ class PrimeField(Ring):
     is_field = True
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p > MAX_PRIME:
+            raise ValueError(f"{p} exceeds the cap {MAX_PRIME} on primes")
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"Fp:{p}"
 
     def normalize(self, x):
-        if isinstance(x, (int, str)):
+        if isinstance(x, (int, str)) and not isinstance(x, bool):
             return int(x) % self.p
         raise ValueError(f"not an F_{self.p} element: {x!r}")
 
     def reduce(self, row):
         p = self.p
         return [v % p for v in row]
-
-    def inverse(self, x):
-        return pow(x, -1, self.p)
 
 
 ZZ = IntegerRing()

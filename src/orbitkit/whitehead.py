@@ -11,7 +11,7 @@ actions a saturated kernel basis of the equivariance constraints; with no
 group the elementary matrices.  The chain-map and homotopy equations are
 linear in these coordinates, and their residuals are equivariant, so for
 permutation actions they are imposed at one index pair per orbit only.
-One exact solve (Hermite-style over Z, elimination over fields) then
+One exact solve (Hermite-style over Z and Q, elimination over F_p) then
 either produces a certificate or proves that none of this shape exists
 over the ring; the certificate is re-verified against the full identities
 for every group element before it is returned.  Over Z a failure does not

@@ -38,3 +38,31 @@ def test_tracer_wraps_every_method_and_records_spans():
     finally:
         tracer.uninstall()
     assert not hasattr(OrbitDiagram.check_functorial, "__wrapped__")
+
+
+def test_per_layer_sources_resolve_in_orbitkit():
+    """Each span a per-layer metric reads names a function that still exists."""
+    import importlib
+    for metric, _, source in tracing.PER_LAYER:
+        if source is None:
+            continue
+        layer, *path = source.split(".")
+        obj = importlib.import_module("orbitkit." + layer)
+        for part in path:
+            assert hasattr(obj, part), f"{metric}: {source}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"{metric}: {source}"
+
+
+def test_every_size_hook_matches_a_wrapped_name():
+    """A hook whose function was renamed would silently stop counting."""
+    tracer = tracing.Tracer()
+    wrapped = []
+    wrap = tracer._wrap
+    tracer._wrap = lambda name, fn: wrapped.append(name) or wrap(name, fn)
+    tracer.install()
+    tracer.uninstall()
+    hooks = {"_hook_" + name.replace(".", "_") for name in wrapped}
+    for attr in vars(tracing.Tracer):
+        if attr.startswith("_hook_"):
+            assert attr in hooks, attr

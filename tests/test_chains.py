@@ -236,7 +236,7 @@ def gauss_rank_mod_p(rows, p):
 
 def random_fp_complex(rng, ring, max_rank=6, top=3):
     """Random complex over F_p with d*d = 0 by construction."""
-    from orbitkit.exactla import kernel_basis_field
+    from orbitkit.exactla import kernel_exact
     ranks = [rng.randint(0, max_rank) for _ in range(top + 1)]
     diffs = {}
     prev_kernel = None
@@ -256,7 +256,7 @@ def random_fp_complex(rng, ring, max_rank=6, top=3):
                          for _ in range(k.ncols)])
             m = k @ coeff
         diffs[n] = m
-        prev_kernel = kernel_basis_field(m)
+        prev_kernel = kernel_exact(m)
     return ChainComplex(ring, ranks, diffs)
 
 
@@ -460,6 +460,11 @@ BAD_CHAIN_COMPLEXES = {
     "entry-fraction-in-Z": {"ring": "Z", "ranks": [1, 1], "d": {"1": [["1/2"]]}},
     "entry-zero-denominator": {"ring": "Q", "ranks": [1, 1], "d": {"1": [["1/0"]]}},
     "entry-nested-pair": {"ring": "Q", "ranks": [1, 1], "d": {"1": [[[[1], 2]]]}},
+    # bool is an int subclass, so JSON true/false must be refused explicitly
+    "entry-bool": {"ring": "Q", "ranks": [1, 1], "d": {"1": [[True]]}},
+    "entry-bool-in-pair": {"ring": "Q", "ranks": [1, 1], "d": {"1": [[[True, 2]]]}},
+    "entry-bool-in-Z": {"ring": "Z", "ranks": [1, 1], "d": {"1": [[False]]}},
+    "entry-bool-in-Fp": {"ring": "Fp:3", "ranks": [1, 1], "d": {"1": [[True]]}},
     "d-wrong-shape": {"ring": "Z", "ranks": [2, 1], "d": {"1": [[-1, 1]]}},
     "d-degree-name": {"ring": "Z", "ranks": [2, 1], "d": {"x": [[-1], [1]]}},
     "d-degree-range": {"ring": "Z", "ranks": [2, 1], "d": {"2": [[-1], [1]]}},

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,19 @@ def test_exit_2_on_simplex_over_the_cap(files, capsys):
     code, _, err = run(capsys, ["homology", "--sset", "delta:1000", "--ring", "Z"])
     assert code == 2
     assert "exceeds cap" in err
+
+
+def test_exit_2_at_once_on_a_prime_over_the_cap(capsys):
+    from orbitkit.rings import MAX_PRIME, PrimeField
+    assert PrimeField(4294967291).p == 4294967291  # the largest prime below the cap
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"cap {MAX_PRIME}"):
+        PrimeField(4294967311)  # the least prime above it
+    code, _, err = run(capsys, ["homology", "--sset", "boundary:2",
+                                "--ring", "Fp:10000000000000061"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "exceeds the cap" in err
 
 
 @pytest.mark.parametrize("verb,data", [

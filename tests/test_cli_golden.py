@@ -41,6 +41,8 @@ EXTRA = {
     "elmendorf-s3-f3": "elmendorf --group fixtures/s3.json --family all"
                        " --ring Fp:3",
     "homology-moore-z6": "homology --sset fixtures/moore_z6.json --ring Z",
+    "homology-moore-z6-q": "homology --sset fixtures/moore_z6.json --ring Q",
+    "elmendorf-s3-q": "elmendorf --group fixtures/s3.json --family all --ring Q",
 }
 
 RUNS = {**EXAMPLES, **EXTRA}

@@ -4,20 +4,41 @@ The Smith diagonal is checked with determinantal divisors (the gcd of all
 k x k minors equals d_1 * ... * d_k) and, where sympy is installed, against
 sympy's Smith normal form; the integer solver against an SNF-based
 solvability criterion, and kernels against rank counting and saturation.
+Q runs on the integer core, so rational answers (solvability, kernels,
+ranks) are checked against sympy rather than against orbitkit's own Q.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_chains import gauss_rank_mod_p
 from orbitkit.exactla import Mat, column_echelon_z, is_invertible, \
-    kernel_basis_field, kernel_z, rank, rref, smith_diagonal, solve_field, solve_z
+    kernel_basis_field, kernel_exact, kernel_z, rank, rref, smith_diagonal, \
+    solve_exact, solve_field, solve_z
 from orbitkit.rings import PrimeField, QQ, ZZ
+
+
+def sympy_matrix(rows, ncols):
+    """A sympy matrix of exact rationals (ints and Fractions)."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(len(rows), ncols,
+                        [sympy.Rational(v.numerator, v.denominator) for r in rows for v in r])
+
+
+def sympy_solution(a: Mat, b: Mat):
+    """One rational solution of a X = b from sympy as a list of rows, or None."""
+    try:
+        x, params = sympy_matrix(a.rows, a.ncols).gauss_jordan_solve(
+            sympy_matrix(b.rows, b.ncols))
+    except ValueError:  # sympy: "Linear system has no solution"
+        return None
+    x = x.subs({t: 0 for t in params})
+    return [[Fraction(int(v.p), int(v.q)) for v in x.row(i)] for i in range(x.rows)]
 
 
 def zmat(rows):
@@ -151,16 +172,14 @@ def test_solve_z_finds_planted_solutions_and_verifies():
 
 def test_solve_z_agrees_with_rational_solvability_on_unimodular_rows():
     # when A has a pivot in every row over Q with unit invariant factors,
-    # integer solvability coincides with rational solvability
+    # integer solvability coincides with rational solvability (sympy's)
     rng = random.Random(19)
     for _ in range(60):
         n = rng.randint(1, 4)
         a = zmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         b = Mat(ZZ, n, 1, [[rng.randint(-6, 6)] for _ in range(n)])
         sol = solve_z(a, b)
-        aq = Mat(QQ, n, n, [[Fraction(v) for v in row] for row in a.rows])
-        bq = Mat(QQ, n, 1, [[Fraction(v)] for v in (b.rows[i][0] for i in range(n))])
-        qsol = solve_field(aq, bq)
+        qsol = sympy_solution(a, b)
         if sol is not None:
             assert a @ sol == b
             assert qsol is not None
@@ -195,12 +214,10 @@ def test_kernel_z_spans_and_saturates():
         if basis:
             k = Mat(ZZ, n, len(basis),
                     [[basis[j][i] for j in range(len(basis))] for i in range(n)])
-            # saturation: any integer kernel vector is an integer combination
-            aq = Mat(QQ, m, n, [[Fraction(v) for v in row] for row in a.rows])
-            for qcol in kernel_basis_field(aq):
-                denom = 1
-                for v in qcol:
-                    denom = denom * v.denominator // gcd(denom, v.denominator)
+            # saturation: any integer kernel vector is an integer combination;
+            # sympy's rational kernel basis, cleared of denominators, must be
+            for qcol in sympy_matrix(a.rows, n).nullspace():
+                denom = lcm(*[int(v.q) for v in qcol])
                 zvec = Mat(ZZ, n, 1, [[int(v * denom)] for v in qcol])
                 assert solve_z(k, zvec) is not None
 
@@ -217,12 +234,80 @@ def test_rref_and_field_kernel():
 
 
 def test_solve_field_consistency():
-    aq = Mat(QQ, 2, 2, [[1, 2], [3, 4]])
-    b = Mat(QQ, 2, 1, [[1], [1]])
-    x = solve_field(aq, b)
-    assert aq @ x == b
+    # solve_field over F_5, and solve_exact over Q against sympy
+    fp = PrimeField(5)
+    a, b = Mat(fp, 2, 2, [[1, 2], [3, 4]]), Mat(fp, 2, 1, [[1], [1]])
+    assert a @ solve_field(a, b) == b
+    assert solve_field(Mat(fp, 2, 2, [[1, 2], [2, 4]]), b) is None
+    aq, bq = Mat(QQ, 2, 2, [[1, 2], [3, 4]]), Mat(QQ, 2, 1, [[1], [1]])
+    x = solve_exact(aq, bq)
+    assert aq @ x == bq
+    assert x.rows == sympy_solution(aq, bq) == [[-1], [1]]
     singular = Mat(QQ, 2, 2, [[1, 2], [2, 4]])
-    assert solve_field(singular, b) is None
+    assert solve_exact(singular, bq) is None
+    assert sympy_solution(singular, bq) is None
+
+
+@st.composite
+def rational_systems(draw):
+    """(A, b) over Q, up to 8 x 8, with denominators up to 7.
+
+    A density draw makes some matrices sparse and some dense; dense ones,
+    and products B C with a short inner dimension (rank-deficient A), make
+    the cleared integers grow.  b is planted as A x0 half of the time, so
+    solvable and unsolvable systems are both common.
+    """
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    density = draw(st.sampled_from([2, 5, 10]))
+    value = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    entry = st.tuples(st.integers(0, 9), value).map(
+        lambda t: t[1] if t[0] < density else Fraction(0))
+
+    def rows(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 8))
+        a = Mat(QQ, m, k, rows(m, k)) @ Mat(QQ, k, n, rows(k, n))
+    else:
+        a = Mat(QQ, m, n, rows(m, n))
+    b = a @ Mat(QQ, n, 1, rows(n, 1)) if draw(st.booleans()) else Mat(QQ, m, 1, rows(m, 1))
+    return a, b
+
+
+def canonical_rationals(values):
+    """Integral values are plain ``int``; only the rest are ``Fraction``s."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=rational_systems())
+def test_q_on_the_integer_core_matches_sympy(system):
+    sympy = pytest.importorskip("sympy")
+    a, b = system
+    n = a.ncols
+    r = sympy_matrix(a.rows, n).rank()
+    diag = smith_diagonal(a)
+    assert len(diag) == rank(a) == r
+    x = solve_exact(a, b)
+    assert (x is None) == (sympy_solution(a, b) is None)
+    if x is not None:
+        assert a @ x == b
+    kernel = kernel_exact(a)
+    assert len(kernel) == n - r
+    if kernel:
+        k = Mat(QQ, len(kernel), n, kernel).transpose()
+        assert (a @ k).is_zero()
+        # the same span: sympy's basis adds no rank to this one
+        both = sympy_matrix(k.rows, k.ncols).row_join(
+            sympy.Matrix.hstack(*sympy_matrix(a.rows, n).nullspace()))
+        assert both.rank() == n - r
+    outputs = [diag, *kernel, *a.rows, *b.rows]
+    if x is not None:
+        outputs += [*x.rows, *(a @ x).rows]
+    assert all(canonical_rationals(v) for v in outputs)
 
 
 def test_is_invertible():

@@ -82,7 +82,7 @@ def test_certificate_respects_equivariance(c2):
 
 
 def random_field_complex(rng, ring, max_rank=4, top=2):
-    from orbitkit.exactla import kernel_basis_field
+    from orbitkit.exactla import kernel_exact
     ranks = [rng.randint(0, max_rank) for _ in range(top + 1)]
     diffs = {}
     prev_kernel = None
@@ -101,13 +101,13 @@ def random_field_complex(rng, ring, max_rank=4, top=2):
                         [[rng.randint(-2, 2) for _ in range(ranks[n])]
                          for _ in range(k.ncols)])
         diffs[n] = m
-        prev_kernel = kernel_basis_field(m)
+        prev_kernel = kernel_exact(m)
     return ChainComplex(ring, ranks, diffs)
 
 
 def random_chain_map(rng, src, tgt):
     """A random point of the linear space of chain maps src -> tgt."""
-    from orbitkit.exactla import kernel_basis_field
+    from orbitkit.exactla import kernel_exact
     ring = src.ring
     top = max(src.top, tgt.top)
     idx = {}
@@ -135,7 +135,7 @@ def random_chain_map(rng, src, tgt):
                         row[key] = row[key] - v
                 rows.append(row)
     if rows:
-        basis = kernel_basis_field(Mat(ring, len(rows), count, rows))
+        basis = kernel_exact(Mat(ring, len(rows), count, rows))
     else:
         basis = [[ring.one if i == j else ring.zero for i in range(count)]
                  for j in range(count)]
