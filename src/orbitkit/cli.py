@@ -36,13 +36,9 @@ def _emit(args, text: str, payload: dict) -> None:
         print(out)
 
 
-def _family(args, group):
-    return load_family(args.family, group)
-
-
 def cmd_orbit_cat(args) -> int:
     group = load_group(args.group)
-    cat = build_orbit_category(group, _family(args, group))
+    cat = build_orbit_category(group, load_family(args.family, group))
     payload = cat.to_json()
     lines = ["objects: " + " ".join("{" + o + "}" for o in payload["objects"])]
     for key, reps in sorted(payload["hom"].items()):
@@ -57,7 +53,7 @@ def cmd_orbit_cat(args) -> int:
 def cmd_fixed_points(args) -> int:
     group = load_group(args.group) if args.group else None
     data = sset_data(args.sset)
-    family = _family(args, group) if group else None
+    family = load_family(args.family, group) if group else None
     lines = []
     payload = {}
     if is_gset_data(data):
@@ -90,7 +86,7 @@ def cmd_homology(args) -> int:
     ring = ring_from_tag(args.ring)
     group = load_group(args.group) if args.group else None
     x = load_sset(args.sset, group)
-    family = _family(args, x.group)
+    family = load_family(args.family, x.group)
     c = normalized_chains(x, ring)
     lines = []
     payload = {}
@@ -118,7 +114,7 @@ def cmd_homology(args) -> int:
 def cmd_cofib_check(args) -> int:
     group = load_group(args.group) if args.group else None
     f = load_smap(args.map, group)
-    family = _family(args, f.target.group)
+    family = load_family(args.family, f.target.group)
     verdict = check_F_cofibration(f, family)
     text = "cofibration: yes" if verdict.ok else \
         f"cofibration: no (witness simplex {verdict.witness}: {verdict.reason})"
@@ -153,7 +149,7 @@ def cmd_cells(args) -> int:
 
 def cmd_elmendorf(args) -> int:
     group = load_group(args.group)
-    family = _family(args, group)
+    family = load_family(args.family, group)
     cat = build_orbit_category(group, family)
     if args.sset:
         vcat = elm.FinSSetCat()
@@ -187,7 +183,7 @@ def cmd_elmendorf(args) -> int:
 def cmd_whitehead(args) -> int:
     group = load_group(args.group) if args.group else None
     f = load_smap(args.map, group)
-    family = _family(args, f.source.group)
+    family = load_family(args.family, f.source.group)
     ring = ring_from_tag(args.ring)
     report = whitehead_verify(f, family, ring)
     ok = report.certificate is not None
@@ -208,7 +204,7 @@ def cmd_whitehead(args) -> int:
 
 def cmd_census(args) -> int:
     group = load_group(args.group)
-    cat = build_orbit_category(group, _family(args, group))
+    cat = build_orbit_category(group, load_family(args.family, group))
     rep = elm.arrow_poset_census(cat)
     text = f"{rep.diagram_count} diagrams vs {rep.gobject_count} G-objects"
     _emit(args, text, rep.to_json())

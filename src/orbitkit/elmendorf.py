@@ -21,8 +21,9 @@ methods they all provide:
   is the fixed value), and ``corestrict(m, incl)``, which factors a map m
   through such an inclusion; ``i_lower`` builds every structure map from
   these two and ``action_as_map``;
-* copowers: ``copower(keys, c)``, ``copower_remap(src_keys, tgt_keys,
-  keymap, c)``, and ``tensor(orbit, c)``, the G-object G/K (x) c;
+* copowers: ``copower(keys, c)``, ``copower_remap(src, tgt, to, c)``,
+  which sends copy p of c in the copower src to copy to[p] in tgt, and
+  ``tensor(orbit, c)``, the G-object G/K (x) c;
 * reports: ``value_descriptor(v)`` and ``orbit_count(orbit, h)``, the
   H-orbit count of G/K for chains and ``None`` otherwise.
 
@@ -125,10 +126,9 @@ class FinSetCat:
     def copower(self, keys, c):
         return tuple((k, l) for k in keys for l in c)
 
-    def copower_remap(self, src_keys, tgt_keys, keymap, c) -> VMap:
-        src = self.copower(src_keys, c)
-        tgt = self.copower(tgt_keys, c)
-        return VMap.make(src, tgt, {(k, l): (keymap[k], l) for k, l in src})
+    def copower_remap(self, src, tgt, to, c) -> VMap:
+        return VMap.make(src, tgt, {src[p * len(c) + x]: tgt[q * len(c) + x]
+                                    for p, q in enumerate(to) for x in range(len(c))})
 
     def tensor(self, orbit: GSet, c) -> FinSetObj:
         return FinSetObj(product_gset(orbit, trivial_gset(orbit.group, len(c))),
@@ -152,8 +152,9 @@ class FinSSetCat:
     def compose(self, m2: SMap, m1: SMap) -> SMap:
         return compose_smaps(m2, m1)
 
-    def maps_equal(self, a: SMap, b: SMap) -> bool:
-        return smaps_equal(a, b)
+    def maps_equal(self, a: SMap, b: SMap) -> bool:  # endpoints as compose_smaps sees them
+        return smaps_equal(a, b) and all((x.dim_of, x.faces) == (y.dim_of, y.faces)
+                                         for x, y in ((a.source, b.source), (a.target, b.target)))
 
     def is_iso(self, m: SMap) -> bool:
         return m.is_iso()
@@ -183,16 +184,10 @@ class FinSSetCat:
     def copower(self, keys, c: GSSet) -> GSSet:
         return disjoint_copies(c, len(keys))[0]
 
-    def copower_remap(self, src_keys, tgt_keys, keymap, c: GSSet) -> SMap:
-        src, stride = disjoint_copies(c, len(src_keys))
-        tgt, _ = disjoint_copies(c, len(tgt_keys))
-        tgt_pos = {k: i for i, k in enumerate(tgt_keys)}
-        values = {}
-        for p, k in enumerate(src_keys):
-            q = tgt_pos[keymap[k]]
-            for s in c.dim_of:
-                values[p * stride + s] = SimplexRef(q * stride + s)
-        return SMap(src, tgt, values)
+    def copower_remap(self, src, tgt, to, c: GSSet) -> SMap:
+        stride = max(c.dim_of, default=-1) + 1  # as disjoint_copies lays them out
+        return SMap(src, tgt, {p * stride + s: SimplexRef(q * stride + s)
+                               for p, q in enumerate(to) for s in c.dim_of})
 
     def tensor(self, orbit: GSet, c: GSSet) -> GSSet:
         return gtensor(orbit, c)
@@ -244,31 +239,24 @@ class ChainCat:
 
     def copower(self, keys, c: ChainComplex) -> ChainComplex:
         k = len(keys)
-        ranks = [k * c.rank(n) for n in range(c.top + 1)]
         diffs = {}
         for n in range(1, c.top + 1):
-            m = Mat.zeros(self.ring, ranks[n - 1], ranks[n])
             base = c.d(n)
+            m = diffs[n] = Mat.zeros(self.ring, k * base.nrows, k * base.ncols)
             for p in range(k):
-                for i in range(base.nrows):
-                    for j in range(base.ncols):
-                        m.rows[p * base.nrows + i][p * base.ncols + j] = base.rows[i][j]
-            diffs[n] = m
-        return ChainComplex(self.ring, ranks, diffs, validate=False)
+                for i, row in enumerate(base.rows):
+                    m.rows[p * base.nrows + i][p * base.ncols:(p + 1) * base.ncols] = row
+        return ChainComplex(self.ring, [k * c.rank(n) for n in range(c.top + 1)], diffs,
+                            validate=False)
 
-    def copower_remap(self, src_keys, tgt_keys, keymap, c: ChainComplex) -> ChainMap:
-        src = self.copower(src_keys, c)
-        tgt = self.copower(tgt_keys, c)
-        tgt_pos = {kk: i for i, kk in enumerate(tgt_keys)}
+    def copower_remap(self, src, tgt, to, c: ChainComplex) -> ChainMap:
         mats = {}
         for n in range(c.top + 1):
-            m = Mat.zeros(self.ring, tgt.rank(n), src.rank(n))
+            m = mats[n] = Mat.zeros(self.ring, tgt.rank(n), src.rank(n))
             r = c.rank(n)
-            for p, kk in enumerate(src_keys):
-                q = tgt_pos[keymap[kk]]
+            for p, q in enumerate(to):
                 for j in range(r):
                     m.rows[q * r + j][p * r + j] = self.ring.one
-            mats[n] = m
         return ChainMap(src, tgt, mats, validate=False)
 
     def tensor(self, orbit: GSet, c: ChainComplex) -> ChainComplex:
@@ -298,6 +286,10 @@ class OrbitDiagram:
         self.vcat = vcat
         self.values = dict(values)
         self.maps = dict(maps)  # (src_idx, tgt_idx, rep) -> map values[tgt] -> values[src]
+        known = {(i, j, m.rep): m for (i, j), ms in cat.hom.items() for m in ms}
+        for key in sorted(known.keys() ^ self.maps.keys(), key=repr):
+            raise ValueError(f"no structure map for {known[key]!r}" if key in known
+                             else f"the structure map key {key!r} names no morphism")
         self.check_functorial()
 
     def structure_map(self, m: OrbitMorphism):
@@ -306,14 +298,21 @@ class OrbitDiagram:
         return self.maps[(i, j, m.rep)]
 
     def check_functorial(self):
+        """F(id) = id, and F(b a) = F(a) F(b) for a an identity or a generator.
+
+        By induction on a's length in the generators (see ``OrbitCategory``)
+        this gives every composable pair. The pairs with a an identity check
+        each map's target against the values; as ``maps_equal`` compares
+        endpoints, the induction carries the sources too. Hence this accepts
+        exactly the diagrams that pass on every composable pair.
+        """
         vc = self.vcat
         cat = self.cat
-        for i, h in enumerate(cat.family):
-            ident = cat.identity(h)
-            got = self.maps[(i, i, ident.rep)]
-            if not vc.maps_equal(got, vc.identity(self.values[i])):
+        idents = [cat.identity(h) for h in cat.family]
+        for i, ident in enumerate(idents):
+            if not vc.maps_equal(self.structure_map(ident), vc.identity(self.values[i])):
                 raise ValueError(f"identity of object {i} is not the identity map")
-        for m1 in cat.all_morphisms():
+        for m1 in idents + list(cat.generators):
             j = cat.object_index(m1.target)
             for l in range(len(cat.family)):
                 for m2 in cat.hom[(j, l)]:
@@ -352,13 +351,12 @@ def i_lower(x, cat: OrbitCategory, vcat) -> OrbitDiagram:
     fixed = [vcat.fixed(x, h) for h in cat.family]
     act = {g: vcat.action_as_map(x, g) for g in cat.group.elements()}
     maps = {}
-    for m in cat.all_morphisms():
-        i = cat.object_index(m.source)
-        j = cat.object_index(m.target)
-        maps[(i, j, m.rep)] = _corestrict(
-            vcat, vcat.compose(act[m.rep], fixed[j]), fixed[i],
-            f"the translation by {m.rep} must map {m.target.label}-fixed points "
-            f"to {m.source.label}-fixed points")
+    for (i, j), ms in sorted(cat.hom.items()):
+        for m in ms:
+            maps[(i, j, m.rep)] = _corestrict(
+                vcat, vcat.compose(act[m.rep], fixed[j]), fixed[i],
+                f"the translation by {m.rep} must map {m.target.label}-fixed points "
+                f"to {m.source.label}-fixed points")
     return OrbitDiagram(cat, vcat, {i: f.source for i, f in enumerate(fixed)}, maps)
 
 
@@ -369,11 +367,10 @@ def free_cell_diagram(cat: OrbitCategory, k: Subgroup, c, vcat) -> OrbitDiagram:
     keys = {i: [mk.rep for mk in cat.hom[(i, k_idx)]] for i in range(len(cat.family))}
     values = {i: vcat.copower(keys[i], c) for i in range(len(cat.family))}
     maps = {}
-    for m in cat.all_morphisms():
-        i = cat.object_index(m.source)
-        j = cat.object_index(m.target)
-        keymap = {mk.rep: compose_morphisms(mk, m).rep for mk in cat.hom[(j, k_idx)]}
-        maps[(i, j, m.rep)] = vcat.copower_remap(keys[j], keys[i], keymap, c)
+    for (i, j), ms in sorted(cat.hom.items()):
+        for m in ms:  # copy mk of c in values[j] goes to copy mk o m in values[i]
+            to = [keys[i].index(compose_morphisms(mk, m).rep) for mk in cat.hom[(j, k_idx)]]
+            maps[(i, j, m.rep)] = vcat.copower_remap(values[j], values[i], to, c)
     return OrbitDiagram(cat, vcat, values, maps)
 
 
@@ -483,7 +480,8 @@ def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat) -> Cellulari
     """
     gk = coset_gset(g, k)
     fixed = list(orbit_analysis(gk, h).fixed)
-    into_all = vcat.copower_remap(fixed, range(gk.size), {c: c for c in fixed}, a)
+    into_all = vcat.copower_remap(vcat.copower(fixed, a),
+                                  vcat.copower(range(gk.size), a), fixed, a)
     comparison = vcat.corestrict(into_all, vcat.fixed(vcat.tensor(gk, a), h))
     return CellularityReport(vcat.value_descriptor(comparison.source),
                              vcat.value_descriptor(comparison.target),
@@ -493,6 +491,8 @@ def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat) -> Cellulari
 
 # ---------------------------------------------------------------------------
 # the arrow-poset census
+
+MAX_CENSUS_DIAGRAMS = 10_000
 
 
 @dataclass
@@ -517,14 +517,21 @@ def arrow_poset_census(cat: OrbitCategory) -> CensusReport:
     t(K) <= t(H) whenever some morphism G/H -> G/K exists; the poset has
     no nontrivial automorphisms, so isomorphism classes are assignments.
     A G-object in 0 -> 1 is an object with (necessarily trivial) action,
-    so there are exactly two.
+    so there are exactly two. Consistent assignments, extended object by
+    object, always extend, as "there is a morphism" is transitive; more
+    than ``MAX_CENSUS_DIAGRAMS`` diagrams are refused.
     """
     n = len(cat.family)
-    constraints = [(i, j) for (i, j), ms in cat.hom.items() if ms]
-    assignments = []
-    for bits in range(2 ** n):
-        t = [(bits >> i) & 1 for i in range(n)]
-        if all(t[j] <= t[i] for i, j in constraints):
-            assignments.append({cat.family[i].label: t[i] for i in range(n)})
+    # bit i < k of zero_if[k] (one_if[k]): t(i) = 0 forces t(k) = 0 (1 forces 1)
+    zero_if = [sum(1 << i for i in range(k) if cat.hom[(i, k)]) for k in range(n)]
+    one_if = [sum(1 << i for i in range(k) if cat.hom[(k, i)]) for k in range(n)]
+    found = [0]  # the consistent assignments of the objects before k, as bits
+    for k in range(n):  # each extends, so these never outnumber the diagrams
+        found = [ones | b << k for ones in found for b in (0, 1)
+                 if not (zero_if[k] & ~ones if b else one_if[k] & ones)]
+        if len(found) > MAX_CENSUS_DIAGRAMS:
+            raise ValueError(f"the census has more than MAX_CENSUS_DIAGRAMS"
+                             f" = {MAX_CENSUS_DIAGRAMS} diagrams")
+    assignments = [{h.label: o >> i & 1 for i, h in enumerate(cat.family)} for o in found]
     assignments.sort(key=lambda d: tuple(sorted(d.items())))
     return CensusReport(len(assignments), 2, len(assignments), 2, assignments)

@@ -14,6 +14,7 @@ closed under conjugation or under passing to subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalError
 from .groups import Group, Subgroup
@@ -48,7 +49,13 @@ def orbit_morphism(source: Subgroup, target: Subgroup, a: int) -> OrbitMorphism:
 
 
 class OrbitCategory:
-    """Hom tables of the orbit category, with composition and realization."""
+    """Hom tables of the orbit category, with composition and realization.
+
+    Every morphism is a composite of ``generators``, so F(b a) = F(a) F(b)
+    holds for all composable a, b once it holds for a an identity or a
+    generator s: for a = a' s, F(b a) = F(s) F(b a') = F(s) F(a') F(b) =
+    F(a) F(b), by induction on the length of a (Mac Lane, CWM II.8).
+    """
 
     def __init__(self, group: Group, family: list[Subgroup]):
         self.group = group
@@ -67,6 +74,26 @@ class OrbitCategory:
             for j in range(len(self.family)):
                 yield from self.hom[(i, j)]
 
+    @cached_property
+    def generators(self) -> tuple[OrbitMorphism, ...]:
+        """Greedy: keep each morphism not yet a composite of those kept."""
+        reached = {self.identity(h) for h in self.family}  # the empty composites
+        out_of = {h.members: [] for h in self.family}
+        into = {h.members: [] for h in self.family}
+        gens = []
+        for m in self.all_morphisms():
+            todo = [] if m in reached else [m]
+            gens += todo
+            while todo:  # close up under composition with all that is reached
+                x = todo.pop()
+                if x not in reached:
+                    reached.add(x)
+                    out_of[x.source.members].append(x)
+                    into[x.target.members].append(x)
+                    todo += [compose(y, x) for y in out_of[x.target.members]]
+                    todo += [compose(x, y) for y in into[x.source.members]]
+        return tuple(gens)
+
     def to_json(self) -> dict:
         objects = [h.label for h in self.family]
         hom = {}
@@ -78,10 +105,10 @@ class OrbitCategory:
         """Printable table of all composites second∘first."""
         lines = []
         for m1 in self.all_morphisms():
-            for m2 in self.all_morphisms():
-                if m1.target.members == m2.source.members:
-                    c = compose(m2, m1)
-                    lines.append(f"{m2!r} o {m1!r} = {c!r}")
+            j = self.object_index(m1.target)
+            for l in range(len(self.family)):
+                for m2 in self.hom[(j, l)]:
+                    lines.append(f"{m2!r} o {m1!r} = {compose(m2, m1)!r}")
         return "\n".join(lines)
 
 

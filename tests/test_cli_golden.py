@@ -43,6 +43,10 @@ EXTRA = {
     "homology-moore-z6": "homology --sset fixtures/moore_z6.json --ring Z",
     "homology-moore-z6-q": "homology --sset fixtures/moore_z6.json --ring Q",
     "elmendorf-s3-q": "elmendorf --group fixtures/s3.json --family all --ring Q",
+    "elmendorf-d4": "elmendorf --group fixtures/d4.json --family all",
+    "elmendorf-c2-sset": "elmendorf --group fixtures/c2.json --family all"
+                         " --sset delta:1",
+    "census-d4": "census --group fixtures/d4.json --family all",
 }
 
 RUNS = {**EXAMPLES, **EXTRA}

@@ -6,18 +6,20 @@ import pytest
 
 from conftest import swap_boundary1, vee, with_trivial_action
 from orbitkit import chains, elmendorf
-from orbitkit.chains import concentrated, homology, invariants, \
+from orbitkit.chains import ChainMap, concentrated, homology, invariants, \
     normalized_chains
 from orbitkit.elmendorf import ChainCat, FinSSetCat, FinSetCat, \
     FinSetObj, OrbitDiagram, VMap, adjunction_check, arrow_poset_census, \
     cellularity_report, free_cell_diagram, i_lower, i_upper, unit_maps
-from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup, \
-    subgroup, symmetric_group, trivial_subgroup
+from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, \
+    full_subgroup, subgroup, symmetric_group, trivial_subgroup
 from orbitkit.errors import InternalError
+from orbitkit.exactla import Mat
 from orbitkit.gsets import coset_gset, make_gset, regular_gset, trivial_gset
-from orbitkit.orbitcat import build_orbit_category
+from orbitkit.orbitcat import build_orbit_category, compose as compose_morphisms
 from orbitkit.rings import PrimeField, QQ, ZZ
-from orbitkit.simplicial import boundary_simplex, gtensor, standard_simplex
+from orbitkit.simplicial import GSSet, SMap, boundary_simplex, gtensor, \
+    standard_simplex
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,183 @@ def test_orbit_diagram_rejects_nonfunctorial_data(c2cat):
         OrbitDiagram(cat, vc, {0: threeval, 1: threeval},
                      {(0, 0, 0): idv, (0, 0, 1): bad,
                       (0, 1, 0): idv, (1, 1, 0): idv})
+    # a morphism without a structure map (R_1: G/e -> G/e)
+    with pytest.raises(ValueError, match=r"no structure map for R_1\[\{0\}->\{0\}\]"):
+        OrbitDiagram(cat, vc, {0: v, 1: v},
+                     {(0, 0, 0): ident, (0, 1, 0): ident, (1, 1, 0): ident})
+    # a key that names no morphism: there is no map G/{0,1} -> G/e
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\) names no morphism"):
+        OrbitDiagram(cat, vc, {0: v, 1: v},
+                     {(0, 0, 0): ident, (0, 0, 1): swap, (0, 1, 0): ident,
+                      (1, 1, 0): ident, (1, 0, 0): ident})
+
+
+# ---------------------------------------------------------------------------
+# functoriality on generators against a scan of every composable pair
+
+
+def full_scan_accepts(cat, vc, values, maps) -> bool:
+    """Reference: F(id) = id and F(b a) = F(a) F(b) for every composable a, b."""
+    def f(m):
+        return maps[(cat.object_index(m.source), cat.object_index(m.target), m.rep)]
+
+    ms = list(cat.all_morphisms())
+    try:
+        return (all(vc.maps_equal(f(cat.identity(h)), vc.identity(values[i]))
+                    for i, h in enumerate(cat.family))
+                and all(vc.maps_equal(f(compose_morphisms(b, a)), vc.compose(f(a), f(b)))
+                        for a in ms for b in ms if a.target.members == b.source.members))
+    except ValueError:  # maps whose endpoints do not compose
+        return False
+
+
+def check_accepts(cat, vc, values, maps) -> bool:
+    try:
+        OrbitDiagram(cat, vc, values, maps)
+    except ValueError:
+        return False
+    return True
+
+
+def rotated(vc, m):
+    """m with its images moved one place along, or None if nothing changes."""
+    if isinstance(vc, FinSetCat):
+        imgs = [v for _, v in m.fn]
+        out = VMap(m.source, m.target, tuple(zip(m.source, imgs[1:] + imgs[:1])))
+        return None if out.fn == m.fn else out
+    for n in range(m.top + 1):  # a chain map: the columns of one degree
+        a = m.mat(n)
+        rows = [r[1:] + r[:1] for r in a.rows]
+        if rows != a.rows:
+            mats = {k: m.mat(k) for k in range(m.top + 1)}
+            mats[n] = Mat(a.ring, a.nrows, a.ncols, rows)
+            return ChainMap(m.source, m.target, mats, validate=False)
+    return None
+
+
+def widened(vc, m, side):
+    """m with one more source or target point (a zero column or row in degree 0)."""
+    if isinstance(vc, FinSetCat):
+        if side == "target":
+            return VMap(m.source, m.target + ("new",), m.fn)
+        return VMap(m.source + ("new",), m.target, m.fn + (("new", m.target[0]),)) \
+            if m.target else None
+    mats = {k: m.mat(k) for k in range(m.top + 1)}
+    a = mats[0]
+    mats[0] = Mat(a.ring, a.nrows + 1, a.ncols, a.rows + [[0] * a.ncols]) \
+        if side == "target" else Mat(a.ring, a.nrows, a.ncols + 1, [r + [0] for r in a.rows])
+    return ChainMap(m.source, m.target, mats, validate=False)
+
+
+def is_identity(m) -> bool:
+    return m.source == m.target and m.rep == 0
+
+
+def mutants(cat, vc, d):
+    """(morphism, maps) pairs: one map rotated, widened, or swapped with a sibling."""
+    gens = set(cat.generators)
+    composites = [m for m in cat.all_morphisms() if m not in gens and not is_identity(m)]
+    top = cat.family[-1]  # maps into it meet no generator pair but (s, id)
+    picks = (composites[::max(1, len(composites) // 3)]
+             + [s for s in cat.generators if s.target == top or s == cat.generators[0]]
+             + [cat.identity(top)])
+    for m in picks:
+        key = (cat.object_index(m.source), cat.object_index(m.target), m.rep)
+        changed = [rotated(vc, d.maps[key]), widened(vc, d.maps[key], "source"),
+                   widened(vc, d.maps[key], "target")]
+        for other in cat.hom[key[:2]]:
+            okey = key[:2] + (other.rep,)
+            if okey != key and not vc.maps_equal(d.maps[okey], d.maps[key]):
+                yield m, {**d.maps, key: d.maps[okey], okey: d.maps[key]}
+                break
+        for new in changed:
+            if new is not None:
+                yield m, {**d.maps, key: new}
+
+
+def built_diagrams(g, cat):
+    """free_cell_diagram and i_lower diagrams over finite sets and chains over Z."""
+    fs, cz = FinSetCat(), ChainCat(ZZ)
+    mid = cat.family[len(cat.family) // 2]
+    interval = normalized_chains(standard_simplex(1), ZZ)
+    return [(fs, free_cell_diagram(cat, cat.family[0], ("a", "b"), fs)),
+            (fs, free_cell_diagram(cat, mid, ("a",), fs)),
+            (fs, i_lower(FinSetObj.plain(coset_gset(g, mid)), cat, fs)),
+            (cz, free_cell_diagram(cat, mid, interval, cz)),
+            (cz, i_lower(normalized_chains(gtensor(coset_gset(g, cat.family[0]),
+                                                   standard_simplex(1)), ZZ), cat, cz))]
+
+
+def _s3_one_order_2():
+    g = symmetric_group(3)
+    h2 = next(h for h in all_subgroups(g) if len(h.members) == 2)
+    return g, [trivial_subgroup(g), h2, full_subgroup(g)]
+
+
+@pytest.mark.parametrize("g,family", [
+    (g, all_subgroups(g)) for g in (cyclic_group(4), symmetric_group(3), dihedral_group(4))]
+    + [_s3_one_order_2()], ids=["C4", "S3", "D4", "S3-one-order-2"])
+def test_check_on_generators_agrees_with_the_full_scan(g, family):
+    """Same verdict as the scan of every pair, on mutants of orbitkit's own diagrams."""
+    cat = build_orbit_category(g, family)
+    gens = set(cat.generators)
+    verdicts = []
+    for vc, d in built_diagrams(g, cat):
+        assert full_scan_accepts(cat, vc, d.values, d.maps)
+        for m, maps in mutants(cat, vc, d):
+            got = check_accepts(cat, vc, d.values, maps)
+            assert got == full_scan_accepts(cat, vc, d.values, maps), (vc, m)
+            verdicts.append((m in gens, is_identity(m), got))
+    assert (False, False, False) in verdicts  # a non-generator's damage is caught
+    assert (True, False, False) in verdicts and (False, True, False) in verdicts
+
+
+def test_check_composes_the_identity_and_generator_pairs_once_each(monkeypatch):
+    """C2 x C4 with every subgroup: 27 generators, 155 + 62 pairs instead of 490."""
+    from orbitkit.groups import direct_product
+    g = direct_product(cyclic_group(2), cyclic_group(4))
+    cat = build_orbit_category(g, all_subgroups(g))
+    d = free_cell_diagram(cat, cat.family[0], ("a",), FinSetCat())
+    by_map = {id(f): m for m in cat.all_morphisms() for f in [d.structure_map(m)]}
+    seen = []
+    real = FinSetCat.compose
+
+    def counted(self, second, first):  # check_functorial composes F(a) after F(b)
+        seen.append((by_map[id(second)], by_map[id(first)]))
+        return real(self, second, first)
+
+    monkeypatch.setattr(FinSetCat, "compose", counted)
+    d.check_functorial()
+    firsts = [cat.identity(h) for h in cat.family] + list(cat.generators)
+    expect = [(a, b) for a in firsts for b in cat.all_morphisms()
+              if b.source.members == a.target.members]
+    assert len(cat.generators) == 27 and len(expect) == 155 + 62
+    assert sorted(seen, key=repr) == sorted(expect, key=repr)
+
+
+def test_finsset_maps_with_other_faces_are_refused():
+    """A structure map whose source has the value's ids but not its faces is refused.
+
+    On a non-generator the check meets the map only as a composite F(m s); it
+    refuses it, as the scan of every pair does, because ``maps_equal``
+    compares endpoints.
+    """
+    g = cyclic_group(4)
+    cat = build_orbit_category(g, all_subgroups(g))
+    vc = FinSSetCat()
+    d = i_lower(with_trivial_action(standard_simplex(1), g), cat, vc)
+    m = next(m for m in cat.all_morphisms()
+             if m not in set(cat.generators) and m.source != m.target)
+    key = (cat.object_index(m.source), cat.object_index(m.target), m.rep)
+    src = d.maps[key].source
+    edge = next(s for s in src.ids() if src.dim(s) == 1)
+    flipped = GSSet(src.group, src.dim_of,
+                    {**src.faces, edge: tuple(reversed(src.faces[edge]))}, src.action)
+    const = {s: d.maps[key].values[s] for s in src.ids()}
+    maps = {**d.maps, key: SMap(flipped, d.maps[key].target, const, validate=False)}
+    assert not full_scan_accepts(cat, vc, d.values, maps)
+    with pytest.raises(ValueError, match="functoriality"):
+        OrbitDiagram(cat, vc, d.values, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +579,118 @@ def test_census_trivial_group():
     cat = build_orbit_category(g, all_subgroups(g))
     rep = arrow_poset_census(cat)
     assert rep.diagram_count == 2 and rep.gobject_count == 2
+
+
+def brute_force_census(cat):
+    """The loop the census ran before backtracking: all 2^n assignments."""
+    n = len(cat.family)
+    constraints = [(i, j) for (i, j), ms in cat.hom.items() if ms]
+    assignments = []
+    for bits in range(2 ** n):
+        t = [(bits >> i) & 1 for i in range(n)]
+        if all(t[j] <= t[i] for i, j in constraints):
+            assignments.append({cat.family[i].label: t[i] for i in range(n)})
+    assignments.sort(key=lambda d: tuple(sorted(d.items())))
+    return assignments
+
+
+def _census_families():
+    import random
+    from orbitkit.groups import direct_product, group_from_generators
+    a4 = group_from_generators([[1, 2, 0, 3], [1, 0, 3, 2]], "A4")
+    rng = random.Random(12)
+    out = []
+    for name, g in (("C1", cyclic_group(1)), ("C2", cyclic_group(2)),
+                    ("C4", cyclic_group(4)), ("C6", cyclic_group(6)),
+                    ("S3", symmetric_group(3)), ("D4", dihedral_group(4)), ("A4", a4),
+                    ("C2xC4", direct_product(cyclic_group(2), cyclic_group(4))),
+                    ("C2^3", direct_product(cyclic_group(2),
+                                            direct_product(cyclic_group(2),
+                                                           cyclic_group(2))))):
+        subs = all_subgroups(g)
+        assert len(subs) <= 16
+        out.append((f"{name}-all", g, subs))
+        out.append((f"{name}-nontrivial", g, [h for h in subs if not h.is_trivial()]))
+        for r in range(2):
+            out.append((f"{name}-random{r}", g, rng.sample(subs, rng.randint(1, len(subs)))))
+    return out
+
+
+CENSUS_FAMILIES = _census_families()
+
+
+@pytest.mark.parametrize("g,family", [c[1:] for c in CENSUS_FAMILIES],
+                         ids=[c[0] for c in CENSUS_FAMILIES])
+def test_census_matches_the_brute_force_loop(g, family):
+    cat = build_orbit_category(g, family)
+    rep = arrow_poset_census(cat)
+    assert rep.assignments == brute_force_census(cat)
+    assert rep.diagram_count == rep.diagram_classes == len(rep.assignments)
+
+
+def test_census_s4_matches_a_brute_force_over_conjugacy_classes():
+    """Conjugate subgroups share their value; 2^11 class assignments, not 2^30."""
+    g = symmetric_group(4)
+    subs = all_subgroups(g)
+    classes = []
+    for h in subs:
+        if not any(h.members in c for c in classes):
+            classes.append({h.conjugated_by(a).members for a in g.elements()})
+    assert len(classes) == 11
+
+    def subconjugate(hs, ks):  # some a with a^-1 H a inside K, from the table alone
+        h, k = min(hs), set(min(ks))
+        return any(all(g.mult[g.mult[g.inv[a]][x]][a] in k for x in h)
+                   for a in g.elements())
+
+    below = [[subconjugate(a, b) for b in classes] for a in classes]
+    expect = []
+    for bits in range(2 ** len(classes)):
+        t = [(bits >> c) & 1 for c in range(len(classes))]
+        if all(t[b] <= t[a] for a in range(len(classes)) for b in range(len(classes))
+               if below[a][b]):
+            value = {m: t[c] for c, cl in enumerate(classes) for m in cl}
+            expect.append({h.label: value[h.members] for h in subs})
+    expect.sort(key=lambda d: tuple(sorted(d.items())))
+    rep = arrow_poset_census(build_orbit_category(g, subs))
+    assert rep.diagram_count == 54
+    assert rep.assignments == expect
+
+
+def test_census_refuses_past_the_cap(tmp_path, capsys):
+    """C2^4 has 67 subgroups and more than 10,000 diagrams: exit 2, at once."""
+    import json
+    import time
+    from orbitkit.cli import main
+    from orbitkit.groups import direct_product
+    c2 = cyclic_group(2)
+    g = direct_product(direct_product(c2, c2), direct_product(c2, c2))
+    path = tmp_path / "c2_4.json"
+    path.write_text(json.dumps({"order": g.order, "mult": [list(r) for r in g.mult]}))
+    t0 = time.perf_counter()
+    code = main(["census", "--group", str(path), "--family", "all"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"MAX_CENSUS_DIAGRAMS = {elmendorf.MAX_CENSUS_DIAGRAMS}" in err
+    assert elmendorf.MAX_CENSUS_DIAGRAMS == 10_000
+
+
+def test_census_at_the_cap_is_accepted(monkeypatch):
+    """The cap refuses more than MAX_CENSUS_DIAGRAMS diagrams, not as many."""
+    g = symmetric_group(4)
+    cat = build_orbit_category(g, all_subgroups(g))
+    monkeypatch.setattr(elmendorf, "MAX_CENSUS_DIAGRAMS", 54)
+    assert arrow_poset_census(cat).diagram_count == 54
+    monkeypatch.setattr(elmendorf, "MAX_CENSUS_DIAGRAMS", 53)
+    with pytest.raises(ValueError, match="MAX_CENSUS_DIAGRAMS = 53"):
+        arrow_poset_census(cat)
+
+
+def test_census_on_larger_lattices_is_quick():
+    import time
+    for g, count in ((dihedral_group(8), 47), (symmetric_group(4), 54)):
+        cat = build_orbit_category(g, all_subgroups(g))
+        t0 = time.perf_counter()
+        assert arrow_poset_census(cat).diagram_count == count
+        assert time.perf_counter() - t0 < 1.0

@@ -180,3 +180,48 @@ def test_json_export_shape():
     assert data["hom"]["0,1;0"] == []
     text = cat.composition_table_text()
     assert "o" in text
+
+
+def _generator_cases():
+    from orbitkit.groups import group_from_generators
+    a4 = group_from_generators([[1, 2, 0, 3], [1, 0, 3, 2]], "A4")
+    cases = []
+    for name, g in (("C2", cyclic_group(2)), ("C4", cyclic_group(4)),
+                    ("S3", symmetric_group(3)), ("D4", dihedral_group(4)), ("A4", a4)):
+        subs = all_subgroups(g)
+        cases.append((f"{name}-all", g, subs))
+        cases.append((f"{name}-nontrivial", g, [h for h in subs if not h.is_trivial()]))
+    s3 = symmetric_group(3)
+    h2 = next(h for h in all_subgroups(s3) if len(h.members) == 2)
+    cases.append(("S3-one-order-2", s3, [trivial_subgroup(s3), h2, full_subgroup(s3)]))
+    return cases
+
+
+GENERATOR_CASES = _generator_cases()
+
+
+def composites_of(morphisms):
+    """Naive fixpoint: compose every composable pair until nothing new appears."""
+    reached = set(morphisms)
+    while True:
+        new = {compose(b, a) for a in reached for b in reached
+               if a.target.members == b.source.members} - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+@pytest.mark.parametrize("g,family", [c[1:] for c in GENERATOR_CASES],
+                         ids=[c[0] for c in GENERATOR_CASES])
+def test_generators_close_up_to_every_morphism(g, family):
+    """No identity is a generator, and composites of generators give every morphism."""
+    cat = build_orbit_category(g, family)
+    gens = cat.generators
+    assert cat.generators is gens  # computed once
+    idents = {cat.identity(h) for h in cat.family}
+    assert not idents & set(gens)
+    assert len(set(gens)) == len(gens)
+    assert composites_of(idents | set(gens)) == set(cat.all_morphisms())
+    # greedy: no generator is a composite of the generators kept before it
+    for t, s in enumerate(gens):
+        assert s not in composites_of(idents | set(gens[:t]))
