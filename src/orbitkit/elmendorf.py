@@ -313,12 +313,13 @@ class OrbitDiagram:
             if not vc.maps_equal(self.structure_map(ident), vc.identity(self.values[i])):
                 raise ValueError(f"identity of object {i} is not the identity map")
         for m1 in idents + list(cat.generators):
-            j = cat.object_index(m1.target)
+            i, j = cat.object_index(m1.source), cat.object_index(m1.target)
+            f1 = self.maps[(i, j, m1.rep)]
             for l in range(len(cat.family)):
                 for m2 in cat.hom[(j, l)]:
-                    comp = compose_morphisms(m2, m1)
-                    lhs = self.structure_map(comp)
-                    rhs = vc.compose(self.structure_map(m1), self.structure_map(m2))
+                    # m2 o m1 runs from object i to object l
+                    lhs = self.maps[(i, l, compose_morphisms(m2, m1).rep)]
+                    rhs = vc.compose(f1, self.maps[(j, l, m2.rep)])
                     if not vc.maps_equal(lhs, rhs):
                         raise ValueError(
                             f"functoriality fails at {m2!r} o {m1!r}")

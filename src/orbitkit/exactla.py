@@ -1,22 +1,29 @@
 """Exact linear algebra over Z, Q, and F_p.
 
-Matrices are dense lists of rows tagged with their ring; all arithmetic is
-exact (no floats anywhere).  Z and Q share one elimination loop,
-``_echelon``: integer column reduction of a list of rows, pivoting row by
-row on the entry of smallest absolute value (lowest column on ties), so
-the output is reproducible.  Q enters it with each row times the lcm of
-its denominators (``_over_z``), which keeps the row space over Q.
+``Mat`` is a dense matrix, a list of rows tagged with its ring; all
+arithmetic is exact (no floats anywhere).  Eliminations read their input
+through ``sparse_rows()`` (dicts column -> nonzero entry), which
+whitehead's linear systems provide too, so no Z or Q system is densified.
 
-* ``column_echelon_z`` -- integer column echelon form A*U = H with U
-  unimodular, recorded by the identity rows stacked under A; it yields
-  saturated kernel bases (over Q, of the cleared matrix) and drives the
-  exact solver ``solve_z`` (Hermite-style forward substitution: over Z a
-  pivot must divide its residual, over Q the exact quotient is taken).
+Z and Q share one sparse integer core, ``_echelon``: column reduction on
+columns held as dicts row -> entry, with an index of each row's nonzero
+columns; a column swap relabels logical positions.  Row by row it pivots
+on the entry of smallest absolute value (lowest logical column on ties),
+so the output is reproducible.  Q enters it with each row times the lcm
+of its denominators (``_over_z``), which keeps the row space over Q.
+
+* U (A*U = H, unimodular) is built only for ``column_echelon_z``,
+  ``kernel_z`` (its columns past the pivots) and ``solve_z``: one unit
+  entry per column, under the rows of A.  ``solve_z`` substitutes forward
+  on a residual updated from the sparse pivot columns (over Z a pivot must
+  divide its residual, over Q the exact quotient is taken) and forms
+  X = U y from the nonzero entries of y.
 * ``smith_diagonal`` -- Smith normal form diagonal by alternating column
   echelon forms of the matrix and of its transposed pivot columns, then
   gcd/lcm steps into divisor order; over Q only the pivots are counted.
 
-F_p (``_modular``) goes through reduced row echelon form, ``rref``.
+F_p (``_modular``) is eliminated densely: the forward pass ``_forward``
+gives the rank, and ``rref`` adds the back-clearing pass.
 
 Entries are added, subtracted and multiplied with the ordinary operators;
 every row of raw results then passes through ``ring.reduce``, so F_p
@@ -30,6 +37,7 @@ to.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from .rings import ZZ, PrimeField
@@ -151,6 +159,10 @@ class Mat:
         return Mat(self.ring, self.ncols, self.nrows,
                    [self.column(j) for j in range(self.ncols)], normalize=False)
 
+    def sparse_rows(self):
+        """Each row as a dict column -> nonzero entry."""
+        return [{j: r[j] for j in compress(range(self.ncols), r)} for r in self.rows]
+
     def to_lists(self):
         return [list(r) for r in self.rows]
 
@@ -170,28 +182,28 @@ def smith_diagonal(m: Mat):
 
     Over Z the result is the canonical nonnegative invariant-factor chain
     (each entry divides the next); over a field it is 1 repeated rank
-    times, the pivots of ``rref`` over F_p and of one ``_echelon`` pass of
-    the cleared rows over Q.  Over Z the matrix is column-echeloned by
-    ``_echelon`` and its pivot columns transposed, until each pivot column
-    holds only its pivot (the alternating Hermite passes of Kannan and
-    Bachem); the pivots are then put in divisor order.
+    times, the pivots of the forward pass ``_forward`` over F_p and of one
+    ``_echelon`` pass of the cleared rows over Q.  Over Z the matrix is
+    column-echeloned by ``_echelon`` and its pivot columns transposed,
+    until each pivot column holds only its pivot (the alternating Hermite
+    passes of Kannan and Bachem); the pivots are then put in divisor order.
     """
     if _modular(m.ring):
-        return [1] * len(rref(m)[1])
-    a = [list(r) for r in _over_z(m).rows]
+        return [1] * len(_forward([list(r) for r in m.rows], m.ncols, m.ring.p))
+    rows, ncols = _over_z(m.ring, m.sparse_rows()), m.ncols
     if m.ring.is_field:
-        return [1] * len(_echelon(a, len(a)))
+        return [1] * len(_echelon(rows, ncols)[1])
     # Termination: each pass either shrinks the leading pivot p (to the gcd
     # of its column, when p does not divide it) or clears its row and
     # column, after which later passes leave it alone; the same then holds
     # for the leading pivot of the block after it, and pivots are positive.
     while True:
-        pivots = _echelon(a, len(a))
+        cols, pivots = _echelon(rows, ncols)
         k = len(pivots)
-        if sum(1 for row in a for v in row[:k] if v) == k:
+        if sum(map(len, cols[:k])) == k:
             break
-        a = [[row[j] for row in a] for j in range(k)]
-    d = [a[r][c] for r, c in pivots]
+        rows, ncols = cols[:k], len(rows)
+    d = [cols[c][r] for r, c in pivots]
     for i in range(k):
         for j in range(i + 1, k):
             if d[j] % d[i]:
@@ -209,8 +221,48 @@ def rank(m: Mat) -> int:
 
 
 def _modular(ring) -> bool:
-    """F_p, eliminated by ``rref``; Z and Q run on ``_echelon``."""
+    """F_p, eliminated densely by ``_forward`` and ``rref``; Z and Q run on ``_echelon``."""
     return isinstance(ring, PrimeField)
+
+
+def _dense(m) -> Mat:
+    """``m`` written out from its sparse rows, for the dense F_p elimination."""
+    out = Mat.zeros(m.ring, m.nrows, m.ncols)
+    for row, entries in zip(out.rows, m.sparse_rows()):
+        for j, v in entries.items():
+            row[j] = v
+    return out
+
+
+def _clear(a, r, c, targets, p):
+    """Zero column c of the rows ``targets`` of ``a`` with multiples of row r."""
+    row = a[r]
+    nonzero = [j for j in range(c, len(row)) if row[j]]
+    for i in targets:
+        f = a[i][c]
+        if f:
+            ai = a[i]
+            for j in nonzero:
+                ai[j] = (ai[j] - f * row[j]) % p
+
+
+def _forward(a, ncols, p):
+    """Row echelon form (leading 1s, cleared below) of ``a`` in place; the pivot columns."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        row = a[r]
+        # columns before c are zero in the pivot row; scale from c on
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            row[c:] = [v * inv % p for v in row[c:]]
+        _clear(a, r, c, range(r + 1, len(a)), p)
+        pivots.append(c)
+    return pivots
 
 
 def rref(m: Mat):
@@ -218,32 +270,10 @@ def rref(m: Mat):
     ring = m.ring
     if not _modular(ring):
         raise ValueError("rref needs a prime field")
-    p = ring.p
     a = [list(r) for r in m.rows]
-    pivots = []
-    r = 0
-    for c in range(m.ncols):
-        pr = next((i for i in range(r, m.nrows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        row = a[r]
-        # columns before c are zero in the pivot row; scale and update only
-        # from c on
-        inv = pow(row[c], -1, p)
-        if inv != 1:
-            row[c:] = [v * inv % p for v in row[c:]]
-        nonzero = [j for j in range(c, m.ncols) if row[j]]
-        for i in range(m.nrows):
-            f = a[i][c]
-            if i != r and f:
-                ai = a[i]
-                for j in nonzero:
-                    ai[j] = (ai[j] - f * row[j]) % p
-        pivots.append(c)
-        r += 1
-        if r == m.nrows:
-            break
+    pivots = _forward(a, m.ncols, ring.p)
+    for r in reversed(range(len(pivots))):
+        _clear(a, r, pivots[r], range(r), ring.p)
     return Mat(ring, m.nrows, m.ncols, a, normalize=False), pivots
 
 
@@ -278,65 +308,76 @@ def solve_field(a: Mat, b: Mat):
 
 
 # ---------------------------------------------------------------------------
-# integer column echelon (Hermite-style) and exact solving over Z and Q
+# sparse integer column echelon (Hermite-style) and exact solving over Z and Q
 
 
-def _over_z(m: Mat) -> Mat:
-    """``m`` over Z: over Q each row holding a fraction is multiplied by the lcm
-    of its denominators, which keeps the row space over Q (rank, kernel, and
-    the solutions of [A | b]).  Integral Q entries are already ``int``."""
-    if m.ring == ZZ:
-        return m
-    rows = []
-    for row in m.rows:
-        if Fraction in set(map(type, row)):
-            d = lcm(*[v.denominator for v in row])
-            row = [v.numerator * (d // v.denominator) for v in row]
-        rows.append(row)
-    return Mat(ZZ, m.nrows, m.ncols, rows, normalize=False)
+def _over_z(ring, rows):
+    """Sparse ``rows`` over Z: over Q each row holding a fraction is multiplied by the
+    lcm of its denominators, which keeps the row space (rank, kernel, solutions)."""
+    if _modular(ring):
+        raise ValueError(f"integer elimination needs ring Z or Q, not {ring}")
+    if ring == ZZ:
+        return rows
+    out = []
+    for row in rows:
+        if Fraction in set(map(type, row.values())):
+            d = lcm(*[v.denominator for v in row.values()])
+            row = {j: v.numerator * (d // v.denominator) for j, v in row.items()}
+        out.append(row)
+    return out
 
 
-def _echelon(rows, nr):
-    """Column-reduce the integer ``rows`` in place; return the pivots.
+def _echelon(rows, ncols, with_u=False):
+    """Column-reduce the integer ``rows`` (dicts column -> nonzero entry, unchanged).
 
-    Only rows ``< nr`` choose pivots; the rows below follow the column
-    operations.  Row by row, the entry of smallest absolute value in the
-    columns not yet used (lowest column on ties) is swapped into the next
-    column and reduces the others, until it is the row's only nonzero
-    there; it is made positive.  Pivots are (row, col) positions with
-    strictly increasing rows and columns 0, 1, 2, ...
+    Row by row, the entry of smallest absolute value in the logical columns
+    not yet used (lowest logical column on ties) is moved to the next one
+    and reduces the others, until it is the row's only nonzero there; it
+    is made positive.  Returns the columns of H in logical order, as dicts
+    row -> entry, and the pivots: (row, col) with strictly increasing rows
+    and columns 0, 1, 2, ...  With ``with_u`` U sits under the rows of H.
     """
-    nc = len(rows[0]) if rows else 0
+    nr = len(rows)
+    cols = [{nr + j: 1} if with_u else {} for j in range(ncols)]  # by physical column
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    # each row's nonzero physical columns, and some that have become zero
+    support = [list(row) for row in rows]
+    at = list(range(ncols))  # physical column at each logical position
+    pos = list(range(ncols))  # logical position of each physical column
     pivots = []
-    col = 0
     for row in range(nr):
-        if col >= nc:
-            break
-        h = rows[row]
-        while True:
-            js = [j for j in range(col, nc) if h[j]]
-            if not js:
-                break
-            jmin = min(js, key=lambda j: (abs(h[j]), j))
-            if jmin != col:
-                for r in rows:
-                    r[col], r[jmin] = r[jmin], r[col]
-            p = h[col]
-            qs = [(j, h[j] // p) for j in range(col + 1, nc) if h[j]]
-            if not qs:
-                break
-            for r in rows:
-                c = r[col]
-                if c:
-                    for j, q in qs:
-                        r[j] -= q * c
-        if h[col]:
-            if h[col] < 0:
-                for r in rows:
-                    r[col] = -r[col]
-            pivots.append((row, col))
-            col += 1
-    return pivots
+        col = len(pivots)
+        js = {j for j in support[row] if pos[j] >= col and row in cols[j]}
+        while js:
+            jmin = min(js, key=lambda j: (abs(cols[j][row]), pos[j]))
+            k = pos[jmin]
+            at[col], at[k] = jmin, at[col]
+            pos[at[k]], pos[jmin] = k, col
+            pivot = cols[jmin]
+            p = pivot[row]
+            js.discard(jmin)
+            for j in js:
+                target = cols[j]
+                q = target[row] // p
+                for i, c in pivot.items():
+                    v = target.get(i)
+                    if v is None and i < nr:
+                        support[i].append(j)
+                    v = (v or 0) - q * c
+                    if v:
+                        target[i] = v
+                    else:
+                        del target[i]
+            js = {j for j in js if row in cols[j]}
+            if js:
+                js.add(jmin)
+            else:
+                if p < 0:
+                    cols[jmin] = {i: -v for i, v in pivot.items()}
+                pivots.append((row, col))
+    return [cols[j] for j in at], pivots
 
 
 def column_echelon_z(m: Mat):
@@ -344,86 +385,85 @@ def column_echelon_z(m: Mat):
 
     Returns (H, U, pivots) with ``m @ U == H``, U unimodular, and pivots a
     list of (row, col) positions with strictly increasing rows and columns
-    0,1,2,...  Columns past the last pivot are zero.  U is recorded by
-    stacking the identity under ``m`` for ``_echelon``.
+    0,1,2,...  Columns past the last pivot are zero.
     """
     if m.ring != ZZ:
         raise ValueError("column_echelon_z needs ring Z")
     nr, nc = m.nrows, m.ncols
-    rows = [list(r) for r in m.rows] + [[int(i == j) for j in range(nc)]
-                                        for i in range(nc)]
-    pivots = _echelon(rows, nr)
-    return (Mat(ZZ, nr, nc, rows[:nr], normalize=False),
-            Mat(ZZ, nc, nc, rows[nr:], normalize=False), pivots)
+    cols, pivots = _echelon(m.sparse_rows(), nc, with_u=True)
+    h, u = Mat(ZZ, nr, nc), Mat(ZZ, nc, nc)
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            (h.rows[i] if i < nr else u.rows[i - nr])[j] = v
+    return h, u, pivots
 
 
-def kernel_z(m: Mat):
-    """Basis (list of columns) of the integer kernel lattice of ``m``.
+def kernel_z(m):
+    """Basis (list of columns) of the integer kernel lattice of ``m`` (over Q, cleared).
 
     The kernel of a Z-linear map is saturated, so this basis spans all
     rational kernel vectors with integer entries.
     """
-    _, u, pivots = column_echelon_z(m)
-    return [u.column(j) for j in range(len(pivots), m.ncols)]
+    cols, pivots = _echelon(_over_z(m.ring, m.sparse_rows()), m.ncols, with_u=True)
+    return [[col.get(m.nrows + i, 0) for i in range(m.ncols)] for col in cols[len(pivots):]]
 
 
-def solve_z(a: Mat, b: Mat):
+def solve_z(a, b: Mat):
     """One solution X of a @ X = b over Z or Q, or None if none exists.
 
     Each row of [a | b] is cleared as one row, the cleared a is column
-    echeloned to H = a U, and H y = b is solved by forward substitution;
-    X = U y.  A pivot that does not divide its residual means no solution
-    over Z and gives the exact quotient over Q.
+    echeloned to H = a U, and H y = b is solved by forward substitution
+    on a residual updated from the sparse pivot columns; X = U y.  A pivot
+    that does not divide its residual means no solution over Z and gives
+    the exact quotient over Q.
     """
     ring = a.ring
-    if _modular(ring) or b.ring != ring:
-        raise ValueError("solve_z needs ring Z or Q")
+    if b.ring != ring:
+        raise ValueError("solve_z needs a and b over one ring")
     if a.nrows != b.nrows:
         raise ValueError("shape mismatch in solve_z")
-    n = a.ncols
-    rows = _over_z(Mat(ring, a.nrows, n + b.ncols,
-                       [ra + rb for ra, rb in zip(a.rows, b.rows)], normalize=False)).rows
-    h, u, pivots = column_echelon_z(Mat(ZZ, a.nrows, n, [r[:n] for r in rows],
-                                        normalize=False))
-    piv_at_row = dict(pivots)
+    nr, n = a.nrows, a.ncols
+    rows = _over_z(ring, [{**ra, **{n + j: v for j, v in rb.items()}}
+                          for ra, rb in zip(a.sparse_rows(), b.sparse_rows())])
+    cols, pivots = _echelon([{j: v for j, v in row.items() if j < n} for row in rows],
+                            n, with_u=True)
     x = Mat(ring, n, b.ncols)
     for j in range(b.ncols):
-        y = [0] * n
-        for row, hrow in enumerate(h.rows):
-            # residual after known pivot variables (later pivots still 0)
-            acc = rows[row][n + j] - sum(v * w for v, w in zip(hrow, y) if w)
-            c = piv_at_row.get(row)
-            if c is None:
-                if acc:
-                    return None
-            elif acc % hrow[c] == 0:
-                y[c] = acc // hrow[c]
+        # b - H y on the rows of H, and below them -U y
+        res = [row.get(n + j, 0) for row in rows] + [0] * n
+        for r, c in pivots:
+            acc, p = res[r], cols[c][r]
+            if acc % p == 0:
+                y = acc // p
             elif ring.is_field:
-                y[c] = Fraction(acc, hrow[c])
+                y = Fraction(acc, p)
             else:
                 return None
-        xs = [0] * n
-        for c, yc in enumerate(y):
-            if yc:
-                for i, urow in enumerate(u.rows):
-                    xs[i] += urow[c] * yc
-        for i, v in enumerate(ring.reduce(xs)):
+            if y:
+                for i, v in cols[c].items():
+                    res[i] -= v * y
+        if any(res[:nr]):
+            return None
+        for i, v in enumerate(ring.reduce([-v for v in res[nr:]])):
             x.rows[i][j] = v
     return x
 
 
-def solve_exact(a: Mat, b: Mat):
-    """Exact solution of a @ X = b over the matrix ring (Z, Q or F_p)."""
+def solve_exact(a, b: Mat):
+    """Exact solution of a @ X = b over the ring of ``a`` (Z, Q or F_p).
+
+    ``a`` has ``ring``, ``nrows``, ``ncols`` and ``sparse_rows()``.
+    """
     if _modular(a.ring):
-        return solve_field(a, b)
+        return solve_field(_dense(a), b)
     return solve_z(a, b)
 
 
-def kernel_exact(m: Mat):
-    """Kernel basis of ``m``: ``kernel_z`` of the cleared rows over Z and Q, RREF over F_p."""
+def kernel_exact(m):
+    """Kernel basis of ``m``: ``kernel_z`` over Z and Q, RREF over F_p."""
     if _modular(m.ring):
-        return kernel_basis_field(m)
-    return kernel_z(_over_z(m))
+        return kernel_basis_field(_dense(m))
+    return kernel_z(m)
 
 
 def is_invertible(m: Mat) -> bool:

@@ -35,7 +35,8 @@ from .groups import conjugating_element
 from .gsets import orbits, product_gset, stabilizer
 from .simplicial import SMap, fixed_sset
 
-MAX_CELLS = 2_500_000  # rows x unknowns of one dense system (C8/e x Delta[3]: 2.1M)
+# a size bound on rows x unknowns (C8/e x Delta[3]: 2.1M); Z and Q systems stay sparse
+MAX_CELLS = 2_500_000
 
 
 @dataclass
@@ -91,34 +92,32 @@ def verify_certificate(cert: Certificate, cf: ChainMap) -> bool:
 
 
 class _LinearSystem:
-    """Sparse rows over a ring, indexed by integer unknowns."""
+    """Sparse rows over a ring, indexed by integer unknowns; exactla reads ``sparse_rows()``."""
 
     def __init__(self, ring, n_unknowns: int):
         self.ring = ring
-        self.n = n_unknowns
+        self.ncols = n_unknowns
         self.rows = []
         self.rhs = []
 
-    def dense(self):
-        """The system as matrices (a, b); refuses one over ``MAX_CELLS``."""
-        cells = len(self.rows) * self.n
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    def sparse_rows(self):
+        return self.rows
+
+    def capped(self):
+        """The system itself; refuses one over ``MAX_CELLS``."""
+        cells = self.nrows * self.ncols
         if cells > MAX_CELLS:
-            raise ValueError(f"{len(self.rows)} rows x {self.n} unknowns = "
+            raise ValueError(f"{self.nrows} rows x {self.ncols} unknowns = "
                              f"{cells} cells exceed the cap {MAX_CELLS}")
-        ring = self.ring
-        a = Mat.zeros(ring, len(self.rows), self.n)
-        b = Mat.zeros(ring, len(self.rows), 1)
-        for i, (coeffs, r) in enumerate(zip(self.rows, self.rhs)):
-            for j, v in coeffs.items():
-                a.rows[i][j] = v
-            b.rows[i][0] = r
-        return a, b
+        return self
 
     def solve(self):
-        sol = solve_exact(*self.dense())
-        if sol is None:
-            return None
-        return [sol.rows[j][0] for j in range(self.n)]
+        sol = solve_exact(self.capped(), Mat(self.ring, self.nrows, 1, [[r] for r in self.rhs]))
+        return None if sol is None else [row[0] for row in sol.rows]
 
     def add_equations(self, terms, positions, diagonal: bool = False):
         """Rows of sum(A @ X @ B over terms) = (id if diagonal else 0).
@@ -214,7 +213,7 @@ def _block(ring, group, first: int, left, ln, right, rn) -> _Block:
     for a in group.generators:
         cons.add_equations([(left.rep_mat(a, ln), x, eye_c),
                             (-eye_r, x, right.rep_mat(a, rn))], every)
-    basis = kernel_exact(cons.dense()[0])
+    basis = kernel_exact(cons.capped())
     coords = [[] for _ in range(r * c)]
     for k, vec in enumerate(basis):
         for e, v in enumerate(vec):

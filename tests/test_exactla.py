@@ -21,6 +21,7 @@ from orbitkit.exactla import Mat, column_echelon_z, is_invertible, \
     kernel_basis_field, kernel_exact, kernel_z, rank, rref, smith_diagonal, \
     solve_exact, solve_field, solve_z
 from orbitkit.rings import PrimeField, QQ, ZZ
+from orbitkit.whitehead import _LinearSystem
 
 
 def sympy_matrix(rows, ncols):
@@ -316,3 +317,150 @@ def test_is_invertible():
     fp = PrimeField(2)
     assert is_invertible(Mat(fp, 1, 1, [[1]]))
     assert not is_invertible(Mat(fp, 1, 1, [[0]]))
+
+
+# ---------------------------------------------------------------------------
+# the sparse integer core against the dense loop it replaced
+
+
+def dense_echelon_reference(rows, nr):
+    """The dense integer column echelon loop that ``exactla._echelon`` replaced.
+
+    Column-reduces the rows in place; only rows ``< nr`` choose pivots
+    (smallest absolute value, then lowest column, made positive).
+    """
+    nc = len(rows[0]) if rows else 0
+    pivots = []
+    col = 0
+    for row in range(nr):
+        if col >= nc:
+            break
+        h = rows[row]
+        while True:
+            js = [j for j in range(col, nc) if h[j]]
+            if not js:
+                break
+            jmin = min(js, key=lambda j: (abs(h[j]), j))
+            if jmin != col:
+                for r in rows:
+                    r[col], r[jmin] = r[jmin], r[col]
+            p = h[col]
+            qs = [(j, h[j] // p) for j in range(col + 1, nc) if h[j]]
+            if not qs:
+                break
+            for r in rows:
+                c = r[col]
+                if c:
+                    for j, q in qs:
+                        r[j] -= q * c
+        if h[col]:
+            if h[col] < 0:
+                for r in rows:
+                    r[col] = -r[col]
+            pivots.append((row, col))
+            col += 1
+    return pivots
+
+
+def reference_echelon(m: Mat):
+    """(H rows, U rows, pivots) of the dense loop, U recorded by a stacked identity."""
+    nc = m.ncols
+    rows = [list(r) for r in m.rows] + [[int(i == j) for j in range(nc)] for i in range(nc)]
+    pivots = dense_echelon_reference(rows, m.nrows)
+    return rows[:m.nrows], rows[m.nrows:], pivots
+
+
+def reference_solve(a: Mat, b: Mat):
+    """Dense forward substitution on the reference echelon form, as solve_z did."""
+    n, ring = a.ncols, a.ring
+    rows = []
+    for ra, rb in zip(a.rows, b.rows):
+        row = ra + rb
+        d = lcm(*[Fraction(v).denominator for v in row])
+        rows.append([int(v * d) for v in row])
+    h, u, pivots = reference_echelon(Mat(ZZ, a.nrows, n, [r[:n] for r in rows]))
+    at_row = dict(pivots)
+    x = []
+    for j in range(b.ncols):
+        y = [0] * n
+        for row, hrow in enumerate(h):
+            acc = rows[row][n + j] - sum(v * w for v, w in zip(hrow, y))
+            c = at_row.get(row)
+            if c is None:
+                if acc:
+                    return None
+            elif acc % hrow[c] == 0:
+                y[c] = acc // hrow[c]
+            elif ring.is_field:
+                y[c] = Fraction(acc, hrow[c])
+            else:
+                return None
+        x.append(ring.reduce([sum(ur * yc for ur, yc in zip(urow, y)) for urow in u]))
+    return [list(r) for r in zip(*x)] if x else [[] for _ in range(n)]
+
+
+@st.composite
+def integer_matrices(draw, max_size=10):
+    """Integer matrices up to 10 x 10, 0 x n and n x 0 included, sparse to dense."""
+    m, n = draw(st.integers(0, max_size)), draw(st.integers(0, max_size))
+    density = draw(st.sampled_from([1, 3, 10]))
+    entry = st.tuples(st.integers(0, 9), st.integers(-12, 12)).map(
+        lambda t: t[1] if t[0] < density else 0)
+    return Mat(ZZ, m, n, draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                       min_size=m, max_size=m)))
+
+
+def as_system(a: Mat, b: Mat):
+    """a X = b as whitehead's sparse linear system."""
+    system = _LinearSystem(a.ring, a.ncols)
+    system.rows = a.sparse_rows()
+    system.rhs = [r[0] for r in b.rows]
+    return system
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=integer_matrices(), data=st.data())
+def test_sparse_core_matches_the_dense_reference(a, data):
+    h, u, pivots = column_echelon_z(a)
+    ref_h, ref_u, ref_pivots = reference_echelon(a)
+    assert (h.rows, u.rows, pivots) == (ref_h, ref_u, ref_pivots)
+    assert kernel_z(a) == [[r[j] for r in ref_u] for j in range(len(pivots), a.ncols)]
+    x0 = Mat(ZZ, a.ncols, 1, data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=1),
+        min_size=a.ncols, max_size=a.ncols)))
+    planted = a @ x0
+    other = Mat(ZZ, a.nrows, 1, data.draw(st.lists(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=1),
+        min_size=a.nrows, max_size=a.nrows)))
+    for ring in (ZZ, QQ):
+        for b in (planted, other):
+            a_r, b_r = Mat(ring, a.nrows, a.ncols, a.rows), Mat(ring, b.nrows, 1, b.rows)
+            x = solve_exact(a_r, b_r)
+            assert x == solve_exact(as_system(a_r, b_r), b_r)
+            assert (x and x.rows) == reference_solve(a_r, b_r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=rational_systems())
+def test_rational_solve_from_sparse_rows_matches_the_dense_reference(system):
+    a, b = system
+    x = solve_exact(a, b)
+    assert x == solve_exact(as_system(a, b), b)
+    assert (x and x.rows) == reference_solve(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=integer_matrices(max_size=8))
+def test_rref_is_reduced_and_keeps_the_row_space(a):
+    # the reduced row echelon form is unique, so these pin rref's output
+    for p in (2, 3):
+        fp = PrimeField(p)
+        m = Mat(fp, a.nrows, a.ncols, a.rows)
+        r, pivots = rref(m)
+        assert pivots == sorted(set(pivots)) and len(pivots) == len(smith_diagonal(m))
+        for i, c in enumerate(pivots):
+            assert r.rows[i][:c] == [0] * c
+            assert r.column(c) == [int(k == i) for k in range(m.nrows)]
+        assert all(not any(row) for row in r.rows[len(pivots):])
+        stacked = Mat(fp, 2 * m.nrows, m.ncols, m.rows + r.rows)
+        assert len(smith_diagonal(stacked)) == len(pivots)

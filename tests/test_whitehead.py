@@ -206,6 +206,23 @@ def free_simplex(order, n):
     return gtensor(regular_gset(cyclic_group(order)), standard_simplex(n))
 
 
+def test_large_integer_system_is_never_written_out_densely(monkeypatch):
+    # the C8/e x Delta[3] identity over Z is a 1,520 x 1,384 system; it is
+    # solved from its sparse rows, so no Mat near its 2.1M cells is built
+    cf = normalized_chain_map(identity_smap(free_simplex(8, 3)), ZZ)
+    init = Mat.__init__
+    largest = []
+
+    def spy(self, ring, nrows, ncols, *args, **kwargs):
+        largest.append(nrows * ncols)
+        init(self, ring, nrows, ncols, *args, **kwargs)
+
+    monkeypatch.setattr(Mat, "__init__", spy)
+    cert = certificate_search(cf)
+    assert cert is not None and verify_certificate(cert, cf)
+    assert max(largest) <= 100_000
+
+
 def test_search_solves_in_orbit_coordinates(monkeypatch):
     import orbitkit.whitehead as wh
     shapes = []
