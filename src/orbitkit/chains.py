@@ -10,10 +10,11 @@ A group action is stored in one of two forms, fixed by the constructor.
 Actions that come from G-sets and G-simplicial sets permute the basis and
 are stored as one G-set of basis indices per degree
 (``ChainComplex.permuted``); their invariants are orbit sums, and matrices
-are derived only on request (``rep_mat``).  General linear actions, such as
-a JSON ``rep``, keep their matrices (``rep=``), and their invariants are
-exact kernels.  Their inclusion carries a left inverse (``incl.coords``), so
-d on them and ``corestrict`` are products with it, checked by multiplying back.
+are derived only on request (``rep_mat``), and d on their invariants is
+read off d's rows summed over the orbits.  General linear actions, such as a
+JSON ``rep``, keep their matrices (``rep=``); their invariants are exact
+kernels, and d on them, like every ``corestrict``, is a product with the
+inclusion's left inverse (``incl.coords``), checked by multiplying back.
 
 Sign conventions are pinned by the verified identities rather than chosen
 in the abstract: d is the alternating face sum, the cone differential is
@@ -25,6 +26,7 @@ exactly (checked on every call; a failure raises instead of returning).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import InternalError
 from .exactla import Mat, kernel_exact, smith_diagonal, solve_exact
@@ -345,7 +347,8 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
     ring (saturated HNF basis over Z and Q, RREF basis over F_p).  The
     inclusion K carries a left inverse P = ``incl.coords``: each orbit sum's
     entry at its least index, or one solve of P K = 1 per degree (over Z it
-    exists because the kernel is saturated).  d' = P d K, checked.
+    exists because the kernel is saturated).  d' = P d K, read off d's rows
+    summed over orbits for permutation actions; K d' = d K is checked.
     """
     if c.group is None:
         raise ValueError("invariants need an equivariant complex")
@@ -358,14 +361,14 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
         incl = ChainMap(plain, c, dict(enumerate(ids)), validate=False)
         incl.coords = ids
         return plain, incl
-    kmats, pmats = [], []
+    kmats, pmats, orbs = [], [], []
     nontrivial = [g for g in h.members if g != 0]
     for n in range(c.top + 1):
         r = c.rank(n)
         if c.action is not None:
-            orbs = orbits(c.action[n].act, h.members)
-            k, p = Mat(ring, r, len(orbs)), Mat(ring, len(orbs), r)
-            for j, orbit in enumerate(orbs):
+            orbs.append(orbits(c.action[n].act, h.members))
+            k, p = Mat(ring, r, len(orbs[n])), Mat(ring, len(orbs[n]), r)
+            for j, orbit in enumerate(orbs[n]):
                 for i in orbit:
                     k.rows[i][j] = ring.one
                 p.rows[j][orbit[0]] = ring.one
@@ -380,14 +383,31 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
             p = p.transpose()
         kmats.append(k)
         pmats.append(p)
-    diffs = {n: _through(kmats[n - 1], pmats[n - 1], c.d(n) @ kmats[n],
-                         "the differential must restrict to the invariant subcomplex")
+    what = "the differential must restrict to the invariant subcomplex"
+    diffs = {n: (_orbit_sums(c.d(n), orbs[n - 1], orbs[n], what) if c.action is not None
+                 else _through(kmats[n - 1], pmats[n - 1], c.d(n) @ kmats[n], what))
              for n in range(1, c.top + 1)}
     # incl d' = d incl and incl is injective, so d'd' = 0
     inv = ChainComplex(ring, [k.ncols for k in kmats], diffs, basis=None, validate=False)
     incl = ChainMap(inv, c, dict(enumerate(kmats)), validate=False)
     incl.coords = pmats
     return inv, incl
+
+
+def _orbit_sums(d: Mat, rows, cols, what: str) -> Mat:
+    """The x with K x = d K for K the orbit sums: row t of d K is row t of d
+    summed over each column orbit, and must not vary along a row orbit."""
+    slot = {i: j for j, orbit in enumerate(cols) for i in orbit}
+    ring, sums = d.ring, []
+    for row in d.rows:
+        s = [ring.zero] * len(cols)
+        for i in compress(range(d.ncols), row):
+            s[slot[i]] += row[i]
+        sums.append(ring.reduce(s))
+    if any(sums[t] != sums[orbit[0]] for orbit in rows for t in orbit[1:]):
+        raise InternalError(what)
+    return Mat(ring, len(rows), len(cols), [sums[orbit[0]] for orbit in rows],
+               normalize=False)
 
 
 def _through(k: Mat, p: Mat, m: Mat, what: str) -> Mat:

@@ -152,12 +152,10 @@ class GSSet:
         for x, n in self.dim_of.items():
             if n < 2:
                 continue
-            rx = SimplexRef(x)
+            fs = self.faces[x]  # d_j x, checked above
             for j in range(n + 1):
                 for i in range(j):
-                    lhs = apply_face(self, apply_face(self, rx, j), i)
-                    rhs = apply_face(self, apply_face(self, rx, i), j - 1)
-                    if lhs != rhs:
+                    if apply_face(self, fs[j], i) != apply_face(self, fs[i], j - 1):
                         raise ValueError(
                             f"simplicial identity fails at (i={i}, j={j}, simplex={x})")
         # action: dimension-preserving permutations forming a homomorphism
@@ -185,6 +183,8 @@ class GSSet:
 
 def apply_face(sset: GSSet, ref: SimplexRef, i: int) -> SimplexRef:
     """Normal form of d_i applied to ``ref``."""
+    if not ref.word:
+        return sset.faces[ref.base][i]
     word = list(ref.word)
     j = i
     k = 0

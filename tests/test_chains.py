@@ -18,7 +18,7 @@ from orbitkit.errors import InternalError
 from orbitkit.exactla import Mat
 from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup, \
     symmetric_group, trivial_subgroup
-from orbitkit.gsets import coset_gset, make_gset, trivial_gset
+from orbitkit.gsets import coset_gset, make_gset, regular_gset, trivial_gset
 from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.simplicial import SMap, boundary_simplex, compose_smaps, \
     fixed_sset, gtensor, make_smap, point_sset, prism, standard_simplex
@@ -444,6 +444,60 @@ def test_permutation_and_matrix_actions_agree(group, data, base, n):
             inv_p, inv_m = invariants(c, h)[0], invariants(m, h)[0]
             assert inv_p.ranks == inv_m.ranks
             assert homology(inv_p) == homology(inv_m)
+
+
+def test_orbit_sums_make_no_matrix_products(c2, monkeypatch):
+    c = normalized_chains(gtensor(regular_gset(c2), standard_simplex(2)), QQ)
+    m = _with_matrices(c)
+    matmul, calls = Mat.__matmul__, []
+
+    def counting_matmul(a, b):
+        calls.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counting_matmul)
+    for h in all_subgroups(c2):
+        invariants(c, h)
+    assert calls == []
+    # matrix actions: d K, P (d K) and the check K d' = d K in every degree
+    inv, incl = invariants(m, full_subgroup(c2))
+    for n in range(1, m.top + 1):
+        dk = [b for a, b in calls if a is m.d(n)]
+        assert len(dk) == 1 and dk[0] is incl.mat(n)
+        assert any(a is incl.coords[n - 1] for a, _ in calls)
+        assert any(a is incl.mat(n - 1) and b is inv.d(n) for a, b in calls)
+
+
+def _orbit_sum_inclusion(c: ChainComplex, h, n: int):
+    """Test-side K (orbit indicators) and P (least-index selectors) in degree n."""
+    act = c.action[n].act
+    orbs = sorted({tuple(sorted({act[g][i] for g in h.members})) for i in range(c.rank(n))})
+    k, p = Mat.zeros(c.ring, c.rank(n), len(orbs)), Mat.zeros(c.ring, len(orbs), c.rank(n))
+    for j, orbit in enumerate(orbs):
+        for i in orbit:
+            k.rows[i][j] = c.ring.one
+        p.rows[j][orbit[0]] = c.ring.one
+    return k, p
+
+
+@settings(max_examples=25, deadline=None)
+@given(group=st.sampled_from(ACTION_GROUPS), data=st.data(),
+       base=st.sampled_from([standard_simplex, boundary_simplex]),
+       n=st.integers(0, 3))
+def test_orbit_sum_differential_is_the_dense_product(group, data, base, n):
+    # d' read off the orbit sums of d's rows against P (d K) as dense products
+    subgroups = all_subgroups(group)
+    x = gtensor(coset_gset(group, data.draw(st.sampled_from(subgroups))), base(n))
+    for ring in (ZZ, QQ, PrimeField(2), PrimeField(3)):
+        c = normalized_chains(x, ring)
+        for h in subgroups:
+            inv, incl = invariants(c, h)
+            ks = [_orbit_sum_inclusion(c, h, m) for m in range(c.top + 1)]
+            assert [incl.mat(m) for m in range(c.top + 1)] == [k for k, _ in ks]
+            for m in range(1, c.top + 1):
+                (k0, p0), (k1, _) = ks[m - 1], ks[m]
+                assert inv.d(m) == p0 @ (c.d(m) @ k1)
+                assert k0 @ inv.d(m) == c.d(m) @ k1
 
 
 BAD_CHAIN_COMPLEXES = {

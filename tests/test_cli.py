@@ -352,6 +352,39 @@ def test_failed_corestrictions_exit_3_under_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_differential_that_does_not_restrict_exits_3_under_python_O():
+    # the restriction check of invariants must be a raise that -O keeps
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from orbitkit import cli
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        normalized = cli.normalized_chains
+
+        def lopsided(x, ring):
+            # d_1 loses one row, so d no longer commutes with the action
+            c = normalized(x, ring)
+            if c.top >= 1:
+                c.d(1).rows[0] = [ring.zero] * c.rank(1)
+            return c
+
+        cli.normalized_chains = lopsided
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["homology", "--sset", sys.argv[1], "--group", sys.argv[2],
+                             "--family", "all", "--ring", "Z"])
+        if code != 3 or "must restrict" not in err.getvalue():
+            sys.exit(f"exit {code}, stderr {err.getvalue()!r}")
+    """)
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(fixtures / "vee.json"),
+                           str(fixtures / "c2.json")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_exit_2_names_invalid_field(files, capsys, tmp_path):
     bad = tmp_path / "badgroup.json"
     bad.write_text(json.dumps({"order": 2, "mult": [[0, 1], [1, 1]]}))

@@ -1,8 +1,17 @@
 """Simplicial engine against an independent monotone-map oracle, plus
 skeleta, fixed points, tensors, prisms, cell decompositions."""
 
+import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import orbitkit
 from conftest import swap_boundary1, vee, with_trivial_action
 from orbitkit.groups import all_subgroups, cyclic_group, subgroup, \
     trivial_subgroup, full_subgroup
@@ -161,6 +170,51 @@ def test_build_sset_rejects_identity_violation():
     }
     with pytest.raises(ValueError, match="identity"):
         build_sset(data)
+
+
+# each fails d_i d_j = d_{j-1} d_i first at the named (i, j, simplex)
+BAD_IDENTITIES = {
+    # d_0 d_0 of the 2-simplex 6 is d_0 of the edge 3, which is 1, but d_0 d_1 is 2
+    "plain-faces": ({"simplices": {"0": [0, 1, 2], "1": [3, 4, 5], "2": [6]},
+                     "faces": {"3": [[1, []], [0, []]], "4": [[2, []], [0, []]],
+                               "5": [[2, []], [1, []]],
+                               "6": [[3, []], [4, []], [5, []]]}},
+                    "(i=0, j=1, simplex=6)"),
+    # d_2 of the 2-simplex 3 is the degenerate s_0(1), so d_0 d_2 is 1, but d_1 d_0 is 0
+    "degenerate-face": ({"simplices": {"0": [0, 1], "1": [2], "2": [3]},
+                         "faces": {"2": [[1, []], [0, []]],
+                                   "3": [[2, []], [2, []], [1, [0]]]}},
+                        "(i=0, j=2, simplex=3)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_IDENTITIES))
+def test_simplicial_identity_failure_names_its_indices(name):
+    data, where = BAD_IDENTITIES[name]
+    with pytest.raises(ValueError, match=re.escape(f"simplicial identity fails at {where}")):
+        build_sset(data)
+
+
+def test_simplicial_identity_failures_raise_under_python_O():
+    script = textwrap.dedent("""
+        import json, sys
+        from orbitkit.simplicial import build_sset
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        for data, where in json.loads(sys.argv[1]).values():
+            try:
+                build_sset(data)
+            except ValueError as exc:
+                if str(exc) == f"simplicial identity fails at {where}":
+                    continue
+                sys.exit(f"wrong message: {exc}")
+            sys.exit(f"accepted: {where}")
+    """)
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(BAD_IDENTITIES)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_build_sset_rejects_non_homomorphic_action(c2):

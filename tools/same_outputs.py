@@ -1,36 +1,82 @@
-"""Compare the CLI output of two orbitkit source trees on the benchmark jobs.
+"""Compare the CLI output of two orbitkit source trees.
 
     python3 tools/same_outputs.py <parent_src> <change_src> --seed 7
 
-Writes the inputs of every job of the three benchmark workloads for the
-seed (with ``bench/gen.py`` and ``bench/workloads.py``, imported read-only
-with orbitkit taken from ``parent_src``), then runs each job in a fresh
-``python3 -m orbitkit.cli`` process against each tree, once with the
-default text output and once with ``--format json``.  Every job whose exit
-code, stdout or stderr differs between the trees is printed; the exit
-status is 1 if any differs, else 0.
+Runs three sets of cases, each in a fresh ``python3 -m orbitkit.cli``
+process against each tree, once with the default text output and once with
+``--format json``:
+
+* every job of the three benchmark workloads for the seed, inputs written
+  with ``bench/gen.py`` and ``bench/workloads.py`` (imported read-only with
+  orbitkit taken from ``parent_src``);
+* every golden CLI case of ``tests/test_cli_golden.RUNS`` on the
+  repository's fixtures, ``whitehead`` in JSON (its certificate matrices)
+  included;
+* a few ``whitehead`` prism end inclusions over Z, written by this tool
+  with orbitkit's constructors and no relabelling, so that a change of
+  pivot tie-break shows in their certificates.
+
+Every case whose exit code, stdout or stderr differs between the trees is
+printed; the exit status is 1 if any differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
-BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH, TESTS = os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")
 FORMATS = ((), ("--format", "json"))
+PRISMS = ((2, 1), (3, 1), (4, 1))  # C_m/e x Delta[n], over Z
 
 
-def benchmark_jobs(src: str, seed: int, outdir: str):
-    """(workload, job) for every benchmark job, inputs written under outdir."""
-    sys.path[:0] = [os.path.abspath(src), os.path.abspath(BENCH)]
+def benchmark_jobs(seed: int, outdir: str):
+    """(workload, job name, argv) for every benchmark job, inputs written under outdir."""
     from gen import Inputs
     from workloads import WORKLOADS
-    return [(name, job) for name, make in WORKLOADS.items()
+    return [(name, job.name, job.argv) for name, make in WORKLOADS.items()
             for job in make(Inputs(seed, os.path.join(outdir, name)))]
+
+
+def golden_cases():
+    """("golden", name, argv) for every golden CLI case, fixture paths made absolute."""
+    from test_cli_golden import RUNS
+    return [("golden", name, [os.path.join(ROOT, a) if a.startswith("fixtures/") else a
+                              for a in line.split()])
+            for name, line in RUNS.items()]
+
+
+def prism_cases(outdir: str):
+    """("prism", name, argv) for unrelabelled prism end inclusions, written under outdir."""
+    from orbitkit.groups import cyclic_group, trivial_subgroup
+    from orbitkit.gsets import coset_gset
+    from orbitkit.simplicial import gtensor, prism, sset_to_json, standard_simplex
+
+    def write(name, data):
+        path = os.path.join(outdir, name + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        return path
+
+    out = []
+    for m, n in PRISMS:
+        g = cyclic_group(m)
+        end0 = prism(gtensor(coset_gset(g, trivial_subgroup(g)), standard_simplex(n))).end0
+        name = f"C{m}/e x Delta[{n}]"
+        group = write(f"group_C{m}", {"order": g.order, "mult": g.mult})
+        smap = write(f"prism_C{m}_{n}", {
+            "source": sset_to_json(end0.source), "target": sset_to_json(end0.target),
+            "values": {str(x): [r.base, list(r.word)] for x, r in sorted(end0.values.items())}})
+        out.append(("prism", name, ["whitehead", "--group", group, "--map", smap,
+                                    "--family", "all", "--ring", "Z"]))
+    return out
 
 
 def run(src: str, argv) -> tuple:
@@ -46,10 +92,12 @@ def main(argv=None) -> int:
     ap.add_argument("change_src")
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args(argv)
+    sys.path[:0] = [os.path.abspath(args.parent_src), os.path.abspath(BENCH),
+                    os.path.abspath(TESTS)]
     with tempfile.TemporaryDirectory() as tmp:
-        jobs = benchmark_jobs(args.parent_src, args.seed, tmp)
-        cases = [(name, job, fmt) for name, job in jobs for fmt in FORMATS]
-        argvs = [job.argv + list(fmt) for _, job, fmt in cases]
+        jobs = benchmark_jobs(args.seed, tmp) + golden_cases() + prism_cases(tmp)
+        cases = [(kind, name, fmt) for kind, name, _ in jobs for fmt in FORMATS]
+        argvs = [argv + list(fmt) for _, _, argv in jobs for fmt in FORMATS]
         with ThreadPoolExecutor(2) as pool:
             outs = [list(pool.map(run, [src] * len(argvs), argvs))
                     for src in (args.parent_src, args.change_src)]
@@ -57,13 +105,14 @@ def main(argv=None) -> int:
     for case, old, new in zip(cases, *outs):
         if old != new:
             differ += 1
-            name, job, fmt = case
+            kind, name, fmt = case
             what = [field for field, a, b in zip(("exit code", "stdout", "stderr"), old, new)
                     if a != b]
-            print(f"DIFFERS {name}: {job.name} {' '.join(fmt) or '(text)'}: "
+            print(f"DIFFERS {kind}: {name} {' '.join(fmt) or '(text)'}: "
                   f"{', '.join(what)} (exit {old[0]} -> {new[0]})")
-    print(f"{len(jobs)} jobs x {len(FORMATS)} formats at seed {args.seed}: "
-          f"{differ} of {len(cases)} runs differ")
+    counts = Counter(kind for kind, _, _ in jobs)
+    print(f"{len(jobs)} jobs ({', '.join(f'{n} {k}' for k, n in counts.items())}) "
+          f"x {len(FORMATS)} formats at seed {args.seed}: {differ} of {len(cases)} runs differ")
     return 1 if differ else 0
 
 
