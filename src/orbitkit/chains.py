@@ -7,14 +7,14 @@ order); faces that normalize to degenerate simplices contribute zero to
 the differential.
 
 A group action is stored in one of two forms, fixed by the constructor.
-Actions that come from G-sets and G-simplicial sets permute the basis and
-are stored as one G-set of basis indices per degree
-(``ChainComplex.permuted``); their invariants are orbit sums, and matrices
-are derived only on request (``rep_mat``), and d on their invariants is
-read off d's rows summed over the orbits.  General linear actions, such as a
-JSON ``rep``, keep their matrices (``rep=``); their invariants are exact
-kernels, and d on them, like every ``corestrict``, is a product with the
-inclusion's left inverse (``incl.coords``), checked by multiplying back.
+Actions that permute the basis (from G-sets, G-simplicial sets, and orbit
+diagrams whose maps at G/e are permutation matrices) are stored as one
+G-set of basis indices per degree (``ChainComplex.permuted``); their
+invariants are orbit sums, matrices are derived only on request (``rep_mat``),
+and d on them is read off d's rows summed over orbits.  General linear
+actions, such as a JSON ``rep``, keep their matrices (``rep=``); their
+invariants are exact kernels, and d on them, like every ``corestrict``, is
+a product with the left inverse ``incl.coords``, checked by multiplying back.
 
 Sign conventions are pinned by the verified identities rather than chosen
 in the abstract: d is the alternating face sum, the cone differential is

@@ -93,8 +93,8 @@ def cmd_homology(args) -> int:
     for h in family:
         inv, _ = invariants(c, h)
         col_a = homology(inv)
-        fx, _ = fixed_sset(x, h)
-        col_b = homology(normalized_chains(fx, ring))
+        col_b = col_a if h.is_trivial() else homology(  # X^e = X: its chains are c
+            normalized_chains(fixed_sset(x, h)[0], ring))
         text_a = format_homology(col_a, ring.name)
         text_b = format_homology(col_b, ring.name)
         if h.is_trivial():

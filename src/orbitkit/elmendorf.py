@@ -5,8 +5,8 @@ the orbit category and a structure map (backwards) to every morphism.
 ``i_upper`` evaluates a diagram at G/{e} and reads off the group action
 from the endomorphisms of that object; ``i_lower`` sends a G-object to the
 diagram of its fixed points.  Both the unit and counit of this adjunction
-are constructed explicitly, and the reports record whether they are
-isomorphisms, value by value.
+are constructed explicitly, each fixed-point inclusion once, and the
+reports record whether they are isomorphisms, value by value.
 
 Three value categories are supported: finite sets (``FinSetCat``), finite
 plain simplicial sets (``FinSSetCat``), and chain complexes over an exact
@@ -16,7 +16,8 @@ methods they all provide:
 * maps: ``identity``, ``compose``, ``maps_equal``, ``is_iso``; every map
   has a ``source`` and a ``target`` value;
 * G-objects: ``gobject(group, carrier, action_maps)`` equips a value with
-  an action, ``action_as_map(x, g)`` reads one element's action back;
+  an action (for chains, a permutation action if every map permutes the
+  basis), ``action_as_map(x, g)`` reads one element's action back;
 * fixed points: ``fixed(x, h)``, the inclusion x^H -> x (its ``source``
   is the fixed value), and ``corestrict(m, incl)``, which factors a map m
   through such an inclusion; ``i_lower`` builds every structure map from
@@ -175,11 +176,16 @@ class FinSSetCat:
     def action_as_map(self, x: GSSet, g: int) -> SMap:
         plain = GSSet(TRIVIAL_GROUP, x.dim_of, {s: x.faces[s] for s in x.faces},
                       {0: {s: s for s in x.dim_of}}, validate=False)
-        return SMap(plain, plain, {s: SimplexRef(x.act(g, s)) for s in x.ids()})
+        # simplicial as x's faces are equivariant; equivariant for the trivial group
+        return SMap(plain, plain, {s: SimplexRef(x.act(g, s)) for s in x.ids()},
+                    validate=False, equivariant=True)
 
     def corestrict(self, m: SMap, incl: SMap) -> SMap:
-        # fixed simplices keep their ids; SMap rejects a map that misses them
-        return SMap(m.source, incl.source, dict(m.values))
+        # fixed simplices keep their ids and faces: only a value that misses them fails
+        for s in m.source.ids():
+            incl.source._check_ref(m.values[s], m.source.dim(s))
+        return SMap(m.source, incl.source, dict(m.values), validate=False,
+                    equivariant=m.source.group == incl.source.group)  # x^H's group is trivial
 
     def copower(self, keys, c: GSSet) -> GSSet:
         return disjoint_copies(c, len(keys))[0]
@@ -187,7 +193,8 @@ class FinSSetCat:
     def copower_remap(self, src, tgt, to, c: GSSet) -> SMap:
         stride = max(c.dim_of, default=-1) + 1  # as disjoint_copies lays them out
         return SMap(src, tgt, {p * stride + s: SimplexRef(q * stride + s)
-                               for p, q in enumerate(to) for s in c.dim_of})
+                               for p, q in enumerate(to) for s in c.dim_of},
+                    validate=False, equivariant=True)  # copies keep their faces
 
     def tensor(self, orbit: GSet, c: GSSet) -> GSSet:
         return gtensor(orbit, c)
@@ -223,9 +230,12 @@ class ChainCat:
     def gobject(self, group: Group, carrier: ChainComplex, action_maps) -> ChainComplex:
         rep = {g: {n: action_maps[g].mat(n) for n in range(carrier.top + 1)}
                for g in group.elements()}
-        return ChainComplex(carrier.ring, carrier.ranks,
-                            {n: carrier.d(n) for n in range(1, carrier.top + 1)},
-                            group=group, rep=rep)
+        perms = [tuple(_permutation(rep[g][n]) for g in rep) for n in range(carrier.top + 1)]
+        diffs = {n: carrier.d(n) for n in range(1, carrier.top + 1)}
+        if all(None not in ps for ps in perms):  # kept, and validated, as permutations
+            return ChainComplex.permuted(carrier.ring, carrier.ranks, diffs, group,
+                                         [GSet(group, len(ps[0]), ps) for ps in perms])
+        return ChainComplex(carrier.ring, carrier.ranks, diffs, group=group, rep=rep)
 
     def fixed(self, x: ChainComplex, h: Subgroup) -> ChainMap:
         return invariants(x, h)[1]
@@ -272,6 +282,17 @@ class ChainCat:
 
     def orbit_count(self, orbit: GSet, h: Subgroup) -> int:
         return len(orbits(orbit.act, h.members))
+
+
+def _permutation(m: Mat):
+    """Where m sends each basis index if it is a permutation matrix, else None."""
+    img = [None] * m.ncols
+    for i, row in enumerate(m.rows):
+        nz = [j for j, v in enumerate(row) if v]
+        if len(nz) != 1 or row[nz[0]] != m.ring.one or img[nz[0]] is not None:
+            return None
+        img[nz[0]] = i
+    return tuple(img) if m.nrows == m.ncols else None
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +368,10 @@ def _corestrict(vcat, m, incl, what: str):
         raise InternalError(f"{what}: {exc}") from exc
 
 
-def i_lower(x, cat: OrbitCategory, vcat) -> OrbitDiagram:
-    """The diagram G/H -> x^H; R_a: G/H -> G/K gives the translation x^K -> x^H."""
-    fixed = [vcat.fixed(x, h) for h in cat.family]
+def i_lower(x, cat: OrbitCategory, vcat, fixed=None) -> OrbitDiagram:
+    """The diagram G/H -> x^H; R_a: G/H -> G/K gives the translation x^K -> x^H.
+    ``fixed``, if given, lists the inclusions x^H -> x in family order."""
+    fixed = fixed or [vcat.fixed(x, h) for h in cat.family]
     act = {g: vcat.action_as_map(x, g) for g in cat.group.elements()}
     maps = {}
     for (i, j), ms in sorted(cat.hom.items()):
@@ -394,20 +416,18 @@ class AdjunctionReport:
                 "per_object": dict(sorted(self.unit_per_object.items()))}
 
 
-def unit_maps(t: OrbitDiagram, x):
-    """The unit T -> i_lower(x) as per-object corestrictions; x is i_upper(T)."""
+def unit_maps(t: OrbitDiagram, x, fixed=None):
+    """The unit T -> i_lower(x) per object, x = i_upper(T); ``fixed`` as for ``i_lower``."""
     e_idx = _trivial_index(t.cat)
+    fixed = fixed or [t.vcat.fixed(x, h) for h in t.cat.family]
     # the projection R_0: G/e -> G/H maps the carrier T(G/e) to T(G/H)
-    return {i: t.vcat.corestrict(t.maps[(e_idx, i, 0)], t.vcat.fixed(x, h))
-            for i, h in enumerate(t.cat.family)}
+    return {i: t.vcat.corestrict(t.maps[(e_idx, i, 0)], f) for i, f in enumerate(fixed)}
 
 
-def counit_map(x, cat: OrbitCategory, vcat):
-    """The counit i_upper(i_lower(x)) -> x on underlying values."""
-    d = i_lower(x, cat, vcat)
-    lhs = i_upper(d)
-    eps = vcat.fixed(x, cat.family[_trivial_index(cat)])
-    return d, lhs, eps
+def counit_map(x, cat: OrbitCategory, vcat, fixed):
+    """i_lower(x), L = i_upper of it, and the counit L -> x; ``fixed`` as for ``i_lower``."""
+    d = i_lower(x, cat, vcat, fixed)
+    return d, i_upper(d), fixed[_trivial_index(cat)]
 
 
 def adjunction_check(t: OrbitDiagram, x) -> AdjunctionReport:
@@ -416,31 +436,33 @@ def adjunction_check(t: OrbitDiagram, x) -> AdjunctionReport:
     The unit is reported per object of the orbit category; the counit is
     checked to be an isomorphism commuting with the group actions; both
     triangle identities are verified by exact composition of the
-    constructed maps.
+    constructed maps, each fixed-point inclusion built once.
     """
     cat, vcat = t.cat, t.vcat
     e_idx = _trivial_index(cat)
     xt = i_upper(t)
-    units = unit_maps(t, xt)
+    fixed_t = [vcat.fixed(xt, h) for h in cat.family]
+    units = unit_maps(t, xt, fixed_t)
     unit_flags = {cat.family[i].label: vcat.is_iso(m) for i, m in units.items()}
 
-    d_x, lhs_x, eps_x = counit_map(x, cat, vcat)
+    fixed_x = [vcat.fixed(x, h) for h in cat.family]
+    d_x, lhs_x, eps_x = counit_map(x, cat, vcat, fixed_x)
     counit_ok = vcat.is_iso(eps_x)
     eq_ok = all(vcat.maps_equal(vcat.compose(vcat.action_as_map(x, g), eps_x),
                                 vcat.compose(eps_x, vcat.action_as_map(lhs_x, g)))
                 for g in cat.group.generators)  # both actions are homomorphisms
 
     # triangle 1: counit(i_upper T) o i_upper(unit) = id on the carrier
-    eps_t = vcat.fixed(xt, cat.family[e_idx])
-    tri_left = vcat.maps_equal(vcat.compose(eps_t, units[e_idx]),
+    tri_left = vcat.maps_equal(vcat.compose(fixed_t[e_idx], units[e_idx]),
                                vcat.identity(t.values[e_idx]))
 
     # triangle 2: (fixed points of the counit) o unit(i_lower x) = id, per object
-    units_dx = unit_maps(d_x, lhs_x)
+    fixed_lhs = [vcat.fixed(lhs_x, h) for h in cat.family]
+    units_dx = unit_maps(d_x, lhs_x, fixed_lhs)
     tri_right = True
     for i, h in enumerate(cat.family):
         eps_fixed = _corestrict(
-            vcat, vcat.compose(eps_x, vcat.fixed(lhs_x, h)), vcat.fixed(x, h),
+            vcat, vcat.compose(eps_x, fixed_lhs[i]), fixed_x[i],
             f"the counit must send {h.label}-fixed points to fixed points")
         comp = vcat.compose(eps_fixed, units_dx[i])
         if not vcat.maps_equal(comp, vcat.identity(d_x.values[i])):

@@ -42,12 +42,7 @@ class Group:
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """Greedy: each one doubles the span at least, so at most log2|G|."""
-        gens, span = [], frozenset([0])
-        for x in self.elements():
-            if x not in span:
-                gens.append(x)
-                span = _closure(self, gens)
-        return tuple(gens)
+        return Subgroup(self, tuple(self.elements())).generators
 
     def __repr__(self):
         return self.name or f"Group(order={self.order})"
@@ -84,6 +79,16 @@ class Subgroup:
                     index[g.mult[a][x]] = len(reps)
                 reps.append(a)
         return CosetTable(tuple(reps), tuple(index))
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Greedy among the members: each doubles the span at least."""
+        gens, span = [], frozenset([0])
+        for x in self.members:
+            if x not in span:
+                gens.append(x)
+                span = _closure(self.parent, gens)
+        return tuple(gens)
 
     def conjugated_by(self, a: int) -> "Subgroup":
         """The subgroup a * H * a^-1."""

@@ -76,12 +76,14 @@ class OrbitCategory:
 
     @cached_property
     def generators(self) -> tuple[OrbitMorphism, ...]:
-        """Greedy: keep each morphism not yet a composite of those kept."""
+        """Greedy in increasing index |K|/|H|: keep each morphism not yet a
+        composite of those kept. Indices multiply and the isomorphisms come
+        first, so no generator of index above 1 is a composite of the others."""
         reached = {self.identity(h) for h in self.family}  # the empty composites
         out_of = {h.members: [] for h in self.family}
         into = {h.members: [] for h in self.family}
         gens = []
-        for m in self.all_morphisms():
+        for m in sorted(self.all_morphisms(), key=lambda m: m.target.order // m.source.order):
             todo = [] if m in reached else [m]
             gens += todo
             while todo:  # close up under composition with all that is reached

@@ -330,17 +330,17 @@ def sset_to_json(x: GSSet) -> dict:
 class SMap:
     """A simplicial map, stored on nondegenerate simplices.
 
-    Values are SimplexRefs in the target (a nondegenerate simplex may map
-    to a degenerate one).  ``equivariant`` is set when source and target
-    share the acting group and the values commute with it.
+    Values are SimplexRefs in the target (a nondegenerate simplex may map to
+    a degenerate one).  ``equivariant``: the values commute with the common
+    group of source and target; the caller's word when ``validate`` is off.
     """
 
     def __init__(self, source: GSSet, target: GSSet, values: dict[int, SimplexRef],
-                 validate: bool = True):
+                 validate: bool = True, equivariant: bool = False):
         self.source = source
         self.target = target
         self.values = dict(values)
-        self.equivariant = False
+        self.equivariant = equivariant
         if validate:
             self._validate()
 
@@ -395,7 +395,7 @@ def make_smap(source: GSSet, target: GSSet, values) -> SMap:
 
 
 def identity_smap(x: GSSet) -> SMap:
-    return SMap(x, x, {s: SimplexRef(s) for s in x.ids()})
+    return SMap(x, x, {s: SimplexRef(s) for s in x.ids()}, validate=False, equivariant=True)
 
 
 def compose_smaps(second: SMap, first: SMap) -> SMap:
@@ -403,11 +403,10 @@ def compose_smaps(second: SMap, first: SMap) -> SMap:
     if (mid.dim_of, mid.faces) != (mid2.dim_of, mid2.faces):
         raise ValueError("maps are not composable")
     # simplicial as both factors are; equivariant if both are, through one G-object
-    comp = SMap(first.source, second.target,
-                {x: second.push(ref) for x, ref in first.values.items()}, validate=False)
-    comp.equivariant = first.equivariant and second.equivariant \
-        and (mid.group, mid.action) == (mid2.group, mid2.action)
-    return comp
+    return SMap(first.source, second.target,
+                {x: second.push(ref) for x, ref in first.values.items()}, validate=False,
+                equivariant=first.equivariant and second.equivariant
+                and (mid.group, mid.action) == (mid2.group, mid2.action))
 
 
 def smaps_equal(a: SMap, b: SMap) -> bool:
@@ -449,7 +448,7 @@ def skeleton(x: GSSet, n: int) -> tuple[GSSet, SMap]:
 
 
 def fixed_sset(x: GSSet, h: Subgroup) -> tuple[GSSet, SMap]:
-    """The subcomplex of simplices fixed by every element of h.
+    """The subcomplex of simplices fixed by every element of h (by its generators).
 
     Returned as a plain simplicial set (trivial action) with the inclusion
     into x.  Face closure is automatic but asserted; the inclusion is the
@@ -457,7 +456,7 @@ def fixed_sset(x: GSSet, h: Subgroup) -> tuple[GSSet, SMap]:
     """
     if h.parent != x.group:
         raise ValueError("subgroup of a different group")
-    keep = [s for s in x.ids() if all(x.action[g][s] == s for g in h.members)]
+    keep = [s for s in x.ids() if all(x.action[g][s] == s for g in h.generators)]
     keep_set = set(keep)
     for s in keep:
         if x.dim(s) > 0 and not all(r.base in keep_set for r in x.faces[s]):
@@ -466,9 +465,8 @@ def fixed_sset(x: GSSet, h: Subgroup) -> tuple[GSSet, SMap]:
                {s: x.dim_of[s] for s in keep},
                {s: x.faces[s] for s in keep if x.dim_of[s] > 0},
                _trivial_action(keep), validate=False)
-    incl = SMap(fx, x, {s: SimplexRef(s) for s in keep}, validate=False)
-    incl.equivariant = fx.group == x.group
-    return fx, incl
+    return fx, SMap(fx, x, {s: SimplexRef(s) for s in keep}, validate=False,
+                    equivariant=fx.group == x.group)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,26 @@ def test_homology_json_roundtrips(files, capsys):
         {"degree": 0, "free": 1, "torsion": []}
 
 
+def test_homology_of_the_trivial_subgroup_is_computed_once(files, capsys, monkeypatch):
+    """X^e = X: the chains-of-fixed-points column at e reuses the invariants column."""
+    from orbitkit import cli
+    real, calls = cli.homology, []
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(cli, "homology", counted)
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    code, out, _ = run(capsys, ["homology", "--group", str(fixtures / "c2.json"),
+                                "--sset", str(fixtures / "vee.json"), "--family", "all",
+                                "--ring", "Z"])
+    assert code == 0
+    assert len(calls) == 2 * 2 - 1
+    lines = out.splitlines()
+    assert lines[1].split(": ")[1] == lines[2].split(": ")[1]  # the H = e rows agree
+
+
 def test_cofib_check_yes(files, capsys):
     code, out, _ = run(capsys, ["cofib-check", "--group", files["group"],
                                 "--map", files["incl"], "--family", "trivial"])

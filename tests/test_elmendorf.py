@@ -1,13 +1,19 @@
 """Orbit diagrams and the fixed-point adjunction, with enumeration oracles."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
+import orbitkit
 from conftest import swap_boundary1, vee, with_trivial_action
 from orbitkit import chains, elmendorf
-from orbitkit.chains import ChainMap, concentrated, homology, invariants, \
-    normalized_chains
+from orbitkit.chains import ChainComplex, ChainMap, concentrated, homology, \
+    identity_chain_map, invariants, normalized_chains
 from orbitkit.elmendorf import ChainCat, FinSSetCat, FinSetCat, \
     FinSetObj, OrbitDiagram, VMap, adjunction_check, arrow_poset_census, \
     cellularity_report, free_cell_diagram, i_lower, i_upper, unit_maps
@@ -18,7 +24,7 @@ from orbitkit.exactla import Mat
 from orbitkit.gsets import coset_gset, make_gset, regular_gset, trivial_gset
 from orbitkit.orbitcat import build_orbit_category, compose as compose_morphisms
 from orbitkit.rings import PrimeField, QQ, ZZ
-from orbitkit.simplicial import GSSet, SMap, boundary_simplex, gtensor, \
+from orbitkit.simplicial import GSSet, SMap, SimplexRef, boundary_simplex, gtensor, \
     standard_simplex
 
 
@@ -100,9 +106,12 @@ def structure_map_cases(g, cat):
         vc = ChainCat(r)
         cases += [(vc, normalized_chains(gtensor(c, standard_simplex(1)), r))
                   for c in cosets]
-        # a matrix action, as i_upper builds it
-        cases.append((vc, i_upper(free_cell_diagram(
-            cat, cat.family[0], concentrated(r, 0), vc))))
+        # a matrix action: the regular one, given as matrices (i_upper keeps
+        # it a permutation action)
+        free = i_upper(free_cell_diagram(cat, cat.family[0], concentrated(r, 0), vc))
+        cases.append((vc, ChainComplex(r, free.ranks, {}, group=g, rep={
+            a: {0: free.rep_mat(a, 0)} for a in g.elements()})))
+    assert cases[-1][1].action is None
     return cases
 
 
@@ -133,6 +142,81 @@ def test_i_lower_takes_invariants_once_per_object(monkeypatch):
     monkeypatch.setattr(elmendorf, "invariants", counted)
     i_lower(x, cat, ChainCat(ZZ))
     assert sorted(calls) == sorted(h.label for h in cat.family)
+
+
+# ---------------------------------------------------------------------------
+# chain G-objects from i_upper
+
+
+def test_gobject_keeps_permutation_actions(c2cat):
+    """Free cells come back with a permutation action; a sign action keeps rep=."""
+    g, cat = c2cat
+    for r in (ZZ, PrimeField(2)):
+        vc = ChainCat(r)
+        for k in cat.family:
+            x = i_upper(free_cell_diagram(
+                cat, k, normalized_chains(standard_simplex(1), r), vc))
+            assert x.action is not None and x.rep is None
+    z = concentrated(ZZ, 0)
+    minus = Mat(ZZ, 1, 1, [[-1]])
+    x = ChainCat(ZZ).gobject(g, z, {0: identity_chain_map(z), 1: ChainMap(z, z, {0: minus})})
+    assert x.action is None and x.rep_mat(1, 0) == minus
+
+
+def test_gobject_refuses_permutations_that_break_the_action_laws_or_d():
+    """Permutation actions are still checked: a swap of the ends of an edge
+    does not commute with d, and a permutation per element need not be an action."""
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    swap = Mat(ZZ, 2, 2, [[0, 1], [1, 0]])
+    edge = normalized_chains(standard_simplex(1), ZZ)
+    flip = ChainMap(edge, edge, {0: swap, 1: Mat.identity(ZZ, 1)}, validate=False)
+    with pytest.raises(ValueError, match="does not commute with d_1"):
+        ChainCat(ZZ).gobject(c2, edge, {0: identity_chain_map(edge), 1: flip})
+    two = concentrated(ZZ, 0, 2)
+    ident, s = identity_chain_map(two), ChainMap(two, two, {0: swap})
+    with pytest.raises(ValueError, match="homomorphism"):
+        ChainCat(ZZ).gobject(c4, two, {0: ident, 1: s, 2: s, 3: ident})
+
+
+def _free_cell_cases(g):
+    cat = build_orbit_category(g, all_subgroups(g))
+    cells = [concentrated(ZZ, 0), normalized_chains(standard_simplex(1), ZZ)]
+    return [free_cell_diagram(cat, k, cell, ChainCat(ZZ)) for k in cat.family for cell in cells]
+
+
+@pytest.mark.parametrize("g", [cyclic_group(4), symmetric_group(3)], ids=["C4", "S3"])
+def test_adjunction_of_free_cells_over_z_solves_no_system(g, monkeypatch):
+    """Every invariant is an orbit sum: no exact kernel or solve is needed."""
+    def refuse(*args):
+        raise AssertionError("adjunction_check solved an exact system")
+
+    for name in ("kernel_exact", "solve_exact"):
+        monkeypatch.setattr(chains, name, refuse)
+    for t in _free_cell_cases(g):
+        adjunction_check(t, i_upper(t))
+
+
+@pytest.mark.parametrize("vc,cell", [(FinSetCat(), ("a", "b")),
+                                     (FinSSetCat(), standard_simplex(1)),
+                                     (ChainCat(ZZ), concentrated(ZZ, 0))],
+                         ids=["finset", "sset", "chains"])
+def test_adjunction_check_builds_each_fixed_point_inclusion_once(vc, cell, monkeypatch):
+    """3n inclusions for n objects: of i_upper(T), of x and of i_upper(i_lower x)."""
+    g = symmetric_group(3)
+    cat = build_orbit_category(g, all_subgroups(g))
+    real, calls = type(vc).fixed, []
+
+    def counted(self, x, h):
+        calls.append((id(x), h.members))
+        return real(self, x, h)
+
+    monkeypatch.setattr(type(vc), "fixed", counted)
+    for k in cat.family:
+        t = free_cell_diagram(cat, k, cell, vc)
+        x = i_upper(t)
+        calls.clear()
+        adjunction_check(t, x)
+        assert len(calls) == 3 * len(cat.family) == len(set(calls)), k
 
 
 def test_orbit_diagram_rejects_nonfunctorial_data(c2cat):
@@ -286,7 +370,7 @@ def test_check_on_generators_agrees_with_the_full_scan(g, family):
 
 
 def test_check_composes_the_identity_and_generator_pairs_once_each(monkeypatch):
-    """C2 x C4 with every subgroup: 27 generators, 155 + 62 pairs instead of 490."""
+    """C2 x C4 with every subgroup: 20 generators, 142 + 62 pairs instead of 490."""
     from orbitkit.groups import direct_product
     g = direct_product(cyclic_group(2), cyclic_group(4))
     cat = build_orbit_category(g, all_subgroups(g))
@@ -304,7 +388,7 @@ def test_check_composes_the_identity_and_generator_pairs_once_each(monkeypatch):
     firsts = [cat.identity(h) for h in cat.family] + list(cat.generators)
     expect = [(a, b) for a in firsts for b in cat.all_morphisms()
               if b.source.members == a.target.members]
-    assert len(cat.generators) == 27 and len(expect) == 155 + 62
+    assert len(cat.generators) == 20 and len(expect) == 142 + 62
     assert sorted(seen, key=repr) == sorted(expect, key=repr)
 
 
@@ -432,9 +516,9 @@ def test_counit_that_misses_fixed_points_is_internal_error(c2cat, monkeypatch):
     x = FinSetObj.plain(make_gset(g, {0: [0, 1, 2], 1: [0, 2, 1]}))
     counit_map = elmendorf.counit_map
 
-    def swapped_counit(y, cat, vcat):
+    def swapped_counit(y, cat, vcat, *fixed):
         """The counit of x swaps its fixed point 0 with the moved point 1."""
-        d, lhs, eps = counit_map(y, cat, vcat)
+        d, lhs, eps = counit_map(y, cat, vcat, *fixed)
         if y is x:
             m = eps.as_dict()
             m[0], m[1] = m[1], m[0]
@@ -446,6 +530,80 @@ def test_counit_that_misses_fixed_points_is_internal_error(c2cat, monkeypatch):
     t = free_cell_diagram(cat, trivial_subgroup(g), ("*",), vc)
     with pytest.raises(InternalError, match="counit"):
         adjunction_check(t, x)
+
+
+def _three_points(g):
+    """Vertex 0 fixed, vertices 1 and 2 swapped by the generator of C2."""
+    return GSSet(g, {0: 0, 1: 0, 2: 0}, {},
+                 {0: {0: 0, 1: 1, 2: 2}, 1: {0: 0, 1: 2, 2: 1}})
+
+
+def test_finsset_maps_that_miss_fixed_points_are_internal_errors(c2cat, monkeypatch):
+    g, cat = c2cat
+    vc = FinSSetCat()
+    x = _three_points(g)
+    fixed = vc.fixed(x, full_subgroup(g))
+    with pytest.raises(ValueError, match="unknown simplex 1"):
+        vc.corestrict(vc.identity(x), fixed)
+    counit_map = elmendorf.counit_map
+
+    def swapped_counit(y, cat, vcat, *fixed):
+        """The counit of x swaps its fixed vertex 0 with the moved vertex 1."""
+        d, lhs, eps = counit_map(y, cat, vcat, *fixed)
+        if y is x:
+            eps = SMap(eps.source, eps.target,
+                       {**eps.values, 0: SimplexRef(1), 1: SimplexRef(0)})
+        return d, lhs, eps
+
+    monkeypatch.setattr(elmendorf, "counit_map", swapped_counit)
+    t = free_cell_diagram(cat, trivial_subgroup(g), standard_simplex(0), vc)
+    with pytest.raises(InternalError, match="counit"):
+        adjunction_check(t, x)
+
+
+def test_finsset_maps_that_miss_fixed_points_raise_under_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from orbitkit import elmendorf
+        from orbitkit.errors import InternalError
+        from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup
+        from orbitkit.orbitcat import build_orbit_category
+        from orbitkit.simplicial import GSSet, SMap, SimplexRef, standard_simplex
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        g = cyclic_group(2)
+        cat = build_orbit_category(g, all_subgroups(g))
+        vc = elmendorf.FinSSetCat()
+        x = GSSet(g, {0: 0, 1: 0, 2: 0}, {},
+                  {0: {0: 0, 1: 1, 2: 2}, 1: {0: 0, 1: 2, 2: 1}})
+        try:
+            vc.corestrict(vc.identity(x), vc.fixed(x, full_subgroup(g)))
+            sys.exit("corestrict accepted a map that misses the fixed points")
+        except ValueError:
+            pass
+        counit_map = elmendorf.counit_map
+
+        def swapped_counit(y, cat, vcat, *fixed):
+            d, lhs, eps = counit_map(y, cat, vcat, *fixed)
+            if y is x:
+                eps = SMap(eps.source, eps.target,
+                           {**eps.values, 0: SimplexRef(1), 1: SimplexRef(0)})
+            return d, lhs, eps
+
+        elmendorf.counit_map = swapped_counit
+        t = elmendorf.free_cell_diagram(cat, cat.family[0], standard_simplex(0), vc)
+        try:
+            elmendorf.adjunction_check(t, x)
+            sys.exit("a counit that misses the fixed points was accepted")
+        except InternalError as exc:
+            if "counit" not in str(exc):
+                sys.exit(f"wrong error: {exc}")
+    """)
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unit_fails_on_chain_free_cell(c2cat):

@@ -215,3 +215,29 @@ def test_subgroup_conjugated_by():
         hc = h.conjugated_by(a)
         assert len(hc.members) == 2
         assert 0 in hc.members
+
+
+@pytest.mark.parametrize("g", [cyclic_group(4), symmetric_group(3), dihedral_group(4),
+                               direct_product(cyclic_group(2), cyclic_group(4))],
+                         ids=["C4", "S3", "D4", "C2xC4"])
+def test_subgroup_generators_generate_it_greedily(g):
+    for h in all_subgroups(g):
+        gens = h.generators
+        assert h.generators is gens  # computed once
+        assert set(gens) <= set(h.members) and 0 not in gens
+        assert list(gens) == sorted(gens)
+        # each one lies outside the span of those before it, and all span h
+        for t, x in enumerate(gens):
+            assert x not in subgroup_span(g, gens[:t])
+        assert subgroup_span(g, gens) == set(h.members)
+    assert full_subgroup(g).generators == g.generators
+
+
+def subgroup_span(g, gens):
+    """Naive closure of gens (and 0) under the product."""
+    span = {0, *gens}
+    while True:
+        new = {g.mult[a][b] for a in span for b in span} - span
+        if not new:
+            return span
+        span |= new

@@ -10,11 +10,12 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orbitkit
 from conftest import swap_boundary1, vee, with_trivial_action
-from orbitkit.groups import all_subgroups, cyclic_group, subgroup, \
-    trivial_subgroup, full_subgroup
+from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, subgroup, \
+    symmetric_group, trivial_subgroup, full_subgroup
 from orbitkit.gsets import coset_gset, regular_gset
 from orbitkit.simplicial import ReplayError, SMap, SimplexRef, \
     apply_operator, boundary_simplex, build_sset, cell_decomposition, \
@@ -263,6 +264,43 @@ def test_fixed_sset_vee(c2):
     assert sorted(fx.ids()) == [2]
     fe, _ = fixed_sset(x, trivial_subgroup(c2))
     assert sorted(fe.ids()) == sorted(x.ids())
+
+
+def _fixed_by_every_member(x, h):
+    """Reference: the ids fixed by every member of h, not only its generators."""
+    return [s for s in x.ids() if all(x.action[g][s] == s for g in h.members)]
+
+
+def _assert_fixed_matches_reference(x, h):
+    fx, incl = fixed_sset(x, h)
+    keep = _fixed_by_every_member(x, h)
+    assert list(fx.ids()) == keep, (x, h)
+    assert fx.faces == {s: x.faces[s] for s in keep if x.dim(s) > 0}
+    assert incl.values == {s: SimplexRef(s) for s in keep}
+
+
+@pytest.mark.parametrize("name", ["c4", "s3", "d4"])
+def test_fixed_sset_on_generators_matches_every_member(name, request):
+    g = request.getfixturevalue(name)
+    subgroups = all_subgroups(g)
+    for k in subgroups:
+        for x in (gtensor(coset_gset(g, k), standard_simplex(1)),
+                  gtensor(coset_gset(g, k), boundary_simplex(2))):
+            for h in subgroups:
+                _assert_fixed_matches_reference(x, h)
+
+
+@settings(max_examples=25, deadline=None)
+@given(group=st.sampled_from([cyclic_group(4), cyclic_group(6), symmetric_group(3),
+                              dihedral_group(4)]),
+       data=st.data(), base=st.sampled_from([standard_simplex, boundary_simplex]),
+       n=st.integers(0, 2))
+def test_fixed_sset_on_generators_matches_every_member_on_gtensors(group, data, base, n):
+    subgroups = all_subgroups(group)
+    orbit = coset_gset(group, data.draw(st.sampled_from(subgroups)))
+    x = gtensor(orbit, base(n))
+    for h in subgroups:
+        _assert_fixed_matches_reference(x, h)
 
 
 def test_fixed_sset_closed_under_faces(c2, s3):
