@@ -1,9 +1,10 @@
 """Exact linear algebra over Z, Q, and F_p.
 
 ``Mat`` is a dense matrix, a list of rows tagged with its ring; all
-arithmetic is exact (no floats anywhere).  Eliminations read their input
-through ``sparse_rows()`` (dicts column -> nonzero entry), which
-whitehead's linear systems provide too, so no Z or Q system is densified.
+arithmetic is exact (no floats anywhere).  Every elimination, over every
+ring, reads its input through ``sparse_rows()`` (dicts column -> nonzero
+entry), which ``SparseRows`` and whitehead's linear systems provide too,
+so no system is densified.
 
 Z and Q share one sparse integer core, ``_echelon``: column reduction on
 columns held as dicts row -> entry, with an index of each row's nonzero
@@ -22,8 +23,8 @@ of its denominators (``_over_z``), which keeps the row space over Q.
   echelon forms of the matrix and of its transposed pivot columns, then
   gcd/lcm steps into divisor order; over Q only the pivots are counted.
 
-F_p (``_modular``) is eliminated densely: the forward pass ``_forward``
-gives the rank, and ``rref`` adds the back-clearing pass.
+F_p (``_modular``) is eliminated by ``rref``, Gauss-Jordan on sparse rows;
+its rank, kernels and solutions are read off the reduced row echelon form.
 
 Entries are added, subtracted and multiplied with the ordinary operators;
 every row of raw results then passes through ``ring.reduce``, so F_p
@@ -173,6 +174,20 @@ class Mat:
         return f"Mat({self.ring}, {self.nrows}x{self.ncols})"
 
 
+class SparseRows:
+    """Rows as dicts column -> nonzero entry, with their ring and width."""
+
+    def __init__(self, ring, ncols: int, rows):
+        self.ring, self.ncols, self.rows = ring, ncols, rows
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    def sparse_rows(self):
+        return self.rows
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -182,14 +197,14 @@ def smith_diagonal(m: Mat):
 
     Over Z the result is the canonical nonnegative invariant-factor chain
     (each entry divides the next); over a field it is 1 repeated rank
-    times, the pivots of the forward pass ``_forward`` over F_p and of one
-    ``_echelon`` pass of the cleared rows over Q.  Over Z the matrix is
-    column-echeloned by ``_echelon`` and its pivot columns transposed,
-    until each pivot column holds only its pivot (the alternating Hermite
-    passes of Kannan and Bachem); the pivots are then put in divisor order.
+    times, the pivots of ``rref`` over F_p and of one ``_echelon`` pass of
+    the cleared rows over Q.  Over Z the matrix is column-echeloned by
+    ``_echelon`` and its pivot columns transposed, until each pivot column
+    holds only its pivot (the alternating Hermite passes of Kannan and
+    Bachem); the pivots are then put in divisor order.
     """
     if _modular(m.ring):
-        return [1] * len(_forward([list(r) for r in m.rows], m.ncols, m.ring.p))
+        return [1] * len(rref(m)[1])
     rows, ncols = _over_z(m.ring, m.sparse_rows()), m.ncols
     if m.ring.is_field:
         return [1] * len(_echelon(rows, ncols)[1])
@@ -221,89 +236,77 @@ def rank(m: Mat) -> int:
 
 
 def _modular(ring) -> bool:
-    """F_p, eliminated densely by ``_forward`` and ``rref``; Z and Q run on ``_echelon``."""
+    """F_p, eliminated by ``rref``; Z and Q run on ``_echelon``."""
     return isinstance(ring, PrimeField)
 
 
-def _dense(m) -> Mat:
-    """``m`` written out from its sparse rows, for the dense F_p elimination."""
-    out = Mat.zeros(m.ring, m.nrows, m.ncols)
-    for row, entries in zip(out.rows, m.sparse_rows()):
-        for j, v in entries.items():
-            row[j] = v
-    return out
+def _subtract(row, f, pivot_row, p):
+    """row -= f * pivot_row over F_p, in place on sparse rows."""
+    for j, v in pivot_row.items():
+        w = (row.get(j, 0) - f * v) % p
+        if w:
+            row[j] = w
+        else:
+            del row[j]
 
 
-def _clear(a, r, c, targets, p):
-    """Zero column c of the rows ``targets`` of ``a`` with multiples of row r."""
-    row = a[r]
-    nonzero = [j for j in range(c, len(row)) if row[j]]
-    for i in targets:
-        f = a[i][c]
-        if f:
-            ai = a[i]
-            for j in nonzero:
-                ai[j] = (ai[j] - f * row[j]) % p
+def rref(m):
+    """Reduced row echelon form of ``m`` over F_p: its nonzero rows (sparse) and pivots.
 
-
-def _forward(a, ncols, p):
-    """Row echelon form (leading 1s, cleared below) of ``a`` in place; the pivot columns."""
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        row = a[r]
-        # columns before c are zero in the pivot row; scale from c on
-        inv = pow(row[c], -1, p)
-        if inv != 1:
-            row[c:] = [v * inv % p for v in row[c:]]
-        _clear(a, r, c, range(r + 1, len(a)), p)
-        pivots.append(c)
-    return pivots
-
-
-def rref(m: Mat):
-    """Reduced row echelon form over F_p; returns (R, pivot column list)."""
-    ring = m.ring
-    if not _modular(ring):
+    Gauss-Jordan one row at a time.  A pivot row holds no pivot column but
+    its own, so an incoming row is reduced in one pass; its lowest column
+    left, made 1, is a new pivot and is cleared from the earlier pivot
+    rows.  Pivot rows hold no column before their pivot, so sorted by
+    pivot (increasing, as returned) they are the RREF.
+    """
+    if not _modular(m.ring):
         raise ValueError("rref needs a prime field")
-    a = [list(r) for r in m.rows]
-    pivots = _forward(a, m.ncols, ring.p)
-    for r in reversed(range(len(pivots))):
-        _clear(a, r, pivots[r], range(r), ring.p)
-    return Mat(ring, m.nrows, m.ncols, a, normalize=False), pivots
+    p = m.ring.p
+    reduced = {}  # pivot column -> pivot row
+    for row in m.sparse_rows():
+        row = dict(row)  # the input rows stay unchanged
+        for c in [c for c in row if c in reduced]:
+            _subtract(row, row[c], reduced[c], p)
+        if row:
+            c = min(row)
+            inv = pow(row[c], -1, p)
+            if inv != 1:
+                row = {j: v * inv % p for j, v in row.items()}
+            for other in reduced.values():
+                if c in other:
+                    _subtract(other, other[c], row, p)
+            reduced[c] = row
+    pivots = sorted(reduced)
+    return [reduced[c] for c in pivots], pivots
 
 
-def kernel_basis_field(m: Mat):
+def kernel_basis_field(m):
     """Columns spanning ker(m) over F_p, in RREF-canonical form."""
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * m.ncols
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = -r.rows[i][f]
-        basis.append(m.ring.reduce(v))
-    return basis
+    rows, pivots = rref(m)
+    free = sorted(set(range(m.ncols)).difference(pivots))
+    basis = {f: [int(j == f) for j in range(m.ncols)] for f in free}
+    for c, row in zip(pivots, rows):
+        for j in row.keys() - {c}:
+            basis[j][c] = -row[j]
+    return [m.ring.reduce(v) for v in basis.values()]
 
 
-def solve_field(a: Mat, b: Mat):
-    """One solution X of a @ X = b over F_p, or None."""
+def solve_field(a, b: Mat):
+    """One solution X of a @ X = b over F_p (free unknowns 0), or None."""
+    if b.ring != a.ring:
+        raise ValueError("solve_field needs a and b over one ring")
     if a.nrows != b.nrows:
         raise ValueError("shape mismatch in solve")
-    r, pivots = rref(Mat(a.ring, a.nrows, a.ncols + b.ncols,
-                         [ra + rb for ra, rb in zip(a.rows, b.rows)], normalize=False))
+    n = a.ncols
+    rows, pivots = rref(SparseRows(a.ring, n + b.ncols,
+                                   [{**ra, **{n + j: v for j, v in rb.items()}}
+                                    for ra, rb in zip(a.sparse_rows(), b.sparse_rows())]))
     # inconsistent if a pivot lands in the b-block
-    if pivots and pivots[-1] >= a.ncols:
+    if pivots and pivots[-1] >= n:
         return None
-    x = Mat(a.ring, a.ncols, b.ncols)
-    for i, pc in enumerate(pivots):
-        x.rows[pc] = r.rows[i][a.ncols:]
+    x = Mat(a.ring, n, b.ncols)
+    for c, row in zip(pivots, rows):
+        x.rows[c] = [row.get(n + j, 0) for j in range(b.ncols)]
     return x
 
 
@@ -454,16 +457,12 @@ def solve_exact(a, b: Mat):
 
     ``a`` has ``ring``, ``nrows``, ``ncols`` and ``sparse_rows()``.
     """
-    if _modular(a.ring):
-        return solve_field(_dense(a), b)
-    return solve_z(a, b)
+    return (solve_field if _modular(a.ring) else solve_z)(a, b)
 
 
 def kernel_exact(m):
     """Kernel basis of ``m``: ``kernel_z`` over Z and Q, RREF over F_p."""
-    if _modular(m.ring):
-        return kernel_basis_field(_dense(m))
-    return kernel_z(m)
+    return (kernel_basis_field if _modular(m.ring) else kernel_z)(m)
 
 
 def is_invertible(m: Mat) -> bool:

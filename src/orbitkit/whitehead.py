@@ -11,10 +11,11 @@ actions a saturated kernel basis of the equivariance constraints; with no
 group the elementary matrices.  The chain-map and homotopy equations are
 linear in these coordinates, and their residuals are equivariant, so for
 permutation actions they are imposed at one index pair per orbit only.
-One exact solve (Hermite-style over Z and Q, elimination over F_p) then
-either produces a certificate or proves that none of this shape exists
-over the ring; the certificate is re-verified against the full identities
-for every group element before it is returned.  Over Z a failure does not
+One exact solve from the system's sparse rows, on every ring
+(Hermite-style over Z and Q, Gauss-Jordan over F_p), then either produces
+a certificate or proves that none of this shape exists over the ring;
+the certificate is re-verified against the full identities for every
+group element before it is returned.  Over Z a failure does not
 rule out a rational certificate; query the rings separately.
 
 ``whitehead_verify`` packages the hypothesis checks for a simplicial map:
@@ -30,12 +31,12 @@ from dataclasses import dataclass, field
 from .chains import ChainHomotopy, ChainMap, is_quasi_iso, \
     normalized_chain_map, normalized_chains, restrict_to_invariants
 from .errors import InternalError
-from .exactla import Mat, kernel_exact, solve_exact
+from .exactla import Mat, SparseRows, kernel_exact, solve_exact
 from .groups import conjugating_element
 from .gsets import orbits, product_gset, stabilizer
 from .simplicial import SMap, fixed_sset
 
-# a size bound on rows x unknowns (C8/e x Delta[3]: 2.1M); Z and Q systems stay sparse
+# a size bound on rows x unknowns (C8/e x Delta[3]: 2.1M); every system stays sparse
 MAX_CELLS = 2_500_000
 
 
@@ -91,21 +92,12 @@ def verify_certificate(cert: Certificate, cf: ChainMap) -> bool:
     return True
 
 
-class _LinearSystem:
-    """Sparse rows over a ring, indexed by integer unknowns; exactla reads ``sparse_rows()``."""
+class _LinearSystem(SparseRows):
+    """Sparse rows over a ring, indexed by integer unknowns, and their right-hand sides."""
 
     def __init__(self, ring, n_unknowns: int):
-        self.ring = ring
-        self.ncols = n_unknowns
-        self.rows = []
+        super().__init__(ring, n_unknowns, [])
         self.rhs = []
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def sparse_rows(self):
-        return self.rows
 
     def capped(self):
         """The system itself; refuses one over ``MAX_CELLS``."""

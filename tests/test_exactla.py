@@ -449,6 +449,14 @@ def test_rational_solve_from_sparse_rows_matches_the_dense_reference(system):
     assert (x and x.rows) == reference_solve(a, b)
 
 
+def dense_rref(m: Mat):
+    """rref of ``m`` as (R, pivots): its sparse pivot rows written out as the
+    dense m.nrows x m.ncols R, zero rows last."""
+    rows, pivots = rref(m)
+    r = [[row.get(j, 0) for j in range(m.ncols)] for row in rows]
+    return Mat(m.ring, m.nrows, m.ncols, r + [[0] * m.ncols] * (m.nrows - len(r))), pivots
+
+
 @settings(max_examples=150, deadline=None)
 @given(a=integer_matrices(max_size=8))
 def test_rref_is_reduced_and_keeps_the_row_space(a):
@@ -456,7 +464,7 @@ def test_rref_is_reduced_and_keeps_the_row_space(a):
     for p in (2, 3):
         fp = PrimeField(p)
         m = Mat(fp, a.nrows, a.ncols, a.rows)
-        r, pivots = rref(m)
+        r, pivots = dense_rref(m)
         assert pivots == sorted(set(pivots)) and len(pivots) == len(smith_diagonal(m))
         for i, c in enumerate(pivots):
             assert r.rows[i][:c] == [0] * c
@@ -464,3 +472,107 @@ def test_rref_is_reduced_and_keeps_the_row_space(a):
         assert all(not any(row) for row in r.rows[len(pivots):])
         stacked = Mat(fp, 2 * m.nrows, m.ncols, m.rows + r.rows)
         assert len(smith_diagonal(stacked)) == len(pivots)
+
+
+# The dense F_p elimination that the sparse ``rref`` replaced, kept here as
+# the reference: a forward pass (leading 1s, cleared below) and a
+# back-clearing pass on the rows written out as lists.
+
+
+def reference_clear(a, r, c, targets, p):
+    """Zero column c of the rows ``targets`` of ``a`` with multiples of row r."""
+    row = a[r]
+    nonzero = [j for j in range(c, len(row)) if row[j]]
+    for i in targets:
+        f = a[i][c]
+        if f:
+            ai = a[i]
+            for j in nonzero:
+                ai[j] = (ai[j] - f * row[j]) % p
+
+
+def reference_forward(a, ncols, p):
+    """Row echelon form of ``a`` in place; the pivot columns."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        row = a[r]
+        inv = pow(row[c], -1, p)
+        row[c:] = [v * inv % p for v in row[c:]]
+        reference_clear(a, r, c, range(r + 1, len(a)), p)
+        pivots.append(c)
+    return pivots
+
+
+def reference_rref(m: Mat):
+    """Dense reduced row echelon form over F_p: (rows of R, pivot columns)."""
+    a = [list(r) for r in m.rows]
+    pivots = reference_forward(a, m.ncols, m.ring.p)
+    for r in reversed(range(len(pivots))):
+        reference_clear(a, r, pivots[r], range(r), m.ring.p)
+    return a, pivots
+
+
+def reference_kernel(m: Mat):
+    """Kernel columns from the dense RREF: identity on the free columns."""
+    r, pivots = reference_rref(m)
+    basis = []
+    for f in (j for j in range(m.ncols) if j not in pivots):
+        v = [0] * m.ncols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -r[i][f]
+        basis.append(m.ring.reduce(v))
+    return basis
+
+
+def reference_solve_field(a: Mat, b: Mat):
+    """Rows of the solution with free unknowns 0, from the dense RREF of [a | b]; or None."""
+    r, pivots = reference_rref(Mat(a.ring, a.nrows, a.ncols + b.ncols,
+                                   [ra + rb for ra, rb in zip(a.rows, b.rows)]))
+    if pivots and pivots[-1] >= a.ncols:
+        return None
+    x = [[0] * b.ncols for _ in range(a.ncols)]
+    for i, c in enumerate(pivots):
+        x[c] = r[i][a.ncols:]
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=integer_matrices(), data=st.data())
+def test_sparse_fp_elimination_matches_the_dense_reference(a, data):
+    def column(n, bound):
+        return data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=1,
+                                           max_size=1), min_size=n, max_size=n))
+
+    x0, other = column(a.ncols, 4), column(a.nrows, 9)
+    for p in (2, 3, 5):
+        fp = PrimeField(p)
+        m = Mat(fp, a.nrows, a.ncols, a.rows)
+        r, pivots = dense_rref(m)
+        assert (r.rows, pivots) == reference_rref(m)
+        assert kernel_exact(m) == kernel_exact(as_system(m, Mat(fp, m.nrows, 1))) \
+            == reference_kernel(m)
+        planted = m @ Mat(fp, m.ncols, 1, x0)
+        random_b = Mat(fp, m.nrows, 1, other)
+        for b in (planted, random_b):
+            x = solve_exact(m, b)
+            assert (x and x.rows) == reference_solve_field(m, b)
+            assert solve_exact(as_system(m, b), b) == x
+        both = Mat(fp, m.nrows, 2, [u + v for u, v in zip(planted.rows, random_b.rows)])
+        x = solve_exact(m, both)
+        assert (x and x.rows) == reference_solve_field(m, both)
+
+
+def test_solve_refuses_a_right_hand_side_over_another_ring():
+    a = Mat(PrimeField(5), 2, 2, [[1, 2], [3, 4]])
+    for b in (Mat(PrimeField(3), 2, 1, [[1], [1]]), Mat(QQ, 2, 1, [[Fraction(1, 2)], [1]])):
+        for solve in (solve_field, solve_exact):
+            with pytest.raises(ValueError, match="over one ring"):
+                solve(a, b)
+        with pytest.raises(ValueError, match="over one ring"):
+            solve_exact(as_system(a, b), b)

@@ -191,13 +191,13 @@ def test_integer_versus_rational_certificates():
 
 def test_unknown_cap():
     import orbitkit.whitehead as wh
-    big = ChainComplex(ZZ, (80,), {})
-    cf = identity_chain_map(big)
     old = wh.MAX_CELLS
     try:
         wh.MAX_CELLS = 100
-        with pytest.raises(ValueError, match="cap"):
-            certificate_search(cf)
+        for ring in (ZZ, PrimeField(2)):
+            cf = identity_chain_map(ChainComplex(ring, (80,), {}))
+            with pytest.raises(ValueError, match="cap"):
+                certificate_search(cf)
     finally:
         wh.MAX_CELLS = old
 
@@ -207,9 +207,8 @@ def free_simplex(order, n):
 
 
 def test_large_integer_system_is_never_written_out_densely(monkeypatch):
-    # the C8/e x Delta[3] identity over Z is a 1,520 x 1,384 system; it is
-    # solved from its sparse rows, so no Mat near its 2.1M cells is built
-    cf = normalized_chain_map(identity_smap(free_simplex(8, 3)), ZZ)
+    # the C8/e x Delta[3] identity over Z or F_2 is a 1,520 x 1,384 system;
+    # it is solved from its sparse rows, so no Mat near its 2.1M cells is built
     init = Mat.__init__
     largest = []
 
@@ -218,9 +217,12 @@ def test_large_integer_system_is_never_written_out_densely(monkeypatch):
         init(self, ring, nrows, ncols, *args, **kwargs)
 
     monkeypatch.setattr(Mat, "__init__", spy)
-    cert = certificate_search(cf)
-    assert cert is not None and verify_certificate(cert, cf)
-    assert max(largest) <= 100_000
+    for ring in (ZZ, PrimeField(2)):
+        cf = normalized_chain_map(identity_smap(free_simplex(8, 3)), ring)
+        cert = certificate_search(cf)
+        assert cert is not None and verify_certificate(cert, cf)
+        assert max(largest) <= 100_000
+        largest.clear()
 
 
 def test_search_solves_in_orbit_coordinates(monkeypatch):
