@@ -13,8 +13,10 @@ G-set of basis indices per degree (``ChainComplex.permuted``); their
 invariants are orbit sums, matrices are derived only on request (``rep_mat``),
 and d on them is read off d's rows summed over orbits.  General linear
 actions, such as a JSON ``rep``, keep their matrices (``rep=``); their
-invariants are exact kernels, and d on them, like every ``corestrict``, is
-a product with the left inverse ``incl.coords``, checked by multiplying back.
+invariants are exact kernels, and d on them, like ``corestrict``, is a
+product with the left inverse ``incl.coords``, checked by multiplying back.
+Maps that send basis vectors to basis vectors or to 0 (``ChainMap.of_bases``)
+keep index tuples, and compose, compare and corestrict without matrices.
 
 Sign conventions are pinned by the verified identities rather than chosen
 in the abstract: d is the alternating face sum, the cone differential is
@@ -44,6 +46,7 @@ class ChainComplex:
         self.ranks = tuple(int(r) for r in ranks)
         if not self.ranks:
             self.ranks = (0,)
+        self.top = len(self.ranks) - 1
         self._d = {int(n): m for n, m in dict(diffs).items()}
         self.group = group
         self.rep = rep  # {g: {n: Mat}} or None
@@ -64,10 +67,6 @@ class ChainComplex:
         c.action = tuple(action)
         c.validate()
         return c
-
-    @property
-    def top(self) -> int:
-        return len(self.ranks) - 1
 
     def rank(self, n: int) -> int:
         return self.ranks[n] if 0 <= n <= self.top else 0
@@ -188,20 +187,45 @@ def zero_complex(ring) -> ChainComplex:
 
 
 class ChainMap:
+    """One matrix per degree, ``f[n] = f.mat(n)``, or a map of bases (``of_bases``):
+    a 0/1 matrix with at most one 1 per row, such as identities, permutation
+    actions, copower remaps and the orbit-sum maps of ``invariants``, kept as
+    ``sel``, per degree the tuple of each row's column of 1 (None: zero row).
+    Maps of bases compose, compare and corestrict as tuples; ``mat(n)``
+    builds the matrix once, when a caller needs it."""
+
     def __init__(self, source: ChainComplex, target: ChainComplex, mats,
                  validate: bool = True):
         self.source = source
         self.target = target
         self._mats = {int(n): m for n, m in dict(mats).items()}
+        self.sel = None  # {degree: tuple} for a map of bases
         self.equivariant = False
         if validate:
             self.validate()
 
+    @classmethod
+    def of_bases(cls, source: ChainComplex, target: ChainComplex, sel) -> "ChainMap":
+        """``sel[n][i]`` is row i's column of 1 in degree n, up to target.top."""
+        f = cls(source, target, {}, validate=False)
+        f.sel = sel
+        return f
+
     def mat(self, n: int) -> Mat:
         m = self._mats.get(n)
         if m is None:
-            return Mat.zeros(self.source.ring, self.target.rank(n), self.source.rank(n))
+            m = Mat.zeros(self.source.ring, self.target.rank(n), self.source.rank(n))
+            if self.sel is not None and n in self.sel:
+                for row, j in zip(m.rows, self.sel[n]):
+                    if j is not None:
+                        row[j] = m.ring.one
+                self._mats[n] = m
         return m
+
+    def __getitem__(self, n: int) -> Mat:  # iterating f gives its matrices up to top
+        if not 0 <= n <= self.top:
+            raise IndexError(n)
+        return self.mat(n)
 
     @property
     def top(self) -> int:
@@ -250,24 +274,36 @@ class ChainHomotopy:
         return m
 
 
+def _then(a, b) -> tuple:
+    """The rows of A B (B applied first) for maps of bases: row i of A B is row a[i] of B."""
+    return tuple([None if j is None else b[j] for j in a])
+
+
 def identity_chain_map(c: ChainComplex) -> ChainMap:
-    ident = ChainMap(c, c, {n: Mat.identity(c.ring, c.rank(n))
-                            for n in range(c.top + 1)}, validate=False)
+    ident = ChainMap.of_bases(c, c, {n: tuple(range(c.rank(n))) for n in range(c.top + 1)})
     ident.equivariant = c.group is not None
     return ident
 
 
 def compose_chain_maps(second: ChainMap, first: ChainMap) -> ChainMap:
-    """second o first; equivariant when both factors are."""
-    mats = {n: second.mat(n) @ first.mat(n)
-            for n in range(max(second.top, first.top) + 1)}
-    comp = ChainMap(first.source, second.target, mats, validate=False)
+    """second o first; equivariant when both factors are, of bases when both are."""
+    if second.sel is not None and first.sel is not None:  # rows are second's rows
+        comp = ChainMap.of_bases(first.source, second.target, {
+            n: _then(s, first.sel.get(n, ())) for n, s in second.sel.items()})
+    else:
+        comp = ChainMap(first.source, second.target,
+                        {n: second.mat(n) @ first.mat(n)
+                         for n in range(max(second.top, first.top) + 1)}, validate=False)
     comp.equivariant = first.equivariant and second.equivariant
     return comp
 
 
 def chain_maps_equal(a: ChainMap, b: ChainMap) -> bool:
-    top = max(a.top, b.top)
+    """Equal matrices in every degree; endpoints are not compared."""
+    top, sa, sb = max(a.top, b.top), a.source, b.source
+    if a.sel is not None and b.sel is not None and (
+            sa is sb or sa.ring == sb.ring and sa.ranks == sb.ranks):  # so equal shapes
+        return a.sel == b.sel or all(a.sel.get(n, ()) == b.sel.get(n, ()) for n in range(top + 1))
     return all(a.mat(n) == b.mat(n) for n in range(top + 1))
 
 
@@ -345,10 +381,12 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
     For permutation actions the basis is the H-orbit sums (sorted by least
     index); for matrix actions an exact kernel basis is computed over the
     ring (saturated HNF basis over Z and Q, RREF basis over F_p).  The
-    inclusion K carries a left inverse P = ``incl.coords``: each orbit sum's
-    entry at its least index, or one solve of P K = 1 per degree (over Z it
-    exists because the kernel is saturated).  d' = P d K, read off d's rows
-    summed over orbits for permutation actions; K d' = d K is checked.
+    inclusion K carries a left inverse P = ``incl.coords`` (a ``ChainMap``
+    that need not commute with d): maps of bases for permutation actions
+    (K sends each index to its orbit, P picks each orbit's least index), or
+    one solve of P K = 1 per degree (over Z it exists because the kernel is
+    saturated).  d' = P d K, read off d's rows summed over orbits for
+    permutation actions; K d' = d K is checked.
     """
     if c.group is None:
         raise ValueError("invariants need an equivariant complex")
@@ -357,56 +395,56 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
     ring = c.ring
     if h.is_trivial():
         plain = c.forget_action()
-        ids = [Mat.identity(ring, c.rank(n)) for n in range(c.top + 1)]
-        incl = ChainMap(plain, c, dict(enumerate(ids)), validate=False)
-        incl.coords = ids
+        ids = {n: tuple(range(c.rank(n))) for n in range(c.top + 1)}
+        incl = ChainMap.of_bases(plain, c, ids)
+        incl.coords = ChainMap.of_bases(c, plain, ids)
         return plain, incl
-    kmats, pmats, orbs = [], [], []
+    what = "the differential must restrict to the invariant subcomplex"
+    if c.action is not None:
+        orbs = [orbits(c.action[n].act, h.members) for n in range(c.top + 1)]
+        slots = {n: tuple(j for _, j in sorted((i, j) for j, o in enumerate(os) for i in o))
+                 for n, os in enumerate(orbs)}  # slots[n][i]: the orbit of i
+        diffs = {n: _orbit_sums(c.d(n), orbs[n - 1], slots[n], len(orbs[n]), what)
+                 for n in range(1, c.top + 1)}
+        inv = ChainComplex(ring, [len(os) for os in orbs], diffs, basis=None, validate=False)
+        incl = ChainMap.of_bases(inv, c, slots)
+        incl.coords = ChainMap.of_bases(c, inv, {n: tuple(o[0] for o in os)
+                                                 for n, os in enumerate(orbs)})
+        return inv, incl
+    kmats, pmats = [], []
     nontrivial = [g for g in h.members if g != 0]
     for n in range(c.top + 1):
         r = c.rank(n)
-        if c.action is not None:
-            orbs.append(orbits(c.action[n].act, h.members))
-            k, p = Mat(ring, r, len(orbs[n])), Mat(ring, len(orbs[n]), r)
-            for j, orbit in enumerate(orbs[n]):
-                for i in orbit:
-                    k.rows[i][j] = ring.one
-                p.rows[j][orbit[0]] = ring.one
-        else:
-            stack = [row for g in nontrivial
-                     for row in (c.rep_mat(g, n) - Mat.identity(ring, r)).rows]
-            cols = kernel_exact(Mat(ring, len(stack), r, stack, normalize=False))
-            k = Mat(ring, len(cols), r, cols, normalize=False).transpose()
-            p = solve_exact(k.transpose(), Mat.identity(ring, len(cols)))
-            if p is None:
-                raise InternalError("the invariant basis has no left inverse")
-            p = p.transpose()
+        stack = [row for g in nontrivial
+                 for row in (c.rep_mat(g, n) - Mat.identity(ring, r)).rows]
+        cols = kernel_exact(Mat(ring, len(stack), r, stack, normalize=False))
+        k = Mat(ring, len(cols), r, cols, normalize=False).transpose()
+        p = solve_exact(k.transpose(), Mat.identity(ring, len(cols)))
+        if p is None:
+            raise InternalError("the invariant basis has no left inverse")
         kmats.append(k)
-        pmats.append(p)
-    what = "the differential must restrict to the invariant subcomplex"
-    diffs = {n: (_orbit_sums(c.d(n), orbs[n - 1], orbs[n], what) if c.action is not None
-                 else _through(kmats[n - 1], pmats[n - 1], c.d(n) @ kmats[n], what))
+        pmats.append(p.transpose())
+    diffs = {n: _through(kmats[n - 1], pmats[n - 1], c.d(n) @ kmats[n], what)
              for n in range(1, c.top + 1)}
     # incl d' = d incl and incl is injective, so d'd' = 0
     inv = ChainComplex(ring, [k.ncols for k in kmats], diffs, basis=None, validate=False)
     incl = ChainMap(inv, c, dict(enumerate(kmats)), validate=False)
-    incl.coords = pmats
+    incl.coords = ChainMap(c, inv, dict(enumerate(pmats)), validate=False)
     return inv, incl
 
 
-def _orbit_sums(d: Mat, rows, cols, what: str) -> Mat:
+def _orbit_sums(d: Mat, rows, slot, ncols: int, what: str) -> Mat:
     """The x with K x = d K for K the orbit sums: row t of d K is row t of d
-    summed over each column orbit, and must not vary along a row orbit."""
-    slot = {i: j for j, orbit in enumerate(cols) for i in orbit}
+    summed over each column orbit, slot[i] being i's, and must not vary along a row orbit."""
     ring, sums = d.ring, []
     for row in d.rows:
-        s = [ring.zero] * len(cols)
+        s = [ring.zero] * ncols
         for i in compress(range(d.ncols), row):
             s[slot[i]] += row[i]
         sums.append(ring.reduce(s))
     if any(sums[t] != sums[orbit[0]] for orbit in rows for t in orbit[1:]):
         raise InternalError(what)
-    return Mat(ring, len(rows), len(cols), [sums[orbit[0]] for orbit in rows],
+    return Mat(ring, len(rows), ncols, [sums[orbit[0]] for orbit in rows],
                normalize=False)
 
 
@@ -419,10 +457,18 @@ def _through(k: Mat, p: Mat, m: Mat, what: str) -> Mat:
 
 
 def corestrict(f: ChainMap, incl: ChainMap) -> ChainMap:
-    """g = coords o f, checked to satisfy incl o g = f; incl is from ``invariants``."""
-    mats = {n: _through(incl.mat(n), p, f.mat(n),
-                        f"the map does not factor through the inclusion in degree {n}")
-            for n, p in enumerate(incl.coords)}
+    """g = coords o f, checked to satisfy incl o g = f; incl is from ``invariants``.
+    If f, incl and coords are maps of bases, so is g, read off the tuples."""
+    p, degrees = incl.coords, range(incl.target.top + 1)
+    what = "the map does not factor through the inclusion in degree {}"
+    if None not in (f.sel, incl.sel, getattr(p, "sel", None)):
+        g = compose_chain_maps(p, f)
+        back = compose_chain_maps(incl, g).sel
+        for n in degrees:
+            if back.get(n, ()) != f.sel.get(n, ()):
+                raise InternalError(what.format(n))
+        return g
+    mats = {n: _through(incl.mat(n), p[n], f.mat(n), what.format(n)) for n in degrees}
     # incl g = f exactly and incl is injective, so g is a chain map
     return ChainMap(f.source, incl.source, mats, validate=False)
 

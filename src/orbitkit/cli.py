@@ -171,9 +171,10 @@ def cmd_elmendorf(args) -> int:
         lines.append(f"free cell at {{{k.label}}}: unit_iso={rep.unit_iso} "
                      f"counit_iso={rep.counit_iso} triangles="
                      f"{rep.triangle_left and rep.triangle_right}")
+    cells = [elm.coset_cell(group, k, cell, vcat) for k in family]
     for h in family:
-        for k in family:
-            r = elm.cellularity_report(group, h, k, cell, vcat)
+        for k, kcell in zip(family, cells):
+            r = elm.cellularity_report(group, h, k, cell, vcat, kcell)
             payload["cellularity"][f"{h.label};{k.label}"] = r.to_json()
             lines.append(f"cellularity H={{{h.label}}} K={{{k.label}}}: iso={r.iso}")
     _emit(args, "\n".join(lines), payload)

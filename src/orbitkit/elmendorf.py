@@ -14,7 +14,8 @@ ring (``ChainCat``).  Every construction below is written once against the
 methods they all provide:
 
 * maps: ``identity``, ``compose``, ``maps_equal``, ``is_iso``; every map
-  has a ``source`` and a ``target`` value;
+  has a ``source`` and a ``target`` value, which ``same_value`` compares
+  with a diagram's values;
 * G-objects: ``gobject(group, carrier, action_maps)`` equips a value with
   an action (for chains, a permutation action if every map permutes the
   basis), ``action_as_map(x, g)`` reads one element's action back;
@@ -28,6 +29,11 @@ methods they all provide:
 * reports: ``value_descriptor(v)`` and ``orbit_count(orbit, h)``, the
   H-orbit count of G/K for chains and ``None`` otherwise.
 
+Chain maps that send basis vectors to basis vectors or 0 (identities,
+permutation actions, copower remaps, the fixed-point inclusions and their
+coordinate maps) are maps of bases (see ``ChainMap``): they compose,
+compare and corestrict as index tuples, and build no matrix unless asked.
+
 The arrow-poset example is handled separately by ``arrow_poset_census``
 since a diagram valued in 0 -> 1 is just a monotone truth assignment.
 """
@@ -35,6 +41,7 @@ since a diagram valued in 0 -> 1 is just a monotone truth assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .chains import ChainComplex, ChainMap, chain_maps_equal, compose_chain_maps, \
     corestrict, identity_chain_map, invariants
@@ -58,20 +65,30 @@ class VMap:
 
     source: tuple
     target: tuple
-    fn: tuple  # pairs (label, image), sorted
+    fn: tuple  # pairs (label, image), in source order
 
     @classmethod
     def make(cls, src, tgt, mapping: dict):
         src = tuple(src)
         tgt = tuple(tgt)
         tset = set(tgt)
+        images = {}
         for l in src:
             if l not in mapping or mapping[l] not in tset:
                 raise ValueError(f"map not defined into the target at {l!r}")
-        return cls(src, tgt, tuple(sorted(mapping.items(), key=lambda kv: src.index(kv[0]))))
+            images[l] = mapping[l]
+        if len(images) != len(mapping):
+            raise ValueError("map defined outside the source")
+        m = cls(src, tgt, tuple(images.items()))
+        object.__setattr__(m, "images", images)  # fills the cache of ``images``
+        return m
+
+    @cached_property
+    def images(self) -> dict:
+        return dict(self.fn)  # built once: callers must not change it
 
     def as_dict(self) -> dict:
-        return dict(self.fn)
+        return dict(self.images)
 
 
 @dataclass(frozen=True)
@@ -92,22 +109,25 @@ class FinSetCat:
 
     def compose(self, m2: VMap, m1: VMap) -> VMap:
         # both maps are total, so the composite is one, in m1's label order
-        d2 = m2.as_dict()
+        d2 = m2.images
         return VMap(m1.source, m2.target, tuple((l, d2[v]) for l, v in m1.fn))
+
+    def same_value(self, a, b) -> bool:
+        return a == b
 
     def maps_equal(self, a: VMap, b: VMap) -> bool:
         return (a.source == b.source and a.target == b.target
-                and a.as_dict() == b.as_dict())
+                and (a.fn == b.fn or a.images == b.images))
 
     def is_iso(self, m: VMap) -> bool:
-        values = list(m.as_dict().values())
+        values = list(m.images.values())
         return len(values) == len(m.target) and set(values) == set(m.target)
 
     def gobject(self, group: Group, carrier, action_maps) -> FinSetObj:
         pos = {l: i for i, l in enumerate(carrier)}
         perms = {}
         for g in group.elements():
-            d = action_maps[g].as_dict()
+            d = action_maps[g].images
             perms[g] = [pos[d[l]] for l in carrier]
         return FinSetObj(make_gset(group, perms), tuple(carrier))
 
@@ -122,7 +142,7 @@ class FinSetCat:
 
     def corestrict(self, m: VMap, incl: VMap) -> VMap:
         # fixed points keep their labels; make rejects a map that misses them
-        return VMap.make(m.source, incl.source, m.as_dict())
+        return VMap.make(m.source, incl.source, dict(m.fn))
 
     def copower(self, keys, c):
         return tuple((k, l) for k in keys for l in c)
@@ -153,9 +173,12 @@ class FinSSetCat:
     def compose(self, m2: SMap, m1: SMap) -> SMap:
         return compose_smaps(m2, m1)
 
-    def maps_equal(self, a: SMap, b: SMap) -> bool:  # endpoints as compose_smaps sees them
-        return smaps_equal(a, b) and all((x.dim_of, x.faces) == (y.dim_of, y.faces)
-                                         for x, y in ((a.source, b.source), (a.target, b.target)))
+    def same_value(self, x: GSSet, y: GSSet) -> bool:  # as compose_smaps sees them
+        return x is y or (x.dim_of, x.faces) == (y.dim_of, y.faces)
+
+    def maps_equal(self, a: SMap, b: SMap) -> bool:
+        return (smaps_equal(a, b) and self.same_value(a.source, b.source)
+                and self.same_value(a.target, b.target))
 
     def is_iso(self, m: SMap) -> bool:
         return m.is_iso()
@@ -220,21 +243,29 @@ class ChainCat:
     def compose(self, m2: ChainMap, m1: ChainMap) -> ChainMap:
         return compose_chain_maps(m2, m1)
 
+    def same_value(self, a: ChainComplex, b: ChainComplex) -> bool:
+        return a is b or (a.ring == b.ring and a.ranks == b.ranks
+                          and all(a.d(n) == b.d(n) for n in range(1, a.top + 1)))
+
     def maps_equal(self, a: ChainMap, b: ChainMap) -> bool:
         return chain_maps_equal(a, b)
 
     def is_iso(self, m: ChainMap) -> bool:
+        degrees = range(max(m.source.top, m.target.top) + 1)
+        if m.sel is not None:  # a permutation of the basis in every degree
+            return all(_permutation(m, n) is not None for n in degrees)
         return all(is_invertible(m.mat(n)) and m.source.rank(n) == m.target.rank(n)
-                   for n in range(max(m.source.top, m.target.top) + 1))
+                   for n in degrees)
 
     def gobject(self, group: Group, carrier: ChainComplex, action_maps) -> ChainComplex:
-        rep = {g: {n: action_maps[g].mat(n) for n in range(carrier.top + 1)}
-               for g in group.elements()}
-        perms = [tuple(_permutation(rep[g][n]) for g in rep) for n in range(carrier.top + 1)]
+        perms = [tuple(_permutation(action_maps[g], n) for g in group.elements())
+                 for n in range(carrier.top + 1)]
         diffs = {n: carrier.d(n) for n in range(1, carrier.top + 1)}
         if all(None not in ps for ps in perms):  # kept, and validated, as permutations
             return ChainComplex.permuted(carrier.ring, carrier.ranks, diffs, group,
                                          [GSet(group, len(ps[0]), ps) for ps in perms])
+        rep = {g: {n: action_maps[g].mat(n) for n in range(carrier.top + 1)}
+               for g in group.elements()}
         return ChainComplex(carrier.ring, carrier.ranks, diffs, group=group, rep=rep)
 
     def fixed(self, x: ChainComplex, h: Subgroup) -> ChainMap:
@@ -242,6 +273,9 @@ class ChainCat:
 
     def action_as_map(self, x: ChainComplex, g: int) -> ChainMap:
         plain = x.forget_action()
+        if x.action is not None:  # g sends j to act[g][j]: row i's 1 is at act[g^-1][i]
+            return ChainMap.of_bases(plain, plain, {n: a.act[x.group.inv[g]]
+                                                    for n, a in enumerate(x.action)})
         return ChainMap(plain, plain, {n: x.rep_mat(g, n)
                                        for n in range(x.top + 1)}, validate=False)
 
@@ -260,14 +294,15 @@ class ChainCat:
                             validate=False)
 
     def copower_remap(self, src, tgt, to, c: ChainComplex) -> ChainMap:
-        mats = {}
+        if len(set(to)) != len(to):  # then a row of the matrix would hold two 1s
+            raise ValueError("copower_remap needs distinct copies to go to distinct copies")
+        sel = {}
         for n in range(c.top + 1):
-            m = mats[n] = Mat.zeros(self.ring, tgt.rank(n), src.rank(n))
-            r = c.rank(n)
+            rows, r = [None] * tgt.rank(n), c.rank(n)
             for p, q in enumerate(to):
-                for j in range(r):
-                    m.rows[q * r + j][p * r + j] = self.ring.one
-        return ChainMap(src, tgt, mats, validate=False)
+                rows[q * r:(q + 1) * r] = range(p * r, (p + 1) * r)
+            sel[n] = tuple(rows)
+        return ChainMap.of_bases(src, tgt, sel)
 
     def tensor(self, orbit: GSet, c: ChainComplex) -> ChainComplex:
         plain = self.copower(range(orbit.size), c)
@@ -284,15 +319,20 @@ class ChainCat:
         return len(orbits(orbit.act, h.members))
 
 
-def _permutation(m: Mat):
-    """Where m sends each basis index if it is a permutation matrix, else None."""
-    img = [None] * m.ncols
-    for i, row in enumerate(m.rows):
-        nz = [j for j, v in enumerate(row) if v]
-        if len(nz) != 1 or row[nz[0]] != m.ring.one or img[nz[0]] is not None:
+def _permutation(f: ChainMap, n: int):
+    """Where f sends each basis index in degree n if it permutes the basis, else None."""
+    if f.sel is not None:
+        rows, ncols = f.sel.get(n, ()), f.source.rank(n)
+    else:  # the column of each row's one 1, if it has exactly one
+        m = f.mat(n)
+        rows, ncols = [nz[0] if len(nz) == 1 and row[nz[0]] == m.ring.one else None
+                       for row in m.rows for nz in [[j for j, v in enumerate(row) if v]]], m.ncols
+    img = [None] * ncols
+    for i, j in enumerate(rows):
+        if j is None or img[j] is not None:
             return None
-        img[nz[0]] = i
-    return tuple(img) if m.nrows == m.ncols else None
+        img[j] = i
+    return tuple(img) if len(rows) == ncols else None
 
 
 # ---------------------------------------------------------------------------
@@ -319,31 +359,25 @@ class OrbitDiagram:
         return self.maps[(i, j, m.rep)]
 
     def check_functorial(self):
-        """F(id) = id, and F(b a) = F(a) F(b) for a an identity or a generator.
-
-        By induction on a's length in the generators (see ``OrbitCategory``)
-        this gives every composable pair. The pairs with a an identity check
-        each map's target against the values; as ``maps_equal`` compares
-        endpoints, the induction carries the sources too. Hence this accepts
-        exactly the diagrams that pass on every composable pair.
+        """F(R) runs from the value at R's target to the one at its source
+        (``same_value``, as chain ``maps_equal`` compares matrices only),
+        F(id) = id, and F(b a) = F(a) F(b) for a a generator. By induction on
+        a's length in the generators (see ``OrbitCategory``) the law then holds
+        for every composable pair, so this accepts exactly the diagrams whose
+        maps run between the values and that pass on every pair.
         """
-        vc = self.vcat
-        cat = self.cat
-        idents = [cat.identity(h) for h in cat.family]
-        for i, ident in enumerate(idents):
-            if not vc.maps_equal(self.structure_map(ident), vc.identity(self.values[i])):
+        vc, fam, values, maps = self.vcat, self.cat.family, self.values, self.maps
+        for (i, j, rep), f in maps.items():
+            if not (vc.same_value(f.source, values[j]) and vc.same_value(f.target, values[i])):
+                raise ValueError(f"the structure map of {OrbitMorphism(fam[i], fam[j], rep)!r} "
+                                 "does not run between the values at its ends")
+        for i in range(len(fam)):
+            if not vc.maps_equal(maps[(i, i, 0)], vc.identity(values[i])):
                 raise ValueError(f"identity of object {i} is not the identity map")
-        for m1 in idents + list(cat.generators):
-            i, j = cat.object_index(m1.source), cat.object_index(m1.target)
-            f1 = self.maps[(i, j, m1.rep)]
-            for l in range(len(cat.family)):
-                for m2 in cat.hom[(j, l)]:
-                    # m2 o m1 runs from object i to object l
-                    lhs = self.maps[(i, l, compose_morphisms(m2, m1).rep)]
-                    rhs = vc.compose(f1, self.maps[(j, l, m2.rep)])
-                    if not vc.maps_equal(lhs, rhs):
-                        raise ValueError(
-                            f"functoriality fails at {m2!r} o {m1!r}")
+        for i, j, l, a, b, ba in self.cat.functoriality_pairs:  # R_b o R_a runs from i to l
+            if not vc.maps_equal(maps[(i, l, ba)], vc.compose(maps[(i, j, a)], maps[(j, l, b)])):
+                raise ValueError(f"functoriality fails at {OrbitMorphism(fam[j], fam[l], b)!r}"
+                                 f" o {OrbitMorphism(fam[i], fam[j], a)!r}")
 
 
 def _trivial_index(cat: OrbitCategory) -> int:
@@ -361,11 +395,11 @@ def i_upper(t: OrbitDiagram):
     return t.vcat.gobject(t.cat.group, t.values[e_idx], action_maps)
 
 
-def _corestrict(vcat, m, incl, what: str):
+def _corestrict(vcat, m, incl, what):
     try:  # every caller's map lands in the subobject, or orbitkit has a bug
         return vcat.corestrict(m, incl)
-    except (ValueError, InternalError) as exc:
-        raise InternalError(f"{what}: {exc}") from exc
+    except (ValueError, InternalError) as exc:  # what() words the failure
+        raise InternalError(f"{what()}: {exc}") from exc
 
 
 def i_lower(x, cat: OrbitCategory, vcat, fixed=None) -> OrbitDiagram:
@@ -378,8 +412,8 @@ def i_lower(x, cat: OrbitCategory, vcat, fixed=None) -> OrbitDiagram:
         for m in ms:
             maps[(i, j, m.rep)] = _corestrict(
                 vcat, vcat.compose(act[m.rep], fixed[j]), fixed[i],
-                f"the translation by {m.rep} must map {m.target.label}-fixed points "
-                f"to {m.source.label}-fixed points")
+                lambda: f"the translation by {m.rep} must map {m.target.label}-fixed points "
+                        f"to {m.source.label}-fixed points")
     return OrbitDiagram(cat, vcat, {i: f.source for i, f in enumerate(fixed)}, maps)
 
 
@@ -463,7 +497,7 @@ def adjunction_check(t: OrbitDiagram, x) -> AdjunctionReport:
     for i, h in enumerate(cat.family):
         eps_fixed = _corestrict(
             vcat, vcat.compose(eps_x, fixed_lhs[i]), fixed_x[i],
-            f"the counit must send {h.label}-fixed points to fixed points")
+            lambda: f"the counit must send {h.label}-fixed points to fixed points")
         comp = vcat.compose(eps_fixed, units_dx[i])
         if not vcat.maps_equal(comp, vcat.identity(d_x.values[i])):
             tri_right = False
@@ -491,7 +525,14 @@ class CellularityReport:
         return out
 
 
-def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat) -> CellularityReport:
+def coset_cell(g: Group, k: Subgroup, a, vcat) -> tuple:
+    """G/K, G/K (x) a and the copower of a over G/K: for ``cellularity_report``."""
+    gk = coset_gset(g, k)
+    return gk, vcat.tensor(gk, a), vcat.copower(range(gk.size), a)
+
+
+def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat,
+                       cell=None) -> CellularityReport:
     """Compute both sides of the fixed-points-of-cells comparison.
 
     The left side is the copower of ``a`` by the H-fixed cosets of G/K;
@@ -499,13 +540,13 @@ def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat) -> Cellulari
     ``a`` over all of G/K with its translation action.  For chain values
     the H-orbit count of G/K is reported alongside: the right side is a
     copy of ``a`` per orbit, the left side one per fixed coset, which is
-    why the comparison can fail for modules.
+    why the comparison can fail for modules.  ``cell``, if given, is
+    ``coset_cell(g, k, a, vcat)``.
     """
-    gk = coset_gset(g, k)
+    gk, tensor, copower = cell or coset_cell(g, k, a, vcat)
     fixed = list(orbit_analysis(gk, h).fixed)
-    into_all = vcat.copower_remap(vcat.copower(fixed, a),
-                                  vcat.copower(range(gk.size), a), fixed, a)
-    comparison = vcat.corestrict(into_all, vcat.fixed(vcat.tensor(gk, a), h))
+    into_all = vcat.copower_remap(vcat.copower(fixed, a), copower, fixed, a)
+    comparison = vcat.corestrict(into_all, vcat.fixed(tensor, h))
     return CellularityReport(vcat.value_descriptor(comparison.source),
                              vcat.value_descriptor(comparison.target),
                              vcat.is_iso(comparison), len(fixed),

@@ -96,6 +96,14 @@ class OrbitCategory:
                     todo += [compose(x, y) for y in into[x.source.members]]
         return tuple(gens)
 
+    @cached_property
+    def functoriality_pairs(self) -> tuple[tuple[int, ...], ...]:
+        """(i, j, l, a, b, c) for each generator R_a: G/H_i -> G/H_j and each
+        R_b: G/H_j -> G/H_l, with R_c = R_b o R_a; made once, read by every diagram."""
+        return tuple((i, j, l, a.rep, b.rep, compose(b, a).rep) for a in self.generators
+                     for i, j in [(self.object_index(a.source), self.object_index(a.target))]
+                     for l in range(len(self.family)) for b in self.hom[(j, l)])
+
     def to_json(self) -> dict:
         objects = [h.label for h in self.family]
         hom = {}

@@ -14,9 +14,10 @@ from orbitkit.chains import ChainComplex, ChainMap, chain_maps_equal, \
     restrict_to_invariants, zero_complex
 from hypothesis import given, settings, strategies as st
 
+from orbitkit.elmendorf import ChainCat
 from orbitkit.errors import InternalError
 from orbitkit.exactla import Mat
-from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup, \
+from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, full_subgroup, \
     symmetric_group, trivial_subgroup
 from orbitkit.gsets import coset_gset, make_gset, regular_gset, trivial_gset
 from orbitkit.rings import PrimeField, QQ, ZZ
@@ -498,6 +499,99 @@ def test_orbit_sum_differential_is_the_dense_product(group, data, base, n):
                 (k0, p0), (k1, _) = ks[m - 1], ks[m]
                 assert inv.d(m) == p0 @ (c.d(m) @ k1)
                 assert k0 @ inv.d(m) == c.d(m) @ k1
+
+
+def _dense(f: ChainMap, coords: bool = False) -> ChainMap:
+    """f with its matrices only, so every operation on it takes the Mat path;
+    with ``coords``, an inclusion from ``invariants`` keeps P as a list of Mats."""
+    d = ChainMap(f.source, f.target, {n: f.mat(n) for n in range(f.top + 1)}, validate=False)
+    if coords:
+        d.coords = list(f.coords)
+    return d
+
+
+def _same_mats(f: ChainMap, g: ChainMap) -> bool:
+    return all(f.mat(n) == g.mat(n) for n in range(max(f.top, g.top) + 1))
+
+
+def _copower_remap_reference(ring, c, src, tgt, to) -> dict:
+    """Test-side matrices: copy p of c goes to copy to[p], non-injective or not."""
+    mats = {}
+    for n in range(c.top + 1):
+        r, m = c.rank(n), mats.setdefault(n, Mat.zeros(ring, tgt.rank(n), src.rank(n)))
+        for p, q in enumerate(to):
+            for j in range(r):
+                m.rows[q * r + j][p * r + j] = m.rows[q * r + j][p * r + j] + ring.one
+    return mats
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.sampled_from([cyclic_group(4), symmetric_group(3), dihedral_group(4)]),
+       data=st.data(), base=st.sampled_from([standard_simplex, boundary_simplex]),
+       n=st.integers(0, 2), ring=st.sampled_from([ZZ, QQ, PrimeField(2)]))
+def test_maps_of_bases_agree_with_the_matrix_path(group, data, base, n, ring):
+    # identities, actions, orbit-sum inclusions and copower remaps keep index
+    # tuples; compose, maps_equal, corestrict, is_iso and mat(n) must give what
+    # the same maps given as matrices give
+    subgroups = all_subgroups(group)
+    x = gtensor(coset_gset(group, data.draw(st.sampled_from(subgroups))), base(n))
+    c, vc = normalized_chains(x, ring), ChainCat(ring)
+    gs = data.draw(st.lists(st.sampled_from(group.elements()), min_size=1, max_size=3))
+    hs = data.draw(st.lists(st.sampled_from(subgroups), min_size=1, max_size=3))
+    ident, acts = identity_chain_map(c), [vc.action_as_map(c, g) for g in gs]
+    incls = [invariants(c, h)[1] for h in hs]
+    for f, g in zip(acts, gs):
+        assert all(f.mat(m) == c.rep_mat(g, m) for m in range(c.top + 1))
+    assert all(ident.mat(m) == Mat.identity(ring, c.rank(m)) for m in range(c.top + 1))
+    for incl, h in zip(incls, hs):
+        ks = [_orbit_sum_inclusion(c, h, m) for m in range(c.top + 1)]
+        assert [incl.mat(m) for m in range(c.top + 1)] == [k for k, _ in ks]
+        assert list(incl.coords) == [p for _, p in ks]
+    ends = [ident] + acts  # maps c -> c
+    maps = ends + incls + [vc.compose(a, i) for a in acts for i in incls]
+    assert all(f.sel is not None for f in maps)
+    for a in ends:
+        for b in maps:
+            comp = vc.compose(a, b)
+            assert comp.sel is not None and _same_mats(comp, vc.compose(_dense(a), _dense(b)))
+    for a in maps:
+        assert vc.is_iso(a) == vc.is_iso(_dense(a))
+        for b in maps:
+            assert vc.maps_equal(a, b) == vc.maps_equal(_dense(a), _dense(b))
+        for incl in incls:
+            if a.target.ranks != c.ranks:
+                continue  # only maps into c factor through an inclusion into c
+            try:
+                got = corestrict(a, incl)
+            except InternalError:
+                got = None
+            try:
+                want = corestrict(_dense(a), _dense(incl, coords=True))
+            except InternalError:
+                want = None
+            assert (got is None) == (want is None)
+            assert got is None or (got.sel is not None and _same_mats(got, want))
+    # copower remaps: copies must go to distinct copies, else a Mat or a refusal
+    k = data.draw(st.integers(0, 3))
+    to = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    src, tgt = vc.copower(range(k), c), vc.copower(range(4), c)
+    ref = ChainMap(src, tgt, _copower_remap_reference(ring, c, src, tgt, to))
+    try:
+        remap = vc.copower_remap(src, tgt, to, c)
+    except ValueError:
+        assert len(set(to)) < len(to)
+    else:
+        assert _same_mats(remap, ref)
+        assert vc.is_iso(remap) == vc.is_iso(_dense(remap))
+
+
+def test_copower_remap_never_overwrites_a_copy():
+    """Two copies sent to one: refused, since a map of bases has one 1 per row."""
+    c = normalized_chains(standard_simplex(1), ZZ)
+    vc = ChainCat(ZZ)
+    src, tgt = vc.copower(range(2), c), vc.copower(range(2), c)
+    with pytest.raises(ValueError, match="distinct copies"):
+        vc.copower_remap(src, tgt, [0, 0], c)
 
 
 BAD_CHAIN_COMPLEXES = {

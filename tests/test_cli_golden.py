@@ -44,6 +44,9 @@ EXTRA = {
     "homology-moore-z6-q": "homology --sset fixtures/moore_z6.json --ring Q",
     "elmendorf-s3-q": "elmendorf --group fixtures/s3.json --family all --ring Q",
     "elmendorf-d4": "elmendorf --group fixtures/d4.json --family all",
+    "elmendorf-d4-z": "elmendorf --group fixtures/d4.json --family all --ring Z",
+    "elmendorf-d4-sset": "elmendorf --group fixtures/d4.json --family all"
+                         " --sset delta:1",
     "elmendorf-c2-sset": "elmendorf --group fixtures/c2.json --family all"
                          " --sset delta:1",
     "census-d4": "census --group fixtures/d4.json --family all",

@@ -369,35 +369,44 @@ def test_check_on_generators_agrees_with_the_full_scan(g, family):
     assert (True, False, False) in verdicts and (False, True, False) in verdicts
 
 
-def test_check_composes_the_identity_and_generator_pairs_once_each(monkeypatch):
-    """C2 x C4 with every subgroup: 20 generators, 142 + 62 pairs instead of 490."""
+def test_check_composes_each_generator_pair_once_and_no_identity_pair(monkeypatch):
+    """C2 x C4 with every subgroup: 20 generators, 142 pairs instead of 490, and no
+    identity pair: each structure map's source and target are compared with the
+    values once each instead."""
     from orbitkit.groups import direct_product
     g = direct_product(cyclic_group(2), cyclic_group(4))
     cat = build_orbit_category(g, all_subgroups(g))
     d = free_cell_diagram(cat, cat.family[0], ("a",), FinSetCat())
     by_map = {id(f): m for m in cat.all_morphisms() for f in [d.structure_map(m)]}
-    seen = []
-    real = FinSetCat.compose
+    seen, compared = [], []
+    real, real_same = FinSetCat.compose, FinSetCat.same_value
 
     def counted(self, second, first):  # check_functorial composes F(a) after F(b)
         seen.append((by_map[id(second)], by_map[id(first)]))
         return real(self, second, first)
 
+    def counted_same(self, a, b):
+        compared.append((id(a), id(b)))
+        return real_same(self, a, b)
+
     monkeypatch.setattr(FinSetCat, "compose", counted)
+    monkeypatch.setattr(FinSetCat, "same_value", counted_same)
     d.check_functorial()
-    firsts = [cat.identity(h) for h in cat.family] + list(cat.generators)
-    expect = [(a, b) for a in firsts for b in cat.all_morphisms()
+    expect = [(a, b) for a in cat.generators for b in cat.all_morphisms()
               if b.source.members == a.target.members]
-    assert len(cat.generators) == 20 and len(expect) == 142 + 62
+    assert len(cat.generators) == 20 and len(expect) == 142
     assert sorted(seen, key=repr) == sorted(expect, key=repr)
+    ends = [pair for (i, j, _), f in d.maps.items()
+            for pair in ((id(f.source), id(d.values[j])), (id(f.target), id(d.values[i])))]
+    assert len(ends) == 2 * len(list(cat.all_morphisms()))
+    assert sorted(compared) == sorted(ends)
 
 
 def test_finsset_maps_with_other_faces_are_refused():
     """A structure map whose source has the value's ids but not its faces is refused.
 
-    On a non-generator the check meets the map only as a composite F(m s); it
-    refuses it, as the scan of every pair does, because ``maps_equal``
-    compares endpoints.
+    On a non-generator, as the scan of every pair does; the check compares
+    each map's source with the value directly.
     """
     g = cyclic_group(4)
     cat = build_orbit_category(g, all_subgroups(g))
@@ -413,8 +422,48 @@ def test_finsset_maps_with_other_faces_are_refused():
     const = {s: d.maps[key].values[s] for s in src.ids()}
     maps = {**d.maps, key: SMap(flipped, d.maps[key].target, const, validate=False)}
     assert not full_scan_accepts(cat, vc, d.values, maps)
-    with pytest.raises(ValueError, match="functoriality"):
+    with pytest.raises(ValueError, match="does not run between the values"):
         OrbitDiagram(cat, vc, d.values, maps)
+
+
+def test_chain_maps_from_a_complex_with_another_differential_are_refused():
+    """On the C2 free cells of disk(Z, 1), each structure map given a source
+    with the value's ranks and matrices but d doubled is refused, also under -O
+    (``maps_equal`` compares matrices only, so this is the endpoint check)."""
+    script = textwrap.dedent("""
+        import sys
+        from orbitkit.chains import ChainComplex, ChainMap, disk
+        from orbitkit.elmendorf import ChainCat, OrbitDiagram, free_cell_diagram
+        from orbitkit.groups import all_subgroups, cyclic_group
+        from orbitkit.orbitcat import build_orbit_category
+        from orbitkit.rings import ZZ
+        g = cyclic_group(2)
+        cat = build_orbit_category(g, all_subgroups(g))
+        vc, refused = ChainCat(ZZ), 0
+        for k in cat.family:
+            t = free_cell_diagram(cat, k, disk(ZZ, 1), vc)
+            for key, f in t.maps.items():
+                if f.source.d(1).is_zero():
+                    continue  # doubling changes nothing
+                doubled = ChainComplex(ZZ, f.source.ranks, {1: f.source.d(1).scale(2)})
+                bad = ChainMap(doubled, f.target, {n: f.mat(n) for n in range(f.top + 1)},
+                               validate=False)
+                try:
+                    OrbitDiagram(cat, vc, t.values, {**t.maps, key: bad})
+                except ValueError as exc:
+                    if "does not run between the values" not in str(exc):
+                        sys.exit(f"wrong error: {exc}")
+                    refused += 1
+                else:
+                    sys.exit(f"accepted a map from another complex at {key}")
+        sys.exit(0 if refused == 6 else f"refused {refused} mutants, want 6")
+    """)
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, (flags, proc.stderr)
 
 
 # ---------------------------------------------------------------------------

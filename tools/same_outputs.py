@@ -2,7 +2,7 @@
 
     python3 tools/same_outputs.py <parent_src> <change_src> --seed 7
 
-Runs three sets of cases, each in a fresh ``python3 -m orbitkit.cli``
+Runs four sets of cases, each in a fresh ``python3 -m orbitkit.cli``
 process against each tree, once with the default text output and once with
 ``--format json``:
 
@@ -15,9 +15,13 @@ process against each tree, once with the default text output and once with
 * ``whitehead`` prism end inclusions (``PRISMS``) over each of ``RINGS``
   (Z, F_2 and F_3), written by this tool with orbitkit's constructors and
   no relabelling, so that a change of pivot tie-break over Z, or any
-  change to the F_p elimination that alters a certificate, shows.
+  change to the F_p elimination that alters a certificate, shows;
+* ``elmendorf --family all`` (``ELMENDORF``) on S4 as finite sets, over Z
+  and with the cell Delta[1], and on D8 over Z, groups written by this tool
+  with orbitkit's constructors: larger than the benchmark's C2 x C4.
 
-At seeds 7 and 3 that is 158 jobs (132 benchmark, 17 golden, 9 prism), so 316 runs.
+At seeds 7 and 3 that is 164 jobs (132 benchmark, 19 golden, 9 prism,
+4 elmendorf), so 328 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.
@@ -39,6 +43,7 @@ BENCH, TESTS = os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")
 FORMATS = ((), ("--format", "json"))
 PRISMS = ((2, 1), (3, 1), (4, 1))  # C_m/e x Delta[n]
 RINGS = ("Z", "Fp:2", "Fp:3")
+ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--sset", "delta:1"))), ("D8", (("--ring", "Z"),)))
 
 
 def benchmark_jobs(seed: int, outdir: str):
@@ -57,30 +62,44 @@ def golden_cases():
             for name, line in RUNS.items()]
 
 
+def write(outdir: str, name: str, data) -> str:
+    path = os.path.join(outdir, name + ".json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    return path
+
+
 def prism_cases(outdir: str):
     """("prism", name, argv) for unrelabelled prism end inclusions, written under outdir."""
     from orbitkit.groups import cyclic_group, trivial_subgroup
     from orbitkit.gsets import coset_gset
     from orbitkit.simplicial import gtensor, prism, sset_to_json, standard_simplex
 
-    def write(name, data):
-        path = os.path.join(outdir, name + ".json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-        return path
-
     out = []
     for m, n in PRISMS:
         g = cyclic_group(m)
         end0 = prism(gtensor(coset_gset(g, trivial_subgroup(g)), standard_simplex(n))).end0
         name = f"C{m}/e x Delta[{n}]"
-        group = write(f"group_C{m}", {"order": g.order, "mult": g.mult})
-        smap = write(f"prism_C{m}_{n}", {
+        group = write(outdir, f"group_C{m}", {"order": g.order, "mult": g.mult})
+        smap = write(outdir, f"prism_C{m}_{n}", {
             "source": sset_to_json(end0.source), "target": sset_to_json(end0.target),
             "values": {str(x): [r.base, list(r.word)] for x, r in sorted(end0.values.items())}})
         out += [("prism", f"{name} over {ring}", ["whitehead", "--group", group, "--map", smap,
                                                    "--family", "all", "--ring", ring])
                 for ring in RINGS]
+    return out
+
+
+def elmendorf_cases(outdir: str):
+    """("elmendorf", name, argv) for ``ELMENDORF``, groups written under outdir."""
+    from orbitkit.groups import dihedral_group, symmetric_group
+    groups = {"S4": symmetric_group(4), "D8": dihedral_group(8)}
+    out = []
+    for name, variants in ELMENDORF:
+        g = groups[name]
+        group = write(outdir, f"group_{name}", {"order": g.order, "mult": g.mult})
+        out += [("elmendorf", f"{name} {' '.join(v) or 'as finite sets'}",
+                 ["elmendorf", "--group", group, "--family", "all", *v]) for v in variants]
     return out
 
 
@@ -100,7 +119,8 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.abspath(args.parent_src), os.path.abspath(BENCH),
                     os.path.abspath(TESTS)]
     with tempfile.TemporaryDirectory() as tmp:
-        jobs = benchmark_jobs(args.seed, tmp) + golden_cases() + prism_cases(tmp)
+        jobs = (benchmark_jobs(args.seed, tmp) + golden_cases() + prism_cases(tmp)
+                + elmendorf_cases(tmp))
         cases = [(kind, name, fmt) for kind, name, _ in jobs for fmt in FORMATS]
         argvs = [argv + list(fmt) for _, _, argv in jobs for fmt in FORMATS]
         with ThreadPoolExecutor(2) as pool:
