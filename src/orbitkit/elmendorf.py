@@ -48,9 +48,9 @@ from .chains import ChainComplex, ChainMap, chain_maps_equal, compose_chain_maps
 from .errors import InternalError
 from .exactla import Mat, is_invertible
 from .groups import Group, Subgroup
-from .gsets import GSet, coset_gset, make_gset, orbit_analysis, orbits, product_gset, \
+from .gsets import GSet, coset_gset, fixed_points, make_gset, orbits, product_gset, \
     trivial_gset
-from .orbitcat import OrbitCategory, OrbitMorphism, compose as compose_morphisms
+from .orbitcat import OrbitCategory, OrbitMorphism, composite_rep
 from .simplicial import GSSet, SMap, SimplexRef, TRIVIAL_GROUP, disjoint_copies, \
     fixed_sset, gtensor, identity_smap, compose_smaps, smaps_equal
 
@@ -132,7 +132,7 @@ class FinSetCat:
         return FinSetObj(make_gset(group, perms), tuple(carrier))
 
     def fixed(self, x: FinSetObj, h: Subgroup) -> VMap:
-        src = tuple(x.labels[p] for p in orbit_analysis(x.gset, h).fixed)
+        src = tuple(x.labels[p] for p in fixed_points(x.gset, h))
         return VMap.make(src, x.labels, {l: l for l in src})
 
     def action_as_map(self, x: FinSetObj, g: int) -> VMap:
@@ -422,11 +422,12 @@ def free_cell_diagram(cat: OrbitCategory, k: Subgroup, c, vcat) -> OrbitDiagram:
     k_idx = cat.object_index(k)
     # a morphism is keyed by its rep, which is unique within its hom set
     keys = {i: [mk.rep for mk in cat.hom[(i, k_idx)]] for i in range(len(cat.family))}
+    position = {i: {r: p for p, r in enumerate(reps)} for i, reps in keys.items()}
     values = {i: vcat.copower(keys[i], c) for i in range(len(cat.family))}
     maps = {}
     for (i, j), ms in sorted(cat.hom.items()):
         for m in ms:  # copy mk of c in values[j] goes to copy mk o m in values[i]
-            to = [keys[i].index(compose_morphisms(mk, m).rep) for mk in cat.hom[(j, k_idx)]]
+            to = [position[i][composite_rep(k, m.rep, b)] for b in keys[j]]
             maps[(i, j, m.rep)] = vcat.copower_remap(values[j], values[i], to, c)
     return OrbitDiagram(cat, vcat, values, maps)
 
@@ -544,7 +545,7 @@ def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat,
     ``coset_cell(g, k, a, vcat)``.
     """
     gk, tensor, copower = cell or coset_cell(g, k, a, vcat)
-    fixed = list(orbit_analysis(gk, h).fixed)
+    fixed = list(fixed_points(gk, h))
     into_all = vcat.copower_remap(vcat.copower(fixed, a), copower, fixed, a)
     comparison = vcat.corestrict(into_all, vcat.fixed(tensor, h))
     return CellularityReport(vcat.value_descriptor(comparison.source),

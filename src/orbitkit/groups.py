@@ -6,7 +6,7 @@ indexes into these tables, so construction validates associativity,
 identity, and inverses exhaustively; actions are then checked on the
 small generating set ``generators`` (``check_action_laws``).  Group order
 is capped (default 64); this is a desk-scale toolkit and all searches are
-brute force on purpose.
+exhaustive on purpose.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def label(self) -> str:
         """Stable text key: comma-joined sorted members."""
         return ",".join(str(m) for m in self.members)
@@ -247,41 +247,41 @@ def full_subgroup(g: Group) -> Subgroup:
 
 
 def _closure(g: Group, seed) -> frozenset:
-    els = set(seed) | {0}
-    frontier = list(els)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(els):
-                for c in (g.mult[x][y], g.mult[y][x], g.inv[x]):
-                    if c not in els:
-                        els.add(c)
-                        nxt.append(c)
-        frontier = nxt
+    """The subgroup generated by seed: a search from 0 by right multiplication
+    with its members (in a finite group, their products form a subgroup)."""
+    steps = [s for s in set(seed) if s]
+    els, todo = {0}, [0]
+    for x in todo:  # grows while it is read
+        row = g.mult[x]
+        for s in steps:
+            if row[s] not in els:
+                els.add(row[s])
+                todo.append(row[s])
     return frozenset(els)
 
 
 def all_subgroups(g: Group, max_order: int = DEFAULT_ORDER_BOUND) -> list[Subgroup]:
     """Every subgroup exactly once, sorted by size then membership.
 
-    Computed by closing the cyclic subgroups under pairwise join; valid
-    because any subgroup is the join of the cyclic subgroups of its
-    elements.
+    A search from {e}: each subgroup H found is extended to <H, x> by one x
+    from each left coset xH other than H (the join depends on xH only).
+    Every subgroup is reached, as it is generated by a chain of its elements
+    x_1, ..., x_n with each <x_1, ..., x_i> an extension of the one before.
     """
     if g.order > max_order:
         raise ValueError(f"group order {g.order} exceeds the bound {max_order}")
-    found = {_closure(g, [x]) for x in g.elements()}
-    frontier = set(found)
-    while frontier:
-        nxt = set()
-        for a in frontier:
-            for b in found:
-                j = _closure(g, a | b)
-                if j not in found and j not in nxt:
-                    nxt.add(j)
-        found |= nxt
-        frontier = nxt
-    out = [Subgroup(g, tuple(sorted(s))) for s in found]
+    seeds = {frozenset([0]): ()}  # each subgroup found, with a seed that generates it
+    todo = list(seeds)
+    for h in todo:
+        tried = set(h)
+        for x in g.elements():
+            if x not in tried:
+                tried.update(g.mult[x][y] for y in h)  # the coset xH
+                j = _closure(g, seeds[h] + (x,))
+                if j not in seeds:
+                    seeds[j] = seeds[h] + (x,)
+                    todo.append(j)
+    out = [Subgroup(g, tuple(sorted(s))) for s in seeds]
     out.sort(key=lambda h: (len(h.members), h.members))
     return out
 

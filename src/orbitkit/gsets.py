@@ -135,17 +135,25 @@ def orbits(perms, members) -> list[tuple[int, ...]]:
     return out
 
 
+def fixed_points(x: GSet, h: Subgroup) -> tuple[int, ...]:
+    """The points of x fixed by every member of h, in increasing order."""
+    if h.parent != x.group:
+        raise ValueError("subgroup of a different group")
+    points = range(x.size)
+    for a in h.members:
+        points = [p for p in points if x.act[a][p] == p]
+    return tuple(points)
+
+
 def orbit_analysis(x: GSet, h: Subgroup) -> OrbitReport:
     """Orbits of the full group action plus the H-fixed points.
 
     Stabilizers always refer to the whole group; the subgroup argument
     only selects which fixed-point set is reported.
     """
-    if h.parent != x.group:
-        raise ValueError("subgroup of a different group")
+    fixed = fixed_points(x, h)
     whole = tuple(Orbit(o[0], stabilizer(x.group, x.act, o[0]), o)
                   for o in orbits(x.act, x.group.elements()))
-    fixed = tuple(o[0] for o in orbits(x.act, h.members) if len(o) == 1)
     return OrbitReport(whole, fixed)
 
 
@@ -165,7 +173,7 @@ def equivariant_maps(source: GSet, target: GSet) -> list[GMap]:
         raise ValueError("source must be a transitive (coset) G-set")
     g = source.group
     h = stabilizer(g, source.act, 0)
-    fixed = orbit_analysis(target, h).fixed
+    fixed = fixed_points(target, h)
     # least group element moving the base point to each source point
     mover = {}
     for a in g.elements():

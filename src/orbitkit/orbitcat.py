@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .errors import InternalError
 from .groups import Group, Subgroup
-from .gsets import GMap, coset_gset, make_gmap, orbit_analysis
+from .gsets import GMap, coset_gset, fixed_points, make_gmap
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,10 @@ class OrbitMorphism:
         return f"R_{self.rep}[{{{self.source.label}}}->{{{self.target.label}}}]"
 
 
-def _least_coset_rep(k: Subgroup, a: int) -> int:
-    return k.cosets.reps[k.cosets.index[a]]
+def composite_rep(k: Subgroup, a: int, b: int) -> int:
+    """The rep of R_b o R_a into G/K: the least element of the coset abK."""
+    reps, index = k.cosets
+    return reps[index[k.parent.mult[a][b]]]
 
 
 def orbit_morphism(source: Subgroup, target: Subgroup, a: int) -> OrbitMorphism:
@@ -45,7 +47,7 @@ def orbit_morphism(source: Subgroup, target: Subgroup, a: int) -> OrbitMorphism:
     if not all(g.conjugate(a, x) in kset for x in source.members):
         raise ValueError(
             f"R_{a} is not a morphism: {a}^-1 H {a} is not inside K")
-    return OrbitMorphism(source, target, _least_coset_rep(target, a))
+    return OrbitMorphism(source, target, composite_rep(target, a, 0))  # R_0 o R_a = R_a
 
 
 class OrbitCategory:
@@ -78,29 +80,32 @@ class OrbitCategory:
     def generators(self) -> tuple[OrbitMorphism, ...]:
         """Greedy in increasing index |K|/|H|: keep each morphism not yet a
         composite of those kept. Indices multiply and the isomorphisms come
-        first, so no generator of index above 1 is a composite of the others."""
-        reached = {self.identity(h) for h in self.family}  # the empty composites
-        out_of = {h.members: [] for h in self.family}
-        into = {h.members: [] for h in self.family}
+        first, so no generator of index above 1 is a composite of the others.
+        Morphisms are closed up as (source index, target index, rep) triples."""
+        fam = self.family
+        reached = {(i, i, 0) for i in range(len(fam))}  # the empty composites
+        out_of, into = [[] for _ in fam], [[] for _ in fam]
         gens = []
-        for m in sorted(self.all_morphisms(), key=lambda m: m.target.order // m.source.order):
+        triples = [(i, j, m.rep) for (i, j), ms in sorted(self.hom.items()) for m in ms]
+        for m in sorted(triples, key=lambda t: fam[t[1]].order // fam[t[0]].order):
             todo = [] if m in reached else [m]
             gens += todo
             while todo:  # close up under composition with all that is reached
-                x = todo.pop()
+                x = i, j, a = todo.pop()
                 if x not in reached:
                     reached.add(x)
-                    out_of[x.source.members].append(x)
-                    into[x.target.members].append(x)
-                    todo += [compose(y, x) for y in out_of[x.target.members]]
-                    todo += [compose(x, y) for y in into[x.source.members]]
-        return tuple(gens)
+                    out_of[i].append(x)
+                    into[j].append(x)
+                    todo += [(i, l, composite_rep(fam[l], a, b)) for _, l, b in out_of[j]]
+                    todo += [(h, j, composite_rep(fam[j], c, a)) for h, _, c in into[i]]
+        return tuple(OrbitMorphism(fam[i], fam[j], a) for i, j, a in gens)
 
     @cached_property
     def functoriality_pairs(self) -> tuple[tuple[int, ...], ...]:
         """(i, j, l, a, b, c) for each generator R_a: G/H_i -> G/H_j and each
         R_b: G/H_j -> G/H_l, with R_c = R_b o R_a; made once, read by every diagram."""
-        return tuple((i, j, l, a.rep, b.rep, compose(b, a).rep) for a in self.generators
+        return tuple((i, j, l, a.rep, b.rep, composite_rep(self.family[l], a.rep, b.rep))
+                     for a in self.generators
                      for i, j in [(self.object_index(a.source), self.object_index(a.target))]
                      for l in range(len(self.family)) for b in self.hom[(j, l)])
 
@@ -116,9 +121,10 @@ class OrbitCategory:
         lines = []
         for m1 in self.all_morphisms():
             j = self.object_index(m1.target)
-            for l in range(len(self.family)):
+            for l, k in enumerate(self.family):
                 for m2 in self.hom[(j, l)]:
-                    lines.append(f"{m2!r} o {m1!r} = {compose(m2, m1)!r}")
+                    m = OrbitMorphism(m1.source, k, composite_rep(k, m1.rep, m2.rep))
+                    lines.append(f"{m2!r} o {m1!r} = {m!r}")
         return "\n".join(lines)
 
 
@@ -143,7 +149,7 @@ def build_orbit_category(g: Group, family) -> OrbitCategory:
                        if all(g.conjugate(a, x) in kset for x in h.members))
             cat.hom[(i, j)] = ms
             # cross-check against the fixed points of G/K, as sets of cosets
-            if {k.cosets.index[m.rep] for m in ms} != set(orbit_analysis(gk, h).fixed):
+            if {k.cosets.index[m.rep] for m in ms} != set(fixed_points(gk, h)):
                 raise InternalError(
                     f"hom({{{h.label}}},{{{k.label}}}) differs from (G/K)^H")
     return cat
@@ -153,9 +159,9 @@ def compose(second: OrbitMorphism, first: OrbitMorphism) -> OrbitMorphism:
     """R_b after R_a is R_{ab}: gH -> gaK -> gabL."""
     if first.target.members != second.source.members:
         raise ValueError("morphisms are not composable")
-    ab = first.source.parent.mult[first.rep][second.rep]
     # a composite of lawful morphisms is lawful, so only the reduction is left
-    return OrbitMorphism(first.source, second.target, _least_coset_rep(second.target, ab))
+    return OrbitMorphism(first.source, second.target,
+                         composite_rep(second.target, first.rep, second.rep))
 
 
 def realize(m: OrbitMorphism) -> GMap:

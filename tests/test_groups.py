@@ -3,11 +3,12 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitkit.groups import all_subgroups, conjugating_element, cyclic_group, \
     dihedral_group, direct_product, group_from_generators, group_from_table, \
-    left_cosets, make_group, subgroup, symmetric_group, trivial_subgroup, \
-    full_subgroup
+    klein_four_group, left_cosets, make_group, subgroup, symmetric_group, \
+    trivial_subgroup, full_subgroup
 
 
 def brute_force_subgroups(g):
@@ -85,6 +86,30 @@ def test_associativity_exhaustive_for_stock_groups():
                     assert g.mult[g.mult[x][y]][z] == g.mult[x][g.mult[y][z]]
 
 
+def groups_up_to_order_12():
+    """Every group of order at most 12 that the suite builds, each table once."""
+    small = [cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3),
+             dihedral_group(4), klein_four_group()]
+    groups = [*(cyclic_group(n) for n in range(1, 13)),
+              *(symmetric_group(n) for n in range(1, 4)),
+              *(dihedral_group(n) for n in range(2, 7)),
+              group_from_generators([[1, 2, 0, 3], [1, 0, 3, 2]], "A4"),
+              *(direct_product(a, b) for a in small for b in small
+                if a.order * b.order <= 12)]
+    return list(dict.fromkeys(groups))
+
+
+SMALL_GROUPS = groups_up_to_order_12()
+
+
+def power(g, k):
+    """The direct product of k copies of g."""
+    out = cyclic_group(1)
+    for _ in range(k):
+        out = direct_product(out, g)
+    return out
+
+
 @pytest.mark.parametrize("maker", [
     lambda: cyclic_group(1),
     lambda: cyclic_group(2),
@@ -95,6 +120,7 @@ def test_associativity_exhaustive_for_stock_groups():
     lambda: cyclic_group(6),
     lambda: cyclic_group(12),
     lambda: group_from_generators([[1, 2, 0, 3], [1, 0, 3, 2]], "A4"),
+    *(pytest.param(lambda g=g: g, id=repr(g)) for g in SMALL_GROUPS),
 ])
 def test_all_subgroups_matches_brute_force(maker):
     g = maker()
@@ -111,6 +137,50 @@ def test_all_subgroups_counts():
     sizes = sorted(len(h.members) for h in all_subgroups(symmetric_group(3)))
     assert sizes == [1, 2, 2, 2, 3, 6]
     assert len(all_subgroups(dihedral_group(4))) == 10
+
+
+def test_small_groups_include_the_named_ones():
+    tables = {g.mult for g in SMALL_GROUPS}
+    assert direct_product(cyclic_group(2), cyclic_group(4)).mult in tables
+    assert direct_product(klein_four_group(), cyclic_group(2)).mult in tables
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("k,count", enumerate([1, 2, 5, 16, 67, 374, 2825]))
+def test_elementary_abelian_2_groups_have_gaussian_binomial_counts(k, count):
+    # the sum over d of the Gaussian binomials [k choose d] at q = 2
+    assert len(all_subgroups(power(cyclic_group(2), k))) == count
+
+
+def test_closed_form_counts():
+    assert len(all_subgroups(power(cyclic_group(3), 3))) == 28  # 1 + 13 + 13 + 1
+    for n in range(3, 33):  # dihedral_group(2) acts on two vertices: it is C2
+        # D_n: a cyclic subgroup per divisor d of n, and n/d dihedral ones of order 2d
+        subs = all_subgroups(dihedral_group(n))
+        assert len(subs) == len(divisors(n)) + sum(divisors(n)), n
+    assert len(subs) == 69
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=st.sampled_from([symmetric_group(3), dihedral_group(4), dihedral_group(6),
+                          group_from_generators([[1, 2, 0, 3], [1, 0, 3, 2]], "A4"),
+                          direct_product(cyclic_group(2), cyclic_group(4)),
+                          direct_product(cyclic_group(2), symmetric_group(3))]),
+       data=st.data())
+def test_relabelling_the_elements_relabels_the_lattice(g, data):
+    perm = [0] + data.draw(st.permutations(range(1, g.order)))
+    table = [[0] * g.order for _ in g.elements()]
+    for x in g.elements():
+        for y in g.elements():
+            table[perm[x]][perm[y]] = perm[g.mult[x][y]]
+    subs = all_subgroups(g)
+    relabelled = all_subgroups(group_from_table(table))
+    assert sorted(h.order for h in relabelled) == sorted(h.order for h in subs)
+    assert {frozenset(h.members) for h in relabelled} == \
+        {frozenset(perm[x] for x in h.members) for h in subs}
 
 
 def test_all_subgroups_bound():

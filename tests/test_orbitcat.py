@@ -5,7 +5,8 @@ import pytest
 from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, \
     symmetric_group, trivial_subgroup, full_subgroup
 from orbitkit.gsets import coset_gset, orbit_analysis
-from orbitkit.orbitcat import build_orbit_category, compose, orbit_morphism, realize
+from orbitkit.orbitcat import OrbitMorphism, build_orbit_category, compose, \
+    orbit_morphism, realize
 
 
 def test_c2_hom_sizes():
@@ -125,16 +126,15 @@ def test_compose_matches_checked_constructor():
 
 def test_hom_cross_check_compares_sets(monkeypatch):
     # fixed points moved to other cosets of G/K keep their count but not their set
-    from types import SimpleNamespace
     import orbitkit.orbitcat as oc
     from orbitkit.errors import InternalError
-    real = oc.orbit_analysis
+    real = oc.fixed_points
 
     def shifted(x, h):
-        return SimpleNamespace(fixed=tuple((p + 1) % x.size for p in real(x, h).fixed))
+        return tuple((p + 1) % x.size for p in real(x, h))
 
     g = symmetric_group(3)
-    monkeypatch.setattr(oc, "orbit_analysis", shifted)
+    monkeypatch.setattr(oc, "fixed_points", shifted)
     with pytest.raises(InternalError, match="differs from"):
         build_orbit_category(g, all_subgroups(g))
 
@@ -225,3 +225,50 @@ def test_generators_close_up_to_every_morphism(g, family):
     # irredundant: no generator is a composite of all the other generators
     for s in gens:
         assert s not in composites_of(idents | set(gens) - {s})
+
+
+def reference_compose(second, first):
+    """R_b o R_a as R_c, c the least element of the coset abK, K the target."""
+    g = first.source.parent
+    ab = g.mult[first.rep][second.rep]
+    return OrbitMorphism(first.source, second.target,
+                         min(g.mult[ab][x] for x in second.target.members))
+
+
+def reference_generators(cat):
+    """The greedy closure of ``OrbitCategory.generators`` on morphism objects."""
+    reached = {cat.identity(h) for h in cat.family}
+    out_of = {h.members: [] for h in cat.family}
+    into = {h.members: [] for h in cat.family}
+    gens = []
+    for m in sorted(cat.all_morphisms(), key=lambda m: m.target.order // m.source.order):
+        todo = [] if m in reached else [m]
+        gens += todo
+        while todo:
+            x = todo.pop()
+            if x not in reached:
+                reached.add(x)
+                out_of[x.source.members].append(x)
+                into[x.target.members].append(x)
+                todo += [reference_compose(y, x) for y in out_of[x.target.members]]
+                todo += [reference_compose(x, y) for y in into[x.source.members]]
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("name", ["C2xC4", "D4", "A4", "D8", "S4"])
+def test_generators_and_pairs_match_the_morphism_closure(name):
+    from orbitkit.groups import direct_product, group_from_generators
+    g = {"C2xC4": lambda: direct_product(cyclic_group(2), cyclic_group(4)),
+         "D4": lambda: dihedral_group(4), "D8": lambda: dihedral_group(8),
+         "A4": lambda: group_from_generators([[1, 2, 0, 3], [1, 0, 3, 2]], "A4"),
+         "S4": lambda: symmetric_group(4)}[name]()
+    cat = build_orbit_category(g, all_subgroups(g))
+    gens = reference_generators(cat)
+    assert cat.generators == gens
+    pairs = tuple((cat.object_index(a.source), cat.object_index(a.target), l, a.rep, b.rep,
+                   reference_compose(b, a).rep)
+                  for a in gens for l in range(len(cat.family))
+                  for b in cat.hom[(cat.object_index(a.target), l)])
+    assert cat.functoriality_pairs == pairs
+    if name == "C2xC4":
+        assert len(pairs) == 142

@@ -17,11 +17,14 @@ process against each tree, once with the default text output and once with
   no relabelling, so that a change of pivot tie-break over Z, or any
   change to the F_p elimination that alters a certificate, shows;
 * ``elmendorf --family all`` (``ELMENDORF``) on S4 as finite sets, over Z
-  and with the cell Delta[1], and on D8 over Z, groups written by this tool
-  with orbitkit's constructors: larger than the benchmark's C2 x C4.
+  and with the cell Delta[1], and on D8 over Z: larger than the
+  benchmark's C2 x C4;
+* ``orbit-cat`` and ``census`` with ``--family all`` (``LATTICES``) on D32
+  and C4^3, order 64: subgroup lattices larger than the benchmark's.
 
-At seeds 7 and 3 that is 164 jobs (132 benchmark, 19 golden, 9 prism,
-4 elmendorf), so 328 runs.
+The groups of the last two sets are written by this tool with orbitkit's
+constructors. At seeds 7 and 3 that is 168 jobs (132 benchmark, 19 golden,
+9 prism, 4 elmendorf, 4 order64), so 336 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.
@@ -44,6 +47,7 @@ FORMATS = ((), ("--format", "json"))
 PRISMS = ((2, 1), (3, 1), (4, 1))  # C_m/e x Delta[n]
 RINGS = ("Z", "Fp:2", "Fp:3")
 ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--sset", "delta:1"))), ("D8", (("--ring", "Z"),)))
+LATTICES = ("D32", "C4^3")
 
 
 def benchmark_jobs(seed: int, outdir: str):
@@ -90,17 +94,27 @@ def prism_cases(outdir: str):
     return out
 
 
-def elmendorf_cases(outdir: str):
-    """("elmendorf", name, argv) for ``ELMENDORF``, groups written under outdir."""
-    from orbitkit.groups import dihedral_group, symmetric_group
-    groups = {"S4": symmetric_group(4), "D8": dihedral_group(8)}
-    out = []
-    for name, variants in ELMENDORF:
-        g = groups[name]
-        group = write(outdir, f"group_{name}", {"order": g.order, "mult": g.mult})
-        out += [("elmendorf", f"{name} {' '.join(v) or 'as finite sets'}",
-                 ["elmendorf", "--group", group, "--family", "all", *v]) for v in variants]
-    return out
+def stock_groups(outdir: str) -> dict:
+    """Name -> path of each group of ``ELMENDORF`` and ``LATTICES``, written under outdir."""
+    from orbitkit.groups import cyclic_group, dihedral_group, direct_product, symmetric_group
+    c4 = cyclic_group(4)
+    groups = {"S4": symmetric_group(4), "D8": dihedral_group(8), "D32": dihedral_group(32),
+              "C4^3": direct_product(direct_product(c4, c4), c4)}
+    return {name: write(outdir, f"group_{name}", {"order": g.order, "mult": g.mult})
+            for name, g in groups.items()}
+
+
+def elmendorf_cases(groups: dict):
+    """("elmendorf", name, argv) for ``ELMENDORF``; ``groups`` from ``stock_groups``."""
+    return [("elmendorf", f"{name} {' '.join(v) or 'as finite sets'}",
+             ["elmendorf", "--group", groups[name], "--family", "all", *v])
+            for name, variants in ELMENDORF for v in variants]
+
+
+def lattice_cases(groups: dict):
+    """("order64", name, argv) for ``orbit-cat`` and ``census`` on ``LATTICES``."""
+    return [("order64", f"{verb} {name}", [verb, "--group", groups[name], "--family", "all"])
+            for name in LATTICES for verb in ("orbit-cat", "census")]
 
 
 def run(src: str, argv) -> tuple:
@@ -119,8 +133,9 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.abspath(args.parent_src), os.path.abspath(BENCH),
                     os.path.abspath(TESTS)]
     with tempfile.TemporaryDirectory() as tmp:
+        groups = stock_groups(tmp)
         jobs = (benchmark_jobs(args.seed, tmp) + golden_cases() + prism_cases(tmp)
-                + elmendorf_cases(tmp))
+                + elmendorf_cases(groups) + lattice_cases(groups))
         cases = [(kind, name, fmt) for kind, name, _ in jobs for fmt in FORMATS]
         argvs = [argv + list(fmt) for _, _, argv in jobs for fmt in FORMATS]
         with ThreadPoolExecutor(2) as pool:
