@@ -23,7 +23,7 @@ from .chains import ChainComplex, ChainHomotopy, ChainMap, HomologyGroup, \
     invariants, is_quasi_iso, mapping_cone, normalized_chain_map, \
     normalized_chains, prism_homotopy, restrict_to_invariants, zero_complex
 from .elmendorf import AdjunctionReport, CellularityReport, CensusReport, ChainCat, \
-    FinSSetCat, FinSetCat, FinSetObj, OrbitDiagram, adjunction_check, \
+    FinSSetCat, FinSetCat, OrbitDiagram, adjunction_check, \
     arrow_poset_census, cellularity_report, free_cell_diagram, i_lower, i_upper
 from .errors import InternalError
 from .whitehead import Certificate, WhiteheadReport, certificate_search, \

@@ -355,7 +355,7 @@ def normalized_chains(x: GSSet, ring) -> ChainComplex:
 
 def normalized_chain_map(f: SMap, ring, cx: ChainComplex | None = None,
                          cy: ChainComplex | None = None) -> ChainMap:
-    """The induced map on normalized chains (degenerate images give zero)."""
+    """The induced map on normalized chains (a simplex sent to a degenerate one goes to zero)."""
     cx = cx or normalized_chains(f.source, ring)
     cy = cy or normalized_chains(f.target, ring)
     index_y = [{s: i for i, s in enumerate(b)} for b in cy.basis]

@@ -160,7 +160,7 @@ def cmd_elmendorf(args) -> int:
         cell = concentrated(vcat.ring, 0)
     else:
         vcat = elm.FinSetCat()
-        cell = ("*",)
+        cell = 1
     lines = []
     payload = {"adjunction": {}, "cellularity": {}}
     for k in family:
@@ -218,7 +218,7 @@ def make_parser() -> argparse.ArgumentParser:
                                 description="exact equivariant toolkit")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, group=False, family=False, sset=False, map_=False, ring=None):
+    def common(sp, group=False, family=False, sset=False, map_=False, ring=False):
         if group:
             sp.add_argument("--group", required=(group == "required"))
         if family:
@@ -230,10 +230,8 @@ def make_parser() -> argparse.ArgumentParser:
         if map_:
             sp.add_argument("--map", required=True,
                             help="simplicial map JSON file with inline source/target")
-        if ring == "required":
+        if ring:
             sp.add_argument("--ring", required=True, help="Z | Q | Fp:p")
-        elif ring:
-            sp.add_argument("--ring", default=None, help="Z | Q | Fp:p")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", default=None)
 
@@ -246,7 +244,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_fixed_points)
 
     sp = sub.add_parser("homology", help="equivariant homology table")
-    common(sp, group=True, family=True, sset="required", ring="required")
+    common(sp, group=True, family=True, sset="required", ring=True)
     sp.set_defaults(fn=cmd_homology)
 
     sp = sub.add_parser("cofib-check", help="family cofibration verdict")
@@ -258,13 +256,15 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_cells)
 
     sp = sub.add_parser("elmendorf", help="adjunction and cellularity reports")
-    common(sp, group="required", family=True, sset=False, ring=True)
-    sp.add_argument("--sset", default=None,
-                    help="cell object for the simplicial value category")
+    common(sp, group="required", family=True)
+    values = sp.add_mutually_exclusive_group()  # finite sets if neither is given
+    values.add_argument("--ring", default=None, help="Z | Q | Fp:p")
+    values.add_argument("--sset", default=None,
+                        help="cell object for the simplicial value category")
     sp.set_defaults(fn=cmd_elmendorf)
 
     sp = sub.add_parser("whitehead", help="hypotheses plus certificate search")
-    common(sp, group=True, family=True, map_=True, ring="required")
+    common(sp, group=True, family=True, map_=True, ring=True)
     sp.set_defaults(fn=cmd_whitehead)
 
     sp = sub.add_parser("census", help="arrow-poset diagram census")

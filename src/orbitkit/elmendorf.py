@@ -10,8 +10,10 @@ reports record whether they are isomorphisms, value by value.
 
 Three value categories are supported: finite sets (``FinSetCat``), finite
 plain simplicial sets (``FinSSetCat``), and chain complexes over an exact
-ring (``ChainCat``).  Every construction below is written once against the
-methods they all provide:
+ring (``ChainCat``).  A finite set is its size n, the points ``range(n)``,
+a map of finite sets (``VMap``) is the tuple of the images of those points,
+and a G-object in finite sets is a ``GSet``.  Every construction below is
+written once against the methods they all provide:
 
 * maps: ``identity``, ``compose``, ``maps_equal``, ``is_iso``; every map
   has a ``source`` and a ``target`` value, which ``same_value`` compares
@@ -41,7 +43,7 @@ since a diagram valued in 0 -> 1 is just a monotone truth assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .chains import ChainComplex, ChainMap, chain_maps_equal, compose_chain_maps, \
     corestrict, identity_chain_map, invariants
@@ -59,104 +61,67 @@ from .simplicial import GSSet, SMap, SimplexRef, TRIVIAL_GROUP, disjoint_copies,
 # finite sets
 
 
-@dataclass(frozen=True)
-class VMap:
-    """A function between finite-set values (label tuples)."""
+class VMap(NamedTuple):
+    """A function between finite-set values: point i of ``range(source)``
+    goes to point ``fn[i]`` of ``range(target)``."""
 
-    source: tuple
-    target: tuple
-    fn: tuple  # pairs (label, image), in source order
-
-    @classmethod
-    def make(cls, src, tgt, mapping: dict):
-        src = tuple(src)
-        tgt = tuple(tgt)
-        tset = set(tgt)
-        images = {}
-        for l in src:
-            if l not in mapping or mapping[l] not in tset:
-                raise ValueError(f"map not defined into the target at {l!r}")
-            images[l] = mapping[l]
-        if len(images) != len(mapping):
-            raise ValueError("map defined outside the source")
-        m = cls(src, tgt, tuple(images.items()))
-        object.__setattr__(m, "images", images)  # fills the cache of ``images``
-        return m
-
-    @cached_property
-    def images(self) -> dict:
-        return dict(self.fn)  # built once: callers must not change it
-
-    def as_dict(self) -> dict:
-        return dict(self.images)
-
-
-@dataclass(frozen=True)
-class FinSetObj:
-    """A G-set whose points carry stable labels (a G-object in finite sets)."""
-
-    gset: GSet
-    labels: tuple
+    source: int
+    target: int
+    fn: tuple
 
     @classmethod
-    def plain(cls, gset: GSet):
-        return cls(gset, tuple(range(gset.size)))
+    def make(cls, source: int, target: int, fn) -> VMap:
+        """The map, if ``fn`` gives each source point an image in the target."""
+        fn = tuple(fn)
+        if len(fn) != source:
+            raise ValueError(f"a map from {source} points needs {source} values, not {len(fn)}")
+        for i, y in enumerate(fn):
+            if y not in range(target):
+                raise ValueError(f"map not defined into the target at {i!r}")
+        return cls(source, target, fn)
 
 
 class FinSetCat:
-    def identity(self, v):
-        return VMap.make(v, v, {l: l for l in v})
+    def identity(self, v: int) -> VMap:
+        return VMap(v, v, tuple(range(v)))
 
     def compose(self, m2: VMap, m1: VMap) -> VMap:
-        # both maps are total, so the composite is one, in m1's label order
-        d2 = m2.images
-        return VMap(m1.source, m2.target, tuple((l, d2[v]) for l, v in m1.fn))
+        return VMap(m1.source, m2.target, tuple(map(m2.fn.__getitem__, m1.fn)))
 
-    def same_value(self, a, b) -> bool:
+    def same_value(self, a: int, b: int) -> bool:
         return a == b
 
     def maps_equal(self, a: VMap, b: VMap) -> bool:
-        return (a.source == b.source and a.target == b.target
-                and (a.fn == b.fn or a.images == b.images))
+        return a == b
 
     def is_iso(self, m: VMap) -> bool:
-        values = list(m.images.values())
-        return len(values) == len(m.target) and set(values) == set(m.target)
+        return m.source == m.target == len(set(m.fn))
 
-    def gobject(self, group: Group, carrier, action_maps) -> FinSetObj:
-        pos = {l: i for i, l in enumerate(carrier)}
-        perms = {}
-        for g in group.elements():
-            d = action_maps[g].images
-            perms[g] = [pos[d[l]] for l in carrier]
-        return FinSetObj(make_gset(group, perms), tuple(carrier))
+    def gobject(self, group: Group, carrier: int, action_maps) -> GSet:
+        return make_gset(group, [action_maps[g].fn for g in group.elements()])
 
-    def fixed(self, x: FinSetObj, h: Subgroup) -> VMap:
-        src = tuple(x.labels[p] for p in fixed_points(x.gset, h))
-        return VMap.make(src, x.labels, {l: l for l in src})
+    def fixed(self, x: GSet, h: Subgroup) -> VMap:
+        points = fixed_points(x, h)
+        return VMap(len(points), x.size, points)
 
-    def action_as_map(self, x: FinSetObj, g: int) -> VMap:
-        return VMap.make(x.labels, x.labels,
-                         {x.labels[p]: x.labels[x.gset.act[g][p]]
-                          for p in range(x.gset.size)})
+    def action_as_map(self, x: GSet, g: int) -> VMap:
+        return VMap(x.size, x.size, x.act[g])
 
     def corestrict(self, m: VMap, incl: VMap) -> VMap:
-        # fixed points keep their labels; make rejects a map that misses them
-        return VMap.make(m.source, incl.source, dict(m.fn))
+        position = {p: i for i, p in enumerate(incl.fn)}  # make refuses a miss (None)
+        return VMap.make(m.source, incl.source, map(position.get, m.fn))
 
-    def copower(self, keys, c):
-        return tuple((k, l) for k in keys for l in c)
+    def copower(self, keys, c: int) -> int:
+        return len(keys) * c
 
-    def copower_remap(self, src, tgt, to, c) -> VMap:
-        return VMap.make(src, tgt, {src[p * len(c) + x]: tgt[q * len(c) + x]
-                                    for p, q in enumerate(to) for x in range(len(c))})
+    def copower_remap(self, src: int, tgt: int, to, c: int) -> VMap:
+        return VMap(src, tgt, tuple(q * c + x for q in to for x in range(c)))
 
-    def tensor(self, orbit: GSet, c) -> FinSetObj:
-        return FinSetObj(product_gset(orbit, trivial_gset(orbit.group, len(c))),
-                         self.copower(range(orbit.size), c))
+    def tensor(self, orbit: GSet, c: int) -> GSet:
+        return product_gset(orbit, trivial_gset(orbit.group, c))
 
-    def value_descriptor(self, v):
-        return len(v)
+    def value_descriptor(self, v: int):
+        return v
 
     def orbit_count(self, orbit: GSet, h: Subgroup):
         return None
@@ -347,10 +312,13 @@ class OrbitDiagram:
         self.vcat = vcat
         self.values = dict(values)
         self.maps = dict(maps)  # (src_idx, tgt_idx, rep) -> map values[tgt] -> values[src]
-        known = {(i, j, m.rep): m for (i, j), ms in cat.hom.items() for m in ms}
-        for key in sorted(known.keys() ^ self.maps.keys(), key=repr):
-            raise ValueError(f"no structure map for {known[key]!r}" if key in known
-                             else f"the structure map key {key!r} names no morphism")
+        if self.maps.keys() != cat.morphism_keys:  # name the first key that differs
+            key = min(cat.morphism_keys ^ self.maps.keys(), key=repr)
+            if key not in cat.morphism_keys:
+                raise ValueError(f"the structure map key {key!r} names no morphism")
+            i, j, rep = key
+            raise ValueError(f"no structure map for "
+                             f"{OrbitMorphism(cat.family[i], cat.family[j], rep)!r}")
         self.check_functorial()
 
     def structure_map(self, m: OrbitMorphism):

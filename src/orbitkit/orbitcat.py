@@ -101,6 +101,11 @@ class OrbitCategory:
         return tuple(OrbitMorphism(fam[i], fam[j], a) for i, j, a in gens)
 
     @cached_property
+    def morphism_keys(self) -> frozenset:
+        """(source index, target index, rep) of every morphism: a diagram's map keys."""
+        return frozenset((i, j, m.rep) for (i, j), ms in self.hom.items() for m in ms)
+
+    @cached_property
     def functoriality_pairs(self) -> tuple[tuple[int, ...], ...]:
         """(i, j, l, a, b, c) for each generator R_a: G/H_i -> G/H_j and each
         R_b: G/H_j -> G/H_l, with R_c = R_b o R_a; made once, read by every diagram."""

@@ -13,7 +13,7 @@ from conftest import swap_boundary1, vee, with_trivial_action
 from orbitkit.chains import concentrated, disk, homology, \
     identity_chain_map, is_acyclic, normalized_chain_map, \
     normalized_chains, prism_homotopy
-from orbitkit.elmendorf import ChainCat, FinSSetCat, FinSetCat, FinSetObj, \
+from orbitkit.elmendorf import ChainCat, FinSSetCat, FinSetCat, \
     adjunction_check, arrow_poset_census, cellularity_report, free_cell_diagram, \
     i_upper, unit_maps
 from orbitkit.groups import all_subgroups, conjugating_element, cyclic_group, \
@@ -209,10 +209,8 @@ def test_criterion_5_elmendorf_adjunction():
         cat = build_orbit_category(g, fam)
         # counit on G-set fixtures
         vc = FinSetCat()
-        t0 = free_cell_diagram(cat, trivial_subgroup(g), ("*",), vc)
-        for x in (FinSetObj.plain(regular_gset(g)),
-                  FinSetObj.plain(trivial_gset(g, 3)),
-                  FinSetObj.plain(coset_gset(g, fam[1]))):
+        t0 = free_cell_diagram(cat, trivial_subgroup(g), 1, vc)
+        for x in (regular_gset(g), trivial_gset(g, 3), coset_gset(g, fam[1])):
             rep = adjunction_check(t0, x)
             assert rep.counit_iso and rep.counit_equivariant
             assert rep.triangle_left and rep.triangle_right
@@ -224,7 +222,7 @@ def test_criterion_5_elmendorf_adjunction():
             rep = adjunction_check(t1, x)
             assert rep.counit_iso and rep.triangle_left and rep.triangle_right
         # unit on free cells, matched against the cellularity flag
-        for vcat, cells in ((vc, [("*",), ("a", "b")]),
+        for vcat, cells in ((vc, [1, 2]),
                             (vs, [point_sset(), boundary_simplex(1),
                                   standard_simplex(1)])):
             for cell in cells:

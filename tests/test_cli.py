@@ -178,6 +178,14 @@ def test_elmendorf_verb(files, capsys):
     assert payload["cellularity"]["0,1;0"]["iso"] is False
 
 
+def test_elmendorf_refuses_a_ring_and_an_sset_together(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["elmendorf", "--group", files["group"], "--ring", "Z", "--sset", "delta:1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--sset" in err and "--ring" in err
+
+
 def test_whitehead_verb_pass(files, capsys):
     code, out, _ = run(capsys, ["whitehead", "--group", files["group"],
                                 "--map", files["to_vee"], "--family", "all",

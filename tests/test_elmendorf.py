@@ -14,18 +14,19 @@ from conftest import swap_boundary1, vee, with_trivial_action
 from orbitkit import chains, elmendorf
 from orbitkit.chains import ChainComplex, ChainMap, concentrated, homology, \
     identity_chain_map, invariants, normalized_chains
-from orbitkit.elmendorf import ChainCat, FinSSetCat, FinSetCat, \
-    FinSetObj, OrbitDiagram, VMap, adjunction_check, arrow_poset_census, \
-    cellularity_report, free_cell_diagram, i_lower, i_upper, unit_maps
+from orbitkit.elmendorf import ChainCat, FinSSetCat, FinSetCat, OrbitDiagram, VMap, \
+    adjunction_check, arrow_poset_census, cellularity_report, free_cell_diagram, \
+    i_lower, i_upper, unit_maps
 from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, \
-    full_subgroup, subgroup, symmetric_group, trivial_subgroup
+    direct_product, full_subgroup, subgroup, symmetric_group, trivial_subgroup
 from orbitkit.errors import InternalError
 from orbitkit.exactla import Mat
-from orbitkit.gsets import coset_gset, make_gset, regular_gset, trivial_gset
+from orbitkit.gsets import coset_gset, fixed_points, make_gset, regular_gset, \
+    trivial_gset
 from orbitkit.orbitcat import build_orbit_category, compose as compose_morphisms
 from orbitkit.rings import PrimeField, QQ, ZZ
-from orbitkit.simplicial import GSSet, SMap, SimplexRef, boundary_simplex, gtensor, \
-    standard_simplex
+from orbitkit.simplicial import GSSet, SMap, SimplexRef, boundary_simplex, \
+    disjoint_copies, gtensor, point_sset, standard_simplex
 
 
 @pytest.fixture(scope="module")
@@ -41,30 +42,29 @@ def c2cat():
 def test_i_upper_constant_diagram_gives_trivial_action(c2cat):
     g, cat = c2cat
     vc = FinSetCat()
-    v = ("x", "y")
-    values = {0: v, 1: v}
-    ident = VMap.make(v, v, {"x": "x", "y": "y"})
+    values = {0: 2, 1: 2}
+    ident = VMap.make(2, 2, (0, 1))
     maps = {key: ident for key in
             [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0)]}
     t = OrbitDiagram(cat, vc, values, maps)
     x = i_upper(t)
-    assert x.gset.act[1] == (0, 1)
+    assert x.act[1] == (0, 1)
 
 
 def test_i_upper_free_cell_is_regular(c2cat):
     g, cat = c2cat
     vc = FinSetCat()
-    t = free_cell_diagram(cat, trivial_subgroup(g), ("*",), vc)
+    t = free_cell_diagram(cat, trivial_subgroup(g), 1, vc)
     x = i_upper(t)
-    assert x.gset.size == 2
-    assert x.gset.act[1][0] == 1  # the two copies are swapped
+    assert x.size == 2
+    assert x.act[1][0] == 1  # the two copies are swapped
 
 
 def test_i_upper_needs_trivial_subgroup():
     g = cyclic_group(2)
     cat = build_orbit_category(g, [full_subgroup(g)])
     vc = FinSetCat()
-    t = free_cell_diagram(cat, full_subgroup(g), ("*",), vc)
+    t = free_cell_diagram(cat, full_subgroup(g), 1, vc)
     with pytest.raises(ValueError, match="trivial"):
         i_upper(t)
 
@@ -72,20 +72,42 @@ def test_i_upper_needs_trivial_subgroup():
 def test_i_lower_trivial_action_constant(c2cat):
     g, cat = c2cat
     vc = FinSetCat()
-    x = FinSetObj.plain(trivial_gset(g, 3))
+    x = trivial_gset(g, 3)
     d = i_lower(x, cat, vc)
-    assert len(d.values[0]) == 3 and len(d.values[1]) == 3
+    assert d.values[0] == 3 and d.values[1] == 3
     for key, m in d.maps.items():
-        assert m.as_dict() == {l: l for l in m.source}
+        assert m.fn == tuple(range(m.source))
 
 
 def test_i_lower_regular_set(c2cat):
     g, cat = c2cat
     vc = FinSetCat()
-    x = FinSetObj.plain(regular_gset(g))
+    x = regular_gset(g)
     d = i_lower(x, cat, vc)
-    assert len(d.values[0]) == 2  # at G/e
-    assert len(d.values[1]) == 0  # at G/C2
+    assert d.values[0] == 2  # at G/e
+    assert d.values[1] == 0  # at G/C2
+
+
+@pytest.mark.parametrize("g", [cyclic_group(2), symmetric_group(3), dihedral_group(4)],
+                         ids=["C2", "S3", "D4"])
+def test_finset_gobjects_are_the_gsets_read_back(g):
+    """A G-set rebuilt from its action maps is itself, and the inclusion of its
+    H-fixed points lists them."""
+    vc = FinSetCat()
+    fam = all_subgroups(g)
+    for x in [regular_gset(g), trivial_gset(g, 2)] + [coset_gset(g, k) for k in fam]:
+        action = {a: vc.action_as_map(x, a) for a in g.elements()}
+        assert vc.gobject(g, x.size, action) == x
+        for h in fam:
+            assert vc.fixed(x, h).fn == fixed_points(x, h)
+
+
+def test_vmap_make_refuses_maps_that_are_not_total_into_the_target():
+    assert VMap.make(2, 3, [2, 0]) == VMap(2, 3, (2, 0))
+    with pytest.raises(ValueError, match="needs 2 values, not 1"):
+        VMap.make(2, 3, (2,))
+    with pytest.raises(ValueError, match="not defined into the target at 1"):
+        VMap.make(2, 3, (2, 3))
 
 
 def test_i_lower_chain_regular(c2cat):
@@ -100,7 +122,7 @@ def test_i_lower_chain_regular(c2cat):
 def structure_map_cases(g, cat):
     """(value category, G-object) pairs with varied fixed points on g."""
     cosets = [coset_gset(g, k) for k in cat.family]
-    cases = [(FinSetCat(), FinSetObj.plain(c)) for c in cosets]
+    cases = [(FinSetCat(), c) for c in cosets]
     cases += [(FinSSetCat(), gtensor(c, standard_simplex(1))) for c in cosets]
     for r in (ZZ, PrimeField(2)):
         vc = ChainCat(r)
@@ -196,7 +218,7 @@ def test_adjunction_of_free_cells_over_z_solves_no_system(g, monkeypatch):
         adjunction_check(t, i_upper(t))
 
 
-@pytest.mark.parametrize("vc,cell", [(FinSetCat(), ("a", "b")),
+@pytest.mark.parametrize("vc,cell", [(FinSetCat(), 2),
                                      (FinSSetCat(), standard_simplex(1)),
                                      (ChainCat(ZZ), concentrated(ZZ, 0))],
                          ids=["finset", "sset", "chains"])
@@ -222,18 +244,18 @@ def test_adjunction_check_builds_each_fixed_point_inclusion_once(vc, cell, monke
 def test_orbit_diagram_rejects_nonfunctorial_data(c2cat):
     g, cat = c2cat
     vc = FinSetCat()
-    v = ("x", "y")
-    swap = VMap.make(v, v, {"x": "y", "y": "x"})
-    ident = VMap.make(v, v, {"x": "x", "y": "y"})
+    v = 2
+    swap = VMap.make(v, v, (1, 0))
+    ident = VMap.make(v, v, (0, 1))
     # identity morphism assigned a non-identity map
     with pytest.raises(ValueError, match="identity"):
         OrbitDiagram(cat, vc, {0: v, 1: v},
                      {(0, 0, 0): swap, (0, 0, 1): swap,
                       (0, 1, 0): ident, (1, 1, 0): ident})
     # composition violated: R_t o R_t = R_e but T(R_t)^2 != T(R_e)
-    threeval = ("x", "y", "z")
-    bad = VMap.make(threeval, threeval, {"x": "y", "y": "z", "z": "x"})
-    idv = VMap.make(threeval, threeval, {l: l for l in threeval})
+    threeval = 3
+    bad = VMap.make(threeval, threeval, (1, 2, 0))
+    idv = VMap.make(threeval, threeval, (0, 1, 2))
     with pytest.raises(ValueError, match="functoriality"):
         OrbitDiagram(cat, vc, {0: threeval, 1: threeval},
                      {(0, 0, 0): idv, (0, 0, 1): bad,
@@ -279,8 +301,7 @@ def check_accepts(cat, vc, values, maps) -> bool:
 def rotated(vc, m):
     """m with its images moved one place along, or None if nothing changes."""
     if isinstance(vc, FinSetCat):
-        imgs = [v for _, v in m.fn]
-        out = VMap(m.source, m.target, tuple(zip(m.source, imgs[1:] + imgs[:1])))
+        out = VMap(m.source, m.target, m.fn[1:] + m.fn[:1])
         return None if out.fn == m.fn else out
     for n in range(m.top + 1):  # a chain map: the columns of one degree
         a = m.mat(n)
@@ -296,9 +317,8 @@ def widened(vc, m, side):
     """m with one more source or target point (a zero column or row in degree 0)."""
     if isinstance(vc, FinSetCat):
         if side == "target":
-            return VMap(m.source, m.target + ("new",), m.fn)
-        return VMap(m.source + ("new",), m.target, m.fn + (("new", m.target[0]),)) \
-            if m.target else None
+            return VMap(m.source, m.target + 1, m.fn)
+        return VMap(m.source + 1, m.target, m.fn + (0,)) if m.target else None
     mats = {k: m.mat(k) for k in range(m.top + 1)}
     a = mats[0]
     mats[0] = Mat(a.ring, a.nrows + 1, a.ncols, a.rows + [[0] * a.ncols]) \
@@ -337,9 +357,9 @@ def built_diagrams(g, cat):
     fs, cz = FinSetCat(), ChainCat(ZZ)
     mid = cat.family[len(cat.family) // 2]
     interval = normalized_chains(standard_simplex(1), ZZ)
-    return [(fs, free_cell_diagram(cat, cat.family[0], ("a", "b"), fs)),
-            (fs, free_cell_diagram(cat, mid, ("a",), fs)),
-            (fs, i_lower(FinSetObj.plain(coset_gset(g, mid)), cat, fs)),
+    return [(fs, free_cell_diagram(cat, cat.family[0], 2, fs)),
+            (fs, free_cell_diagram(cat, mid, 1, fs)),
+            (fs, i_lower(coset_gset(g, mid), cat, fs)),
             (cz, free_cell_diagram(cat, mid, interval, cz)),
             (cz, i_lower(normalized_chains(gtensor(coset_gset(g, cat.family[0]),
                                                    standard_simplex(1)), ZZ), cat, cz))]
@@ -376,7 +396,7 @@ def test_check_composes_each_generator_pair_once_and_no_identity_pair(monkeypatc
     from orbitkit.groups import direct_product
     g = direct_product(cyclic_group(2), cyclic_group(4))
     cat = build_orbit_category(g, all_subgroups(g))
-    d = free_cell_diagram(cat, cat.family[0], ("a",), FinSetCat())
+    d = free_cell_diagram(cat, cat.family[0], 1, FinSetCat())
     by_map = {id(f): m for m in cat.all_morphisms() for f in [d.structure_map(m)]}
     seen, compared = [], []
     real, real_same = FinSetCat.compose, FinSetCat.same_value
@@ -473,8 +493,8 @@ def test_chain_maps_from_a_complex_with_another_differential_are_refused():
 def test_free_cell_at_full_subgroup_is_constant(c2cat):
     g, cat = c2cat
     vc = FinSetCat()
-    t = free_cell_diagram(cat, full_subgroup(g), ("a", "b"), vc)
-    assert len(t.values[0]) == 2 and len(t.values[1]) == 2
+    t = free_cell_diagram(cat, full_subgroup(g), 2, vc)
+    assert t.values[0] == 2 and t.values[1] == 2
 
 
 def test_free_cell_sizes_from_hom_counts():
@@ -482,9 +502,9 @@ def test_free_cell_sizes_from_hom_counts():
     cat = build_orbit_category(g, all_subgroups(g))
     vc = FinSetCat()
     for k_idx, k in enumerate(cat.family):
-        t = free_cell_diagram(cat, k, ("*",), vc)
+        t = free_cell_diagram(cat, k, 1, vc)
         for i in range(len(cat.family)):
-            assert len(t.values[i]) == len(cat.hom[(i, k_idx)])
+            assert t.values[i] == len(cat.hom[(i, k_idx)])
 
 
 def test_free_cell_chain_values(c2cat):
@@ -502,10 +522,8 @@ def test_free_cell_chain_values(c2cat):
 def test_counit_iso_for_gset_fixtures(c2cat):
     g, cat = c2cat
     vc = FinSetCat()
-    fixtures = [FinSetObj.plain(regular_gset(g)),
-                FinSetObj.plain(trivial_gset(g, 3)),
-                FinSetObj.plain(coset_gset(g, full_subgroup(g)))]
-    t = free_cell_diagram(cat, trivial_subgroup(g), ("*",), vc)
+    fixtures = [regular_gset(g), trivial_gset(g, 3), coset_gset(g, full_subgroup(g))]
+    t = free_cell_diagram(cat, trivial_subgroup(g), 1, vc)
     for x in fixtures:
         rep = adjunction_check(t, x)
         assert rep.counit_iso
@@ -536,7 +554,7 @@ def test_unit_iso_on_free_cells_matches_cellularity():
     rings = (ZZ, QQ, PrimeField(2))
     cases = []
     for g in (c4, s3):
-        cases += [(g, FinSetCat(), cell) for cell in (("*",), ("a", "b"))]
+        cases += [(g, FinSetCat(), cell) for cell in (1, 2)]
         cases += [(g, FinSSetCat(), cell) for cell in (
             standard_simplex(0), boundary_simplex(1), standard_simplex(1))]
         cases += [(g, ChainCat(r), concentrated(r, 0)) for r in rings]
@@ -560,23 +578,48 @@ def test_unit_iso_on_free_cells_matches_cellularity():
             assert rep.unit_iso == all(rep.unit_per_object.values())
 
 
+@pytest.mark.parametrize("g", [cyclic_group(4), symmetric_group(3),
+                               direct_product(cyclic_group(2), cyclic_group(4))],
+                         ids=["C4", "S3", "C2xC4"])
+def test_finset_reports_match_those_of_discrete_ssets(g):
+    """A G-set is a discrete G-simplicial set: on free cells of n points the
+    adjunction and cellularity reports of the two value categories agree, a
+    size n reading as n vertices (and 0 as the empty simplicial set, which has
+    no dimensions)."""
+    fam = all_subgroups(g)
+    cat = build_orbit_category(g, fam)
+    fs, ss = FinSetCat(), FinSSetCat()
+    for n in range(3):
+        points = disjoint_copies(point_sset(), n)[0]
+        for k in fam:
+            t_fs, t_ss = (free_cell_diagram(cat, k, c, vc) for vc, c in ((fs, n), (ss, points)))
+            assert (adjunction_check(t_fs, i_upper(t_fs)).to_json()
+                    == adjunction_check(t_ss, i_upper(t_ss)).to_json()), (n, k.label)
+            for h in fam:
+                r_fs = cellularity_report(g, h, k, n, fs)
+                r_ss = cellularity_report(g, h, k, points, ss)
+                assert (r_fs.iso, r_fs.fixed_cosets) == (r_ss.iso, r_ss.fixed_cosets)
+                for size, counts in ((r_fs.lhs, r_ss.lhs), (r_fs.rhs, r_ss.rhs)):
+                    assert counts == ({"0": size} if size else {}), (n, k.label, h.label)
+
+
 def test_counit_that_misses_fixed_points_is_internal_error(c2cat, monkeypatch):
     g, cat = c2cat
-    x = FinSetObj.plain(make_gset(g, {0: [0, 1, 2], 1: [0, 2, 1]}))
+    x = make_gset(g, {0: [0, 1, 2], 1: [0, 2, 1]})
     counit_map = elmendorf.counit_map
 
     def swapped_counit(y, cat, vcat, *fixed):
         """The counit of x swaps its fixed point 0 with the moved point 1."""
         d, lhs, eps = counit_map(y, cat, vcat, *fixed)
         if y is x:
-            m = eps.as_dict()
-            m[0], m[1] = m[1], m[0]
-            eps = VMap.make(eps.source, eps.target, m)
+            fn = list(eps.fn)
+            fn[0], fn[1] = fn[1], fn[0]
+            eps = VMap.make(eps.source, eps.target, fn)
         return d, lhs, eps
 
     monkeypatch.setattr(elmendorf, "counit_map", swapped_counit)
     vc = FinSetCat()
-    t = free_cell_diagram(cat, trivial_subgroup(g), ("*",), vc)
+    t = free_cell_diagram(cat, trivial_subgroup(g), 1, vc)
     with pytest.raises(InternalError, match="counit"):
         adjunction_check(t, x)
 
@@ -692,8 +735,8 @@ def enumerate_naturals(t: OrbitDiagram, d: OrbitDiagram):
     for i in objs:
         src, tgt = t.values[i], d.values[i]
         fns = []
-        for assignment in iproduct(tgt, repeat=len(src)):
-            fns.append(VMap.make(src, tgt, dict(zip(src, assignment))))
+        for assignment in iproduct(range(tgt), repeat=src):
+            fns.append(VMap.make(src, tgt, assignment))
         spaces.append(fns)
     count = 0
     for combo in iproduct(*spaces):
@@ -718,14 +761,14 @@ def test_adjunction_hom_bijection_counts():
         fam = all_subgroups(g)
         cat = build_orbit_category(g, fam)
         vc = FinSetCat()
-        diagrams = [free_cell_diagram(cat, k, ("*",), vc) for k in fam]
+        diagrams = [free_cell_diagram(cat, k, 1, vc) for k in fam]
         gsets = [regular_gset(g), trivial_gset(g, 2),
                  coset_gset(g, fam[1] if len(fam) > 1 else fam[0])]
         for t in diagrams:
             xt = i_upper(t)
             for y in gsets:
-                lhs = enumerate_gmaps(xt.gset, y)
-                rhs = enumerate_naturals(t, i_lower(FinSetObj.plain(y), cat, vc))
+                lhs = enumerate_gmaps(xt, y)
+                rhs = enumerate_naturals(t, i_lower(y, cat, vc))
                 assert lhs == rhs, (t, y)
 
 
@@ -738,7 +781,7 @@ def test_cellularity_positive_for_sets_and_ssets():
         fam = all_subgroups(g)
         for h in fam:
             for k in fam:
-                r = cellularity_report(g, h, k, ("a", "b"), FinSetCat())
+                r = cellularity_report(g, h, k, 2, FinSetCat())
                 assert r.iso
                 r2 = cellularity_report(g, h, k, standard_simplex(1), FinSSetCat())
                 assert r2.iso

@@ -17,14 +17,14 @@ process against each tree, once with the default text output and once with
   no relabelling, so that a change of pivot tie-break over Z, or any
   change to the F_p elimination that alters a certificate, shows;
 * ``elmendorf --family all`` (``ELMENDORF``) on S4 as finite sets, over Z
-  and with the cell Delta[1], and on D8 over Z: larger than the
-  benchmark's C2 x C4;
+  and with the cell Delta[1], on D8 as finite sets and over Z, and on D32
+  as finite sets: larger than the benchmark's C2 x C4;
 * ``orbit-cat`` and ``census`` with ``--family all`` (``LATTICES``) on D32
   and C4^3, order 64: subgroup lattices larger than the benchmark's.
 
 The groups of the last two sets are written by this tool with orbitkit's
-constructors. At seeds 7 and 3 that is 168 jobs (132 benchmark, 19 golden,
-9 prism, 4 elmendorf, 4 order64), so 336 runs.
+constructors. At seeds 7 and 3 that is 170 jobs (132 benchmark, 19 golden,
+9 prism, 6 elmendorf, 4 order64), so 340 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.
@@ -46,7 +46,8 @@ BENCH, TESTS = os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")
 FORMATS = ((), ("--format", "json"))
 PRISMS = ((2, 1), (3, 1), (4, 1))  # C_m/e x Delta[n]
 RINGS = ("Z", "Fp:2", "Fp:3")
-ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--sset", "delta:1"))), ("D8", (("--ring", "Z"),)))
+ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--sset", "delta:1"))), ("D8", ((), ("--ring", "Z"))),
+             ("D32", ((),)))
 LATTICES = ("D32", "C4^3")
 
 
