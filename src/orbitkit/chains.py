@@ -15,6 +15,8 @@ and d on them is read off d's rows summed over orbits.  General linear
 actions, such as a JSON ``rep``, keep their matrices (``rep=``); their
 invariants are exact kernels, and d on them, like ``corestrict``, is a
 product with the left inverse ``incl.coords``, checked by multiplying back.
+Whether a matrix commutes with the actions is decided by
+``equivariance_defect`` alone, on index tuples for two permutation actions.
 Maps that send basis vectors to basis vectors or to 0 (``ChainMap.of_bases``)
 keep index tuples, and compose, compare and corestrict without matrices.
 
@@ -83,13 +85,8 @@ class ChainComplex:
             for j, i in enumerate(self.action[n].act[g]):
                 m.rows[i][j] = self.ring.one
             return m
-        if self.rep is None:
-            return Mat.identity(self.ring, self.rank(n))
-        mats = self.rep[g]
-        m = mats.get(n) if isinstance(mats, dict) else None
-        if m is None:
-            return Mat.identity(self.ring, self.rank(n))
-        return m
+        m = None if self.rep is None else self.rep[g].get(n)
+        return Mat.identity(self.ring, self.rank(n)) if m is None else m
 
     @property
     def equivariant(self) -> bool:
@@ -109,44 +106,35 @@ class ChainComplex:
             if not (self.d(n - 1) @ self.d(n)).is_zero():
                 raise ValueError(f"d_{n - 1} d_{n} != 0")
         if self.action is not None:
-            self._validate_action()
+            if len(self.action) != self.top + 1:
+                raise ValueError("need one permutation action per degree")
+            for n, x in enumerate(self.action):
+                if x.group != self.group or x.size != self.rank(n):
+                    raise ValueError(f"action in degree {n} has the wrong shape")
+                validate_gset(x)
         elif self.group is not None and self.rep is not None:
             g = self.group
             for a in g.elements():
                 if a not in self.rep:
                     raise ValueError(f"missing representation of element {a}")
-                for n in range(self.top + 1):
-                    m = self.rep_mat(a, n)
+                if not isinstance(self.rep[a], dict):
+                    raise ValueError(f"representation of {a} is not a dict of "
+                                     "matrices by degree")
+                for n, m in self.rep[a].items():  # a missing degree is the identity
+                    if n not in range(self.top + 1):
+                        raise ValueError(f"representation of {a} in illegal degree {n}")
                     if (m.nrows, m.ncols) != (self.rank(n), self.rank(n)):
                         raise ValueError(f"representation of {a} in degree {n} "
                                          "has the wrong shape")
             for n in range(self.top + 1):
                 check_action_laws(g, lambda a: self.rep_mat(a, n), Mat.__matmul__,
                                   Mat.identity(self.ring, self.rank(n)))
-            for a in g.generators:  # a homomorphism: generators suffice
-                for n in range(1, self.top + 1):
-                    if self.rep_mat(a, n - 1) @ self.d(n) != self.d(n) @ self.rep_mat(a, n):
-                        raise ValueError(f"representation of {a} does not commute with d_{n}")
-
-    def _validate_action(self):
-        """Permutation actions: checked on index tuples, no matrix products."""
-        if len(self.action) != self.top + 1:
-            raise ValueError("need one permutation action per degree")
-        for n, x in enumerate(self.action):
-            if x.group != self.group or x.size != self.rank(n):
-                raise ValueError(f"action in degree {n} has the wrong shape")
-            validate_gset(x)
-        zero = self.ring.zero
-        for n in range(1, self.top + 1):
-            d = self.d(n).rows
-            # a bijection of index pairs that keeps every nonzero entry
-            # also keeps every zero entry
-            nonzero = [(i, j, v) for i, row in enumerate(d)
-                       for j, v in enumerate(row) if v != zero]
-            for a in self.group.generators:  # a homomorphism: generators suffice
-                p, q = self.action[n - 1].act[a], self.action[n].act[a]
-                if any(d[p[i]][q[j]] != v for i, j, v in nonzero):
-                    raise ValueError(f"representation of {a} does not commute with d_{n}")
+        else:
+            return  # no action to check
+        bad = equivariance_defect(self, self, self.d, range(1, self.top + 1), -1,
+                                  self.group.generators)  # a homomorphism: generators suffice
+        if bad is not None:
+            raise ValueError(f"representation of {bad[0]} does not commute with d_{bad[1]}")
 
     def forget_action(self) -> "ChainComplex":
         return ChainComplex(self.ring, self.ranks, self._d, basis=self.basis,
@@ -241,13 +229,10 @@ class ChainMap:
         for n in range(1, self.top + 1):
             if self.target.d(n) @ self.mat(n) != self.mat(n - 1) @ self.source.d(n):
                 raise ValueError(f"does not commute with d in degree {n}")
-        if (self.source.group is not None and self.target.group is not None
-                and self.source.group == self.target.group):
-            g = self.source.group
-            self.equivariant = all(
-                self.target.rep_mat(a, n) @ self.mat(n)
-                == self.mat(n) @ self.source.rep_mat(a, n)
-                for a in g.generators for n in range(self.top + 1))
+        if self.source.group is not None and self.source.group == self.target.group:
+            self.equivariant = equivariance_defect(
+                self.target, self.source, self.mat, range(self.top + 1), 0,
+                self.source.group.generators) is None
 
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
@@ -256,12 +241,11 @@ class ChainMap:
 class ChainHomotopy:
     """Degree +1 maps; no structural constraint beyond shape."""
 
-    def __init__(self, source: ChainComplex, target: ChainComplex, mats,
-                 equivariant: bool = False):
+    def __init__(self, source: ChainComplex, target: ChainComplex, mats):
         self.source = source
         self.target = target
         self._mats = {int(n): m for n, m in dict(mats).items()}
-        self.equivariant = equivariant
+        self.equivariant = False  # set by prism_homotopy
         for n, m in self._mats.items():
             if (m.nrows, m.ncols) != (target.rank(n + 1), source.rank(n)):
                 raise ValueError(f"homotopy matrix in degree {n} has the wrong shape")
@@ -308,14 +292,39 @@ def chain_maps_equal(a: ChainMap, b: ChainMap) -> bool:
 
 
 def homotopy_defect(phi: ChainHomotopy, f: ChainMap, g: ChainMap):
-    """Degrees where d phi + phi d != g - f (empty means exact identity)."""
-    src, tgt = phi.source, phi.target
-    bad = []
-    for n in range(max(src.top, tgt.top, f.top, g.top) + 1):
-        lhs = tgt.d(n + 1) @ phi.mat(n) + phi.mat(n - 1) @ src.d(n)
-        if lhs != g.mat(n) - f.mat(n):
-            bad.append(n)
-    return bad
+    """Degrees n where d phi_n + phi_{n-1} d != g_n - f_n, d being that of
+    f's source and target; phi supplies only its blocks (empty means exact identity)."""
+    src, tgt = f.source, f.target
+    return [n for n in range(max(src.top, tgt.top, f.top, g.top) + 1)
+            if tgt.d(n + 1) @ phi.mat(n) + phi.mat(n - 1) @ src.d(n) != g.mat(n) - f.mat(n)]
+
+
+def equivariance_defect(out: ChainComplex, into: ChainComplex, mat, degrees, shift: int,
+                        elements):
+    """The first (a, n), by degree and then element, with rho_out(a) mat(n) !=
+    mat(n) rho_into(a) for mat(n): into_n -> out_{n+shift}, or None.
+
+    Two permutation actions, a acting by p on out_{n+shift} and q on into_n,
+    are compared on index tuples: entry (p[i], q[j]) must equal entry (i, j)
+    at each nonzero entry, hence at every entry, as (i, j) -> (p[i], q[j]) is
+    a bijection.  Any other pair of actions is compared as ``rep_mat`` products.
+    """
+    for n in degrees:
+        m = mat(n)
+        if not m.nrows or not m.ncols:
+            continue
+        if out.action is not None and into.action is not None:
+            rows, ps, qs = m.rows, out.action[n + shift].act, into.action[n].act
+            nonzero = [(i, j, v) for i, row in enumerate(rows)
+                       for j, v in enumerate(row) if v]
+            bad = next((a for a in elements
+                        if any(rows[ps[a][i]][qs[a][j]] != v for i, j, v in nonzero)), None)
+        else:
+            bad = next((a for a in elements
+                        if out.rep_mat(a, n + shift) @ m != m @ into.rep_mat(a, n)), None)
+        if bad is not None:
+            return bad, n
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -581,20 +590,12 @@ def prism_homotopy(hc: ChainMap, pr: Prism) -> ChainHomotopy:
     index = [{s: i for i, s in enumerate(b)} for b in cprod.basis]
     mats = {}
     for n in range(cx.top + 1):
-        m = Mat.zeros(ring, z.rank(n + 1), cx.rank(n))
-        if n + 1 <= cprod.top:
-            for jcol, s in enumerate(cx.basis[n]):
-                col = [ring.zero] * z.rank(n + 1)
-                for j in range(n + 1):
-                    pid = pr.mid_id[(s, j)]
-                    hcol = index[n + 1][pid]
-                    sign = ring.one if j % 2 == 0 else -ring.one
-                    for i in range(z.rank(n + 1)):
-                        col[i] = col[i] + sign * hc.mat(n + 1).rows[i][hcol]
-                col = ring.reduce(col)
-                for i in range(z.rank(n + 1)):
-                    m.rows[i][jcol] = col[i]
-        mats[n] = m
+        shuffle = [[ring.zero] * cx.rank(n) for _ in range(cprod.rank(n + 1))]
+        for col, s in enumerate(cx.basis[n]):
+            for j in range(n + 1):  # the middle cell (s_j x, eta_j), with sign (-1)^j
+                row = shuffle[index[n + 1][pr.mid_id[(s, j)]]]
+                row[col] += ring.one if j % 2 == 0 else -ring.one
+        mats[n] = hc.mat(n + 1) @ Mat(ring, cprod.rank(n + 1), cx.rank(n), shuffle)
     f0 = compose_chain_maps(hc, normalized_chain_map(pr.end0, ring, cx, cprod))
     f1 = compose_chain_maps(hc, normalized_chain_map(pr.end1, ring, cx, cprod))
     phi = ChainHomotopy(cx, z, mats)
@@ -603,7 +604,6 @@ def prism_homotopy(hc: ChainMap, pr: Prism) -> ChainHomotopy:
         raise SignConventionError(
             f"prism identity d*phi + phi*d = end1 - end0 fails in degrees {bad}")
     if hc.equivariant and z.group is not None and cx.group == z.group:
-        phi.equivariant = all(
-            z.rep_mat(a, n + 1) @ phi.mat(n) == phi.mat(n) @ cx.rep_mat(a, n)
-            for a in cx.group.generators for n in range(cx.top + 1))
+        phi.equivariant = equivariance_defect(z, cx, phi.mat, range(cx.top + 1), 1,
+                                              cx.group.generators) is None
     return phi

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chains import ChainHomotopy, ChainMap, is_quasi_iso, \
-    normalized_chain_map, normalized_chains, restrict_to_invariants
+from .chains import ChainHomotopy, ChainMap, compose_chain_maps, equivariance_defect, \
+    homotopy_defect, identity_chain_map, is_quasi_iso, normalized_chain_map, \
+    normalized_chains, restrict_to_invariants
 from .errors import InternalError
 from .exactla import Mat, SparseRows, kernel_exact, solve_exact
 from .groups import conjugating_element
@@ -59,37 +60,24 @@ class Certificate:
 
 
 def verify_certificate(cert: Certificate, cf: ChainMap) -> bool:
-    """Re-check every certificate identity by exact matrix arithmetic."""
+    """Re-check every certificate identity by exact arithmetic on cf's own complexes:
+    the shape of every block, the chain-map law for g, both homotopies, and
+    equivariance of g, s and t under every group element."""
     src, tgt = cf.source, cf.target
-    ring = src.ring
-    g, s, t = cert.backward, cert.forward_homotopy, cert.backward_homotopy
-    if g.source is not tgt and g.source.ranks != tgt.ranks:
+    degrees = range(max(src.top, tgt.top) + 1)
+    try:  # the constructors refuse a wrong shape, and ChainMap a g off the chain-map law
+        g = ChainMap(tgt, src, {n: cert.backward.mat(n) for n in degrees})
+        s, t = (ChainHomotopy(c, c, {n: h.mat(n) for n in degrees})
+                for c, h in ((tgt, cert.forward_homotopy), (src, cert.backward_homotopy)))
+    except ValueError:
         return False
-    if g.target is not src and g.target.ranks != src.ranks:
+    if homotopy_defect(s, identity_chain_map(tgt), compose_chain_maps(cf, g)) \
+            or homotopy_defect(t, identity_chain_map(src), compose_chain_maps(g, cf)):
         return False
-    top = max(src.top, tgt.top)
-    for n in range(1, top + 1):
-        if src.d(n) @ g.mat(n) != g.mat(n - 1) @ tgt.d(n):
-            return False
-    for n in range(top + 1):
-        lhs = cf.mat(n) @ g.mat(n) - Mat.identity(ring, tgt.rank(n))
-        rhs = tgt.d(n + 1) @ s.mat(n) + s.mat(n - 1) @ tgt.d(n)
-        if lhs != rhs:
-            return False
-        lhs = g.mat(n) @ cf.mat(n) - Mat.identity(ring, src.rank(n))
-        rhs = src.d(n + 1) @ t.mat(n) + t.mat(n - 1) @ src.d(n)
-        if lhs != rhs:
-            return False
-    if src.group is not None and tgt.group is not None:
-        for a in src.group.elements():
-            for n in range(top + 1):
-                if src.rep_mat(a, n) @ g.mat(n) != g.mat(n) @ tgt.rep_mat(a, n):
-                    return False
-                if tgt.rep_mat(a, n + 1) @ s.mat(n) != s.mat(n) @ tgt.rep_mat(a, n):
-                    return False
-                if src.rep_mat(a, n + 1) @ t.mat(n) != t.mat(n) @ src.rep_mat(a, n):
-                    return False
-    return True
+    group = src.group if tgt.group is not None else None
+    return group is None or all(
+        equivariance_defect(out, into, m.mat, degrees, shift, group.elements()) is None
+        for out, into, m, shift in ((src, tgt, g, 0), (tgt, tgt, s, 1), (src, src, t, 1)))
 
 
 class _LinearSystem(SparseRows):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -415,6 +416,18 @@ def test_rep_must_commute_with_d(c2):
         ChainComplex.permuted(ZZ, (2, 1), {1: d}, c2, swap)
 
 
+def test_rep_must_give_matrices_by_degree_of_the_complex(c2):
+    swap = Mat(ZZ, 2, 2, [[0, 1], [1, 0]])
+    # neither a bare matrix read as the identity nor a degree past the top ignored
+    with pytest.raises(ValueError, match="representation of 1 is not a dict"):
+        ChainComplex(ZZ, (2,), {}, group=c2, rep={0: {}, 1: swap})
+    with pytest.raises(ValueError, match="representation of 1 in illegal degree 5"):
+        ChainComplex(ZZ, (2,), {}, group=c2, rep={0: {}, 1: {5: swap}})
+    c = ChainComplex(ZZ, (2,), {}, group=c2, rep={0: {}, 1: {0: swap}})
+    assert c.rep_mat(1, 0) == swap
+    assert invariants(c, full_subgroup(c2))[0].ranks == (1,)
+
+
 ACTION_GROUPS = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
                  symmetric_group(3)]
 
@@ -467,6 +480,73 @@ def test_orbit_sums_make_no_matrix_products(c2, monkeypatch):
         assert len(dk) == 1 and dk[0] is incl.mat(n)
         assert any(a is incl.coords[n - 1] for a, _ in calls)
         assert any(a is incl.mat(n - 1) and b is inv.d(n) for a, b in calls)
+
+
+def _perm_mat(ring, p) -> Mat:
+    """Test-side: the matrix sending basis vector j to basis vector p[j]."""
+    m = Mat.zeros(ring, len(p), len(p))
+    for j, i in enumerate(p):
+        m.rows[i][j] = ring.one
+    return m
+
+
+def _dense_equivariance_defect(out, into, mat, degrees, shift, elements):
+    """Test-side oracle: the first (a, n) with P_out(a) mat(n) != mat(n) P_into(a),
+    P built densely from the permutation actions of ``out`` and ``into``."""
+    def rho(c, a, n):
+        return _perm_mat(c.ring, c.action[n].act[a]) if 0 <= n <= c.top \
+            else Mat.zeros(c.ring, 0, 0)
+    for n in degrees:
+        for a in elements:
+            if rho(out, a, n + shift) @ mat(n) != mat(n) @ rho(into, a, n):
+                return a, n
+    return None
+
+
+def _random_equivariant_rows(rnd, out, into, n, shift):
+    """Rows of a random out_{n+shift} x into_n matrix, constant on each G-orbit of index pairs."""
+    rows = [[None] * into.rank(n) for _ in range(out.rank(n + shift))]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v is None:
+                v = rnd.randrange(-2, 3)
+                for a in out.group.elements():
+                    rows[out.action[n + shift].act[a][i]][into.action[n].act[a][j]] = v
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(group=st.sampled_from([cyclic_group(2), cyclic_group(4), symmetric_group(3),
+                              dihedral_group(4)]),
+       data=st.data(), shift=st.sampled_from([-1, 0, 1]),
+       ring=st.sampled_from([ZZ, PrimeField(2)]), seed=st.integers(0, 2 ** 32))
+def test_equivariance_defect_matches_a_dense_oracle(group, data, shift, ring, seed):
+    # M: into -> out of degree shift, equivariant in every degree or perturbed
+    # at one entry; both actions permutations, both matrices, or mixed
+    subgroups, rnd = all_subgroups(group), random.Random(seed)
+
+    def space():
+        k = data.draw(st.sampled_from(subgroups))
+        base = data.draw(st.sampled_from([standard_simplex, boundary_simplex]))
+        return normalized_chains(gtensor(coset_gset(group, k), base(data.draw(st.integers(0, 2)))),
+                                 ring)
+
+    out, into = space(), space()
+    degrees = range(-1, max(out.top, into.top) + 2)
+    mats, perturbed = {}, data.draw(st.sampled_from([None, *degrees]))
+    for n in degrees:
+        rows = _random_equivariant_rows(rnd, out, into, n, shift)
+        if n == perturbed and rows and rows[0]:
+            rows[rnd.randrange(len(rows))][rnd.randrange(len(rows[0]))] += 1
+        mats[n] = Mat(ring, out.rank(n + shift), into.rank(n), rows)
+    forms = list(iproduct((out, _with_matrices(out)), (into, _with_matrices(into))))
+    # every element in order, then shuffled, and a few: the order decides the first one
+    shuffled = data.draw(st.permutations(group.elements()))
+    for elements in (group.elements(), shuffled, shuffled[:2]):
+        want = _dense_equivariance_defect(out, into, mats.__getitem__, degrees, shift, elements)
+        for out_form, into_form in forms:
+            assert chains.equivariance_defect(out_form, into_form, mats.__getitem__, degrees,
+                                              shift, elements) == want
 
 
 def _orbit_sum_inclusion(c: ChainComplex, h, n: int):

@@ -110,6 +110,13 @@ def test_vmap_make_refuses_maps_that_are_not_total_into_the_target():
         VMap.make(2, 3, (2, 3))
 
 
+def test_finset_is_iso_needs_a_bijection():
+    cat = FinSetCat()
+    assert cat.is_iso(VMap(2, 2, (1, 0)))
+    assert not cat.is_iso(VMap(2, 2, (0, 0)))  # not injective
+    assert not cat.is_iso(VMap(2, 3, (0, 1)))  # not surjective
+
+
 def test_i_lower_chain_regular(c2cat):
     g, cat = c2cat
     cc = ChainCat(ZZ)

@@ -13,15 +13,15 @@ import orbitkit
 
 from conftest import swap_boundary1, vee, with_trivial_action
 from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, \
-    compose_chain_maps, concentrated, identity_chain_map, is_quasi_iso, \
-    normalized_chain_map, normalized_chains, zero_complex
+    compose_chain_maps, concentrated, homotopy_defect, identity_chain_map, \
+    is_quasi_iso, normalized_chain_map, normalized_chains, zero_complex
 from orbitkit.exactla import Mat
 from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup, \
     trivial_subgroup
-from orbitkit.gsets import regular_gset
+from orbitkit.gsets import coset_gset, regular_gset
 from orbitkit.rings import PrimeField, QQ, ZZ
-from orbitkit.simplicial import SMap, SimplexRef, empty_sset, gtensor, \
-    identity_smap, make_smap, point_sset, prism, standard_simplex
+from orbitkit.simplicial import SMap, SimplexRef, boundary_simplex, empty_sset, \
+    gtensor, identity_smap, make_smap, point_sset, prism, standard_simplex
 from orbitkit.whitehead import Certificate, certificate_search, isotropy_check, \
     verify_certificate, whitehead_verify
 
@@ -63,6 +63,73 @@ def test_verify_certificate_rejects_perturbation():
                       cert.backward_homotopy)
     assert verify_certificate(cert, cf)
     assert not verify_certificate(bad, cf)
+
+
+def test_verify_certificate_refuses_blocks_of_the_wrong_shape():
+    cf = normalized_chain_map(make_smap(point_sset(), standard_simplex(1), {0: 0}), ZZ)
+    cert = certificate_search(cf)
+    g, s, t = cert.backward, cert.forward_homotopy, cert.backward_homotopy
+    assert verify_certificate(cert, cf)
+
+    def wider(m):  # one more zero column
+        return Mat(ZZ, m.nrows, m.ncols + 1, [row + [0] for row in m.rows])
+
+    def one_more_in_degree_0(c):
+        return ChainComplex(ZZ, (c.rank(0) + 1,) + c.ranks[1:], {}, validate=False)
+
+    bad_g = ChainMap(g.source, g.target, {0: wider(g.mat(0)), 1: g.mat(1)}, validate=False)
+    bad_s, bad_t = (ChainHomotopy(one_more_in_degree_0(h.source), h.target, {0: wider(h.mat(0))})
+                    for h in (s, t))
+    for bad in (Certificate(bad_g, s, t), Certificate(g, bad_s, t), Certificate(g, s, bad_t)):
+        assert verify_certificate(bad, cf) is False
+
+
+def equivariance_only_mutants():
+    """(cf, cert) pairs: cf = id on C2/e x boundary Delta[2] over Z, as permutations,
+    as matrices and mixed, and cert its identity certificate with s_0 + N, where N
+    sends each vertex of copy 0 to copy 0's boundary 1-cycle and copy 1's to 0.
+    d N = 0 and N d = 0, so every homotopy identity holds, but N is not equivariant."""
+    c2 = cyclic_group(2)
+    x = gtensor(coset_gset(c2, trivial_subgroup(c2)), boundary_simplex(2))
+    cycle = [1, -1, 1, 0, 0, 0]  # edges 01 - 02 + 12 of copy 0, which comes first
+    n = Mat(ZZ, 6, 6, [[v] * 3 + [0] * 3 for v in cycle])
+    out = []
+    for cf in action_forms(normalized_chain_map(identity_smap(x), ZZ)):
+        src, tgt = cf.source, cf.target
+        assert (tgt.d(1) @ n).is_zero() and (n @ tgt.d(1)).is_zero()
+        g = ChainMap(tgt, src, {k: Mat.identity(ZZ, src.rank(k)) for k in range(2)})
+        s = ChainHomotopy(tgt, tgt, {0: n})
+        out.append((cf, Certificate(g, s, ChainHomotopy(src, src, {}))))
+    return out
+
+
+def test_verify_certificate_checks_equivariance_beyond_the_homotopies():
+    for cf, cert in equivariance_only_mutants():
+        assert not homotopy_defect(cert.forward_homotopy, identity_chain_map(cf.target),
+                                   compose_chain_maps(cf, cert.backward))
+        assert not homotopy_defect(cert.backward_homotopy, identity_chain_map(cf.source),
+                                   compose_chain_maps(cert.backward, cf))
+        assert verify_certificate(cert, cf) is False
+        s = cert.forward_homotopy
+        zero = ChainHomotopy(s.source, s.target, {})
+        assert verify_certificate(Certificate(cert.backward, zero, cert.backward_homotopy), cf)
+
+
+def test_verify_certificate_checks_equivariance_under_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from orbitkit.whitehead import verify_certificate
+        from test_whitehead import equivariance_only_mutants
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        if any(verify_certificate(cert, cf) for cf, cert in equivariance_only_mutants()):
+            sys.exit("accepted a certificate that is not equivariant")
+    """)
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_certificate_respects_equivariance(c2):

@@ -13,9 +13,12 @@ process against each tree, once with the default text output and once with
   repository's fixtures, ``whitehead`` in JSON (its certificate matrices)
   included;
 * ``whitehead`` prism end inclusions (``PRISMS``) over each of ``RINGS``
-  (Z, F_2 and F_3), written by this tool with orbitkit's constructors and
+  (Z, Q, F_2 and F_3), written by this tool with orbitkit's constructors and
   no relabelling, so that a change of pivot tie-break over Z, or any
   change to the F_p elimination that alters a certificate, shows;
+* ``whitehead`` identity certificates (``IDENTITIES``) on C8/e x Delta[3]
+  over Z and F_2: larger than the benchmark's
+  largest identity, C4/e x Delta[2];
 * ``elmendorf --family all`` (``ELMENDORF``) on S4 as finite sets, over Z
   and with the cell Delta[1], on D8 as finite sets and over Z, and on D32
   as finite sets: larger than the benchmark's C2 x C4;
@@ -23,8 +26,8 @@ process against each tree, once with the default text output and once with
   and C4^3, order 64: subgroup lattices larger than the benchmark's.
 
 The groups of the last two sets are written by this tool with orbitkit's
-constructors. At seeds 7 and 3 that is 170 jobs (132 benchmark, 19 golden,
-9 prism, 6 elmendorf, 4 order64), so 340 runs.
+constructors. At seeds 7 and 3 that is 175 jobs (132 benchmark, 19 golden,
+12 prism, 2 identity, 6 elmendorf, 4 order64), so 350 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.
@@ -45,7 +48,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH, TESTS = os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")
 FORMATS = ((), ("--format", "json"))
 PRISMS = ((2, 1), (3, 1), (4, 1))  # C_m/e x Delta[n]
-RINGS = ("Z", "Fp:2", "Fp:3")
+RINGS = ("Z", "Q", "Fp:2", "Fp:3")
+IDENTITIES = ((8, 3, ("Z", "Fp:2")),)  # C_m/e x Delta[n] over each ring
 ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--sset", "delta:1"))), ("D8", ((), ("--ring", "Z"))),
              ("D32", ((),)))
 LATTICES = ("D32", "C4^3")
@@ -74,24 +78,28 @@ def write(outdir: str, name: str, data) -> str:
     return path
 
 
-def prism_cases(outdir: str):
-    """("prism", name, argv) for unrelabelled prism end inclusions, written under outdir."""
+def whitehead_cases(outdir: str):
+    """("prism" or "identity", name, argv) for unrelabelled prism end inclusions
+    (``PRISMS``) and identities (``IDENTITIES``), written under outdir."""
     from orbitkit.groups import cyclic_group, trivial_subgroup
     from orbitkit.gsets import coset_gset
-    from orbitkit.simplicial import gtensor, prism, sset_to_json, standard_simplex
+    from orbitkit.simplicial import gtensor, identity_smap, prism, sset_to_json, \
+        standard_simplex
 
     out = []
-    for m, n in PRISMS:
+    for kind, m, n, rings in ([("prism", m, n, RINGS) for m, n in PRISMS]
+                              + [("identity", *case) for case in IDENTITIES]):
         g = cyclic_group(m)
-        end0 = prism(gtensor(coset_gset(g, trivial_subgroup(g)), standard_simplex(n))).end0
+        x = gtensor(coset_gset(g, trivial_subgroup(g)), standard_simplex(n))
+        f = prism(x).end0 if kind == "prism" else identity_smap(x)
         name = f"C{m}/e x Delta[{n}]"
         group = write(outdir, f"group_C{m}", {"order": g.order, "mult": g.mult})
-        smap = write(outdir, f"prism_C{m}_{n}", {
-            "source": sset_to_json(end0.source), "target": sset_to_json(end0.target),
-            "values": {str(x): [r.base, list(r.word)] for x, r in sorted(end0.values.items())}})
-        out += [("prism", f"{name} over {ring}", ["whitehead", "--group", group, "--map", smap,
-                                                   "--family", "all", "--ring", ring])
-                for ring in RINGS]
+        smap = write(outdir, f"{kind}_C{m}_{n}", {
+            "source": sset_to_json(f.source), "target": sset_to_json(f.target),
+            "values": {str(s): [r.base, list(r.word)] for s, r in sorted(f.values.items())}})
+        out += [(kind, f"{name} over {ring}", ["whitehead", "--group", group, "--map", smap,
+                                                "--family", "all", "--ring", ring])
+                for ring in rings]
     return out
 
 
@@ -135,7 +143,7 @@ def main(argv=None) -> int:
                     os.path.abspath(TESTS)]
     with tempfile.TemporaryDirectory() as tmp:
         groups = stock_groups(tmp)
-        jobs = (benchmark_jobs(args.seed, tmp) + golden_cases() + prism_cases(tmp)
+        jobs = (benchmark_jobs(args.seed, tmp) + golden_cases() + whitehead_cases(tmp)
                 + elmendorf_cases(groups) + lattice_cases(groups))
         cases = [(kind, name, fmt) for kind, name, _ in jobs for fmt in FORMATS]
         argvs = [argv + list(fmt) for _, _, argv in jobs for fmt in FORMATS]
