@@ -12,9 +12,10 @@ diagrams whose maps at G/e are permutation matrices) are stored as one
 G-set of basis indices per degree (``ChainComplex.permuted``); their
 invariants are orbit sums, matrices are derived only on request (``rep_mat``),
 and d on them is read off d's rows summed over orbits.  General linear
-actions, such as a JSON ``rep``, keep their matrices (``rep=``); their
-invariants are exact kernels, and d on them, like ``corestrict``, is a
-product with the left inverse ``incl.coords``, checked by multiplying back.
+actions, such as ``ChainCat.gobject`` builds from structure maps that are
+not permutations, keep their matrices (``rep=``); their invariants are
+exact kernels, and d on them, like ``corestrict``, is a product with the
+left inverse ``incl.coords``, checked by multiplying back.
 Whether a matrix commutes with the actions is decided by
 ``equivariance_defect`` alone, on index tuples for two permutation actions.
 Maps that send basis vectors to basis vectors or to 0 (``ChainMap.of_bases``)
@@ -36,7 +37,7 @@ from .errors import InternalError
 from .exactla import Mat, kernel_exact, smith_diagonal, solve_exact
 from .groups import Group, Subgroup, check_action_laws
 from .gsets import GSet, orbits, validate_gset
-from .simplicial import GSSet, Prism, SMap, fixed_sset
+from .simplicial import GSSet, Prism, SMap
 
 
 class ChainComplex:
@@ -114,6 +115,9 @@ class ChainComplex:
                 validate_gset(x)
         elif self.group is not None and self.rep is not None:
             g = self.group
+            for a in self.rep:
+                if a not in g.elements():
+                    raise ValueError(f"representation of {a!r}, which is not a group element")
             for a in g.elements():
                 if a not in self.rep:
                     raise ValueError(f"missing representation of element {a}")
@@ -139,15 +143,6 @@ class ChainComplex:
     def forget_action(self) -> "ChainComplex":
         return ChainComplex(self.ring, self.ranks, self._d, basis=self.basis,
                             validate=False)
-
-    def to_json(self) -> dict:
-        out = {"ring": self.ring.name, "ranks": list(self.ranks),
-               "d": {str(n): self.d(n).to_json() for n in range(1, self.top + 1)}}
-        if self.group is not None and (self.rep is not None or self.action is not None):
-            out["rep"] = {str(g): {str(n): self.rep_mat(g, n).to_json()
-                                   for n in range(self.top + 1)}
-                          for g in self.group.elements()}
-        return out
 
     def __repr__(self):
         kind = "EqChainComplex" if self.equivariant else "ChainComplex"
@@ -480,19 +475,6 @@ def corestrict(f: ChainMap, incl: ChainMap) -> ChainMap:
     mats = {n: _through(incl.mat(n), p[n], f.mat(n), what.format(n)) for n in degrees}
     # incl g = f exactly and incl is injective, so g is a chain map
     return ChainMap(f.source, incl.source, mats, validate=False)
-
-
-def fixed_chains_comparison(x: GSSet, h: Subgroup, ring) -> ChainMap:
-    """Canonical map C(X^H) -> C(X)^H (fixed simplices are singleton orbit sums).
-
-    The two sides realize different hypotheses and are computed by
-    disjoint routes; this comparison makes them commensurable.  It is
-    always injective and fails to be surjective exactly when the
-    complement of the fixed subcomplex contributes orbit sums.
-    """
-    c = normalized_chains(x, ring)
-    return corestrict(normalized_chain_map(fixed_sset(x, h)[1], ring, cy=c),
-                      invariants(c, h)[1])
 
 
 def restrict_to_invariants(cf: ChainMap, h: Subgroup) -> ChainMap:

@@ -321,11 +321,6 @@ class OrbitDiagram:
                              f"{OrbitMorphism(cat.family[i], cat.family[j], rep)!r}")
         self.check_functorial()
 
-    def structure_map(self, m: OrbitMorphism):
-        i = self.cat.object_index(m.source)
-        j = self.cat.object_index(m.target)
-        return self.maps[(i, j, m.rep)]
-
     def check_functorial(self):
         """F(R) runs from the value at R's target to the one at its source
         (``same_value``, as chain ``maps_equal`` compares matrices only),

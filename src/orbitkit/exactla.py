@@ -13,12 +13,15 @@ on the entry of smallest absolute value (lowest logical column on ties),
 so the output is reproducible.  Q enters it with each row times the lcm
 of its denominators (``_over_z``), which keeps the row space over Q.
 
-* U (A*U = H, unimodular) is built only for ``column_echelon_z``,
-  ``kernel_z`` (its columns past the pivots) and ``solve_z``: one unit
-  entry per column, under the rows of A.  ``solve_z`` substitutes forward
-  on a residual updated from the sparse pivot columns (over Z a pivot must
+* U (A*U = H, unimodular) is built only for ``kernel_z`` (its columns
+  past the pivots), ``solve_z`` and ``column_echelon_z``: one unit entry
+  per column, under the rows of A.  ``solve_z`` substitutes forward on a
+  residual updated from the sparse pivot columns (over Z a pivot must
   divide its residual, over Q the exact quotient is taken) and forms
-  X = U y from the nonzero entries of y.
+  X = U y from the nonzero entries of y.  No module calls
+  ``column_echelon_z``; the tests check H and U through it, and
+  ``bench/tracing.py`` wraps it by name for its ``exactla.echelon_*``
+  metrics, so it goes when the benchmark stops reading it.
 * ``smith_diagonal`` -- Smith normal form diagonal by alternating column
   echelon forms of the matrix and of its transposed pivot columns, then
   gcd/lcm steps into divisor order; over Q only the pivots are counted.
@@ -78,9 +81,6 @@ class Mat:
             m.rows[i][i] = ring.one
         return m
 
-    def copy(self):
-        return Mat(self.ring, self.nrows, self.ncols, self.rows, normalize=False)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
@@ -135,12 +135,6 @@ class Mat:
         return Mat(self.ring, self.nrows, self.ncols,
                    [red([-a for a in r]) for r in self.rows], normalize=False)
 
-    def scale(self, c):
-        c = self.ring.normalize(c)
-        red = self.ring.reduce
-        return Mat(self.ring, self.nrows, self.ncols,
-                   [red([c * a for a in r]) for r in self.rows], normalize=False)
-
     def _same_ring(self, other):
         if other.ring != self.ring:
             raise ValueError(f"mixed rings {self.ring} and {other.ring}")
@@ -163,9 +157,6 @@ class Mat:
     def sparse_rows(self):
         """Each row as a dict column -> nonzero entry."""
         return [{j: r[j] for j in compress(range(self.ncols), r)} for r in self.rows]
-
-    def to_lists(self):
-        return [list(r) for r in self.rows]
 
     def to_json(self):
         return [[self.ring.to_json(v) for v in r] for r in self.rows]

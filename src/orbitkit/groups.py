@@ -90,12 +90,6 @@ class Subgroup:
                 span = _closure(self.parent, gens)
         return tuple(gens)
 
-    def conjugated_by(self, a: int) -> "Subgroup":
-        """The subgroup a * H * a^-1."""
-        g = self.parent
-        mem = sorted(g.mult[g.mult[a][x]][g.inv[a]] for x in self.members)
-        return Subgroup(g, tuple(mem))
-
     def is_trivial(self) -> bool:
         return self.members == (0,)
 
@@ -224,12 +218,13 @@ def make_group(spec, name: str = "", max_order: int = DEFAULT_ORDER_BOUND) -> Gr
 
 def subgroup(g: Group, members) -> Subgroup:
     mem = tuple(sorted(set(members)))
+    for x in mem:  # all of them, before the closure checks index the table
+        if not 0 <= x < g.order:
+            raise ValueError(f"element {x} outside the group")
     if not mem or mem[0] != 0:
         raise ValueError("subgroup must contain the identity 0")
     ms = set(mem)
     for x in mem:
-        if not 0 <= x < g.order:
-            raise ValueError(f"element {x} outside the group")
         if g.inv[x] not in ms:
             raise ValueError(f"subgroup not closed under inverse at {x}")
         for y in mem:
@@ -296,14 +291,6 @@ def conjugating_element(h: Subgroup, k: Subgroup):
         if all(g.conjugate(a, x) in kset for x in h.members):
             return a
     return None
-
-
-def left_cosets(g: Group, h: Subgroup) -> list[tuple[int, ...]]:
-    """Left cosets aH as sorted tuples, ordered by least representative."""
-    if h.parent != g:
-        raise ValueError("subgroup of a different group")
-    return [tuple(a for a in g.elements() if h.cosets.index[a] == i)
-            for i in range(len(h.cosets.reps))]
 
 
 # --- stock groups for fixtures and the CLI ---------------------------------

@@ -43,6 +43,9 @@ def make_gset(group: Group, perms) -> GSet:
     (list indexed by element, or dict keyed by element).
     """
     if isinstance(perms, dict):
+        for g in perms:
+            if g not in group.elements():
+                raise ValueError(f"action key {g!r} is not a group element")
         act = [tuple(perms[g]) for g in group.elements()]
     else:
         act = [tuple(p) for p in perms]
@@ -204,46 +207,3 @@ def product_gset(x: GSet, y: GSet) -> GSet:
                 row[a * y.size + b] = x.act[g][a] * y.size + y.act[g][b]
         act.append(tuple(row))
     return GSet(x.group, size, tuple(act))
-
-
-def pushout_gset(f: GMap, k: GMap) -> tuple[GSet, GMap, GMap]:
-    """Pushout of B <-f- A -k-> C; returns (P, B->P, C->P).
-
-    Points of P are equivalence classes of B + C under f(a) ~ k(a),
-    numbered by their least member in the disjoint union (B first).
-    """
-    if f.source != k.source:
-        raise ValueError("pushout legs must share their source")
-    b, c = f.target, k.target
-    n = b.size + c.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for a in range(f.source.size):
-        union(f.values[a], b.size + k.values[a])
-    reps = sorted({find(i) for i in range(n)})
-    index = {r: i for i, r in enumerate(reps)}
-    to_p = [index[find(i)] for i in range(n)]
-    g = b.group
-    act = []
-    for gg in g.elements():
-        row = [0] * len(reps)
-        for i in range(n):
-            moved = b.act[gg][i] if i < b.size else b.size + c.act[gg][i - b.size]
-            row[to_p[i]] = to_p[moved]
-        act.append(tuple(row))
-    # f and k are equivariant, so the classes are permuted: an action
-    p = GSet(g, len(reps), tuple(act))
-    bp = make_gmap(b, p, [to_p[i] for i in range(b.size)])
-    cp = make_gmap(c, p, [to_p[b.size + i] for i in range(c.size)])
-    return p, bp, cp

@@ -1,4 +1,4 @@
-"""Loading and saving the JSON file formats.
+"""Loading the JSON file formats (``simplicial.sset_to_json`` writes a G-sset).
 
 Formats (all keys are strings in files, identifiers are integers):
 
@@ -10,8 +10,6 @@ Formats (all keys are strings in files, identifiers are integers):
                    "action": {"g": {"id": id'}}}
 * simplicial map: {"source": <sset|builtin name>, "target": <...>,
                    "values": {"id": [base, word]}}
-* chain complex:  {"ring": "Z"|"Q"|"Fp:p", "ranks": [...],
-                   "d": {"n": [[..]]}, "rep": {"g": {"n": [[..]]}}}
 * family file:    [[members], ...]
 
 Errors carry the first offending field so the CLI can report it.
@@ -22,12 +20,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .chains import ChainComplex
-from .exactla import Mat
 from .groups import Group, Subgroup, all_subgroups, make_group, subgroup, \
     trivial_subgroup
 from .gsets import GSet, make_gset
-from .rings import ring_from_tag
 from .simplicial import GSSet, SMap, build_sset, make_smap
 
 
@@ -129,11 +124,6 @@ def load_gset(source, group: Group) -> GSet:
         raise InputError(f"gset: {exc}")
 
 
-def gset_to_json(x: GSet) -> dict:
-    return {"size": x.size,
-            "action": {str(g): list(x.act[g]) for g in x.group.elements()}}
-
-
 def is_gset_data(data) -> bool:
     return isinstance(data, dict) and "size" in data and "simplices" not in data
 
@@ -184,44 +174,6 @@ def load_smap(source, group: Group | None = None) -> SMap:
         return make_smap(src, tgt, values)
     except ValueError as exc:
         raise InputError(f"map: {exc}")
-
-
-def _rows(v) -> bool:
-    return isinstance(v, list) and all(isinstance(r, list) for r in v)
-
-
-def load_chain_complex(source, group: Group | None = None) -> ChainComplex:
-    data = _load_json(source) if isinstance(source, (str, Path)) else source
-    if not isinstance(data, dict) or not isinstance(data.get("ring"), str) \
-            or not _ints(data.get("ranks")) or any(r < 0 for r in data["ranks"]):
-        raise InputError("chain complex: needs a 'ring' tag and 'ranks', a list of "
-                         "nonnegative integers")
-    if not _values(data.get("d", {}), _rows) \
-            or not _values(data.get("rep", {}), lambda m: _values(m, _rows)):
-        raise InputError("chain complex: 'd' and each 'rep' entry must be objects "
-                         "of row lists")
-    if "rep" in data and group is None:
-        raise InputError("chain complex: a representation needs a group")
-    ranks = data["ranks"]
-
-    def mat(key: str, lo: int, shift: int, rows):  # degree n, ranks[n - shift] x ranks[n]
-        if not key.isdigit() or not lo <= int(key) < len(ranks):
-            raise ValueError(f"degree {key} is not in {lo}..{len(ranks) - 1}")
-        return int(key), Mat(ring, ranks[int(key) - shift], ranks[int(key)], rows)
-
-    try:
-        ring = ring_from_tag(data["ring"])
-        diffs = dict(mat(n, 1, 1, rows) for n, rows in data.get("d", {}).items())
-        rep = None
-        if "rep" in data:
-            rep = {g: {} for g in group.elements()}  # missing matrices are identities
-            for g, mats in data["rep"].items():
-                if not g.isdigit() or int(g) >= group.order:
-                    raise ValueError(f"{g} is not a group element")
-                rep[int(g)] = dict(mat(n, 0, 0, rows) for n, rows in mats.items())
-        return ChainComplex(ring, ranks, diffs, group=group if rep else None, rep=rep)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:  # TypeError: Q pairs
-        raise InputError(f"chain complex: {exc}")
 
 
 def format_homology(groups, ring_name: str = "Z") -> str:

@@ -7,8 +7,8 @@ ordinary operators and passes each row of raw results through
 ``ring.reduce``, which returns it unchanged over Z, turns integral
 fractions back into ``int`` over Q, and reduces it mod p over F_p.  Rings
 never divide: ``exactla`` clears rational rows to integers and inverts
-F_p pivots by ``pow``, so no float can appear.  JSON booleans are not
-entries of any ring.
+F_p pivots by ``pow``, so no float can appear.  Booleans are not entries
+of any ring.
 """
 
 from __future__ import annotations
@@ -61,12 +61,9 @@ class RationalField(Ring):
     def normalize(self, x):
         if type(x) is int:
             return x
-        if isinstance(x, (list, tuple)) and len(x) == 2:
-            x = Fraction(ZZ.normalize(x[0]), ZZ.normalize(x[1]))
-        elif isinstance(x, (int, str, Fraction)) and not isinstance(x, bool):
-            x = Fraction(x)
-        else:
+        if not isinstance(x, (int, str, Fraction)) or isinstance(x, bool):
             raise ValueError(f"not a rational: {x!r}")
+        x = Fraction(x)
         return x.numerator if x.denominator == 1 else x
 
     @staticmethod

@@ -112,9 +112,6 @@ class GSSet:
     def act_ref(self, g: int, ref: SimplexRef) -> SimplexRef:
         return SimplexRef(self.action[g][ref.base], ref.word)
 
-    def size(self) -> int:
-        return len(self.dim_of)
-
     def __repr__(self):
         counts = ",".join(f"{n}:{len(self.simplices[n])}" for n in sorted(self.simplices))
         return f"GSSet[{counts}]"
@@ -136,6 +133,9 @@ class GSSet:
             raise ValueError(f"face {ref} has dimension {p + len(word)}, want {want_dim}")
 
     def validate(self):
+        for x in self.faces:
+            if x not in self.dim_of:
+                raise ValueError(f"faces given for {x}, which is not a listed simplex")
         for x, n in self.dim_of.items():
             if n < 0:
                 raise ValueError(f"negative dimension for simplex {x}")
@@ -161,6 +161,9 @@ class GSSet:
         # action: dimension-preserving permutations forming a homomorphism
         ids = sorted(self.dim_of)
         g = self.group
+        for a in self.action:
+            if a not in g.elements():
+                raise ValueError(f"action key {a!r} is not a group element")
         for a in g.elements():
             m = self.action.get(a)
             if m is None:
@@ -349,6 +352,9 @@ class SMap:
 
     def _validate(self):
         src, tgt = self.source, self.target
+        for x in self.values:
+            if x not in src.dim_of:
+                raise ValueError(f"map has a value for {x}, which is not a source simplex")
         for x in src.ids():
             ref = self.values.get(x)
             if ref is None:
@@ -372,10 +378,6 @@ class SMap:
             if img != sorted(self.target.ids_of_dim(n)):
                 return False
         return True
-
-    def to_json(self) -> dict:
-        return {"values": {str(x): [r.base, list(r.word)]
-                           for x, r in sorted(self.values.items())}}
 
     def __repr__(self):
         return f"SMap({self.source!r} -> {self.target!r})"
@@ -762,46 +764,3 @@ def check_F_cofibration(f: SMap, family) -> CofibrationVerdict:
                 False, s,
                 f"stabilizer {{{stab.label}}} is not subconjugate to the family")
     return CofibrationVerdict(True)
-
-
-# ---------------------------------------------------------------------------
-# plain isomorphism testing (backtracking; fixtures are tiny)
-
-
-def gssets_isomorphic(x: GSSet, y: GSSet) -> bool:
-    """Existence of a plain simplicial isomorphism (actions ignored)."""
-    dims_x = {n: list(x.ids_of_dim(n)) for n in x.simplices}
-    dims_y = {n: list(y.ids_of_dim(n)) for n in y.simplices}
-    if sorted(dims_x) != sorted(dims_y):
-        return False
-    if any(len(dims_x[n]) != len(dims_y[n]) for n in dims_x):
-        return False
-    order = [s for n in sorted(dims_x) for s in dims_x[n]]
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(s, t):
-        if x.dim(s) > 0:
-            for i, r in enumerate(x.faces[s]):
-                if r.base in assign:
-                    want = y.faces[t][i]
-                    if SimplexRef(assign[r.base], r.word) != want:
-                        return False
-        return True
-
-    def back(k):
-        if k == len(order):
-            return True
-        s = order[k]
-        for t in dims_y[x.dim(s)]:
-            if t in used or not consistent(s, t):
-                continue
-            assign[s] = t
-            used.add(t)
-            if back(k + 1):
-                return True
-            del assign[s]
-            used.discard(t)
-        return False
-
-    return back(0)

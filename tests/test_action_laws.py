@@ -148,7 +148,7 @@ def test_matrix_rep_construction_matches_all_pairs(group, data, base, n):
     d = data.draw(st.integers(0, c.top), label="degree")
     r = c.rank(d)
     kind = data.draw(st.sampled_from(["entry", "copy", "swap"]))
-    m = rep[a][d].copy()
+    m = Mat(ZZ, r, r, rep[a][d].rows)
     i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
     if kind == "entry":
         m.rows[i][j] += data.draw(st.sampled_from([-1, 1]))

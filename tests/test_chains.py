@@ -1,6 +1,5 @@
 """Chain complexes: normalized chains, invariants, homology, prism homotopies."""
 
-import json
 import random
 from itertools import product as iproduct
 
@@ -9,7 +8,7 @@ import pytest
 from conftest import swap_boundary1, vee
 from orbitkit import chains
 from orbitkit.chains import ChainComplex, ChainMap, chain_maps_equal, \
-    concentrated, corestrict, disk, fixed_chains_comparison, homology, \
+    concentrated, corestrict, disk, homology, \
     identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
     normalized_chain_map, normalized_chains, prism_homotopy, \
     restrict_to_invariants, zero_complex
@@ -17,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitkit.elmendorf import ChainCat
 from orbitkit.errors import InternalError
-from orbitkit.exactla import Mat
+from orbitkit.exactla import Mat, rank
 from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, full_subgroup, \
     symmetric_group, trivial_subgroup
 from orbitkit.gsets import coset_gset, make_gset, regular_gset, trivial_gset
@@ -39,13 +38,13 @@ def test_chains_of_point():
 def test_chains_of_interval():
     c = normalized_chains(standard_simplex(1), ZZ)
     assert c.ranks == (2, 1)
-    assert c.d(1).to_lists() == [[-1], [1]]
+    assert c.d(1).rows == [[-1], [1]]
 
 
 def test_chains_of_swap_boundary(c2):
     c = normalized_chains(swap_boundary1(c2), ZZ)
     assert c.ranks == (2,)
-    assert c.rep_mat(1, 0).to_lists() == [[0, 1], [1, 0]]
+    assert c.rep_mat(1, 0).rows == [[0, 1], [1, 0]]
 
 
 def test_degenerate_faces_contribute_zero(c2):
@@ -86,14 +85,14 @@ def test_invariants_trivial_subgroup_is_identity(c2):
     c = normalized_chains(swap_boundary1(c2), ZZ)
     inv, incl = invariants(c, trivial_subgroup(c2))
     assert inv.ranks == c.ranks
-    assert incl.mat(0).to_lists() == [[1, 0], [0, 1]]
+    assert incl.mat(0).rows == [[1, 0], [0, 1]]
 
 
 def test_invariants_regular_rep_orbit_sum(c2):
     c = normalized_chains(swap_boundary1(c2), ZZ)
     inv, incl = invariants(c, full_subgroup(c2))
     assert inv.ranks == (1,)
-    assert incl.mat(0).to_lists() == [[1], [1]]
+    assert incl.mat(0).rows == [[1], [1]]
 
 
 def test_invariants_regular_rep_over_f2(c2):
@@ -132,7 +131,7 @@ def test_invariant_lattice_without_unit_coordinate(c2):
     c = ChainComplex(ZZ, (2,), {}, group=c2, rep=rep)
     inv, incl = invariants(c, full_subgroup(c2))
     assert inv.ranks == (1,)
-    assert incl.mat(0).to_lists() in ([[2], [3]], [[-2], [-3]])
+    assert incl.mat(0).rows in ([[2], [3]], [[-2], [-3]])
     assert all(type(v) is int for row in incl.coords[0].rows for v in row)
     assert incl.coords[0] @ incl.mat(0) == Mat.identity(ZZ, 1)
     hits_e1 = ChainMap(concentrated(ZZ, 0), c, {0: Mat(ZZ, 2, 1, [[1], [0]])})
@@ -147,6 +146,13 @@ def test_invariants_reject_a_differential_that_does_not_restrict(c2):
     c.action = (coset_gset(c2, trivial_subgroup(c2)), trivial_gset(c2, 1))
     with pytest.raises(InternalError, match="must restrict"):
         invariants(c, full_subgroup(c2))
+
+
+def fixed_chains_comparison(x, h, ring) -> ChainMap:
+    """The canonical map C(X^H) -> C(X)^H: fixed simplices are singleton orbit sums."""
+    c = normalized_chains(x, ring)
+    return corestrict(normalized_chain_map(fixed_sset(x, h)[1], ring, cy=c),
+                      invariants(c, h)[1])
 
 
 def test_orbit_sums_factor_without_solving(c2, monkeypatch):
@@ -177,6 +183,21 @@ def test_fixed_chains_comparison_injective_never_conflated(c2):
     # injective: the single column is nonzero and primitive
     col = [cmp_map.mat(0).rows[i][0] for i in range(2)]
     assert col.count(0) == 1 and sorted(col) == [0, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=st.sampled_from([cyclic_group(2), cyclic_group(4), symmetric_group(3),
+                              dihedral_group(4)]),
+       data=st.data(), base=st.sampled_from([standard_simplex, boundary_simplex]),
+       n=st.integers(0, 2), ring=st.sampled_from([ZZ, QQ, PrimeField(2)]))
+def test_fixed_chains_comparison_is_injective(group, data, base, n, ring):
+    # C(X^H) -> C(X)^H has full column rank in every degree, for every H
+    subgroups = all_subgroups(group)
+    x = gtensor(coset_gset(group, data.draw(st.sampled_from(subgroups))), base(n))
+    for h in subgroups:
+        cmp_map = fixed_chains_comparison(x, h, ring)
+        for d in range(cmp_map.source.top + 1):
+            assert rank(cmp_map.mat(d)) == cmp_map.source.rank(d), (h, d)
 
 
 # ---------------------------------------------------------------------------
@@ -674,60 +695,59 @@ def test_copower_remap_never_overwrites_a_copy():
         vc.copower_remap(src, tgt, [0, 0], c)
 
 
-BAD_CHAIN_COMPLEXES = {
-    "not-an-object": [1, 2],
-    "ranks-number": {"ring": "Z", "ranks": 5},
-    "rank-string": {"ring": "Z", "ranks": [1, "2"]},
-    "rank-negative": {"ring": "Z", "ranks": [1, -1]},
-    "ring-number": {"ring": 5, "ranks": [1]},
-    "ring-unknown": {"ring": "Fp:x", "ranks": [1]},
-    "d-list": {"ring": "Z", "ranks": [2, 1], "d": [[-1], [1]]},
-    "d-rows-flat": {"ring": "Z", "ranks": [2, 1], "d": {"1": [-1, 1]}},
-    "rep-flat": {"ring": "Z", "ranks": [2, 1], "rep": {"1": [[1]]}},
-    "entry-string": {"ring": "Z", "ranks": [2, 1], "d": {"1": [[-1], ["x"]]}},
-    "entry-fraction-in-Z": {"ring": "Z", "ranks": [1, 1], "d": {"1": [["1/2"]]}},
-    "entry-zero-denominator": {"ring": "Q", "ranks": [1, 1], "d": {"1": [["1/0"]]}},
-    "entry-nested-pair": {"ring": "Q", "ranks": [1, 1], "d": {"1": [[[[1], 2]]]}},
-    # bool is an int subclass, so JSON true/false must be refused explicitly
-    "entry-bool": {"ring": "Q", "ranks": [1, 1], "d": {"1": [[True]]}},
-    "entry-bool-in-pair": {"ring": "Q", "ranks": [1, 1], "d": {"1": [[[True, 2]]]}},
-    "entry-bool-in-Z": {"ring": "Z", "ranks": [1, 1], "d": {"1": [[False]]}},
-    "entry-bool-in-Fp": {"ring": "Fp:3", "ranks": [1, 1], "d": {"1": [[True]]}},
-    "d-wrong-shape": {"ring": "Z", "ranks": [2, 1], "d": {"1": [[-1, 1]]}},
-    "d-degree-name": {"ring": "Z", "ranks": [2, 1], "d": {"x": [[-1], [1]]}},
-    "d-degree-range": {"ring": "Z", "ranks": [2, 1], "d": {"2": [[-1], [1]]}},
-    "rep-element-range": {"ring": "Z", "ranks": [1], "rep": {"5": {"0": [[1]]}}},
-    "rep-degree-range": {"ring": "Z", "ranks": [1], "rep": {"1": {"-1": [[1]]}}},
-    "rep-wrong-shape": {"ring": "Z", "ranks": [2, 1], "rep": {"1": {"1": [[1, 0]]}}},
+BAD_ENTRIES = {
+    "entry-string": (ZZ, "x"),
+    "entry-fraction-in-Z": (ZZ, "1/2"),
+    "entry-zero-denominator": (QQ, "1/0"),
+    "entry-pair": (QQ, [1, 2]),
+    # bool is an int subclass, so True and False must be refused explicitly
+    "entry-bool": (QQ, True),
+    "entry-bool-in-Z": (ZZ, False),
+    "entry-bool-in-Fp": (PrimeField(3), True),
 }
 
 
-@pytest.mark.parametrize("name", sorted(BAD_CHAIN_COMPLEXES))
-def test_load_chain_complex_rejects_bad_input(c2, tmp_path, name):
-    from orbitkit.jsonio import InputError, load_chain_complex
-    data = BAD_CHAIN_COMPLEXES[name]
-    with pytest.raises(InputError):
-        load_chain_complex(data, c2)
-    path = tmp_path / "complex.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(InputError):
-        load_chain_complex(str(path), c2)
+@pytest.mark.parametrize("name", sorted(BAD_ENTRIES))
+def test_mat_refuses_bad_ring_entries(name):
+    ring, v = BAD_ENTRIES[name]
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        Mat(ring, 1, 1, [[v]])
+
+
+_ONE, _ROW, _D1 = Mat.identity(ZZ, 1), Mat(ZZ, 1, 2, [[-1, 1]]), {1: Mat(ZZ, 2, 1, [[-1], [1]])}
+BAD_COMPLEXES = {  # a complex over the group g that the constructor must refuse, and why
+    "d-wrong-shape": (lambda g: ChainComplex(ZZ, (2, 1), {1: _ROW}), "d_1 has shape 1x2"),
+    "d-degree-range": (lambda g: ChainComplex(ZZ, (2, 1), {**_D1, 2: Mat(ZZ, 1, 0)}),
+                       "illegal degree 2"),
+    "rep-element-range": (lambda g: ChainComplex(ZZ, (1,), {}, group=g,
+                                                 rep={0: {}, 1: {}, 5: {0: _ONE}}),
+                          "5, which is not a group element"),
+    "rep-degree-range": (lambda g: ChainComplex(ZZ, (1,), {}, group=g,
+                                                rep={0: {}, 1: {-1: _ONE}}),
+                         "illegal degree -1"),
+    "rep-flat": (lambda g: ChainComplex(ZZ, (1,), {}, group=g, rep={0: {}, 1: _ONE}),
+                 "not a dict"),
+    "rep-wrong-shape": (lambda g: ChainComplex(ZZ, (2, 1), _D1, group=g,
+                                               rep={0: {}, 1: {1: _ROW}}),
+                        "degree 1 has the wrong shape"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COMPLEXES))
+def test_chain_complex_refuses_bad_parts(c2, name):
+    build, words = BAD_COMPLEXES[name]
+    with pytest.raises(ValueError, match=words):
+        build(c2)
 
 
 def test_json_roundtrip(c2):
-    from orbitkit.jsonio import load_chain_complex
+    # Mat.to_json writes what the Mat constructor reads back
     c = normalized_chains(vee(c2), ZZ)
-    data = c.to_json()
-    again = load_chain_complex(data, c2)
-    assert again.ranks == c.ranks
-    assert all(again.d(n) == c.d(n) for n in range(1, c.top + 1))
-    assert all(again.rep_mat(g, n) == c.rep_mat(g, n)
-               for g in c2.elements() for n in range(c.top + 1))
-    cq = ChainComplex(QQ, (1, 1), {1: Mat(QQ, 1, 1, [["1/2"]])})
-    data_q = cq.to_json()
-    assert data_q["d"]["1"] == [["1/2"]]
-    again_q = load_chain_complex(data_q)
-    assert again_q.d(1) == cq.d(1)
+    for m in [c.d(n) for n in range(1, c.top + 1)] + [c.rep_mat(1, n) for n in range(c.top + 1)]:
+        assert Mat(ZZ, m.nrows, m.ncols, m.to_json()) == m
+    half = Mat(QQ, 1, 1, [["1/2"]])
+    assert half.to_json() == [["1/2"]]
+    assert Mat(QQ, 1, 1, half.to_json()) == half
 
 
 @settings(max_examples=25, deadline=None)

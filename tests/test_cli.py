@@ -271,6 +271,12 @@ def test_exit_2_at_once_on_a_prime_over_the_cap(capsys):
     assert "exceeds the cap" in err
 
 
+@pytest.mark.parametrize("tag", ["Fp:x", "Fp:4", "R"])
+def test_exit_2_on_an_unknown_ring_tag(capsys, tag):
+    code, _, err = run(capsys, ["homology", "--sset", "boundary:2", "--ring", tag])
+    assert code == 2 and "input error" in err
+
+
 @pytest.mark.parametrize("verb,data", [
     ("homology", [1, 2]),                               # --sset holding a list
     ("cells", {"source": "point", "target": "point", "values": [[0, []]]}),
@@ -307,6 +313,47 @@ def test_exit_2_on_malformed_json(files, capsys, verb, data):
     assert "input error" in err
 
 
+def _exit_2_with_and_without_O(capsys, argv, words):
+    """In-process, and in a ``python -O`` process, where an assert would vanish."""
+    code, _, err = run(capsys, argv)
+    assert code == 2 and words in err, (code, err)
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-m", "orbitkit.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2 and words in proc.stderr, (proc.returncode, proc.stderr)
+
+
+def test_exit_2_on_a_family_member_outside_the_group(files, capsys):
+    path = files["tmp"] / "family.json"
+    path.write_text(json.dumps([[0, 5]]))
+    _exit_2_with_and_without_O(capsys, ["orbit-cat", "--group", files["group"],
+                                        "--family", str(path)],
+                               "element 5 outside the group")
+
+
+@pytest.mark.parametrize("verb,data,words", [
+    ("fixed-points", {"size": 2, "action": {"0": [0, 1], "1": [1, 0], "9": [0, 1]}},
+     "action key 9 is not a group element"),
+    ("homology", {"simplices": {"0": [0]}, "faces": {},
+                  "action": {"0": {"0": 0}, "1": {"0": 0}, "9": {"0": 0}}},
+     "action key 9 is not a group element"),
+    ("homology", {"simplices": {"0": [0]}, "faces": {"7": [[0, []]]},
+                  "action": {"0": {"0": 0}, "1": {"0": 0}}},
+     "faces given for 7"),
+    ("cells", {"source": "point", "target": "point", "values": {"0": 0, "3": 0}},
+     "value for 3"),
+], ids=["gset-action-key", "sset-action-key", "sset-faces-key", "map-values-key"])
+def test_exit_2_on_a_key_that_names_nothing(files, capsys, verb, data, words):
+    path = files["tmp"] / "stray.json"
+    path.write_text(json.dumps(data))
+    argv = {"fixed-points": ["fixed-points", "--sset", str(path), "--group", files["group"]],
+            "homology": ["homology", "--sset", str(path), "--group", files["group"],
+                         "--ring", "Z"],
+            "cells": ["cells", "--map", str(path)]}[verb]
+    _exit_2_with_and_without_O(capsys, argv, words)
+
+
 def test_exit_3_on_internal_error(files, capsys, monkeypatch):
     import orbitkit.whitehead
     monkeypatch.setattr(orbitkit.whitehead, "verify_certificate",
@@ -323,7 +370,7 @@ def test_failed_corestrictions_exit_3_under_python_O():
     script = textwrap.dedent("""
         import contextlib, io, sys
         from orbitkit import InternalError, ZZ, chains, cyclic_group, elmendorf, \\
-            gtensor, regular_gset, standard_simplex, trivial_subgroup
+            fixed_sset, gtensor, regular_gset, standard_simplex, trivial_subgroup
         from orbitkit.cli import main
         from orbitkit.exactla import Mat
         if not sys.flags.optimize:
@@ -363,13 +410,14 @@ def test_failed_corestrictions_exit_3_under_python_O():
         exit_3(["whitehead", "--group", group, "--map", smap, "--family", "all",
                 "--ring", "Z"], "does not factor")
         c2 = cyclic_group(2)
-        try:
-            chains.fixed_chains_comparison(
-                gtensor(regular_gset(c2), standard_simplex(1)),
-                trivial_subgroup(c2), ZZ)
+        x, e = gtensor(regular_gset(c2), standard_simplex(1)), trivial_subgroup(c2)
+        c = chains.normalized_chains(x, ZZ)
+        try:  # the comparison C(X^H) -> C(X)^H
+            chains.corestrict(chains.normalized_chain_map(fixed_sset(x, e)[1], ZZ, cy=c),
+                              chains.invariants(c, e)[1])
         except InternalError:
             sys.exit(0)
-        sys.exit("fixed_chains_comparison returned a map")
+        sys.exit("the fixed-chains comparison returned a map")
     """)
     fixtures = Path(__file__).resolve().parents[1] / "fixtures"
     src = str(Path(orbitkit.__file__).resolve().parents[1])

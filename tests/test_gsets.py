@@ -1,4 +1,4 @@
-"""G-sets: representability of fixed points, orbits, products, pushouts."""
+"""G-sets: representability of fixed points, orbits, products."""
 
 from itertools import product as iproduct
 
@@ -7,7 +7,7 @@ import pytest
 from orbitkit.groups import all_subgroups, cyclic_group, subgroup, \
     symmetric_group, trivial_subgroup, full_subgroup
 from orbitkit.gsets import coset_gset, equivariant_maps, make_gmap, \
-    make_gset, orbit_analysis, product_gset, pushout_gset, regular_gset, \
+    make_gset, orbit_analysis, product_gset, regular_gset, \
     stabilizer, trivial_gset
 
 
@@ -42,8 +42,7 @@ def test_coset_gset_s3_transposition():
     x = coset_gset(g, h)
     assert x.size == 3
     # translation action verified pointwise against coset arithmetic
-    from orbitkit.groups import left_cosets
-    cosets = left_cosets(g, h)
+    cosets = [tuple(sorted(g.mult[a][x_] for x_ in h.members)) for a in h.cosets.reps]
     index = {c: i for i, c in enumerate(cosets)}
     for a in g.elements():
         for i, c in enumerate(cosets):
@@ -155,36 +154,6 @@ def test_fixed_points_commute_with_products():
             assert sorted(fp) == expect
 
 
-def test_fixed_points_of_pushout_along_injection():
-    import random
-    rng = random.Random(9)
-    g = cyclic_group(2)
-    subs = all_subgroups(g)
-    for _ in range(20):
-        # A = G/K for random K; legs into random targets
-        k = rng.choice(subs)
-        a = coset_gset(g, k)
-        b = product_gset(a, trivial_gset(g, rng.randint(1, 2)))
-        # injective leg: a -> b as the first slice
-        f = make_gmap(a, b, [p * b.size // a.size for p in range(a.size)])
-        ys = equivariant_maps(a, regular_gset(g)) + \
-            equivariant_maps(a, trivial_gset(g, 2))
-        if not ys:
-            continue
-        kmap = rng.choice(ys)
-        p, bp, cp = pushout_gset(f, kmap)
-        for h in subs:
-            # pushout of fixed points along the injective leg, computed directly
-            fb = set(orbit_analysis(b, h).fixed)
-            fc = set(orbit_analysis(kmap.target, h).fixed)
-            fa = set(orbit_analysis(a, h).fixed)
-            glued = {bp.values[x] for x in fb} | {cp.values[y] for y in fc}
-            fp = set(orbit_analysis(p, h).fixed)
-            assert fp == glued
-            # and the count matches |B^H| + |C^H| - |A^H|
-            assert len(fp) == len(fb) + len(fc) - len(fa)
-
-
 def test_make_gset_validation():
     g = cyclic_group(2)
     with pytest.raises(ValueError):
@@ -210,8 +179,9 @@ def test_gmap_validation():
 
 
 def test_gset_json_roundtrip():
-    from orbitkit.jsonio import gset_to_json, load_gset
+    from orbitkit.jsonio import load_gset
     g = symmetric_group(3)
     x = coset_gset(g, next(h for h in all_subgroups(g) if len(h.members) == 2))
-    again = load_gset(gset_to_json(x), g)
+    data = {"size": x.size, "action": {str(a): list(x.act[a]) for a in g.elements()}}
+    again = load_gset(data, g)
     assert again == x
