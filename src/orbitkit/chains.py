@@ -94,6 +94,9 @@ class ChainComplex:
         return self.group is not None
 
     def validate(self):
+        for n, r in enumerate(self.ranks):
+            if r < 0:
+                raise ValueError(f"negative rank {r} in degree {n}")
         for n in range(1, self.top + 1):
             m = self.d(n)
             if (m.nrows, m.ncols) != (self.rank(n - 1), self.rank(n)):

@@ -2,8 +2,8 @@
 
 Elements are dense identifiers ``0..order-1`` with ``0`` the identity.
 Everything downstream (G-sets, orbit categories, equivariant chains)
-indexes into these tables, so construction validates associativity,
-identity, and inverses exhaustively; actions are then checked on the
+indexes into these tables, so construction validates identity, inverses
+and associativity (exactly, by Light's test); actions are then checked on the
 small generating set ``generators`` (``check_action_laws``).  Group order
 is capped (default 64); this is a desk-scale toolkit and all searches are
 exhaustive on purpose.
@@ -83,12 +83,7 @@ class Subgroup:
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """Greedy among the members: each doubles the span at least."""
-        gens, span = [], frozenset([0])
-        for x in self.members:
-            if x not in span:
-                gens.append(x)
-                span = _closure(self.parent, gens)
-        return tuple(gens)
+        return _greedy_generators(self.parent.mult, self.members)
 
     def is_trivial(self) -> bool:
         return self.members == (0,)
@@ -100,7 +95,9 @@ class Subgroup:
 def check_action_laws(g: Group, act, compose, identity) -> None:
     """Raise ValueError unless a -> act(a) is a homomorphism; compose(p, q) is p o q.
 
-    act(s) o act(b) = act(sb) for generators s and all b suffices (induct on words).
+    act(0) = identity and act(s) o act(b) = act(sb) for generators s and all b suffice:
+    a = s_1 ... s_k (g is finite) acts as act(s_1) o ... o act(s_k), by induction on k,
+    so as a permutation when every act(s) is one.
     """
     if act(0) != identity:
         raise ValueError("identity element must act trivially")
@@ -123,24 +120,28 @@ def _validate_table(order: int, mult) -> None:
     for x in range(order):
         if mult[0][x] != x or mult[x][0] != x:
             raise ValueError("element 0 is not a two-sided identity")
-    for x in range(order):
-        for y in range(order):
-            for z in range(order):
-                if mult[mult[x][y]][z] != mult[x][mult[y][z]]:
-                    raise ValueError(f"table not associative at ({x},{y},{z})")
+    # Light's test: the s with (x s) y = x (s y) for all x, y contain 0 and are closed
+    # under products (Clifford-Preston I, 1.2), so s that generate the table suffice
+    for s in _greedy_generators(mult, range(order)):
+        col = mult[s]
+        for x, row in enumerate(mult):
+            left = mult[row[s]]
+            if left != tuple(map(row.__getitem__, col)):
+                y = next(y for y in range(order) if left[y] != row[col[y]])
+                raise ValueError(f"table not associative at ({x},{s},{y})")
 
 
 def group_from_table(mult, name: str = "") -> Group:
     order = len(mult)
     table = tuple(tuple(row) for row in mult)
     _validate_table(order, table)
-    inv = []
-    for x in range(order):
-        found = [y for y in range(order) if table[x][y] == 0 and table[y][x] == 0]
-        if not found:
+    # y' x = 0 = x y gives y' = y' (x y) = (y' x) y = y: a two-sided inverse of x
+    # is its least right inverse (and 0 is none for x != 0, as x 0 = x)
+    inv = tuple(row.index(0) if 0 in row else 0 for row in table)
+    for x, y in enumerate(inv):
+        if table[x][y] or table[y][x]:
             raise ValueError(f"element {x} has no two-sided inverse")
-        inv.append(found[0])
-    return Group(order, table, tuple(inv), name)
+    return Group(order, table, inv, name)
 
 
 def group_from_generators(generators, name: str = "",
@@ -241,18 +242,28 @@ def full_subgroup(g: Group) -> Subgroup:
     return Subgroup(g, tuple(range(g.order)))
 
 
-def _closure(g: Group, seed) -> frozenset:
+def _closure(mult, seed) -> frozenset:
     """The subgroup generated by seed: a search from 0 by right multiplication
     with its members (in a finite group, their products form a subgroup)."""
     steps = [s for s in set(seed) if s]
     els, todo = {0}, [0]
     for x in todo:  # grows while it is read
-        row = g.mult[x]
+        row = mult[x]
         for s in steps:
             if row[s] not in els:
                 els.add(row[s])
                 todo.append(row[s])
     return frozenset(els)
+
+
+def _greedy_generators(mult, members) -> tuple[int, ...]:
+    """Keep each member not yet reached from 0 by right multiplication with those kept."""
+    gens, span = [], frozenset([0])
+    for x in members:
+        if x not in span:
+            gens.append(x)
+            span = _closure(mult, gens)
+    return tuple(gens)
 
 
 def all_subgroups(g: Group, max_order: int = DEFAULT_ORDER_BOUND) -> list[Subgroup]:
@@ -272,7 +283,7 @@ def all_subgroups(g: Group, max_order: int = DEFAULT_ORDER_BOUND) -> list[Subgro
         for x in g.elements():
             if x not in tried:
                 tried.update(g.mult[x][y] for y in h)  # the coset xH
-                j = _closure(g, seeds[h] + (x,))
+                j = _closure(g.mult, seeds[h] + (x,))
                 if j not in seeds:
                     seeds[j] = seeds[h] + (x,)
                     todo.append(j)

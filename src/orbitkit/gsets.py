@@ -1,7 +1,8 @@
 """Finite G-sets: orbits, stabilizers, fixed points, equivariant maps.
 
 A G-set stores one permutation per group element; validation enforces the
-action axioms (the homomorphism law on the group's generators), so
+action axioms (lengths for every element, the permutation property and the
+homomorphism law on the group's generators, which imply the rest), so
 downstream code can trust ``act[g][x]`` blindly.  The central fact
 exercised here is that equivariant maps out of a coset G-set G/H
 correspond to H-fixed points of the target, via evaluation at the base
@@ -58,12 +59,19 @@ def make_gset(group: Group, perms) -> GSet:
 
 
 def validate_gset(x: GSet) -> None:
-    for a in x.group.elements():
-        p = x.act[a]
-        if len(p) != x.size or sorted(p) != list(range(x.size)):
+    """Raise ValueError unless x.act is an action by permutations of 0..size-1.
+
+    Lengths are checked for every element, being a permutation on the generators
+    only (``check_action_laws`` then makes every element a composite of them)."""
+    g, identity = x.group, tuple(range(x.size))
+    for a in g.elements():  # size entries making up the set of points: a permutation
+        if len(x.act[a]) != x.size or a in g.generators and set(x.act[a]) != set(identity):
             raise ValueError(f"action of {a} is not a permutation")
-    check_action_laws(x.group, x.act.__getitem__,
-                      lambda p, q: tuple(p[pt] for pt in q), tuple(range(x.size)))
+    try:
+        check_action_laws(g, x.act.__getitem__,
+                          lambda p, q: tuple(map(p.__getitem__, q)), identity)
+    except (IndexError, TypeError):  # q names something that is not a point
+        raise ValueError("action is not by permutations: an entry is not a point") from None
 
 
 def make_gmap(source: GSet, target: GSet, values) -> GMap:
@@ -139,11 +147,11 @@ def orbits(perms, members) -> list[tuple[int, ...]]:
 
 
 def fixed_points(x: GSet, h: Subgroup) -> tuple[int, ...]:
-    """The points of x fixed by every member of h, in increasing order."""
+    """The points of x fixed by h (by its generators, so by all), in increasing order."""
     if h.parent != x.group:
         raise ValueError("subgroup of a different group")
     points = range(x.size)
-    for a in h.members:
+    for a in h.generators:
         points = [p for p in points if x.act[a][p] == p]
     return tuple(points)
 
@@ -198,12 +206,5 @@ def product_gset(x: GSet, y: GSet) -> GSet:
     """Product with diagonal action; point (a, b) has index a*|Y| + b."""
     if x.group != y.group:
         raise ValueError("product needs a common group")
-    size = x.size * y.size
-    act = []
-    for g in x.group.elements():
-        row = [0] * size
-        for a in range(x.size):
-            for b in range(y.size):
-                row[a * y.size + b] = x.act[g][a] * y.size + y.act[g][b]
-        act.append(tuple(row))
-    return GSet(x.group, size, tuple(act))
+    return GSet(x.group, x.size * y.size, tuple(
+        tuple(pa * y.size + pb for pa in p for pb in q) for p, q in zip(x.act, y.act)))

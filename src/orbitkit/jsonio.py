@@ -23,7 +23,7 @@ from pathlib import Path
 from .groups import Group, Subgroup, all_subgroups, make_group, subgroup, \
     trivial_subgroup
 from .gsets import GSet, make_gset
-from .simplicial import GSSet, SMap, build_sset, make_smap
+from .simplicial import GSSet, SMap, build_sset, int_keys, make_smap
 
 
 class InputError(ValueError):
@@ -41,9 +41,11 @@ def _load_json(path) -> object:
 
 
 def _ints(v, depth: int = 1) -> bool:
-    """v is a list of integers (depth 1) or a list of values of depth - 1."""
-    return isinstance(v, list) and all(
-        isinstance(x, int) if depth == 1 else _ints(x, depth - 1) for x in v)
+    """v is a list of integers (depth 1) or a list of values of depth - 1.
+    Types are compared exactly, so JSON booleans are refused."""
+    if not isinstance(v, list):
+        return False
+    return set(map(type, v)) <= {int} if depth == 1 else all(_ints(x, depth - 1) for x in v)
 
 
 def _values(v, ok) -> bool:
@@ -52,11 +54,11 @@ def _values(v, ok) -> bool:
 
 # checks of the fields of a G-sset object, with what each must be
 _SSET_FIELDS = {
-    "dims": ("an integer", lambda v: isinstance(v, int)),
+    "dims": ("an integer", lambda v: type(v) is int),
     "simplices": ("an object of id lists", lambda v: _values(v, _ints)),
     "faces": ("an object of lists of [base, word]", lambda v: _values(
         v, lambda fs: isinstance(fs, list) and all(
-            isinstance(f, list) and len(f) == 2 and isinstance(f[0], int) and _ints(f[1])
+            isinstance(f, list) and len(f) == 2 and type(f[0]) is int and _ints(f[1])
             for f in fs))),
     "action": ("an object of id objects", lambda v: v is None or _values(
         v, lambda m: isinstance(m, dict) and _ints(list(m.values())))),
@@ -101,24 +103,21 @@ def load_gset(source, group: Group) -> GSet:
     if not isinstance(data, dict) or "action" not in data or "size" not in data:
         raise InputError("gset: needs 'size' and 'action'")
     size = data["size"]
-    if not isinstance(size, int) or size < 0:
+    if type(size) is not int or size < 0:
         raise InputError("gset: 'size' must be a nonnegative integer")
     if not isinstance(data["action"], dict):
         raise InputError("gset: 'action' must be an object")
-    perms = {}
-    for g_str, perm in data["action"].items():
-        if not _ints(perm):
-            raise InputError(f"gset: action of {g_str} must be a list of points")
-        perms[int(g_str)] = perm
-    for g in group.elements():
-        if g not in perms:
-            if g == 0:
-                perms[0] = list(range(size))
-            else:
-                raise InputError(f"gset: action missing element {g}")
-        if len(perms[g]) != size:
-            raise InputError(f"gset: action of {g} has wrong length")
     try:
+        perms = int_keys(data["action"], "action key")
+        for g, perm in perms.items():
+            if not _ints(perm):
+                raise ValueError(f"action of {g} must be a list of points")
+        perms.setdefault(0, list(range(size)))
+        for g in group.elements():
+            if g not in perms:
+                raise ValueError(f"action missing element {g}")
+            if len(perms[g]) != size:
+                raise ValueError(f"action of {g} has wrong length")
         return make_gset(group, perms)
     except ValueError as exc:
         raise InputError(f"gset: {exc}")
@@ -160,17 +159,12 @@ def load_smap(source, group: Group | None = None) -> SMap:
         raise InputError("map: needs inline 'source' and 'target' simplicial sets")
     src = load_sset(data["source"], group)
     tgt = load_sset(data["target"], group)
-    values = {}
-    for id_str, ref in data["values"].items():
-        if isinstance(ref, int):
-            values[int(id_str)] = ref
-        elif isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], int) \
-                and _ints(ref[1]):
-            values[int(id_str)] = (ref[0], tuple(ref[1]))
-        else:
-            raise InputError(
-                f"map: value of simplex {id_str} must be an id or [base, word]")
     try:
+        values = int_keys(data["values"], "values key")
+        for x, ref in values.items():
+            if type(ref) is not int and not (type(ref) is list and len(ref) == 2
+                                             and type(ref[0]) is int and _ints(ref[1])):
+                raise ValueError(f"value of simplex {x} must be an id or [base, word]")
         return make_smap(src, tgt, values)
     except ValueError as exc:
         raise InputError(f"map: {exc}")

@@ -147,11 +147,12 @@ def build_orbit_category(g: Group, family) -> OrbitCategory:
     cat = OrbitCategory(g, fam)
     for j, k in enumerate(fam):
         gk = coset_gset(g, k)
-        kset = set(k.members)
+        # aK is a morphism iff a^-1 H a lies in K, iff H lies in the subgroup aKa^-1
+        # (which depends on aK only), iff H's generators do
+        conjugates = [(a, {g.conjugate(g.inv[a], x) for x in k.members}) for a in k.cosets.reps]
         for i, h in enumerate(fam):
-            # aK is a morphism iff a^-1 H a lies in K, which depends on aK only
-            ms = tuple(OrbitMorphism(h, k, a) for a in k.cosets.reps
-                       if all(g.conjugate(a, x) in kset for x in h.members))
+            ms = tuple(OrbitMorphism(h, k, a) for a, aka in conjugates
+                       if aka.issuperset(h.generators))
             cat.hom[(i, j)] = ms
             # cross-check against the fixed points of G/K, as sets of cosets
             if {k.cosets.index[m.rep] for m in ms} != set(fixed_points(gk, h)):

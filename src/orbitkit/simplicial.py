@@ -24,18 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InternalError
-from .groups import Group, Subgroup, check_action_laws, conjugating_element, \
-    cyclic_group
-from .gsets import GSet, orbits, stabilizer, trivial_gset
+from .groups import Group, Subgroup, conjugating_element, cyclic_group
+from .gsets import GSet, orbits, stabilizer, trivial_gset, validate_gset
 
 TRIVIAL_GROUP = cyclic_group(1)
 TOP_DIM_CAP = 8
 
 
-@dataclass(frozen=True)
-class SimplexRef:
+class SimplexRef(NamedTuple):
     """A simplex in normal form: degeneracy word applied to a base simplex."""
 
     base: int
@@ -79,9 +78,8 @@ class GSSet:
         self.action = {g: dict(m) for g, m in action.items()}
         self.simplices: dict[int, tuple[int, ...]] = {}
         for x, n in sorted(self.dim_of.items()):
-            self.simplices.setdefault(n, [])
-            self.simplices[n].append(x)
-        self.simplices = {n: tuple(sorted(ids)) for n, ids in self.simplices.items()}
+            self.simplices.setdefault(n, []).append(x)
+        self.simplices = {n: tuple(ids) for n, ids in self.simplices.items()}
         self.top_dim = max(self.dim_of.values(), default=-1)
         if self.top_dim > TOP_DIM_CAP:
             raise ValueError(f"top dimension {self.top_dim} exceeds cap {TOP_DIM_CAP}")
@@ -108,9 +106,6 @@ class GSSet:
 
     def act(self, g: int, x: int) -> int:
         return self.action[g][x]
-
-    def act_ref(self, g: int, ref: SimplexRef) -> SimplexRef:
-        return SimplexRef(self.action[g][ref.base], ref.word)
 
     def __repr__(self):
         counts = ",".join(f"{n}:{len(self.simplices[n])}" for n in sorted(self.simplices))
@@ -160,28 +155,32 @@ class GSSet:
                             f"simplicial identity fails at (i={i}, j={j}, simplex={x})")
         # action: dimension-preserving permutations forming a homomorphism
         ids = sorted(self.dim_of)
+        pos = dict(zip(ids, range(len(ids))))
         g = self.group
         for a in self.action:
             if a not in g.elements():
                 raise ValueError(f"action key {a!r} is not a group element")
+        rows = []  # rows[a][i]: the position in ids of the image of ids[i]
         for a in g.elements():
             m = self.action.get(a)
             if m is None:
                 raise ValueError(f"missing action of group element {a}")
-            if sorted(m) != ids or sorted(m.values()) != ids or any(
-                    self.dim_of[m[x]] != n for x, n in self.dim_of.items()):
+            if len(m) != len(ids):  # else a row free of None makes m's keys ids
                 raise ValueError(f"action of {a} is not a dimension-preserving "
                                  "permutation of the simplices")
-        check_action_laws(g, self.action.__getitem__,
-                          lambda p, q: {x: p[y] for x, y in q.items()},
-                          {x: x for x in ids})
-        # faces are equivariant; on generators, as the action is a homomorphism
+            rows.append(tuple(map(pos.get, map(m.get, ids))))
+        validate_gset(GSet(g, len(ids), tuple(rows)))  # the action on positions
+        dims = tuple(map(self.dim_of.__getitem__, ids))
+        # generators keep dimensions and faces, so their composites, all elements, do
         for a in g.generators:
+            if tuple(map(dims.__getitem__, rows[a])) != dims:
+                raise ValueError(f"action of {a} is not a dimension-preserving "
+                                 "permutation of the simplices")
+            m = self.action[a]
             for x, n in self.dim_of.items():
-                for i in range(n + 1 if n else 0):
-                    if self.act_ref(a, self.faces[x][i]) != self.faces[self.action[a][x]][i]:
-                        raise ValueError(
-                            f"face {i} of simplex {x} is not equivariant under {a}")
+                for i, (b, word) in enumerate(self.faces[x] if n else ()):
+                    if (m[b], word) != self.faces[m[x]][i]:
+                        raise ValueError(f"face {i} of simplex {x} is not equivariant under {a}")
 
 
 def apply_face(sset: GSSet, ref: SimplexRef, i: int) -> SimplexRef:
@@ -284,25 +283,21 @@ def build_sset(spec, group: Group | None = None) -> GSSet:
         raise ValueError(f"unknown built-in simplicial set {spec!r}")
     group = group or TRIVIAL_GROUP
     dim_of = {}
-    for n_str, id_list in spec.get("simplices", {}).items():
+    for n, id_list in int_keys(spec.get("simplices", {}), "dimension").items():
         for x in id_list:
-            x = int(x)
             if x in dim_of:
                 raise ValueError(f"duplicate simplex identifier {x}")
-            dim_of[x] = int(n_str)
-    faces = {}
-    for x_str, fs in spec.get("faces", {}).items():
-        faces[int(x_str)] = tuple(SimplexRef(int(b), tuple(int(w) for w in word))
-                                  for b, word in fs)
+            dim_of[x] = n
+    faces = {x: tuple([SimplexRef(b, tuple(word)) for b, word in fs])
+             for x, fs in int_keys(spec.get("faces", {}), "faces key").items()}
     action_spec = spec.get("action")
     if action_spec is None:
         if group.order != 1:
             raise ValueError("nontrivial group needs an explicit action")
         action = _trivial_action(dim_of)
     else:
-        action = {}
-        for g_str, m in action_spec.items():
-            action[int(g_str)] = {int(x): int(y) for x, y in m.items()}
+        action = {g: int_keys(m, f"action of {g}: simplex")
+                  for g, m in int_keys(action_spec, "action key").items()}
         for g in group.elements():
             if g not in action:
                 if g == 0:
@@ -313,6 +308,16 @@ def build_sset(spec, group: Group | None = None) -> GSSet:
     if "dims" in spec and int(spec["dims"]) != max(s.top_dim, -1):
         raise ValueError("dims field does not match the simplices listed")
     return s
+
+
+def int_keys(d: dict, what: str) -> dict:
+    """d with its keys read as integers; ValueError names one that is not, as what."""
+    ints = []
+    try:
+        ints.extend(map(int, d))  # keeps the keys read before one that fails
+    except ValueError:
+        raise ValueError(f"{what} {list(d)[len(ints)]!r} is not an integer") from None
+    return dict(zip(ints, d.values()))
 
 
 def sset_to_json(x: GSSet) -> dict:
@@ -367,8 +372,8 @@ class SMap:
                     raise ValueError(f"map does not commute with d_{i} at simplex {x}")
         if src.group == tgt.group:
             self.equivariant = all(
-                self.values[src.act(g, x)] == tgt.act_ref(g, self.values[x])
-                for g in src.group.generators for x in src.ids())
+                self.values[src.action[g][x]] == (tgt.action[g][r.base], r.word)
+                for g in src.group.generators for x, r in self.values.items())
 
     def is_iso(self) -> bool:
         if any(r.degenerate for r in self.values.values()):
@@ -384,16 +389,9 @@ class SMap:
 
 
 def make_smap(source: GSSet, target: GSSet, values) -> SMap:
-    vals = {}
-    for x, v in values.items():
-        if isinstance(v, SimplexRef):
-            vals[int(x)] = v
-        elif isinstance(v, int):
-            vals[int(x)] = SimplexRef(v)
-        else:
-            b, word = v
-            vals[int(x)] = SimplexRef(int(b), tuple(int(w) for w in word))
-    return SMap(source, target, vals)
+    """A validated SMap from values that are ids or (base, word) pairs."""
+    return SMap(source, target, {int(x): SimplexRef(v) if isinstance(v, int) else
+                                 SimplexRef(v[0], tuple(v[1])) for x, v in values.items()})
 
 
 def identity_smap(x: GSSet) -> SMap:
@@ -579,7 +577,8 @@ def prism(x: GSSet) -> Prism:
             faces[i] = tuple(fs)
     action = {}
     for g in x.group.elements():
-        action[g] = {pid[pr]: pid[(x.act_ref(g, pr[0]), pr[1])] for pr in pairs}
+        action[g] = {pid[(xi, eta)]: pid[(SimplexRef(x.action[g][xi.base], xi.word), eta)]
+                     for xi, eta in pairs}
     product = GSSet(x.group, dim_of, faces, action)
 
     end_id = {}
@@ -725,12 +724,10 @@ def replay_cell_decomposition(f: SMap, cs: CellStructure) -> None:
             if pushout.dim(s) != b.dim(to_b[s]):
                 raise ReplayError(f"stage {n}: dimension mismatch at {s}")
             if pushout.dim(s) > 0:
-                for i, r in enumerate(pushout.faces[s]):
-                    want = b.faces[to_b[s]][i]
-                    got = SimplexRef(to_b[r.base], r.word)
-                    if want != got:
+                for i, (base, word) in enumerate(pushout.faces[s]):
+                    if (to_b[base], word) != b.faces[to_b[s]][i]:
                         raise ReplayError(f"stage {n}: face mismatch at ({s},{i})")
-            for a in g.elements():
+            for a in g.generators:  # both actions are homomorphisms
                 if to_b[pushout.action[a][s]] != b.action[a][to_b[s]]:
                     raise ReplayError(f"stage {n}: action mismatch at ({a},{s})")
 

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import orbitkit
+from orbitkit.cli import main
 from orbitkit.groups import cyclic_group, dihedral_group, direct_product, \
-    symmetric_group
+    group_from_generators, klein_four_group, symmetric_group
 from orbitkit.simplicial import GSSet, boundary_simplex, standard_simplex
 
 
@@ -28,6 +35,35 @@ def s3():
 @pytest.fixture(scope="session")
 def d4():
     return dihedral_group(4)
+
+
+def exit_2_with_and_without_O(capsys, argv, words):
+    """The CLI exits 2 naming ``words``, with no traceback: in-process, and in a
+    ``python -O`` process, where an assert would vanish."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and words in err and "Traceback" not in err, (code, err)
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-m", "orbitkit.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2 and words in proc.stderr \
+        and "Traceback" not in proc.stderr, (proc.returncode, proc.stderr)
+
+
+def stock_groups():
+    """Every stock group the suite builds, up to order 64."""
+    small = [cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3),
+             dihedral_group(4), klein_four_group()]
+    c2_cubed = direct_product(klein_four_group(), cyclic_group(2))
+    yield from (cyclic_group(n) for n in range(1, 65))
+    yield from (symmetric_group(n) for n in range(1, 5))
+    yield from (dihedral_group(n) for n in range(2, 33))
+    yield from (direct_product(a, b) for a in small for b in small)
+    yield direct_product(c2_cubed, c2_cubed)
+    yield direct_product(direct_product(cyclic_group(4), cyclic_group(4)),
+                         cyclic_group(4))
+    yield group_from_generators([[1, 2, 0, 3], [1, 0, 3, 2]], "A4")
 
 
 def with_trivial_action(s: GSSet, group) -> GSSet:

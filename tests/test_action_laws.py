@@ -3,20 +3,24 @@
 Each property starts from a valid action (a G-set, a ``gtensor`` G-sset or
 a matrix representation), changes the permutation or matrix of one group
 element, a generator or not, and asserts that construction fails exactly
-when the check of every pair (a, b) of group elements fails.
+when the check of every pair (a, b) of group elements fails.  A G-sset's map
+may also lose or gain a key, name a non-simplex or move a simplex to another
+dimension.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import json
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import exit_2_with_and_without_O, stock_groups
 from orbitkit.chains import ChainComplex, normalized_chains
 from orbitkit.exactla import Mat
-from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, \
-    direct_product, klein_four_group, symmetric_group
+from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, symmetric_group
 from orbitkit.gsets import coset_gset, make_gset, product_gset
 from orbitkit.rings import ZZ
 from orbitkit.simplicial import GSSet, SimplexRef, boundary_simplex, gtensor, \
-    standard_simplex
+    sset_to_json, standard_simplex
 
 # cyclic groups and the non-abelian S3 and D4
 GROUPS = [cyclic_group(2), cyclic_group(4), cyclic_group(6), symmetric_group(3),
@@ -36,19 +40,6 @@ def generated(g, gens) -> set:
         frontier = [y for y in set(nxt) if y not in els]
         els.update(frontier)
     return els
-
-
-def stock_groups():
-    small = [cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3),
-             dihedral_group(4), klein_four_group()]
-    c2_cubed = direct_product(klein_four_group(), cyclic_group(2))
-    yield from (cyclic_group(n) for n in range(1, 65))
-    yield from (symmetric_group(n) for n in range(1, 5))
-    yield from (dihedral_group(n) for n in range(2, 33))
-    yield from (direct_product(a, b) for a in small for b in small)
-    yield direct_product(c2_cubed, c2_cubed)
-    yield direct_product(direct_product(cyclic_group(4), cyclic_group(4)),
-                         cyclic_group(4))
 
 
 def test_generators_generate_within_log2_order():
@@ -98,41 +89,99 @@ def test_gset_construction_matches_all_pairs(group, data):
     assert built == valid
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(group=st.sampled_from(GROUPS), data=st.data(),
        base=st.sampled_from([standard_simplex, boundary_simplex]),
        n=st.integers(1, 2))
 def test_gsset_construction_matches_all_pairs(group, data, base, n):
     k = data.draw(st.sampled_from(all_subgroups(group)))
     x = gtensor(coset_gset(group, k), base(n))
-    ids = sorted(x.dim_of)
     action = {a: dict(x.action[a]) for a in group.elements()}
     a = data.draw(st.sampled_from(list(group.elements())), label="element")
-    kind = data.draw(st.sampled_from(["swap", "copy", "collide"]), label="kind")
+    _perturb_row(data, x, action, a)
+    try:
+        GSSet(group, x.dim_of, x.faces, action)
+        built = True
+    except ValueError:
+        built = False
+    assert built == _all_pairs_valid(group, x, action)
+
+
+GSSET_KINDS = ["swap", "copy", "collide", "dimension", "drop", "add", "nonsimplex"]
+
+
+def _perturb_row(data, x, action, a):
+    """Change the map of element a in place, by a kind drawn from ``GSSET_KINDS``."""
+    kind = data.draw(st.sampled_from(GSSET_KINDS), label="kind")
+    m, ids, outside = action[a], sorted(x.dim_of), max(x.dim_of) + 1
     if kind == "copy":
-        action[a] = dict(action[data.draw(st.sampled_from(list(group.elements())))])
+        action[a] = dict(action[data.draw(st.sampled_from(list(action)))])
+    elif kind == "dimension":  # swap the images of two simplices of different dimensions
+        assume(len(x.simplices) > 1)
+        s = data.draw(st.sampled_from(ids))
+        t = data.draw(st.sampled_from([t for t in ids if x.dim_of[t] != x.dim_of[s]]))
+        m[s], m[t] = m[t], m[s]
+    elif kind == "drop":
+        del m[data.draw(st.sampled_from(ids))]
+    elif kind == "add":
+        m[outside] = outside
+    elif kind == "nonsimplex":
+        m[data.draw(st.sampled_from(ids))] = outside
     else:
         # two simplices of one dimension, so that the map keeps dimensions
         dim = data.draw(st.sampled_from([d for d, ids_d in sorted(x.simplices.items())
                                          if len(ids_d) > 1]))
         s, t = data.draw(st.lists(st.sampled_from(x.ids_of_dim(dim)), min_size=2,
                                   max_size=2, unique=True))
-        m = action[a]
         m[s], m[t] = (m[t], m[s]) if kind == "swap" else (m[t], m[t])
+
+
+def _all_pairs_valid(group, x, action) -> bool:
+    """Every map a dimension-preserving permutation of the simplices, faces
+    equivariant and the law holding, all checked for every element."""
+    ids = sorted(x.dim_of)
+    if not all(sorted(m) == ids and sorted(m.values()) == ids
+               and all(x.dim_of[m[s]] == x.dim_of[s] for s in ids)
+               for m in action.values()):
+        return False
     faces_ok = all(
         SimplexRef(action[b][r.base], r.word) == x.faces[action[b][s]][i]
         for b in group.elements() for s, fs in x.faces.items()
         for i, r in enumerate(fs))
-    valid = all(sorted(m.values()) == ids for m in action.values()) and faces_ok \
-        and all_pairs_law(group, action.__getitem__,
-                          lambda p, q: {s: p[t] for s, t in q.items()},
-                          {s: s for s in ids})
-    try:
-        GSSet(group, x.dim_of, x.faces, action)
-        built = True
-    except ValueError:
-        built = False
-    assert built == valid
+    return faces_ok and all_pairs_law(group, action.__getitem__,
+                                      lambda p, q: {s: p[t] for s, t in q.items()},
+                                      {s: s for s in ids})
+
+
+@pytest.mark.parametrize("kind", GSSET_KINDS[3:])
+@pytest.mark.parametrize("element", [2, 3])  # C4 is generated by 1
+def test_bad_non_generator_row_exits_2(capsys, tmp_path, kind, element):
+    """Each defect in the row of a non-generator raises ValueError, and the
+    CLI exits 2 on it, also under ``python -O``, with no traceback."""
+    c4 = cyclic_group(4)
+    assert element not in c4.generators
+    x = gtensor(coset_gset(c4, all_subgroups(c4)[0]), standard_simplex(1))
+    action = {a: dict(x.action[a]) for a in c4.elements()}
+    m, outside = action[element], max(x.dim_of) + 1
+    vertex, edge = x.ids_of_dim(0)[0], x.ids_of_dim(1)[0]
+    if kind == "dimension":
+        m[vertex], m[edge] = m[edge], m[vertex]
+    elif kind == "drop":
+        del m[edge]
+    elif kind == "add":
+        m[outside] = outside
+    else:
+        m[vertex] = outside
+    assert not _all_pairs_valid(c4, x, action)
+    with pytest.raises(ValueError):
+        GSSet(c4, x.dim_of, x.faces, action)
+    data = sset_to_json(x)
+    data["action"] = {str(a): {str(s): t for s, t in am.items()} for a, am in action.items()}
+    sset, group = tmp_path / "sset.json", tmp_path / "c4.json"
+    sset.write_text(json.dumps(data))
+    group.write_text(json.dumps({"order": 4, "mult": c4.mult}))
+    exit_2_with_and_without_O(capsys, ["homology", "--group", str(group), "--sset", str(sset),
+                                       "--ring", "Z"], "input error: sset: ")
 
 
 @settings(max_examples=60, deadline=None)

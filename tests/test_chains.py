@@ -77,6 +77,11 @@ def test_d_squared_guard():
                                      2: Mat(ZZ, 1, 1, [[1]])})
 
 
+def test_negative_rank_is_refused():
+    with pytest.raises(ValueError, match="negative rank -1 in degree 1"):
+        ChainComplex(ZZ, [1, -1], {})
+
+
 # ---------------------------------------------------------------------------
 # invariants
 

@@ -19,7 +19,7 @@ from orbitkit.jsonio import load_group, load_smap
 from orbitkit.rings import ZZ
 from orbitkit.simplicial import gtensor, sset_to_json, standard_simplex
 from orbitkit.whitehead import Certificate, verify_certificate
-from conftest import swap_boundary1, vee
+from conftest import exit_2_with_and_without_O, swap_boundary1, vee
 from orbitkit.groups import cyclic_group
 
 
@@ -313,23 +313,12 @@ def test_exit_2_on_malformed_json(files, capsys, verb, data):
     assert "input error" in err
 
 
-def _exit_2_with_and_without_O(capsys, argv, words):
-    """In-process, and in a ``python -O`` process, where an assert would vanish."""
-    code, _, err = run(capsys, argv)
-    assert code == 2 and words in err, (code, err)
-    src = str(Path(orbitkit.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-m", "orbitkit.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 2 and words in proc.stderr, (proc.returncode, proc.stderr)
-
-
 def test_exit_2_on_a_family_member_outside_the_group(files, capsys):
     path = files["tmp"] / "family.json"
     path.write_text(json.dumps([[0, 5]]))
-    _exit_2_with_and_without_O(capsys, ["orbit-cat", "--group", files["group"],
-                                        "--family", str(path)],
-                               "element 5 outside the group")
+    exit_2_with_and_without_O(capsys, ["orbit-cat", "--group", files["group"],
+                                       "--family", str(path)],
+                              "element 5 outside the group")
 
 
 @pytest.mark.parametrize("verb,data,words", [
@@ -343,15 +332,64 @@ def test_exit_2_on_a_family_member_outside_the_group(files, capsys):
      "faces given for 7"),
     ("cells", {"source": "point", "target": "point", "values": {"0": 0, "3": 0}},
      "value for 3"),
-], ids=["gset-action-key", "sset-action-key", "sset-faces-key", "map-values-key"])
+    # a key that is not an integer is named with the kind of file it is in
+    ("fixed-points", {"size": 2, "action": {"0": [0, 1], "x": [1, 0]}},
+     "gset: action key 'x' is not an integer"),
+    ("homology", {"simplices": {"0": [0]}, "action": {"0": {"0": 0}, "x": {"0": 0}}},
+     "sset: action key 'x' is not an integer"),
+    ("homology", {"simplices": {"0": [0]}, "action": {"0": {"0": 0}, "1": {"x": 0}}},
+     "sset: action of 1: simplex 'x' is not an integer"),
+    ("homology", {"simplices": {"0": [0, 1], "1": [2]}, "faces": {"x": [[1, []], [0, []]]},
+                  "action": {"1": {"0": 0, "1": 1, "2": 2}}},
+     "sset: faces key 'x' is not an integer"),
+    ("homology", {"simplices": {"x": [0]}, "action": {"1": {"0": 0}}},
+     "sset: dimension 'x' is not an integer"),
+    ("cells", {"source": "point", "target": "point", "values": {"x": 0}},
+     "map: values key 'x' is not an integer"),
+], ids=["gset-action-key", "sset-action-key", "sset-faces-key", "map-values-key",
+        "gset-action-key-x", "sset-action-key-x", "sset-action-simplex-x", "sset-faces-key-x",
+        "sset-dimension-x", "map-values-key-x"])
 def test_exit_2_on_a_key_that_names_nothing(files, capsys, verb, data, words):
     path = files["tmp"] / "stray.json"
     path.write_text(json.dumps(data))
-    argv = {"fixed-points": ["fixed-points", "--sset", str(path), "--group", files["group"]],
+    exit_2_with_and_without_O(capsys, _argv(files, verb, path), words)
+
+
+def _argv(files, verb, path):
+    return {"fixed-points": ["fixed-points", "--sset", str(path), "--group", files["group"]],
             "homology": ["homology", "--sset", str(path), "--group", files["group"],
                          "--ring", "Z"],
-            "cells": ["cells", "--map", str(path)]}[verb]
-    _exit_2_with_and_without_O(capsys, argv, words)
+            "cells": ["cells", "--map", str(path)],
+            "orbit-cat": ["orbit-cat", "--group", files["group"], "--family", str(path)],
+            "census": ["census", "--group", str(path), "--family", "all"]}[verb]
+
+
+# JSON booleans are Python ints; each is refused where an integer is expected
+@pytest.mark.parametrize("verb,data,words", [
+    ("orbit-cat", [[0, True]], "family[0]: expected a list of group elements"),
+    ("census", {"order": 2, "mult": [[0, 1], [1, False]]}, "group: 'mult' must be"),
+    ("fixed-points", {"size": 2, "action": {"0": [0, 1], "1": [True, 0]}},
+     "gset: action of 1 must be a list of points"),
+    ("fixed-points", {"size": True, "action": {"0": [0]}}, "gset: 'size' must be"),
+    ("homology", {"simplices": {"0": [False]}}, "sset: 'simplices' must be"),
+    ("homology", {"dims": False, "simplices": {"0": [0]}}, "sset: 'dims' must be"),
+    ("homology", {"simplices": {"0": [0, 1], "1": [2]}, "faces": {"2": [[True, []], [0, []]]}},
+     "sset: 'faces' must be"),
+    ("homology", {"simplices": {"0": [0, 1], "1": [2]}, "faces": {"2": [[1, [False]], [0, []]]}},
+     "sset: 'faces' must be"),
+    ("homology", {"simplices": {"0": [0, 1]}, "action": {"1": {"0": True, "1": False}}},
+     "sset: 'action' must be"),
+    ("cells", {"source": "point", "target": "point", "values": {"0": False}},
+     "map: value of simplex 0 must be"),
+    ("cells", {"source": "point", "target": "point", "values": {"0": [False, []]}},
+     "map: value of simplex 0 must be"),
+], ids=["family-member", "group-mult", "gset-perm", "gset-size", "sset-id", "sset-dims",
+        "sset-face-base", "sset-face-word", "sset-action-value", "map-value",
+        "map-value-base"])
+def test_exit_2_on_a_boolean_for_an_integer(files, capsys, verb, data, words):
+    path = files["tmp"] / "boolean.json"
+    path.write_text(json.dumps(data))
+    exit_2_with_and_without_O(capsys, _argv(files, verb, path), words)
 
 
 def test_exit_3_on_internal_error(files, capsys, monkeypatch):

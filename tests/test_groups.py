@@ -1,10 +1,12 @@
 """Groups and subgroups against exhaustive oracles."""
 
+import json
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import exit_2_with_and_without_O
 from orbitkit.groups import all_subgroups, conjugating_element, cyclic_group, \
     dihedral_group, direct_product, group_from_generators, group_from_table, \
     klein_four_group, make_group, subgroup, symmetric_group, \
@@ -58,19 +60,65 @@ def test_make_group_s3_from_generators_matches_brute_force():
     assert g.order == len(brute_force_closure([list(p) for p in gens])) == 6
 
 
+# a non-associative latin square with identity 0: a loop of order 5
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
 def test_make_group_rejects_bad_tables():
     with pytest.raises(ValueError):
         group_from_table([[0, 1], [1, 1]])  # not a two-sided inverse setup
     with pytest.raises(ValueError):
         group_from_table([[1, 0], [0, 1]])  # 0 not the identity
-    # non-associative latin square (order 5 loop)
-    loop = [[0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0]]
-    with pytest.raises(ValueError):
-        group_from_table(loop)
+    with pytest.raises(ValueError, match="not associative"):
+        group_from_table(LOOP5)
+
+
+def test_non_associative_table_exits_2(capsys, tmp_path):
+    path = tmp_path / "loop5.json"
+    path.write_text(json.dumps({"order": 5, "mult": LOOP5}))
+    exit_2_with_and_without_O(capsys, ["census", "--group", str(path), "--family", "all"],
+                              "group: table not associative at (1,1,2)")
+
+
+def associative_on_all_triples(mult) -> bool:
+    n = len(mult)
+    return all(mult[mult[x][y]][z] == mult[x][mult[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+# LOOP5 x C2, pair (l, c) at 2l + c: right multiplication from 0 needs the
+# elements 1 = (0, 1), 2 = (1, 0) and 4 = (2, 0), and only 1 associates with all
+LOOP5_C2 = [[2 * LOOP5[l1][l2] + (c1 + c2) % 2 for l2 in range(5) for c2 in range(2)]
+            for l1 in range(5) for c1 in range(2)]
+TABLES = [cyclic_group(n).mult for n in (2, 3, 4, 6, 8)] + [
+    symmetric_group(3).mult, dihedral_group(4).mult, klein_four_group().mult,
+    direct_product(cyclic_group(2), cyclic_group(4)).mult, LOOP5, LOOP5_C2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.sampled_from(TABLES), data=st.data())
+def test_light_associativity_test_matches_all_triples(table, data):
+    """Light's test on a generating set refuses a table exactly when some
+    triple fails, on tables with one entry changed off the identity's row and
+    column (so that range and identity hold), and names a failing triple."""
+    n = len(table)
+    mult = [list(row) for row in table]
+    if data.draw(st.booleans(), label="perturb"):
+        x, y = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
+        mult[x][y] = data.draw(st.integers(0, n - 1))
+    try:
+        group_from_table(mult)
+        refused = ""
+    except ValueError as exc:
+        refused = str(exc)
+    assert ("not associative" in refused) == (not associative_on_all_triples(mult))
+    if "not associative" in refused:
+        x, s, y = map(int, refused.rsplit("(", 1)[1].rstrip(")").split(","))
+        assert mult[mult[x][s]][y] != mult[x][mult[s][y]]
 
 
 def test_generator_closure_bound():

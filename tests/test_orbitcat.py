@@ -2,9 +2,10 @@
 
 import pytest
 
+from conftest import stock_groups
 from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, \
     symmetric_group, trivial_subgroup, full_subgroup
-from orbitkit.gsets import coset_gset, orbit_analysis
+from orbitkit.gsets import coset_gset, fixed_points, orbit_analysis
 from orbitkit.orbitcat import OrbitMorphism, build_orbit_category, compose, \
     orbit_morphism, realize
 
@@ -272,3 +273,27 @@ def test_generators_and_pairs_match_the_morphism_closure(name):
     assert cat.functoriality_pairs == pairs
     if name == "C2xC4":
         assert len(pairs) == 142
+
+
+def burnside_marks(g, k) -> dict:
+    """H -> |(G/K)^H| for every subgroup H, from member sets only: gK is fixed
+    by H exactly when H lies in gKg^-1, and each conjugate of K is gKg^-1 for
+    |N_G(K):K| cosets gK, so |(G/K)^H| = |N_G(K):K| * #{conjugates of K over H}."""
+    kset = frozenset(k.members)
+    conjugates = [frozenset(g.mult[g.mult[a][x]][g.inv[a]] for x in kset)
+                  for a in g.elements()]
+    index = conjugates.count(kset) // len(kset)  # |N_G(K)| / |K|
+    return {h.members: index * sum(set(h.members) <= c for c in set(conjugates))
+            for h in all_subgroups(g)}
+
+
+def test_hom_sets_and_fixed_points_match_burnside_marks():
+    for g in stock_groups():
+        if g.order > 24:
+            continue
+        cat = build_orbit_category(g, all_subgroups(g))
+        for j, k in enumerate(cat.family):
+            marks, gk = burnside_marks(g, k), coset_gset(g, k)
+            for i, h in enumerate(cat.family):
+                assert len(cat.hom[(i, j)]) == marks[h.members], (g, h, k)
+                assert len(fixed_points(gk, h)) == marks[h.members], (g, h, k)

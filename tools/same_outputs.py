@@ -23,11 +23,17 @@ process against each tree, once with the default text output and once with
   and with the cell Delta[1], on D8 as finite sets and over Z, and on D32
   as finite sets: larger than the benchmark's C2 x C4;
 * ``orbit-cat`` and ``census`` with ``--family all`` (``LATTICES``) on D32
-  and C4^3, order 64: subgroup lattices larger than the benchmark's.
+  and C4^3, order 64: subgroup lattices larger than the benchmark's;
+* G-simplicial sets over groups with several generators (``GSSETS``: C2^4,
+  D8 and S4), where the benchmark's are over cyclic groups, with one or two
+  generators: ``homology --family all`` over Z on G/e x the boundary of
+  Delta[2], and ``cells`` and ``cofib-check`` on the inclusion of the
+  1-skeleton of G/e x Delta[2].
 
-The groups of the last two sets are written by this tool with orbitkit's
-constructors. At seeds 7 and 3 that is 175 jobs (132 benchmark, 19 golden,
-12 prism, 2 identity, 6 elmendorf, 4 order64), so 350 runs.
+The groups and G-simplicial sets of the last three sets are written by this
+tool with orbitkit's constructors. At seeds 7 and 3 that is 184 jobs (132
+benchmark, 19 golden, 12 prism, 2 identity, 6 elmendorf, 4 order64,
+9 gsset), so 368 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.
@@ -53,6 +59,7 @@ IDENTITIES = ((8, 3, ("Z", "Fp:2")),)  # C_m/e x Delta[n] over each ring
 ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--sset", "delta:1"))), ("D8", ((), ("--ring", "Z"))),
              ("D32", ((),)))
 LATTICES = ("D32", "C4^3")
+GSSETS = ("C2^4", "D8", "S4")
 
 
 def benchmark_jobs(seed: int, outdir: str):
@@ -78,13 +85,19 @@ def write(outdir: str, name: str, data) -> str:
     return path
 
 
+def write_smap(outdir: str, name: str, f) -> str:
+    from orbitkit.simplicial import sset_to_json
+    return write(outdir, name, {
+        "source": sset_to_json(f.source), "target": sset_to_json(f.target),
+        "values": {str(s): [r.base, list(r.word)] for s, r in sorted(f.values.items())}})
+
+
 def whitehead_cases(outdir: str):
     """("prism" or "identity", name, argv) for unrelabelled prism end inclusions
     (``PRISMS``) and identities (``IDENTITIES``), written under outdir."""
     from orbitkit.groups import cyclic_group, trivial_subgroup
     from orbitkit.gsets import coset_gset
-    from orbitkit.simplicial import gtensor, identity_smap, prism, sset_to_json, \
-        standard_simplex
+    from orbitkit.simplicial import gtensor, identity_smap, prism, standard_simplex
 
     out = []
     for kind, m, n, rings in ([("prism", m, n, RINGS) for m, n in PRISMS]
@@ -94,9 +107,7 @@ def whitehead_cases(outdir: str):
         f = prism(x).end0 if kind == "prism" else identity_smap(x)
         name = f"C{m}/e x Delta[{n}]"
         group = write(outdir, f"group_C{m}", {"order": g.order, "mult": g.mult})
-        smap = write(outdir, f"{kind}_C{m}_{n}", {
-            "source": sset_to_json(f.source), "target": sset_to_json(f.target),
-            "values": {str(s): [r.base, list(r.word)] for s, r in sorted(f.values.items())}})
+        smap = write_smap(outdir, f"{kind}_C{m}_{n}", f)
         out += [(kind, f"{name} over {ring}", ["whitehead", "--group", group, "--map", smap,
                                                 "--family", "all", "--ring", ring])
                 for ring in rings]
@@ -104,26 +115,54 @@ def whitehead_cases(outdir: str):
 
 
 def stock_groups(outdir: str) -> dict:
-    """Name -> path of each group of ``ELMENDORF`` and ``LATTICES``, written under outdir."""
+    """Name -> (group, path) of each group of ``ELMENDORF``, ``LATTICES`` and
+    ``GSSETS``, written under outdir."""
     from orbitkit.groups import cyclic_group, dihedral_group, direct_product, symmetric_group
-    c4 = cyclic_group(4)
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    c2_2 = direct_product(c2, c2)
     groups = {"S4": symmetric_group(4), "D8": dihedral_group(8), "D32": dihedral_group(32),
-              "C4^3": direct_product(direct_product(c4, c4), c4)}
-    return {name: write(outdir, f"group_{name}", {"order": g.order, "mult": g.mult})
+              "C4^3": direct_product(direct_product(c4, c4), c4),
+              "C2^4": direct_product(c2_2, c2_2)}
+    return {name: (g, write(outdir, f"group_{name}", {"order": g.order, "mult": g.mult}))
             for name, g in groups.items()}
 
 
 def elmendorf_cases(groups: dict):
     """("elmendorf", name, argv) for ``ELMENDORF``; ``groups`` from ``stock_groups``."""
     return [("elmendorf", f"{name} {' '.join(v) or 'as finite sets'}",
-             ["elmendorf", "--group", groups[name], "--family", "all", *v])
+             ["elmendorf", "--group", groups[name][1], "--family", "all", *v])
             for name, variants in ELMENDORF for v in variants]
 
 
 def lattice_cases(groups: dict):
     """("order64", name, argv) for ``orbit-cat`` and ``census`` on ``LATTICES``."""
-    return [("order64", f"{verb} {name}", [verb, "--group", groups[name], "--family", "all"])
+    return [("order64", f"{verb} {name}", [verb, "--group", groups[name][1], "--family", "all"])
             for name in LATTICES for verb in ("orbit-cat", "census")]
+
+
+def gsset_cases(outdir: str, groups: dict):
+    """("gsset", name, argv) for ``GSSETS``, written under outdir; ``groups``
+    from ``stock_groups``."""
+    from orbitkit.groups import trivial_subgroup
+    from orbitkit.gsets import coset_gset
+    from orbitkit.simplicial import boundary_simplex, gtensor, skeleton, sset_to_json, \
+        standard_simplex
+
+    out = []
+    for name in GSSETS:
+        g, group = groups[name]
+        free = coset_gset(g, trivial_subgroup(g))
+        sphere = write(outdir, f"sphere_{name}", sset_to_json(gtensor(free, boundary_simplex(2))))
+        sk1 = write_smap(outdir, f"sk1_{name}",
+                         skeleton(gtensor(free, standard_simplex(2)), 1)[1])
+        out += [("gsset", f"homology {name}/e x bdry2",
+                 ["homology", "--group", group, "--sset", sphere, "--family", "all",
+                  "--ring", "Z"]),
+                ("gsset", f"cells Sk1 {name}/e x Delta[2]",
+                 ["cells", "--group", group, "--map", sk1]),
+                ("gsset", f"cofib-check Sk1 {name}/e x Delta[2]",
+                 ["cofib-check", "--group", group, "--map", sk1, "--family", "trivial"])]
+    return out
 
 
 def run(src: str, argv) -> tuple:
@@ -144,7 +183,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         groups = stock_groups(tmp)
         jobs = (benchmark_jobs(args.seed, tmp) + golden_cases() + whitehead_cases(tmp)
-                + elmendorf_cases(groups) + lattice_cases(groups))
+                + elmendorf_cases(groups) + lattice_cases(groups) + gsset_cases(tmp, groups))
         cases = [(kind, name, fmt) for kind, name, _ in jobs for fmt in FORMATS]
         argvs = [argv + list(fmt) for _, _, argv in jobs for fmt in FORMATS]
         with ThreadPoolExecutor(2) as pool:
