@@ -193,8 +193,8 @@ class ChainMap:
     @classmethod
     def of_bases(cls, source: ChainComplex, target: ChainComplex, sel) -> "ChainMap":
         """``sel[n][i]`` is row i's column of 1 in degree n, up to target.top."""
-        f = cls(source, target, {}, validate=False)
-        f.sel = sel
+        f = cls.__new__(cls)  # as __init__ with no matrices and no validation
+        f.source, f.target, f._mats, f.sel, f.equivariant = source, target, {}, sel, False
         return f
 
     def mat(self, n: int) -> Mat:
@@ -287,6 +287,19 @@ def chain_maps_equal(a: ChainMap, b: ChainMap) -> bool:
             sa is sb or sa.ring == sb.ring and sa.ranks == sb.ranks):  # so equal shapes
         return a.sel == b.sel or all(a.sel.get(n, ()) == b.sel.get(n, ()) for n in range(top + 1))
     return all(a.mat(n) == b.mat(n) for n in range(top + 1))
+
+
+def composes_to(second: ChainMap, first: ChainMap, h: ChainMap) -> bool:
+    """``chain_maps_equal(h, compose_chain_maps(second, first))``, read off the
+    index tuples when all three are maps of bases and h starts where first does."""
+    s, f, hs, src = second.sel, first.sel, h.sel, first.source
+    if s is None or f is None or hs is None or not (
+            h.source is src or h.source.ring == src.ring and h.source.ranks == src.ranks):
+        return chain_maps_equal(h, compose_chain_maps(second, first))
+    for n in range(max(h.top, src.top, second.target.top) + 1):
+        if hs.get(n, ()) != _then(s.get(n, ()), f.get(n, ())):
+            return False
+    return True
 
 
 def homotopy_defect(phi: ChainHomotopy, f: ChainMap, g: ChainMap):
@@ -470,9 +483,8 @@ def corestrict(f: ChainMap, incl: ChainMap) -> ChainMap:
     what = "the map does not factor through the inclusion in degree {}"
     if None not in (f.sel, incl.sel, getattr(p, "sel", None)):
         g = compose_chain_maps(p, f)
-        back = compose_chain_maps(incl, g).sel
-        for n in degrees:
-            if back.get(n, ()) != f.sel.get(n, ()):
+        for n in degrees:  # incl o g = f, read off the tuples
+            if _then(incl.sel.get(n, ()), g.sel.get(n, ())) != f.sel.get(n, ()):
                 raise InternalError(what.format(n))
         return g
     mats = {n: _through(incl.mat(n), p[n], f.mat(n), what.format(n)) for n in degrees}

@@ -164,9 +164,7 @@ def cmd_elmendorf(args) -> int:
     lines = []
     payload = {"adjunction": {}, "cellularity": {}}
     for k in family:
-        t = elm.free_cell_diagram(cat, k, cell, vcat)
-        x = elm.i_upper(t)
-        rep = elm.adjunction_check(t, x)
+        rep = elm.adjunction_check(elm.free_cell_diagram(cat, k, cell, vcat))
         payload["adjunction"][k.label] = rep.to_json()
         lines.append(f"free cell at {{{k.label}}}: unit_iso={rep.unit_iso} "
                      f"counit_iso={rep.counit_iso} triangles="

@@ -15,9 +15,11 @@ a map of finite sets (``VMap``) is the tuple of the images of those points,
 and a G-object in finite sets is a ``GSet``.  Every construction below is
 written once against the methods they all provide:
 
-* maps: ``identity``, ``compose``, ``maps_equal``, ``is_iso``; every map
-  has a ``source`` and a ``target`` value, which ``same_value`` compares
-  with a diagram's values;
+* maps: ``identity``, ``compose``, ``maps_equal``, ``is_iso``, and
+  ``composes_to(second, first, h)``, whether h = second o first, which
+  builds that composite only where tuples cannot be compared; every map has
+  a ``source`` and a ``target`` value, which ``same_value`` compares with a
+  diagram's values;
 * G-objects: ``gobject(group, carrier, action_maps)`` equips a value with
   an action (for chains, a permutation action if every map permutes the
   basis), ``action_as_map(x, g)`` reads one element's action back;
@@ -46,14 +48,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .chains import ChainComplex, ChainMap, chain_maps_equal, compose_chain_maps, \
-    corestrict, identity_chain_map, invariants
+    composes_to, corestrict, identity_chain_map, invariants
 from .errors import InternalError
 from .exactla import Mat, is_invertible
 from .groups import Group, Subgroup
 from .gsets import GSet, coset_gset, fixed_points, make_gset, orbits, product_gset, \
     trivial_gset
 from .orbitcat import OrbitCategory, OrbitMorphism, composite_rep
-from .simplicial import GSSet, SMap, SimplexRef, TRIVIAL_GROUP, disjoint_copies, \
+from .simplicial import GSSet, SMap, SimplexRef, disjoint_copies, \
     fixed_sset, gtensor, identity_smap, compose_smaps, smaps_equal
 
 
@@ -81,12 +83,22 @@ class VMap(NamedTuple):
         return cls(source, target, fn)
 
 
+class _Inclusion(VMap):
+    """``FinSetCat.fixed``: a VMap with ``position``, {image: point}, for ``corestrict``."""
+
+
 class FinSetCat:
     def identity(self, v: int) -> VMap:
         return VMap(v, v, tuple(range(v)))
 
     def compose(self, m2: VMap, m1: VMap) -> VMap:
-        return VMap(m1.source, m2.target, tuple(map(m2.fn.__getitem__, m1.fn)))
+        fn2 = m2.fn
+        return VMap(m1.source, m2.target, tuple([fn2[i] for i in m1.fn]))
+
+    def composes_to(self, m2: VMap, m1: VMap, h: VMap) -> bool:
+        fn2 = m2.fn
+        return (h.source == m1.source and h.target == m2.target
+                and h.fn == tuple([fn2[i] for i in m1.fn]))
 
     def same_value(self, a: int, b: int) -> bool:
         return a == b
@@ -102,14 +114,18 @@ class FinSetCat:
 
     def fixed(self, x: GSet, h: Subgroup) -> VMap:
         points = fixed_points(x, h)
-        return VMap(len(points), x.size, points)
+        incl = _Inclusion(len(points), x.size, points)
+        incl.position = {p: i for i, p in enumerate(points)}
+        return incl
 
     def action_as_map(self, x: GSet, g: int) -> VMap:
         return VMap(x.size, x.size, x.act[g])
 
-    def corestrict(self, m: VMap, incl: VMap) -> VMap:
-        position = {p: i for i, p in enumerate(incl.fn)}  # make refuses a miss (None)
-        return VMap.make(m.source, incl.source, map(position.get, m.fn))
+    def corestrict(self, m: VMap, incl: _Inclusion) -> VMap:
+        fn = tuple(map(incl.position.get, m.fn))  # None where m misses the fixed points
+        if None in fn or len(fn) != m.source:  # which make refuses, naming the failure
+            return VMap.make(m.source, incl.source, fn)
+        return VMap(m.source, incl.source, fn)
 
     def copower(self, keys, c: int) -> int:
         return len(keys) * c
@@ -138,6 +154,12 @@ class FinSSetCat:
     def compose(self, m2: SMap, m1: SMap) -> SMap:
         return compose_smaps(m2, m1)
 
+    def composes_to(self, m2: SMap, m1: SMap, h: SMap) -> bool:
+        if not self.same_value(m1.target, m2.source):
+            raise ValueError("maps are not composable")  # as compose_smaps refuses them
+        return (h.values == {x: m2.push(r) for x, r in m1.values.items()}
+                and self.same_value(h.source, m1.source) and self.same_value(h.target, m2.target))
+
     def same_value(self, x: GSSet, y: GSSet) -> bool:  # as compose_smaps sees them
         return x is y or (x.dim_of, x.faces) == (y.dim_of, y.faces)
 
@@ -162,16 +184,17 @@ class FinSSetCat:
         return fixed_sset(x, h)[1]
 
     def action_as_map(self, x: GSSet, g: int) -> SMap:
-        plain = GSSet(TRIVIAL_GROUP, x.dim_of, {s: x.faces[s] for s in x.faces},
-                      {0: {s: s for s in x.dim_of}}, validate=False)
         # simplicial as x's faces are equivariant; equivariant for the trivial group
-        return SMap(plain, plain, {s: SimplexRef(x.act(g, s)) for s in x.ids()},
+        return SMap(x.plain, x.plain, {s: SimplexRef(x.act(g, s)) for s in x.ids()},
                     validate=False, equivariant=True)
 
     def corestrict(self, m: SMap, incl: SMap) -> SMap:
         # fixed simplices keep their ids and faces: only a value that misses them fails
-        for s in m.source.ids():
-            incl.source._check_ref(m.values[s], m.source.dim(s))
+        src, dim_of = m.source, incl.source.dim_of
+        for s in src.ids():  # a nondegenerate value of the right dimension needs one lookup
+            ref, n = m.values[s], src.dim_of[s]
+            if ref.word or dim_of.get(ref.base) != n:
+                incl.source._check_ref(ref, n)
         return SMap(m.source, incl.source, dict(m.values), validate=False,
                     equivariant=m.source.group == incl.source.group)  # x^H's group is trivial
 
@@ -207,6 +230,8 @@ class ChainCat:
 
     def compose(self, m2: ChainMap, m1: ChainMap) -> ChainMap:
         return compose_chain_maps(m2, m1)
+
+    composes_to = staticmethod(composes_to)
 
     def same_value(self, a: ChainComplex, b: ChainComplex) -> bool:
         return a is b or (a.ring == b.ring and a.ranks == b.ranks
@@ -338,7 +363,7 @@ class OrbitDiagram:
             if not vc.maps_equal(maps[(i, i, 0)], vc.identity(values[i])):
                 raise ValueError(f"identity of object {i} is not the identity map")
         for i, j, l, a, b, ba in self.cat.functoriality_pairs:  # R_b o R_a runs from i to l
-            if not vc.maps_equal(maps[(i, l, ba)], vc.compose(maps[(i, j, a)], maps[(j, l, b)])):
+            if not vc.composes_to(maps[(i, j, a)], maps[(j, l, b)], maps[(i, l, ba)]):
                 raise ValueError(f"functoriality fails at {OrbitMorphism(fam[j], fam[l], b)!r}"
                                  f" o {OrbitMorphism(fam[i], fam[j], a)!r}")
 
@@ -419,7 +444,9 @@ def unit_maps(t: OrbitDiagram, x, fixed=None):
     e_idx = _trivial_index(t.cat)
     fixed = fixed or [t.vcat.fixed(x, h) for h in t.cat.family]
     # the projection R_0: G/e -> G/H maps the carrier T(G/e) to T(G/H)
-    return {i: t.vcat.corestrict(t.maps[(e_idx, i, 0)], f) for i, f in enumerate(fixed)}
+    return {i: _corestrict(t.vcat, t.maps[(e_idx, i, 0)], f, lambda: "the unit must send "
+                           f"the carrier to {t.cat.family[i].label}-fixed points")
+            for i, f in enumerate(fixed)}
 
 
 def counit_map(x, cat: OrbitCategory, vcat, fixed):
@@ -428,11 +455,12 @@ def counit_map(x, cat: OrbitCategory, vcat, fixed):
     return d, i_upper(d), fixed[_trivial_index(cat)]
 
 
-def adjunction_check(t: OrbitDiagram, x) -> AdjunctionReport:
+def adjunction_check(t: OrbitDiagram, x=None) -> AdjunctionReport:
     """Construct unit and counit explicitly and test the adjunction laws.
 
-    The unit is reported per object of the orbit category; the counit is
-    checked to be an isomorphism commuting with the group actions; both
+    The unit is reported per object of the orbit category; the counit of x
+    (by default i_upper(T), which then shares T's fixed-point inclusions)
+    is checked to be an isomorphism commuting with the group actions; both
     triangle identities are verified by exact composition of the
     constructed maps, each fixed-point inclusion built once.
     """
@@ -443,16 +471,15 @@ def adjunction_check(t: OrbitDiagram, x) -> AdjunctionReport:
     units = unit_maps(t, xt, fixed_t)
     unit_flags = {cat.family[i].label: vcat.is_iso(m) for i, m in units.items()}
 
-    fixed_x = [vcat.fixed(x, h) for h in cat.family]
+    x, fixed_x = (xt, fixed_t) if x is None else (x, [vcat.fixed(x, h) for h in cat.family])
     d_x, lhs_x, eps_x = counit_map(x, cat, vcat, fixed_x)
     counit_ok = vcat.is_iso(eps_x)
-    eq_ok = all(vcat.maps_equal(vcat.compose(vcat.action_as_map(x, g), eps_x),
-                                vcat.compose(eps_x, vcat.action_as_map(lhs_x, g)))
+    eq_ok = all(vcat.composes_to(vcat.action_as_map(x, g), eps_x,
+                                 vcat.compose(eps_x, vcat.action_as_map(lhs_x, g)))
                 for g in cat.group.generators)  # both actions are homomorphisms
 
     # triangle 1: counit(i_upper T) o i_upper(unit) = id on the carrier
-    tri_left = vcat.maps_equal(vcat.compose(fixed_t[e_idx], units[e_idx]),
-                               vcat.identity(t.values[e_idx]))
+    tri_left = vcat.composes_to(fixed_t[e_idx], units[e_idx], vcat.identity(t.values[e_idx]))
 
     # triangle 2: (fixed points of the counit) o unit(i_lower x) = id, per object
     fixed_lhs = [vcat.fixed(lhs_x, h) for h in cat.family]
@@ -462,8 +489,7 @@ def adjunction_check(t: OrbitDiagram, x) -> AdjunctionReport:
         eps_fixed = _corestrict(
             vcat, vcat.compose(eps_x, fixed_lhs[i]), fixed_x[i],
             lambda: f"the counit must send {h.label}-fixed points to fixed points")
-        comp = vcat.compose(eps_fixed, units_dx[i])
-        if not vcat.maps_equal(comp, vcat.identity(d_x.values[i])):
+        if not vcat.composes_to(eps_fixed, units_dx[i], vcat.identity(d_x.values[i])):
             tri_right = False
     return AdjunctionReport(all(unit_flags.values()), counit_ok,
                             tri_left, tri_right, unit_flags, eq_ok)
@@ -510,7 +536,9 @@ def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat,
     gk, tensor, copower = cell or coset_cell(g, k, a, vcat)
     fixed = list(fixed_points(gk, h))
     into_all = vcat.copower_remap(vcat.copower(fixed, a), copower, fixed, a)
-    comparison = vcat.corestrict(into_all, vcat.fixed(tensor, h))
+    comparison = _corestrict(vcat, into_all, vcat.fixed(tensor, h),
+                             lambda: f"the copies at {h.label}-fixed cosets of G/{{{k.label}}} "
+                                     f"must land in {h.label}-fixed points")
     return CellularityReport(vcat.value_descriptor(comparison.source),
                              vcat.value_descriptor(comparison.target),
                              vcat.is_iso(comparison), len(fixed),

@@ -126,7 +126,7 @@ def _validate_table(order: int, mult) -> None:
         col = mult[s]
         for x, row in enumerate(mult):
             left = mult[row[s]]
-            if left != tuple(map(row.__getitem__, col)):
+            if left != tuple([row[c] for c in col]):
                 y = next(y for y in range(order) if left[y] != row[col[y]])
                 raise ValueError(f"table not associative at ({x},{s},{y})")
 

@@ -69,7 +69,7 @@ def validate_gset(x: GSet) -> None:
             raise ValueError(f"action of {a} is not a permutation")
     try:
         check_action_laws(g, x.act.__getitem__,
-                          lambda p, q: tuple(map(p.__getitem__, q)), identity)
+                          lambda p, q: tuple([p[i] for i in q]), identity)
     except (IndexError, TypeError):  # q names something that is not a point
         raise ValueError("action is not by permutations: an entry is not a point") from None
 

@@ -9,6 +9,7 @@ dimension.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +20,7 @@ from orbitkit.exactla import Mat
 from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, symmetric_group
 from orbitkit.gsets import coset_gset, make_gset, product_gset
 from orbitkit.rings import ZZ
-from orbitkit.simplicial import GSSet, SimplexRef, boundary_simplex, gtensor, \
+from orbitkit.simplicial import GSSet, SimplexRef, apply_face, boundary_simplex, gtensor, \
     sset_to_json, standard_simplex
 
 # cyclic groups and the non-abelian S3 and D4
@@ -231,3 +232,119 @@ def test_non_generator_defect_is_caught():
     perms[3] = perms[1]
     with pytest.raises(ValueError, match="homomorphism"):
         make_gset(c4, perms)
+
+
+# ---------------------------------------------------------------------------
+# faces and simplicial identities, checked at one simplex per orbit
+
+
+def _ref_ok(dim_of, ref, want: int) -> bool:
+    """A known base, a strictly decreasing word of letters in range, dimension want."""
+    base, word = ref
+    if base not in dim_of:
+        return False
+    p = dim_of[base]
+    return (all(a > b for a, b in zip(word, word[1:])) and p + len(word) == want
+            and all(0 <= letter <= p + k for k, letter in enumerate(reversed(word))))
+
+
+def _identity_failure(x):
+    """The first (i, j, s) with d_i d_j s != d_{j-1} d_i s, scanning every simplex."""
+    for s, n in x.dim_of.items():
+        for j in range(n + 1 if n > 1 else 0):
+            for i in range(j):
+                if apply_face(x, x.faces[s][j], i) != apply_face(x, x.faces[s][i], j - 1):
+                    return i, j, s
+    return None
+
+
+def _full_scan_verdict(group, x, action):
+    """Reference: None if valid, else "identity" or "other", checking faces, the
+    simplicial identities at every simplex and the action laws on all pairs."""
+    if not all(_ref_ok(x.dim_of, r, n - 1) and len(x.faces[s]) == n + 1
+               for s, n in x.dim_of.items() if n for r in x.faces.get(s, ())) \
+            or any(n and s not in x.faces for s, n in x.dim_of.items()):
+        return "other"
+    if not _all_pairs_valid(group, x, action):
+        return "other"
+    return None if _identity_failure(x) is None else "identity"
+
+
+def _perturb_faces(data, x, faces, action):
+    """Change face i of a simplex s, at s alone or at every g s (as g o the new face)."""
+    s = data.draw(st.sampled_from([s for s in sorted(x.dim_of) if x.dim_of[s] > 0]))
+    n = x.dim_of[s]
+    i = data.draw(st.integers(0, n))
+    kind = data.draw(st.sampled_from(["simplex", "degenerate", "bad"]), label="face")
+    if kind == "degenerate" and n >= 2:
+        base = data.draw(st.sampled_from(x.ids_of_dim(n - 2)))
+        new = SimplexRef(base, (data.draw(st.integers(0, n - 2)),))
+    elif kind == "bad":
+        new = data.draw(st.sampled_from([SimplexRef(max(x.dim_of) + 1), SimplexRef(s),
+                                         SimplexRef(x.faces[s][0].base, (0, 0))]))
+    else:
+        new = SimplexRef(data.draw(st.sampled_from(x.ids_of_dim(n - 1))))
+    targets = {s: new}
+    if data.draw(st.booleans(), label="whole orbit") and new.base in x.dim_of:
+        targets = {action[a][s]: SimplexRef(action[a][new.base], new.word)
+                   for a in x.group.elements()}
+    for t, ref in targets.items():
+        faces[t] = faces[t][:i] + (ref,) + faces[t][i + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(group=st.sampled_from(GROUPS), data=st.data(),
+       base_n=st.sampled_from([(standard_simplex, 1), (standard_simplex, 2),
+                               (standard_simplex, 3), (boundary_simplex, 2),
+                               (boundary_simplex, 3)]))
+def test_gsset_faces_checked_per_orbit_match_a_scan_of_every_simplex(group, data, base_n):
+    """Faces changed at one simplex or across an orbit, sometimes with a changed
+    action too: refused exactly when the full scan refuses, and a fault in the
+    simplicial identities alone is named at the simplex the scan finds first."""
+    base, n = base_n
+    k = data.draw(st.sampled_from(all_subgroups(group)))
+    x = gtensor(coset_gset(group, k), base(n))
+    faces = dict(x.faces)
+    action = {a: dict(x.action[a]) for a in group.elements()}
+    _perturb_faces(data, x, faces, action)
+    if data.draw(st.booleans(), label="action too"):
+        _perturb_row(data, x, action, data.draw(st.sampled_from(list(group.elements()))))
+    raw = GSSet(group, x.dim_of, faces, action, validate=False)
+    verdict = _full_scan_verdict(group, raw, action)
+    try:
+        GSSet(group, x.dim_of, faces, action)
+        error = None
+    except ValueError as exc:
+        error = str(exc)
+    assert (error is None) == (verdict is None), (verdict, error)
+    if verdict == "identity":
+        assert error == "simplicial identity fails at (i={}, j={}, simplex={})".format(
+            *_identity_failure(raw))
+
+
+def test_identity_broken_across_a_whole_orbit_is_refused():
+    """Face 0 of every triangle of C4/e x Delta[2] replaced by its face 1: the
+    faces stay equivariant, so only the identity check at an orbit's least id
+    sees it, and the message names the first triangle, as a scan of all does."""
+    c4 = cyclic_group(4)
+    x = gtensor(coset_gset(c4, all_subgroups(c4)[0]), standard_simplex(2))
+    faces = {s: (fs[1],) + fs[1:] if x.dim_of[s] == 2 else fs for s, fs in x.faces.items()}
+    raw = GSSet(c4, x.dim_of, faces, x.action, validate=False)
+    assert _all_pairs_valid(c4, raw, x.action)
+    first = _identity_failure(raw)
+    assert first[2] == min(x.ids_of_dim(2))
+    with pytest.raises(ValueError, match=re.escape(
+            "simplicial identity fails at (i={}, j={}, simplex={})".format(*first))):
+        GSSet(c4, x.dim_of, faces, x.action)
+
+
+def test_a_face_both_unequivariant_and_off_the_identities_names_equivariance():
+    """The action checks run before the simplicial identities: a face changed at
+    one triangle only breaks both, and the error names the equivariance."""
+    c4 = cyclic_group(4)
+    x = gtensor(coset_gset(c4, all_subgroups(c4)[0]), standard_simplex(2))
+    t = x.ids_of_dim(2)[1]
+    faces = {**x.faces, t: (x.faces[t][1],) + x.faces[t][1:]}
+    assert _identity_failure(GSSet(c4, x.dim_of, faces, x.action, validate=False))
+    with pytest.raises(ValueError, match="face 0 of simplex .* is not equivariant"):
+        GSSet(c4, x.dim_of, faces, x.action)

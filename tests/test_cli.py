@@ -403,6 +403,71 @@ def test_exit_3_on_internal_error(files, capsys, monkeypatch):
     assert "internal error" in err and "re-verification" in err
 
 
+def _short_finset(incl, x):
+    """The inclusion of finite sets without its last point."""
+    if not incl.fn:
+        return incl
+    short = type(incl)(incl.source - 1, incl.target, incl.fn[:-1])
+    short.position = {p: i for i, p in enumerate(short.fn)}
+    return short
+
+
+def _short_sset(incl, x):
+    """The inclusion without its greatest simplex, a top simplex of the last
+    fixed copy of the cell, so no face of another."""
+    from orbitkit.simplicial import GSSet, SMap, TRIVIAL_GROUP
+    fx = incl.source
+    if not fx.dim_of:
+        return incl
+    keep = {s: n for s, n in fx.dim_of.items() if s != max(fx.dim_of)}
+    small = GSSet(TRIVIAL_GROUP, keep, {s: fx.faces[s] for s in keep if keep[s]},
+                  {0: {s: s for s in keep}}, validate=False)
+    return SMap(small, x, {s: incl.values[s] for s in keep}, validate=False)
+
+
+def _short_chains(incl, x):
+    """The inclusion of orbit sums, in degree 0 only, without its last orbit."""
+    from orbitkit.chains import ChainComplex
+    r = incl.source.rank(0)
+    if not r:
+        return incl
+    small = ChainComplex(x.ring, [r - 1], {})
+    short = ChainMap.of_bases(small, x, {0: tuple(None if j == r - 1 else j
+                                                  for j in incl.sel[0])})
+    short.coords = ChainMap.of_bases(x, small, {0: incl.coords.sel[0][:-1]})
+    return short
+
+
+@pytest.mark.parametrize("value,category,shorten,words", [
+    ((), "FinSetCat", _short_finset, "the unit must send"),
+    (("--sset", "delta:1"), "FinSSetCat", _short_sset, "the unit must send"),
+    # over Z the invariants of G/e are not empty, so the translations of the
+    # counit's diagram meet the fault first
+    (("--ring", "Z"), "ChainCat", _short_chains, "the translation by")],
+    ids=["finite sets", "delta:1", "Z"])
+def test_a_unit_that_misses_the_fixed_points_exits_3(value, category, shorten, words,
+                                                     capsys, monkeypatch):
+    """A fixed-point inclusion of a nontrivial H that drops its last point is a
+    bug in orbitkit, not bad input: the first corestriction through it exits 3
+    and names the map, in every value category."""
+    from orbitkit import elmendorf
+    vcat_type = getattr(elmendorf, category)
+    real = vcat_type.fixed
+
+    def fixed(self, x, h):
+        incl = real(self, x, h)
+        return incl if h.is_trivial() else shorten(incl, x)
+
+    monkeypatch.setattr(vcat_type, "fixed", fixed)
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    code = main(["elmendorf", "--group", str(fixtures / "s3.json"), "--family", "all",
+                 *value])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith(f"internal error: {words} "), err
+    assert "-fixed points" in err and "Traceback" not in err
+
+
 def test_failed_corestrictions_exit_3_under_python_O():
     # the corestriction checks must be raises that -O keeps, not asserts
     script = textwrap.dedent("""

@@ -249,6 +249,40 @@ def test_adjunction_check_builds_each_fixed_point_inclusion_once(vc, cell, monke
         assert len(calls) == 3 * len(cat.family) == len(set(calls)), k
 
 
+@pytest.mark.parametrize("vc,cell", [(FinSetCat(), 2),
+                                     (FinSSetCat(), standard_simplex(1)),
+                                     (ChainCat(ZZ), concentrated(ZZ, 0))],
+                         ids=["finset", "sset", "chains"])
+def test_adjunction_check_of_i_upper_builds_it_and_its_inclusions_once(vc, cell,
+                                                                       monkeypatch):
+    """Without x, the counit is that of i_upper(T), built once with its n
+    inclusions, which serve the unit too: 2n inclusions, one i_upper(T) and
+    one i_upper(i_lower x), and the report of adjunction_check(T, i_upper(T))."""
+    g = symmetric_group(3)
+    cat = build_orbit_category(g, all_subgroups(g))
+    real, real_upper, calls, uppers = type(vc).fixed, elmendorf.i_upper, [], []
+
+    def counted(self, x, h):
+        calls.append((id(x), h.members))
+        return real(self, x, h)
+
+    def counted_upper(t):
+        uppers.append(t)
+        return real_upper(t)
+
+    for k in cat.family:
+        t = free_cell_diagram(cat, k, cell, vc)
+        expect = adjunction_check(t, i_upper(t)).to_json()
+        monkeypatch.setattr(type(vc), "fixed", counted)
+        monkeypatch.setattr(elmendorf, "i_upper", counted_upper)
+        calls.clear()
+        uppers.clear()
+        assert adjunction_check(t).to_json() == expect, k
+        assert len(calls) == 2 * len(cat.family) == len(set(calls)), k
+        assert len(uppers) == 2 and uppers[0] is t, k
+        monkeypatch.undo()
+
+
 def test_orbit_diagram_rejects_nonfunctorial_data(c2cat):
     g, cat = c2cat
     vc = FinSetCat()
@@ -408,17 +442,17 @@ def test_check_composes_each_generator_pair_once_and_no_identity_pair(monkeypatc
     by_map = {id(d.maps[(cat.object_index(m.source), cat.object_index(m.target), m.rep)]): m
               for m in cat.all_morphisms()}
     seen, compared = [], []
-    real, real_same = FinSetCat.compose, FinSetCat.same_value
+    real, real_same = FinSetCat.composes_to, FinSetCat.same_value
 
-    def counted(self, second, first):  # check_functorial composes F(a) after F(b)
+    def counted(self, second, first, h):  # check_functorial compares F(b a) with F(a) F(b)
         seen.append((by_map[id(second)], by_map[id(first)]))
-        return real(self, second, first)
+        return real(self, second, first, h)
 
     def counted_same(self, a, b):
         compared.append((id(a), id(b)))
         return real_same(self, a, b)
 
-    monkeypatch.setattr(FinSetCat, "compose", counted)
+    monkeypatch.setattr(FinSetCat, "composes_to", counted)
     monkeypatch.setattr(FinSetCat, "same_value", counted_same)
     d.check_functorial()
     expect = [(a, b) for a in cat.generators for b in cat.all_morphisms()

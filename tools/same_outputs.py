@@ -19,9 +19,9 @@ process against each tree, once with the default text output and once with
 * ``whitehead`` identity certificates (``IDENTITIES``) on C8/e x Delta[3]
   over Z and F_2: larger than the benchmark's
   largest identity, C4/e x Delta[2];
-* ``elmendorf --family all`` (``ELMENDORF``) on S4 as finite sets, over Z
-  and with the cell Delta[1], on D8 as finite sets and over Z, and on D32
-  as finite sets: larger than the benchmark's C2 x C4;
+* ``elmendorf --family all`` (``ELMENDORF``) on S4 and D8 as finite sets,
+  over Z and with the cell Delta[1], and on D32 as finite sets and over Z:
+  larger than the benchmark's C2 x C4;
 * ``orbit-cat`` and ``census`` with ``--family all`` (``LATTICES``) on D32
   and C4^3, order 64: subgroup lattices larger than the benchmark's;
 * G-simplicial sets over groups with several generators (``GSSETS``: C2^4,
@@ -31,9 +31,9 @@ process against each tree, once with the default text output and once with
   1-skeleton of G/e x Delta[2].
 
 The groups and G-simplicial sets of the last three sets are written by this
-tool with orbitkit's constructors. At seeds 7 and 3 that is 184 jobs (132
-benchmark, 19 golden, 12 prism, 2 identity, 6 elmendorf, 4 order64,
-9 gsset), so 368 runs.
+tool with orbitkit's constructors. At seeds 7 and 3 that is 186 jobs (132
+benchmark, 19 golden, 12 prism, 2 identity, 8 elmendorf, 4 order64,
+9 gsset), so 372 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.
@@ -56,8 +56,9 @@ FORMATS = ((), ("--format", "json"))
 PRISMS = ((2, 1), (3, 1), (4, 1))  # C_m/e x Delta[n]
 RINGS = ("Z", "Q", "Fp:2", "Fp:3")
 IDENTITIES = ((8, 3, ("Z", "Fp:2")),)  # C_m/e x Delta[n] over each ring
-ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--sset", "delta:1"))), ("D8", ((), ("--ring", "Z"))),
-             ("D32", ((),)))
+ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--sset", "delta:1"))),
+             ("D8", ((), ("--ring", "Z"), ("--sset", "delta:1"))),
+             ("D32", ((), ("--ring", "Z"))))
 LATTICES = ("D32", "C4^3")
 GSSETS = ("C2^4", "D8", "S4")
 
