@@ -21,7 +21,8 @@ from .simplicial import CellStructure, CofibrationVerdict, GSSet, Prism, ReplayE
 from .chains import ChainComplex, ChainHomotopy, ChainMap, HomologyGroup, \
     SignConventionError, concentrated, disk, homology, identity_chain_map, \
     invariants, is_quasi_iso, mapping_cone, normalized_chain_map, \
-    normalized_chains, prism_homotopy, restrict_to_invariants, zero_complex
+    normalized_chains, orbit_reduction, prism_homotopy, restrict_to_invariants, \
+    zero_complex
 from .elmendorf import AdjunctionReport, CellularityReport, CensusReport, ChainCat, \
     FinSSetCat, FinSetCat, OrbitDiagram, adjunction_check, \
     arrow_poset_census, cellularity_report, free_cell_diagram, i_lower, i_upper

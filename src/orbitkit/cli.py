@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import elmendorf as elm
-from .chains import homology, invariants, normalized_chains
+from .chains import homology, invariants, normalized_chains, orbit_reduction
 from .errors import InternalError
 from .groups import trivial_subgroup
 from .gsets import orbit_analysis
@@ -87,13 +87,13 @@ def cmd_homology(args) -> int:
     group = load_group(args.group) if args.group else None
     x = load_sset(args.sset, group)
     family = load_family(args.family, x.group)
-    c = normalized_chains(x, ring)
+    c = orbit_reduction(normalized_chains(x, ring))  # equivariant: every C^H keeps its homology
     lines = []
     payload = {}
     for h in family:
         inv, _ = invariants(c, h)
         col_a = homology(inv)
-        col_b = col_a if h.is_trivial() else homology(  # X^e = X: its chains are c
+        col_b = col_a if h.is_trivial() else homology(  # X^e = X: c is its chains, reduced
             normalized_chains(fixed_sset(x, h)[0], ring))
         text_a = format_homology(col_a, ring.name)
         text_b = format_homology(col_b, ring.name)

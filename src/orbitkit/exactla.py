@@ -26,8 +26,9 @@ of its denominators (``_over_z``), which keeps the row space over Q.
   echelon forms of the matrix and of its transposed pivot columns, then
   gcd/lcm steps into divisor order; over Q only the pivots are counted.
 
-F_p (``_modular``) is eliminated by ``rref``, Gauss-Jordan on sparse rows;
-its rank, kernels and solutions are read off the reduced row echelon form.
+F_p (``_modular``) is eliminated on sparse rows: its rank by a forward
+pass, its kernels and solutions by ``rref``, Gauss-Jordan, read off the
+reduced row echelon form.
 
 Entries are added, subtracted and multiplied with the ordinary operators;
 every row of raw results then passes through ``ring.reduce``, so F_p
@@ -188,14 +189,15 @@ def smith_diagonal(m: Mat):
 
     Over Z the result is the canonical nonnegative invariant-factor chain
     (each entry divides the next); over a field it is 1 repeated rank
-    times, the pivots of ``rref`` over F_p and of one ``_echelon`` pass of
-    the cleared rows over Q.  Over Z the matrix is column-echeloned by
-    ``_echelon`` and its pivot columns transposed, until each pivot column
-    holds only its pivot (the alternating Hermite passes of Kannan and
-    Bachem); the pivots are then put in divisor order.
+    times, the pivots of a forward pass (``_forward_rank``) over F_p and of
+    one ``_echelon`` pass of the cleared rows over Q.  Over Z the matrix is
+    column-echeloned by ``_echelon`` and its pivot columns transposed, until
+    each pivot column holds only its pivot (the alternating Hermite passes
+    of Kannan and Bachem) or every pivot is 1; the pivots are then put in
+    divisor order.
     """
     if _modular(m.ring):
-        return [1] * len(rref(m)[1])
+        return [1] * _forward_rank(m)
     rows, ncols = _over_z(m.ring, m.sparse_rows()), m.ncols
     if m.ring.is_field:
         return [1] * len(_echelon(rows, ncols)[1])
@@ -206,6 +208,11 @@ def smith_diagonal(m: Mat):
     while True:
         cols, pivots = _echelon(rows, ncols)
         k = len(pivots)
+        if all(cols[c][r] == 1 for r, c in pivots):
+            # H = m U with U unimodular, and H's pivot rows x pivot columns
+            # block is lower unitriangular: one k x k minor is 1, so the gcd
+            # of the k x k minors, the product of the k invariant factors, is 1
+            return [1] * k
         if sum(map(len, cols[:k])) == k:
             break
         rows, ncols = cols[:k], len(rows)
@@ -239,6 +246,24 @@ def _subtract(row, f, pivot_row, p):
             row[j] = w
         else:
             del row[j]
+
+
+def _forward_rank(m) -> int:
+    """Rank over F_p by a forward pass: each row is reduced by the pivot rows
+    until its lowest column holds no pivot, and then becomes a pivot row.
+    A pivot row holds no column below its pivot, so the lowest column rises."""
+    p = m.ring.p
+    reduced = {}  # pivot column -> pivot row, its pivot made 1
+    for row in m.sparse_rows():
+        row = dict(row)  # the input rows stay unchanged
+        while row:
+            c = min(row)
+            if c not in reduced:
+                inv = pow(row[c], -1, p)
+                reduced[c] = row if inv == 1 else {j: v * inv % p for j, v in row.items()}
+                break
+            _subtract(row, row[c], reduced[c], p)
+    return len(reduced)
 
 
 def rref(m):

@@ -466,7 +466,10 @@ def fixed_sset(x: GSSet, h: Subgroup) -> tuple[GSSet, SMap]:
     """
     if h.parent != x.group:
         raise ValueError("subgroup of a different group")
-    keep = [s for s in x.ids() if all(x.action[g][s] == s for g in h.generators)]
+    keep = list(x.ids())
+    for g in h.generators:
+        act = x.action[g]
+        keep = [s for s in keep if act[s] == s]
     keep_set = set(keep)
     for s in keep:
         if x.dim(s) > 0 and not all(r.base in keep_set for r in x.faces[s]):

@@ -10,7 +10,7 @@ from orbitkit import chains
 from orbitkit.chains import ChainComplex, ChainMap, chain_maps_equal, \
     concentrated, corestrict, disk, homology, \
     identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
-    normalized_chain_map, normalized_chains, prism_homotopy, \
+    normalized_chain_map, normalized_chains, orbit_reduction, prism_homotopy, \
     restrict_to_invariants, zero_complex
 from hypothesis import given, settings, strategies as st
 
@@ -18,11 +18,11 @@ from orbitkit.elmendorf import ChainCat
 from orbitkit.errors import InternalError
 from orbitkit.exactla import Mat, rank
 from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, full_subgroup, \
-    symmetric_group, trivial_subgroup
+    klein_four_group, subgroup, symmetric_group, trivial_subgroup
 from orbitkit.gsets import coset_gset, make_gset, regular_gset, trivial_gset
 from orbitkit.rings import PrimeField, QQ, ZZ
-from orbitkit.simplicial import SMap, boundary_simplex, compose_smaps, \
-    fixed_sset, gtensor, make_smap, point_sset, prism, standard_simplex
+from orbitkit.simplicial import TRIVIAL_GROUP, GSSet, SimplexRef, SMap, boundary_simplex, \
+    compose_smaps, fixed_sset, gtensor, make_smap, point_sset, prism, standard_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -787,3 +787,89 @@ def test_derived_objects_pass_the_checks_they_skip(group, data, base, n):
             for g in (fixed_chains_comparison(x, h, ring), restrict_to_invariants(cf, h)):
                 g.validate()
                 mapping_cone(g).validate()
+
+
+# ---------------------------------------------------------------------------
+# orbit reduction
+
+
+def moore_space_2() -> GSSet:
+    """M(Z/2, 1): a vertex 0, loops 1 and 2, a triangle 3 with faces (1, 2, 1),
+    so 2 = 2 * 1 in homology, and a triangle 4 with faces (2, s0 0, s0 0)."""
+    loop, s0v = (SimplexRef(0), SimplexRef(0)), SimplexRef(0, (0,))
+    dim_of = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}
+    faces = {1: loop, 2: loop, 3: (SimplexRef(1), SimplexRef(2), SimplexRef(1)),
+             4: (SimplexRef(2), s0v, s0v)}
+    return GSSet(TRIVIAL_GROUP, dim_of, faces, {0: {s: s for s in dim_of}})
+
+
+def free_c2_circle(c2) -> GSSet:
+    """Vertices 0 and 1 and edges 2: 0 -> 1 and 3: 1 -> 0, both pairs swapped:
+    the block of d between the two orbits is [[-1, 1], [1, -1]], not a unit."""
+    return GSSet(c2, {0: 0, 1: 0, 2: 1, 3: 1},
+                 {2: (SimplexRef(1), SimplexRef(0)), 3: (SimplexRef(0), SimplexRef(1))},
+                 {0: {s: s for s in range(4)}, 1: {0: 1, 1: 0, 2: 3, 3: 2}})
+
+
+def swapped_edges(c2) -> GSSet:
+    """Two edges 2 and 3 from vertex 0 to vertex 1, swapped: an orbit of two
+    edges over orbits of one vertex each."""
+    ends = (SimplexRef(1), SimplexRef(0))
+    return GSSet(c2, {0: 0, 1: 0, 2: 1, 3: 1}, {2: ends, 3: ends},
+                 {0: {s: s for s in range(4)}, 1: {0: 0, 1: 1, 2: 3, 3: 2}})
+
+
+def assert_reduction_keeps_invariant_homology(x):
+    """For every H and ring Z, Q, F_2, F_3: H(C^H) = H(orbit_reduction(C)^H),
+    and the reduced complex passes validate; returns its ranks per ring."""
+    ranks = {}
+    for ring in (ZZ, QQ, PrimeField(2), PrimeField(3)):
+        c = normalized_chains(x, ring)
+        r = orbit_reduction(c)
+        r.validate()
+        ranks[ring.name] = r.ranks
+        for h in all_subgroups(x.group):
+            assert homology(invariants(r, h)[0]) == homology(invariants(c, h)[0]), (ring, h)
+    return ranks
+
+
+REDUCTION_BASES = [standard_simplex(n) for n in range(4)] \
+    + [boundary_simplex(n) for n in range(1, 4)] + [moore_space_2()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.sampled_from([cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                              symmetric_group(3), dihedral_group(4), klein_four_group()]),
+       data=st.data(), base=st.sampled_from(REDUCTION_BASES))
+def test_orbit_reduction_keeps_the_homology_of_every_invariant_complex(group, data, base):
+    k = data.draw(st.sampled_from(all_subgroups(group)))
+    assert_reduction_keeps_invariant_homology(gtensor(coset_gset(group, k), base))
+
+
+def test_orbit_reduction_on_free_spheres_and_moore_spaces(d4, c4):
+    e = trivial_subgroup(d4)
+    ranks = assert_reduction_keeps_invariant_homology(
+        gtensor(coset_gset(d4, e), boundary_simplex(3)))
+    assert set(ranks.values()) == {(8, 0, 8)}
+    # the Z/2 of the attaching map survives: a pivot must square to 1, as
+    # 2 = -1 does over F_3 only
+    x = gtensor(coset_gset(c4, subgroup(c4, [0, 2])), moore_space_2())
+    assert assert_reduction_keeps_invariant_homology(x) == {
+        "Z": (2, 2, 2), "Q": (2, 2, 2), "Fp:2": (2, 2, 2), "Fp:3": (2, 0, 0)}
+    assert homology(invariants(orbit_reduction(normalized_chains(x, ZZ)),
+                               full_subgroup(c4))[0])[1].torsion == (2,)
+
+
+def test_orbit_reduction_pairs_only_unit_bijections(c2):
+    # neither input has a pair: a block with two entries per column, and
+    # orbits of different sizes
+    for x in (free_c2_circle(c2), swapped_edges(c2)):
+        assert set(assert_reduction_keeps_invariant_homology(x).values()) == {(2, 2)}
+
+
+def test_orbit_reduction_leaves_trivial_groups_and_matrix_actions(c2):
+    plain = normalized_chains(boundary_simplex(3), ZZ)
+    assert orbit_reduction(plain) is plain
+    matrices = _with_matrices(normalized_chains(gtensor(regular_gset(c2),
+                                                        standard_simplex(1)), ZZ))
+    assert orbit_reduction(matrices) is matrices

@@ -403,6 +403,52 @@ def test_exit_3_on_internal_error(files, capsys, monkeypatch):
     assert "internal error" in err and "re-verification" in err
 
 
+BROKEN_BLOCK_VALUE = """
+import orbitkit.whitehead as w
+value = w._Block.value
+
+def broken(self, ring, solution):
+    # a solver bug: every square block gets 1 added at entry (0, 0), so the
+    # g of the identity of C2/e x Delta[1] breaks the chain-map law
+    m = value(self, ring, solution)
+    if m.nrows == m.ncols > 0:
+        m.rows[0][0] = ring.reduce([m.rows[0][0] + 1])[0]
+    return m
+"""
+
+
+def test_a_certificate_off_the_chain_map_law_exits_3(files, capsys, monkeypatch):
+    """A certificate whose g fails the chain-map law is a solver bug, not bad
+    input: exit 3 naming the re-verification, in-process and under python -O."""
+    import orbitkit.whitehead as w
+    x = sset_to_json(gtensor(regular_gset(cyclic_group(2)), standard_simplex(1)))
+    path = files["tmp"] / "identity.json"
+    path.write_text(json.dumps({"source": x, "target": x, "values": {
+        str(s): [s, []] for ids in x["simplices"].values() for s in ids}}))
+    argv = ["whitehead", "--group", files["group"], "--map", str(path), "--family", "all",
+            "--ring", "Z"]
+    words = "internal error: solver returned a certificate that fails re-verification"
+    namespace = {}
+    exec(BROKEN_BLOCK_VALUE, namespace)
+    monkeypatch.setattr(w._Block, "value", namespace["broken"])
+    code, _, err = run(capsys, argv)
+    assert code == 3 and err.startswith(words) and "Traceback" not in err, (code, err)
+    script = BROKEN_BLOCK_VALUE + textwrap.dedent("""
+        import sys
+        from orbitkit.cli import main
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        w._Block.value = broken
+        sys.exit(main(sys.argv[1:]))
+    """)
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script, *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 3 and proc.stderr.startswith(words) \
+        and "Traceback" not in proc.stderr, (proc.returncode, proc.stderr)
+
+
 def _short_finset(incl, x):
     """The inclusion of finite sets without its last point."""
     if not incl.fn:

@@ -28,12 +28,17 @@ process against each tree, once with the default text output and once with
   D8 and S4), where the benchmark's are over cyclic groups, with one or two
   generators: ``homology --family all`` over Z on G/e x the boundary of
   Delta[2], and ``cells`` and ``cofib-check`` on the inclusion of the
-  1-skeleton of G/e x Delta[2].
+  1-skeleton of G/e x Delta[2];
+* ``homology --family all`` over each of ``RINGS`` (``HOMOLOGY``) on inputs
+  the benchmark lacks: S4/e x the boundary of Delta[2], D8/e x the boundary
+  of Delta[3] (``dihedral_group(8)``, order 16), S3/C2 x Delta[2], whose
+  orbits are not free, the free C2 circle (two vertices and two edges,
+  swapped) and C4/C2 x M(Z/2, 1).
 
-The groups and G-simplicial sets of the last three sets are written by this
-tool with orbitkit's constructors. At seeds 7 and 3 that is 186 jobs (132
+The groups and G-simplicial sets of the last four sets are written by this
+tool with orbitkit's constructors. At seeds 7 and 3 that is 206 jobs (132
 benchmark, 19 golden, 12 prism, 2 identity, 8 elmendorf, 4 order64,
-9 gsset), so 372 runs.
+9 gsset, 20 hfamily), so 412 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.
@@ -61,6 +66,8 @@ ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--sset", "delta:1"))),
              ("D32", ((), ("--ring", "Z"))))
 LATTICES = ("D32", "C4^3")
 GSSETS = ("C2^4", "D8", "S4")
+HOMOLOGY = ("S4/e x bdry2", "D8/e x bdry3", "S3/C2 x Delta[2]", "free C2 circle",
+            "C4/C2 x M(Z/2)")
 
 
 def benchmark_jobs(seed: int, outdir: str):
@@ -166,6 +173,39 @@ def gsset_cases(outdir: str, groups: dict):
     return out
 
 
+def homology_cases(outdir: str, groups: dict):
+    """("hfamily", name, argv) for ``HOMOLOGY`` over each of ``RINGS``, written
+    under outdir; ``groups`` from ``stock_groups``."""
+    from gen import moore_space
+    from orbitkit.groups import all_subgroups, cyclic_group, subgroup, symmetric_group, \
+        trivial_subgroup
+    from orbitkit.gsets import coset_gset
+    from orbitkit.simplicial import GSSet, SimplexRef, boundary_simplex, gtensor, \
+        sset_to_json, standard_simplex
+
+    s3, c4, c2 = symmetric_group(3), cyclic_group(4), cyclic_group(2)
+    s4, d8 = groups["S4"][0], groups["D8"][0]
+    s3_c2 = next(h for h in all_subgroups(s3) if h.order == 2)
+    circle = GSSet(c2, {0: 0, 1: 0, 2: 1, 3: 1},
+                   {2: (SimplexRef(1), SimplexRef(0)), 3: (SimplexRef(0), SimplexRef(1))},
+                   {0: {s: s for s in range(4)}, 1: {0: 1, 1: 0, 2: 3, 3: 2}})
+    inputs = zip(HOMOLOGY, (
+        gtensor(coset_gset(s4, trivial_subgroup(s4)), boundary_simplex(2)),
+        gtensor(coset_gset(d8, trivial_subgroup(d8)), boundary_simplex(3)),
+        gtensor(coset_gset(s3, s3_c2), standard_simplex(2)),
+        circle,
+        gtensor(coset_gset(c4, subgroup(c4, [0, 2])), moore_space(2))))
+    out = []
+    for k, (name, x) in enumerate(inputs):
+        group = write(outdir, f"homology_group_{k}", {"order": x.group.order,
+                                                       "mult": x.group.mult})
+        sset = write(outdir, f"homology_sset_{k}", sset_to_json(x))
+        out += [("hfamily", f"{name} over {ring}",
+                 ["homology", "--group", group, "--sset", sset, "--family", "all",
+                  "--ring", ring]) for ring in RINGS]
+    return out
+
+
 def run(src: str, argv) -> tuple:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run([sys.executable, "-m", "orbitkit.cli", *argv], env=env,
@@ -184,7 +224,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         groups = stock_groups(tmp)
         jobs = (benchmark_jobs(args.seed, tmp) + golden_cases() + whitehead_cases(tmp)
-                + elmendorf_cases(groups) + lattice_cases(groups) + gsset_cases(tmp, groups))
+                + elmendorf_cases(groups) + lattice_cases(groups) + gsset_cases(tmp, groups)
+                + homology_cases(tmp, groups))
         cases = [(kind, name, fmt) for kind, name, _ in jobs for fmt in FORMATS]
         argvs = [argv + list(fmt) for _, _, argv in jobs for fmt in FORMATS]
         with ThreadPoolExecutor(2) as pool:
