@@ -27,6 +27,8 @@ invariants are taken: it removes pairs of basis orbits whose block of d is
 d, so every C^H keeps its homology; ``homology --family`` reduces once and
 then takes every subgroup's invariants.  With a trivial group it returns
 the complex itself, which elimination handles directly at less cost.
+The mapping cone of an equivariant map between permutation actions carries
+the sum action, so (cone f)^H = cone(f^H) can be reduced once for every H.
 
 Sign conventions are pinned by the verified identities rather than chosen
 in the abstract: d is the alternating face sum, the cone differential is
@@ -618,7 +620,8 @@ def is_acyclic(c: ChainComplex) -> bool:
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
-    """cone(f)_n = target_n + source_{n-1}, d(y, x) = (dy + fx, -dx)."""
+    """cone(f)_n = target_n + source_{n-1}, d(y, x) = (dy + fx, -dx); for f equivariant
+    between permutation actions, with the sum action (source_{n-1} shifted by rank(target_n))."""
     ring = f.source.ring
     src, tgt = f.source, f.target
     top = max(tgt.top, src.top + 1)
@@ -628,8 +631,15 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         rows = [r + s for r, s in zip(tgt.d(n).rows, f.mat(n - 1).rows)]
         rows += [[ring.zero] * tgt.rank(n) + r for r in (-src.d(n - 1)).rows]
         diffs[n] = Mat(ring, ranks[n - 1], ranks[n], rows, normalize=False)
-    # d^2 = 0 because f is a chain map
-    return ChainComplex(ring, ranks, diffs, validate=False)
+    # d^2 = 0 because f is a chain map, and d commutes with the sum action as f does
+    cone = ChainComplex(ring, ranks, diffs, validate=False)
+    if f.equivariant and src.action is not None and tgt.action is not None:
+        def act(c, n):
+            return c.action[n].act if 0 <= n <= c.top else ((),) * c.group.order
+        cone.group, cone.action = src.group, tuple(GSet(src.group, r, tuple(
+            y + tuple(tgt.rank(n) + i for i in x) for y, x in zip(act(tgt, n), act(src, n - 1))))
+            for n, r in enumerate(ranks))
+    return cone
 
 
 def is_quasi_iso(f: ChainMap) -> bool:

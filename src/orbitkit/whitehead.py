@@ -6,11 +6,12 @@ f*g ~ id and g*f ~ id, all commuting with the group representations.
 The search solves in equivariant coordinates.  Each block of g, s and t
 is a combination of a basis of equivariant matrices: for permutation
 actions one indicator per G-orbit of index pairs, since
-Hom_{ZG}(Z[X], Z[Y]) is free on the G-orbits of Y x X; for matrix
-actions a saturated kernel basis of the equivariance constraints; with no
-group the elementary matrices.  The chain-map and homotopy equations are
-linear in these coordinates, and their residuals are equivariant, so for
-permutation actions they are imposed at one index pair per orbit only.
+Hom_{ZG}(Z[X], Z[Y]) is free on the G-orbits of Y x X (from stabilizers:
+the G_y-orbits of X, y least in its G-orbit); for matrix actions a saturated
+kernel basis of the equivariance constraints; with no group the elementary
+matrices.  The chain-map and homotopy equations are linear in these
+coordinates, and their residuals are equivariant, so for permutation
+actions they are imposed at one index pair per orbit only.
 One exact solve from the system's sparse rows, on every ring
 (Hermite-style over Z and Q, Gauss-Jordan over F_p), then either produces
 a certificate or proves that none of this shape exists over the ring;
@@ -21,7 +22,8 @@ rule out a rational certificate; query the rings separately.
 ``whitehead_verify`` packages the hypothesis checks for a simplicial map:
 isotropy of all simplices against the family, quasi-isomorphy of the
 invariant subcomplexes (one route) and of the chains of fixed-point
-subcomplexes (an independent route), then attempts the certificate.
+subcomplexes (an independent route), then attempts the certificate.  The
+first route reduces the equivariant cone of f once, as (cone f)^H = cone(f^H).
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chains import ChainHomotopy, ChainMap, compose_chain_maps, equivariance_defect, \
-    homotopy_defect, identity_chain_map, is_quasi_iso, normalized_chain_map, \
-    normalized_chains, restrict_to_invariants
+    homotopy_defect, identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
+    normalized_chain_map, normalized_chains, orbit_reduction
 from .errors import InternalError
 from .exactla import Mat, SparseRows, kernel_exact, solve_exact
 from .groups import conjugating_element
-from .gsets import orbits, product_gset, stabilizer
+from .gsets import orbits, stabilizer
 from .simplicial import SMap, fixed_sset
 
 # a size bound on rows x unknowns (C8/e x Delta[3]: 2.1M); every system stays sparse
@@ -150,10 +152,14 @@ class _Block:
                    normalize=False)
 
 
-def _pair_orbits(group, left, ln, right, rn):
-    """G-orbits of the index pairs (p, q) of left_ln x right_rn, as p * ncols + q."""
-    prod = product_gset(left.action[ln], right.action[rn])
-    return orbits(prod.act, group.elements())
+def _pair_orbits(x, y) -> list[tuple[int, ...]]:
+    """G-orbits of the pairs (p, q) of G-sets x, y, as p * |y| + q, as ``orbits`` gives
+    them on the product: for p least in its G-orbit and q least in its G_p-orbit,
+    {(a p, a q) : a in G} is the orbit with least pair (p, q)."""
+    elements, c = x.group.elements(), y.size
+    return [tuple(sorted({x.act[a][p] * c + y.act[a][q] for a in elements}))
+            for (p, *_) in orbits(x.act, elements)
+            for (q, *_) in orbits(y.act, stabilizer(x.group, x.act, p).members)]
 
 
 def _positions(group, left, ln, right, rn):
@@ -162,7 +168,7 @@ def _positions(group, left, ln, right, rn):
             or not left.rank(ln) or not right.rank(rn):
         return [(i, j) for i in range(left.rank(ln)) for j in range(right.rank(rn))]
     return [divmod(o[0], right.rank(rn))
-            for o in _pair_orbits(group, left, ln, right, rn)]
+            for o in _pair_orbits(left.action[ln], right.action[rn])]
 
 
 def _block(ring, group, first: int, left, ln, right, rn) -> _Block:
@@ -179,7 +185,7 @@ def _block(ring, group, first: int, left, ln, right, rn) -> _Block:
         return _Block(r, c, [((first + e, one),) for e in range(r * c)], r * c)
     if left.action is not None and right.action is not None:
         coords = [None] * (r * c)
-        pair_orbits = _pair_orbits(group, left, ln, right, rn)
+        pair_orbits = _pair_orbits(left.action[ln], right.action[rn])
         for k, orbit in enumerate(pair_orbits):
             for e in orbit:
                 coords[e] = ((first + k, one),)
@@ -333,15 +339,25 @@ def isotropy_check(f: SMap, family) -> IsotropyReport:
     return IsotropyReport(ok_c, ok_s, witness)
 
 
+def _invariant_quasi_isos(cf: ChainMap, family) -> dict:
+    """Hypothesis (a), label -> whether cf^H is a quasi-isomorphism: (cone f)^H =
+    cone(f^H), so the equivariant cone is reduced once and each H takes its invariants."""
+    cone = mapping_cone(cf)
+    if cone.action is None:
+        raise InternalError("the chain map of a simplicial G-map must be equivariant")
+    reduced = orbit_reduction(cone)
+    return {h.label: is_acyclic(invariants(reduced, h)[0]) for h in family}
+
+
 def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
     """Hypothesis checks plus certificate search for a simplicial G-map.
 
-    Hypothesis (a) passes for a subgroup H when the induced map of
-    H-invariant subcomplexes is a quasi-isomorphism; hypothesis (b) when
-    the chains of the H-fixed simplicial subsets compare by a
-    quasi-isomorphism.  The two routes share no code below the chain
-    level.  When either hypothesis holds for every member of the family,
-    the certificate search runs on the full equivariant chain map.
+    Hypothesis (a) passes for a subgroup H when the induced map of H-invariant
+    subcomplexes is a quasi-isomorphism (one orbit-reduced cone serves every H);
+    hypothesis (b) when the chains of the H-fixed simplicial subsets compare by
+    a quasi-isomorphism.  The two routes share no code below the chain level.
+    When either hypothesis holds for every member of the family, the
+    certificate search runs on the full equivariant chain map.
     """
     if f.source.group != f.target.group:
         raise ValueError("whitehead_verify needs a common acting group")
@@ -352,9 +368,7 @@ def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
     cx = normalized_chains(f.source, ring)
     cy = normalized_chains(f.target, ring)
     cf = normalized_chain_map(f, ring, cx, cy)
-    for h in fam:
-        inv_map = restrict_to_invariants(cf, h)
-        report.hyp_a[h.label] = is_quasi_iso(inv_map)
+    report.hyp_a = _invariant_quasi_isos(cf, fam)
     for h in fam:
         fx, _ = fixed_sset(f.source, h)
         fy, _ = fixed_sset(f.target, h)

@@ -19,10 +19,11 @@ from orbitkit.errors import InternalError
 from orbitkit.exactla import Mat, rank
 from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, full_subgroup, \
     klein_four_group, subgroup, symmetric_group, trivial_subgroup
-from orbitkit.gsets import coset_gset, make_gset, regular_gset, trivial_gset
+from orbitkit.gsets import GSet, coset_gset, make_gset, regular_gset, trivial_gset
 from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.simplicial import TRIVIAL_GROUP, GSSet, SimplexRef, SMap, boundary_simplex, \
-    compose_smaps, fixed_sset, gtensor, make_smap, point_sset, prism, standard_simplex
+    compose_smaps, fixed_sset, gtensor, identity_smap, make_smap, point_sset, prism, \
+    standard_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +372,35 @@ def test_mapping_cone_shape():
     cone = mapping_cone(identity_chain_map(c))
     assert cone.ranks == (2, 3, 1)
     assert is_acyclic(cone)
+
+
+def test_the_cone_of_an_equivariant_map_carries_the_sum_action(s3):
+    k = next(h for h in all_subgroups(s3) if h.order == 2)
+    orbit = coset_gset(s3, k)
+    x = gtensor(orbit, standard_simplex(1))
+    bdry = gtensor(orbit, boundary_simplex(1))
+    incl = SMap(bdry, x, {s: SimplexRef(s // 2 * 3 + s % 2) for s in bdry.ids()})
+    for f in (identity_smap(x), prism(x).end0, incl):
+        for ring in (ZZ, PrimeField(2)):
+            cf = normalized_chain_map(f, ring)
+            cone = mapping_cone(cf)
+            assert cone.group is s3
+            cone.validate()  # G-sets valid, d commutes with every generator
+            src, tgt = cf.source, cf.target
+            diffs = {n: cone.d(n) for n in range(1, cone.top + 1)}
+
+            def acts(c, n):
+                return c.action[n].act if 0 <= n <= c.top else [()] * s3.order
+
+            # mutant: the source summand not shifted past the target's rank
+            unshifted = [GSet(s3, r, tuple(y + x for y, x in
+                                           zip(acts(tgt, n), acts(src, n - 1))))
+                         for n, r in enumerate(cone.ranks)]
+            with pytest.raises(ValueError, match="permutation"):
+                ChainComplex.permuted(ring, cone.ranks, diffs, s3, unshifted)
+    plain = normalized_chain_map(incl, ZZ)
+    plain.equivariant = False
+    assert mapping_cone(plain).action is None and mapping_cone(plain).group is None
 
 
 # ---------------------------------------------------------------------------

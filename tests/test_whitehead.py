@@ -8,22 +8,25 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orbitkit
 
 from conftest import swap_boundary1, vee, with_trivial_action
 from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, \
     compose_chain_maps, concentrated, homotopy_defect, identity_chain_map, \
-    is_quasi_iso, normalized_chain_map, normalized_chains, zero_complex
+    is_quasi_iso, normalized_chain_map, normalized_chains, restrict_to_invariants, \
+    zero_complex
+from orbitkit.errors import InternalError
 from orbitkit.exactla import Mat
-from orbitkit.groups import all_subgroups, cyclic_group, full_subgroup, \
-    trivial_subgroup
-from orbitkit.gsets import coset_gset, regular_gset
+from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, direct_product, \
+    full_subgroup, group_from_generators, symmetric_group, trivial_subgroup
+from orbitkit.gsets import coset_gset, orbits, product_gset, regular_gset, stabilizer
 from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.simplicial import SMap, SimplexRef, boundary_simplex, empty_sset, \
     gtensor, identity_smap, make_smap, point_sset, prism, standard_simplex
-from orbitkit.whitehead import Certificate, certificate_search, isotropy_check, \
-    verify_certificate, whitehead_verify
+from orbitkit.whitehead import Certificate, _invariant_quasi_isos, _pair_orbits, \
+    certificate_search, isotropy_check, verify_certificate, whitehead_verify
 
 
 def test_identity_certificate():
@@ -479,3 +482,123 @@ def test_certificate_search_reverifies_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# hypothesis (a) on one reduced cone, and pair orbits from stabilizers
+
+
+def _cosets_map(k, l_):
+    """The values of G/K -> G/L, rK -> rL, for K inside L."""
+    reps, _ = k.cosets
+    return [l_.cosets.index[r] for r in reps]
+
+
+def hypothesis_a_maps(group, k, n):
+    """Equivariant maps over G/K (x) Delta[n]: the identity, both prism end
+    inclusions, the prism's projection and the collapse of each copy of
+    Delta[n] to a point (not injective), the projection onto G/G (x) Delta[n],
+    and the inclusion of G/K (x) the boundary of Delta[n]."""
+    orbit = coset_gset(group, k)
+    x = gtensor(orbit, standard_simplex(n))
+    pr = prism(x)
+    stride = len(standard_simplex(n).dim_of)
+    point = gtensor(orbit, point_sset())
+    collapse = SMap(x, point, {s: SimplexRef(s // stride, tuple(range(d - 1, -1, -1)))
+                               for s, d in x.dim_of.items()})
+    whole = full_subgroup(group)
+    top = gtensor(coset_gset(group, whole), standard_simplex(n))
+    to_top = _cosets_map(k, whole)
+    onto = SMap(x, top, {s: SimplexRef(to_top[s // stride] * stride + s % stride)
+                         for s in x.ids()})
+    maps = [identity_smap(x), pr.end0, pr.end1, pr.proj, collapse, onto]
+    if n:
+        bdry = gtensor(orbit, boundary_simplex(n))
+        inner = stride - 1
+        maps.append(SMap(bdry, x, {s: SimplexRef(s // inner * stride + s % inner)
+                                   for s in bdry.ids()}))
+    return maps
+
+
+HYP_A_GROUPS = [symmetric_group(3), dihedral_group(4), cyclic_group(4)]
+RINGS = [ZZ, QQ, PrimeField(2), PrimeField(3)]
+
+
+def invariant_quasi_isos_by_restriction(cf, subgroups):
+    return {h.label: is_quasi_iso(restrict_to_invariants(cf, h)) for h in subgroups}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(group=st.sampled_from(HYP_A_GROUPS), data=st.data(), n=st.integers(0, 2),
+       ring=st.sampled_from(RINGS))
+def test_hypothesis_a_on_the_reduced_cone_matches_each_restriction(group, data, n, ring):
+    subgroups = all_subgroups(group)
+    k = data.draw(st.sampled_from([h for h in subgroups if not h.is_trivial()]))
+    f = data.draw(st.sampled_from(hypothesis_a_maps(group, k, n)))
+    assert f.equivariant
+    cf = normalized_chain_map(f, ring)
+    assert _invariant_quasi_isos(cf, subgroups) == \
+        invariant_quasi_isos_by_restriction(cf, subgroups)
+
+
+def test_hypothesis_a_on_the_reduced_cone_says_no_where_a_restriction_does(s3, d4):
+    seen = set()
+    for group in (s3, d4):
+        subgroups = all_subgroups(group)
+        k = next(h for h in subgroups if h.order == 2)
+        *_, onto, inclusion = hypothesis_a_maps(group, k, 1)
+        for ring in RINGS:
+            for f in (onto, inclusion):  # G/K -> G/G, and the boundary of Delta[1]
+                cf = normalized_chain_map(f, ring)
+                verdicts = _invariant_quasi_isos(cf, subgroups)
+                assert verdicts == invariant_quasi_isos_by_restriction(cf, subgroups)
+                assert not all(verdicts.values())
+                seen.update(verdicts.values())
+    assert seen == {False, True}
+
+
+def test_hypothesis_a_refuses_a_chain_map_that_is_not_equivariant(c2):
+    c = normalized_chains(gtensor(regular_gset(c2), point_sset()), ZZ)
+    swap = ChainMap(c, c, {0: Mat(ZZ, 2, 2, [[1, 0], [0, 0]])})
+    assert not swap.equivariant
+    with pytest.raises(InternalError, match="equivariant"):
+        _invariant_quasi_isos(swap, all_subgroups(c2))
+
+
+def _pair_orbits_g_orbits(x, y):
+    """Mutant: G-orbits of y where G_p-orbits belong."""
+    elements, c = x.group.elements(), y.size
+    return [tuple(sorted({x.act[a][p] * c + y.act[a][q] for a in elements}))
+            for (p, *_) in orbits(x.act, elements) for (q, *_) in orbits(y.act, elements)]
+
+
+def _pair_orbits_short_stabilizer(x, y):
+    """Mutant: G_p less its last element, when it has one besides the identity."""
+    elements, c = x.group.elements(), y.size
+    out = []
+    for (p, *_) in orbits(x.act, elements):
+        stab = stabilizer(x.group, x.act, p).members
+        for (q, *_) in orbits(y.act, stab[:-1] if len(stab) > 1 else stab):
+            out.append(tuple(sorted({x.act[a][p] * c + y.act[a][q] for a in elements})))
+    return out
+
+
+PAIR_GROUPS = [symmetric_group(3), dihedral_group(4),
+               group_from_generators([[1, 2, 0, 3], [1, 0, 3, 2]], "A4"),
+               direct_product(cyclic_group(2), cyclic_group(4))]
+
+
+def assert_pair_orbits_are_product_orbits(pair_orbits):
+    for group in PAIR_GROUPS:
+        for k in all_subgroups(group):
+            for l_ in all_subgroups(group):
+                x, y = coset_gset(group, k), coset_gset(group, l_)
+                want = orbits(product_gset(x, y).act, group.elements())
+                assert pair_orbits(x, y) == want, (group, k, l_)
+
+
+def test_pair_orbits_from_stabilizers_are_the_orbits_of_the_product():
+    assert_pair_orbits_are_product_orbits(_pair_orbits)
+    for mutant in (_pair_orbits_g_orbits, _pair_orbits_short_stabilizer):
+        with pytest.raises(AssertionError):
+            assert_pair_orbits_are_product_orbits(mutant)

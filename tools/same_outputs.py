@@ -19,6 +19,9 @@ process against each tree, once with the default text output and once with
 * ``whitehead`` identity certificates (``IDENTITIES``) on C8/e x Delta[3]
   over Z and F_2: larger than the benchmark's
   largest identity, C4/e x Delta[2];
+* ``whitehead`` on orbits that are not free (``NONFREE``): the identity and
+  the prism end inclusion of S3/C2 x Delta[1], and the inclusion of
+  S3/C2 x the boundary of Delta[1] into S3/C2 x Delta[1], over Z and F_2;
 * ``elmendorf --family all`` (``ELMENDORF``) on S4 and D8 as finite sets,
   over Z and with the cell Delta[1], and on D32 as finite sets and over Z:
   larger than the benchmark's C2 x C4;
@@ -36,9 +39,9 @@ process against each tree, once with the default text output and once with
   swapped) and C4/C2 x M(Z/2, 1).
 
 The groups and G-simplicial sets of the last four sets are written by this
-tool with orbitkit's constructors. At seeds 7 and 3 that is 206 jobs (132
-benchmark, 19 golden, 12 prism, 2 identity, 8 elmendorf, 4 order64,
-9 gsset, 20 hfamily), so 412 runs.
+tool with orbitkit's constructors. At seeds 7 and 3 that is 212 jobs (132
+benchmark, 19 golden, 12 prism, 2 identity, 6 nonfree, 8 elmendorf,
+4 order64, 9 gsset, 20 hfamily), so 424 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.
@@ -61,6 +64,7 @@ FORMATS = ((), ("--format", "json"))
 PRISMS = ((2, 1), (3, 1), (4, 1))  # C_m/e x Delta[n]
 RINGS = ("Z", "Q", "Fp:2", "Fp:3")
 IDENTITIES = ((8, 3, ("Z", "Fp:2")),)  # C_m/e x Delta[n] over each ring
+NONFREE = ("identity", "prism", "boundary")  # maps of S3/C2 x Delta[1], over Z and F_2
 ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--sset", "delta:1"))),
              ("D8", ((), ("--ring", "Z"), ("--sset", "delta:1"))),
              ("D32", ((), ("--ring", "Z"))))
@@ -101,11 +105,14 @@ def write_smap(outdir: str, name: str, f) -> str:
 
 
 def whitehead_cases(outdir: str):
-    """("prism" or "identity", name, argv) for unrelabelled prism end inclusions
-    (``PRISMS``) and identities (``IDENTITIES``), written under outdir."""
-    from orbitkit.groups import cyclic_group, trivial_subgroup
+    """("prism", "identity" or "nonfree", name, argv) for unrelabelled prism end
+    inclusions (``PRISMS``), identities (``IDENTITIES``) and maps of S3/C2 x
+    Delta[1] (``NONFREE``), written under outdir."""
+    from orbitkit.groups import all_subgroups, cyclic_group, symmetric_group, \
+        trivial_subgroup
     from orbitkit.gsets import coset_gset
-    from orbitkit.simplicial import gtensor, identity_smap, prism, standard_simplex
+    from orbitkit.simplicial import SMap, SimplexRef, boundary_simplex, gtensor, \
+        identity_smap, prism, standard_simplex
 
     out = []
     for kind, m, n, rings in ([("prism", m, n, RINGS) for m, n in PRISMS]
@@ -119,6 +126,17 @@ def whitehead_cases(outdir: str):
         out += [(kind, f"{name} over {ring}", ["whitehead", "--group", group, "--map", smap,
                                                 "--family", "all", "--ring", ring])
                 for ring in rings]
+    s3 = symmetric_group(3)
+    orbit = coset_gset(s3, next(h for h in all_subgroups(s3) if h.order == 2))
+    x, bdry = gtensor(orbit, standard_simplex(1)), gtensor(orbit, boundary_simplex(1))
+    maps = {"identity": identity_smap(x), "prism": prism(x).end0,
+            "boundary": SMap(bdry, x, {s: SimplexRef(s // 2 * 3 + s % 2) for s in bdry.ids()})}
+    group = write(outdir, "group_S3", {"order": s3.order, "mult": s3.mult})
+    for kind in NONFREE:
+        smap = write_smap(outdir, f"nonfree_{kind}", maps[kind])
+        out += [("nonfree", f"{kind} of S3/C2 x Delta[1] over {ring}",
+                 ["whitehead", "--group", group, "--map", smap, "--family", "all",
+                  "--ring", ring]) for ring in ("Z", "Fp:2")]
     return out
 
 
