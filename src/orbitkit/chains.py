@@ -25,8 +25,12 @@ keep index tuples, and compose, compare and corestrict without matrices.
 invariants are taken: it removes pairs of basis orbits whose block of d is
 +-1 times an equivariant bijection, with a Schur complement on the rest of
 d, so every C^H keeps its homology; ``homology --family`` reduces once and
-then takes every subgroup's invariants.  With a trivial group it returns
-the complex itself, which elimination handles directly at less cost.
+then takes every subgroup's invariants.  It also returns an equivariant
+strong deformation retraction (incl, proj, h) onto the reduced complex,
+through which ``whitehead`` carries certificates solved on reduced ends
+back to the full ones.  With a trivial group it returns the complex itself
+and the identity retraction, as elimination handles such complexes directly
+at less cost.
 The mapping cone of an equivariant map between permutation actions carries
 the sum action, so (cone f)^H = cone(f^H) can be reduced once for every H.
 
@@ -40,6 +44,7 @@ exactly (checked on every call; a failure raises instead of returning).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import compress
 
 from .errors import InternalError
@@ -462,9 +467,12 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
     return inv, incl
 
 
-def orbit_reduction(c: ChainComplex) -> ChainComplex:
-    """A smaller complex with the same homology of C^H for every subgroup H.
+def orbit_reduction(c: ChainComplex):
+    """A smaller complex r with the same homology of C^H for every subgroup H,
+    and an equivariant strong deformation retraction of c onto it.
 
+    Returns (r, incl, proj, h): chain maps incl: r -> c and proj: c -> r and
+    a homotopy h on c with proj incl = 1 and incl proj - 1 = d h + h d.
     From the top degree down, removes pairs of basis orbits, A in degree n
     and B in degree n-1, whose block of d_n is v times an equivariant
     bijection A -> B with v^2 = 1: column A[0] has one nonzero entry v in
@@ -472,15 +480,27 @@ def orbit_reduction(c: ChainComplex) -> ChainComplex:
     equivariant.  The rest of d_n becomes its Schur complement, d_{n+1} loses
     the rows of A and d_{n-1} the columns of B.  Each removal splits off an
     equivariantly contractible summand, so it restricts to every C^H
-    (Kaczynski, Mrozek and Slusarek 1998; Freij 2009).  Without a permutation
-    action, or with a trivial group, c itself is returned.
+    (Kaczynski, Mrozek and Slusarek 1998; Freij 2009).  Each pair (a, b) of
+    the orbits, d_n[b, a] = v on the current d, is one elementary retraction:
+    incl sends each kept x in degree n to x - v d(x)[b] a, proj sends y in
+    degree n-1 to y - v y[b] d(a), and h sends b to -v a.  The steps compose
+    as incl = incl_1 incl_2, proj = proj_2 proj_1, h = h_1 + incl_1 h_2 proj_1:
+    incl is read off the chains the Schur update subtracts, and proj and h at
+    each b by forward substitution through the later pairs of its degree.
+    Whole orbits are removed at once, so incl, proj and h are equivariant.
+    Their matrices are built when one of them is first read, so callers that
+    need only r (``homology --family``, hypothesis (a)) do not pay for them.
+    Without a permutation action, with a trivial group, or when no pair is
+    removed, r is c itself and the retraction is the identity.
     """
-    if c.action is None or c.group.order == 1:
-        return c
-    ring = c.ring
+    if c.action is None or c.group.order == 1 or not c.top:
+        return _identity_retraction(c)
+    ring, one = c.ring, c.ring.one
     orbs = [orbits(x.act, c.group.elements()) for x in c.action]
     gone = [set() for _ in orbs]  # removed indices per degree
     cols = {}  # cols[n][j]: column j of d_n, as {row: entry}
+    chains = {}  # chains[n][j]: the chain whose boundary is cols[n][j], when not j itself
+    steps = {}  # steps[n]: (b, v, column, chain) of each removed pair (a, b), in order
     for n in range(c.top, 0, -1):
         cols[n] = {j: {} for j in range(c.rank(n)) if j not in gone[n]}
         for i, row in enumerate(c.d(n).rows):
@@ -488,6 +508,8 @@ def orbit_reduction(c: ChainComplex) -> ChainComplex:
                 if j in cols[n]:
                     cols[n][j][i] = row[j]
         orbit_of = {i: k for k, o in enumerate(orbs[n - 1]) for i in o}
+        chain = chains[n] = {}
+        steps[n] = []
         for a_orb in orbs[n]:
             col = cols[n].get(a_orb[0])
             if col is None:
@@ -501,20 +523,30 @@ def orbit_reduction(c: ChainComplex) -> ChainComplex:
             if b is None:
                 continue
             v, kb = col[b], orbit_of[b]
-            pair = {}  # b' -> column of d_n at the a' with d_n[b', a'] = v
+            pair = {}  # b' -> column and chain at the a' with d_n[b', a'] = v
             for a in a_orb:
                 ca = cols[n].pop(a)
-                pair[next(i for i in ca if orbit_of[i] == kb)] = ca
+                b_ = next(i for i in ca if orbit_of[i] == kb)
+                pair[b_] = ca, chain.pop(a, None) or {a: one}
+                steps[n].append((b_, v, *pair[b_]))
             for j, cj in cols[n].items():
                 hit = [(i, w) for i, w in cj.items() if orbit_of[i] == kb]
+                if not hit:
+                    continue
+                chj = chain.get(j) or chain.setdefault(j, {j: one})
                 for i, w in hit:  # subtract w v times the column paired with i: row i clears
-                    for r, x in pair[i].items():
-                        cj[r] = cj.get(r, 0) - w * v * x
-                if hit:
-                    vals = ring.reduce(list(cj.values()))
-                    cols[n][j] = {i: x for i, x in zip(cj, vals) if x}
+                    ca, cha = pair[i]
+                    wv = w * v
+                    for r, x in ca.items():
+                        cj[r] = cj.get(r, 0) - wv * x
+                    for r, x in cha.items():  # and its chain from j's
+                        chj[r] = chj.get(r, 0) - wv * x
+                vals = ring.reduce(list(cj.values()))
+                cols[n][j] = {i: x for i, x in zip(cj, vals) if x}
             gone[n].update(a_orb)
             gone[n - 1].update(orbs[n - 1][kb])
+    if not any(gone):
+        return _identity_retraction(c)
     kept = [[i for i in range(r) if i not in g] for r, g in zip(c.ranks, gone)]
     pos = [{i: k for k, i in enumerate(ks)} for ks in kept]
     diffs = {}
@@ -529,7 +561,98 @@ def orbit_reduction(c: ChainComplex) -> ChainComplex:
     out.action = tuple(GSet(c.group, len(ks), tuple(tuple(p[act[i]] for i in ks)
                                                     for act in x.act))
                        for x, ks, p in zip(c.action, kept, pos))
-    return out
+    maps = (ChainMap(out, c, {}, validate=False), ChainMap(c, out, {}, validate=False),
+            ChainHomotopy(c, c, {}))  # incl, proj and h
+
+    def build():
+        for f, mats in zip(maps, _retraction_matrices(c, kept, pos, chains, steps)):
+            f._mats = mats
+
+    for f in maps:
+        f._mats, f.equivariant = _Deferred(f, build), True
+    return (out, *maps)
+
+
+def _identity_retraction(c: ChainComplex):
+    """c itself, with the identity retraction (incl = proj = 1, h = 0)."""
+    return c, identity_chain_map(c), identity_chain_map(c), ChainHomotopy(c, c, {})
+
+
+class _Deferred:
+    """Stands in for the matrices of ``owner``, one of ``orbit_reduction``'s
+    retraction maps, until one is looked up; ``build`` then gives all three
+    maps their matrices."""
+
+    __slots__ = ("owner", "build")
+
+    def __init__(self, owner, build):
+        self.owner, self.build = owner, build
+
+    def get(self, n, default=None):
+        self.build()
+        return self.owner._mats.get(n, default)
+
+
+def _retraction_matrices(c, kept, pos, chains, steps) -> tuple[dict, dict, dict]:
+    """The matrices of incl, proj and h by degree, from ``orbit_reduction``'s
+    record: the kept indices and their positions, the chains of the kept columns
+    and the removed pairs of each degree."""
+    ring, one = c.ring, c.ring.one
+    incl, proj, h = {}, {}, {}
+    act = [x.act for x in c.action] + [None]
+    for n, (ks, p) in enumerate(zip(kept, pos)):
+        incl[n] = Mat.zeros(ring, c.rank(n), len(ks))
+        proj[n] = Mat.zeros(ring, len(ks), c.rank(n))
+        h[n] = Mat.zeros(ring, c.rank(n + 1), c.rank(n))
+        for k, j in enumerate(ks):
+            proj[n].rows[k][j] = one
+            for i, x in _nonzero(ring, chains.get(n, {}).get(j, {j: one})).items():
+                incl[n].rows[i][k] = x
+        later = {b: k for k, (b, *_) in enumerate(steps.get(n + 1, ()))}
+        done = set()
+        for b0 in later:  # one substitution per orbit, carried to the rest by the action
+            if b0 in done:
+                continue
+            y, u = _substitute(ring, steps[n + 1], later, b0)
+            for here, up in zip(act[n], act[n + 1]):
+                b = here[b0]
+                if b not in done:
+                    done.add(b)
+                    for i, x in y.items():
+                        if i in p:
+                            proj[n].rows[p[here[i]]][b] = x
+                    for i, x in u.items():
+                        h[n].rows[up[i]][b] = x
+    return incl, proj, h
+
+
+def _nonzero(ring, entries: dict) -> dict:
+    """The reduced nonzero entries of a sparse vector."""
+    return {i: x for i, x in zip(entries, ring.reduce(list(entries.values()))) if x}
+
+
+def _substitute(ring, steps, order, b):
+    """(y, u) for e_b with b removed in pair ``order[b]`` of ``steps``: each pair
+    (b_k, v_k, column, chain) from there on, in order, takes w = v_k y[b_k] off y
+    as w times its column and puts -w times its chain on u, so y = proj(e_b) on
+    the kept rows and u = h(e_b)."""
+    y, u = {b: ring.one}, {}
+    queue, queued = [order[b]], {order[b]}
+    while queue:
+        bk, v, col, chain = steps[heappop(queue)]
+        w = ring.reduce([v * y.pop(bk, 0)])[0]
+        if not w:
+            continue
+        for r, x in col.items():
+            if r != bk:  # y[b_k] - w v = 0, as v^2 = 1
+                y[r] = y.get(r, 0) - w * x
+                k = order.get(r)
+                if k is not None and k not in queued:
+                    queued.add(k)
+                    heappush(queue, k)
+        for r, x in chain.items():
+            u[r] = u.get(r, 0) - w * x
+    return _nonzero(ring, y), _nonzero(ring, u)
 
 
 def _orbit_sums(d: Mat, rows, slot, ncols: int, what: str) -> Mat:

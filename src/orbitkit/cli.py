@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import elmendorf as elm
 from .chains import homology, invariants, normalized_chains, orbit_reduction
@@ -26,9 +27,33 @@ from .simplicial import cell_decomposition, check_F_cofibration, fixed_sset, \
 from .whitehead import whitehead_verify
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the report types, without
+    the stdlib's pure-Python encoder for indented output: strings, ints, bools,
+    None, lists and dicts (sorted by key) are written here, in one call per
+    container, and any other value by ``json.dumps``."""
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_SCALARS[type(v)](v) if type(v) in _SCALARS else _dumps(v, inner)
+                 for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": "
+                 + (_SCALARS[type(v)](v) if type(v) in _SCALARS else _dumps(v, inner))
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    return json.dumps(value)
+
+
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,  # as json.dumps writes them
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
 def _emit(args, text: str, payload: dict) -> None:
-    out = json.dumps(payload, sort_keys=True, indent=2) if args.format == "json" \
-        else text
+    out = _dumps(payload) if args.format == "json" else text
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
@@ -87,7 +112,7 @@ def cmd_homology(args) -> int:
     group = load_group(args.group) if args.group else None
     x = load_sset(args.sset, group)
     family = load_family(args.family, x.group)
-    c = orbit_reduction(normalized_chains(x, ring))  # equivariant: every C^H keeps its homology
+    c = orbit_reduction(normalized_chains(x, ring))[0]  # equivariant: every C^H keeps its homology
     lines = []
     payload = {}
     for h in family:

@@ -3,7 +3,10 @@
 Given an equivariant chain map f, a certificate is explicit data
 (g, s, t): a backward equivariant chain map with homotopies witnessing
 f*g ~ id and g*f ~ id, all commuting with the group representations.
-The search solves in equivariant coordinates.  Each block of g, s and t
+The search first retracts both ends onto their orbit reductions
+(``chains.orbit_reduction``), solves for a certificate of the reduced map,
+and carries it back through the equivariant deformation retractions.  It
+solves in equivariant coordinates.  Each block of g, s and t
 is a combination of a basis of equivariant matrices: for permutation
 actions one indicator per G-orbit of index pairs, since
 Hom_{ZG}(Z[X], Z[Y]) is free on the G-orbits of Y x X (from stabilizers:
@@ -15,9 +18,10 @@ actions they are imposed at one index pair per orbit only.
 One exact solve from the system's sparse rows, on every ring
 (Hermite-style over Z and Q, Gauss-Jordan over F_p), then either produces
 a certificate or proves that none of this shape exists over the ring;
-the certificate is re-verified against the full identities for every
-group element before it is returned.  Over Z a failure does not
-rule out a rational certificate; query the rings separately.
+the transported certificate is re-verified on f's own complexes against
+the full identities for every group element before it is returned.  Over
+Z a failure does not rule out a rational certificate; query the rings
+separately.
 
 ``whitehead_verify`` packages the hypothesis checks for a simplicial map:
 isotropy of all simplices against the family, quasi-isomorphy of the
@@ -39,7 +43,7 @@ from .groups import conjugating_element
 from .gsets import orbits, stabilizer
 from .simplicial import SMap, fixed_sset
 
-# a size bound on rows x unknowns (C8/e x Delta[3]: 2.1M); every system stays sparse
+# a size bound on rows x unknowns of the orbit-reduced system; every system stays sparse
 MAX_CELLS = 2_500_000
 
 
@@ -162,16 +166,27 @@ def _pair_orbits(x, y) -> list[tuple[int, ...]]:
             for (q, *_) in orbits(y.act, stabilizer(x.group, x.act, p).members)]
 
 
-def _positions(group, left, ln, right, rn):
+def _shared_pair_orbits(memo: dict, left, ln, right, rn) -> list[tuple[int, ...]]:
+    """``_pair_orbits`` of the actions on left_ln and right_rn, computed once per
+    pair of G-sets: ``memo`` is shared by one search's ``_positions`` and ``_block``."""
+    x, y = left.action[ln], right.action[rn]
+    key = x.act, y.act
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _pair_orbits(x, y)
+    return found
+
+
+def _positions(group, left, ln, right, rn, memo: dict):
     """Entries at which an equivariant left_ln x right_rn residual must vanish."""
     if left.action is None or right.action is None or group is None \
             or not left.rank(ln) or not right.rank(rn):
         return [(i, j) for i in range(left.rank(ln)) for j in range(right.rank(rn))]
     return [divmod(o[0], right.rank(rn))
-            for o in _pair_orbits(left.action[ln], right.action[rn])]
+            for o in _shared_pair_orbits(memo, left, ln, right, rn)]
 
 
-def _block(ring, group, first: int, left, ln, right, rn) -> _Block:
+def _block(ring, group, first: int, left, ln, right, rn, memo: dict) -> _Block:
     """A basis of the equivariant left_ln x right_rn matrices.
 
     Its unknowns are numbered from ``first``.  Permutation actions on both
@@ -185,14 +200,14 @@ def _block(ring, group, first: int, left, ln, right, rn) -> _Block:
         return _Block(r, c, [((first + e, one),) for e in range(r * c)], r * c)
     if left.action is not None and right.action is not None:
         coords = [None] * (r * c)
-        pair_orbits = _pair_orbits(left.action[ln], right.action[rn])
+        pair_orbits = _shared_pair_orbits(memo, left, ln, right, rn)
         for k, orbit in enumerate(pair_orbits):
             for e in orbit:
                 coords[e] = ((first + k, one),)
         return _Block(r, c, coords, len(pair_orbits))
     # rho_left(a) X - X rho_right(a) = 0 for every generator a, hence for
     # every element, as both sides are homomorphisms
-    x = _block(ring, None, 0, left, ln, right, rn)
+    x = _block(ring, None, 0, left, ln, right, rn, memo)
     cons = _LinearSystem(ring, r * c)
     every = [(i, j) for i in range(r) for j in range(c)]
     eye_r, eye_c = Mat.identity(ring, r), Mat.identity(ring, c)
@@ -211,28 +226,80 @@ def _block(ring, group, first: int, left, ln, right, rn) -> _Block:
 def certificate_search(cf: ChainMap):
     """Solve for an equivariant homotopy inverse of cf, or return None.
 
-    The unknowns are the coordinates of g (degreewise backward map), s
-    and t (degree +1 homotopies on target and source) in bases of
-    equivariant matrices.  Infeasibility over Z is reported as absence
-    even if a rational certificate exists.
+    Both ends are orbit-reduced first: (incl_X, proj_X, h_X) retracts cf's
+    source X onto X', and (incl_Y, proj_Y, h_Y) its target Y onto Y'.  The
+    unknowns are the coordinates of g' (degreewise backward map), s' and t'
+    (degree +1 homotopies on Y' and X') for f' = proj_Y f incl_X, in bases of
+    equivariant matrices.  A solution is carried back as g = incl_X g' proj_Y,
+    s = h_Y + incl_Y s' proj_Y - h_Y f g and t = h_X + incl_X t' proj_X - g f h_X,
+    which satisfy f g - 1 = d s + s d and g f - 1 = d t + t d, and is then
+    re-verified on cf's own complexes.  Equivariant retractions carry
+    certificates both ways, so f' has one exactly when f does.  Infeasibility
+    over Z is reported as absence even if a rational certificate exists.
     """
     if not cf.equivariant and cf.source.group is not None \
             and cf.source.group.order > 1:
         raise ValueError("certificate search needs an equivariant chain map")
+    found = _solve_reduced(cf)
+    if found is None:
+        return None
+    g, s, t = found
     src, tgt = cf.source, cf.target
-    ring = src.ring
+    # verify_certificate checks g's chain-map law: a failure is a solver bug
+    cert = Certificate(ChainMap(tgt, src, g, validate=False), ChainHomotopy(tgt, tgt, s),
+                       ChainHomotopy(src, src, t))
+    if not verify_certificate(cert, cf):
+        raise InternalError("solver returned a certificate that fails re-verification")
+    return cert
+
+
+def _solve_reduced(cf: ChainMap):
+    """(g, s, t) by degree for cf, solved for f' = proj_Y f incl_X on the orbit
+    reductions of its ends and carried back one end at a time, or None.  An end
+    whose retraction is the identity (nothing removed) is left as it is."""
+    src, tgt = cf.source, cf.target
+    x, incl_x, proj_x, h_x = orbit_reduction(src)
+    y, incl_y, proj_y, h_y = orbit_reduction(tgt)
     top = max(src.top, tgt.top)
+    fy = f = cf  # proj_Y f, and f'
+    if y is not tgt:
+        fy = f = ChainMap(src, y, {n: proj_y.mat(n) @ cf.mat(n) for n in range(top + 2)},
+                          validate=False)
+    if x is not src:
+        f = ChainMap(x, y, {n: fy.mat(n) @ incl_x.mat(n) for n in range(top + 1)},
+                     validate=False)
+    found = _solve(f)
+    if found is None:
+        return None
+    g, s, t = found
+    if x is not src:  # to proj_Y f: incl_X g and h_X + incl_X (t proj_X - g proj_Y f h_X)
+        t = {n: h_x.mat(n) + incl_x.mat(n + 1) @ (t[n] @ proj_x.mat(n)
+                                                  - g[n + 1] @ fy.mat(n + 1) @ h_x.mat(n))
+             for n in range(top + 1)}
+        g = {n: incl_x.mat(n) @ g[n] for n in range(top + 1)}
+    if y is not tgt:  # to f: g proj_Y and h_Y + (incl_Y s - h_Y f g) proj_Y
+        s = {n: h_y.mat(n) + (incl_y.mat(n + 1) @ s[n] - h_y.mat(n) @ (cf.mat(n) @ g[n]))
+             @ proj_y.mat(n) for n in range(top + 1)}
+        g = {n: g[n] @ proj_y.mat(n) for n in range(top + 1)}
+    return g, s, t
+
+
+def _solve(f: ChainMap):
+    """(g, s, t) by degree, up to one past the top, with f g - 1 = d s + s d and
+    g f - 1 = d t + t d for an equivariant chain map f, or None."""
+    src, tgt = f.source, f.target
+    ring, top = src.ring, max(src.top, tgt.top)
     # a trivial group imposes nothing: elementary coordinates, every entry
     group = src.group if tgt.group is not None else None
     if group is not None and group.order == 1:
         group = None
 
-    count = 0
+    count, memo = 0, {}
     g, s, t = {}, {}, {}
     for blocks, left, right, shift in ((g, src, tgt, 0), (s, tgt, tgt, 1),
                                        (t, src, src, 1)):
-        for n in range(-1, top + 1):
-            blocks[n] = _block(ring, group, count, left, n + shift, right, n)
+        for n in range(-1, top + 2):
+            blocks[n] = _block(ring, group, count, left, n + shift, right, n, memo)
             count += blocks[n].size
 
     def eye(c, n):
@@ -243,30 +310,24 @@ def certificate_search(cf: ChainMap):
         # chain map: d_src g_n - g_{n-1} d_tgt = 0
         system.add_equations([(src.d(n), g[n], eye(tgt, n)),
                               (-eye(src, n - 1), g[n - 1], tgt.d(n))],
-                             _positions(group, src, n - 1, tgt, n))
+                             _positions(group, src, n - 1, tgt, n, memo))
     for n in range(top + 1):
         # homotopy on the target: f g - d s - s d = id
-        system.add_equations([(cf.mat(n), g[n], eye(tgt, n)),
+        system.add_equations([(f.mat(n), g[n], eye(tgt, n)),
                               (-tgt.d(n + 1), s[n], eye(tgt, n)),
                               (-eye(tgt, n), s[n - 1], tgt.d(n))],
-                             _positions(group, tgt, n, tgt, n), diagonal=True)
+                             _positions(group, tgt, n, tgt, n, memo), diagonal=True)
         # homotopy on the source: g f - d t - t d = id
-        system.add_equations([(eye(src, n), g[n], cf.mat(n)),
+        system.add_equations([(eye(src, n), g[n], f.mat(n)),
                               (-src.d(n + 1), t[n], eye(src, n)),
                               (-eye(src, n), t[n - 1], src.d(n))],
-                             _positions(group, src, n, src, n), diagonal=True)
+                             _positions(group, src, n, src, n, memo), diagonal=True)
 
     solution = system.solve()
     if solution is None:
         return None
-    g, s, t = ({n: blocks[n].value(ring, solution) for n in range(top + 1)}
-               for blocks in (g, s, t))
-    # verify_certificate checks g's chain-map law: a failure is a solver bug
-    cert = Certificate(ChainMap(tgt, src, g, validate=False), ChainHomotopy(tgt, tgt, s),
-                       ChainHomotopy(src, src, t))
-    if not verify_certificate(cert, cf):
-        raise InternalError("solver returned a certificate that fails re-verification")
-    return cert
+    return tuple({n: blocks[n].value(ring, solution) for n in range(top + 2)}
+                 for blocks in (g, s, t))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +406,7 @@ def _invariant_quasi_isos(cf: ChainMap, family) -> dict:
     cone = mapping_cone(cf)
     if cone.action is None:
         raise InternalError("the chain map of a simplicial G-map must be equivariant")
-    reduced = orbit_reduction(cone)
+    reduced = orbit_reduction(cone)[0]
     return {h.label: is_acyclic(invariants(reduced, h)[0]) for h in family}
 
 
@@ -357,7 +418,8 @@ def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
     hypothesis (b) when the chains of the H-fixed simplicial subsets compare by
     a quasi-isomorphism.  The two routes share no code below the chain level.
     When either hypothesis holds for every member of the family, the
-    certificate search runs on the full equivariant chain map.
+    certificate search runs on the equivariant chain map, solved on its
+    orbit-reduced ends and re-verified on the full one.
     """
     if f.source.group != f.target.group:
         raise ValueError("whitehead_verify needs a common acting group")

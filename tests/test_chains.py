@@ -8,8 +8,8 @@ import pytest
 from conftest import swap_boundary1, vee
 from orbitkit import chains
 from orbitkit.chains import ChainComplex, ChainMap, chain_maps_equal, \
-    concentrated, corestrict, disk, homology, \
-    identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
+    compose_chain_maps, concentrated, corestrict, disk, equivariance_defect, homology, \
+    homotopy_defect, identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
     normalized_chain_map, normalized_chains, orbit_reduction, prism_homotopy, \
     restrict_to_invariants, zero_complex
 from hypothesis import given, settings, strategies as st
@@ -855,7 +855,7 @@ def assert_reduction_keeps_invariant_homology(x):
     ranks = {}
     for ring in (ZZ, QQ, PrimeField(2), PrimeField(3)):
         c = normalized_chains(x, ring)
-        r = orbit_reduction(c)
+        r = orbit_reduction(c)[0]
         r.validate()
         ranks[ring.name] = r.ranks
         for h in all_subgroups(x.group):
@@ -886,7 +886,7 @@ def test_orbit_reduction_on_free_spheres_and_moore_spaces(d4, c4):
     x = gtensor(coset_gset(c4, subgroup(c4, [0, 2])), moore_space_2())
     assert assert_reduction_keeps_invariant_homology(x) == {
         "Z": (2, 2, 2), "Q": (2, 2, 2), "Fp:2": (2, 2, 2), "Fp:3": (2, 0, 0)}
-    assert homology(invariants(orbit_reduction(normalized_chains(x, ZZ)),
+    assert homology(invariants(orbit_reduction(normalized_chains(x, ZZ))[0],
                                full_subgroup(c4))[0])[1].torsion == (2,)
 
 
@@ -897,9 +897,48 @@ def test_orbit_reduction_pairs_only_unit_bijections(c2):
         assert set(assert_reduction_keeps_invariant_homology(x).values()) == {(2, 2)}
 
 
+def assert_equivariant_retraction(c):
+    """orbit_reduction(c) = (r, incl, proj, h) with proj incl = 1 and
+    incl proj - 1 = d h + h d exactly, incl and proj equivariant chain maps and
+    h equivariant under every group element."""
+    r, incl, proj, h = orbit_reduction(c)
+    degrees = range(c.top + 1)
+    assert all(proj.mat(n) @ incl.mat(n) == Mat.identity(c.ring, r.rank(n)) for n in degrees)
+    assert not homotopy_defect(h, identity_chain_map(c), compose_chain_maps(incl, proj))
+    for f in (incl, proj):
+        f.validate()  # raises off the chain-map law
+        assert f.equivariant
+    assert equivariance_defect(c, c, h.mat, degrees, 1, c.group.elements()) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(group=st.sampled_from([cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                              symmetric_group(3), dihedral_group(4)]),
+       data=st.data(), n=st.integers(0, 3),
+       ring=st.sampled_from([ZZ, QQ, PrimeField(2), PrimeField(3)]),
+       sphere=st.sampled_from(["simplex", "boundary", "moore"]))
+def test_orbit_reduction_is_an_equivariant_strong_deformation_retraction(group, data, n,
+                                                                         ring, sphere):
+    """On G/K (x) Delta[n], its boundary or M(Z/2, 1), and on the cone of its
+    projection to G/G (x) the same, whose orbits have different stabilizers."""
+    k = data.draw(st.sampled_from(all_subgroups(group)))
+    base = {"simplex": standard_simplex(n), "boundary": boundary_simplex(max(n, 1)),
+            "moore": moore_space_2()}[sphere]
+    x = gtensor(coset_gset(group, k), base)
+    point = gtensor(coset_gset(group, full_subgroup(group)), base)
+    stride = max(base.dim_of) + 1
+    onto = SMap(x, point, {s: SimplexRef(s % stride) for s in x.ids()})
+    assert onto.equivariant
+    for c in (normalized_chains(x, ring), mapping_cone(normalized_chain_map(onto, ring))):
+        assert_equivariant_retraction(c)
+
+
 def test_orbit_reduction_leaves_trivial_groups_and_matrix_actions(c2):
     plain = normalized_chains(boundary_simplex(3), ZZ)
-    assert orbit_reduction(plain) is plain
     matrices = _with_matrices(normalized_chains(gtensor(regular_gset(c2),
                                                         standard_simplex(1)), ZZ))
-    assert orbit_reduction(matrices) is matrices
+    for c in (plain, matrices):  # c itself, with the identity retraction
+        r, incl, proj, h = orbit_reduction(c)
+        assert r is c and all(h.mat(n).is_zero() for n in range(c.top + 1))
+        assert chain_maps_equal(incl, identity_chain_map(c))
+        assert chain_maps_equal(proj, identity_chain_map(c))

@@ -9,10 +9,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orbitkit
 from orbitkit.chains import ChainHomotopy, ChainMap, normalized_chain_map
-from orbitkit.cli import main
+from orbitkit.cli import _dumps, main
 from orbitkit.exactla import Mat
 from orbitkit.gsets import regular_gset
 from orbitkit.jsonio import load_group, load_smap
@@ -403,17 +404,18 @@ def test_exit_3_on_internal_error(files, capsys, monkeypatch):
     assert "internal error" in err and "re-verification" in err
 
 
-BROKEN_BLOCK_VALUE = """
+BROKEN_TRANSPORT = """
 import orbitkit.whitehead as w
-value = w._Block.value
+certificate = w.Certificate
 
-def broken(self, ring, solution):
-    # a solver bug: every square block gets 1 added at entry (0, 0), so the
-    # g of the identity of C2/e x Delta[1] breaks the chain-map law
-    m = value(self, ring, solution)
-    if m.nrows == m.ncols > 0:
-        m.rows[0][0] = ring.reduce([m.rows[0][0] + 1])[0]
-    return m
+def broken(g, s, t):
+    # a bug after transport: g gets 1 added at entry (0, 0) in every degree, so
+    # the g of the identity of C2/e x Delta[1] breaks the chain-map law in degree 1
+    for n in range(g.top + 1):
+        m = g.mat(n)
+        m.rows[0][0] = m.ring.reduce([m.rows[0][0] + 1])[0]
+    broken.g = g
+    return certificate(g, s, t)
 """
 
 
@@ -429,16 +431,19 @@ def test_a_certificate_off_the_chain_map_law_exits_3(files, capsys, monkeypatch)
             "--ring", "Z"]
     words = "internal error: solver returned a certificate that fails re-verification"
     namespace = {}
-    exec(BROKEN_BLOCK_VALUE, namespace)
-    monkeypatch.setattr(w._Block, "value", namespace["broken"])
+    exec(BROKEN_TRANSPORT, namespace)
+    monkeypatch.setattr(w, "Certificate", namespace["broken"])
     code, _, err = run(capsys, argv)
     assert code == 3 and err.startswith(words) and "Traceback" not in err, (code, err)
-    script = BROKEN_BLOCK_VALUE + textwrap.dedent("""
+    g = namespace["broken"].g
+    with pytest.raises(ValueError, match="does not commute with d in degree 1"):
+        ChainMap(g.source, g.target, {n: g.mat(n) for n in range(g.top + 1)})
+    script = BROKEN_TRANSPORT + textwrap.dedent("""
         import sys
-        from orbitkit.cli import main
+        from orbitkit.cli import _dumps, main
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        w._Block.value = broken
+        w.Certificate = broken
         sys.exit(main(sys.argv[1:]))
     """)
     src = str(Path(orbitkit.__file__).resolve().parents[1])
@@ -520,7 +525,7 @@ def test_failed_corestrictions_exit_3_under_python_O():
         import contextlib, io, sys
         from orbitkit import InternalError, ZZ, chains, cyclic_group, elmendorf, \\
             fixed_sset, gtensor, regular_gset, standard_simplex, trivial_subgroup
-        from orbitkit.cli import main
+        from orbitkit.cli import _dumps, main
         from orbitkit.exactla import Mat
         if not sys.flags.optimize:
             sys.exit("not running under -O")
@@ -637,3 +642,23 @@ def test_out_flag_writes_file(files, capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["diagrams"] == 3
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(value=JSON_VALUES)
+def test_the_report_encoder_writes_what_json_dumps_writes(value):
+    """Nested dicts and lists, non-ASCII and escaped strings, bools, None and
+    empty containers, byte for byte as json.dumps(sort_keys=True, indent=2)."""
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_the_report_encoder_escapes_and_sorts():
+    value = {"\u00e9\n\"": ["\t\x00", "\U0001f600"], "a": {"z": [], "b": {}}, "": None,
+             "t": [True, False, -3, 1.5]}
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -15,8 +15,8 @@ import orbitkit
 from conftest import swap_boundary1, vee, with_trivial_action
 from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, \
     compose_chain_maps, concentrated, homotopy_defect, identity_chain_map, \
-    is_quasi_iso, normalized_chain_map, normalized_chains, restrict_to_invariants, \
-    zero_complex
+    is_quasi_iso, normalized_chain_map, normalized_chains, orbit_reduction, \
+    restrict_to_invariants, zero_complex
 from orbitkit.errors import InternalError
 from orbitkit.exactla import Mat
 from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, direct_product, \
@@ -25,7 +25,7 @@ from orbitkit.gsets import coset_gset, orbits, product_gset, regular_gset, stabi
 from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.simplicial import SMap, SimplexRef, boundary_simplex, empty_sset, \
     gtensor, identity_smap, make_smap, point_sset, prism, standard_simplex
-from orbitkit.whitehead import Certificate, _invariant_quasi_isos, _pair_orbits, \
+from orbitkit.whitehead import Certificate, _invariant_quasi_isos, _pair_orbits, _solve, \
     certificate_search, isotropy_check, verify_certificate, whitehead_verify
 
 
@@ -278,8 +278,8 @@ def free_simplex(order, n):
 
 
 def test_large_integer_system_is_never_written_out_densely(monkeypatch):
-    # the C8/e x Delta[3] identity over Z or F_2 is a 1,520 x 1,384 system;
-    # it is solved from its sparse rows, so no Mat near its 2.1M cells is built
+    # unreduced, the C8/e x Delta[3] identity over Z or F_2 is a 1,520 x 1,384
+    # system; no Mat near its 2.1M cells is built, before or after the reduction
     init = Mat.__init__
     largest = []
 
@@ -308,10 +308,14 @@ def test_search_solves_in_orbit_coordinates(monkeypatch):
     monkeypatch.setattr(wh, "solve_exact", spy)
     cf = normalized_chain_map(identity_smap(free_simplex(4, 1)), ZZ)
     assert verify_certificate(certificate_search(cf), cf)
-    # one unknown per C4-orbit of index pairs (144 entries / 4), and no
-    # equivariance rows (624 rows when every entry was an unknown)
+    # C4/e x Delta[1] retracts onto Z[C4] in degree 0, so g_0 is the only block:
+    # one unknown per C4-orbit of its 16 reduced index pairs, and one row per
+    # orbit of each homotopy equation's pairs, with no equivariance rows
+    x = orbit_reduction(cf.source)[0]
+    assert x.ranks == (4, 0)
+    pair_orbits = len(_pair_orbits(x.action[0], x.action[0]))
     rows, unknowns = shapes[-1]
-    assert unknowns == 36 and rows <= 48
+    assert unknowns == pair_orbits == 4 and rows <= 2 * pair_orbits
     for f in (identity_smap(free_simplex(8, 2)), prism(free_simplex(4, 1)).end0):
         cf = normalized_chain_map(f, ZZ)
         cert = certificate_search(cf)
@@ -602,3 +606,44 @@ def test_pair_orbits_from_stabilizers_are_the_orbits_of_the_product():
     for mutant in (_pair_orbits_g_orbits, _pair_orbits_short_stabilizer):
         with pytest.raises(AssertionError):
             assert_pair_orbits_are_product_orbits(mutant)
+
+
+# ---------------------------------------------------------------------------
+# certificates solved on orbit-reduced complexes and carried back
+
+
+def assert_transport_keeps_the_verdict(cf) -> bool:
+    """certificate_search(cf), solved on the orbit-reduced ends and carried back,
+    passes verify_certificate on cf, and exists exactly when the system on cf's
+    own complexes, without the reduction, has a solution; returns whether it exists."""
+    cert = certificate_search(cf)
+    assert (cert is not None) == (_solve(cf) is not None)
+    assert cert is None or verify_certificate(cert, cf)
+    return cert is not None
+
+
+TRANSPORT_GROUPS = [cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3),
+                    dihedral_group(4)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(group=st.sampled_from(TRANSPORT_GROUPS), data=st.data(), n=st.integers(0, 1),
+       ring=st.sampled_from(RINGS))
+def test_a_transported_certificate_verifies_and_keeps_the_unreduced_verdict(group, data, n,
+                                                                           ring):
+    """On the identity, the prism end inclusions and projection, the collapse of
+    each copy of Delta[n], G/K -> G/G and the boundary inclusion of G/K (x) Delta[n];
+    n <= 1 keeps the unreduced systems of the prisms small."""
+    k = data.draw(st.sampled_from(all_subgroups(group)))
+    f = data.draw(st.sampled_from(hypothesis_a_maps(group, k, n)))
+    assert_transport_keeps_the_verdict(normalized_chain_map(f, ring))
+
+
+def test_transport_keeps_the_verdict_on_twice_the_identity_of_the_regular_representation():
+    c2 = cyclic_group(2)
+    found = {}
+    for ring in RINGS:  # 2 is a unit over Q and F_3 only
+        reg = ChainComplex.permuted(ring, (2,), {}, c2, [regular_gset(c2)])
+        twice = ChainMap(reg, reg, {0: Mat(ring, 2, 2, [[2, 0], [0, 2]])})
+        found[ring.name] = assert_transport_keeps_the_verdict(twice)
+    assert found == {"Z": False, "Q": True, "Fp:2": False, "Fp:3": True}

@@ -44,7 +44,11 @@ benchmark, 19 golden, 12 prism, 2 identity, 6 nonfree, 8 elmendorf,
 4 order64, 9 gsset, 20 hfamily), so 424 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
-printed; the exit status is 1 if any differs, else 0.
+printed; the exit status is 1 if any differs, else 0.  ``whitehead`` JSON is
+compared byte for byte except its ``"certificate"`` matrices, which may differ
+between versions: each certificate the change tree prints is instead
+re-verified by ``bench/oracle.verify_certificate`` (imported read-only, it does
+not import orbitkit), and a certificate that fails counts as a difference.
 """
 
 from __future__ import annotations
@@ -224,6 +228,51 @@ def homology_cases(outdir: str, groups: dict):
     return out
 
 
+def without_certificate(stdout: str) -> str:
+    """A ``whitehead`` JSON report with its certificate matrices cut out: the
+    keys are sorted, so ``"hyp_a"`` follows ``"certificate"``."""
+    head, sep, rest = stdout.partition('\n  "certificate": ')
+    if not sep:
+        return stdout
+    cut = rest.index('\n  "hyp_a": ')
+    return head + sep + ("null" if rest[:cut] == "null," else "{...},") + rest[cut:]
+
+
+def certificate_fails(argv, stdout: str) -> str | None:
+    """Why the certificate of a ``whitehead`` JSON report fails the oracle's
+    re-verification, or None when it passes or there is none."""
+    from oracle import Mismatch, SSet, verify_certificate
+    cert = json.loads(stdout)["certificate"]
+    if cert is None:
+        return None
+    with open(argv[argv.index("--map") + 1], encoding="utf-8") as fh:
+        smap = json.load(fh)
+    try:
+        verify_certificate(cert, smap, SSet(smap["source"]), SSet(smap["target"]),
+                           argv[argv.index("--ring") + 1])
+    except Mismatch as exc:
+        return str(exc)
+    return None
+
+
+def differences(argv, old: tuple, new: tuple) -> list[str]:
+    """The fields of (exit code, stdout, stderr) that differ between the trees,
+    ``whitehead`` JSON certificates compared by re-verification."""
+    certified = argv[0] == "whitehead" and "json" in argv and old[0] == new[0] \
+        and old[1] and new[1]
+    what = []
+    for field, a, b in zip(("exit code", "stdout", "stderr"), old, new):
+        if field == "stdout" and certified:
+            a, b = without_certificate(a), without_certificate(b)
+        if a != b:
+            what.append(field)
+    if certified:
+        why = certificate_fails(argv, new[1])
+        if why:
+            what.append(f"certificate ({why})")
+    return what
+
+
 def run(src: str, argv) -> tuple:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run([sys.executable, "-m", "orbitkit.cli", *argv], env=env,
@@ -249,15 +298,14 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(2) as pool:
             outs = [list(pool.map(run, [src] * len(argvs), argvs))
                     for src in (args.parent_src, args.change_src)]
-    differ = 0
-    for case, old, new in zip(cases, *outs):
-        if old != new:
-            differ += 1
-            kind, name, fmt = case
-            what = [field for field, a, b in zip(("exit code", "stdout", "stderr"), old, new)
-                    if a != b]
-            print(f"DIFFERS {kind}: {name} {' '.join(fmt) or '(text)'}: "
-                  f"{', '.join(what)} (exit {old[0]} -> {new[0]})")
+        differ = 0  # compared while the inputs exist: certificates are checked against them
+        for case, argv, old, new in zip(cases, argvs, *outs):
+            what = differences(argv, old, new)
+            if what:
+                differ += 1
+                kind, name, fmt = case
+                print(f"DIFFERS {kind}: {name} {' '.join(fmt) or '(text)'}: "
+                      f"{', '.join(what)} (exit {old[0]} -> {new[0]})")
     counts = Counter(kind for kind, _, _ in jobs)
     print(f"{len(jobs)} jobs ({', '.join(f'{n} {k}' for k, n in counts.items())}) "
           f"x {len(FORMATS)} formats at seed {args.seed}: {differ} of {len(cases)} runs differ")
