@@ -1,4 +1,4 @@
-"""Chain complexes over Z, Q, F_p with optional group representations.
+"""Chain complexes over Z, Q, F_p, with a group permuting their bases.
 
 Complexes are non-negatively graded, finitely generated free in each
 degree, with exact entries throughout.  The normalized chains of a
@@ -6,22 +6,17 @@ G-simplicial set have basis the nondegenerate simplices (identifier
 order); faces that normalize to degenerate simplices contribute zero to
 the differential.
 
-A group action is stored in one of two forms, fixed by the constructor.
-Actions that permute the basis (from G-sets, G-simplicial sets, and orbit
-diagrams whose maps at G/e are permutation matrices) are stored as one
-G-set of basis indices per degree (``ChainComplex.permuted``); their
-invariants are orbit sums, matrices are derived only on request (``rep_mat``),
-and d on them is read off d's rows summed over orbits.  General linear
-actions, such as ``ChainCat.gobject`` builds from structure maps that are
-not permutations, keep their matrices (``rep=``); their invariants are
-exact kernels, and d on them, like ``corestrict``, is a product with the
-left inverse ``incl.coords``, checked by multiplying back.
-Whether a matrix commutes with the actions is decided by
-``equivariance_defect`` alone, on index tuples for two permutation actions.
-Maps that send basis vectors to basis vectors or to 0 (``ChainMap.of_bases``)
-keep index tuples, and compose, compare and corestrict without matrices.
+A group acts on a complex in one way only: by permuting the basis of each
+degree, stored as one G-set of basis indices per degree (``action``, given
+to the constructor; the complex's group is theirs).  Chains of G-sets,
+G-simplicial sets, cells G/K (x) c and orbit diagrams whose maps at G/e
+permute the basis all act so.  Invariants are orbit sums, and d on them is
+read off d's rows summed over orbits.  Whether a matrix commutes with the
+actions is decided by ``equivariance_defect`` on index tuples.  Maps that
+send basis vectors to basis vectors or to 0 (``ChainMap.of_bases``) keep
+index tuples, and compose, compare and corestrict without matrices.
 
-``orbit_reduction`` shrinks a complex with a permutation action before its
+``orbit_reduction`` shrinks an equivariant complex before its
 invariants are taken: it removes pairs of basis orbits whose block of d is
 +-1 times an equivariant bijection, with a Schur complement on the rest of
 d, so every C^H keeps its homology; ``homology --family`` reduces once and
@@ -30,9 +25,8 @@ strong deformation retraction (incl, proj, h) onto the reduced complex,
 through which ``whitehead`` carries certificates solved on reduced ends
 back to the full ones.  With a trivial group it returns the complex itself
 and the identity retraction, as elimination handles such complexes directly
-at less cost.
-The mapping cone of an equivariant map between permutation actions carries
-the sum action, so (cone f)^H = cone(f^H) can be reduced once for every H.
+at less cost.  The mapping cone of an equivariant map carries the sum
+action, so (cone f)^H = cone(f^H) can be reduced once for every H.
 
 Sign conventions are pinned by the verified identities rather than chosen
 in the abstract: d is the alternating face sum, the cone differential is
@@ -48,42 +42,32 @@ from heapq import heappop, heappush
 from itertools import compress
 
 from .errors import InternalError
-from .exactla import Mat, kernel_exact, smith_diagonal, solve_exact
-from .groups import Group, Subgroup, check_action_laws
+from .exactla import Mat, smith_diagonal
+from .groups import Subgroup
 from .gsets import GSet, orbits, validate_gset
 from .simplicial import GSSet, Prism, SMap
 
 
 class ChainComplex:
-    """Bounded complex of free modules; optionally with a group action."""
+    """Bounded complex of free modules; optionally with a group permuting its bases.
 
-    def __init__(self, ring, ranks, diffs, group: Group | None = None,
-                 rep=None, basis=None, validate: bool = True):
+    ``action[n]``, when given, is the G-set of basis indices in degree n:
+    element g sends basis vector i to basis vector ``action[n].act[g][i]``.
+    The complex's ``group`` is G, or None without an action.
+    """
+
+    def __init__(self, ring, ranks, diffs, action=None, basis=None, validate: bool = True):
         self.ring = ring
         self.ranks = tuple(int(r) for r in ranks)
         if not self.ranks:
             self.ranks = (0,)
         self.top = len(self.ranks) - 1
         self._d = {int(n): m for n, m in dict(diffs).items()}
-        self.group = group
-        self.rep = rep  # {g: {n: Mat}} or None
-        self.action = None  # per-degree GSet of basis indices, or None
+        self.action = None if action is None else tuple(action)
+        self.group = self.action[0].group if self.action else None
         self.basis = basis  # per-degree simplex ids, when built from a GSSet
         if validate:
             self.validate()
-
-    @classmethod
-    def permuted(cls, ring, ranks, diffs, group: Group, action,
-                 basis=None) -> "ChainComplex":
-        """A complex whose group permutes the basis of every degree.
-
-        ``action[n]`` is the G-set of basis indices in degree n: element g
-        sends basis vector i to basis vector ``action[n].act[g][i]``.
-        """
-        c = cls(ring, ranks, diffs, group=group, basis=basis, validate=False)
-        c.action = tuple(action)
-        c.validate()
-        return c
 
     def rank(self, n: int) -> int:
         return self.ranks[n] if 0 <= n <= self.top else 0
@@ -93,15 +77,6 @@ class ChainComplex:
         if m is None:
             return Mat.zeros(self.ring, self.rank(n - 1), self.rank(n))
         return m
-
-    def rep_mat(self, g: int, n: int) -> Mat:
-        if self.action is not None and 0 <= n <= self.top:
-            m = Mat.zeros(self.ring, self.rank(n), self.rank(n))
-            for j, i in enumerate(self.action[n].act[g]):
-                m.rows[i][j] = self.ring.one
-            return m
-        m = None if self.rep is None else self.rep[g].get(n)
-        return Mat.identity(self.ring, self.rank(n)) if m is None else m
 
     @property
     def equivariant(self) -> bool:
@@ -123,35 +98,14 @@ class ChainComplex:
         for n in range(2, self.top + 1):
             if not (self.d(n - 1) @ self.d(n)).is_zero():
                 raise ValueError(f"d_{n - 1} d_{n} != 0")
-        if self.action is not None:
-            if len(self.action) != self.top + 1:
-                raise ValueError("need one permutation action per degree")
-            for n, x in enumerate(self.action):
-                if x.group != self.group or x.size != self.rank(n):
-                    raise ValueError(f"action in degree {n} has the wrong shape")
-                validate_gset(x)
-        elif self.group is not None and self.rep is not None:
-            g = self.group
-            for a in self.rep:
-                if a not in g.elements():
-                    raise ValueError(f"representation of {a!r}, which is not a group element")
-            for a in g.elements():
-                if a not in self.rep:
-                    raise ValueError(f"missing representation of element {a}")
-                if not isinstance(self.rep[a], dict):
-                    raise ValueError(f"representation of {a} is not a dict of "
-                                     "matrices by degree")
-                for n, m in self.rep[a].items():  # a missing degree is the identity
-                    if n not in range(self.top + 1):
-                        raise ValueError(f"representation of {a} in illegal degree {n}")
-                    if (m.nrows, m.ncols) != (self.rank(n), self.rank(n)):
-                        raise ValueError(f"representation of {a} in degree {n} "
-                                         "has the wrong shape")
-            for n in range(self.top + 1):
-                check_action_laws(g, lambda a: self.rep_mat(a, n), Mat.__matmul__,
-                                  Mat.identity(self.ring, self.rank(n)))
-        else:
+        if self.action is None:
             return  # no action to check
+        if len(self.action) != self.top + 1:
+            raise ValueError("need one permutation action per degree")
+        for n, x in enumerate(self.action):
+            if x.group != self.group or x.size != self.rank(n):
+                raise ValueError(f"action in degree {n} has the wrong shape")
+            validate_gset(x)
         bad = equivariance_defect(self, self, self.d, range(1, self.top + 1), -1,
                                   self.group.generators)  # a homomorphism: generators suffice
         if bad is not None:
@@ -329,24 +283,18 @@ def equivariance_defect(out: ChainComplex, into: ChainComplex, mat, degrees, shi
     """The first (a, n), by degree and then element, with rho_out(a) mat(n) !=
     mat(n) rho_into(a) for mat(n): into_n -> out_{n+shift}, or None.
 
-    Two permutation actions, a acting by p on out_{n+shift} and q on into_n,
-    are compared on index tuples: entry (p[i], q[j]) must equal entry (i, j)
-    at each nonzero entry, hence at every entry, as (i, j) -> (p[i], q[j]) is
-    a bijection.  Any other pair of actions is compared as ``rep_mat`` products.
+    With a acting by p on out_{n+shift} and by q on into_n, entry (p[i], q[j])
+    must equal entry (i, j) at each nonzero entry, hence at every entry, as
+    (i, j) -> (p[i], q[j]) is a bijection.
     """
     for n in degrees:
         m = mat(n)
         if not m.nrows or not m.ncols:
             continue
-        if out.action is not None and into.action is not None:
-            rows, ps, qs = m.rows, out.action[n + shift].act, into.action[n].act
-            nonzero = [(i, j, v) for i, row in enumerate(rows)
-                       for j, v in enumerate(row) if v]
-            bad = next((a for a in elements
-                        if any(rows[ps[a][i]][qs[a][j]] != v for i, j, v in nonzero)), None)
-        else:
-            bad = next((a for a in elements
-                        if out.rep_mat(a, n + shift) @ m != m @ into.rep_mat(a, n)), None)
+        rows, ps, qs = m.rows, out.action[n + shift].act, into.action[n].act
+        nonzero = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+        bad = next((a for a in elements
+                    if any(rows[ps[a][i]][qs[a][j]] != v for i, j, v in nonzero)), None)
         if bad is not None:
             return bad, n
     return None
@@ -379,12 +327,10 @@ def normalized_chains(x: GSSet, ring) -> ChainComplex:
         m.rows = [ring.reduce(row) for row in m.rows]
         diffs[n] = m
     # d∘d = 0 and the action laws follow from the validated G-sset x
-    c = ChainComplex(ring, ranks, diffs, group=x.group, basis=basis, validate=False)
-    c.action = tuple(GSet(x.group, ranks[n],
-                          tuple(tuple(index[n][x.action[g][s]] for s in basis[n])
-                                for g in x.group.elements()))
-                     for n in range(top + 1))
-    return c
+    action = [GSet(x.group, ranks[n], tuple(tuple(index[n][x.action[g][s]] for s in basis[n])
+                                            for g in x.group.elements()))
+              for n in range(top + 1)]
+    return ChainComplex(ring, ranks, diffs, action, basis=basis, validate=False)
 
 
 def normalized_chain_map(f: SMap, ring, cx: ChainComplex | None = None,
@@ -412,21 +358,16 @@ def normalized_chain_map(f: SMap, ring, cx: ChainComplex | None = None,
 def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
     """Degreewise kernel of (rho(g) - id | g in H), with comparison map.
 
-    For permutation actions the basis is the H-orbit sums (sorted by least
-    index); for matrix actions an exact kernel basis is computed over the
-    ring (saturated HNF basis over Z and Q, RREF basis over F_p).  The
-    inclusion K carries a left inverse P = ``incl.coords`` (a ``ChainMap``
-    that need not commute with d): maps of bases for permutation actions
-    (K sends each index to its orbit, P picks each orbit's least index), or
-    one solve of P K = 1 per degree (over Z it exists because the kernel is
-    saturated).  d' = P d K, read off d's rows summed over orbits for
-    permutation actions; K d' = d K is checked.
+    Its basis is the H-orbit sums, sorted by least index.  The inclusion K
+    sends each index to its orbit and carries a left inverse P =
+    ``incl.coords``, which picks each orbit's least index (a ``ChainMap``
+    that need not commute with d); both are maps of bases.  d' = P d K is
+    read off d's rows summed over orbits, and K d' = d K is checked.
     """
     if c.group is None:
         raise ValueError("invariants need an equivariant complex")
     if h.parent != c.group:
         raise ValueError("subgroup of a different group")
-    ring = c.ring
     if h.is_trivial():
         plain = c.forget_action()
         ids = {n: tuple(range(c.rank(n))) for n in range(c.top + 1)}
@@ -434,36 +375,15 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
         incl.coords = ChainMap.of_bases(c, plain, ids)
         return plain, incl
     what = "the differential must restrict to the invariant subcomplex"
-    if c.action is not None:
-        orbs = [orbits(c.action[n].act, h.members) for n in range(c.top + 1)]
-        slots = {n: tuple(j for _, j in sorted((i, j) for j, o in enumerate(os) for i in o))
-                 for n, os in enumerate(orbs)}  # slots[n][i]: the orbit of i
-        diffs = {n: _orbit_sums(c.d(n), orbs[n - 1], slots[n], len(orbs[n]), what)
-                 for n in range(1, c.top + 1)}
-        inv = ChainComplex(ring, [len(os) for os in orbs], diffs, basis=None, validate=False)
-        incl = ChainMap.of_bases(inv, c, slots)
-        incl.coords = ChainMap.of_bases(c, inv, {n: tuple(o[0] for o in os)
-                                                 for n, os in enumerate(orbs)})
-        return inv, incl
-    kmats, pmats = [], []
-    nontrivial = [g for g in h.members if g != 0]
-    for n in range(c.top + 1):
-        r = c.rank(n)
-        stack = [row for g in nontrivial
-                 for row in (c.rep_mat(g, n) - Mat.identity(ring, r)).rows]
-        cols = kernel_exact(Mat(ring, len(stack), r, stack, normalize=False))
-        k = Mat(ring, len(cols), r, cols, normalize=False).transpose()
-        p = solve_exact(k.transpose(), Mat.identity(ring, len(cols)))
-        if p is None:
-            raise InternalError("the invariant basis has no left inverse")
-        kmats.append(k)
-        pmats.append(p.transpose())
-    diffs = {n: _through(kmats[n - 1], pmats[n - 1], c.d(n) @ kmats[n], what)
+    orbs = [orbits(c.action[n].act, h.members) for n in range(c.top + 1)]
+    slots = {n: tuple(j for _, j in sorted((i, j) for j, o in enumerate(os) for i in o))
+             for n, os in enumerate(orbs)}  # slots[n][i]: the orbit of i
+    diffs = {n: _orbit_sums(c.d(n), orbs[n - 1], slots[n], len(orbs[n]), what)
              for n in range(1, c.top + 1)}
-    # incl d' = d incl and incl is injective, so d'd' = 0
-    inv = ChainComplex(ring, [k.ncols for k in kmats], diffs, basis=None, validate=False)
-    incl = ChainMap(inv, c, dict(enumerate(kmats)), validate=False)
-    incl.coords = ChainMap(c, inv, dict(enumerate(pmats)), validate=False)
+    inv = ChainComplex(c.ring, [len(os) for os in orbs], diffs, validate=False)
+    incl = ChainMap.of_bases(inv, c, slots)
+    incl.coords = ChainMap.of_bases(c, inv, {n: tuple(o[0] for o in os)
+                                             for n, os in enumerate(orbs)})
     return inv, incl
 
 
@@ -490,10 +410,10 @@ def orbit_reduction(c: ChainComplex):
     Whole orbits are removed at once, so incl, proj and h are equivariant.
     Their matrices are built when one of them is first read, so callers that
     need only r (``homology --family``, hypothesis (a)) do not pay for them.
-    Without a permutation action, with a trivial group, or when no pair is
-    removed, r is c itself and the retraction is the identity.
+    Without a group, with a trivial one, or when no pair is removed, r is c
+    itself and the retraction is the identity.
     """
-    if c.action is None or c.group.order == 1 or not c.top:
+    if c.group is None or c.group.order == 1 or not c.top:
         return _identity_retraction(c)
     ring, one = c.ring, c.ring.one
     orbs = [orbits(x.act, c.group.elements()) for x in c.action]
@@ -557,10 +477,10 @@ def orbit_reduction(c: ChainComplex):
                 if i in pos[n - 1]:  # rows paired downwards are dropped
                     m.rows[pos[n - 1][i]][k] = x
     # d'd' = 0 by the Schur identities; the kept orbits are G-sets
-    out = ChainComplex(ring, [len(k) for k in kept], diffs, group=c.group, validate=False)
-    out.action = tuple(GSet(c.group, len(ks), tuple(tuple(p[act[i]] for i in ks)
-                                                    for act in x.act))
-                       for x, ks, p in zip(c.action, kept, pos))
+    out = ChainComplex(ring, [len(k) for k in kept], diffs,
+                       [GSet(c.group, len(ks), tuple(tuple(p[act[i]] for i in ks)
+                                                     for act in x.act))
+                        for x, ks, p in zip(c.action, kept, pos)], validate=False)
     maps = (ChainMap(out, c, {}, validate=False), ChainMap(c, out, {}, validate=False),
             ChainHomotopy(c, c, {}))  # incl, proj and h
 
@@ -743,8 +663,8 @@ def is_acyclic(c: ChainComplex) -> bool:
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
-    """cone(f)_n = target_n + source_{n-1}, d(y, x) = (dy + fx, -dx); for f equivariant
-    between permutation actions, with the sum action (source_{n-1} shifted by rank(target_n))."""
+    """cone(f)_n = target_n + source_{n-1}, d(y, x) = (dy + fx, -dx); for f equivariant,
+    with the sum action (source_{n-1} shifted by rank(target_n))."""
     ring = f.source.ring
     src, tgt = f.source, f.target
     top = max(tgt.top, src.top + 1)
@@ -754,15 +674,15 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         rows = [r + s for r, s in zip(tgt.d(n).rows, f.mat(n - 1).rows)]
         rows += [[ring.zero] * tgt.rank(n) + r for r in (-src.d(n - 1)).rows]
         diffs[n] = Mat(ring, ranks[n - 1], ranks[n], rows, normalize=False)
-    # d^2 = 0 because f is a chain map, and d commutes with the sum action as f does
-    cone = ChainComplex(ring, ranks, diffs, validate=False)
-    if f.equivariant and src.action is not None and tgt.action is not None:
+    action = None
+    if f.equivariant and src.group is not None and tgt.group is not None:
         def act(c, n):
             return c.action[n].act if 0 <= n <= c.top else ((),) * c.group.order
-        cone.group, cone.action = src.group, tuple(GSet(src.group, r, tuple(
-            y + tuple(tgt.rank(n) + i for i in x) for y, x in zip(act(tgt, n), act(src, n - 1))))
-            for n, r in enumerate(ranks))
-    return cone
+        action = [GSet(src.group, r, tuple(y + tuple(tgt.rank(n) + i for i in x)
+                                           for y, x in zip(act(tgt, n), act(src, n - 1))))
+                  for n, r in enumerate(ranks)]
+    # d^2 = 0 because f is a chain map, and d commutes with the sum action as f does
+    return ChainComplex(ring, ranks, diffs, action, validate=False)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:

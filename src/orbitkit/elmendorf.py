@@ -21,8 +21,9 @@ written once against the methods they all provide:
   a ``source`` and a ``target`` value, which ``same_value`` compares with a
   diagram's values;
 * G-objects: ``gobject(group, carrier, action_maps)`` equips a value with
-  an action (for chains, a permutation action if every map permutes the
-  basis), ``action_as_map(x, g)`` reads one element's action back;
+  an action (for chains, every map must permute the basis: a group acts on
+  a chain complex by permutations only), ``action_as_map(x, g)`` reads one
+  element's action back;
 * fixed points: ``fixed(x, h)``, the inclusion x^H -> x (its ``source``
   is the fixed value), and ``corestrict(m, incl)``, which factors a map m
   through such an inclusion; ``i_lower`` builds every structure map from
@@ -248,26 +249,22 @@ class ChainCat:
                    for n in degrees)
 
     def gobject(self, group: Group, carrier: ChainComplex, action_maps) -> ChainComplex:
-        perms = [tuple(_permutation(action_maps[g], n) for g in group.elements())
-                 for n in range(carrier.top + 1)]
-        diffs = {n: carrier.d(n) for n in range(1, carrier.top + 1)}
-        if all(None not in ps for ps in perms):  # kept, and validated, as permutations
-            return ChainComplex.permuted(carrier.ring, carrier.ranks, diffs, group,
-                                         [GSet(group, len(ps[0]), ps) for ps in perms])
-        rep = {g: {n: action_maps[g].mat(n) for n in range(carrier.top + 1)}
-               for g in group.elements()}
-        return ChainComplex(carrier.ring, carrier.ranks, diffs, group=group, rep=rep)
+        action = []
+        for n in range(carrier.top + 1):
+            ps = tuple(_permutation(action_maps[g], n) for g in group.elements())
+            if None in ps:
+                raise ValueError(f"the action maps in degree {n} do not permute the basis")
+            action.append(GSet(group, len(ps[0]), ps))
+        return ChainComplex(carrier.ring, carrier.ranks,
+                            {n: carrier.d(n) for n in range(1, carrier.top + 1)}, action)
 
     def fixed(self, x: ChainComplex, h: Subgroup) -> ChainMap:
         return invariants(x, h)[1]
 
     def action_as_map(self, x: ChainComplex, g: int) -> ChainMap:
-        plain = x.forget_action()
-        if x.action is not None:  # g sends j to act[g][j]: row i's 1 is at act[g^-1][i]
-            return ChainMap.of_bases(plain, plain, {n: a.act[x.group.inv[g]]
-                                                    for n, a in enumerate(x.action)})
-        return ChainMap(plain, plain, {n: x.rep_mat(g, n)
-                                       for n in range(x.top + 1)}, validate=False)
+        plain = x.forget_action()  # g sends j to act[g][j]: row i's 1 is at act[g^-1][i]
+        return ChainMap.of_bases(plain, plain, {n: a.act[x.group.inv[g]]
+                                                for n, a in enumerate(x.action)})
 
     corestrict = staticmethod(corestrict)
 
@@ -296,11 +293,10 @@ class ChainCat:
 
     def tensor(self, orbit: GSet, c: ChainComplex) -> ChainComplex:
         plain = self.copower(range(orbit.size), c)
-        return ChainComplex.permuted(
-            self.ring, plain.ranks, {n: plain.d(n) for n in range(1, plain.top + 1)},
-            orbit.group,
-            [product_gset(orbit, trivial_gset(orbit.group, c.rank(n)))
-             for n in range(c.top + 1)])
+        return ChainComplex(self.ring, plain.ranks,
+                            {n: plain.d(n) for n in range(1, plain.top + 1)},
+                            [product_gset(orbit, trivial_gset(orbit.group, c.rank(n)))
+                             for n in range(c.top + 1)])
 
     def value_descriptor(self, v: ChainComplex):
         return list(v.ranks)

@@ -13,12 +13,11 @@ on the entry of smallest absolute value (lowest logical column on ties),
 so the output is reproducible.  Q enters it with each row times the lcm
 of its denominators (``_over_z``), which keeps the row space over Q.
 
-* U (A*U = H, unimodular) is built only for ``kernel_z`` (its columns
-  past the pivots), ``solve_z`` and ``column_echelon_z``: one unit entry
-  per column, under the rows of A.  ``solve_z`` substitutes forward on a
-  residual updated from the sparse pivot columns (over Z a pivot must
-  divide its residual, over Q the exact quotient is taken) and forms
-  X = U y from the nonzero entries of y.  No module calls
+* U (A*U = H, unimodular) is built only for ``solve_z`` and
+  ``column_echelon_z``: one unit entry per column, under the rows of A.
+  ``solve_z`` substitutes forward on a residual updated from the sparse
+  pivot columns (over Z a pivot must divide its residual, over Q the
+  exact quotient is taken) and forms X = U y from the nonzero entries of y.  No module calls
   ``column_echelon_z``; the tests check H and U through it, and
   ``bench/tracing.py`` wraps it by name for its ``exactla.echelon_*``
   metrics, so it goes when the benchmark stops reading it.
@@ -27,8 +26,8 @@ of its denominators (``_over_z``), which keeps the row space over Q.
   gcd/lcm steps into divisor order; over Q only the pivots are counted.
 
 F_p (``_modular``) is eliminated on sparse rows: its rank by a forward
-pass, its kernels and solutions by ``rref``, Gauss-Jordan, read off the
-reduced row echelon form.
+pass, its solutions by ``rref``, Gauss-Jordan, read off the reduced row
+echelon form.
 
 Entries are added, subtracted and multiplied with the ordinary operators;
 every row of raw results then passes through ``ring.reduce``, so F_p
@@ -147,13 +146,6 @@ class Mat:
 
     def is_zero(self):
         return not any(any(r) for r in self.rows)
-
-    def column(self, j):
-        return [self.rows[i][j] for i in range(self.nrows)]
-
-    def transpose(self):
-        return Mat(self.ring, self.ncols, self.nrows,
-                   [self.column(j) for j in range(self.ncols)], normalize=False)
 
     def sparse_rows(self):
         """Each row as a dict column -> nonzero entry."""
@@ -296,17 +288,6 @@ def rref(m):
     return [reduced[c] for c in pivots], pivots
 
 
-def kernel_basis_field(m):
-    """Columns spanning ker(m) over F_p, in RREF-canonical form."""
-    rows, pivots = rref(m)
-    free = sorted(set(range(m.ncols)).difference(pivots))
-    basis = {f: [int(j == f) for j in range(m.ncols)] for f in free}
-    for c, row in zip(pivots, rows):
-        for j in row.keys() - {c}:
-            basis[j][c] = -row[j]
-    return [m.ring.reduce(v) for v in basis.values()]
-
-
 def solve_field(a, b: Mat):
     """One solution X of a @ X = b over F_p (free unknowns 0), or None."""
     if b.ring != a.ring:
@@ -332,7 +313,7 @@ def solve_field(a, b: Mat):
 
 def _over_z(ring, rows):
     """Sparse ``rows`` over Z: over Q each row holding a fraction is multiplied by the
-    lcm of its denominators, which keeps the row space (rank, kernel, solutions)."""
+    lcm of its denominators, which keeps the row space (rank, solutions)."""
     if _modular(ring):
         raise ValueError(f"integer elimination needs ring Z or Q, not {ring}")
     if ring == ZZ:
@@ -417,16 +398,6 @@ def column_echelon_z(m: Mat):
     return h, u, pivots
 
 
-def kernel_z(m):
-    """Basis (list of columns) of the integer kernel lattice of ``m`` (over Q, cleared).
-
-    The kernel of a Z-linear map is saturated, so this basis spans all
-    rational kernel vectors with integer entries.
-    """
-    cols, pivots = _echelon(_over_z(m.ring, m.sparse_rows()), m.ncols, with_u=True)
-    return [[col.get(m.nrows + i, 0) for i in range(m.ncols)] for col in cols[len(pivots):]]
-
-
 def solve_z(a, b: Mat):
     """One solution X of a @ X = b over Z or Q, or None if none exists.
 
@@ -474,11 +445,6 @@ def solve_exact(a, b: Mat):
     ``a`` has ``ring``, ``nrows``, ``ncols`` and ``sparse_rows()``.
     """
     return (solve_field if _modular(a.ring) else solve_z)(a, b)
-
-
-def kernel_exact(m):
-    """Kernel basis of ``m``: ``kernel_z`` over Z and Q, RREF over F_p."""
-    return (kernel_basis_field if _modular(m.ring) else kernel_z)(m)
 
 
 def is_invertible(m: Mat) -> bool:

@@ -6,15 +6,14 @@ f*g ~ id and g*f ~ id, all commuting with the group representations.
 The search first retracts both ends onto their orbit reductions
 (``chains.orbit_reduction``), solves for a certificate of the reduced map,
 and carries it back through the equivariant deformation retractions.  It
-solves in equivariant coordinates.  Each block of g, s and t
-is a combination of a basis of equivariant matrices: for permutation
-actions one indicator per G-orbit of index pairs, since
-Hom_{ZG}(Z[X], Z[Y]) is free on the G-orbits of Y x X (from stabilizers:
-the G_y-orbits of X, y least in its G-orbit); for matrix actions a saturated
-kernel basis of the equivariance constraints; with no group the elementary
-matrices.  The chain-map and homotopy equations are linear in these
-coordinates, and their residuals are equivariant, so for permutation
-actions they are imposed at one index pair per orbit only.
+solves in equivariant coordinates.  Each block of g, s and t is a
+combination of a basis of equivariant matrices: one indicator per G-orbit
+of index pairs, since Hom_{ZG}(Z[X], Z[Y]) is free on the G-orbits of
+Y x X (from stabilizers: the G_y-orbits of X, y least in its G-orbit);
+with no group the elementary matrices.  Either way each entry of a block
+is one unknown.  The chain-map and homotopy equations are linear in these
+coordinates, and their residuals are equivariant, so they are imposed at
+one index pair per orbit only.
 One exact solve from the system's sparse rows, on every ring
 (Hermite-style over Z and Q, Gauss-Jordan over F_p), then either produces
 a certificate or proves that none of this shape exists over the ring;
@@ -38,7 +37,7 @@ from .chains import ChainHomotopy, ChainMap, compose_chain_maps, equivariance_de
     homotopy_defect, identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
     normalized_chain_map, normalized_chains, orbit_reduction
 from .errors import InternalError
-from .exactla import Mat, SparseRows, kernel_exact, solve_exact
+from .exactla import Mat, SparseRows, solve_exact
 from .groups import conjugating_element
 from .gsets import orbits, stabilizer
 from .simplicial import SMap, fixed_sset
@@ -111,7 +110,7 @@ class _LinearSystem(SparseRows):
         ``terms`` holds triples (A, X, B) with X an unknown block; one row
         is added per entry (i, j) in ``positions`` that is not trivially
         0 = 0.  Entry (i, j) of A X B is the sum of A[i][p] X[p][q] B[q][j],
-        and X[p][q] is read off the block's coordinates.
+        and X[p][q] is the block's unknown at (p, q).
         """
         ring = self.ring
         zero = ring.zero
@@ -128,8 +127,8 @@ class _LinearSystem(SparseRows):
             for arows, ncols, coords, bcols in sparse:
                 for p, av in arows[i]:
                     for q, bv in bcols[j]:
-                        for k, v in coords[p * ncols + q]:
-                            coeffs[k] = coeffs.get(k, zero) + av * bv * v
+                        k = coords[p * ncols + q]
+                        coeffs[k] = coeffs.get(k, zero) + av * bv
             coeffs = {k: v for k, v in zip(coeffs, ring.reduce(list(coeffs.values())))
                       if v != zero}
             rhs = ring.one if diagonal and i == j else zero
@@ -141,16 +140,15 @@ class _LinearSystem(SparseRows):
 class _Block:
     """An unknown equivariant matrix in the coordinates of a basis.
 
-    ``coords[p * ncols + q]`` lists the (unknown, coefficient) pairs whose
-    sum is entry (p, q); the block uses ``size`` unknowns.
+    ``coords[p * ncols + q]`` is the unknown that is entry (p, q); the
+    block uses ``size`` unknowns.
     """
 
-    def __init__(self, nrows: int, ncols: int, coords, size: int):
+    def __init__(self, nrows: int, ncols: int, coords: tuple, size: int):
         self.nrows, self.ncols, self.coords, self.size = nrows, ncols, coords, size
 
     def value(self, ring, solution) -> Mat:
-        entries = ring.reduce([sum((solution[k] * v for k, v in pairs), ring.zero)
-                               for pairs in self.coords])
+        entries = [solution[k] for k in self.coords]
         c = self.ncols
         return Mat(ring, self.nrows, c, [entries[i * c:(i + 1) * c] for i in range(self.nrows)],
                    normalize=False)
@@ -179,48 +177,27 @@ def _shared_pair_orbits(memo: dict, left, ln, right, rn) -> list[tuple[int, ...]
 
 def _positions(group, left, ln, right, rn, memo: dict):
     """Entries at which an equivariant left_ln x right_rn residual must vanish."""
-    if left.action is None or right.action is None or group is None \
-            or not left.rank(ln) or not right.rank(rn):
+    if group is None or not left.rank(ln) or not right.rank(rn):
         return [(i, j) for i in range(left.rank(ln)) for j in range(right.rank(rn))]
     return [divmod(o[0], right.rank(rn))
             for o in _shared_pair_orbits(memo, left, ln, right, rn)]
 
 
-def _block(ring, group, first: int, left, ln, right, rn, memo: dict) -> _Block:
+def _block(group, first: int, left, ln, right, rn, memo: dict) -> _Block:
     """A basis of the equivariant left_ln x right_rn matrices.
 
-    Its unknowns are numbered from ``first``.  Permutation actions on both
-    sides give one indicator per G-orbit of index pairs; other actions
-    give an exact kernel basis of the equivariance constraints; no group
-    gives the elementary matrices.
+    Its unknowns are numbered from ``first``: one indicator per G-orbit of
+    index pairs, or the elementary matrices with no group.
     """
     r, c = left.rank(ln), right.rank(rn)
-    one = ring.one
     if group is None or not r or not c:
-        return _Block(r, c, [((first + e, one),) for e in range(r * c)], r * c)
-    if left.action is not None and right.action is not None:
-        coords = [None] * (r * c)
-        pair_orbits = _shared_pair_orbits(memo, left, ln, right, rn)
-        for k, orbit in enumerate(pair_orbits):
-            for e in orbit:
-                coords[e] = ((first + k, one),)
-        return _Block(r, c, coords, len(pair_orbits))
-    # rho_left(a) X - X rho_right(a) = 0 for every generator a, hence for
-    # every element, as both sides are homomorphisms
-    x = _block(ring, None, 0, left, ln, right, rn, memo)
-    cons = _LinearSystem(ring, r * c)
-    every = [(i, j) for i in range(r) for j in range(c)]
-    eye_r, eye_c = Mat.identity(ring, r), Mat.identity(ring, c)
-    for a in group.generators:
-        cons.add_equations([(left.rep_mat(a, ln), x, eye_c),
-                            (-eye_r, x, right.rep_mat(a, rn))], every)
-    basis = kernel_exact(cons.capped())
-    coords = [[] for _ in range(r * c)]
-    for k, vec in enumerate(basis):
-        for e, v in enumerate(vec):
-            if v != ring.zero:
-                coords[e].append((first + k, v))
-    return _Block(r, c, coords, len(basis))
+        return _Block(r, c, tuple(range(first, first + r * c)), r * c)
+    coords = [None] * (r * c)
+    pair_orbits = _shared_pair_orbits(memo, left, ln, right, rn)
+    for k, orbit in enumerate(pair_orbits):
+        for e in orbit:
+            coords[e] = first + k
+    return _Block(r, c, tuple(coords), len(pair_orbits))
 
 
 def certificate_search(cf: ChainMap):
@@ -256,10 +233,14 @@ def certificate_search(cf: ChainMap):
 def _solve_reduced(cf: ChainMap):
     """(g, s, t) by degree for cf, solved for f' = proj_Y f incl_X on the orbit
     reductions of its ends and carried back one end at a time, or None.  An end
-    whose retraction is the identity (nothing removed) is left as it is."""
+    whose retraction is the identity (nothing removed) is left as it is.  Ends
+    with equal data share one reduction, as the reduction is deterministic."""
     src, tgt = cf.source, cf.target
     x, incl_x, proj_x, h_x = orbit_reduction(src)
-    y, incl_y, proj_y, h_y = orbit_reduction(tgt)
+    if _same_complex(src, tgt):
+        y, incl_y, proj_y, h_y = tgt if x is src else x, incl_x, proj_x, h_x
+    else:
+        y, incl_y, proj_y, h_y = orbit_reduction(tgt)
     top = max(src.top, tgt.top)
     fy = f = cf  # proj_Y f, and f'
     if y is not tgt:
@@ -284,6 +265,12 @@ def _solve_reduced(cf: ChainMap):
     return g, s, t
 
 
+def _same_complex(a, b) -> bool:
+    """Whether a and b have the same ring, ranks, differentials and action."""
+    return a is b or (a.ring == b.ring and a.ranks == b.ranks and a.action == b.action
+                      and all(a.d(n) == b.d(n) for n in range(1, a.top + 1)))
+
+
 def _solve(f: ChainMap):
     """(g, s, t) by degree, up to one past the top, with f g - 1 = d s + s d and
     g f - 1 = d t + t d for an equivariant chain map f, or None."""
@@ -299,7 +286,7 @@ def _solve(f: ChainMap):
     for blocks, left, right, shift in ((g, src, tgt, 0), (s, tgt, tgt, 1),
                                        (t, src, src, 1)):
         for n in range(-1, top + 2):
-            blocks[n] = _block(ring, group, count, left, n + shift, right, n, memo)
+            blocks[n] = _block(group, count, left, n + shift, right, n, memo)
             count += blocks[n].size
 
     def eye(c, n):

@@ -9,7 +9,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import swap_boundary1, vee, with_trivial_action
+from conftest import action_matrix, swap_boundary1, vee, with_trivial_action
 from orbitkit.chains import concentrated, disk, homology, \
     identity_chain_map, is_acyclic, normalized_chain_map, \
     normalized_chains, prism_homotopy
@@ -342,8 +342,8 @@ def test_criterion_8_prism_homotopy():
                 equivariant_seen = True
                 for g in x.group.elements():
                     for n in range(cx.top + 1):
-                        assert z.rep_mat(g, n + 1) @ phi.mat(n) \
-                            == phi.mat(n) @ cx.rep_mat(g, n)
+                        assert action_matrix(z, g, n + 1) @ phi.mat(n) \
+                            == phi.mat(n) @ action_matrix(cx, g, n)
     assert equivariant_seen
     report(8, "prism identity exact on all fixtures, including an "
               "equivariant swap fixture")

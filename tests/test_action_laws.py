@@ -1,7 +1,7 @@
 """Action laws checked on a generating set, against brute force over all pairs.
 
 Each property starts from a valid action (a G-set, a ``gtensor`` G-sset or
-a matrix representation), changes the permutation or matrix of one group
+the permutation action on its chains), changes the permutation of one group
 element, a generator or not, and asserts that construction fails exactly
 when the check of every pair (a, b) of group elements fails.  A G-sset's map
 may also lose or gain a key, name a non-simplex or move a simplex to another
@@ -14,11 +14,10 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import exit_2_with_and_without_O, stock_groups
+from conftest import exit_2_with_and_without_O, perm_mat, stock_groups
 from orbitkit.chains import ChainComplex, normalized_chains
-from orbitkit.exactla import Mat
 from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, symmetric_group
-from orbitkit.gsets import coset_gset, make_gset, product_gset
+from orbitkit.gsets import GSet, coset_gset, make_gset, product_gset
 from orbitkit.rings import ZZ
 from orbitkit.simplicial import GSSet, SimplexRef, apply_face, boundary_simplex, gtensor, \
     sset_to_json, standard_simplex
@@ -189,34 +188,21 @@ def test_bad_non_generator_row_exits_2(capsys, tmp_path, kind, element):
 @given(group=st.sampled_from(GROUPS), data=st.data(),
        base=st.sampled_from([standard_simplex, boundary_simplex]),
        n=st.integers(1, 2))
-def test_matrix_rep_construction_matches_all_pairs(group, data, base, n):
+def test_chain_action_construction_matches_all_pairs(group, data, base, n):
     k = data.draw(st.sampled_from(all_subgroups(group)))
     c = normalized_chains(gtensor(coset_gset(group, k), base(n)), ZZ)
-    rep = {a: {d: c.rep_mat(a, d) for d in range(c.top + 1)}
-           for a in group.elements()}
-    a = data.draw(st.sampled_from(list(group.elements())), label="element")
+    acts = [list(x.act) for x in c.action]
     d = data.draw(st.integers(0, c.top), label="degree")
-    r = c.rank(d)
-    kind = data.draw(st.sampled_from(["entry", "copy", "swap"]))
-    m = Mat(ZZ, r, r, rep[a][d].rows)
-    i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
-    if kind == "entry":
-        m.rows[i][j] += data.draw(st.sampled_from([-1, 1]))
-    elif kind == "copy":
-        m = rep[data.draw(st.sampled_from(list(group.elements())))][d]
-    else:
-        for row in m.rows:
-            row[i], row[j] = row[j], row[i]
-    rep[a][d] = m
+    acts[d] = [tuple(p) for p in _perturbed(data, group, acts[d])]
     diffs = {e: c.d(e) for e in range(1, c.top + 1)}
-    valid = all(
-        all_pairs_law(group, lambda b: rep[b][e], Mat.__matmul__,
-                      Mat.identity(ZZ, c.rank(e)))
-        for e in range(c.top + 1)) and all(
-        rep[b][e - 1] @ diffs[e] == diffs[e] @ rep[b][e]
+    valid = all(sorted(p) == list(range(c.rank(d))) for p in acts[d]) and all_pairs_law(
+        group, lambda a: acts[d][a], lambda p, q: tuple(p[i] for i in q),
+        tuple(range(c.rank(d)))) and all(
+        perm_mat(ZZ, acts[e - 1][b]) @ diffs[e] == diffs[e] @ perm_mat(ZZ, acts[e][b])
         for b in group.elements() for e in range(1, c.top + 1))
     try:
-        ChainComplex(ZZ, c.ranks, diffs, group=group, rep=rep)
+        ChainComplex(ZZ, c.ranks, diffs,
+                     [GSet(group, r, tuple(act)) for r, act in zip(c.ranks, acts)])
         built = True
     except ValueError:
         built = False

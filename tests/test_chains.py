@@ -1,12 +1,11 @@
 """Chain complexes: normalized chains, invariants, homology, prism homotopies."""
 
 import random
-from itertools import product as iproduct
 
 import pytest
 
-from conftest import swap_boundary1, vee
-from orbitkit import chains
+from conftest import action_matrix, from_columns, reference_kernel, swap_boundary1, vee
+from orbitkit import chains, exactla
 from orbitkit.chains import ChainComplex, ChainMap, chain_maps_equal, \
     compose_chain_maps, concentrated, corestrict, disk, equivariance_defect, homology, \
     homotopy_defect, identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
@@ -45,7 +44,7 @@ def test_chains_of_interval():
 def test_chains_of_swap_boundary(c2):
     c = normalized_chains(swap_boundary1(c2), ZZ)
     assert c.ranks == (2,)
-    assert c.rep_mat(1, 0).rows == [[0, 1], [1, 0]]
+    assert action_matrix(c, 1, 0).rows == [[0, 1], [1, 0]]
 
 
 def test_degenerate_faces_contribute_zero(c2):
@@ -109,19 +108,6 @@ def test_invariants_regular_rep_over_f2(c2):
     assert [row[0] for row in incl.mat(0).rows] == [f2.one, f2.one]
 
 
-def test_invariants_sign_representation(c2):
-    # non-permutation action: the generator negates the generator of Z
-    rep = {0: {0: Mat.identity(ZZ, 1)}, 1: {0: Mat(ZZ, 1, 1, [[-1]])}}
-    c = ChainComplex(ZZ, (1,), {}, group=c2, rep=rep)
-    inv, _ = invariants(c, full_subgroup(c2))
-    assert inv.ranks == (0,)
-    f2 = PrimeField(2)
-    rep2 = {0: {0: Mat.identity(f2, 1)}, 1: {0: Mat(f2, 1, 1, [[-1]])}}
-    c2c = ChainComplex(f2, (1,), {}, group=c2, rep=rep2)
-    inv2, _ = invariants(c2c, full_subgroup(c2))
-    assert inv2.ranks == (1,)  # -1 = 1 mod 2
-
-
 def test_invariants_differential_commutes(c2):
     x = vee(c2)
     c = normalized_chains(x, ZZ)
@@ -130,16 +116,12 @@ def test_invariants_differential_commutes(c2):
     assert incl.mat(0) @ inv.d(1) == c.d(1) @ incl.mat(1)
 
 
-def test_invariant_lattice_without_unit_coordinate(c2):
-    # the involution fixes Z(2, 3) only; no coordinate of (2, 3) is a unit,
-    # so the left inverse of the inclusion comes from a solve over Z
-    rep = {0: {0: Mat.identity(ZZ, 2)}, 1: {0: Mat(ZZ, 2, 2, [[7, -4], [12, -7]])}}
-    c = ChainComplex(ZZ, (2,), {}, group=c2, rep=rep)
+def test_corestrict_refuses_a_matrix_map_off_the_invariants(c2):
+    # a map given by matrices is factored as P f and checked by K (P f) = f
+    c = ChainComplex(ZZ, (2,), {}, [regular_gset(c2)])
     inv, incl = invariants(c, full_subgroup(c2))
-    assert inv.ranks == (1,)
-    assert incl.mat(0).rows in ([[2], [3]], [[-2], [-3]])
-    assert all(type(v) is int for row in incl.coords[0].rows for v in row)
-    assert incl.coords[0] @ incl.mat(0) == Mat.identity(ZZ, 1)
+    hits_sum = ChainMap(concentrated(ZZ, 0), c, {0: Mat(ZZ, 2, 1, [[3], [3]])})
+    assert corestrict(hits_sum, incl).mat(0).rows == [[3]]
     hits_e1 = ChainMap(concentrated(ZZ, 0), c, {0: Mat(ZZ, 2, 1, [[1], [0]])})
     with pytest.raises(InternalError, match="does not factor"):
         corestrict(hits_e1, incl)
@@ -147,9 +129,9 @@ def test_invariant_lattice_without_unit_coordinate(c2):
 
 def test_invariants_reject_a_differential_that_does_not_restrict(c2):
     # built without validation: d sends the one 1-cell to one point of a swapped pair
-    c = ChainComplex(ZZ, (2, 1), {1: Mat(ZZ, 2, 1, [[1], [0]])}, group=c2,
+    c = ChainComplex(ZZ, (2, 1), {1: Mat(ZZ, 2, 1, [[1], [0]])},
+                     (coset_gset(c2, trivial_subgroup(c2)), trivial_gset(c2, 1)),
                      validate=False)
-    c.action = (coset_gset(c2, trivial_subgroup(c2)), trivial_gset(c2, 1))
     with pytest.raises(InternalError, match="must restrict"):
         invariants(c, full_subgroup(c2))
 
@@ -162,22 +144,22 @@ def fixed_chains_comparison(x, h, ring) -> ChainMap:
 
 
 def test_orbit_sums_factor_without_solving(c2, monkeypatch):
-    solve, calls = chains.solve_exact, []
+    calls = []
 
-    def counting_solve(a, b):
-        calls.append(a)
-        return solve(a, b)
+    def counting(core):
+        def counted(*args, **kwargs):
+            calls.append(core.__name__)
+            return core(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(chains, "solve_exact", counting_solve)
+    for name in ("_echelon", "rref", "_forward_rank"):  # every elimination core
+        monkeypatch.setattr(exactla, name, counting(getattr(exactla, name)))
     c = normalized_chains(vee(c2), ZZ)
     for h in (trivial_subgroup(c2), full_subgroup(c2)):
         inv, incl = invariants(c, h)
         assert chain_maps_equal(corestrict(incl, incl), identity_chain_map(inv))
         fixed_chains_comparison(vee(c2), h, ZZ)
     assert calls == []
-    # matrix actions solve once per degree, for the left inverse
-    invariants(_with_matrices(c), full_subgroup(c2))
-    assert len(calls) == c.top + 1
 
 
 def test_fixed_chains_comparison_injective_never_conflated(c2):
@@ -265,7 +247,6 @@ def gauss_rank_mod_p(rows, p):
 
 def random_fp_complex(rng, ring, max_rank=6, top=3):
     """Random complex over F_p with d*d = 0 by construction."""
-    from orbitkit.exactla import kernel_exact
     ranks = [rng.randint(0, max_rank) for _ in range(top + 1)]
     diffs = {}
     prev_kernel = None
@@ -279,13 +260,13 @@ def random_fp_complex(rng, ring, max_rank=6, top=3):
                     [[rng.randint(-3, 3) for _ in range(ranks[n])]
                      for _ in range(ranks[n - 1])])
         else:
-            k = Mat(ring, len(prev_kernel), ranks[n - 1], prev_kernel).transpose()
+            k = from_columns(ring, ranks[n - 1], prev_kernel)
             coeff = Mat(ring, k.ncols, ranks[n],
                         [[rng.randint(-3, 3) for _ in range(ranks[n])]
                          for _ in range(k.ncols)])
             m = k @ coeff
         diffs[n] = m
-        prev_kernel = kernel_exact(m)
+        prev_kernel = reference_kernel(m)
     return ChainComplex(ring, ranks, diffs)
 
 
@@ -309,15 +290,14 @@ def test_homology_smith_path_matches_field_gauss_oracle(p):
 def random_z_complex(rng, max_rank=5, top=3):
     """Random integer complex; each d_{n+1} maps into a sublattice of ker d_n,
     so homology often has torsion."""
-    from orbitkit.exactla import kernel_z
     ranks = [rng.randint(1, max_rank) for _ in range(top + 1)]
     diffs = {}
     kernel = [[int(i == j) for i in range(ranks[0])] for j in range(ranks[0])]
     for n in range(1, top + 1):
-        k = Mat(ZZ, len(kernel), ranks[n - 1], kernel).transpose()
+        k = from_columns(ZZ, ranks[n - 1], kernel)
         rows = [[rng.randint(-3, 3) for _ in range(ranks[n])] for _ in range(k.ncols)]
         diffs[n] = k @ Mat(ZZ, k.ncols, ranks[n], rows)
-        kernel = kernel_z(diffs[n])
+        kernel = reference_kernel(diffs[n])
     return ChainComplex(ZZ, ranks, diffs)
 
 
@@ -397,7 +377,7 @@ def test_the_cone_of_an_equivariant_map_carries_the_sum_action(s3):
                                            zip(acts(tgt, n), acts(src, n - 1))))
                          for n, r in enumerate(cone.ranks)]
             with pytest.raises(ValueError, match="permutation"):
-                ChainComplex.permuted(ring, cone.ranks, diffs, s3, unshifted)
+                ChainComplex(ring, cone.ranks, diffs, unshifted)
     plain = normalized_chain_map(incl, ZZ)
     plain.equivariant = False
     assert mapping_cone(plain).action is None and mapping_cone(plain).group is None
@@ -443,7 +423,7 @@ def test_prism_homotopy_equivariant_swap(c2):
     phi = prism_homotopy(hc, pr)
     assert phi.equivariant
     for g in c2.elements():
-        assert cx.rep_mat(g, 1) @ phi.mat(0) == phi.mat(0) @ cx.rep_mat(g, 0)
+        assert action_matrix(cx, g, 1) @ phi.mat(0) == phi.mat(0) @ action_matrix(cx, g, 0)
 
 
 def test_prism_homotopy_rejects_wrong_source():
@@ -454,46 +434,20 @@ def test_prism_homotopy_rejects_wrong_source():
 
 
 # ---------------------------------------------------------------------------
-# representations validated
+# actions validated
 
 
 def test_rep_must_commute_with_d(c2):
-    rep = {0: {0: Mat.identity(ZZ, 2), 1: Mat.identity(ZZ, 1)},
-           1: {0: Mat(ZZ, 2, 2, [[0, 1], [1, 0]]), 1: Mat.identity(ZZ, 1)}}
+    # swapping two points commutes with d = (1, 1) on the one edge, not with d = (-1, 1)
     d = Mat(ZZ, 2, 1, [[-1], [1]])
-    with pytest.raises(ValueError, match="commute"):
-        ChainComplex(ZZ, (2, 1), {1: d}, group=c2, rep=rep)
-    rep_ok = {0: {0: Mat.identity(ZZ, 2), 1: Mat.identity(ZZ, 1)},
-              1: {0: Mat(ZZ, 2, 2, [[0, 1], [1, 0]]),
-                  1: Mat(ZZ, 1, 1, [[-1]])}}
-    ChainComplex(ZZ, (2, 1), {1: d}, group=c2, rep=rep_ok)
     swap = [make_gset(c2, [[0, 1], [1, 0]]), trivial_gset(c2, 1)]
     with pytest.raises(ValueError, match="commute"):
-        ChainComplex.permuted(ZZ, (2, 1), {1: d}, c2, swap)
-
-
-def test_rep_must_give_matrices_by_degree_of_the_complex(c2):
-    swap = Mat(ZZ, 2, 2, [[0, 1], [1, 0]])
-    # neither a bare matrix read as the identity nor a degree past the top ignored
-    with pytest.raises(ValueError, match="representation of 1 is not a dict"):
-        ChainComplex(ZZ, (2,), {}, group=c2, rep={0: {}, 1: swap})
-    with pytest.raises(ValueError, match="representation of 1 in illegal degree 5"):
-        ChainComplex(ZZ, (2,), {}, group=c2, rep={0: {}, 1: {5: swap}})
-    c = ChainComplex(ZZ, (2,), {}, group=c2, rep={0: {}, 1: {0: swap}})
-    assert c.rep_mat(1, 0) == swap
-    assert invariants(c, full_subgroup(c2))[0].ranks == (1,)
+        ChainComplex(ZZ, (2, 1), {1: d}, swap)
+    ChainComplex(ZZ, (2, 1), {1: Mat(ZZ, 2, 1, [[1], [1]])}, swap)
 
 
 ACTION_GROUPS = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
                  symmetric_group(3)]
-
-
-def _with_matrices(c: ChainComplex) -> ChainComplex:
-    """The same complex with its permutation action given as matrices."""
-    return ChainComplex(c.ring, c.ranks, {d: c.d(d) for d in range(1, c.top + 1)},
-                        group=c.group,
-                        rep={g: {d: c.rep_mat(g, d) for d in range(c.top + 1)}
-                             for g in c.group.elements()})
 
 
 @settings(max_examples=25, deadline=None)
@@ -501,24 +455,41 @@ def _with_matrices(c: ChainComplex) -> ChainComplex:
        base=st.sampled_from([standard_simplex, boundary_simplex]),
        n=st.integers(0, 2))
 def test_permutation_and_matrix_actions_agree(group, data, base, n):
-    # orbit sums of the stored permutations against exact kernels of the
-    # same action given as matrices
+    # the orbit sums of the stored permutations span the kernel of
+    # (rho(g) - 1 | g in H), rho(g) the permutation matrices, computed test-side
     subgroups = all_subgroups(group)
     k = data.draw(st.sampled_from(subgroups))
     x = gtensor(coset_gset(group, k), base(n))
     for ring in (ZZ, QQ, PrimeField(2)):
         c = normalized_chains(x, ring)
-        m = _with_matrices(c)
-        assert c.action is not None and m.action is None
         for h in subgroups:
-            inv_p, inv_m = invariants(c, h)[0], invariants(m, h)[0]
-            assert inv_p.ranks == inv_m.ranks
-            assert homology(inv_p) == homology(inv_m)
+            incl = invariants(c, h)[1]
+            for d in range(c.top + 1):
+                assert_orbit_sums_span_the_kernel(c, h, d, incl.mat(d))
+
+
+def assert_orbit_sums_span_the_kernel(c, h, d: int, sums: Mat):
+    """The columns of sums, disjoint 0/1 orbit indicators, lie in the kernel of
+    the stacked rho(g) - 1 for g in H, as many as its dimension, and span it:
+    each vector of the test-side kernel basis (over Z, of the saturated
+    lattice) is the combination of the columns weighted by its value on them."""
+    ring, r = c.ring, c.rank(d)
+    stack = [row for g in h.members
+             for row in (action_matrix(c, g, d) - Mat.identity(ring, r)).rows]
+    kernel = reference_kernel(Mat(ring, len(stack), r, stack))
+    assert len(kernel) == sums.ncols
+    for g in h.members:
+        assert action_matrix(c, g, d) @ sums == sums
+    firsts = [next((i for i, row in enumerate(sums.rows) if row[j]), None)
+              for j in range(sums.ncols)]
+    assert None not in firsts  # no column is zero
+    for v in kernel:
+        weights = Mat(ring, sums.ncols, 1, [[v[i]] for i in firsts])
+        assert sums @ weights == Mat(ring, r, 1, [[e] for e in v])
 
 
 def test_orbit_sums_make_no_matrix_products(c2, monkeypatch):
     c = normalized_chains(gtensor(regular_gset(c2), standard_simplex(2)), QQ)
-    m = _with_matrices(c)
     matmul, calls = Mat.__matmul__, []
 
     def counting_matmul(a, b):
@@ -529,32 +500,14 @@ def test_orbit_sums_make_no_matrix_products(c2, monkeypatch):
     for h in all_subgroups(c2):
         invariants(c, h)
     assert calls == []
-    # matrix actions: d K, P (d K) and the check K d' = d K in every degree
-    inv, incl = invariants(m, full_subgroup(c2))
-    for n in range(1, m.top + 1):
-        dk = [b for a, b in calls if a is m.d(n)]
-        assert len(dk) == 1 and dk[0] is incl.mat(n)
-        assert any(a is incl.coords[n - 1] for a, _ in calls)
-        assert any(a is incl.mat(n - 1) and b is inv.d(n) for a, b in calls)
-
-
-def _perm_mat(ring, p) -> Mat:
-    """Test-side: the matrix sending basis vector j to basis vector p[j]."""
-    m = Mat.zeros(ring, len(p), len(p))
-    for j, i in enumerate(p):
-        m.rows[i][j] = ring.one
-    return m
 
 
 def _dense_equivariance_defect(out, into, mat, degrees, shift, elements):
     """Test-side oracle: the first (a, n) with P_out(a) mat(n) != mat(n) P_into(a),
     P built densely from the permutation actions of ``out`` and ``into``."""
-    def rho(c, a, n):
-        return _perm_mat(c.ring, c.action[n].act[a]) if 0 <= n <= c.top \
-            else Mat.zeros(c.ring, 0, 0)
     for n in degrees:
         for a in elements:
-            if rho(out, a, n + shift) @ mat(n) != mat(n) @ rho(into, a, n):
+            if action_matrix(out, a, n + shift) @ mat(n) != mat(n) @ action_matrix(into, a, n):
                 return a, n
     return None
 
@@ -578,7 +531,7 @@ def _random_equivariant_rows(rnd, out, into, n, shift):
        ring=st.sampled_from([ZZ, PrimeField(2)]), seed=st.integers(0, 2 ** 32))
 def test_equivariance_defect_matches_a_dense_oracle(group, data, shift, ring, seed):
     # M: into -> out of degree shift, equivariant in every degree or perturbed
-    # at one entry; both actions permutations, both matrices, or mixed
+    # at one entry
     subgroups, rnd = all_subgroups(group), random.Random(seed)
 
     def space():
@@ -595,14 +548,12 @@ def test_equivariance_defect_matches_a_dense_oracle(group, data, shift, ring, se
         if n == perturbed and rows and rows[0]:
             rows[rnd.randrange(len(rows))][rnd.randrange(len(rows[0]))] += 1
         mats[n] = Mat(ring, out.rank(n + shift), into.rank(n), rows)
-    forms = list(iproduct((out, _with_matrices(out)), (into, _with_matrices(into))))
     # every element in order, then shuffled, and a few: the order decides the first one
     shuffled = data.draw(st.permutations(group.elements()))
     for elements in (group.elements(), shuffled, shuffled[:2]):
         want = _dense_equivariance_defect(out, into, mats.__getitem__, degrees, shift, elements)
-        for out_form, into_form in forms:
-            assert chains.equivariance_defect(out_form, into_form, mats.__getitem__, degrees,
-                                              shift, elements) == want
+        assert chains.equivariance_defect(out, into, mats.__getitem__, degrees, shift,
+                                          elements) == want
 
 
 def _orbit_sum_inclusion(c: ChainComplex, h, n: int):
@@ -677,7 +628,7 @@ def test_maps_of_bases_agree_with_the_matrix_path(group, data, base, n, ring):
     ident, acts = identity_chain_map(c), [vc.action_as_map(c, g) for g in gs]
     incls = [invariants(c, h)[1] for h in hs]
     for f, g in zip(acts, gs):
-        assert all(f.mat(m) == c.rep_mat(g, m) for m in range(c.top + 1))
+        assert all(f.mat(m) == action_matrix(c, g, m) for m in range(c.top + 1))
     assert all(ident.mat(m) == Mat.identity(ring, c.rank(m)) for m in range(c.top + 1))
     for incl, h in zip(incls, hs):
         ks = [_orbit_sum_inclusion(c, h, m) for m in range(c.top + 1)]
@@ -749,21 +700,23 @@ def test_mat_refuses_bad_ring_entries(name):
         Mat(ring, 1, 1, [[v]])
 
 
-_ONE, _ROW, _D1 = Mat.identity(ZZ, 1), Mat(ZZ, 1, 2, [[-1, 1]]), {1: Mat(ZZ, 2, 1, [[-1], [1]])}
+_ROW, _D1 = Mat(ZZ, 1, 2, [[-1, 1]]), {1: Mat(ZZ, 2, 1, [[-1], [1]])}
 BAD_COMPLEXES = {  # a complex over the group g that the constructor must refuse, and why
     "d-wrong-shape": (lambda g: ChainComplex(ZZ, (2, 1), {1: _ROW}), "d_1 has shape 1x2"),
     "d-degree-range": (lambda g: ChainComplex(ZZ, (2, 1), {**_D1, 2: Mat(ZZ, 1, 0)}),
                        "illegal degree 2"),
-    "rep-element-range": (lambda g: ChainComplex(ZZ, (1,), {}, group=g,
-                                                 rep={0: {}, 1: {}, 5: {0: _ONE}}),
-                          "5, which is not a group element"),
-    "rep-degree-range": (lambda g: ChainComplex(ZZ, (1,), {}, group=g,
-                                                rep={0: {}, 1: {-1: _ONE}}),
-                         "illegal degree -1"),
-    "rep-flat": (lambda g: ChainComplex(ZZ, (1,), {}, group=g, rep={0: {}, 1: _ONE}),
-                 "not a dict"),
-    "rep-wrong-shape": (lambda g: ChainComplex(ZZ, (2, 1), _D1, group=g,
-                                               rep={0: {}, 1: {1: _ROW}}),
+    # rep-: the representation, one G-set of basis indices per degree; degree 1
+    # acted on by the elements of another group, and an element that is no permutation
+    "rep-element-range": (lambda g: ChainComplex(ZZ, (2, 1), _D1,
+                                                 [trivial_gset(g, 2),
+                                                  trivial_gset(cyclic_group(3), 1)]),
+                          "degree 1 has the wrong shape"),
+    "rep-degree-range": (lambda g: ChainComplex(ZZ, (1,), {}, [trivial_gset(g, 1)] * 2),
+                         "one permutation action per degree"),
+    "rep-flat": (lambda g: ChainComplex(ZZ, (2,), {}, [GSet(g, 2, ((0, 1), (0, 0)))]),
+                 "not a permutation"),
+    "rep-wrong-shape": (lambda g: ChainComplex(ZZ, (2, 1), _D1,
+                                               [trivial_gset(g, 2), trivial_gset(g, 2)]),
                         "degree 1 has the wrong shape"),
 }
 
@@ -778,7 +731,8 @@ def test_chain_complex_refuses_bad_parts(c2, name):
 def test_json_roundtrip(c2):
     # Mat.to_json writes what the Mat constructor reads back
     c = normalized_chains(vee(c2), ZZ)
-    for m in [c.d(n) for n in range(1, c.top + 1)] + [c.rep_mat(1, n) for n in range(c.top + 1)]:
+    for m in [c.d(n) for n in range(1, c.top + 1)] \
+            + [action_matrix(c, 1, n) for n in range(c.top + 1)]:
         assert Mat(ZZ, m.nrows, m.ncols, m.to_json()) == m
     half = Mat(QQ, 1, 1, [["1/2"]])
     assert half.to_json() == [["1/2"]]
@@ -807,13 +761,12 @@ def test_derived_objects_pass_the_checks_they_skip(group, data, base, n):
         c.validate()
         cf = normalized_chain_map(pr.end0, ring, c)
         for h in subgroups:
-            for cc in (c, _with_matrices(c)):
-                inv, incl = invariants(cc, h)
-                inv.validate()
-                mapping_cone(incl).validate()
-                assert all(incl.coords[d] @ incl.mat(d) == Mat.identity(ring, inv.rank(d))
-                           for d in range(cc.top + 1))
-                assert chain_maps_equal(corestrict(incl, incl), identity_chain_map(inv))
+            inv, incl = invariants(c, h)
+            inv.validate()
+            mapping_cone(incl).validate()
+            assert all(incl.coords[d] @ incl.mat(d) == Mat.identity(ring, inv.rank(d))
+                       for d in range(c.top + 1))
+            assert chain_maps_equal(corestrict(incl, incl), identity_chain_map(inv))
             for g in (fixed_chains_comparison(x, h, ring), restrict_to_invariants(cf, h)):
                 g.validate()
                 mapping_cone(g).validate()
@@ -933,11 +886,10 @@ def test_orbit_reduction_is_an_equivariant_strong_deformation_retraction(group, 
         assert_equivariant_retraction(c)
 
 
-def test_orbit_reduction_leaves_trivial_groups_and_matrix_actions(c2):
-    plain = normalized_chains(boundary_simplex(3), ZZ)
-    matrices = _with_matrices(normalized_chains(gtensor(regular_gset(c2),
-                                                        standard_simplex(1)), ZZ))
-    for c in (plain, matrices):  # c itself, with the identity retraction
+def test_orbit_reduction_leaves_plain_complexes_and_trivial_groups():
+    trivial = normalized_chains(boundary_simplex(3), ZZ)  # the trivial group acts
+    assert trivial.group.order == 1
+    for c in (trivial, trivial.forget_action()):  # c itself, with the identity retraction
         r, incl, proj, h = orbit_reduction(c)
         assert r is c and all(h.mat(n).is_zero() for n in range(c.top + 1))
         assert chain_maps_equal(incl, identity_chain_map(c))

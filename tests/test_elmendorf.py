@@ -11,8 +11,8 @@ import pytest
 
 import orbitkit
 from conftest import swap_boundary1, vee, with_trivial_action
-from orbitkit import chains, elmendorf
-from orbitkit.chains import ChainComplex, ChainMap, concentrated, homology, \
+from orbitkit import chains, elmendorf, exactla
+from orbitkit.chains import ChainMap, concentrated, homology, \
     identity_chain_map, invariants, normalized_chains
 from orbitkit.elmendorf import ChainCat, FinSSetCat, FinSetCat, OrbitDiagram, VMap, \
     adjunction_check, arrow_poset_census, cellularity_report, free_cell_diagram, \
@@ -135,12 +135,9 @@ def structure_map_cases(g, cat):
         vc = ChainCat(r)
         cases += [(vc, normalized_chains(gtensor(c, standard_simplex(1)), r))
                   for c in cosets]
-        # a matrix action: the regular one, given as matrices (i_upper keeps
-        # it a permutation action)
-        free = i_upper(free_cell_diagram(cat, cat.family[0], concentrated(r, 0), vc))
-        cases.append((vc, ChainComplex(r, free.ranks, {}, group=g, rep={
-            a: {0: free.rep_mat(a, 0)} for a in g.elements()})))
-    assert cases[-1][1].action is None
+        # the free cell, its action read off a diagram's maps at G/e by i_upper
+        cases.append((vc, i_upper(free_cell_diagram(cat, cat.family[0],
+                                                    concentrated(r, 0), vc))))
     return cases
 
 
@@ -179,18 +176,23 @@ def test_i_lower_takes_invariants_once_per_object(monkeypatch):
 
 
 def test_gobject_keeps_permutation_actions(c2cat):
-    """Free cells come back with a permutation action; a sign action keeps rep=."""
+    """Free cells come back with a permutation action."""
     g, cat = c2cat
     for r in (ZZ, PrimeField(2)):
         vc = ChainCat(r)
         for k in cat.family:
             x = i_upper(free_cell_diagram(
                 cat, k, normalized_chains(standard_simplex(1), r), vc))
-            assert x.action is not None and x.rep is None
+            assert x.action is not None
+
+
+def test_gobject_refuses_an_action_that_does_not_permute_the_basis(c2):
+    """The sign action of C2 on a rank-1 complex is no permutation: refused,
+    naming the degree, as a group acts on chain complexes by permutations only."""
     z = concentrated(ZZ, 0)
-    minus = Mat(ZZ, 1, 1, [[-1]])
-    x = ChainCat(ZZ).gobject(g, z, {0: identity_chain_map(z), 1: ChainMap(z, z, {0: minus})})
-    assert x.action is None and x.rep_mat(1, 0) == minus
+    minus = ChainMap(z, z, {0: Mat(ZZ, 1, 1, [[-1]])})
+    with pytest.raises(ValueError, match="degree 0 do not permute the basis"):
+        ChainCat(ZZ).gobject(c2, z, {0: identity_chain_map(z), 1: minus})
 
 
 def test_gobject_refuses_permutations_that_break_the_action_laws_or_d():
@@ -216,12 +218,12 @@ def _free_cell_cases(g):
 
 @pytest.mark.parametrize("g", [cyclic_group(4), symmetric_group(3)], ids=["C4", "S3"])
 def test_adjunction_of_free_cells_over_z_solves_no_system(g, monkeypatch):
-    """Every invariant is an orbit sum: no exact kernel or solve is needed."""
+    """Every invariant is an orbit sum: no exact system is solved."""
     def refuse(*args):
         raise AssertionError("adjunction_check solved an exact system")
 
-    for name in ("kernel_exact", "solve_exact"):
-        monkeypatch.setattr(chains, name, refuse)
+    for name in ("solve_z", "solve_field"):
+        monkeypatch.setattr(exactla, name, refuse)
     for t in _free_cell_cases(g):
         adjunction_check(t, i_upper(t))
 

@@ -3,9 +3,10 @@
 The Smith diagonal is checked with determinantal divisors (the gcd of all
 k x k minors equals d_1 * ... * d_k) and, where sympy is installed, against
 sympy's Smith normal form; the integer solver against an SNF-based
-solvability criterion, and kernels against rank counting and saturation.
-Q runs on the integer core, so rational answers (solvability, kernels,
-ranks) are checked against sympy rather than against orbitkit's own Q.
+solvability criterion.  Q runs on the integer core, so rational answers
+(solvability, ranks) are checked against sympy rather than against
+orbitkit's own Q.  The test-side kernel of ``conftest``, which the action
+cross-checks use, is checked here against rank counting and saturation.
 """
 
 import random
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_chains import gauss_rank_mod_p
-from orbitkit.exactla import Mat, column_echelon_z, is_invertible, \
-    kernel_basis_field, kernel_exact, kernel_z, rank, rref, smith_diagonal, \
-    solve_exact, solve_field, solve_z
+from conftest import from_columns, reference_echelon, reference_kernel, reference_rref
+from orbitkit.exactla import Mat, column_echelon_z, is_invertible, rank, rref, \
+    smith_diagonal, solve_exact, solve_field, solve_z
 from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.whitehead import _LinearSystem
 
@@ -201,13 +202,14 @@ def test_solve_z_detects_divisibility_obstructions():
     assert solve_z(a2, Mat(ZZ, 1, 1, [[1]])) is None
 
 
-def test_kernel_z_spans_and_saturates():
+def test_reference_kernel_spans_and_saturates():
+    # the test-side kernel that the action cross-checks lean on, against sympy
     rng = random.Random(23)
     for _ in range(50):
         m = rng.randint(1, 4)
         n = rng.randint(1, 5)
         a = zmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
-        basis = kernel_z(a)
+        basis = reference_kernel(a)
         for col in basis:
             prod = a @ Mat(ZZ, n, 1, [[v] for v in col])
             assert prod.is_zero()
@@ -228,10 +230,10 @@ def test_rref_and_field_kernel():
     a = Mat(fp, 2, 3, [[1, 2, 3], [2, 4, 6]])
     r, pivots = rref(a)
     assert pivots == [0]
-    for col in kernel_basis_field(a):
+    for col in reference_kernel(a):
         out = a @ Mat(fp, 3, 1, [[v] for v in col])
         assert out.is_zero()
-    assert len(kernel_basis_field(a)) == 2
+    assert len(reference_kernel(a)) == 3 - len(pivots) == 2
 
 
 def test_solve_field_consistency():
@@ -296,10 +298,10 @@ def test_q_on_the_integer_core_matches_sympy(system):
     assert (x is None) == (sympy_solution(a, b) is None)
     if x is not None:
         assert a @ x == b
-    kernel = kernel_exact(a)
+    kernel = reference_kernel(a)
     assert len(kernel) == n - r
     if kernel:
-        k = Mat(QQ, len(kernel), n, kernel).transpose()
+        k = from_columns(QQ, n, kernel)
         assert (a @ k).is_zero()
         # the same span: sympy's basis adds no rank to this one
         both = sympy_matrix(k.rows, k.ncols).row_join(
@@ -321,53 +323,6 @@ def test_is_invertible():
 
 # ---------------------------------------------------------------------------
 # the sparse integer core against the dense loop it replaced
-
-
-def dense_echelon_reference(rows, nr):
-    """The dense integer column echelon loop that ``exactla._echelon`` replaced.
-
-    Column-reduces the rows in place; only rows ``< nr`` choose pivots
-    (smallest absolute value, then lowest column, made positive).
-    """
-    nc = len(rows[0]) if rows else 0
-    pivots = []
-    col = 0
-    for row in range(nr):
-        if col >= nc:
-            break
-        h = rows[row]
-        while True:
-            js = [j for j in range(col, nc) if h[j]]
-            if not js:
-                break
-            jmin = min(js, key=lambda j: (abs(h[j]), j))
-            if jmin != col:
-                for r in rows:
-                    r[col], r[jmin] = r[jmin], r[col]
-            p = h[col]
-            qs = [(j, h[j] // p) for j in range(col + 1, nc) if h[j]]
-            if not qs:
-                break
-            for r in rows:
-                c = r[col]
-                if c:
-                    for j, q in qs:
-                        r[j] -= q * c
-        if h[col]:
-            if h[col] < 0:
-                for r in rows:
-                    r[col] = -r[col]
-            pivots.append((row, col))
-            col += 1
-    return pivots
-
-
-def reference_echelon(m: Mat):
-    """(H rows, U rows, pivots) of the dense loop, U recorded by a stacked identity."""
-    nc = m.ncols
-    rows = [list(r) for r in m.rows] + [[int(i == j) for j in range(nc)] for i in range(nc)]
-    pivots = dense_echelon_reference(rows, m.nrows)
-    return rows[:m.nrows], rows[m.nrows:], pivots
 
 
 def reference_solve(a: Mat, b: Mat):
@@ -424,7 +379,6 @@ def test_sparse_core_matches_the_dense_reference(a, data):
     h, u, pivots = column_echelon_z(a)
     ref_h, ref_u, ref_pivots = reference_echelon(a)
     assert (h.rows, u.rows, pivots) == (ref_h, ref_u, ref_pivots)
-    assert kernel_z(a) == [[r[j] for r in ref_u] for j in range(len(pivots), a.ncols)]
     x0 = Mat(ZZ, a.ncols, 1, data.draw(st.lists(
         st.lists(st.integers(-3, 3), min_size=1, max_size=1),
         min_size=a.ncols, max_size=a.ncols)))
@@ -468,66 +422,10 @@ def test_rref_is_reduced_and_keeps_the_row_space(a):
         assert pivots == sorted(set(pivots)) and len(pivots) == len(smith_diagonal(m))
         for i, c in enumerate(pivots):
             assert r.rows[i][:c] == [0] * c
-            assert r.column(c) == [int(k == i) for k in range(m.nrows)]
+            assert [row[c] for row in r.rows] == [int(k == i) for k in range(m.nrows)]
         assert all(not any(row) for row in r.rows[len(pivots):])
         stacked = Mat(fp, 2 * m.nrows, m.ncols, m.rows + r.rows)
         assert len(smith_diagonal(stacked)) == len(pivots)
-
-
-# The dense F_p elimination that the sparse ``rref`` replaced, kept here as
-# the reference: a forward pass (leading 1s, cleared below) and a
-# back-clearing pass on the rows written out as lists.
-
-
-def reference_clear(a, r, c, targets, p):
-    """Zero column c of the rows ``targets`` of ``a`` with multiples of row r."""
-    row = a[r]
-    nonzero = [j for j in range(c, len(row)) if row[j]]
-    for i in targets:
-        f = a[i][c]
-        if f:
-            ai = a[i]
-            for j in nonzero:
-                ai[j] = (ai[j] - f * row[j]) % p
-
-
-def reference_forward(a, ncols, p):
-    """Row echelon form of ``a`` in place; the pivot columns."""
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        row = a[r]
-        inv = pow(row[c], -1, p)
-        row[c:] = [v * inv % p for v in row[c:]]
-        reference_clear(a, r, c, range(r + 1, len(a)), p)
-        pivots.append(c)
-    return pivots
-
-
-def reference_rref(m: Mat):
-    """Dense reduced row echelon form over F_p: (rows of R, pivot columns)."""
-    a = [list(r) for r in m.rows]
-    pivots = reference_forward(a, m.ncols, m.ring.p)
-    for r in reversed(range(len(pivots))):
-        reference_clear(a, r, pivots[r], range(r), m.ring.p)
-    return a, pivots
-
-
-def reference_kernel(m: Mat):
-    """Kernel columns from the dense RREF: identity on the free columns."""
-    r, pivots = reference_rref(m)
-    basis = []
-    for f in (j for j in range(m.ncols) if j not in pivots):
-        v = [0] * m.ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = -r[i][f]
-        basis.append(m.ring.reduce(v))
-    return basis
 
 
 def reference_solve_field(a: Mat, b: Mat):
@@ -555,8 +453,6 @@ def test_sparse_fp_elimination_matches_the_dense_reference(a, data):
         m = Mat(fp, a.nrows, a.ncols, a.rows)
         r, pivots = dense_rref(m)
         assert (r.rows, pivots) == reference_rref(m)
-        assert kernel_exact(m) == kernel_exact(as_system(m, Mat(fp, m.nrows, 1))) \
-            == reference_kernel(m)
         planted = m @ Mat(fp, m.ncols, 1, x0)
         random_b = Mat(fp, m.nrows, 1, other)
         for b in (planted, random_b):

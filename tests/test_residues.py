@@ -4,8 +4,8 @@ Matrices over F_p hold ``int`` residues, and every routine that adds,
 subtracts or multiplies them passes its rows through ``ring.reduce``.  The
 property below draws small integer matrices, runs every operator and field
 routine on them, and checks three things: each result entry is an ``int``
-in ``range(p)``; rank agrees with an independent row reduction mod p; and
-solutions and kernel vectors satisfy their equations.  A second test does
+in ``range(p)``; rank agrees with an independent row reduction mod p and
+with the test-side kernel's dimension; and solutions satisfy their equations.  A second test does
 the same for the chain-level builders, and a third checks that operands
 over different rings are refused, since residues alone do not name their
 prime.
@@ -14,13 +14,14 @@ prime.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import vee
+from conftest import from_columns, reference_kernel, vee
 from test_chains import gauss_rank_mod_p
 from test_exactla import dense_rref
 from orbitkit.chains import ChainComplex, identity_chain_map, invariants, \
     normalized_chains
-from orbitkit.exactla import Mat, kernel_basis_field, rank, solve_field
+from orbitkit.exactla import Mat, rank, solve_field
 from orbitkit.groups import all_subgroups, full_subgroup
+from orbitkit.gsets import make_gset
 from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.whitehead import certificate_search
 
@@ -56,12 +57,10 @@ def test_every_fp_entry_is_a_residue(p, data, m, n, k):
 
     assert len(pivots) == rank(a) == gauss_rank_mod_p(raw_a, p)
 
-    kernel = kernel_basis_field(a)
+    kernel = reference_kernel(a)
     assert len(kernel) == n - len(pivots)
     if kernel:
-        km = Mat(ring, len(kernel), n, kernel).transpose()
-        assert_residues(km, p)
-        assert (a @ km).is_zero()
+        assert (a @ from_columns(ring, n, kernel)).is_zero()
 
     rhs = a @ x0
     x = solve_field(a, rhs)
@@ -74,9 +73,9 @@ def test_every_fp_entry_is_a_residue(p, data, m, n, k):
 def test_chain_builders_give_residues(c2, p):
     ring = PrimeField(p)
     c = normalized_chains(vee(c2), ring)
-    swap = Mat(ring, 2, 2, [[0, -1], [-1, 0]])  # a matrix action: exact kernels
-    signed = ChainComplex(ring, (2,), {}, group=c2,
-                          rep={0: {0: Mat.identity(ring, 2)}, 1: {0: swap}})
+    # a swapped pair under d = (1, -1): d on the invariants is 1 - 1 = 0
+    swap = [make_gset(c2, [[0, 1], [1, 0]])] * 2
+    signed = ChainComplex(ring, (2, 2), {1: Mat(ring, 2, 2, [[1, -1], [-1, 1]])}, swap)
     for cx in (c, signed):
         for n in range(cx.top + 1):
             assert_residues(cx.d(n), p)
@@ -92,7 +91,8 @@ def test_chain_builders_give_residues(c2, p):
                       cert.backward_homotopy.mat(n)):
                 assert_residues(m, p)
     inv, incl = invariants(signed, full_subgroup(c2))
-    assert [row[0] for row in incl.mat(0).rows] == [-1 % p, 1]  # the kernel of swap - 1
+    assert [row[0] for row in incl.mat(0).rows] == [1, 1]  # the orbit sum
+    assert inv.d(1).rows == [[0]]
 
 
 def test_operands_over_different_rings_are_refused():

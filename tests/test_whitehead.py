@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import orbitkit
 
-from conftest import swap_boundary1, vee, with_trivial_action
+from conftest import action_matrix, from_columns, reference_kernel, swap_boundary1, vee, \
+    with_trivial_action
 from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, \
     compose_chain_maps, concentrated, homotopy_defect, identity_chain_map, \
     is_quasi_iso, normalized_chain_map, normalized_chains, orbit_reduction, \
@@ -25,8 +26,8 @@ from orbitkit.gsets import coset_gset, orbits, product_gset, regular_gset, stabi
 from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.simplicial import SMap, SimplexRef, boundary_simplex, empty_sset, \
     gtensor, identity_smap, make_smap, point_sset, prism, standard_simplex
-from orbitkit.whitehead import Certificate, _invariant_quasi_isos, _pair_orbits, _solve, \
-    certificate_search, isotropy_check, verify_certificate, whitehead_verify
+from orbitkit.whitehead import Certificate, _block, _invariant_quasi_isos, _pair_orbits, \
+    _solve, certificate_search, isotropy_check, verify_certificate, whitehead_verify
 
 
 def test_identity_certificate():
@@ -89,16 +90,16 @@ def test_verify_certificate_refuses_blocks_of_the_wrong_shape():
 
 
 def equivariance_only_mutants():
-    """(cf, cert) pairs: cf = id on C2/e x boundary Delta[2] over Z, as permutations,
-    as matrices and mixed, and cert its identity certificate with s_0 + N, where N
-    sends each vertex of copy 0 to copy 0's boundary 1-cycle and copy 1's to 0.
-    d N = 0 and N d = 0, so every homotopy identity holds, but N is not equivariant."""
+    """(cf, cert) pairs: cf = id on C2/e x boundary Delta[2] over Z, and cert its
+    identity certificate with s_0 + N, where N sends each vertex of copy 0 to
+    copy 0's boundary 1-cycle and copy 1's to 0.  d N = 0 and N d = 0, so every
+    homotopy identity holds, but N is not equivariant."""
     c2 = cyclic_group(2)
     x = gtensor(coset_gset(c2, trivial_subgroup(c2)), boundary_simplex(2))
     cycle = [1, -1, 1, 0, 0, 0]  # edges 01 - 02 + 12 of copy 0, which comes first
     n = Mat(ZZ, 6, 6, [[v] * 3 + [0] * 3 for v in cycle])
     out = []
-    for cf in action_forms(normalized_chain_map(identity_smap(x), ZZ)):
+    for cf in [normalized_chain_map(identity_smap(x), ZZ)]:
         src, tgt = cf.source, cf.target
         assert (tgt.d(1) @ n).is_zero() and (n @ tgt.d(1)).is_zero()
         g = ChainMap(tgt, src, {k: Mat.identity(ZZ, src.rank(k)) for k in range(2)})
@@ -148,12 +149,11 @@ def test_certificate_respects_equivariance(c2):
     g = cert.backward
     for a in c2.elements():
         for n in range(2):
-            assert cf.source.rep_mat(a, n) @ g.mat(n) \
-                == g.mat(n) @ cf.target.rep_mat(a, n)
+            assert action_matrix(cf.source, a, n) @ g.mat(n) \
+                == g.mat(n) @ action_matrix(cf.target, a, n)
 
 
 def random_field_complex(rng, ring, max_rank=4, top=2):
-    from orbitkit.exactla import kernel_exact
     ranks = [rng.randint(0, max_rank) for _ in range(top + 1)]
     diffs = {}
     prev_kernel = None
@@ -167,18 +167,17 @@ def random_field_complex(rng, ring, max_rank=4, top=2):
                     [[rng.randint(-2, 2) for _ in range(ranks[n])]
                      for _ in range(ranks[n - 1])])
         else:
-            k = Mat(ring, len(prev_kernel), ranks[n - 1], prev_kernel).transpose()
+            k = from_columns(ring, ranks[n - 1], prev_kernel)
             m = k @ Mat(ring, k.ncols, ranks[n],
                         [[rng.randint(-2, 2) for _ in range(ranks[n])]
                          for _ in range(k.ncols)])
         diffs[n] = m
-        prev_kernel = kernel_exact(m)
+        prev_kernel = reference_kernel(m)
     return ChainComplex(ring, ranks, diffs)
 
 
 def random_chain_map(rng, src, tgt):
     """A random point of the linear space of chain maps src -> tgt."""
-    from orbitkit.exactla import kernel_exact
     ring = src.ring
     top = max(src.top, tgt.top)
     idx = {}
@@ -206,7 +205,7 @@ def random_chain_map(rng, src, tgt):
                         row[key] = row[key] - v
                 rows.append(row)
     if rows:
-        basis = kernel_exact(Mat(ring, len(rows), count, rows))
+        basis = reference_kernel(Mat(ring, len(rows), count, rows))
     else:
         basis = [[ring.one if i == j else ring.zero for i in range(count)]
                  for j in range(count)]
@@ -335,38 +334,59 @@ def test_identity_and_composite_chain_maps_keep_equivariance():
     assert not compose_chain_maps(ident, unchecked).equivariant
 
 
-def as_matrix_action(c):
-    """The same G-complex with its action stored as matrices."""
-    return ChainComplex(c.ring, c.ranks, {n: c.d(n) for n in range(1, c.top + 1)},
-                        group=c.group,
-                        rep={a: {n: c.rep_mat(a, n) for n in range(c.top + 1)}
-                             for a in c.group.elements()})
-
-
-def action_forms(cf):
-    """cf with both sides permuted, both as matrices, and mixed."""
-    mats = {n: cf.mat(n) for n in range(cf.top + 1)}
-    src, tgt = as_matrix_action(cf.source), as_matrix_action(cf.target)
-    return [cf, ChainMap(src, tgt, mats), ChainMap(cf.source, tgt, mats)]
+def assert_blocks_span_the_equivariant_matrices(left, ln, right, rn):
+    """``_block`` for left_ln x right_rn has as many unknowns as the kernel of the
+    equivariance constraints rho_left(a) X - X rho_right(a) = 0 (a a generator,
+    X read row by row) has dimensions; its indicators lie in that kernel and
+    span it: each vector of the test-side kernel basis (over Z, of the
+    saturated lattice) is the sum of the indicators weighted by its values."""
+    ring, group = left.ring, left.group
+    r, c = left.rank(ln), right.rank(rn)
+    block = _block(group, 0, left, ln, right, rn, {})
+    rows = []
+    for a in group.generators:
+        rho_l, rho_r = action_matrix(left, a, ln), action_matrix(right, a, rn)
+        for i in range(r):
+            for j in range(c):
+                row = [0] * (r * c)
+                for p in range(r):
+                    row[p * c + j] += rho_l.rows[i][p]
+                for q in range(c):
+                    row[i * c + q] -= rho_r.rows[q][j]
+                rows.append(row)
+    kernel = reference_kernel(Mat(ring, len(rows), r * c, rows))
+    assert block.size == len(kernel)
+    first = {}  # each unknown's first entry
+    for e, u in enumerate(block.coords):
+        first.setdefault(u, e)
+    for u in range(block.size):  # each indicator solves the constraints
+        assert not any(ring.reduce([sum(x for x, w in zip(row, block.coords) if w == u)
+                                    for row in rows]))
+    for v in kernel:  # and v is the sum of the indicators weighted by its values
+        assert ring.reduce([v[first[u]] for u in block.coords]) == ring.reduce(v)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, PrimeField(2)], ids=str)
 def test_permutation_and_matrix_actions_give_one_verdict(ring):
+    # the orbit indicators of every block of the solver's unknowns against the
+    # test-side kernel of the permutation matrices' equivariance constraints
     c2 = cyclic_group(2)
     x = free_simplex(2, 1)
     maps = [normalized_chain_map(identity_smap(x), ring),
             normalized_chain_map(prism(x).end0, ring)]
     # 2 id on R[C2] in degree 0: inverse over Q only (2 = 0 in F_2)
-    reg = ChainComplex.permuted(ring, (2,), {}, c2, [regular_gset(c2)])
+    reg = ChainComplex(ring, (2,), {}, [regular_gset(c2)])
     maps.append(ChainMap(reg, reg, {0: Mat(ring, 2, 2, [[2, 0], [0, 2]])}))
     expect = [True, True, ring == QQ]
     for cf, found in zip(maps, expect):
-        for form in action_forms(cf):
-            assert form.equivariant
-            cert = certificate_search(form)
-            assert (cert is not None) == found
-            if cert is not None:
-                assert verify_certificate(cert, form)
+        assert cf.equivariant
+        cert = certificate_search(cf)
+        assert (cert is not None) == found
+        assert cert is None or verify_certificate(cert, cf)
+        src, tgt = cf.source, cf.target
+        for n in range(-1, max(src.top, tgt.top) + 2):
+            for left, right, shift in ((src, tgt, 0), (tgt, tgt, 1), (src, src, 1)):
+                assert_blocks_span_the_equivariant_matrices(left, n + shift, right, n)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +663,29 @@ def test_transport_keeps_the_verdict_on_twice_the_identity_of_the_regular_repres
     c2 = cyclic_group(2)
     found = {}
     for ring in RINGS:  # 2 is a unit over Q and F_3 only
-        reg = ChainComplex.permuted(ring, (2,), {}, c2, [regular_gset(c2)])
+        reg = ChainComplex(ring, (2,), {}, [regular_gset(c2)])
         twice = ChainMap(reg, reg, {0: Mat(ring, 2, 2, [[2, 0], [0, 2]])})
         found[ring.name] = assert_transport_keeps_the_verdict(twice)
     assert found == {"Z": False, "Q": True, "Fp:2": False, "Fp:3": True}
+
+
+def test_ends_with_equal_data_are_reduced_once(monkeypatch):
+    import orbitkit.whitehead as wh
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return orbit_reduction(c)
+
+    monkeypatch.setattr(wh, "orbit_reduction", counted)
+    x = free_simplex(4, 1)
+    ident = normalized_chain_map(identity_smap(x), ZZ)  # equal ends, built twice
+    assert ident.source is not ident.target
+    cert = certificate_search(ident)
+    assert len(calls) == 1
+    calls.clear()
+    assert certificate_search(normalized_chain_map(prism(x).end0, ZZ)) is not None
+    assert len(calls) == 2
+    # one reduction per end gives the same certificate, the reduction being deterministic
+    monkeypatch.setattr(wh, "_same_complex", lambda a, b: False)
+    assert certificate_search(ident).to_json() == cert.to_json()

@@ -23,8 +23,8 @@ process against each tree, once with the default text output and once with
   the prism end inclusion of S3/C2 x Delta[1], and the inclusion of
   S3/C2 x the boundary of Delta[1] into S3/C2 x Delta[1], over Z and F_2;
 * ``elmendorf --family all`` (``ELMENDORF``) on S4 and D8 as finite sets,
-  over Z and with the cell Delta[1], and on D32 as finite sets and over Z:
-  larger than the benchmark's C2 x C4;
+  over Z, Q and F_2 and with the cell Delta[1], and on D32 as finite sets
+  and over Z: larger than the benchmark's C2 x C4;
 * ``orbit-cat`` and ``census`` with ``--family all`` (``LATTICES``) on D32
   and C4^3, order 64: subgroup lattices larger than the benchmark's;
 * G-simplicial sets over groups with several generators (``GSSETS``: C2^4,
@@ -39,9 +39,9 @@ process against each tree, once with the default text output and once with
   swapped) and C4/C2 x M(Z/2, 1).
 
 The groups and G-simplicial sets of the last four sets are written by this
-tool with orbitkit's constructors. At seeds 7 and 3 that is 212 jobs (132
-benchmark, 19 golden, 12 prism, 2 identity, 6 nonfree, 8 elmendorf,
-4 order64, 9 gsset, 20 hfamily), so 424 runs.
+tool with orbitkit's constructors. At seeds 7 and 3 that is 216 jobs (132
+benchmark, 19 golden, 12 prism, 2 identity, 6 nonfree, 12 elmendorf,
+4 order64, 9 gsset, 20 hfamily), so 432 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.  ``whitehead`` JSON is
@@ -69,8 +69,10 @@ PRISMS = ((2, 1), (3, 1), (4, 1))  # C_m/e x Delta[n]
 RINGS = ("Z", "Q", "Fp:2", "Fp:3")
 IDENTITIES = ((8, 3, ("Z", "Fp:2")),)  # C_m/e x Delta[n] over each ring
 NONFREE = ("identity", "prism", "boundary")  # maps of S3/C2 x Delta[1], over Z and F_2
-ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--sset", "delta:1"))),
-             ("D8", ((), ("--ring", "Z"), ("--sset", "delta:1"))),
+ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--ring", "Q"), ("--ring", "Fp:2"),
+                     ("--sset", "delta:1"))),
+             ("D8", ((), ("--ring", "Z"), ("--ring", "Q"), ("--ring", "Fp:2"),
+                     ("--sset", "delta:1"))),
              ("D32", ((), ("--ring", "Z"))))
 LATTICES = ("D32", "C4^3")
 GSSETS = ("C2^4", "D8", "S4")
