@@ -3,30 +3,32 @@
 Given an equivariant chain map f, a certificate is explicit data
 (g, s, t): a backward equivariant chain map with homotopies witnessing
 f*g ~ id and g*f ~ id, all commuting with the group representations.
-The search first retracts both ends onto their orbit reductions
-(``chains.orbit_reduction``), solves for a certificate of the reduced map,
-and carries it back through the equivariant deformation retractions.  It
-solves in equivariant coordinates.  Each block of g, s and t is a
+f has one exactly when its mapping cone is equivariantly contractible, so
+the search solves for one contraction of the orbit-reduced cone
+(``chains.orbit_reduction``), carries it back through the cone's
+equivariant deformation retraction and reads (g, s, t) off its blocks.  It
+solves in equivariant coordinates.  Each block of the contraction is a
 combination of a basis of equivariant matrices: one indicator per G-orbit
 of index pairs, since Hom_{ZG}(Z[X], Z[Y]) is free on the G-orbits of
 Y x X (from stabilizers: the G_y-orbits of X, y least in its G-orbit);
 with no group the elementary matrices.  Either way each entry of a block
-is one unknown.  The chain-map and homotopy equations are linear in these
+is one unknown.  The contraction equations are linear in these
 coordinates, and their residuals are equivariant, so they are imposed at
 one index pair per orbit only.
 One exact solve from the system's sparse rows, on every ring
 (Hermite-style over Z and Q, Gauss-Jordan over F_p), then either produces
-a certificate or proves that none of this shape exists over the ring;
-the transported certificate is re-verified on f's own complexes against
-the full identities for every group element before it is returned.  Over
-Z a failure does not rule out a rational certificate; query the rings
-separately.
+a certificate or proves that none exists over the ring; no system is
+solved when the reduced cone is 0.  The certificate is re-verified on f's
+own complexes against the full identities for every group element before
+it is returned.  Over Z a failure does not rule out a rational
+certificate; query the rings separately.
 
 ``whitehead_verify`` packages the hypothesis checks for a simplicial map:
 isotropy of all simplices against the family, quasi-isomorphy of the
 invariant subcomplexes (one route) and of the chains of fixed-point
 subcomplexes (an independent route), then attempts the certificate.  The
-first route reduces the equivariant cone of f once, as (cone f)^H = cone(f^H).
+equivariant cone of f is reduced once and serves the first route, as
+(cone f)^H = cone(f^H), and the certificate search.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from .groups import conjugating_element
 from .gsets import orbits, stabilizer
 from .simplicial import SMap, fixed_sset
 
-# a size bound on rows x unknowns of the orbit-reduced system; every system stays sparse
+# a size bound on rows x unknowns of the system on the orbit-reduced cone (the whole
+# cone with a trivial group, which is not reduced); every system stays sparse
 MAX_CELLS = 2_500_000
 
 
@@ -200,121 +203,82 @@ def _block(group, first: int, left, ln, right, rn, memo: dict) -> _Block:
     return _Block(r, c, tuple(coords), len(pair_orbits))
 
 
-def certificate_search(cf: ChainMap):
+def certificate_search(cf: ChainMap, reduced=None):
     """Solve for an equivariant homotopy inverse of cf, or return None.
 
-    Both ends are orbit-reduced first: (incl_X, proj_X, h_X) retracts cf's
-    source X onto X', and (incl_Y, proj_Y, h_Y) its target Y onto Y'.  The
-    unknowns are the coordinates of g' (degreewise backward map), s' and t'
-    (degree +1 homotopies on Y' and X') for f' = proj_Y f incl_X, in bases of
-    equivariant matrices.  A solution is carried back as g = incl_X g' proj_Y,
-    s = h_Y + incl_Y s' proj_Y - h_Y f g and t = h_X + incl_X t' proj_X - g f h_X,
-    which satisfy f g - 1 = d s + s d and g f - 1 = d t + t d, and is then
-    re-verified on cf's own complexes.  Equivariant retractions carry
-    certificates both ways, so f' has one exactly when f does.  Infeasibility
-    over Z is reported as absence even if a rational certificate exists.
+    f: X -> Y is an equivariant homotopy equivalence exactly when its mapping
+    cone, Y_n + X_{n-1} with d(y, x) = (dy + fx, -dx), is equivariantly
+    contractible (Weibel 1994, 1.5 and Ch. 10).  The cone is orbit-reduced
+    to r with retraction (incl, proj, h), given as ``reduced`` when the
+    caller holds ``orbit_reduction(mapping_cone(cf))``; the unknowns are the
+    coordinates of a contraction H' of r, d H' + H' d = 1, in bases of
+    equivariant matrices.  H = incl H' proj - h then contracts the cone, as
+    incl proj - 1 = d h + h d, and its blocks are the certificate:
+    g_n = H_n[X_n, Y_n], s_n = -H_n[Y_{n+1}, Y_n] and t_{n-1} = H_n[X_n, X_{n-1}]
+    satisfy the chain-map law, f g - 1 = d s + s d and g f - 1 = d t + t d.
+    The certificate is re-verified on cf's own complexes.  r is contractible
+    exactly when the cone is (proj H incl contracts r), so no solution means
+    no certificate over the ring; over Z that is reported even if a rational
+    certificate exists.
     """
     if not cf.equivariant and cf.source.group is not None \
             and cf.source.group.order > 1:
         raise ValueError("certificate search needs an equivariant chain map")
-    found = _solve_reduced(cf)
-    if found is None:
+    r, incl, proj, h = reduced or orbit_reduction(mapping_cone(cf))
+    contraction = _contraction(r)
+    if contraction is None:
         return None
-    g, s, t = found
-    src, tgt = cf.source, cf.target
-    # verify_certificate checks g's chain-map law: a failure is a solver bug
-    cert = Certificate(ChainMap(tgt, src, g, validate=False), ChainHomotopy(tgt, tgt, s),
-                       ChainHomotopy(src, src, t))
-    if not verify_certificate(cert, cf):
+    if r is not incl.target:  # carried back to the cone
+        contraction = {n: incl.mat(n + 1) @ m @ proj.mat(n) - h.mat(n)
+                       for n, m in contraction.items()}
+    try:  # the constructors refuse a block of the wrong shape, as in verify_certificate
+        cert = _certificate(cf, contraction)
+    except ValueError:
+        cert = None
+    if cert is None or not verify_certificate(cert, cf):
         raise InternalError("solver returned a certificate that fails re-verification")
     return cert
 
 
-def _solve_reduced(cf: ChainMap):
-    """(g, s, t) by degree for cf, solved for f' = proj_Y f incl_X on the orbit
-    reductions of its ends and carried back one end at a time, or None.  An end
-    whose retraction is the identity (nothing removed) is left as it is.  Ends
-    with equal data share one reduction, as the reduction is deterministic."""
+def _certificate(cf: ChainMap, contraction: dict) -> Certificate:
+    """(g, s, t) read off a contraction H of cf's cone, Y_n + X_{n-1} in degree n:
+    g_n = H_n[X_n, Y_n], s_n = -H_n[Y_{n+1}, Y_n] and t_{n-1} = H_n[X_n, X_{n-1}]."""
     src, tgt = cf.source, cf.target
-    x, incl_x, proj_x, h_x = orbit_reduction(src)
-    if _same_complex(src, tgt):
-        y, incl_y, proj_y, h_y = tgt if x is src else x, incl_x, proj_x, h_x
-    else:
-        y, incl_y, proj_y, h_y = orbit_reduction(tgt)
-    top = max(src.top, tgt.top)
-    fy = f = cf  # proj_Y f, and f'
-    if y is not tgt:
-        fy = f = ChainMap(src, y, {n: proj_y.mat(n) @ cf.mat(n) for n in range(top + 2)},
-                          validate=False)
-    if x is not src:
-        f = ChainMap(x, y, {n: fy.mat(n) @ incl_x.mat(n) for n in range(top + 1)},
-                     validate=False)
-    found = _solve(f)
-    if found is None:
-        return None
-    g, s, t = found
-    if x is not src:  # to proj_Y f: incl_X g and h_X + incl_X (t proj_X - g proj_Y f h_X)
-        t = {n: h_x.mat(n) + incl_x.mat(n + 1) @ (t[n] @ proj_x.mat(n)
-                                                  - g[n + 1] @ fy.mat(n + 1) @ h_x.mat(n))
-             for n in range(top + 1)}
-        g = {n: incl_x.mat(n) @ g[n] for n in range(top + 1)}
-    if y is not tgt:  # to f: g proj_Y and h_Y + (incl_Y s - h_Y f g) proj_Y
-        s = {n: h_y.mat(n) + (incl_y.mat(n + 1) @ s[n] - h_y.mat(n) @ (cf.mat(n) @ g[n]))
-             @ proj_y.mat(n) for n in range(top + 1)}
-        g = {n: g[n] @ proj_y.mat(n) for n in range(top + 1)}
-    return g, s, t
+
+    def part(n, x_rows, x_cols):
+        """H_n on X_n's rows (else Y_{n+1}'s) and X_{n-1}'s columns (else Y_n's)."""
+        y, y1 = tgt.rank(n), tgt.rank(n + 1)
+        rows = contraction[n].rows[y1:] if x_rows else contraction[n].rows[:y1]
+        return Mat(src.ring, len(rows), src.rank(n - 1) if x_cols else y,
+                   [row[y:] if x_cols else row[:y] for row in rows], normalize=False)
+
+    degrees = range(max(src.top, tgt.top) + 1)
+    # verify_certificate checks g's chain-map law: a failure is a solver bug
+    return Certificate(ChainMap(tgt, src, {n: part(n, True, False) for n in degrees},
+                                validate=False),
+                       ChainHomotopy(tgt, tgt, {n: -part(n, False, False) for n in degrees}),
+                       ChainHomotopy(src, src, {n: part(n + 1, True, True) for n in degrees}))
 
 
-def _same_complex(a, b) -> bool:
-    """Whether a and b have the same ring, ranks, differentials and action."""
-    return a is b or (a.ring == b.ring and a.ranks == b.ranks and a.action == b.action
-                      and all(a.d(n) == b.d(n) for n in range(1, a.top + 1)))
-
-
-def _solve(f: ChainMap):
-    """(g, s, t) by degree, up to one past the top, with f g - 1 = d s + s d and
-    g f - 1 = d t + t d for an equivariant chain map f, or None."""
-    src, tgt = f.source, f.target
-    ring, top = src.ring, max(src.top, tgt.top)
+def _contraction(r):
+    """H' by degree with d H' + H' d = 1 on r, up to one past r's top, or None;
+    no system is solved when r is 0."""
+    ring = r.ring
     # a trivial group imposes nothing: elementary coordinates, every entry
-    group = src.group if tgt.group is not None else None
-    if group is not None and group.order == 1:
-        group = None
-
-    count, memo = 0, {}
-    g, s, t = {}, {}, {}
-    for blocks, left, right, shift in ((g, src, tgt, 0), (s, tgt, tgt, 1),
-                                       (t, src, src, 1)):
-        for n in range(-1, top + 2):
-            blocks[n] = _block(group, count, left, n + shift, right, n, memo)
-            count += blocks[n].size
-
-    def eye(c, n):
-        return Mat.identity(ring, c.rank(n))
-
+    group = r.group if r.group is not None and r.group.order > 1 else None
+    count, memo, blocks = 0, {}, {}
+    for n in range(-1, r.top + 2):
+        blocks[n] = _block(group, count, r, n + 1, r, n, memo)
+        count += blocks[n].size
     system = _LinearSystem(ring, count)
-    for n in range(1, top + 1):
-        # chain map: d_src g_n - g_{n-1} d_tgt = 0
-        system.add_equations([(src.d(n), g[n], eye(tgt, n)),
-                              (-eye(src, n - 1), g[n - 1], tgt.d(n))],
-                             _positions(group, src, n - 1, tgt, n, memo))
-    for n in range(top + 1):
-        # homotopy on the target: f g - d s - s d = id
-        system.add_equations([(f.mat(n), g[n], eye(tgt, n)),
-                              (-tgt.d(n + 1), s[n], eye(tgt, n)),
-                              (-eye(tgt, n), s[n - 1], tgt.d(n))],
-                             _positions(group, tgt, n, tgt, n, memo), diagonal=True)
-        # homotopy on the source: g f - d t - t d = id
-        system.add_equations([(eye(src, n), g[n], f.mat(n)),
-                              (-src.d(n + 1), t[n], eye(src, n)),
-                              (-eye(src, n), t[n - 1], src.d(n))],
-                             _positions(group, src, n, src, n, memo), diagonal=True)
-
-    solution = system.solve()
+    for n in range(r.top + 1):
+        eye = Mat.identity(ring, r.rank(n))
+        system.add_equations([(r.d(n + 1), blocks[n], eye), (eye, blocks[n - 1], r.d(n))],
+                             _positions(group, r, n, r, n, memo), diagonal=True)
+    solution = system.solve() if system.rows else []
     if solution is None:
         return None
-    return tuple({n: blocks[n].value(ring, solution) for n in range(top + 2)}
-                 for blocks in (g, s, t))
+    return {n: blocks[n].value(ring, solution) for n in range(r.top + 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +351,13 @@ def isotropy_check(f: SMap, family) -> IsotropyReport:
     return IsotropyReport(ok_c, ok_s, witness)
 
 
-def _invariant_quasi_isos(cf: ChainMap, family) -> dict:
-    """Hypothesis (a), label -> whether cf^H is a quasi-isomorphism: (cone f)^H =
-    cone(f^H), so the equivariant cone is reduced once and each H takes its invariants."""
-    cone = mapping_cone(cf)
-    if cone.action is None:
+def _invariant_quasi_isos(r, family) -> dict:
+    """Hypothesis (a), label -> whether cf^H is a quasi-isomorphism, from r, the orbit
+    reduction of cf's equivariant cone: (cone f)^H = cone(f^H), and the reduction keeps
+    the homology of every C^H, so each H takes r's invariants."""
+    if r.group is None:
         raise InternalError("the chain map of a simplicial G-map must be equivariant")
-    reduced = orbit_reduction(cone)[0]
-    return {h.label: is_acyclic(invariants(reduced, h)[0]) for h in family}
+    return {h.label: is_acyclic(invariants(r, h)[0]) for h in family}
 
 
 def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
@@ -405,8 +368,8 @@ def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
     hypothesis (b) when the chains of the H-fixed simplicial subsets compare by
     a quasi-isomorphism.  The two routes share no code below the chain level.
     When either hypothesis holds for every member of the family, the
-    certificate search runs on the equivariant chain map, solved on its
-    orbit-reduced ends and re-verified on the full one.
+    certificate search runs on the equivariant chain map, solved on the same
+    orbit-reduced cone and re-verified on the full map.
     """
     if f.source.group != f.target.group:
         raise ValueError("whitehead_verify needs a common acting group")
@@ -417,7 +380,8 @@ def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
     cx = normalized_chains(f.source, ring)
     cy = normalized_chains(f.target, ring)
     cf = normalized_chain_map(f, ring, cx, cy)
-    report.hyp_a = _invariant_quasi_isos(cf, fam)
+    reduced = orbit_reduction(mapping_cone(cf))
+    report.hyp_a = _invariant_quasi_isos(reduced[0], fam)
     for h in fam:
         fx, _ = fixed_sset(f.source, h)
         fy, _ = fixed_sset(f.target, h)
@@ -425,5 +389,5 @@ def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
         report.hyp_b[h.label] = is_quasi_iso(normalized_chain_map(restricted, ring))
     if report.hyp_a_ok or report.hyp_b_ok:
         report.searched = True
-        report.certificate = certificate_search(cf)
+        report.certificate = certificate_search(cf, reduced)
     return report

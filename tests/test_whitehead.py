@@ -16,7 +16,7 @@ from conftest import action_matrix, from_columns, reference_kernel, swap_boundar
     with_trivial_action
 from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, \
     compose_chain_maps, concentrated, homotopy_defect, identity_chain_map, \
-    is_quasi_iso, normalized_chain_map, normalized_chains, orbit_reduction, \
+    is_quasi_iso, mapping_cone, normalized_chain_map, normalized_chains, orbit_reduction, \
     restrict_to_invariants, zero_complex
 from orbitkit.errors import InternalError
 from orbitkit.exactla import Mat
@@ -24,10 +24,11 @@ from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, direct_
     full_subgroup, group_from_generators, symmetric_group, trivial_subgroup
 from orbitkit.gsets import coset_gset, orbits, product_gset, regular_gset, stabilizer
 from orbitkit.rings import PrimeField, QQ, ZZ
-from orbitkit.simplicial import SMap, SimplexRef, boundary_simplex, empty_sset, \
+from orbitkit.simplicial import GSSet, SMap, SimplexRef, boundary_simplex, empty_sset, \
     gtensor, identity_smap, make_smap, point_sset, prism, standard_simplex
-from orbitkit.whitehead import Certificate, _block, _invariant_quasi_isos, _pair_orbits, \
-    _solve, certificate_search, isotropy_check, verify_certificate, whitehead_verify
+from orbitkit.whitehead import Certificate, _LinearSystem, _block, _invariant_quasi_isos, \
+    _pair_orbits, _positions, certificate_search, isotropy_check, verify_certificate, \
+    whitehead_verify
 
 
 def test_identity_certificate():
@@ -295,7 +296,7 @@ def test_large_integer_system_is_never_written_out_densely(monkeypatch):
         largest.clear()
 
 
-def test_search_solves_in_orbit_coordinates(monkeypatch):
+def test_search_solves_the_reduced_cone_in_orbit_coordinates(monkeypatch):
     import orbitkit.whitehead as wh
     shapes = []
     solve = wh.solve_exact
@@ -305,20 +306,29 @@ def test_search_solves_in_orbit_coordinates(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(wh, "solve_exact", spy)
-    cf = normalized_chain_map(identity_smap(free_simplex(4, 1)), ZZ)
-    assert verify_certificate(certificate_search(cf), cf)
-    # C4/e x Delta[1] retracts onto Z[C4] in degree 0, so g_0 is the only block:
-    # one unknown per C4-orbit of its 16 reduced index pairs, and one row per
-    # orbit of each homotopy equation's pairs, with no equivariance rows
-    x = orbit_reduction(cf.source)[0]
-    assert x.ranks == (4, 0)
-    pair_orbits = len(_pair_orbits(x.action[0], x.action[0]))
-    rows, unknowns = shapes[-1]
-    assert unknowns == pair_orbits == 4 and rows <= 2 * pair_orbits
-    for f in (identity_smap(free_simplex(8, 2)), prism(free_simplex(4, 1)).end0):
+    # the cones of these identities and prism end inclusions reduce to 0: the
+    # contraction is -h, and no system is solved
+    for f in (identity_smap(free_simplex(4, 1)), identity_smap(free_simplex(8, 2)),
+              prism(free_simplex(4, 1)).end0):
         cf = normalized_chain_map(f, ZZ)
+        assert not any(orbit_reduction(mapping_cone(cf))[0].ranks)
         cert = certificate_search(cf)
         assert cert is not None and verify_certificate(cert, cf)
+    assert shapes == []
+    # 2 id on Q[C4] in degree 0: its cone Q[C4] <-2- Q[C4] keeps both orbits, as
+    # 2 is not +-1; one unknown per C4-orbit of the index pairs of H' (the only
+    # block is H'_0, Q[C4] -> Q[C4]) and one row per orbit of each degree's pairs
+    reg = ChainComplex(QQ, (4,), {}, [regular_gset(cyclic_group(4))])
+    twice = ChainMap(reg, reg, {0: Mat(QQ, 4, 4, [[2 * (i == j) for j in range(4)]
+                                                  for i in range(4)])})
+    r = orbit_reduction(mapping_cone(twice))[0]
+    assert r.ranks == (4, 4)
+    cert = certificate_search(twice)
+    assert cert is not None and verify_certificate(cert, twice)
+    orbit_count = {n: len(_pair_orbits(r.action[n + 1], r.action[n])) for n in range(r.top)}
+    assert orbit_count == {0: 4}
+    rows = sum(len(_pair_orbits(x, x)) for x in r.action)
+    assert shapes == [(rows, sum(orbit_count.values()))] == [(8, 4)]
 
 
 def test_identity_and_composite_chain_maps_keep_equivariance():
@@ -548,6 +558,11 @@ HYP_A_GROUPS = [symmetric_group(3), dihedral_group(4), cyclic_group(4)]
 RINGS = [ZZ, QQ, PrimeField(2), PrimeField(3)]
 
 
+def invariant_quasi_isos(cf, subgroups):
+    """Hypothesis (a) as ``whitehead_verify`` decides it, on cf's reduced cone."""
+    return _invariant_quasi_isos(orbit_reduction(mapping_cone(cf))[0], subgroups)
+
+
 def invariant_quasi_isos_by_restriction(cf, subgroups):
     return {h.label: is_quasi_iso(restrict_to_invariants(cf, h)) for h in subgroups}
 
@@ -561,7 +576,7 @@ def test_hypothesis_a_on_the_reduced_cone_matches_each_restriction(group, data, 
     f = data.draw(st.sampled_from(hypothesis_a_maps(group, k, n)))
     assert f.equivariant
     cf = normalized_chain_map(f, ring)
-    assert _invariant_quasi_isos(cf, subgroups) == \
+    assert invariant_quasi_isos(cf, subgroups) == \
         invariant_quasi_isos_by_restriction(cf, subgroups)
 
 
@@ -574,7 +589,7 @@ def test_hypothesis_a_on_the_reduced_cone_says_no_where_a_restriction_does(s3, d
         for ring in RINGS:
             for f in (onto, inclusion):  # G/K -> G/G, and the boundary of Delta[1]
                 cf = normalized_chain_map(f, ring)
-                verdicts = _invariant_quasi_isos(cf, subgroups)
+                verdicts = invariant_quasi_isos(cf, subgroups)
                 assert verdicts == invariant_quasi_isos_by_restriction(cf, subgroups)
                 assert not all(verdicts.values())
                 seen.update(verdicts.values())
@@ -586,7 +601,7 @@ def test_hypothesis_a_refuses_a_chain_map_that_is_not_equivariant(c2):
     swap = ChainMap(c, c, {0: Mat(ZZ, 2, 2, [[1, 0], [0, 0]])})
     assert not swap.equivariant
     with pytest.raises(InternalError, match="equivariant"):
-        _invariant_quasi_isos(swap, all_subgroups(c2))
+        invariant_quasi_isos(swap, all_subgroups(c2))
 
 
 def _pair_orbits_g_orbits(x, y):
@@ -629,15 +644,73 @@ def test_pair_orbits_from_stabilizers_are_the_orbits_of_the_product():
 
 
 # ---------------------------------------------------------------------------
-# certificates solved on orbit-reduced complexes and carried back
+# certificates read off one contraction of the orbit-reduced cone
+
+
+def reference_solve(f: ChainMap):
+    """Reference: (g, s, t) by degree with f g - 1 = d s + s d and g f - 1 = d t + t d
+    for an equivariant chain map f, solved as three linked equation families (g a
+    chain map, both homotopies) on f's own complexes, without any reduction, or None."""
+    src, tgt = f.source, f.target
+    ring, top = src.ring, max(src.top, tgt.top)
+    group = src.group if tgt.group is not None else None
+    if group is not None and group.order == 1:
+        group = None
+
+    count, memo = 0, {}
+    g, s, t = {}, {}, {}
+    for blocks, left, right, shift in ((g, src, tgt, 0), (s, tgt, tgt, 1),
+                                       (t, src, src, 1)):
+        for n in range(-1, top + 2):
+            blocks[n] = _block(group, count, left, n + shift, right, n, memo)
+            count += blocks[n].size
+
+    def eye(c, n):
+        return Mat.identity(ring, c.rank(n))
+
+    system = _LinearSystem(ring, count)
+    for n in range(1, top + 1):
+        # chain map: d_src g_n - g_{n-1} d_tgt = 0
+        system.add_equations([(src.d(n), g[n], eye(tgt, n)),
+                              (-eye(src, n - 1), g[n - 1], tgt.d(n))],
+                             _positions(group, src, n - 1, tgt, n, memo))
+    for n in range(top + 1):
+        # homotopy on the target: f g - d s - s d = id
+        system.add_equations([(f.mat(n), g[n], eye(tgt, n)),
+                              (-tgt.d(n + 1), s[n], eye(tgt, n)),
+                              (-eye(tgt, n), s[n - 1], tgt.d(n))],
+                             _positions(group, tgt, n, tgt, n, memo), diagonal=True)
+        # homotopy on the source: g f - d t - t d = id
+        system.add_equations([(eye(src, n), g[n], f.mat(n)),
+                              (-src.d(n + 1), t[n], eye(src, n)),
+                              (-eye(src, n), t[n - 1], src.d(n))],
+                             _positions(group, src, n, src, n, memo), diagonal=True)
+
+    solution = system.solve()
+    if solution is None:
+        return None
+    return tuple({n: blocks[n].value(ring, solution) for n in range(top + 2)}
+                 for blocks in (g, s, t))
+
+
+def test_the_reference_finds_certificates_that_verify():
+    for ring in RINGS:
+        cf = normalized_chain_map(prism(free_simplex(2, 1)).end0, ring)
+        g, s, t = reference_solve(cf)
+        src, tgt = cf.source, cf.target
+        degrees = range(max(src.top, tgt.top) + 1)
+        cert = Certificate(ChainMap(tgt, src, {n: g[n] for n in degrees}),
+                           ChainHomotopy(tgt, tgt, {n: s[n] for n in degrees}),
+                           ChainHomotopy(src, src, {n: t[n] for n in degrees}))
+        assert verify_certificate(cert, cf)
 
 
 def assert_transport_keeps_the_verdict(cf) -> bool:
-    """certificate_search(cf), solved on the orbit-reduced ends and carried back,
-    passes verify_certificate on cf, and exists exactly when the system on cf's
-    own complexes, without the reduction, has a solution; returns whether it exists."""
+    """certificate_search(cf), a contraction of the orbit-reduced cone carried back,
+    passes verify_certificate on cf, and exists exactly when the reference's three
+    equation families on cf's own complexes have a solution; returns whether it exists."""
     cert = certificate_search(cf)
-    assert (cert is not None) == (_solve(cf) is not None)
+    assert (cert is not None) == (reference_solve(cf) is not None)
     assert cert is None or verify_certificate(cert, cf)
     return cert is not None
 
@@ -653,10 +726,52 @@ def test_a_transported_certificate_verifies_and_keeps_the_unreduced_verdict(grou
                                                                            ring):
     """On the identity, the prism end inclusions and projection, the collapse of
     each copy of Delta[n], G/K -> G/G and the boundary inclusion of G/K (x) Delta[n];
-    n <= 1 keeps the unreduced systems of the prisms small."""
+    n <= 1 keeps the reference's unreduced systems of the prisms small."""
     k = data.draw(st.sampled_from(all_subgroups(group)))
     f = data.draw(st.sampled_from(hypothesis_a_maps(group, k, n)))
     assert_transport_keeps_the_verdict(normalized_chain_map(f, ring))
+
+
+def scaled(cf: ChainMap, c) -> ChainMap:
+    """c times cf, an equivariant chain map when cf is one."""
+    ring = cf.source.ring
+    return ChainMap(cf.source, cf.target,
+                    {n: Mat(ring, m.nrows, m.ncols, [[c * v for v in row] for row in m.rows])
+                     for n, m in enumerate(cf)})
+
+
+def random_orbit_map(data, group, ring) -> ChainMap:
+    """A random equivariant map R[G/K] -> R[G/L] in degree 0: a random integer
+    combination of the indicators of the pair orbits."""
+    subgroups = all_subgroups(group)
+    x, y = (coset_gset(group, data.draw(st.sampled_from(subgroups))) for _ in range(2))
+    m = Mat.zeros(ring, y.size, x.size)
+    for orbit in _pair_orbits(y, x):
+        c = data.draw(st.integers(-2, 2))
+        for e in orbit:
+            i, j = divmod(e, x.size)
+            m.rows[i][j] = ring.normalize(c)
+    src, tgt = (ChainComplex(ring, (z.size,), {}, [z]) for z in (x, y))
+    return ChainMap(src, tgt, {0: m})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(group=st.sampled_from(TRANSPORT_GROUPS[:4]), data=st.data(),
+       ring=st.sampled_from(RINGS), scalar=st.sampled_from([1, -1, 2, 3]))
+def test_the_cone_contraction_gives_the_verdict_of_three_equation_families(group, data, ring,
+                                                                          scalar):
+    """On random equivariant maps: scalar multiples of the maps of
+    ``hypothesis_a_maps`` over G/K (x) Delta[n], n <= 1, and random combinations of
+    pair-orbit indicators between permutation modules in degree 0.  Units,
+    non-equivalences and 2 id (a rational inverse only) all occur."""
+    if data.draw(st.booleans()):
+        k = data.draw(st.sampled_from(all_subgroups(group)))
+        f = data.draw(st.sampled_from(hypothesis_a_maps(group, k, data.draw(st.integers(0, 1)))))
+        cf = scaled(normalized_chain_map(f, ring), scalar)
+    else:
+        cf = random_orbit_map(data, group, ring)
+    assert cf.equivariant
+    assert_transport_keeps_the_verdict(cf)
 
 
 def test_transport_keeps_the_verdict_on_twice_the_identity_of_the_regular_representation():
@@ -669,7 +784,65 @@ def test_transport_keeps_the_verdict_on_twice_the_identity_of_the_regular_repres
     assert found == {"Z": False, "Q": True, "Fp:2": False, "Fp:3": True}
 
 
-def test_ends_with_equal_data_are_reduced_once(monkeypatch):
+def misread_certificate(cf, contraction, s_sign=-1, t_from=1):
+    """A test-side reader of (g, s, t) from a contraction H of cf's cone: as
+    ``whitehead._certificate`` with s_n = s_sign H_n[Y_{n+1}, Y_n] and
+    t_n = H_{n + t_from}[X_{n + t_from}, X_{n + t_from - 1}]."""
+    src, tgt = cf.source, cf.target
+
+    def part(n, x_rows, x_cols):
+        y, y1 = tgt.rank(n), tgt.rank(n + 1)
+        rows = contraction[n].rows[y1:] if x_rows else contraction[n].rows[:y1]
+        return Mat(src.ring, len(rows), src.rank(n - 1) if x_cols else y,
+                   [row[y:] if x_cols else row[:y] for row in rows])
+
+    degrees = range(max(src.top, tgt.top) + 1)
+    g = ChainMap(tgt, src, {n: part(n, True, False) for n in degrees}, validate=False)
+    s = {n: part(n, False, False) for n in degrees}
+    return Certificate(g, ChainHomotopy(tgt, tgt, {n: m if s_sign > 0 else -m
+                                                   for n, m in s.items()}),
+                       ChainHomotopy(src, src, {n: part(n + t_from, True, True)
+                                                for n in degrees}))
+
+
+def without_h(c):
+    """Mutant of the transport: the cone's retraction with h dropped, so that
+    H = incl H' proj."""
+    r, incl, proj, _ = orbit_reduction(c)
+    return r, incl, proj, ChainHomotopy(c, c, {})
+
+
+def test_verify_certificate_refuses_a_misread_contraction(monkeypatch):
+    import orbitkit.whitehead as wh
+    # the prism end inclusion's s is not 0, and its sign shows outside F_2
+    maps = [normalized_chain_map(prism(free_simplex(3, 1)).end0, ring)
+            for ring in (ZZ, QQ, PrimeField(3))]
+    monkeypatch.setattr(wh, "_certificate", misread_certificate)
+    certs = [certificate_search(cf) for cf in maps]  # the reader as it should be
+    assert all(cert is not None and verify_certificate(cert, cf)
+               for cert, cf in zip(certs, maps))
+    mutants = [("_certificate", lambda cf, h: misread_certificate(cf, h, s_sign=1)),
+               ("_certificate", lambda cf, h: misread_certificate(cf, h, t_from=0)),
+               ("orbit_reduction", without_h)]
+    for name, mutant in mutants:
+        with monkeypatch.context() as m:
+            m.setattr(wh, name, mutant)
+            for cf in maps:
+                with pytest.raises(InternalError, match="re-verification"):
+                    certificate_search(cf)
+
+
+def relabelled(x: GSSet) -> tuple[GSSet, dict]:
+    """x with its simplex identifiers reversed, and the relabelling."""
+    ids = sorted(x.dim_of)
+    tau = dict(zip(ids, reversed(ids)))
+    faces = {tau[s]: tuple(SimplexRef(tau[r.base], r.word) for r in fs)
+             for s, fs in x.faces.items()}
+    action = {a: {tau[s]: tau[t] for s, t in m.items()} for a, m in x.action.items()}
+    return GSSet(x.group, {tau[s]: n for s, n in x.dim_of.items()}, faces, action), tau
+
+
+def test_whitehead_verify_reduces_the_cone_once(monkeypatch):
     import orbitkit.whitehead as wh
     calls = []
 
@@ -678,14 +851,14 @@ def test_ends_with_equal_data_are_reduced_once(monkeypatch):
         return orbit_reduction(c)
 
     monkeypatch.setattr(wh, "orbit_reduction", counted)
+    group = cyclic_group(4)
     x = free_simplex(4, 1)
-    ident = normalized_chain_map(identity_smap(x), ZZ)  # equal ends, built twice
-    assert ident.source is not ident.target
-    cert = certificate_search(ident)
-    assert len(calls) == 1
-    calls.clear()
-    assert certificate_search(normalized_chain_map(prism(x).end0, ZZ)) is not None
-    assert len(calls) == 2
-    # one reduction per end gives the same certificate, the reduction being deterministic
-    monkeypatch.setattr(wh, "_same_complex", lambda a, b: False)
-    assert certificate_search(ident).to_json() == cert.to_json()
+    y, tau = relabelled(x)
+    maps = [identity_smap(x), SMap(x, y, {s: SimplexRef(tau[s]) for s in x.ids()}),
+            prism(x).end0]
+    for f in maps:
+        assert f.equivariant
+        report = whitehead_verify(f, all_subgroups(group), ZZ)
+        assert report.searched and report.certificate is not None
+        assert len(calls) == 1
+        calls.clear()

@@ -15,7 +15,9 @@ process against each tree, once with the default text output and once with
 * ``whitehead`` prism end inclusions (``PRISMS``) over each of ``RINGS``
   (Z, Q, F_2 and F_3), written by this tool with orbitkit's constructors and
   no relabelling, so that a change of pivot tie-break over Z, or any
-  change to the F_p elimination that alters a certificate, shows;
+  change to the F_p elimination that alters a certificate, shows; and
+  those of D8/e x Delta[2], S4/e x Delta[2] and D32/e x Delta[1]
+  (``GROUP_PRISMS``, groups of order 16 to 64) over Z and F_2;
 * ``whitehead`` identity certificates (``IDENTITIES``) on C8/e x Delta[3]
   over Z and F_2: larger than the benchmark's
   largest identity, C4/e x Delta[2];
@@ -39,9 +41,9 @@ process against each tree, once with the default text output and once with
   swapped) and C4/C2 x M(Z/2, 1).
 
 The groups and G-simplicial sets of the last four sets are written by this
-tool with orbitkit's constructors. At seeds 7 and 3 that is 216 jobs (132
-benchmark, 19 golden, 12 prism, 2 identity, 6 nonfree, 12 elmendorf,
-4 order64, 9 gsset, 20 hfamily), so 432 runs.
+tool with orbitkit's constructors. At seeds 7 and 3 that is 222 jobs (132
+benchmark, 19 golden, 18 prism, 2 identity, 6 nonfree, 12 elmendorf,
+4 order64, 9 gsset, 20 hfamily), so 444 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.  ``whitehead`` JSON is
@@ -66,6 +68,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH, TESTS = os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")
 FORMATS = ((), ("--format", "json"))
 PRISMS = ((2, 1), (3, 1), (4, 1))  # C_m/e x Delta[n]
+GROUP_PRISMS = (("D8", 2), ("S4", 2), ("D32", 1))  # G/e x Delta[n], over Z and F_2
 RINGS = ("Z", "Q", "Fp:2", "Fp:3")
 IDENTITIES = ((8, 3, ("Z", "Fp:2")),)  # C_m/e x Delta[n] over each ring
 NONFREE = ("identity", "prism", "boundary")  # maps of S3/C2 x Delta[1], over Z and F_2
@@ -110,10 +113,11 @@ def write_smap(outdir: str, name: str, f) -> str:
         "values": {str(s): [r.base, list(r.word)] for s, r in sorted(f.values.items())}})
 
 
-def whitehead_cases(outdir: str):
+def whitehead_cases(outdir: str, groups: dict):
     """("prism", "identity" or "nonfree", name, argv) for unrelabelled prism end
-    inclusions (``PRISMS``), identities (``IDENTITIES``) and maps of S3/C2 x
-    Delta[1] (``NONFREE``), written under outdir."""
+    inclusions (``PRISMS`` and ``GROUP_PRISMS``), identities (``IDENTITIES``) and
+    maps of S3/C2 x Delta[1] (``NONFREE``), written under outdir; ``groups`` from
+    ``stock_groups``."""
     from orbitkit.groups import all_subgroups, cyclic_group, symmetric_group, \
         trivial_subgroup
     from orbitkit.gsets import coset_gset
@@ -132,6 +136,13 @@ def whitehead_cases(outdir: str):
         out += [(kind, f"{name} over {ring}", ["whitehead", "--group", group, "--map", smap,
                                                 "--family", "all", "--ring", ring])
                 for ring in rings]
+    for gname, n in GROUP_PRISMS:
+        g, group = groups[gname]
+        x = gtensor(coset_gset(g, trivial_subgroup(g)), standard_simplex(n))
+        smap = write_smap(outdir, f"prism_{gname}_{n}", prism(x).end0)
+        out += [("prism", f"{gname}/e x Delta[{n}] over {ring}",
+                 ["whitehead", "--group", group, "--map", smap, "--family", "all",
+                  "--ring", ring]) for ring in ("Z", "Fp:2")]
     s3 = symmetric_group(3)
     orbit = coset_gset(s3, next(h for h in all_subgroups(s3) if h.order == 2))
     x, bdry = gtensor(orbit, standard_simplex(1)), gtensor(orbit, boundary_simplex(1))
@@ -147,8 +158,8 @@ def whitehead_cases(outdir: str):
 
 
 def stock_groups(outdir: str) -> dict:
-    """Name -> (group, path) of each group of ``ELMENDORF``, ``LATTICES`` and
-    ``GSSETS``, written under outdir."""
+    """Name -> (group, path) of each group of ``GROUP_PRISMS``, ``ELMENDORF``,
+    ``LATTICES`` and ``GSSETS``, written under outdir."""
     from orbitkit.groups import cyclic_group, dihedral_group, direct_product, symmetric_group
     c2, c4 = cyclic_group(2), cyclic_group(4)
     c2_2 = direct_product(c2, c2)
@@ -292,7 +303,7 @@ def main(argv=None) -> int:
                     os.path.abspath(TESTS)]
     with tempfile.TemporaryDirectory() as tmp:
         groups = stock_groups(tmp)
-        jobs = (benchmark_jobs(args.seed, tmp) + golden_cases() + whitehead_cases(tmp)
+        jobs = (benchmark_jobs(args.seed, tmp) + golden_cases() + whitehead_cases(tmp, groups)
                 + elmendorf_cases(groups) + lattice_cases(groups) + gsset_cases(tmp, groups)
                 + homology_cases(tmp, groups))
         cases = [(kind, name, fmt) for kind, name, _ in jobs for fmt in FORMATS]
