@@ -37,9 +37,9 @@ exactly (checked on every call; a failure raises instead of returning).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import InternalError
 from .exactla import Mat, smith_diagonal
@@ -624,8 +624,7 @@ def restrict_to_invariants(cf: ChainMap, h: Subgroup) -> ChainMap:
 # homology
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     degree: int
     free_rank: int
     torsion: tuple[int, ...] = ()

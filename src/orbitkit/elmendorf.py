@@ -45,7 +45,6 @@ since a diagram valued in 0 -> 1 is just a monotone truth assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .chains import ChainComplex, ChainMap, chain_maps_equal, compose_chain_maps, \
@@ -420,14 +419,13 @@ def free_cell_diagram(cat: OrbitCategory, k: Subgroup, c, vcat) -> OrbitDiagram:
 # unit, counit, triangle identities
 
 
-@dataclass
-class AdjunctionReport:
+class AdjunctionReport(NamedTuple):
     unit_iso: bool
     counit_iso: bool
     triangle_left: bool
     triangle_right: bool
-    unit_per_object: dict = field(default_factory=dict)
-    counit_equivariant: bool = True
+    unit_per_object: dict
+    counit_equivariant: bool
 
     def to_json(self) -> dict:
         return {"unit_iso": self.unit_iso, "counit_iso": self.counit_iso,
@@ -495,8 +493,7 @@ def adjunction_check(t: OrbitDiagram, x=None) -> AdjunctionReport:
 # cellularity comparison (G/K)^H (x) A  ->  (G/K (x) A)^H
 
 
-@dataclass
-class CellularityReport:
+class CellularityReport(NamedTuple):
     lhs: object
     rhs: object
     iso: bool
@@ -547,8 +544,7 @@ def cellularity_report(g: Group, h: Subgroup, k: Subgroup, a, vcat,
 MAX_CENSUS_DIAGRAMS = 10_000
 
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     diagram_count: int
     gobject_count: int
     diagram_classes: int

@@ -11,19 +11,23 @@ exhaustive on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 DEFAULT_ORDER_BOUND = 64
 
 
-@dataclass(frozen=True)
 class Group:
-    order: int
-    mult: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    name: str = field(default="", compare=False)
+    """Equal, and hashed alike, when the tables are: ``name`` is only for display."""
+
+    def __init__(self, order: int, mult: tuple[tuple[int, ...], ...], inv: tuple[int, ...],
+                 name: str = ""):
+        self.order, self.mult, self.inv, self.name = order, mult, inv, name
+
+    def __eq__(self, other):
+        if other.__class__ is not Group:
+            return NotImplemented
+        return (self.order, self.mult, self.inv) == (other.order, other.mult, other.inv)
 
     def elements(self) -> range:
         return range(self.order)
@@ -53,10 +57,17 @@ class CosetTable(NamedTuple):
     index: tuple[int, ...]  # index[a]: the position in reps of the coset aH
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    parent: Group
-    members: tuple[int, ...]
+    def __init__(self, parent: Group, members: tuple[int, ...]):
+        self.parent, self.members = parent, members
+
+    def __eq__(self, other):
+        if other.__class__ is not Subgroup:
+            return NotImplemented
+        return (self.parent, self.members) == (other.parent, other.members)
+
+    def __hash__(self):
+        return hash((self.parent, self.members))
 
     @property
     def order(self) -> int:

@@ -11,27 +11,47 @@ coset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalError
 from .groups import Group, Subgroup, check_action_laws, trivial_subgroup
 
 
-@dataclass(frozen=True)
 class GSet:
-    group: Group
-    size: int
-    act: tuple[tuple[int, ...], ...]  # act[g][point]
+    __slots__ = ("group", "size", "act")
+
+    def __init__(self, group: Group, size: int, act: tuple[tuple[int, ...], ...]):
+        self.group, self.size, self.act = group, size, act  # act[g][point]
+
+    def __eq__(self, other):
+        if other.__class__ is not GSet:
+            return NotImplemented
+        return (self.group, self.size, self.act) == (other.group, other.size, other.act)
+
+    def __hash__(self):
+        return hash((self.group, self.size, self.act))
 
     def __repr__(self):
         return f"GSet(|X|={self.size} over {self.group!r})"
 
 
-@dataclass(frozen=True)
 class GMap:
-    source: GSet
-    target: GSet
-    values: tuple[int, ...]
+    __slots__ = ("source", "target", "values")
+
+    def __init__(self, source: GSet, target: GSet, values: tuple[int, ...]):
+        self.source, self.target, self.values = source, target, values
+
+    def __eq__(self, other):
+        if other.__class__ is not GMap:
+            return NotImplemented
+        return (self.source, self.target, self.values) == (other.source, other.target,
+                                                           other.values)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.values))
+
+    def __repr__(self):
+        return f"GMap(source={self.source!r}, target={self.target!r}, values={self.values!r})"
 
     def __call__(self, x: int) -> int:
         return self.values[x]
@@ -108,15 +128,13 @@ def regular_gset(g: Group) -> GSet:
     return coset_gset(g, trivial_subgroup(g))
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     representative: int
     stabilizer: Subgroup
     members: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     orbits: tuple[Orbit, ...]
     fixed: tuple[int, ...]
 

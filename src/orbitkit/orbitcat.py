@@ -13,7 +13,6 @@ closed under conjugation or under passing to subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalError
@@ -21,13 +20,21 @@ from .groups import Group, Subgroup
 from .gsets import GMap, coset_gset, fixed_points, make_gmap
 
 
-@dataclass(frozen=True)
 class OrbitMorphism:
     """Right translation G/H -> G/K sending gH to (ga)K, stored by least rep."""
 
-    source: Subgroup
-    target: Subgroup
-    rep: int
+    __slots__ = ("source", "target", "rep")
+
+    def __init__(self, source: Subgroup, target: Subgroup, rep: int):
+        self.source, self.target, self.rep = source, target, rep
+
+    def __eq__(self, other):
+        if other.__class__ is not OrbitMorphism:
+            return NotImplemented
+        return (self.source, self.target, self.rep) == (other.source, other.target, other.rep)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.rep))
 
     def __repr__(self):
         return f"R_{self.rep}[{{{self.source.label}}}->{{{self.target.label}}}]"

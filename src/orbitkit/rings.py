@@ -105,6 +105,6 @@ def ring_from_tag(tag: str):
         return ZZ
     if tag == "Q":
         return QQ
-    if tag.startswith("Fp:"):
+    if tag.startswith("Fp:") and tag[3:].isascii() and tag[3:].isdigit():
         return PrimeField(int(tag[3:]))
     raise ValueError(f"unknown ring tag {tag!r} (expected Z, Q, or Fp:p)")

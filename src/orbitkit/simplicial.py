@@ -22,7 +22,6 @@ generators), or implied by the objects it was derived from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
@@ -285,10 +284,9 @@ def build_sset(spec, group: Group | None = None) -> GSSet:
             return point_sset()
         if spec == "empty":
             return empty_sset(group or TRIVIAL_GROUP)
-        if spec.startswith("delta:"):
-            return standard_simplex(int(spec.split(":", 1)[1]))
-        if spec.startswith("boundary:"):
-            return boundary_simplex(int(spec.split(":", 1)[1]))
+        kind, _, n = spec.partition(":")
+        if kind in ("delta", "boundary") and n.isascii() and n.isdigit():
+            return (standard_simplex if kind == "delta" else boundary_simplex)(int(n))
         raise ValueError(f"unknown built-in simplicial set {spec!r}")
     group = group or TRIVIAL_GROUP
     dim_of = {}
@@ -516,8 +514,7 @@ def disjoint_copies(a: GSSet, n_copies: int) -> tuple[GSSet, int]:
             max(a.dim_of, default=-1) + 1)
 
 
-@dataclass
-class Prism:
+class Prism(NamedTuple):
     """X x Delta[1] with its two end inclusions and the projection.
 
     ``mid_id[(x, j)]`` is the nondegenerate (n+1)-simplex (s_j x, eta_j)
@@ -617,15 +614,13 @@ def prism(x: GSSet) -> Prism:
 # equivariant cell decomposition
 
 
-@dataclass(frozen=True)
-class CellSummand:
+class CellSummand(NamedTuple):
     representative: int
     stabilizer: Subgroup
     attaching: tuple[SimplexRef, ...]
 
 
-@dataclass
-class CellStructure:
+class CellStructure(NamedTuple):
     by_dim: dict[int, tuple[CellSummand, ...]]
 
 
@@ -745,8 +740,7 @@ def replay_cell_decomposition(f: SMap, cs: CellStructure) -> None:
                     raise ReplayError(f"stage {n}: action mismatch at ({a},{s})")
 
 
-@dataclass(frozen=True)
-class CofibrationVerdict:
+class CofibrationVerdict(NamedTuple):
     ok: bool
     witness: int | None = None
     reason: str = ""

@@ -33,7 +33,7 @@ equivariant cone of f is reduced once and serves the first route, as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chains import ChainHomotopy, ChainMap, compose_chain_maps, equivariance_defect, \
     homotopy_defect, identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
@@ -49,8 +49,7 @@ from .simplicial import SMap, fixed_sset
 MAX_CELLS = 2_500_000
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     backward: ChainMap                 # g : D -> C
     forward_homotopy: ChainHomotopy    # s : f g - id_D = d s + s d
     backward_homotopy: ChainHomotopy   # t : g f - id_C = d t + t d
@@ -285,8 +284,7 @@ def _contraction(r):
 # the hypothesis checks for a simplicial map
 
 
-@dataclass
-class IsotropyReport:
+class IsotropyReport(NamedTuple):
     ok_conjugate: bool
     ok_strict: bool
     witness: int | None = None
@@ -296,21 +294,12 @@ class IsotropyReport:
                 "witness": self.witness}
 
 
-@dataclass
-class WhiteheadReport:
+class WhiteheadReport(NamedTuple):
     isotropy: IsotropyReport
-    hyp_a: dict = field(default_factory=dict)   # subgroup label -> bool
-    hyp_b: dict = field(default_factory=dict)
-    certificate: Certificate | None = None
-    searched: bool = False
-
-    @property
-    def hyp_a_ok(self) -> bool:
-        return all(self.hyp_a.values())
-
-    @property
-    def hyp_b_ok(self) -> bool:
-        return all(self.hyp_b.values())
+    hyp_a: dict   # subgroup label -> bool
+    hyp_b: dict
+    certificate: Certificate | None
+    searched: bool
 
     def failing_subgroups(self) -> list[str]:
         out = [lbl for lbl, ok in sorted(self.hyp_a.items()) if not ok]
@@ -376,18 +365,18 @@ def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
     if not f.equivariant:
         raise ValueError("whitehead_verify needs an equivariant simplicial map")
     fam = list(family)
-    report = WhiteheadReport(isotropy_check(f, fam))
+    isotropy = isotropy_check(f, fam)
     cx = normalized_chains(f.source, ring)
     cy = normalized_chains(f.target, ring)
     cf = normalized_chain_map(f, ring, cx, cy)
     reduced = orbit_reduction(mapping_cone(cf))
-    report.hyp_a = _invariant_quasi_isos(reduced[0], fam)
+    hyp_a = _invariant_quasi_isos(reduced[0], fam)
+    hyp_b = {}
     for h in fam:
         fx, _ = fixed_sset(f.source, h)
         fy, _ = fixed_sset(f.target, h)
         restricted = SMap(fx, fy, {s: f.values[s] for s in fx.ids()})
-        report.hyp_b[h.label] = is_quasi_iso(normalized_chain_map(restricted, ring))
-    if report.hyp_a_ok or report.hyp_b_ok:
-        report.searched = True
-        report.certificate = certificate_search(cf, reduced)
-    return report
+        hyp_b[h.label] = is_quasi_iso(normalized_chain_map(restricted, ring))
+    searched = all(hyp_a.values()) or all(hyp_b.values())
+    return WhiteheadReport(isotropy, hyp_a, hyp_b,
+                           certificate_search(cf, reduced) if searched else None, searched)

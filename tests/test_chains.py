@@ -6,7 +6,7 @@ import pytest
 
 from conftest import action_matrix, from_columns, reference_kernel, swap_boundary1, vee
 from orbitkit import chains, exactla
-from orbitkit.chains import ChainComplex, ChainMap, chain_maps_equal, \
+from orbitkit.chains import ChainComplex, ChainMap, HomologyGroup, chain_maps_equal, \
     compose_chain_maps, concentrated, corestrict, disk, equivariance_defect, homology, \
     homotopy_defect, identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
     normalized_chain_map, normalized_chains, orbit_reduction, prism_homotopy, \
@@ -197,6 +197,7 @@ def test_disks_and_spheres():
         assert is_acyclic(disk(ZZ, n))
     assert [ (h.free_rank, h.torsion) for h in homology(concentrated(ZZ, 0)) ] \
         == [(1, ())]
+    assert homology(concentrated(ZZ, 0)) == [HomologyGroup(0, 1)] == [HomologyGroup(0, 1, ())]
     for n in (2, 3):
         hs = homology(normalized_chains(boundary_simplex(n), ZZ))
         assert hs[0].free_rank == 1 and not hs[0].torsion
@@ -210,6 +211,7 @@ def test_torsion():
     assert hs[0].free_rank == 0 and hs[0].torsion == (2,)
     assert hs[1].is_zero()
     assert hs[0].text() == "Z/2"
+    assert repr(hs[0]) == "HomologyGroup(degree=0, free_rank=0, torsion=(2,))"
 
 
 def test_torsion_chain_divisibility():

@@ -272,44 +272,61 @@ def test_exit_2_at_once_on_a_prime_over_the_cap(capsys):
     assert "exceeds the cap" in err
 
 
-@pytest.mark.parametrize("tag", ["Fp:x", "Fp:4", "R"])
+# the numeric part of a tag takes ASCII digits only, as int() would also read
+# " 2", "+2", "1_1" and other scripts' digits
+@pytest.mark.parametrize("tag", ["Fp:x", "Fp:4", "R", "Fp:", "Fp:2.0", "Fp: 2", "Fp:+2",
+                                 "Fp:1_1", "Fp:\u0663"])
 def test_exit_2_on_an_unknown_ring_tag(capsys, tag):
     code, _, err = run(capsys, ["homology", "--sset", "boundary:2", "--ring", tag])
-    assert code == 2 and "input error" in err
+    words = "4 is not prime" if tag == "Fp:4" else \
+        f"unknown ring tag {tag!r} (expected Z, Q, or Fp:p)"
+    assert code == 2 and err == f"input error: {words}\n", err
 
 
-@pytest.mark.parametrize("verb,data", [
-    ("homology", [1, 2]),                               # --sset holding a list
-    ("cells", {"source": "point", "target": "point", "values": [[0, []]]}),
-    ("cells", {"source": "point", "target": "point", "values": {"0": "x"}}),
-    ("cells", {"source": "point", "target": "point", "values": {"0": [[1], []]}}),
-    ("cells", {"source": "point", "target": "point", "values": {"0": [0, [[1]]]}}),
-    ("fixed-points", {"size": 2, "action": [[0, 1], [1, 0]]}),
-    ("fixed-points", {"size": 2, "action": {"0": [0, 1], "1": 5}}),
-    ("fixed-points", {"size": "2", "action": {"1": [1, 0]}}),
-    ("census", {"degree": 3, "generators": 5}),
-    ("census", {"order": 2, "mult": 7}),
-    ("census-family", [5]),
-    ("census-family", [[0, "a"]]),
-    ("homology", {"simplices": {"0": 5}}),
-    ("homology", {"simplices": {"0": [0], "1": [1]}, "faces": {"1": 5}}),
-    ("homology", {"simplices": {"0": [0]}, "action": {"0": 3}}),
-], ids=["sset-list", "values-list", "value-string", "value-base-list",
-        "value-word-nested", "gset-action-list",
-        "gset-perm-number", "gset-size-string", "group-generators-number",
-        "group-mult-number", "family-member-number", "family-member-string",
-        "sset-simplices-number", "sset-faces-number", "sset-action-number"])
-def test_exit_2_on_malformed_json(files, capsys, verb, data):
-    path = files["tmp"] / "malformed.json"
-    path.write_text(json.dumps(data))
-    argv = {"homology": ["homology", "--sset", str(path), "--ring", "Z"],
+@pytest.mark.parametrize("name", ["delta:abc", "boundary:", "delta:", "delta: 2",
+                                  "delta:+2", "delta:1_0", "boundary:\u0662"])
+def test_exit_2_on_an_unknown_builtin_sset_name(capsys, name):
+    code, _, err = run(capsys, ["homology", "--sset", name, "--ring", "Z"])
+    assert code == 2 and err == f"input error: unknown built-in simplicial set {name!r}\n", err
+
+
+# id -> (verb, data): input files of the wrong shape; ``malformed_argv`` runs them
+MALFORMED = {
+    "sset-list": ("homology", [1, 2]),                  # --sset holding a list
+    "values-list": ("cells", {"source": "point", "target": "point", "values": [[0, []]]}),
+    "value-string": ("cells", {"source": "point", "target": "point", "values": {"0": "x"}}),
+    "value-base-list": ("cells", {"source": "point", "target": "point",
+                                  "values": {"0": [[1], []]}}),
+    "value-word-nested": ("cells", {"source": "point", "target": "point",
+                                    "values": {"0": [0, [[1]]]}}),
+    "gset-action-list": ("fixed-points", {"size": 2, "action": [[0, 1], [1, 0]]}),
+    "gset-perm-number": ("fixed-points", {"size": 2, "action": {"0": [0, 1], "1": 5}}),
+    "gset-size-string": ("fixed-points", {"size": "2", "action": {"1": [1, 0]}}),
+    "group-generators-number": ("census", {"degree": 3, "generators": 5}),
+    "group-mult-number": ("census", {"order": 2, "mult": 7}),
+    "family-member-number": ("census-family", [5]),
+    "family-member-string": ("census-family", [[0, "a"]]),
+    "sset-simplices-number": ("homology", {"simplices": {"0": 5}}),
+    "sset-faces-number": ("homology", {"simplices": {"0": [0], "1": [1]}, "faces": {"1": 5}}),
+    "sset-action-number": ("homology", {"simplices": {"0": [0]}, "action": {"0": 3}}),
+}
+
+
+def malformed_argv(files, verb, path):
+    return {"homology": ["homology", "--sset", str(path), "--ring", "Z"],
             "cells": ["cells", "--map", str(path)],
             "fixed-points": ["fixed-points", "--sset", str(path),
                              "--group", files["group"]],
             "census": ["census", "--group", str(path)],
             "census-family": ["census", "--group", files["group"],
                               "--family", str(path)]}[verb]
-    code, _, err = run(capsys, argv)
+
+
+@pytest.mark.parametrize("verb,data", MALFORMED.values(), ids=list(MALFORMED))
+def test_exit_2_on_malformed_json(files, capsys, verb, data):
+    path = files["tmp"] / "malformed.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, malformed_argv(files, verb, path))
     assert code == 2
     assert "input error" in err
 
@@ -322,41 +339,48 @@ def test_exit_2_on_a_family_member_outside_the_group(files, capsys):
                               "element 5 outside the group")
 
 
-@pytest.mark.parametrize("verb,data,words", [
-    ("fixed-points", {"size": 2, "action": {"0": [0, 1], "1": [1, 0], "9": [0, 1]}},
-     "action key 9 is not a group element"),
-    ("homology", {"simplices": {"0": [0]}, "faces": {},
-                  "action": {"0": {"0": 0}, "1": {"0": 0}, "9": {"0": 0}}},
-     "action key 9 is not a group element"),
-    ("homology", {"simplices": {"0": [0]}, "faces": {"7": [[0, []]]},
-                  "action": {"0": {"0": 0}, "1": {"0": 0}}},
-     "faces given for 7"),
-    ("cells", {"source": "point", "target": "point", "values": {"0": 0, "3": 0}},
-     "value for 3"),
+# id -> (verb, data, words): keys that name nothing; ``verb_argv`` runs them
+STRAY_KEYS = {
+    "gset-action-key": ("fixed-points",
+                        {"size": 2, "action": {"0": [0, 1], "1": [1, 0], "9": [0, 1]}},
+                        "action key 9 is not a group element"),
+    "sset-action-key": ("homology", {"simplices": {"0": [0]}, "faces": {},
+                                     "action": {"0": {"0": 0}, "1": {"0": 0}, "9": {"0": 0}}},
+                        "action key 9 is not a group element"),
+    "sset-faces-key": ("homology", {"simplices": {"0": [0]}, "faces": {"7": [[0, []]]},
+                                    "action": {"0": {"0": 0}, "1": {"0": 0}}},
+                       "faces given for 7"),
+    "map-values-key": ("cells", {"source": "point", "target": "point",
+                                 "values": {"0": 0, "3": 0}},
+                       "value for 3"),
     # a key that is not an integer is named with the kind of file it is in
-    ("fixed-points", {"size": 2, "action": {"0": [0, 1], "x": [1, 0]}},
-     "gset: action key 'x' is not an integer"),
-    ("homology", {"simplices": {"0": [0]}, "action": {"0": {"0": 0}, "x": {"0": 0}}},
-     "sset: action key 'x' is not an integer"),
-    ("homology", {"simplices": {"0": [0]}, "action": {"0": {"0": 0}, "1": {"x": 0}}},
-     "sset: action of 1: simplex 'x' is not an integer"),
-    ("homology", {"simplices": {"0": [0, 1], "1": [2]}, "faces": {"x": [[1, []], [0, []]]},
-                  "action": {"1": {"0": 0, "1": 1, "2": 2}}},
-     "sset: faces key 'x' is not an integer"),
-    ("homology", {"simplices": {"x": [0]}, "action": {"1": {"0": 0}}},
-     "sset: dimension 'x' is not an integer"),
-    ("cells", {"source": "point", "target": "point", "values": {"x": 0}},
-     "map: values key 'x' is not an integer"),
-], ids=["gset-action-key", "sset-action-key", "sset-faces-key", "map-values-key",
-        "gset-action-key-x", "sset-action-key-x", "sset-action-simplex-x", "sset-faces-key-x",
-        "sset-dimension-x", "map-values-key-x"])
+    "gset-action-key-x": ("fixed-points", {"size": 2, "action": {"0": [0, 1], "x": [1, 0]}},
+                          "gset: action key 'x' is not an integer"),
+    "sset-action-key-x": ("homology", {"simplices": {"0": [0]},
+                                       "action": {"0": {"0": 0}, "x": {"0": 0}}},
+                          "sset: action key 'x' is not an integer"),
+    "sset-action-simplex-x": ("homology", {"simplices": {"0": [0]},
+                                           "action": {"0": {"0": 0}, "1": {"x": 0}}},
+                              "sset: action of 1: simplex 'x' is not an integer"),
+    "sset-faces-key-x": ("homology", {"simplices": {"0": [0, 1], "1": [2]},
+                                      "faces": {"x": [[1, []], [0, []]]},
+                                      "action": {"1": {"0": 0, "1": 1, "2": 2}}},
+                         "sset: faces key 'x' is not an integer"),
+    "sset-dimension-x": ("homology", {"simplices": {"x": [0]}, "action": {"1": {"0": 0}}},
+                         "sset: dimension 'x' is not an integer"),
+    "map-values-key-x": ("cells", {"source": "point", "target": "point", "values": {"x": 0}},
+                         "map: values key 'x' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("verb,data,words", STRAY_KEYS.values(), ids=list(STRAY_KEYS))
 def test_exit_2_on_a_key_that_names_nothing(files, capsys, verb, data, words):
     path = files["tmp"] / "stray.json"
     path.write_text(json.dumps(data))
-    exit_2_with_and_without_O(capsys, _argv(files, verb, path), words)
+    exit_2_with_and_without_O(capsys, verb_argv(files, verb, path), words)
 
 
-def _argv(files, verb, path):
+def verb_argv(files, verb, path):
     return {"fixed-points": ["fixed-points", "--sset", str(path), "--group", files["group"]],
             "homology": ["homology", "--sset", str(path), "--group", files["group"],
                          "--ring", "Z"],
@@ -365,32 +389,39 @@ def _argv(files, verb, path):
             "census": ["census", "--group", str(path), "--family", "all"]}[verb]
 
 
-# JSON booleans are Python ints; each is refused where an integer is expected
-@pytest.mark.parametrize("verb,data,words", [
-    ("orbit-cat", [[0, True]], "family[0]: expected a list of group elements"),
-    ("census", {"order": 2, "mult": [[0, 1], [1, False]]}, "group: 'mult' must be"),
-    ("fixed-points", {"size": 2, "action": {"0": [0, 1], "1": [True, 0]}},
-     "gset: action of 1 must be a list of points"),
-    ("fixed-points", {"size": True, "action": {"0": [0]}}, "gset: 'size' must be"),
-    ("homology", {"simplices": {"0": [False]}}, "sset: 'simplices' must be"),
-    ("homology", {"dims": False, "simplices": {"0": [0]}}, "sset: 'dims' must be"),
-    ("homology", {"simplices": {"0": [0, 1], "1": [2]}, "faces": {"2": [[True, []], [0, []]]}},
-     "sset: 'faces' must be"),
-    ("homology", {"simplices": {"0": [0, 1], "1": [2]}, "faces": {"2": [[1, [False]], [0, []]]}},
-     "sset: 'faces' must be"),
-    ("homology", {"simplices": {"0": [0, 1]}, "action": {"1": {"0": True, "1": False}}},
-     "sset: 'action' must be"),
-    ("cells", {"source": "point", "target": "point", "values": {"0": False}},
-     "map: value of simplex 0 must be"),
-    ("cells", {"source": "point", "target": "point", "values": {"0": [False, []]}},
-     "map: value of simplex 0 must be"),
-], ids=["family-member", "group-mult", "gset-perm", "gset-size", "sset-id", "sset-dims",
-        "sset-face-base", "sset-face-word", "sset-action-value", "map-value",
-        "map-value-base"])
+# id -> (verb, data, words): JSON booleans are Python ints; each is refused where
+# an integer is expected; ``verb_argv`` runs them
+BOOLEANS = {
+    "family-member": ("orbit-cat", [[0, True]], "family[0]: expected a list of group elements"),
+    "group-mult": ("census", {"order": 2, "mult": [[0, 1], [1, False]]},
+                   "group: 'mult' must be"),
+    "gset-perm": ("fixed-points", {"size": 2, "action": {"0": [0, 1], "1": [True, 0]}},
+                  "gset: action of 1 must be a list of points"),
+    "gset-size": ("fixed-points", {"size": True, "action": {"0": [0]}}, "gset: 'size' must be"),
+    "sset-id": ("homology", {"simplices": {"0": [False]}}, "sset: 'simplices' must be"),
+    "sset-dims": ("homology", {"dims": False, "simplices": {"0": [0]}}, "sset: 'dims' must be"),
+    "sset-face-base": ("homology", {"simplices": {"0": [0, 1], "1": [2]},
+                                    "faces": {"2": [[True, []], [0, []]]}},
+                       "sset: 'faces' must be"),
+    "sset-face-word": ("homology", {"simplices": {"0": [0, 1], "1": [2]},
+                                    "faces": {"2": [[1, [False]], [0, []]]}},
+                       "sset: 'faces' must be"),
+    "sset-action-value": ("homology", {"simplices": {"0": [0, 1]},
+                                       "action": {"1": {"0": True, "1": False}}},
+                          "sset: 'action' must be"),
+    "map-value": ("cells", {"source": "point", "target": "point", "values": {"0": False}},
+                  "map: value of simplex 0 must be"),
+    "map-value-base": ("cells", {"source": "point", "target": "point",
+                                 "values": {"0": [False, []]}},
+                       "map: value of simplex 0 must be"),
+}
+
+
+@pytest.mark.parametrize("verb,data,words", BOOLEANS.values(), ids=list(BOOLEANS))
 def test_exit_2_on_a_boolean_for_an_integer(files, capsys, verb, data, words):
     path = files["tmp"] / "boolean.json"
     path.write_text(json.dumps(data))
-    exit_2_with_and_without_O(capsys, _argv(files, verb, path), words)
+    exit_2_with_and_without_O(capsys, verb_argv(files, verb, path), words)
 
 
 def test_exit_3_on_internal_error(files, capsys, monkeypatch):
@@ -623,6 +654,22 @@ def test_exit_2_names_invalid_field(files, capsys, tmp_path):
     code, _, err = run(capsys, ["census", "--group", str(bad), "--family", "all"])
     assert code == 2
     assert "group:" in err
+
+
+def test_importing_the_cli_loads_all_of_orbitkit_and_not_dataclasses():
+    """Start-up: a fresh ``import orbitkit.cli`` loads every module of orbitkit, none
+    deferred to a first call, and neither ``dataclasses`` nor ``inspect``, which
+    would add about a fifth to the import."""
+    pkg = Path(orbitkit.__file__).resolve().parent
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import orbitkit.cli; "
+              "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script, str(pkg.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    modules = {f"orbitkit.{p.stem}" for p in pkg.glob("*.py") if p.stem != "__init__"}
+    assert len(modules) >= 12 and modules <= loaded, sorted(modules - loaded)
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 def test_byte_identical_output(files, capsys):

@@ -300,7 +300,8 @@ def test_orbit_diagram_rejects_nonfunctorial_data(c2cat):
     threeval = 3
     bad = VMap.make(threeval, threeval, (1, 2, 0))
     idv = VMap.make(threeval, threeval, (0, 1, 2))
-    with pytest.raises(ValueError, match="functoriality"):
+    with pytest.raises(ValueError,
+                       match=r"^functoriality fails at R_1\[\{0\}->\{0\}\] o R_1\[\{0\}->\{0\}\]$"):
         OrbitDiagram(cat, vc, {0: threeval, 1: threeval},
                      {(0, 0, 0): idv, (0, 0, 1): bad,
                       (0, 1, 0): idv, (1, 1, 0): idv})
@@ -487,7 +488,8 @@ def test_finsset_maps_with_other_faces_are_refused():
     const = {s: d.maps[key].values[s] for s in src.ids()}
     maps = {**d.maps, key: SMap(flipped, d.maps[key].target, const, validate=False)}
     assert not full_scan_accepts(cat, vc, d.values, maps)
-    with pytest.raises(ValueError, match="does not run between the values"):
+    with pytest.raises(ValueError, match=r"^the structure map of R_1\[\{0\}->\{0,2\}\] "
+                                         "does not run between the values at its ends$"):
         OrbitDiagram(cat, vc, d.values, maps)
 
 

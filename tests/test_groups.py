@@ -278,6 +278,10 @@ def test_equal_groups_built_apart_hash_alike():
     g = cyclic_group(4)
     other = group_from_table([list(row) for row in g.mult], "another name")
     assert other is not g and other == g and hash(other) == hash(g)
+    assert (repr(g), repr(other)) == ("C4", "another name")  # the name is not compared
+    h, k = subgroup(g, [0, 2]), subgroup(other, [0, 2])
+    assert h == k and hash(h) == hash(k) == hash((g, (0, 2))) and repr(k) == "Subgroup({0,2})"
+    assert h != subgroup(g, [0]) and h != subgroup(cyclic_group(6), [0, 3])
     assert {g: "c4"}[other] == "c4"
     assert {subgroup(g, [0, 2]): "c2"}[subgroup(other, [0, 2])] == "c2"
     assert len({g, other, cyclic_group(5)}) == 2

@@ -174,6 +174,13 @@ def test_gmap_validation():
     triv = trivial_gset(g, 1)
     m = make_gmap(reg, triv, [0, 0])
     assert m(1) == 0
+    # equal, and hashed alike, by their fields
+    assert reg == regular_gset(g) and hash(reg) == hash((g, 2, ((0, 1), (1, 0))))
+    assert reg != trivial_gset(g, 2) and reg != regular_gset(cyclic_group(3))
+    assert m == make_gmap(regular_gset(g), triv, (0, 0)) and hash(m) == hash((reg, triv, (0, 0)))
+    assert repr(reg) == "GSet(|X|=2 over C2)"
+    assert repr(m) == ("GMap(source=GSet(|X|=2 over C2), target=GSet(|X|=1 over C2), "
+                       "values=(0, 0))")
     with pytest.raises(ValueError):
         make_gmap(triv, reg, [0])  # no fixed point in the target
 

@@ -156,6 +156,10 @@ def test_orbit_morphism_validation_and_canonical_rep():
         orbit_morphism(a3, h2, 0)  # A3 is not subconjugate to a 2-group
     m = orbit_morphism(trivial_subgroup(g), a3, a3.members[-1])
     assert m.rep == 0  # canonicalized to the least element of the coset
+    assert m == orbit_morphism(trivial_subgroup(g), a3, 0) != orbit_morphism(a3, a3, 0)
+    assert hash(m) == hash((trivial_subgroup(g), a3, 0))
+    assert repr(m) == "R_0[{0}->{0,3,4}]"
+    assert repr(orbit_morphism(trivial_subgroup(g), h2, 3)) == "R_2[{0}->{0,1}]"
 
 
 def test_family_not_closed_under_conjugation_is_allowed():

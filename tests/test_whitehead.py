@@ -407,7 +407,7 @@ def test_whitehead_identity_passes_everything(c2):
     x = swap_boundary1(c2)
     from orbitkit.simplicial import identity_smap
     rep = whitehead_verify(identity_smap(x), [trivial_subgroup(c2)], ZZ)
-    assert rep.hyp_a_ok and rep.hyp_b_ok
+    assert all(rep.hyp_a.values()) and all(rep.hyp_b.values())
     assert rep.certificate is not None
 
 
@@ -417,7 +417,7 @@ def test_whitehead_vertex_interval_trivial_action(c2):
     f = SMap(pt, d1, {0: SimplexRef(0)})
     rep = whitehead_verify(f, all_subgroups(c2), ZZ)
     assert rep.isotropy.ok_conjugate and rep.isotropy.ok_strict
-    assert rep.hyp_a_ok and rep.hyp_b_ok
+    assert all(rep.hyp_a.values()) and all(rep.hyp_b.values())
     assert rep.certificate is not None
     assert verify_certificate(rep.certificate, normalized_chain_map(f, ZZ))
 
@@ -427,7 +427,7 @@ def test_whitehead_mixed_stabilizer_retract(c2):
     y = vee(c2)
     f = SMap(pt, y, {0: SimplexRef(2)})
     rep = whitehead_verify(f, all_subgroups(c2), ZZ)
-    assert rep.hyp_b_ok
+    assert all(rep.hyp_b.values())
     assert rep.certificate is not None
 
 
@@ -451,7 +451,7 @@ def test_whitehead_fold_map_fails(c2):
     one = with_trivial_action(point_sset(), c2)
     fold = SMap(two, one, {0: SimplexRef(0), 1: SimplexRef(0)})
     rep = whitehead_verify(fold, [full_subgroup(c2)], ZZ)
-    assert not rep.hyp_a_ok and not rep.hyp_b_ok
+    assert not all(rep.hyp_a.values()) and not all(rep.hyp_b.values())
     assert rep.failing_subgroups() == ["0,1"]
     assert rep.certificate is None
 
@@ -469,6 +469,10 @@ def test_whitehead_swap_into_vee_fails_and_reports_subgroups(c2):
     assert rep.hyp_a == {"0": False, "0,1": False}
     assert rep.certificate is None and not rep.searched
     assert rep.failing_subgroups() == ["0", "0,1"]
+    assert rep.to_json() == {
+        "isotropy": {"subconjugate": True, "strict": True, "witness": None},
+        "hyp_a": {"0": False, "0,1": False}, "hyp_b": {"0": False, "0,1": False},
+        "certificate": None, "searched": False}
 
 
 def test_isotropy_strict_versus_conjugate(s3):

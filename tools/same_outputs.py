@@ -38,12 +38,16 @@ process against each tree, once with the default text output and once with
   the benchmark lacks: S4/e x the boundary of Delta[2], D8/e x the boundary
   of Delta[3] (``dihedral_group(8)``, order 16), S3/C2 x Delta[2], whose
   orbits are not free, the free C2 circle (two vertices and two edges,
-  swapped) and C4/C2 x M(Z/2, 1).
+  swapped) and C4/C2 x M(Z/2, 1);
+* invalid input, every case exiting 2 so that the error messages on stderr
+  are compared: the malformed input files of ``tests/test_cli.py``
+  (``MALFORMED``, ``STRAY_KEYS`` and ``BOOLEANS``), run as that file runs them
+  against a C2 group file, and the ring tags ``INVALID_RINGS``.
 
-The groups and G-simplicial sets of the last four sets are written by this
-tool with orbitkit's constructors. At seeds 7 and 3 that is 222 jobs (132
+The groups and G-simplicial sets of the last five sets are written by this
+tool with orbitkit's constructors. At seeds 7 and 3 that is 261 jobs (132
 benchmark, 19 golden, 18 prism, 2 identity, 6 nonfree, 12 elmendorf,
-4 order64, 9 gsset, 20 hfamily), so 444 runs.
+4 order64, 9 gsset, 20 hfamily, 39 invalid), so 522 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.  ``whitehead`` JSON is
@@ -81,6 +85,7 @@ LATTICES = ("D32", "C4^3")
 GSSETS = ("C2^4", "D8", "S4")
 HOMOLOGY = ("S4/e x bdry2", "D8/e x bdry3", "S3/C2 x Delta[2]", "free C2 circle",
             "C4/C2 x M(Z/2)")
+INVALID_RINGS = ("Fp:4", "R", "Fp:10000000000000061")  # each exits 2 on boundary:2
 
 
 def benchmark_jobs(seed: int, outdir: str):
@@ -241,6 +246,21 @@ def homology_cases(outdir: str, groups: dict):
     return out
 
 
+def invalid_cases(outdir: str):
+    """("invalid", name, argv) for the malformed-input tables of ``tests/test_cli.py``,
+    their files written under outdir, and for ``INVALID_RINGS``."""
+    import test_cli
+    files = {"group": write(outdir, "invalid_group", {"order": 2, "mult": [[0, 1], [1, 0]]})}
+    out = []
+    for table, argv_of in (("MALFORMED", test_cli.malformed_argv),
+                           ("STRAY_KEYS", test_cli.verb_argv), ("BOOLEANS", test_cli.verb_argv)):
+        for name, (verb, data, *_) in getattr(test_cli, table).items():
+            path = write(outdir, f"invalid_{table}_{name}", data)
+            out.append(("invalid", f"{table} {name}", argv_of(files, verb, path)))
+    return out + [("invalid", f"ring {tag}", ["homology", "--sset", "boundary:2",
+                                              "--ring", tag]) for tag in INVALID_RINGS]
+
+
 def without_certificate(stdout: str) -> str:
     """A ``whitehead`` JSON report with its certificate matrices cut out: the
     keys are sorted, so ``"hyp_a"`` follows ``"certificate"``."""
@@ -305,7 +325,7 @@ def main(argv=None) -> int:
         groups = stock_groups(tmp)
         jobs = (benchmark_jobs(args.seed, tmp) + golden_cases() + whitehead_cases(tmp, groups)
                 + elmendorf_cases(groups) + lattice_cases(groups) + gsset_cases(tmp, groups)
-                + homology_cases(tmp, groups))
+                + homology_cases(tmp, groups) + invalid_cases(tmp))
         cases = [(kind, name, fmt) for kind, name, _ in jobs for fmt in FORMATS]
         argvs = [argv + list(fmt) for _, _, argv in jobs for fmt in FORMATS]
         with ThreadPoolExecutor(2) as pool:
