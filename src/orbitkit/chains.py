@@ -23,10 +23,10 @@ d, so every C^H keeps its homology; ``homology --family`` reduces once and
 then takes every subgroup's invariants.  It also returns an equivariant
 strong deformation retraction (incl, proj, h) onto the reduced complex,
 through which ``whitehead`` carries certificates solved on reduced ends
-back to the full ones.  With a trivial group it returns the complex itself
-and the identity retraction, as elimination handles such complexes directly
-at less cost.  The mapping cone of an equivariant map carries the sum
-action, so (cone f)^H = cone(f^H) can be reduced once for every H.
+back to the full ones; under the trivial group each orbit is one basis
+vector, and only a complex without an action is left as it is.  The mapping
+cone of an equivariant map carries the sum action, so (cone f)^H = cone(f^H)
+can be reduced once for every H.
 
 Sign conventions are pinned by the verified identities rather than chosen
 in the abstract: d is the alternating face sum, the cone differential is
@@ -410,10 +410,11 @@ def orbit_reduction(c: ChainComplex):
     Whole orbits are removed at once, so incl, proj and h are equivariant.
     Their matrices are built when one of them is first read, so callers that
     need only r (``homology --family``, hypothesis (a)) do not pay for them.
-    Without a group, with a trivial one, or when no pair is removed, r is c
-    itself and the retraction is the identity.
+    Without a group, or when no pair is removed, r is c itself and the
+    retraction is the identity; under the trivial group every orbit is one
+    basis vector, and pairs are removed one at a time.
     """
-    if c.group is None or c.group.order == 1 or not c.top:
+    if c.group is None or not c.top:
         return _identity_retraction(c)
     ring, one = c.ring, c.ring.one
     orbs = [orbits(x.act, c.group.elements()) for x in c.action]
@@ -461,8 +462,7 @@ def orbit_reduction(c: ChainComplex):
                         cj[r] = cj.get(r, 0) - wv * x
                     for r, x in cha.items():  # and its chain from j's
                         chj[r] = chj.get(r, 0) - wv * x
-                vals = ring.reduce(list(cj.values()))
-                cols[n][j] = {i: x for i, x in zip(cj, vals) if x}
+                cols[n][j] = _nonzero(ring, cj)
             gone[n].update(a_orb)
             gone[n - 1].update(orbs[n - 1][kb])
     if not any(gone):

@@ -38,6 +38,8 @@ def _load_json(path) -> object:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer over int()'s 4,300 digits
+        raise InputError(f"cannot read {path}: {exc}")
 
 
 def _ints(v, depth: int = 1) -> bool:

@@ -106,5 +106,10 @@ def ring_from_tag(tag: str):
     if tag == "Q":
         return QQ
     if tag.startswith("Fp:") and tag[3:].isascii() and tag[3:].isdigit():
-        return PrimeField(int(tag[3:]))
+        try:
+            p = int(tag[3:])
+        except ValueError:  # int() reads at most 4,300 digits
+            raise ValueError(f"ring tag Fp:<{len(tag) - 3} digits> exceeds the cap "
+                             f"{MAX_PRIME} on primes") from None
+        return PrimeField(p)
     raise ValueError(f"unknown ring tag {tag!r} (expected Z, Q, or Fp:p)")

@@ -286,7 +286,12 @@ def build_sset(spec, group: Group | None = None) -> GSSet:
             return empty_sset(group or TRIVIAL_GROUP)
         kind, _, n = spec.partition(":")
         if kind in ("delta", "boundary") and n.isascii() and n.isdigit():
-            return (standard_simplex if kind == "delta" else boundary_simplex)(int(n))
+            try:
+                top = int(n)
+            except ValueError:  # int() reads at most 4,300 digits
+                raise ValueError(f"built-in simplicial set {kind}:<{len(n)} digits> exceeds "
+                                 f"the cap {TOP_DIM_CAP} on top dimensions") from None
+            return (standard_simplex if kind == "delta" else boundary_simplex)(top)
         raise ValueError(f"unknown built-in simplicial set {spec!r}")
     group = group or TRIVIAL_GROUP
     dim_of = {}

@@ -11,10 +11,10 @@ solves in equivariant coordinates.  Each block of the contraction is a
 combination of a basis of equivariant matrices: one indicator per G-orbit
 of index pairs, since Hom_{ZG}(Z[X], Z[Y]) is free on the G-orbits of
 Y x X (from stabilizers: the G_y-orbits of X, y least in its G-orbit);
-with no group the elementary matrices.  Either way each entry of a block
-is one unknown.  The contraction equations are linear in these
-coordinates, and their residuals are equivariant, so they are imposed at
-one index pair per orbit only.
+with no group, as under the trivial one, the elementary matrices.  Either
+way each entry of a block is one unknown.  The contraction equations are
+linear in these coordinates, and their residuals are equivariant, so they
+are imposed at one index pair per orbit only.
 One exact solve from the system's sparse rows, on every ring
 (Hermite-style over Z and Q, Gauss-Jordan over F_p), then either produces
 a certificate or proves that none exists over the ring; no system is
@@ -45,7 +45,7 @@ from .gsets import orbits, stabilizer
 from .simplicial import SMap, fixed_sset
 
 # a size bound on rows x unknowns of the system on the orbit-reduced cone (the whole
-# cone with a trivial group, which is not reduced); every system stays sparse
+# cone for complexes without an action); every system stays sparse
 MAX_CELLS = 2_500_000
 
 
@@ -262,9 +262,7 @@ def _certificate(cf: ChainMap, contraction: dict) -> Certificate:
 def _contraction(r):
     """H' by degree with d H' + H' d = 1 on r, up to one past r's top, or None;
     no system is solved when r is 0."""
-    ring = r.ring
-    # a trivial group imposes nothing: elementary coordinates, every entry
-    group = r.group if r.group is not None and r.group.order > 1 else None
+    ring, group = r.ring, r.group
     count, memo, blocks = 0, {}, {}
     for n in range(-1, r.top + 2):
         blocks[n] = _block(group, count, r, n + 1, r, n, memo)

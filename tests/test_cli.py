@@ -272,25 +272,44 @@ def test_exit_2_at_once_on_a_prime_over_the_cap(capsys):
     assert "exceeds the cap" in err
 
 
+LONG = "1" * 5000  # more digits than int() reads
+
+
 # the numeric part of a tag takes ASCII digits only, as int() would also read
 # " 2", "+2", "1_1" and other scripts' digits
 @pytest.mark.parametrize("tag", ["Fp:x", "Fp:4", "R", "Fp:", "Fp:2.0", "Fp: 2", "Fp:+2",
-                                 "Fp:1_1", "Fp:\u0663"])
+                                 "Fp:1_1", "Fp:\u0663",
+                                 pytest.param("Fp:" + LONG, id="Fp:<5000 digits>")])
 def test_exit_2_on_an_unknown_ring_tag(capsys, tag):
+    from orbitkit.rings import MAX_PRIME
     code, _, err = run(capsys, ["homology", "--sset", "boundary:2", "--ring", tag])
-    words = "4 is not prime" if tag == "Fp:4" else \
-        f"unknown ring tag {tag!r} (expected Z, Q, or Fp:p)"
+    words = {"Fp:4": "4 is not prime",
+             "Fp:" + LONG: f"ring tag Fp:<5000 digits> exceeds the cap {MAX_PRIME} on primes"
+             }.get(tag, f"unknown ring tag {tag!r} (expected Z, Q, or Fp:p)")
     assert code == 2 and err == f"input error: {words}\n", err
 
 
 @pytest.mark.parametrize("name", ["delta:abc", "boundary:", "delta:", "delta: 2",
-                                  "delta:+2", "delta:1_0", "boundary:\u0662"])
+                                  "delta:+2", "delta:1_0", "boundary:\u0662",
+                                  pytest.param("delta:" + LONG, id="delta:<5000 digits>"),
+                                  pytest.param("boundary:" + LONG, id="boundary:<5000 digits>")])
 def test_exit_2_on_an_unknown_builtin_sset_name(capsys, name):
     code, _, err = run(capsys, ["homology", "--sset", name, "--ring", "Z"])
-    assert code == 2 and err == f"input error: unknown built-in simplicial set {name!r}\n", err
+    kind, _, digits = name.partition(":")
+    words = f"built-in simplicial set {kind}:<5000 digits> exceeds the cap 8 on top " \
+        "dimensions" if digits == LONG else f"unknown built-in simplicial set {name!r}"
+    assert code == 2 and err == f"input error: {words}\n", err
 
 
-# id -> (verb, data): input files of the wrong shape; ``malformed_argv`` runs them
+def test_leading_zeros_stay_accepted(capsys):
+    plain = run(capsys, ["homology", "--sset", "delta:2", "--ring", "Fp:2"])
+    assert plain[0] == 0
+    assert run(capsys, ["homology", "--sset", "delta:0000000002",
+                        "--ring", "Fp:0000000002"]) == plain
+
+
+# id -> (verb, data): input files of the wrong shape, data written as JSON or, when
+# a str, verbatim; ``malformed_argv`` runs them
 MALFORMED = {
     "sset-list": ("homology", [1, 2]),                  # --sset holding a list
     "values-list": ("cells", {"source": "point", "target": "point", "values": [[0, []]]}),
@@ -309,6 +328,8 @@ MALFORMED = {
     "sset-simplices-number": ("homology", {"simplices": {"0": 5}}),
     "sset-faces-number": ("homology", {"simplices": {"0": [0], "1": [1]}, "faces": {"1": 5}}),
     "sset-action-number": ("homology", {"simplices": {"0": [0]}, "action": {"0": 3}}),
+    "group-order-5000-digits": ("census", f'{{"order": {LONG}, "mult": [[0]]}}'),
+    "sset-dims-5000-digits": ("homology", f'{{"dims": {LONG}, "simplices": {{}}}}'),
 }
 
 
@@ -325,10 +346,12 @@ def malformed_argv(files, verb, path):
 @pytest.mark.parametrize("verb,data", MALFORMED.values(), ids=list(MALFORMED))
 def test_exit_2_on_malformed_json(files, capsys, verb, data):
     path = files["tmp"] / "malformed.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     code, _, err = run(capsys, malformed_argv(files, verb, path))
     assert code == 2
     assert "input error" in err
+    if isinstance(data, str):  # a message that names the file, not int()'s own
+        assert err.startswith(f"input error: cannot read {path}: "), err
 
 
 def test_exit_2_on_a_family_member_outside_the_group(files, capsys):

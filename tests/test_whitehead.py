@@ -273,6 +273,17 @@ def test_unknown_cap():
         wh.MAX_CELLS = old
 
 
+def test_trivial_group_cones_are_reduced_before_the_solve():
+    # whole, each cone's system exceeds MAX_CELLS; reduced, it is small
+    for ring in (ZZ, PrimeField(2)):
+        for f in (identity_smap(standard_simplex(5)), identity_smap(boundary_simplex(5)),
+                  prism(standard_simplex(3)).end1):
+            assert f.source.group.order == 1
+            cf = normalized_chain_map(f, ring)
+            cert = certificate_search(cf)
+            assert cert is not None and verify_certificate(cert, cf)
+
+
 def free_simplex(order, n):
     return gtensor(regular_gset(cyclic_group(order)), standard_simplex(n))
 
@@ -720,7 +731,7 @@ def assert_transport_keeps_the_verdict(cf) -> bool:
 
 
 TRANSPORT_GROUPS = [cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3),
-                    dihedral_group(4)]
+                    dihedral_group(4), cyclic_group(1)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -21,6 +21,9 @@ process against each tree, once with the default text output and once with
 * ``whitehead`` identity certificates (``IDENTITIES``) on C8/e x Delta[3]
   over Z and F_2: larger than the benchmark's
   largest identity, C4/e x Delta[2];
+* ``whitehead`` over the trivial group (``TRIVIAL``), from a group file of
+  order 1, over Z and F_2: the identities of Delta[4], Delta[5] and the
+  boundary of Delta[5], and the prism end inclusions of Delta[2] and Delta[3];
 * ``whitehead`` on orbits that are not free (``NONFREE``): the identity and
   the prism end inclusion of S3/C2 x Delta[1], and the inclusion of
   S3/C2 x the boundary of Delta[1] into S3/C2 x Delta[1], over Z and F_2;
@@ -42,19 +45,22 @@ process against each tree, once with the default text output and once with
 * invalid input, every case exiting 2 so that the error messages on stderr
   are compared: the malformed input files of ``tests/test_cli.py``
   (``MALFORMED``, ``STRAY_KEYS`` and ``BOOLEANS``), run as that file runs them
-  against a C2 group file, and the ring tags ``INVALID_RINGS``.
+  against a C2 group file (a str written verbatim, so that an integer literal
+  too long for ``int()`` reaches the reader), and the ring tags
+  ``INVALID_RINGS``, one of them with 5,000 digits.
 
 The groups and G-simplicial sets of the last five sets are written by this
-tool with orbitkit's constructors. At seeds 7 and 3 that is 261 jobs (132
-benchmark, 19 golden, 18 prism, 2 identity, 6 nonfree, 12 elmendorf,
-4 order64, 9 gsset, 20 hfamily, 39 invalid), so 522 runs.
+tool with orbitkit's constructors. At seeds 7 and 3 that is 274 jobs (132
+benchmark, 19 golden, 18 prism, 2 identity, 10 trivial, 6 nonfree,
+12 elmendorf, 4 order64, 9 gsset, 20 hfamily, 42 invalid), so 548 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.  ``whitehead`` JSON is
 compared byte for byte except its ``"certificate"`` matrices, which may differ
 between versions: each certificate the change tree prints is instead
 re-verified by ``bench/oracle.verify_certificate`` (imported read-only, it does
-not import orbitkit), and a certificate that fails counts as a difference.
+not import orbitkit), also when the parent tree printed none, and a certificate
+that fails counts as a difference, printed with the reason.
 """
 
 from __future__ import annotations
@@ -75,6 +81,8 @@ PRISMS = ((2, 1), (3, 1), (4, 1))  # C_m/e x Delta[n]
 GROUP_PRISMS = (("D8", 2), ("S4", 2), ("D32", 1))  # G/e x Delta[n], over Z and F_2
 RINGS = ("Z", "Q", "Fp:2", "Fp:3")
 IDENTITIES = ((8, 3, ("Z", "Fp:2")),)  # C_m/e x Delta[n] over each ring
+TRIVIAL = (("identity", "delta", 4), ("identity", "delta", 5), ("identity", "boundary", 5),
+           ("prism", "delta", 2), ("prism", "delta", 3))  # over e, Z and F_2
 NONFREE = ("identity", "prism", "boundary")  # maps of S3/C2 x Delta[1], over Z and F_2
 ELMENDORF = (("S4", ((), ("--ring", "Z"), ("--ring", "Q"), ("--ring", "Fp:2"),
                      ("--sset", "delta:1"))),
@@ -85,7 +93,8 @@ LATTICES = ("D32", "C4^3")
 GSSETS = ("C2^4", "D8", "S4")
 HOMOLOGY = ("S4/e x bdry2", "D8/e x bdry3", "S3/C2 x Delta[2]", "free C2 circle",
             "C4/C2 x M(Z/2)")
-INVALID_RINGS = ("Fp:4", "R", "Fp:10000000000000061")  # each exits 2 on boundary:2
+# each exits 2 on boundary:2; the last has more digits than int() reads
+INVALID_RINGS = ("Fp:4", "R", "Fp:10000000000000061", "Fp:" + "1" * 5000)
 
 
 def benchmark_jobs(seed: int, outdir: str):
@@ -105,9 +114,13 @@ def golden_cases():
 
 
 def write(outdir: str, name: str, data) -> str:
+    """data under outdir as JSON, or verbatim when it is a str."""
     path = os.path.join(outdir, name + ".json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
+        if isinstance(data, str):
+            fh.write(data)
+        else:
+            json.dump(data, fh)
     return path
 
 
@@ -119,9 +132,10 @@ def write_smap(outdir: str, name: str, f) -> str:
 
 
 def whitehead_cases(outdir: str, groups: dict):
-    """("prism", "identity" or "nonfree", name, argv) for unrelabelled prism end
-    inclusions (``PRISMS`` and ``GROUP_PRISMS``), identities (``IDENTITIES``) and
-    maps of S3/C2 x Delta[1] (``NONFREE``), written under outdir; ``groups`` from
+    """("prism", "identity", "trivial" or "nonfree", name, argv) for unrelabelled
+    prism end inclusions (``PRISMS`` and ``GROUP_PRISMS``), identities
+    (``IDENTITIES``), maps over the trivial group (``TRIVIAL``) and maps of
+    S3/C2 x Delta[1] (``NONFREE``), written under outdir; ``groups`` from
     ``stock_groups``."""
     from orbitkit.groups import all_subgroups, cyclic_group, symmetric_group, \
         trivial_subgroup
@@ -147,6 +161,14 @@ def whitehead_cases(outdir: str, groups: dict):
         smap = write_smap(outdir, f"prism_{gname}_{n}", prism(x).end0)
         out += [("prism", f"{gname}/e x Delta[{n}] over {ring}",
                  ["whitehead", "--group", group, "--map", smap, "--family", "all",
+                  "--ring", ring]) for ring in ("Z", "Fp:2")]
+    e = write(outdir, "group_e", {"order": 1, "mult": [[0]]})
+    for kind, base, n in TRIVIAL:
+        x = (standard_simplex if base == "delta" else boundary_simplex)(n)
+        smap = write_smap(outdir, f"trivial_{kind}_{base}_{n}",
+                          prism(x).end0 if kind == "prism" else identity_smap(x))
+        out += [("trivial", f"{kind} of {base}:{n} over {ring}",
+                 ["whitehead", "--group", e, "--map", smap, "--family", "all",
                   "--ring", ring]) for ring in ("Z", "Fp:2")]
     s3 = symmetric_group(3)
     orbit = coset_gset(s3, next(h for h in all_subgroups(s3) if h.order == 2))
@@ -257,8 +279,8 @@ def invalid_cases(outdir: str):
         for name, (verb, data, *_) in getattr(test_cli, table).items():
             path = write(outdir, f"invalid_{table}_{name}", data)
             out.append(("invalid", f"{table} {name}", argv_of(files, verb, path)))
-    return out + [("invalid", f"ring {tag}", ["homology", "--sset", "boundary:2",
-                                              "--ring", tag]) for tag in INVALID_RINGS]
+    return out + [("invalid", f"ring {tag[:24]}", ["homology", "--sset", "boundary:2",
+                                                   "--ring", tag]) for tag in INVALID_RINGS]
 
 
 def without_certificate(stdout: str) -> str:
@@ -290,16 +312,17 @@ def certificate_fails(argv, stdout: str) -> str | None:
 
 def differences(argv, old: tuple, new: tuple) -> list[str]:
     """The fields of (exit code, stdout, stderr) that differ between the trees,
-    ``whitehead`` JSON certificates compared by re-verification."""
-    certified = argv[0] == "whitehead" and "json" in argv and old[0] == new[0] \
-        and old[1] and new[1]
+    ``whitehead`` JSON certificates compared by re-verification, also where
+    only the change tree prints one."""
+    reported = argv[0] == "whitehead" and "json" in argv and new[1]
+    certified = reported and old[0] == new[0] and old[1]
     what = []
     for field, a, b in zip(("exit code", "stdout", "stderr"), old, new):
         if field == "stdout" and certified:
             a, b = without_certificate(a), without_certificate(b)
         if a != b:
             what.append(field)
-    if certified:
+    if reported:
         why = certificate_fails(argv, new[1])
         if why:
             what.append(f"certificate ({why})")
