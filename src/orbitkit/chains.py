@@ -662,8 +662,8 @@ def is_acyclic(c: ChainComplex) -> bool:
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
-    """cone(f)_n = target_n + source_{n-1}, d(y, x) = (dy + fx, -dx); for f equivariant,
-    with the sum action (source_{n-1} shifted by rank(target_n))."""
+    """cone(f)_n = target_n + source_{n-1}, d(y, x) = (dy + fx, -dx); with the sum action
+    (source_{n-1} shifted by rank(target_n)) for f equivariant, as every f is under e."""
     ring = f.source.ring
     src, tgt = f.source, f.target
     top = max(tgt.top, src.top + 1)
@@ -674,7 +674,8 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         rows += [[ring.zero] * tgt.rank(n) + r for r in (-src.d(n - 1)).rows]
         diffs[n] = Mat(ring, ranks[n - 1], ranks[n], rows, normalize=False)
     action = None
-    if f.equivariant and src.group is not None and tgt.group is not None:
+    if src.group is not None and tgt.group is not None and (
+            f.equivariant or src.group.order == tgt.group.order == 1):
         def act(c, n):
             return c.action[n].act if 0 <= n <= c.top else ((),) * c.group.order
         action = [GSet(src.group, r, tuple(y + tuple(tgt.rank(n) + i for i in x)

@@ -60,7 +60,8 @@ _SSET_FIELDS = {
     "simplices": ("an object of id lists", lambda v: _values(v, _ints)),
     "faces": ("an object of lists of [base, word]", lambda v: _values(
         v, lambda fs: isinstance(fs, list) and all(
-            isinstance(f, list) and len(f) == 2 and type(f[0]) is int and _ints(f[1])
+            isinstance(f, list) and len(f) == 2 and type(f[0]) is int
+            and (f[1] == [] or _ints(f[1]))
             for f in fs))),
     "action": ("an object of id objects", lambda v: v is None or _values(
         v, lambda m: isinstance(m, dict) and _ints(list(m.values())))),

@@ -300,7 +300,9 @@ def build_sset(spec, group: Group | None = None) -> GSSet:
             if x in dim_of:
                 raise ValueError(f"duplicate simplex identifier {x}")
             dim_of[x] = n
-    faces = {x: tuple([SimplexRef(b, tuple(word)) for b, word in fs])
+    refs = {}  # one SimplexRef per nondegenerate face base
+    faces = {x: tuple([SimplexRef(b, tuple(word)) if word else refs.get(b)
+                       or refs.setdefault(b, SimplexRef(b)) for b, word in fs])
              for x, fs in int_keys(spec.get("faces", {}), "faces key").items()}
     action_spec = spec.get("action")
     if action_spec is None:
@@ -308,8 +310,15 @@ def build_sset(spec, group: Group | None = None) -> GSSet:
             raise ValueError("nontrivial group needs an explicit action")
         action = _trivial_action(dim_of)
     else:
-        action = {g: int_keys(m, f"action of {g}: simplex")
-                  for g, m in int_keys(action_spec, "action key").items()}
+        action, read = {}, ([], [])  # the last key list read with no two keys collapsed
+        for g, m in int_keys(action_spec, "action key").items():
+            keys = list(m)
+            if keys == read[0]:
+                action[g] = dict(zip(read[1], m.values()))
+                continue
+            action[g] = int_keys(m, f"action of {g}: simplex")
+            if len(action[g]) == len(keys):  # no two spellings of one integer
+                read = keys, list(action[g])
         for g in group.elements():
             if g not in action:
                 if g == 0:

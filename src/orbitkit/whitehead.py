@@ -25,10 +25,11 @@ certificate; query the rings separately.
 
 ``whitehead_verify`` packages the hypothesis checks for a simplicial map:
 isotropy of all simplices against the family, quasi-isomorphy of the
-invariant subcomplexes (one route) and of the chains of fixed-point
-subcomplexes (an independent route), then attempts the certificate.  The
-equivariant cone of f is reduced once and serves the first route, as
-(cone f)^H = cone(f^H), and the certificate search.
+invariant subcomplexes (route (a)) and of the chains of fixed-point
+subcomplexes (route (b)), then attempts the certificate.  The equivariant
+cone of f is reduced once and serves route (a), as (cone f)^H = cone(f^H),
+and the certificate search.  Route (b) at e reads f's own chain map, as
+X^e = X; each route still decides on its own cone, (b) on the unreduced one.
 """
 
 from __future__ import annotations
@@ -323,19 +324,17 @@ def isotropy_check(f: SMap, family) -> IsotropyReport:
     """
     fam = list(family)
     strict_members = {k.members for k in fam}
-    ok_c, ok_s, witness = True, True, None
+    conjugate = {}  # stabilizer -> whether it is conjugate into a member, decided once
+    ok_s, witness = True, None
     for sset in (f.source, f.target):
-        for s in sorted(sset.ids(), key=lambda s: (sset.dim(s), s)):
+        for s in sset.ids():  # in (dimension, id) order
             stab = stabilizer(sset.group, sset.action, s)
-            conj = any(conjugating_element(stab, k) is not None for k in fam)
-            strict = stab.members in strict_members
-            if not strict:
-                ok_s = False
-            if not conj:
-                ok_c = False
-                if witness is None:
-                    witness = s
-    return IsotropyReport(ok_c, ok_s, witness)
+            if stab not in conjugate:
+                conjugate[stab] = any(conjugating_element(stab, k) is not None for k in fam)
+            ok_s = ok_s and stab.members in strict_members
+            if witness is None and not conjugate[stab]:
+                witness = s
+    return IsotropyReport(witness is None, ok_s, witness)
 
 
 def _invariant_quasi_isos(r, family) -> dict:
@@ -353,7 +352,7 @@ def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
     Hypothesis (a) passes for a subgroup H when the induced map of H-invariant
     subcomplexes is a quasi-isomorphism (one orbit-reduced cone serves every H);
     hypothesis (b) when the chains of the H-fixed simplicial subsets compare by
-    a quasi-isomorphism.  The two routes share no code below the chain level.
+    a quasi-isomorphism, read at H = e off f's own chain map on the unreduced cone.
     When either hypothesis holds for every member of the family, the
     certificate search runs on the equivariant chain map, solved on the same
     orbit-reduced cone and re-verified on the full map.
@@ -371,10 +370,14 @@ def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
     hyp_a = _invariant_quasi_isos(reduced[0], fam)
     hyp_b = {}
     for h in fam:
-        fx, _ = fixed_sset(f.source, h)
-        fy, _ = fixed_sset(f.target, h)
-        restricted = SMap(fx, fy, {s: f.values[s] for s in fx.ids()})
-        hyp_b[h.label] = is_quasi_iso(normalized_chain_map(restricted, ring))
+        if h.is_trivial():  # X^e = X, and cf was validated when it was built
+            fh = ChainMap(cx.forget_action(), cy.forget_action(), dict(enumerate(cf)),
+                          validate=False)
+        else:
+            fx, _ = fixed_sset(f.source, h)
+            fy, _ = fixed_sset(f.target, h)
+            fh = normalized_chain_map(SMap(fx, fy, {s: f.values[s] for s in fx.ids()}), ring)
+        hyp_b[h.label] = is_quasi_iso(fh)
     searched = all(hyp_a.values()) or all(hyp_b.values())
     return WhiteheadReport(isotropy, hyp_a, hyp_b,
                            certificate_search(cf, reduced) if searched else None, searched)

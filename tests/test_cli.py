@@ -330,6 +330,8 @@ MALFORMED = {
     "sset-action-number": ("homology", {"simplices": {"0": [0]}, "action": {"0": 3}}),
     "group-order-5000-digits": ("census", f'{{"order": {LONG}, "mult": [[0]]}}'),
     "sset-dims-5000-digits": ("homology", f'{{"dims": {LONG}, "simplices": {{}}}}'),
+    "sset-face-word-object": ("homology", {"simplices": {"0": [7, 8], "1": [9]},
+                                           "faces": {"9": [[8, {}], [7, []]]}}),
 }
 
 
@@ -393,6 +395,14 @@ STRAY_KEYS = {
                          "sset: dimension 'x' is not an integer"),
     "map-values-key-x": ("cells", {"source": "point", "target": "point", "values": {"x": 0}},
                          "map: values key 'x' is not an integer"),
+    # an action object whose keys differ from the one before it is read on its own
+    "sset-action-key-missing": ("homology", {"simplices": {"0": [7, 8]},
+                                             "action": {"0": {"7": 7, "8": 8}, "1": {"7": 8}}},
+                                "sset: action of 1 is not a dimension-preserving permutation"),
+    "sset-action-keys-7-and-07": ("homology", {
+        "simplices": {"0": [7, 8]},
+        "action": {"0": {"7": 7, "8": 8}, "1": {"7": 8, "07": 7, "8": 7}}},
+        "sset: action of 1 is not a permutation"),
 }
 
 
@@ -403,10 +413,40 @@ def test_exit_2_on_a_key_that_names_nothing(files, capsys, verb, data, words):
     exit_2_with_and_without_O(capsys, verb_argv(files, verb, path), words)
 
 
+# id -> (verb, data, plain): action objects whose keys are spelled or ordered apart
+# from another element's, each read as the table ``plain`` spells with one key per
+# simplex in order; ``verb_argv`` runs both
+SPELLED_KEYS = {
+    "sset-action-key-07": ("homology-all", {"simplices": {"0": [7, 8]}, "action": {
+        "0": {"7": 7, "8": 8}, "1": {"07": 8, "8": 7}}}, {"1": {"7": 8, "8": 7}}),
+    "sset-action-keys-reordered": ("homology-all", {"simplices": {"0": [7, 8]}, "action": {
+        "0": {"7": 7, "8": 8}, "1": {"8": 8, "7": 7}}}, {"1": {"7": 7, "8": 8}}),
+    "sset-action-keys-reordered-swap": ("homology-all", {"simplices": {"0": [7, 8]}, "action": {
+        "0": {"7": 7, "8": 8}, "1": {"8": 7, "7": 8}}}, {"1": {"7": 8, "8": 7}}),
+    # both elements hold "7" and "07"; the later of the two is read, as in any JSON object
+    "sset-action-keys-7-and-07": ("homology-all", {"simplices": {"0": [7, 8]}, "action": {
+        "0": {"7": 8, "07": 7, "8": 8}, "1": {"7": 7, "07": 8, "8": 7}}},
+        {"0": {"7": 7, "8": 8}, "1": {"7": 8, "8": 7}}),
+}
+
+
+@pytest.mark.parametrize("verb,data,plain", SPELLED_KEYS.values(), ids=list(SPELLED_KEYS))
+def test_action_keys_spelled_apart_read_as_one_table(files, capsys, verb, data, plain):
+    paths = files["tmp"] / "spelled.json", files["tmp"] / "plain.json"
+    paths[0].write_text(json.dumps(data))
+    paths[1].write_text(json.dumps(dict(data, action=plain)))
+    spelled, expected = (run(capsys, verb_argv(files, verb, p)) for p in paths)
+    assert spelled == expected and expected[0] == 0, spelled
+    fixed = plain["1"]["7"] == 7  # element 1 fixes both vertices, else swaps them
+    assert f"H={{0,1}} invariants-of-chains: H0=Z{'^2' if fixed else ''}\n" in expected[1]
+
+
 def verb_argv(files, verb, path):
     return {"fixed-points": ["fixed-points", "--sset", str(path), "--group", files["group"]],
             "homology": ["homology", "--sset", str(path), "--group", files["group"],
                          "--ring", "Z"],
+            "homology-all": ["homology", "--sset", str(path), "--group", files["group"],
+                             "--ring", "Z", "--family", "all"],
             "cells": ["cells", "--map", str(path)],
             "orbit-cat": ["orbit-cat", "--group", files["group"], "--family", str(path)],
             "census": ["census", "--group", str(path), "--family", "all"]}[verb]

@@ -20,15 +20,15 @@ from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, \
     restrict_to_invariants, zero_complex
 from orbitkit.errors import InternalError
 from orbitkit.exactla import Mat
-from orbitkit.groups import all_subgroups, cyclic_group, dihedral_group, direct_product, \
-    full_subgroup, group_from_generators, symmetric_group, trivial_subgroup
+from orbitkit.groups import all_subgroups, conjugating_element, cyclic_group, dihedral_group, \
+    direct_product, full_subgroup, group_from_generators, symmetric_group, trivial_subgroup
 from orbitkit.gsets import coset_gset, orbits, product_gset, regular_gset, stabilizer
 from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.simplicial import GSSet, SMap, SimplexRef, boundary_simplex, empty_sset, \
-    gtensor, identity_smap, make_smap, point_sset, prism, standard_simplex
-from orbitkit.whitehead import Certificate, _LinearSystem, _block, _invariant_quasi_isos, \
-    _pair_orbits, _positions, certificate_search, isotropy_check, verify_certificate, \
-    whitehead_verify
+    fixed_sset, gtensor, identity_smap, make_smap, point_sset, prism, standard_simplex
+from orbitkit.whitehead import Certificate, IsotropyReport, _LinearSystem, _block, \
+    _invariant_quasi_isos, _pair_orbits, _positions, certificate_search, isotropy_check, \
+    verify_certificate, whitehead_verify
 
 
 def test_identity_certificate():
@@ -877,3 +877,104 @@ def test_whitehead_verify_reduces_the_cone_once(monkeypatch):
         assert report.searched and report.certificate is not None
         assert len(calls) == 1
         calls.clear()
+
+
+# ---------------------------------------------------------------------------
+# route (b) at e on f's own chains, isotropy once per stabilizer, and an
+# unflagged map under the trivial group
+
+
+def fixed_point_quasi_isos(f: SMap, family, ring) -> dict:
+    """Hypothesis (b) with every H through its fixed points, e among them: f restricted
+    to X^H -> Y^H, validated as a simplicial map, compared by its normalized chains."""
+    out = {}
+    for h in family:
+        fx, _ = fixed_sset(f.source, h)
+        fy, _ = fixed_sset(f.target, h)
+        restricted = SMap(fx, fy, {s: f.values[s] for s in fx.ids()})
+        out[h.label] = is_quasi_iso(normalized_chain_map(restricted, ring))
+    return out
+
+
+def report_maps():
+    """(group, map) for the simplicial G-maps this file builds: the maps of the full
+    report's tests over C2, ``hypothesis_a_maps`` over G/K for every K in S3, D4 and C4
+    (the S3/C2 maps, whose orbits are not free, and the inclusions of the boundary of
+    Delta[1], which fail), and the C4 maps of ``test_whitehead_verify_reduces_the_cone_once``."""
+    c2 = cyclic_group(2)
+    swap, y = swap_boundary1(c2), vee(c2)
+    pt, d1 = with_trivial_action(point_sset(), c2), with_trivial_action(standard_simplex(1), c2)
+    from orbitkit.simplicial import disjoint_copies
+    two = with_trivial_action(disjoint_copies(point_sset(), 2)[0], c2)
+    out = [(c2, f) for f in (identity_smap(swap), SMap(pt, d1, {0: SimplexRef(0)}),
+                             SMap(pt, y, {0: SimplexRef(2)}), SMap(empty_sset(c2), swap, {}),
+                             SMap(two, pt, {0: SimplexRef(0), 1: SimplexRef(0)}),
+                             SMap(swap, y, {0: SimplexRef(0), 1: SimplexRef(1)}))]
+    for group in HYP_A_GROUPS:
+        out += [(group, f) for k in all_subgroups(group) for n in (0, 1)
+                for f in hypothesis_a_maps(group, k, n)]
+    x = free_simplex(4, 1)
+    x2, tau = relabelled(x)
+    out += [(x.group, f) for f in (identity_smap(x), prism(x).end0,
+                                   SMap(x, x2, {s: SimplexRef(tau[s]) for s in x.ids()}))]
+    return out
+
+
+def test_hypothesis_b_at_e_on_f_s_own_chains_keeps_every_verdict():
+    # each H's verdict is the family's entry for H, so every subgroup, e included, is
+    # checked once per ring; a family without e once more over Z
+    seen = set()
+    for group, f in report_maps():
+        assert f.equivariant
+        subgroups = all_subgroups(group)
+        without_e = [h for h in subgroups if not h.is_trivial()]
+        for family, ring in ((subgroups, ZZ), (subgroups, QQ), (subgroups, PrimeField(2)),
+                             (without_e, ZZ)):
+            report = whitehead_verify(f, family, ring)
+            assert report.hyp_b == fixed_point_quasi_isos(f, family, ring)
+            seen.update((label == "0", ok) for label, ok in report.hyp_b.items())
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def isotropy_reference(f: SMap, family) -> IsotropyReport:
+    """isotropy_check deciding conjugacy at every simplex, in (dimension, id) order."""
+    ok_c, ok_s, witness = True, True, None
+    for sset in (f.source, f.target):
+        for s in sorted(sset.ids(), key=lambda s: (sset.dim(s), s)):
+            stab = stabilizer(sset.group, sset.action, s)
+            ok_s = ok_s and stab.members in {k.members for k in family}
+            if not any(conjugating_element(stab, k) is not None for k in family):
+                ok_c = False
+                witness = s if witness is None else witness
+    return IsotropyReport(ok_c, ok_s, witness)
+
+
+def test_isotropy_names_the_first_simplex_with_a_failing_stabilizer(s3):
+    # S3/C2 x Delta[1] with ids reversed, so that its edges come before its vertices
+    # by id: every simplex over one coset shares that coset's stabilizer, a conjugate
+    # of C2, and the witness is the least vertex id
+    order2 = [h for h in all_subgroups(s3) if h.order == 2]
+    x, tau = relabelled(gtensor(coset_gset(s3, order2[0]), standard_simplex(1)))
+    assert min(x.dim_of) in x.ids_of_dim(1)
+    f = SMap(empty_sset(s3), x, {})
+    for family in ([trivial_subgroup(s3)], [order2[1]], [full_subgroup(s3)],
+                   [h for h in all_subgroups(s3) if h.order == 3]):
+        report = isotropy_check(f, family)
+        assert report == isotropy_reference(f, family)
+        if not report.ok_conjugate:
+            assert report.witness == min(x.ids_of_dim(0))
+    for group, f in report_maps():
+        for family in (all_subgroups(group), [trivial_subgroup(group)]):
+            assert isotropy_check(f, family) == isotropy_reference(f, family)
+
+
+def test_an_unflagged_chain_map_under_the_trivial_group_is_solved_on_its_reduced_cone():
+    # every chain map is equivariant under e, so its cone is orbit-reduced as
+    # identity_chain_map's is; whole, the identity of Delta[5]'s chains exceeds MAX_CELLS
+    for ring in (ZZ, PrimeField(2)):
+        c = normalized_chains(standard_simplex(5), ring)
+        assert c.group.order == 1
+        cf = ChainMap(c, c, dict(enumerate(identity_chain_map(c))), validate=False)
+        assert not cf.equivariant and mapping_cone(cf).group == c.group
+        cert = certificate_search(cf)
+        assert cert is not None and verify_certificate(cert, cf)

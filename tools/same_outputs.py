@@ -47,12 +47,15 @@ process against each tree, once with the default text output and once with
   (``MALFORMED``, ``STRAY_KEYS`` and ``BOOLEANS``), run as that file runs them
   against a C2 group file (a str written verbatim, so that an integer literal
   too long for ``int()`` reaches the reader), and the ring tags
-  ``INVALID_RINGS``, one of them with 5,000 digits.
+  ``INVALID_RINGS``, one of them with 5,000 digits;
+* G-simplicial sets whose action objects spell or order their keys apart
+  from one another (``SPELLED_KEYS`` of ``tests/test_cli.py``, ``keys``),
+  each exiting 0, run as that file runs them.
 
 The groups and G-simplicial sets of the last five sets are written by this
-tool with orbitkit's constructors. At seeds 7 and 3 that is 274 jobs (132
+tool with orbitkit's constructors. At seeds 7 and 3 that is 281 jobs (132
 benchmark, 19 golden, 18 prism, 2 identity, 10 trivial, 6 nonfree,
-12 elmendorf, 4 order64, 9 gsset, 20 hfamily, 42 invalid), so 548 runs.
+12 elmendorf, 4 order64, 9 gsset, 20 hfamily, 45 invalid, 4 keys), so 562 runs.
 
 Every case whose exit code, stdout or stderr differs between the trees is
 printed; the exit status is 1 if any differs, else 0.  ``whitehead`` JSON is
@@ -269,16 +272,18 @@ def homology_cases(outdir: str, groups: dict):
 
 
 def invalid_cases(outdir: str):
-    """("invalid", name, argv) for the malformed-input tables of ``tests/test_cli.py``,
-    their files written under outdir, and for ``INVALID_RINGS``."""
+    """("invalid" or "keys", name, argv) for the input-file tables of ``tests/test_cli.py``,
+    their files written under outdir, and ("invalid", ...) for ``INVALID_RINGS``."""
     import test_cli
     files = {"group": write(outdir, "invalid_group", {"order": 2, "mult": [[0, 1], [1, 0]]})}
     out = []
-    for table, argv_of in (("MALFORMED", test_cli.malformed_argv),
-                           ("STRAY_KEYS", test_cli.verb_argv), ("BOOLEANS", test_cli.verb_argv)):
+    for table, argv_of, kind in (("MALFORMED", test_cli.malformed_argv, "invalid"),
+                                 ("STRAY_KEYS", test_cli.verb_argv, "invalid"),
+                                 ("BOOLEANS", test_cli.verb_argv, "invalid"),
+                                 ("SPELLED_KEYS", test_cli.verb_argv, "keys")):
         for name, (verb, data, *_) in getattr(test_cli, table).items():
             path = write(outdir, f"invalid_{table}_{name}", data)
-            out.append(("invalid", f"{table} {name}", argv_of(files, verb, path)))
+            out.append((kind, f"{table} {name}", argv_of(files, verb, path)))
     return out + [("invalid", f"ring {tag[:24]}", ["homology", "--sset", "boundary:2",
                                                    "--ring", tag]) for tag in INVALID_RINGS]
 
