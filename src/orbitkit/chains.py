@@ -1,7 +1,10 @@
 """Chain complexes over Z, Q, F_p, with a group permuting their bases.
 
 Complexes are non-negatively graded, finitely generated free in each
-degree, with exact entries throughout.  The normalized chains of a
+degree, with exact entries throughout, in sparse ``Mat``s over the
+complex's ring (a matrix over another ring is refused, naming its degree),
+built from their nonzero entries and read through ``sparse_rows()``.  The
+normalized chains of a
 G-simplicial set have basis the nondegenerate simplices (identifier
 order); faces that normalize to degenerate simplices contribute zero to
 the differential.
@@ -38,7 +41,6 @@ exactly (checked on every call; a failure raises instead of returning).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import compress
 from typing import NamedTuple
 
 from .errors import InternalError
@@ -75,7 +77,7 @@ class ChainComplex:
     def d(self, n: int) -> Mat:
         m = self._d.get(n)
         if m is None:
-            return Mat.zeros(self.ring, self.rank(n - 1), self.rank(n))
+            return Mat(self.ring, self.rank(n - 1), self.rank(n))
         return m
 
     @property
@@ -87,11 +89,7 @@ class ChainComplex:
             if r < 0:
                 raise ValueError(f"negative rank {r} in degree {n}")
         for n in range(1, self.top + 1):
-            m = self.d(n)
-            if (m.nrows, m.ncols) != (self.rank(n - 1), self.rank(n)):
-                raise ValueError(f"differential d_{n} has shape "
-                                 f"{m.nrows}x{m.ncols}, want "
-                                 f"{self.rank(n - 1)}x{self.rank(n)}")
+            _check(self.d(n), self.rank(n - 1), self.rank(n), self.ring, f"differential d_{n}")
         for n in sorted(self._d):
             if not 1 <= n <= self.top:
                 raise ValueError(f"differential in illegal degree {n}")
@@ -168,12 +166,11 @@ class ChainMap:
     def mat(self, n: int) -> Mat:
         m = self._mats.get(n)
         if m is None:
-            m = Mat.zeros(self.source.ring, self.target.rank(n), self.source.rank(n))
-            if self.sel is not None and n in self.sel:
-                for row, j in zip(m.rows, self.sel[n]):
-                    if j is not None:
-                        row[j] = m.ring.one
-                self._mats[n] = m
+            ring, shape = self.source.ring, (self.target.rank(n), self.source.rank(n))
+            if self.sel is None or n not in self.sel:
+                return Mat(ring, *shape)
+            m = self._mats[n] = Mat(ring, *shape, [{} if j is None else {j: ring.one}
+                                                   for j in self.sel[n]], normalize=False)
         return m
 
     def __getitem__(self, n: int) -> Mat:  # iterating f gives its matrices up to top
@@ -189,9 +186,8 @@ class ChainMap:
         if self.source.ring != self.target.ring:
             raise ValueError("chain map needs a common ring")
         for n in range(self.top + 1):
-            m = self.mat(n)
-            if (m.nrows, m.ncols) != (self.target.rank(n), self.source.rank(n)):
-                raise ValueError(f"chain map matrix in degree {n} has the wrong shape")
+            _check(self.mat(n), self.target.rank(n), self.source.rank(n), self.source.ring,
+                   f"chain map matrix in degree {n}")
         for n in range(1, self.top + 1):
             if self.target.d(n) @ self.mat(n) != self.mat(n - 1) @ self.source.d(n):
                 raise ValueError(f"does not commute with d in degree {n}")
@@ -213,15 +209,21 @@ class ChainHomotopy:
         self._mats = {int(n): m for n, m in dict(mats).items()}
         self.equivariant = False  # set by prism_homotopy
         for n, m in self._mats.items():
-            if (m.nrows, m.ncols) != (target.rank(n + 1), source.rank(n)):
-                raise ValueError(f"homotopy matrix in degree {n} has the wrong shape")
+            _check(m, target.rank(n + 1), source.rank(n), source.ring,
+                   f"homotopy matrix in degree {n}")
 
     def mat(self, n: int) -> Mat:
         m = self._mats.get(n)
         if m is None:
-            return Mat.zeros(self.source.ring, self.target.rank(n + 1),
-                             self.source.rank(n))
+            return Mat(self.source.ring, self.target.rank(n + 1), self.source.rank(n))
         return m
+
+
+def _check(m: Mat, nrows: int, ncols: int, ring, what: str):
+    """Refuses m unless it is an nrows x ncols matrix over ring."""
+    if m.ring != ring or (m.nrows, m.ncols) != (nrows, ncols):
+        raise ValueError(f"{what} has shape {m.nrows}x{m.ncols} over {m.ring}, "
+                         f"want {nrows}x{ncols} over {ring}")
 
 
 def _then(a, b) -> tuple:
@@ -291,10 +293,10 @@ def equivariance_defect(out: ChainComplex, into: ChainComplex, mat, degrees, shi
         m = mat(n)
         if not m.nrows or not m.ncols:
             continue
-        rows, ps, qs = m.rows, out.action[n + shift].act, into.action[n].act
-        nonzero = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+        rows, ps, qs = m.sparse_rows(), out.action[n + shift].act, into.action[n].act
+        nonzero = [(i, j, v) for i, row in enumerate(rows) for j, v in row.items()]
         bad = next((a for a in elements
-                    if any(rows[ps[a][i]][qs[a][j]] != v for i, j, v in nonzero)), None)
+                    if any(rows[ps[a][i]].get(qs[a][j]) != v for i, j, v in nonzero)), None)
         if bad is not None:
             return bad, n
     return None
@@ -316,16 +318,15 @@ def normalized_chains(x: GSSet, ring) -> ChainComplex:
     ranks = [len(b) for b in basis]
     diffs = {}
     for n in range(1, top + 1):
-        m = Mat.zeros(ring, ranks[n - 1], ranks[n])
+        rows = [{} for _ in range(ranks[n - 1])]
         for j, s in enumerate(basis[n]):
             for i in range(n + 1):
                 ref = x.face(s, i)
-                if ref.degenerate:
-                    continue
-                r = index[n - 1][ref.base]
-                m.rows[r][j] = m.rows[r][j] + (ring.one if i % 2 == 0 else -ring.one)
-        m.rows = [ring.reduce(row) for row in m.rows]
-        diffs[n] = m
+                if not ref.degenerate:
+                    row = rows[index[n - 1][ref.base]]
+                    row[j] = row.get(j, 0) + (1 if i % 2 == 0 else -1)
+        diffs[n] = Mat(ring, ranks[n - 1], ranks[n], [ring.nonzero(r) for r in rows],
+                       normalize=False)
     # d∘d = 0 and the action laws follow from the validated G-sset x
     action = [GSet(x.group, ranks[n], tuple(tuple(index[n][x.action[g][s]] for s in basis[n])
                                             for g in x.group.elements()))
@@ -341,13 +342,12 @@ def normalized_chain_map(f: SMap, ring, cx: ChainComplex | None = None,
     index_y = [{s: i for i, s in enumerate(b)} for b in cy.basis]
     mats = {}
     for n in range(max(cx.top, cy.top) + 1):
-        m = Mat.zeros(ring, cy.rank(n), cx.rank(n))
-        if n <= cx.top:
-            for j, s in enumerate(cx.basis[n]):
-                ref = f.values[s]
-                if not ref.degenerate:
-                    m.rows[index_y[n][ref.base]][j] = ring.one
-        mats[n] = m
+        rows = [{} for _ in range(cy.rank(n))]
+        for j, s in enumerate(cx.basis[n] if n <= cx.top else ()):
+            ref = f.values[s]
+            if not ref.degenerate:
+                rows[index_y[n][ref.base]][j] = ring.one
+        mats[n] = Mat(ring, cy.rank(n), cx.rank(n), rows, normalize=False)
     return ChainMap(cx, cy, mats)
 
 
@@ -424,10 +424,10 @@ def orbit_reduction(c: ChainComplex):
     steps = {}  # steps[n]: (b, v, column, chain) of each removed pair (a, b), in order
     for n in range(c.top, 0, -1):
         cols[n] = {j: {} for j in range(c.rank(n)) if j not in gone[n]}
-        for i, row in enumerate(c.d(n).rows):
-            for j in compress(range(len(row)), row):
+        for i, row in enumerate(c.d(n).sparse_rows()):
+            for j, x in row.items():
                 if j in cols[n]:
-                    cols[n][j][i] = row[j]
+                    cols[n][j][i] = x
         orbit_of = {i: k for k, o in enumerate(orbs[n - 1]) for i in o}
         chain = chains[n] = {}
         steps[n] = []
@@ -440,7 +440,7 @@ def orbit_reduction(c: ChainComplex):
                 hits.setdefault(orbit_of[i], []).append(i)
             b = next((rows[0] for k, rows in hits.items() if len(rows) == 1
                       and len(orbs[n - 1][k]) == len(a_orb)
-                      and ring.reduce([col[rows[0]] ** 2]) == [ring.one]), None)
+                      and ring.normalize(col[rows[0]] ** 2) == ring.one), None)
             if b is None:
                 continue
             v, kb = col[b], orbit_of[b]
@@ -462,7 +462,7 @@ def orbit_reduction(c: ChainComplex):
                         cj[r] = cj.get(r, 0) - wv * x
                     for r, x in cha.items():  # and its chain from j's
                         chj[r] = chj.get(r, 0) - wv * x
-                cols[n][j] = _nonzero(ring, cj)
+                cols[n][j] = ring.nonzero(cj)
             gone[n].update(a_orb)
             gone[n - 1].update(orbs[n - 1][kb])
     if not any(gone):
@@ -471,11 +471,12 @@ def orbit_reduction(c: ChainComplex):
     pos = [{i: k for k, i in enumerate(ks)} for ks in kept]
     diffs = {}
     for n in range(1, c.top + 1):
-        m = diffs[n] = Mat.zeros(ring, len(kept[n - 1]), len(kept[n]))
+        rows = [{} for _ in kept[n - 1]]
         for k, j in enumerate(kept[n]):
             for i, x in cols[n][j].items():
                 if i in pos[n - 1]:  # rows paired downwards are dropped
-                    m.rows[pos[n - 1][i]][k] = x
+                    rows[pos[n - 1][i]][k] = x
+        diffs[n] = Mat(ring, len(kept[n - 1]), len(kept[n]), rows, normalize=False)
     # d'd' = 0 by the Schur identities; the kept orbits are G-sets
     out = ChainComplex(ring, [len(k) for k in kept], diffs,
                        [GSet(c.group, len(ks), tuple(tuple(p[act[i]] for i in ks)
@@ -521,13 +522,12 @@ def _retraction_matrices(c, kept, pos, chains, steps) -> tuple[dict, dict, dict]
     incl, proj, h = {}, {}, {}
     act = [x.act for x in c.action] + [None]
     for n, (ks, p) in enumerate(zip(kept, pos)):
-        incl[n] = Mat.zeros(ring, c.rank(n), len(ks))
-        proj[n] = Mat.zeros(ring, len(ks), c.rank(n))
-        h[n] = Mat.zeros(ring, c.rank(n + 1), c.rank(n))
+        rows_i = [{} for _ in range(c.rank(n))]
+        rows_p = [{j: one} for j in ks]
+        rows_h = [{} for _ in range(c.rank(n + 1))]
         for k, j in enumerate(ks):
-            proj[n].rows[k][j] = one
-            for i, x in _nonzero(ring, chains.get(n, {}).get(j, {j: one})).items():
-                incl[n].rows[i][k] = x
+            for i, x in ring.nonzero(chains.get(n, {}).get(j, {j: one})).items():
+                rows_i[i][k] = x
         later = {b: k for k, (b, *_) in enumerate(steps.get(n + 1, ()))}
         done = set()
         for b0 in later:  # one substitution per orbit, carried to the rest by the action
@@ -540,15 +540,13 @@ def _retraction_matrices(c, kept, pos, chains, steps) -> tuple[dict, dict, dict]
                     done.add(b)
                     for i, x in y.items():
                         if i in p:
-                            proj[n].rows[p[here[i]]][b] = x
+                            rows_p[p[here[i]]][b] = x
                     for i, x in u.items():
-                        h[n].rows[up[i]][b] = x
+                        rows_h[up[i]][b] = x
+        incl[n] = Mat(ring, c.rank(n), len(ks), rows_i, normalize=False)
+        proj[n] = Mat(ring, len(ks), c.rank(n), rows_p, normalize=False)
+        h[n] = Mat(ring, c.rank(n + 1), c.rank(n), rows_h, normalize=False)
     return incl, proj, h
-
-
-def _nonzero(ring, entries: dict) -> dict:
-    """The reduced nonzero entries of a sparse vector."""
-    return {i: x for i, x in zip(entries, ring.reduce(list(entries.values()))) if x}
 
 
 def _substitute(ring, steps, order, b):
@@ -560,7 +558,7 @@ def _substitute(ring, steps, order, b):
     queue, queued = [order[b]], {order[b]}
     while queue:
         bk, v, col, chain = steps[heappop(queue)]
-        w = ring.reduce([v * y.pop(bk, 0)])[0]
+        w = ring.normalize(v * y.pop(bk, 0))
         if not w:
             continue
         for r, x in col.items():
@@ -572,21 +570,21 @@ def _substitute(ring, steps, order, b):
                     heappush(queue, k)
         for r, x in chain.items():
             u[r] = u.get(r, 0) - w * x
-    return _nonzero(ring, y), _nonzero(ring, u)
+    return ring.nonzero(y), ring.nonzero(u)
 
 
 def _orbit_sums(d: Mat, rows, slot, ncols: int, what: str) -> Mat:
     """The x with K x = d K for K the orbit sums: row t of d K is row t of d
     summed over each column orbit, slot[i] being i's, and must not vary along a row orbit."""
-    ring, sums = d.ring, []
-    for row in d.rows:
-        s = [ring.zero] * ncols
-        for i in compress(range(d.ncols), row):
-            s[slot[i]] += row[i]
-        sums.append(ring.reduce(s))
+    sums = []
+    for row in d.sparse_rows():
+        s = {}
+        for i, x in row.items():
+            s[slot[i]] = s.get(slot[i], 0) + x
+        sums.append(d.ring.nonzero(s))
     if any(sums[t] != sums[orbit[0]] for orbit in rows for t in orbit[1:]):
         raise InternalError(what)
-    return Mat(ring, len(rows), ncols, [sums[orbit[0]] for orbit in rows],
+    return Mat(d.ring, len(rows), ncols, [sums[orbit[0]] for orbit in rows],
                normalize=False)
 
 
@@ -670,8 +668,11 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     ranks = [tgt.rank(n) + src.rank(n - 1) for n in range(top + 1)]
     diffs = {}
     for n in range(1, top + 1):
-        rows = [r + s for r, s in zip(tgt.d(n).rows, f.mat(n - 1).rows)]
-        rows += [[ring.zero] * tgt.rank(n) + r for r in (-src.d(n - 1)).rows]
+        t = tgt.rank(n)
+        rows = [r | {t + j: x for j, x in s.items()} if s else r
+                for r, s in zip(tgt.d(n).sparse_rows(), f.mat(n - 1).sparse_rows())]
+        rows += [ring.nonzero({t + j: -x for j, x in r.items()})
+                 for r in src.d(n - 1).sparse_rows()]
         diffs[n] = Mat(ring, ranks[n - 1], ranks[n], rows, normalize=False)
     action = None
     if src.group is not None and tgt.group is not None and (
@@ -717,11 +718,11 @@ def prism_homotopy(hc: ChainMap, pr: Prism) -> ChainHomotopy:
     index = [{s: i for i, s in enumerate(b)} for b in cprod.basis]
     mats = {}
     for n in range(cx.top + 1):
-        shuffle = [[ring.zero] * cx.rank(n) for _ in range(cprod.rank(n + 1))]
+        shuffle = [{} for _ in range(cprod.rank(n + 1))]
         for col, s in enumerate(cx.basis[n]):
             for j in range(n + 1):  # the middle cell (s_j x, eta_j), with sign (-1)^j
                 row = shuffle[index[n + 1][pr.mid_id[(s, j)]]]
-                row[col] += ring.one if j % 2 == 0 else -ring.one
+                row[col] = row.get(col, 0) + (1 if j % 2 == 0 else -1)
         mats[n] = hc.mat(n + 1) @ Mat(ring, cprod.rank(n + 1), cx.rank(n), shuffle)
     f0 = compose_chain_maps(hc, normalized_chain_map(pr.end0, ring, cx, cprod))
     f1 = compose_chain_maps(hc, normalized_chain_map(pr.end1, ring, cx, cprod))

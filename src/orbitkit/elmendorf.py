@@ -271,11 +271,10 @@ class ChainCat:
         k = len(keys)
         diffs = {}
         for n in range(1, c.top + 1):
-            base = c.d(n)
-            m = diffs[n] = Mat.zeros(self.ring, k * base.nrows, k * base.ncols)
-            for p in range(k):
-                for i, row in enumerate(base.rows):
-                    m.rows[p * base.nrows + i][p * base.ncols:(p + 1) * base.ncols] = row
+            base, w = c.d(n), c.rank(n)
+            diffs[n] = Mat(self.ring, k * base.nrows, k * w,
+                           [{p * w + j: v for j, v in row.items()}
+                            for p in range(k) for row in base.sparse_rows()], normalize=False)
         return ChainComplex(self.ring, [k * c.rank(n) for n in range(c.top + 1)], diffs,
                             validate=False)
 
@@ -310,8 +309,8 @@ def _permutation(f: ChainMap, n: int):
         rows, ncols = f.sel.get(n, ()), f.source.rank(n)
     else:  # the column of each row's one 1, if it has exactly one
         m = f.mat(n)
-        rows, ncols = [nz[0] if len(nz) == 1 and row[nz[0]] == m.ring.one else None
-                       for row in m.rows for nz in [[j for j, v in enumerate(row) if v]]], m.ncols
+        rows, ncols = [j if len(row) == 1 and row[j] == m.ring.one else None
+                       for row in m.sparse_rows() for j in [next(iter(row), None)]], m.ncols
     img = [None] * ncols
     for i, j in enumerate(rows):
         if j is None or img[j] is not None:

@@ -1,10 +1,11 @@
 """Exact linear algebra over Z, Q, and F_p.
 
-``Mat`` is a dense matrix, a list of rows tagged with its ring; all
-arithmetic is exact (no floats anywhere).  Every elimination, over every
-ring, reads its input through ``sparse_rows()`` (dicts column -> nonzero
-entry), which ``SparseRows`` and whitehead's linear systems provide too,
-so no system is densified.
+``Mat`` is the one matrix type: a list of rows, each a dict column ->
+nonzero entry, tagged with its ring; all arithmetic is exact (no floats
+anywhere) and costs in proportion to the nonzero entries.  Every
+elimination, over every ring, reads its input through ``sparse_rows()``,
+the stored rows, so no matrix or system is densified; only ``to_json``
+writes the zeros out, through the read-only dense view ``rows``.
 
 Z and Q share one sparse integer core, ``_echelon``: column reduction on
 columns held as dicts row -> entry, with an index of each row's nonzero
@@ -30,110 +31,112 @@ pass, its solutions by ``rref``, Gauss-Jordan, read off the reduced row
 echelon form.
 
 Entries are added, subtracted and multiplied with the ordinary operators;
-every row of raw results then passes through ``ring.reduce``, so F_p
-entries, plain ``int`` residues, stay in ``0..p-1``, and integral Q
-entries stay plain ``int``.  Ring elements are divided only by the Q
-quotient in ``solve_z``.  The binary operators refuse operands over
-different rings, since residues alone do not say which prime they belong
-to.
+every row of raw results then passes through ``ring.nonzero``, so F_p
+entries, plain ``int`` residues, stay in ``0..p-1``, integral Q entries
+stay plain ``int`` and no zero is stored.  Ring elements are divided only
+by the Q quotient in ``solve_z``.  The binary operators refuse operands
+over different rings, since residues alone do not say which prime they
+belong to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import repeat
 from math import gcd, lcm
 
 from .rings import ZZ, PrimeField
 
 
 class Mat:
-    """Dense matrix over a fixed ring; rows of normalized ring elements.
+    """Sparse matrix over a fixed ring: one dict column -> nonzero entry per row.
 
-    Binary operators raise ``ValueError`` on operands over different rings.
+    Built from rows in that form: entries are normalized and zeros dropped
+    (``normalize=False`` takes rows that are so already), and a row count or
+    a column outside the shape is refused.  Stored rows are never changed,
+    so matrices share them; ``rows`` is the read-only dense view.  Binary
+    operators raise ``ValueError`` on operands over different rings.
     """
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "_rows")
 
     def __init__(self, ring, nrows: int, ncols: int, rows=None, normalize=True):
-        self.ring = ring
-        self.nrows = nrows
-        self.ncols = ncols
+        self.ring, self.nrows, self.ncols = ring, nrows, ncols
         if rows is None:
-            z = ring.zero
-            self.rows = [[z] * ncols for _ in range(nrows)]
-        else:
-            if len(rows) != nrows or any(len(r) != ncols for r in rows):
-                raise ValueError(f"shape mismatch: want {nrows}x{ncols}")
-            if normalize:
-                self.rows = [[ring.normalize(v) for v in r] for r in rows]
-            else:
-                self.rows = [list(r) for r in rows]
-
-    @classmethod
-    def zeros(cls, ring, nrows, ncols):
-        return cls(ring, nrows, ncols)
+            self._rows = [{} for _ in range(nrows)]
+            return
+        rows = list(rows)
+        full = list(filter(None, rows))
+        if len(rows) != nrows or full and (min(map(min, full)) < 0
+                                           or max(map(max, full)) >= ncols):
+            raise ValueError(f"shape mismatch: want {nrows}x{ncols}")
+        if normalize:
+            norm = ring.normalize
+            rows = [{j: x for j, v in r.items() for x in [norm(v)] if x} for r in rows]
+        self._rows = rows
 
     @classmethod
     def identity(cls, ring, n):
-        m = cls(ring, n, n)
-        for i in range(n):
-            m.rows[i][i] = ring.one
-        return m
+        return cls(ring, n, n, [{i: ring.one} for i in range(n)], normalize=False)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
+    @property
+    def rows(self) -> tuple:
+        """The entries, row by row, zeros included, as tuples (read-only)."""
+        cols, zeros = range(self.ncols), repeat(self.ring.zero)
+        return tuple(tuple(map(r.get, cols, zeros)) for r in self._rows)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         return (self.ring == other.ring and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.rows == other.rows)
+                and self.ncols == other.ncols and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
+        return hash((self.nrows, self.ncols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __matmul__(self, other):
         self._same_ring(other)
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by "
                              f"{other.nrows}x{other.ncols}")
-        red = self.ring.reduce
-        out = Mat(self.ring, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            oi = out.rows[i]
-            for k in range(self.ncols):
-                a = ri[k]
-                if not a:
+        nonzero, one, brows, out = self.ring.nonzero, self.ring.one, other._rows, []
+        for row in self._rows:
+            if len(row) == 1:
+                [(k, a)] = row.items()
+                if a == one:  # row k of other, shared
+                    out.append(brows[k])
                     continue
-                rk = other.rows[k]
-                for j in range(other.ncols):
-                    b = rk[j]
-                    if b:
-                        oi[j] = oi[j] + a * b
-            out.rows[i] = red(oi)
-        return out
+            acc = {}
+            for k, a in row.items():
+                for j, b in brows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(nonzero(acc) if acc else acc)
+        return Mat(self.ring, self.nrows, other.ncols, out, normalize=False)
 
     def __add__(self, other):
-        self._same_shape(other)
-        red = self.ring.reduce
-        return Mat(self.ring, self.nrows, self.ncols,
-                   [red([a + b for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)],
-                   normalize=False)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other."""
         self._same_shape(other)
-        red = self.ring.reduce
-        return Mat(self.ring, self.nrows, self.ncols,
-                   [red([a - b for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)],
-                   normalize=False)
+        nonzero, out = self.ring.nonzero, []
+        for r, s in zip(self._rows, other._rows):
+            if s:
+                r = dict(r)
+                for j, v in s.items():
+                    r[j] = r.get(j, 0) + sign * v
+                r = nonzero(r)
+            out.append(r)
+        return Mat(self.ring, self.nrows, self.ncols, out, normalize=False)
 
     def __neg__(self):
-        red = self.ring.reduce
+        nonzero = self.ring.nonzero
         return Mat(self.ring, self.nrows, self.ncols,
-                   [red([-a for a in r]) for r in self.rows], normalize=False)
+                   [nonzero({j: -v for j, v in r.items()}) for r in self._rows],
+                   normalize=False)
 
     def _same_ring(self, other):
         if other.ring != self.ring:
@@ -145,31 +148,18 @@ class Mat:
             raise ValueError("shape mismatch")
 
     def is_zero(self):
-        return not any(any(r) for r in self.rows)
+        return not any(self._rows)
 
-    def sparse_rows(self):
-        """Each row as a dict column -> nonzero entry."""
-        return [{j: r[j] for j in compress(range(self.ncols), r)} for r in self.rows]
+    def sparse_rows(self) -> list:
+        """The stored rows, dicts column -> nonzero entry; callers do not change them."""
+        return self._rows
 
     def to_json(self):
-        return [[self.ring.to_json(v) for v in r] for r in self.rows]
+        to_json = self.ring.to_json
+        return [[v and to_json(v) for v in r] for r in self.rows]  # a zero is written as 0
 
     def __repr__(self):
         return f"Mat({self.ring}, {self.nrows}x{self.ncols})"
-
-
-class SparseRows:
-    """Rows as dicts column -> nonzero entry, with their ring and width."""
-
-    def __init__(self, ring, ncols: int, rows):
-        self.ring, self.ncols, self.rows = ring, ncols, rows
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def sparse_rows(self):
-        return self.rows
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +285,21 @@ def solve_field(a, b: Mat):
     if a.nrows != b.nrows:
         raise ValueError("shape mismatch in solve")
     n = a.ncols
-    rows, pivots = rref(SparseRows(a.ring, n + b.ncols,
-                                   [{**ra, **{n + j: v for j, v in rb.items()}}
-                                    for ra, rb in zip(a.sparse_rows(), b.sparse_rows())]))
+    rows, pivots = rref(Mat(a.ring, a.nrows, n + b.ncols, _beside(a, b), normalize=False))
     # inconsistent if a pivot lands in the b-block
     if pivots and pivots[-1] >= n:
         return None
-    x = Mat(a.ring, n, b.ncols)
+    x = [{} for _ in range(n)]
     for c, row in zip(pivots, rows):
-        x.rows[c] = [row.get(n + j, 0) for j in range(b.ncols)]
-    return x
+        x[c] = {j - n: v for j, v in row.items() if j >= n}
+    return Mat(a.ring, n, b.ncols, x, normalize=False)
+
+
+def _beside(a: Mat, b: Mat) -> list:
+    """The sparse rows of [a | b]."""
+    n = a.ncols
+    return [{**ra, **{n + j: v for j, v in rb.items()}}
+            for ra, rb in zip(a.sparse_rows(), b.sparse_rows())]
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +386,12 @@ def column_echelon_z(m: Mat):
         raise ValueError("column_echelon_z needs ring Z")
     nr, nc = m.nrows, m.ncols
     cols, pivots = _echelon(m.sparse_rows(), nc, with_u=True)
-    h, u = Mat(ZZ, nr, nc), Mat(ZZ, nc, nc)
+    rows = [{} for _ in range(nr + nc)]  # H's, then U's
     for j, col in enumerate(cols):
         for i, v in col.items():
-            (h.rows[i] if i < nr else u.rows[i - nr])[j] = v
-    return h, u, pivots
+            rows[i][j] = v
+    return Mat(ZZ, nr, nc, rows[:nr], normalize=False), \
+        Mat(ZZ, nc, nc, rows[nr:], normalize=False), pivots
 
 
 def solve_z(a, b: Mat):
@@ -413,11 +409,10 @@ def solve_z(a, b: Mat):
     if a.nrows != b.nrows:
         raise ValueError("shape mismatch in solve_z")
     nr, n = a.nrows, a.ncols
-    rows = _over_z(ring, [{**ra, **{n + j: v for j, v in rb.items()}}
-                          for ra, rb in zip(a.sparse_rows(), b.sparse_rows())])
+    rows = _over_z(ring, _beside(a, b))
     cols, pivots = _echelon([{j: v for j, v in row.items() if j < n} for row in rows],
                             n, with_u=True)
-    x = Mat(ring, n, b.ncols)
+    x = [{} for _ in range(n)]
     for j in range(b.ncols):
         # b - H y on the rows of H, and below them -U y
         res = [row.get(n + j, 0) for row in rows] + [0] * n
@@ -434,16 +429,13 @@ def solve_z(a, b: Mat):
                     res[i] -= v * y
         if any(res[:nr]):
             return None
-        for i, v in enumerate(ring.reduce([-v for v in res[nr:]])):
-            x.rows[i][j] = v
-    return x
+        for i, v in ring.nonzero({i: -v for i, v in enumerate(res[nr:])}).items():
+            x[i][j] = v
+    return Mat(ring, n, b.ncols, x, normalize=False)
 
 
 def solve_exact(a, b: Mat):
-    """Exact solution of a @ X = b over the ring of ``a`` (Z, Q or F_p).
-
-    ``a`` has ``ring``, ``nrows``, ``ncols`` and ``sparse_rows()``.
-    """
+    """Exact solution of a @ X = b over the ring of ``a`` (Z, Q or F_p), or None."""
     return (solve_field if _modular(a.ring) else solve_z)(a, b)
 
 

@@ -3,9 +3,10 @@
 Integers are plain ``int``; rationals are plain ``int`` when integral and
 ``fractions.Fraction`` otherwise; F_p elements are plain ``int`` residues
 ``0..p-1``.  Matrix code adds, subtracts and multiplies entries with the
-ordinary operators and passes each row of raw results through
-``ring.reduce``, which returns it unchanged over Z, turns integral
-fractions back into ``int`` over Q, and reduces it mod p over F_p.  Rings
+ordinary operators and passes each sparse row of raw results through
+``ring.nonzero``, which keeps it over Z, turns integral fractions back
+into ``int`` over Q and reduces it mod p over F_p, and drops its zeros;
+``ring.normalize`` does so for one entry, and also reads input.  Rings
 never divide: ``exactla`` clears rational rows to integers and inverts
 F_p pivots by ``pow``, so no float can appear.  Booleans are not entries
 of any ring.
@@ -20,20 +21,21 @@ MAX_PRIME = 2 ** 32  # trial division up to sqrt(p) stays under 66k steps
 
 
 class Ring:
-    """Name-based equality, ``zero`` and ``one``, and the plain ``reduce`` of Z."""
+    """Name-based equality, ``zero`` and ``one``, and the plain ``nonzero`` of Z."""
 
     zero = 0
     one = 1
 
     @staticmethod
-    def reduce(row):
-        return row
+    def nonzero(entries: dict) -> dict:
+        """The nonzero entries of a sparse vector of raw results, reduced."""
+        return {i: x for i, x in entries.items() if x}
 
     def to_json(self, v):
         return v
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and other.name == self.name
+        return self is other or isinstance(other, Ring) and other.name == self.name
 
     def __hash__(self):
         return hash(self.name)
@@ -67,8 +69,9 @@ class RationalField(Ring):
         return x.numerator if x.denominator == 1 else x
 
     @staticmethod
-    def reduce(row):
-        return [v if type(v) is int or v.denominator != 1 else v.numerator for v in row]
+    def nonzero(entries: dict) -> dict:
+        return {i: v if type(v) is int or v.denominator != 1 else v.numerator
+                for i, v in entries.items() if v}
 
     def to_json(self, v):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
@@ -90,9 +93,9 @@ class PrimeField(Ring):
             return int(x) % self.p
         raise ValueError(f"not an F_{self.p} element: {x!r}")
 
-    def reduce(self, row):
+    def nonzero(self, entries: dict) -> dict:
         p = self.p
-        return [v % p for v in row]
+        return {i: r for i, v in entries.items() if (r := v % p)}
 
 
 ZZ = IntegerRing()

@@ -40,7 +40,7 @@ from .chains import ChainHomotopy, ChainMap, compose_chain_maps, equivariance_de
     homotopy_defect, identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
     normalized_chain_map, normalized_chains, orbit_reduction
 from .errors import InternalError
-from .exactla import Mat, SparseRows, solve_exact
+from .exactla import Mat, solve_exact
 from .groups import conjugating_element
 from .gsets import orbits, stabilizer
 from .simplicial import SMap, fixed_sset
@@ -88,24 +88,25 @@ def verify_certificate(cert: Certificate, cf: ChainMap) -> bool:
         for out, into, m, shift in ((src, tgt, g, 0), (tgt, tgt, s, 1), (src, src, t, 1)))
 
 
-class _LinearSystem(SparseRows):
-    """Sparse rows over a ring, indexed by integer unknowns, and their right-hand sides."""
+class _LinearSystem:
+    """Equations over a ring, sparse rows indexed by integer unknowns, and their
+    right-hand sides."""
 
     def __init__(self, ring, n_unknowns: int):
-        super().__init__(ring, n_unknowns, [])
-        self.rhs = []
-
-    def capped(self):
-        """The system itself; refuses one over ``MAX_CELLS``."""
-        cells = self.nrows * self.ncols
-        if cells > MAX_CELLS:
-            raise ValueError(f"{self.nrows} rows x {self.ncols} unknowns = "
-                             f"{cells} cells exceed the cap {MAX_CELLS}")
-        return self
+        self.ring, self.n_unknowns = ring, n_unknowns
+        self.equations, self.rhs = [], []
 
     def solve(self):
-        sol = solve_exact(self.capped(), Mat(self.ring, self.nrows, 1, [[r] for r in self.rhs]))
-        return None if sol is None else [row[0] for row in sol.rows]
+        """One solution, as a list by unknown, or None; refuses a system over ``MAX_CELLS``."""
+        nrows, ncols, ring = len(self.equations), self.n_unknowns, self.ring
+        cells = nrows * ncols
+        if cells > MAX_CELLS:
+            raise ValueError(f"{nrows} rows x {ncols} unknowns = "
+                             f"{cells} cells exceed the cap {MAX_CELLS}")
+        sol = solve_exact(Mat(ring, nrows, ncols, self.equations, normalize=False),
+                          Mat(ring, nrows, 1, [{0: r} if r else {} for r in self.rhs],
+                              normalize=False))
+        return None if sol is None else [row.get(0, ring.zero) for row in sol.sparse_rows()]
 
     def add_equations(self, terms, positions, diagonal: bool = False):
         """Rows of sum(A @ X @ B over terms) = (id if diagonal else 0).
@@ -116,27 +117,25 @@ class _LinearSystem(SparseRows):
         and X[p][q] is the block's unknown at (p, q).
         """
         ring = self.ring
-        zero = ring.zero
         sparse = []
         for a, x, b in terms:
             if x.coords:
-                arows = [[(p, v) for p, v in enumerate(row) if v != zero]
-                         for row in a.rows]
-                bcols = [[(q, row[j]) for q, row in enumerate(b.rows) if row[j] != zero]
-                         for j in range(b.ncols)]
-                sparse.append((arows, x.ncols, x.coords, bcols))
+                bcols = [[] for _ in range(b.ncols)]
+                for q, row in enumerate(b.sparse_rows()):
+                    for j, v in row.items():
+                        bcols[j].append((q, v))
+                sparse.append((a.sparse_rows(), x.ncols, x.coords, bcols))
         for i, j in positions:
             coeffs = {}
             for arows, ncols, coords, bcols in sparse:
-                for p, av in arows[i]:
+                for p, av in arows[i].items():
                     for q, bv in bcols[j]:
                         k = coords[p * ncols + q]
-                        coeffs[k] = coeffs.get(k, zero) + av * bv
-            coeffs = {k: v for k, v in zip(coeffs, ring.reduce(list(coeffs.values())))
-                      if v != zero}
-            rhs = ring.one if diagonal and i == j else zero
-            if coeffs or rhs != zero:
-                self.rows.append(coeffs)
+                        coeffs[k] = coeffs.get(k, 0) + av * bv
+            coeffs = ring.nonzero(coeffs)
+            rhs = ring.one if diagonal and i == j else ring.zero
+            if coeffs or rhs:
+                self.equations.append(coeffs)
                 self.rhs.append(rhs)
 
 
@@ -151,10 +150,10 @@ class _Block:
         self.nrows, self.ncols, self.coords, self.size = nrows, ncols, coords, size
 
     def value(self, ring, solution) -> Mat:
-        entries = [solution[k] for k in self.coords]
-        c = self.ncols
-        return Mat(ring, self.nrows, c, [entries[i * c:(i + 1) * c] for i in range(self.nrows)],
-                   normalize=False)
+        c, coords = self.ncols, self.coords
+        return Mat(ring, self.nrows, c, [
+            {q: v for q in range(c) for v in [solution[coords[p * c + q]]] if v}
+            for p in range(self.nrows)], normalize=False)
 
 
 def _pair_orbits(x, y) -> list[tuple[int, ...]]:
@@ -248,9 +247,11 @@ def _certificate(cf: ChainMap, contraction: dict) -> Certificate:
     def part(n, x_rows, x_cols):
         """H_n on X_n's rows (else Y_{n+1}'s) and X_{n-1}'s columns (else Y_n's)."""
         y, y1 = tgt.rank(n), tgt.rank(n + 1)
-        rows = contraction[n].rows[y1:] if x_rows else contraction[n].rows[:y1]
+        rows = contraction[n].sparse_rows()
+        rows = rows[y1:] if x_rows else rows[:y1]
         return Mat(src.ring, len(rows), src.rank(n - 1) if x_cols else y,
-                   [row[y:] if x_cols else row[:y] for row in rows], normalize=False)
+                   [{j - y: v for j, v in row.items() if j >= y} if x_cols else
+                    {j: v for j, v in row.items() if j < y} for row in rows], normalize=False)
 
     degrees = range(max(src.top, tgt.top) + 1)
     # verify_certificate checks g's chain-map law: a failure is a solver bug
@@ -273,7 +274,7 @@ def _contraction(r):
         eye = Mat.identity(ring, r.rank(n))
         system.add_equations([(r.d(n + 1), blocks[n], eye), (eye, blocks[n - 1], r.d(n))],
                              _positions(group, r, n, r, n, memo), diagonal=True)
-    solution = system.solve() if system.rows else []
+    solution = system.solve() if system.equations else []
     if solution is None:
         return None
     return {n: blocks[n].value(ring, solution) for n in range(r.top + 2)}

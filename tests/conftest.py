@@ -106,6 +106,64 @@ def vee(group) -> GSSet:
 # test-side linear algebra: dense references that share no code with exactla
 
 
+def dense_mat(ring, nrows: int, ncols: int, rows) -> Mat:
+    """The Mat with these dense rows (every entry written out, zeros included)."""
+    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        raise ValueError(f"shape mismatch: want {nrows}x{ncols}")
+    return Mat(ring, nrows, ncols, [dict(enumerate(r)) for r in rows])
+
+
+def dense(m: Mat) -> list:
+    """m's entries as a list of row lists, zeros included."""
+    return [list(r) for r in m.rows]
+
+
+class DenseReference:
+    """A dense matrix over a ring: the list-of-rows arithmetic that ``Mat`` replaced,
+    kept as the oracle for ``Mat``'s operators."""
+
+    def __init__(self, ring, nrows: int, ncols: int, rows):
+        self.ring, self.nrows, self.ncols = ring, nrows, ncols
+        self.rows = [[ring.normalize(v) for v in r] for r in rows]
+
+    def _same_shape(self, other):
+        if other.ring != self.ring or (other.nrows, other.ncols) != (self.nrows, self.ncols):
+            raise ValueError("shape or ring mismatch")
+
+    def __matmul__(self, other):
+        if other.ring != self.ring or self.ncols != other.nrows:
+            raise ValueError("shape or ring mismatch")
+        return DenseReference(self.ring, self.nrows, other.ncols, [
+            [sum((self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)), 0)
+             for j in range(other.ncols)] for i in range(self.nrows)])
+
+    def __add__(self, other):
+        self._same_shape(other)
+        return DenseReference(self.ring, self.nrows, self.ncols, [
+            [a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return DenseReference(self.ring, self.nrows, self.ncols,
+                              [[-a for a in r] for r in self.rows])
+
+    def __eq__(self, other):
+        return (self.ring, self.nrows, self.ncols, self.rows) == \
+            (other.ring, other.nrows, other.ncols, other.rows)
+
+    def is_zero(self) -> bool:
+        return all(v == 0 for r in self.rows for v in r)
+
+    def sparse_rows(self) -> list:
+        return [{j: v for j, v in enumerate(r) if v != 0} for r in self.rows]
+
+    def to_json(self) -> list:
+        return [[v if isinstance(v, int) else f"{v.numerator}/{v.denominator}" for v in r]
+                for r in self.rows]
+
+
 def dense_echelon_reference(rows, nr):
     """The dense integer column echelon loop that ``exactla._echelon`` replaced.
 
@@ -148,7 +206,7 @@ def dense_echelon_reference(rows, nr):
 def reference_echelon(m: Mat):
     """(H rows, U rows, pivots) of the dense loop, U recorded by a stacked identity."""
     nc = m.ncols
-    rows = [list(r) for r in m.rows] + [[int(i == j) for j in range(nc)] for i in range(nc)]
+    rows = dense(m) + [[int(i == j) for j in range(nc)] for i in range(nc)]
     pivots = dense_echelon_reference(rows, m.nrows)
     return rows[:m.nrows], rows[m.nrows:], pivots
 
@@ -189,7 +247,7 @@ def reference_forward(a, ncols, p):
 
 def reference_rref(m: Mat):
     """Dense reduced row echelon form over F_p: (rows of R, pivot columns)."""
-    a = [list(r) for r in m.rows]
+    a = dense(m)
     pivots = reference_forward(a, m.ncols, m.ring.p)
     for r in reversed(range(len(pivots))):
         reference_clear(a, r, pivots[r], range(r), m.ring.p)
@@ -212,29 +270,29 @@ def reference_kernel(m: Mat) -> list:
             v[f] = 1
             for i, c in enumerate(pivots):
                 v[c] = -r[i][f]
-            basis.append(m.ring.reduce(v))
+            basis.append([m.ring.normalize(x) for x in v])
         return basis
     rows = [[int(v * d) for v in row]
             for row in m.rows for d in [lcm(*[Fraction(v).denominator for v in row])]]
-    _, u, pivots = reference_echelon(Mat(ZZ, m.nrows, m.ncols, rows))
+    _, u, pivots = reference_echelon(dense_mat(ZZ, m.nrows, m.ncols, rows))
     return [[row[j] for row in u] for j in range(len(pivots), m.ncols)]
 
 
 def from_columns(ring, nrows: int, cols) -> Mat:
     """The nrows x len(cols) matrix whose columns are cols."""
-    return Mat(ring, nrows, len(cols), [[col[i] for col in cols] for i in range(nrows)])
+    return dense_mat(ring, nrows, len(cols), [[col[i] for col in cols] for i in range(nrows)])
 
 
 def perm_mat(ring, p) -> Mat:
     """The matrix sending basis vector j to basis vector p[j]."""
-    m = Mat.zeros(ring, len(p), len(p))
+    rows = [{} for _ in p]
     for j, i in enumerate(p):
-        m.rows[i][j] = ring.one
-    return m
+        rows[i][j] = ring.one
+    return Mat(ring, len(p), len(p), rows)
 
 
 def action_matrix(c, g, n: int) -> Mat:
     """The matrix by which g acts on degree n of the complex c (0 x 0 outside it)."""
     if not 0 <= n <= c.top:
-        return Mat.zeros(c.ring, 0, 0)
+        return Mat(c.ring, 0, 0)
     return perm_mat(c.ring, c.action[n].act[g])

@@ -66,3 +66,15 @@ def test_every_size_hook_matches_a_wrapped_name():
     for attr in vars(tracing.Tracer):
         if attr.startswith("_hook_"):
             assert attr in hooks, attr
+
+
+def test_mat_entries_reads_every_entry_and_not_the_column_indices():
+    """``exactla.max_coeff_bits`` and ``smith_density`` read matrices through
+    ``_mat_entries``: it must yield the entries, zeros included, so a matrix
+    format change cannot make them read column numbers instead."""
+    from orbitkit.exactla import Mat
+    from orbitkit.rings import ZZ
+    m = Mat(ZZ, 2, 3, [{2: 7}, {}])
+    assert list(tracing._mat_entries(m)) == [0, 0, 7, 0, 0, 0]
+    big = Mat(ZZ, 1, 6, [{5: 2 ** 40}])
+    assert tracing._bits(tracing._mat_entries(big)) == 41

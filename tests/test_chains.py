@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from conftest import action_matrix, from_columns, reference_kernel, swap_boundary1, vee
+from conftest import action_matrix, dense, dense_mat, from_columns, reference_kernel, \
+    swap_boundary1, vee
 from orbitkit import chains, exactla
-from orbitkit.chains import ChainComplex, ChainMap, HomologyGroup, chain_maps_equal, \
-    compose_chain_maps, concentrated, corestrict, disk, equivariance_defect, homology, \
-    homotopy_defect, identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
-    normalized_chain_map, normalized_chains, orbit_reduction, prism_homotopy, \
+from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, HomologyGroup, \
+    chain_maps_equal, compose_chain_maps, concentrated, corestrict, disk, equivariance_defect, \
+    homology, homotopy_defect, identity_chain_map, invariants, is_acyclic, is_quasi_iso, \
+    mapping_cone, normalized_chain_map, normalized_chains, orbit_reduction, prism_homotopy, \
     restrict_to_invariants, zero_complex
 from hypothesis import given, settings, strategies as st
 
@@ -38,13 +39,13 @@ def test_chains_of_point():
 def test_chains_of_interval():
     c = normalized_chains(standard_simplex(1), ZZ)
     assert c.ranks == (2, 1)
-    assert c.d(1).rows == [[-1], [1]]
+    assert dense(c.d(1)) == [[-1], [1]]
 
 
 def test_chains_of_swap_boundary(c2):
     c = normalized_chains(swap_boundary1(c2), ZZ)
     assert c.ranks == (2,)
-    assert action_matrix(c, 1, 0).rows == [[0, 1], [1, 0]]
+    assert dense(action_matrix(c, 1, 0)) == [[0, 1], [1, 0]]
 
 
 def test_degenerate_faces_contribute_zero(c2):
@@ -73,8 +74,8 @@ def test_functoriality_of_normalized_chains():
 
 def test_d_squared_guard():
     with pytest.raises(ValueError, match="d_1 d_2"):
-        ChainComplex(ZZ, (1, 1, 1), {1: Mat(ZZ, 1, 1, [[1]]),
-                                     2: Mat(ZZ, 1, 1, [[1]])})
+        ChainComplex(ZZ, (1, 1, 1), {1: dense_mat(ZZ, 1, 1, [[1]]),
+                                     2: dense_mat(ZZ, 1, 1, [[1]])})
 
 
 def test_negative_rank_is_refused():
@@ -90,14 +91,14 @@ def test_invariants_trivial_subgroup_is_identity(c2):
     c = normalized_chains(swap_boundary1(c2), ZZ)
     inv, incl = invariants(c, trivial_subgroup(c2))
     assert inv.ranks == c.ranks
-    assert incl.mat(0).rows == [[1, 0], [0, 1]]
+    assert dense(incl.mat(0)) == [[1, 0], [0, 1]]
 
 
 def test_invariants_regular_rep_orbit_sum(c2):
     c = normalized_chains(swap_boundary1(c2), ZZ)
     inv, incl = invariants(c, full_subgroup(c2))
     assert inv.ranks == (1,)
-    assert incl.mat(0).rows == [[1], [1]]
+    assert dense(incl.mat(0)) == [[1], [1]]
 
 
 def test_invariants_regular_rep_over_f2(c2):
@@ -120,16 +121,16 @@ def test_corestrict_refuses_a_matrix_map_off_the_invariants(c2):
     # a map given by matrices is factored as P f and checked by K (P f) = f
     c = ChainComplex(ZZ, (2,), {}, [regular_gset(c2)])
     inv, incl = invariants(c, full_subgroup(c2))
-    hits_sum = ChainMap(concentrated(ZZ, 0), c, {0: Mat(ZZ, 2, 1, [[3], [3]])})
-    assert corestrict(hits_sum, incl).mat(0).rows == [[3]]
-    hits_e1 = ChainMap(concentrated(ZZ, 0), c, {0: Mat(ZZ, 2, 1, [[1], [0]])})
+    hits_sum = ChainMap(concentrated(ZZ, 0), c, {0: dense_mat(ZZ, 2, 1, [[3], [3]])})
+    assert dense(corestrict(hits_sum, incl).mat(0)) == [[3]]
+    hits_e1 = ChainMap(concentrated(ZZ, 0), c, {0: dense_mat(ZZ, 2, 1, [[1], [0]])})
     with pytest.raises(InternalError, match="does not factor"):
         corestrict(hits_e1, incl)
 
 
 def test_invariants_reject_a_differential_that_does_not_restrict(c2):
     # built without validation: d sends the one 1-cell to one point of a swapped pair
-    c = ChainComplex(ZZ, (2, 1), {1: Mat(ZZ, 2, 1, [[1], [0]])},
+    c = ChainComplex(ZZ, (2, 1), {1: dense_mat(ZZ, 2, 1, [[1], [0]])},
                      (coset_gset(c2, trivial_subgroup(c2)), trivial_gset(c2, 1)),
                      validate=False)
     with pytest.raises(InternalError, match="must restrict"):
@@ -206,7 +207,7 @@ def test_disks_and_spheres():
 
 
 def test_torsion():
-    c = ChainComplex(ZZ, (1, 1), {1: Mat(ZZ, 1, 1, [[2]])})
+    c = ChainComplex(ZZ, (1, 1), {1: dense_mat(ZZ, 1, 1, [[2]])})
     hs = homology(c)
     assert hs[0].free_rank == 0 and hs[0].torsion == (2,)
     assert hs[1].is_zero()
@@ -215,7 +216,7 @@ def test_torsion():
 
 
 def test_torsion_chain_divisibility():
-    d = Mat(ZZ, 2, 2, [[2, 0], [0, 4]])
+    d = dense_mat(ZZ, 2, 2, [[2, 0], [0, 4]])
     c = ChainComplex(ZZ, (2, 2), {1: d})
     hs = homology(c)
     assert hs[0].torsion == (2, 4)
@@ -254,18 +255,18 @@ def random_fp_complex(rng, ring, max_rank=6, top=3):
     prev_kernel = None
     for n in range(1, top + 1):
         if ranks[n - 1] == 0 or ranks[n] == 0:
-            diffs[n] = Mat.zeros(ring, ranks[n - 1], ranks[n])
+            diffs[n] = Mat(ring, ranks[n - 1], ranks[n])
             prev_kernel = None
             continue
         if prev_kernel is None:
-            m = Mat(ring, ranks[n - 1], ranks[n],
-                    [[rng.randint(-3, 3) for _ in range(ranks[n])]
-                     for _ in range(ranks[n - 1])])
+            m = dense_mat(ring, ranks[n - 1], ranks[n],
+                          [[rng.randint(-3, 3) for _ in range(ranks[n])]
+                           for _ in range(ranks[n - 1])])
         else:
             k = from_columns(ring, ranks[n - 1], prev_kernel)
-            coeff = Mat(ring, k.ncols, ranks[n],
-                        [[rng.randint(-3, 3) for _ in range(ranks[n])]
-                         for _ in range(k.ncols)])
+            coeff = dense_mat(ring, k.ncols, ranks[n],
+                              [[rng.randint(-3, 3) for _ in range(ranks[n])]
+                               for _ in range(k.ncols)])
             m = k @ coeff
         diffs[n] = m
         prev_kernel = reference_kernel(m)
@@ -280,8 +281,7 @@ def test_homology_smith_path_matches_field_gauss_oracle(p):
         c = random_fp_complex(rng, ring)
         hs = homology(c)
         for n in range(c.top + 1):
-            rows_n = [list(row) for row in c.d(n).rows]
-            rows_n1 = [list(row) for row in c.d(n + 1).rows]
+            rows_n, rows_n1 = dense(c.d(n)), dense(c.d(n + 1))
             r_n = gauss_rank_mod_p(rows_n, p) if c.rank(n) and c.rank(n - 1) else 0
             r_n1 = gauss_rank_mod_p(rows_n1, p) if c.rank(n + 1) and c.rank(n) else 0
             betti = c.rank(n) - r_n - r_n1
@@ -298,7 +298,7 @@ def random_z_complex(rng, max_rank=5, top=3):
     for n in range(1, top + 1):
         k = from_columns(ZZ, ranks[n - 1], kernel)
         rows = [[rng.randint(-3, 3) for _ in range(ranks[n])] for _ in range(k.ncols)]
-        diffs[n] = k @ Mat(ZZ, k.ncols, ranks[n], rows)
+        diffs[n] = k @ dense_mat(ZZ, k.ncols, ranks[n], rows)
         kernel = reference_kernel(diffs[n])
     return ChainComplex(ZZ, ranks, diffs)
 
@@ -314,8 +314,8 @@ def test_universal_coefficients_across_z_q_fp():
         hz = homology(c)
         torsion_seen += sum(len(h.torsion) for h in hz)
         for ring in (QQ, PrimeField(2), PrimeField(3), PrimeField(5)):
-            cf = ChainComplex(ring, c.ranks, {n: Mat(ring, c.rank(n - 1), c.rank(n),
-                                                     c.d(n).rows)
+            cf = ChainComplex(ring, c.ranks, {n: dense_mat(ring, c.rank(n - 1), c.rank(n),
+                                                           c.d(n).rows)
                                               for n in range(1, c.top + 1)})
             for n, h in enumerate(homology(cf)):
                 want = hz[n].free_rank
@@ -342,10 +342,10 @@ def test_quasi_iso_identity_and_disks():
 
 def test_quasi_iso_detects_multiplication_by_two():
     z = concentrated(ZZ, 0)
-    f = ChainMap(z, z, {0: Mat(ZZ, 1, 1, [[2]])})
+    f = ChainMap(z, z, {0: dense_mat(ZZ, 1, 1, [[2]])})
     assert not is_quasi_iso(f)
     over_q = concentrated(QQ, 0)
-    fq = ChainMap(over_q, over_q, {0: Mat(QQ, 1, 1, [[2]])})
+    fq = ChainMap(over_q, over_q, {0: dense_mat(QQ, 1, 1, [[2]])})
     assert is_quasi_iso(fq)
 
 
@@ -441,11 +441,11 @@ def test_prism_homotopy_rejects_wrong_source():
 
 def test_rep_must_commute_with_d(c2):
     # swapping two points commutes with d = (1, 1) on the one edge, not with d = (-1, 1)
-    d = Mat(ZZ, 2, 1, [[-1], [1]])
+    d = dense_mat(ZZ, 2, 1, [[-1], [1]])
     swap = [make_gset(c2, [[0, 1], [1, 0]]), trivial_gset(c2, 1)]
     with pytest.raises(ValueError, match="commute"):
         ChainComplex(ZZ, (2, 1), {1: d}, swap)
-    ChainComplex(ZZ, (2, 1), {1: Mat(ZZ, 2, 1, [[1], [1]])}, swap)
+    ChainComplex(ZZ, (2, 1), {1: dense_mat(ZZ, 2, 1, [[1], [1]])}, swap)
 
 
 ACTION_GROUPS = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
@@ -478,7 +478,7 @@ def assert_orbit_sums_span_the_kernel(c, h, d: int, sums: Mat):
     ring, r = c.ring, c.rank(d)
     stack = [row for g in h.members
              for row in (action_matrix(c, g, d) - Mat.identity(ring, r)).rows]
-    kernel = reference_kernel(Mat(ring, len(stack), r, stack))
+    kernel = reference_kernel(dense_mat(ring, len(stack), r, stack))
     assert len(kernel) == sums.ncols
     for g in h.members:
         assert action_matrix(c, g, d) @ sums == sums
@@ -486,8 +486,8 @@ def assert_orbit_sums_span_the_kernel(c, h, d: int, sums: Mat):
               for j in range(sums.ncols)]
     assert None not in firsts  # no column is zero
     for v in kernel:
-        weights = Mat(ring, sums.ncols, 1, [[v[i]] for i in firsts])
-        assert sums @ weights == Mat(ring, r, 1, [[e] for e in v])
+        weights = dense_mat(ring, sums.ncols, 1, [[v[i]] for i in firsts])
+        assert sums @ weights == dense_mat(ring, r, 1, [[e] for e in v])
 
 
 def test_orbit_sums_make_no_matrix_products(c2, monkeypatch):
@@ -549,7 +549,7 @@ def test_equivariance_defect_matches_a_dense_oracle(group, data, shift, ring, se
         rows = _random_equivariant_rows(rnd, out, into, n, shift)
         if n == perturbed and rows and rows[0]:
             rows[rnd.randrange(len(rows))][rnd.randrange(len(rows[0]))] += 1
-        mats[n] = Mat(ring, out.rank(n + shift), into.rank(n), rows)
+        mats[n] = dense_mat(ring, out.rank(n + shift), into.rank(n), rows)
     # every element in order, then shuffled, and a few: the order decides the first one
     shuffled = data.draw(st.permutations(group.elements()))
     for elements in (group.elements(), shuffled, shuffled[:2]):
@@ -562,12 +562,9 @@ def _orbit_sum_inclusion(c: ChainComplex, h, n: int):
     """Test-side K (orbit indicators) and P (least-index selectors) in degree n."""
     act = c.action[n].act
     orbs = sorted({tuple(sorted({act[g][i] for g in h.members})) for i in range(c.rank(n))})
-    k, p = Mat.zeros(c.ring, c.rank(n), len(orbs)), Mat.zeros(c.ring, len(orbs), c.rank(n))
-    for j, orbit in enumerate(orbs):
-        for i in orbit:
-            k.rows[i][j] = c.ring.one
-        p.rows[j][orbit[0]] = c.ring.one
-    return k, p
+    k = [[int(i in orbit) for orbit in orbs] for i in range(c.rank(n))]
+    p = [[int(i == orbit[0]) for i in range(c.rank(n))] for orbit in orbs]
+    return dense_mat(c.ring, c.rank(n), len(orbs), k), dense_mat(c.ring, len(orbs), c.rank(n), p)
 
 
 @settings(max_examples=25, deadline=None)
@@ -607,10 +604,11 @@ def _copower_remap_reference(ring, c, src, tgt, to) -> dict:
     """Test-side matrices: copy p of c goes to copy to[p], non-injective or not."""
     mats = {}
     for n in range(c.top + 1):
-        r, m = c.rank(n), mats.setdefault(n, Mat.zeros(ring, tgt.rank(n), src.rank(n)))
+        r, m = c.rank(n), [[0] * src.rank(n) for _ in range(tgt.rank(n))]
         for p, q in enumerate(to):
             for j in range(r):
-                m.rows[q * r + j][p * r + j] = m.rows[q * r + j][p * r + j] + ring.one
+                m[q * r + j][p * r + j] += 1
+        mats[n] = dense_mat(ring, tgt.rank(n), src.rank(n), m)
     return mats
 
 
@@ -699,10 +697,10 @@ BAD_ENTRIES = {
 def test_mat_refuses_bad_ring_entries(name):
     ring, v = BAD_ENTRIES[name]
     with pytest.raises((ValueError, ZeroDivisionError)):
-        Mat(ring, 1, 1, [[v]])
+        dense_mat(ring, 1, 1, [[v]])
 
 
-_ROW, _D1 = Mat(ZZ, 1, 2, [[-1, 1]]), {1: Mat(ZZ, 2, 1, [[-1], [1]])}
+_ROW, _D1 = dense_mat(ZZ, 1, 2, [[-1, 1]]), {1: dense_mat(ZZ, 2, 1, [[-1], [1]])}
 BAD_COMPLEXES = {  # a complex over the group g that the constructor must refuse, and why
     "d-wrong-shape": (lambda g: ChainComplex(ZZ, (2, 1), {1: _ROW}), "d_1 has shape 1x2"),
     "d-degree-range": (lambda g: ChainComplex(ZZ, (2, 1), {**_D1, 2: Mat(ZZ, 1, 0)}),
@@ -730,15 +728,30 @@ def test_chain_complex_refuses_bad_parts(c2, name):
         build(c2)
 
 
+def test_a_matrix_over_another_ring_is_refused_naming_its_degree():
+    # 2 over F_2 is 0: accepted over Z, this d would read H_0 = Z where d = 2 gives Z/2
+    with pytest.raises(ValueError, match="d_1 has shape 1x1 over Fp:2, want 1x1 over Z"):
+        ChainComplex(ZZ, (1, 1), {1: dense_mat(PrimeField(2), 1, 1, [[2]])})
+    z = concentrated(ZZ, 0)
+    with pytest.raises(ValueError, match="chain map matrix in degree 0 has shape 1x1 "
+                                         "over Q, want 1x1 over Z"):
+        ChainMap(z, z, {0: Mat.identity(QQ, 1)})
+    with pytest.raises(ValueError, match="homotopy matrix in degree 0 has shape 0x1 "
+                                         "over Q, want 0x1 over Z"):
+        ChainHomotopy(z, z, {0: Mat(QQ, 0, 1)})
+    assert [h.text() for h in homology(ChainComplex(ZZ, (1, 1), {1: dense_mat(ZZ, 1, 1, [[2]])}))] \
+        == ["Z/2", "0"]
+
+
 def test_json_roundtrip(c2):
     # Mat.to_json writes what the Mat constructor reads back
     c = normalized_chains(vee(c2), ZZ)
     for m in [c.d(n) for n in range(1, c.top + 1)] \
             + [action_matrix(c, 1, n) for n in range(c.top + 1)]:
-        assert Mat(ZZ, m.nrows, m.ncols, m.to_json()) == m
-    half = Mat(QQ, 1, 1, [["1/2"]])
+        assert dense_mat(ZZ, m.nrows, m.ncols, m.to_json()) == m
+    half = dense_mat(QQ, 1, 1, [["1/2"]])
     assert half.to_json() == [["1/2"]]
-    assert Mat(QQ, 1, 1, half.to_json()) == half
+    assert dense_mat(QQ, 1, 1, half.to_json()) == half
 
 
 @settings(max_examples=25, deadline=None)

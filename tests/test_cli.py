@@ -14,13 +14,12 @@ from hypothesis import given, settings, strategies as st
 import orbitkit
 from orbitkit.chains import ChainHomotopy, ChainMap, normalized_chain_map
 from orbitkit.cli import _dumps, main
-from orbitkit.exactla import Mat
 from orbitkit.gsets import regular_gset
 from orbitkit.jsonio import load_group, load_smap
 from orbitkit.rings import ZZ
 from orbitkit.simplicial import gtensor, sset_to_json, standard_simplex
 from orbitkit.whitehead import Certificate, verify_certificate
-from conftest import exit_2_with_and_without_O, swap_boundary1, vee
+from conftest import dense_mat, exit_2_with_and_without_O, swap_boundary1, vee
 from orbitkit.groups import cyclic_group
 
 
@@ -213,7 +212,7 @@ def test_whitehead_json_certificate_reverifies(files, capsys):
         src, tgt = cf.source, cf.target
 
         def mats(key, rows_of, cols_of):
-            return {int(n): Mat(ZZ, rows_of(int(n)), cols_of(int(n)), m)
+            return {int(n): dense_mat(ZZ, rows_of(int(n)), cols_of(int(n)), m)
                     for n, m in cert[key].items()}
 
         parsed = Certificate(
@@ -500,15 +499,17 @@ def test_exit_3_on_internal_error(files, capsys, monkeypatch):
 
 BROKEN_TRANSPORT = """
 import orbitkit.whitehead as w
+from orbitkit.exactla import Mat
 certificate = w.Certificate
 
 def broken(g, s, t):
     # a bug after transport: g gets 1 added at entry (0, 0) in every degree, so
     # the g of the identity of C2/e x Delta[1] breaks the chain-map law in degree 1
+    mats = {}
     for n in range(g.top + 1):
         m = g.mat(n)
-        m.rows[0][0] = m.ring.reduce([m.rows[0][0] + 1])[0]
-    broken.g = g
+        mats[n] = m + Mat(m.ring, m.nrows, m.ncols, [{0: 1}] + [{}] * (m.nrows - 1))
+    g = broken.g = w.ChainMap(g.source, g.target, mats, validate=False)
     return certificate(g, s, t)
 """
 
@@ -637,9 +638,9 @@ def test_failed_corestrictions_exit_3_under_python_O():
             # not a translation: keeps the first basis vector, kills the rest
             mats = {}
             for n in range(x.top + 1):
-                mats[n] = Mat.zeros(x.ring, x.rank(n), x.rank(n))
-                if x.rank(n):
-                    mats[n].rows[0][0] = x.ring.one
+                r = x.rank(n)
+                mats[n] = Mat(x.ring, r, r, [{0: x.ring.one} if i == 0 else {}
+                                             for i in range(r)])
             plain = x.forget_action()
             return chains.ChainMap(plain, plain, mats, validate=False)
 
@@ -653,7 +654,7 @@ def test_failed_corestrictions_exit_3_under_python_O():
         def no_coords(c, h):
             # an inclusion whose coordinates are all zero: nothing factors
             inv, incl = invariants(c, h)
-            incl.coords = [Mat.zeros(c.ring, p.nrows, p.ncols) for p in incl.coords]
+            incl.coords = [Mat(c.ring, p.nrows, p.ncols) for p in incl.coords]
             return inv, incl
 
         elmendorf.invariants = no_coords  # the fixed points of ChainCat
@@ -683,6 +684,8 @@ def test_differential_that_does_not_restrict_exits_3_under_python_O():
     script = textwrap.dedent("""
         import contextlib, io, sys
         from orbitkit import cli
+        from orbitkit.chains import ChainComplex
+        from orbitkit.exactla import Mat
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         normalized = cli.normalized_chains
@@ -690,9 +693,11 @@ def test_differential_that_does_not_restrict_exits_3_under_python_O():
         def lopsided(x, ring):
             # d_1 loses one row, so d no longer commutes with the action
             c = normalized(x, ring)
-            if c.top >= 1:
-                c.d(1).rows[0] = [ring.zero] * c.rank(1)
-            return c
+            if c.top < 1:
+                return c
+            d = {n: c.d(n) for n in range(1, c.top + 1)}
+            d[1] = Mat(ring, d[1].nrows, d[1].ncols, [{}] + d[1].sparse_rows()[1:])
+            return ChainComplex(ring, c.ranks, d, c.action, basis=c.basis, validate=False)
 
         cli.normalized_chains = lopsided
         err = io.StringIO()

@@ -15,9 +15,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_mat
 from orbitkit.chains import ChainComplex, ChainMap
 from orbitkit.elmendorf import ChainCat, FinSSetCat, FinSetCat, VMap
-from orbitkit.exactla import Mat
 from orbitkit.groups import all_subgroups, symmetric_group
 from orbitkit.gsets import coset_gset
 from orbitkit.rings import ZZ
@@ -112,7 +112,7 @@ def _chain_map(data, source: ChainComplex, target: ChainComplex, of_bases: bool)
             st.one_of(st.none(), st.integers(0, source.rank(n) - 1)) if source.rank(n)
             else st.none(), min_size=target.rank(n), max_size=target.rank(n))))
             for n in degrees})
-    return ChainMap(source, target, {n: Mat(ZZ, target.rank(n), source.rank(n), [
+    return ChainMap(source, target, {n: dense_mat(ZZ, target.rank(n), source.rank(n), [
         data.draw(st.lists(st.integers(-1, 1), min_size=source.rank(n),
                            max_size=source.rank(n))) for _ in range(target.rank(n))])
         for n in degrees}, validate=False)

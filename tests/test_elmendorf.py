@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import orbitkit
-from conftest import swap_boundary1, vee, with_trivial_action
+from conftest import dense, dense_mat, swap_boundary1, vee, with_trivial_action
 from orbitkit import chains, elmendorf, exactla
 from orbitkit.chains import ChainMap, concentrated, homology, \
     identity_chain_map, invariants, normalized_chains
@@ -190,7 +190,7 @@ def test_gobject_refuses_an_action_that_does_not_permute_the_basis(c2):
     """The sign action of C2 on a rank-1 complex is no permutation: refused,
     naming the degree, as a group acts on chain complexes by permutations only."""
     z = concentrated(ZZ, 0)
-    minus = ChainMap(z, z, {0: Mat(ZZ, 1, 1, [[-1]])})
+    minus = ChainMap(z, z, {0: dense_mat(ZZ, 1, 1, [[-1]])})
     with pytest.raises(ValueError, match="degree 0 do not permute the basis"):
         ChainCat(ZZ).gobject(c2, z, {0: identity_chain_map(z), 1: minus})
 
@@ -199,7 +199,7 @@ def test_gobject_refuses_permutations_that_break_the_action_laws_or_d():
     """Permutation actions are still checked: a swap of the ends of an edge
     does not commute with d, and a permutation per element need not be an action."""
     c2, c4 = cyclic_group(2), cyclic_group(4)
-    swap = Mat(ZZ, 2, 2, [[0, 1], [1, 0]])
+    swap = dense_mat(ZZ, 2, 2, [[0, 1], [1, 0]])
     edge = normalized_chains(standard_simplex(1), ZZ)
     flip = ChainMap(edge, edge, {0: swap, 1: Mat.identity(ZZ, 1)}, validate=False)
     with pytest.raises(ValueError, match="does not commute with d_1"):
@@ -350,10 +350,10 @@ def rotated(vc, m):
         return None if out.fn == m.fn else out
     for n in range(m.top + 1):  # a chain map: the columns of one degree
         a = m.mat(n)
-        rows = [r[1:] + r[:1] for r in a.rows]
-        if rows != a.rows:
+        rows = [r[1:] + r[:1] for r in dense(a)]
+        if rows != dense(a):
             mats = {k: m.mat(k) for k in range(m.top + 1)}
-            mats[n] = Mat(a.ring, a.nrows, a.ncols, rows)
+            mats[n] = dense_mat(a.ring, a.nrows, a.ncols, rows)
             return ChainMap(m.source, m.target, mats, validate=False)
     return None
 
@@ -366,8 +366,10 @@ def widened(vc, m, side):
         return VMap(m.source + 1, m.target, m.fn + (0,)) if m.target else None
     mats = {k: m.mat(k) for k in range(m.top + 1)}
     a = mats[0]
-    mats[0] = Mat(a.ring, a.nrows + 1, a.ncols, a.rows + [[0] * a.ncols]) \
-        if side == "target" else Mat(a.ring, a.nrows, a.ncols + 1, [r + [0] for r in a.rows])
+    if side == "target":
+        mats[0] = dense_mat(a.ring, a.nrows + 1, a.ncols, dense(a) + [[0] * a.ncols])
+    else:
+        mats[0] = dense_mat(a.ring, a.nrows, a.ncols + 1, [r + [0] for r in dense(a)])
     return ChainMap(m.source, m.target, mats, validate=False)
 
 

@@ -1,7 +1,7 @@
 """F_p entries are plain int residues in 0..p-1, wherever they come from.
 
 Matrices over F_p hold ``int`` residues, and every routine that adds,
-subtracts or multiplies them passes its rows through ``ring.reduce``.  The
+subtracts or multiplies them passes its rows through ``ring.nonzero``.  The
 property below draws small integer matrices, runs every operator and field
 routine on them, and checks three things: each result entry is an ``int``
 in ``range(p)``; rank agrees with an independent row reduction mod p and
@@ -14,7 +14,7 @@ prime.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import from_columns, reference_kernel, vee
+from conftest import dense, dense_mat, from_columns, reference_kernel, vee
 from test_chains import gauss_rank_mod_p
 from test_exactla import dense_rref
 from orbitkit.chains import ChainComplex, identity_chain_map, invariants, \
@@ -46,11 +46,11 @@ def int_rows(nrows, ncols):
 def test_every_fp_entry_is_a_residue(p, data, m, n, k):
     ring = PrimeField(p)
     raw_a = data.draw(int_rows(m, n))
-    a = Mat(ring, m, n, raw_a)
-    b = Mat(ring, m, n, data.draw(int_rows(m, n)))
-    x0 = Mat(ring, n, k, data.draw(int_rows(n, k)))
+    a = dense_mat(ring, m, n, raw_a)
+    b = dense_mat(ring, m, n, data.draw(int_rows(m, n)))
+    x0 = dense_mat(ring, n, k, data.draw(int_rows(n, k)))
     c = data.draw(st.integers(-20, 20))
-    scaled = Mat(ring, m, m, [[c if i == j else 0 for j in range(m)] for i in range(m)]) @ a
+    scaled = dense_mat(ring, m, m, [[c if i == j else 0 for j in range(m)] for i in range(m)]) @ a
     r, pivots = dense_rref(a)
     for out in (a, a @ x0, a + b, a - b, b - a, -a, scaled, r):
         assert_residues(out, p)
@@ -75,7 +75,7 @@ def test_chain_builders_give_residues(c2, p):
     c = normalized_chains(vee(c2), ring)
     # a swapped pair under d = (1, -1): d on the invariants is 1 - 1 = 0
     swap = [make_gset(c2, [[0, 1], [1, 0]])] * 2
-    signed = ChainComplex(ring, (2, 2), {1: Mat(ring, 2, 2, [[1, -1], [-1, 1]])}, swap)
+    signed = ChainComplex(ring, (2, 2), {1: dense_mat(ring, 2, 2, [[1, -1], [-1, 1]])}, swap)
     for cx in (c, signed):
         for n in range(cx.top + 1):
             assert_residues(cx.d(n), p)
@@ -92,7 +92,7 @@ def test_chain_builders_give_residues(c2, p):
                 assert_residues(m, p)
     inv, incl = invariants(signed, full_subgroup(c2))
     assert [row[0] for row in incl.mat(0).rows] == [1, 1]  # the orbit sum
-    assert inv.d(1).rows == [[0]]
+    assert dense(inv.d(1)) == [[0]]
 
 
 def test_operands_over_different_rings_are_refused():

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import orbitkit
 
-from conftest import action_matrix, from_columns, reference_kernel, swap_boundary1, vee, \
-    with_trivial_action
+from conftest import action_matrix, dense, dense_mat, from_columns, reference_kernel, \
+    swap_boundary1, vee, with_trivial_action
 from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, \
     compose_chain_maps, concentrated, homotopy_defect, identity_chain_map, \
     is_quasi_iso, mapping_cone, normalized_chain_map, normalized_chains, orbit_reduction, \
@@ -46,7 +46,7 @@ def test_vertex_into_interval_certificate():
     cert = certificate_search(cf)
     assert cert is not None
     # g collapses both vertices to the point, s is supported on the edge
-    assert cert.backward.mat(0).rows == [[1, 1]]
+    assert dense(cert.backward.mat(0)) == [[1, 1]]
     assert cert.forward_homotopy.mat(0).ncols == 2
 
 
@@ -62,13 +62,20 @@ def test_verify_certificate_rejects_perturbation():
     cert = certificate_search(cf)
     s = cert.forward_homotopy
     m0 = s.mat(0)
-    smat = Mat(m0.ring, m0.nrows, m0.ncols, m0.rows)
-    smat.rows[0][0] = smat.rows[0][0] + 1
+    rows = dense(m0)
+    rows[0][0] += 1
+    smat = dense_mat(m0.ring, m0.nrows, m0.ncols, rows)
     bad = Certificate(cert.backward,
                       ChainHomotopy(s.source, s.target, {0: smat}),
                       cert.backward_homotopy)
     assert verify_certificate(cert, cf)
     assert not verify_certificate(bad, cf)
+
+
+def test_verify_certificate_refuses_a_certificate_over_another_ring():
+    cq = certificate_search(identity_chain_map(concentrated(QQ, 0)))
+    assert cq is not None
+    assert verify_certificate(cq, identity_chain_map(concentrated(ZZ, 0))) is False
 
 
 def test_verify_certificate_refuses_blocks_of_the_wrong_shape():
@@ -78,7 +85,7 @@ def test_verify_certificate_refuses_blocks_of_the_wrong_shape():
     assert verify_certificate(cert, cf)
 
     def wider(m):  # one more zero column
-        return Mat(ZZ, m.nrows, m.ncols + 1, [row + [0] for row in m.rows])
+        return dense_mat(ZZ, m.nrows, m.ncols + 1, [[*row, 0] for row in m.rows])
 
     def one_more_in_degree_0(c):
         return ChainComplex(ZZ, (c.rank(0) + 1,) + c.ranks[1:], {}, validate=False)
@@ -98,7 +105,7 @@ def equivariance_only_mutants():
     c2 = cyclic_group(2)
     x = gtensor(coset_gset(c2, trivial_subgroup(c2)), boundary_simplex(2))
     cycle = [1, -1, 1, 0, 0, 0]  # edges 01 - 02 + 12 of copy 0, which comes first
-    n = Mat(ZZ, 6, 6, [[v] * 3 + [0] * 3 for v in cycle])
+    n = dense_mat(ZZ, 6, 6, [[v] * 3 + [0] * 3 for v in cycle])
     out = []
     for cf in [normalized_chain_map(identity_smap(x), ZZ)]:
         src, tgt = cf.source, cf.target
@@ -160,16 +167,16 @@ def random_field_complex(rng, ring, max_rank=4, top=2):
     prev_kernel = None
     for n in range(1, top + 1):
         if ranks[n - 1] == 0 or ranks[n] == 0:
-            diffs[n] = Mat.zeros(ring, ranks[n - 1], ranks[n])
+            diffs[n] = Mat(ring, ranks[n - 1], ranks[n])
             prev_kernel = None
             continue
         if prev_kernel is None:
-            m = Mat(ring, ranks[n - 1], ranks[n],
+            m = dense_mat(ring, ranks[n - 1], ranks[n],
                     [[rng.randint(-2, 2) for _ in range(ranks[n])]
                      for _ in range(ranks[n - 1])])
         else:
             k = from_columns(ring, ranks[n - 1], prev_kernel)
-            m = k @ Mat(ring, k.ncols, ranks[n],
+            m = k @ dense_mat(ring, k.ncols, ranks[n],
                         [[rng.randint(-2, 2) for _ in range(ranks[n])]
                          for _ in range(k.ncols)])
         diffs[n] = m
@@ -206,7 +213,7 @@ def random_chain_map(rng, src, tgt):
                         row[key] = row[key] - v
                 rows.append(row)
     if rows:
-        basis = reference_kernel(Mat(ring, len(rows), count, rows))
+        basis = reference_kernel(dense_mat(ring, len(rows), count, rows))
     else:
         basis = [[ring.one if i == j else ring.zero for i in range(count)]
                  for j in range(count)]
@@ -216,11 +223,9 @@ def random_chain_map(rng, src, tgt):
         sol = [a + c * b for a, b in zip(sol, vec)]
     mats = {}
     for n in range(top + 1):
-        m = Mat.zeros(ring, tgt.rank(n), src.rank(n))
-        for i in range(tgt.rank(n)):
-            for j in range(src.rank(n)):
-                m.rows[i][j] = sol[idx[(n, i, j)]]
-        mats[n] = m
+        mats[n] = dense_mat(ring, tgt.rank(n), src.rank(n),
+                            [[sol[idx[(n, i, j)]] for j in range(src.rank(n))]
+                             for i in range(tgt.rank(n))])
     return ChainMap(src, tgt, mats)
 
 
@@ -230,11 +235,11 @@ def test_nonequivariant_sanity_certificates_iff_quasi_iso():
     rng = random.Random(41)
     for ring in (QQ, PrimeField(2)):
         fixtures = []
-        base = ChainComplex(ring, (1, 1), {1: Mat(ring, 1, 1, [[1]])})
+        base = ChainComplex(ring, (1, 1), {1: dense_mat(ring, 1, 1, [[1]])})
         fixtures.append(ChainMap(zero_complex(ring), base, {}))
         fixtures.append(ChainMap(zero_complex(ring), concentrated(ring, 1), {}))
         fixtures.append(ChainMap(concentrated(ring, 0), concentrated(ring, 0),
-                                 {0: Mat(ring, 1, 1, [[2]])}))  # 2 = 0 mod 2
+                                 {0: dense_mat(ring, 1, 1, [[2]])}))  # 2 = 0 mod 2
         for _ in range(12):
             src = random_field_complex(rng, ring)
             tgt = random_field_complex(rng, ring)
@@ -253,10 +258,10 @@ def test_nonequivariant_sanity_certificates_iff_quasi_iso():
 def test_integer_versus_rational_certificates():
     # multiplication by 2 on Z<0>: rational homotopy inverse only
     fz = ChainMap(concentrated(ZZ, 0), concentrated(ZZ, 0),
-                  {0: Mat(ZZ, 1, 1, [[2]])})
+                  {0: dense_mat(ZZ, 1, 1, [[2]])})
     assert certificate_search(fz) is None
     fq = ChainMap(concentrated(QQ, 0), concentrated(QQ, 0),
-                  {0: Mat(QQ, 1, 1, [[2]])})
+                  {0: dense_mat(QQ, 1, 1, [[2]])})
     assert certificate_search(fq) is not None
 
 
@@ -330,7 +335,7 @@ def test_search_solves_the_reduced_cone_in_orbit_coordinates(monkeypatch):
     # 2 is not +-1; one unknown per C4-orbit of the index pairs of H' (the only
     # block is H'_0, Q[C4] -> Q[C4]) and one row per orbit of each degree's pairs
     reg = ChainComplex(QQ, (4,), {}, [regular_gset(cyclic_group(4))])
-    twice = ChainMap(reg, reg, {0: Mat(QQ, 4, 4, [[2 * (i == j) for j in range(4)]
+    twice = ChainMap(reg, reg, {0: dense_mat(QQ, 4, 4, [[2 * (i == j) for j in range(4)]
                                                   for i in range(4)])})
     r = orbit_reduction(mapping_cone(twice))[0]
     assert r.ranks == (4, 4)
@@ -375,16 +380,17 @@ def assert_blocks_span_the_equivariant_matrices(left, ln, right, rn):
                 for q in range(c):
                     row[i * c + q] -= rho_r.rows[q][j]
                 rows.append(row)
-    kernel = reference_kernel(Mat(ring, len(rows), r * c, rows))
+    kernel = reference_kernel(dense_mat(ring, len(rows), r * c, rows))
     assert block.size == len(kernel)
     first = {}  # each unknown's first entry
     for e, u in enumerate(block.coords):
         first.setdefault(u, e)
     for u in range(block.size):  # each indicator solves the constraints
-        assert not any(ring.reduce([sum(x for x, w in zip(row, block.coords) if w == u)
-                                    for row in rows]))
+        assert not any(ring.normalize(sum(x for x, w in zip(row, block.coords) if w == u))
+                       for row in rows)
     for v in kernel:  # and v is the sum of the indicators weighted by its values
-        assert ring.reduce([v[first[u]] for u in block.coords]) == ring.reduce(v)
+        assert [ring.normalize(v[first[u]]) for u in block.coords] == \
+            [ring.normalize(x) for x in v]
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, PrimeField(2)], ids=str)
@@ -397,7 +403,7 @@ def test_permutation_and_matrix_actions_give_one_verdict(ring):
             normalized_chain_map(prism(x).end0, ring)]
     # 2 id on R[C2] in degree 0: inverse over Q only (2 = 0 in F_2)
     reg = ChainComplex(ring, (2,), {}, [regular_gset(c2)])
-    maps.append(ChainMap(reg, reg, {0: Mat(ring, 2, 2, [[2, 0], [0, 2]])}))
+    maps.append(ChainMap(reg, reg, {0: dense_mat(ring, 2, 2, [[2, 0], [0, 2]])}))
     expect = [True, True, ring == QQ]
     for cf, found in zip(maps, expect):
         assert cf.equivariant
@@ -613,7 +619,7 @@ def test_hypothesis_a_on_the_reduced_cone_says_no_where_a_restriction_does(s3, d
 
 def test_hypothesis_a_refuses_a_chain_map_that_is_not_equivariant(c2):
     c = normalized_chains(gtensor(regular_gset(c2), point_sset()), ZZ)
-    swap = ChainMap(c, c, {0: Mat(ZZ, 2, 2, [[1, 0], [0, 0]])})
+    swap = ChainMap(c, c, {0: dense_mat(ZZ, 2, 2, [[1, 0], [0, 0]])})
     assert not swap.equivariant
     with pytest.raises(InternalError, match="equivariant"):
         invariant_quasi_isos(swap, all_subgroups(c2))
@@ -751,7 +757,8 @@ def scaled(cf: ChainMap, c) -> ChainMap:
     """c times cf, an equivariant chain map when cf is one."""
     ring = cf.source.ring
     return ChainMap(cf.source, cf.target,
-                    {n: Mat(ring, m.nrows, m.ncols, [[c * v for v in row] for row in m.rows])
+                    {n: dense_mat(ring, m.nrows, m.ncols, [[c * v for v in row]
+                                                           for row in m.rows])
                      for n, m in enumerate(cf)})
 
 
@@ -760,14 +767,14 @@ def random_orbit_map(data, group, ring) -> ChainMap:
     combination of the indicators of the pair orbits."""
     subgroups = all_subgroups(group)
     x, y = (coset_gset(group, data.draw(st.sampled_from(subgroups))) for _ in range(2))
-    m = Mat.zeros(ring, y.size, x.size)
+    rows = [[0] * x.size for _ in range(y.size)]
     for orbit in _pair_orbits(y, x):
         c = data.draw(st.integers(-2, 2))
         for e in orbit:
             i, j = divmod(e, x.size)
-            m.rows[i][j] = ring.normalize(c)
+            rows[i][j] = c
     src, tgt = (ChainComplex(ring, (z.size,), {}, [z]) for z in (x, y))
-    return ChainMap(src, tgt, {0: m})
+    return ChainMap(src, tgt, {0: dense_mat(ring, y.size, x.size, rows)})
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -794,7 +801,7 @@ def test_transport_keeps_the_verdict_on_twice_the_identity_of_the_regular_repres
     found = {}
     for ring in RINGS:  # 2 is a unit over Q and F_3 only
         reg = ChainComplex(ring, (2,), {}, [regular_gset(c2)])
-        twice = ChainMap(reg, reg, {0: Mat(ring, 2, 2, [[2, 0], [0, 2]])})
+        twice = ChainMap(reg, reg, {0: dense_mat(ring, 2, 2, [[2, 0], [0, 2]])})
         found[ring.name] = assert_transport_keeps_the_verdict(twice)
     assert found == {"Z": False, "Q": True, "Fp:2": False, "Fp:3": True}
 
@@ -808,8 +815,8 @@ def misread_certificate(cf, contraction, s_sign=-1, t_from=1):
     def part(n, x_rows, x_cols):
         y, y1 = tgt.rank(n), tgt.rank(n + 1)
         rows = contraction[n].rows[y1:] if x_rows else contraction[n].rows[:y1]
-        return Mat(src.ring, len(rows), src.rank(n - 1) if x_cols else y,
-                   [row[y:] if x_cols else row[:y] for row in rows])
+        return dense_mat(src.ring, len(rows), src.rank(n - 1) if x_cols else y,
+                         [row[y:] if x_cols else row[:y] for row in rows])
 
     degrees = range(max(src.top, tgt.top) + 1)
     g = ChainMap(tgt, src, {n: part(n, True, False) for n in degrees}, validate=False)
@@ -978,3 +985,22 @@ def test_an_unflagged_chain_map_under_the_trivial_group_is_solved_on_its_reduced
         assert not cf.equivariant and mapping_cone(cf).group == c.group
         cert = certificate_search(cf)
         assert cert is not None and verify_certificate(cert, cf)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(group=st.sampled_from(TRANSPORT_GROUPS), data=st.data(), n=st.integers(0, 2),
+       kind=st.sampled_from(["identity", "prism"]))
+def test_a_z_certificate_implies_one_over_q_f2_and_f3(group, data, n, kind):
+    """On G/K (x) Delta[n] identities and prism end inclusions: whenever
+    ``whitehead_verify`` returns a certificate over Z, it returns one over Q,
+    F_2 and F_3 too, each re-verified on the map's own chains over its ring.
+    These maps are equivariant homotopy equivalences, so Z always has one."""
+    k = data.draw(st.sampled_from(all_subgroups(group)))
+    x = gtensor(coset_gset(group, k), standard_simplex(n))
+    f = identity_smap(x) if kind == "identity" else prism(x).end0
+    family = all_subgroups(group)
+    assert whitehead_verify(f, family, ZZ).certificate is not None
+    for ring in (QQ, PrimeField(2), PrimeField(3)):
+        cert = whitehead_verify(f, family, ring).certificate
+        assert cert is not None, ring
+        assert verify_certificate(cert, normalized_chain_map(f, ring))
