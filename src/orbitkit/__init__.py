@@ -19,7 +19,7 @@ from .simplicial import CellStructure, CofibrationVerdict, GSSet, Prism, ReplayE
     fixed_sset, gtensor, identity_smap, make_smap, point_sset, prism, skeleton, \
     sset_to_json, standard_simplex, sub_sset
 from .chains import ChainComplex, ChainHomotopy, ChainMap, HomologyGroup, \
-    SignConventionError, concentrated, disk, homology, identity_chain_map, \
+    SignConventionError, concentrated, disk, fixed_chains, homology, identity_chain_map, \
     invariants, is_quasi_iso, mapping_cone, normalized_chain_map, \
     normalized_chains, orbit_reduction, prism_homotopy, restrict_to_invariants, \
     zero_complex

@@ -387,6 +387,30 @@ def invariants(c: ChainComplex, h: Subgroup) -> tuple[ChainComplex, ChainMap]:
     return inv, incl
 
 
+def fixed_chains(c: ChainComplex, h: Subgroup) -> ChainComplex:
+    """The subcomplex of c on the basis vectors that H's generators fix, without an action,
+    up to the top degree keeping one (0 if none): C(X^H) for c = C(X), as X^H keeps X's ids
+    and faces.  ``c.forget_action()`` when H moves no vector; raises if d moves one out."""
+    if h.parent != c.group:
+        raise ValueError("subgroup of a different group")
+    keep = [range(r) for r in c.ranks]
+    for g in h.generators:
+        keep = [[i for i in k if x.act[g][i] == i] for k, x in zip(keep, c.action)]
+    if sum(map(len, keep)) == sum(c.ranks):
+        return c.forget_action()
+    top = max((n for n, k in enumerate(keep) if k), default=0)
+    pos = [{i: p for p, i in enumerate(k)} for k in keep]
+    diffs = {}
+    for n in range(1, top + 1):  # d restricts to the fixed vectors, so d^2 = 0 there
+        cols = pos[n]
+        sub = [{cols[j]: x for j, x in row.items() if j in cols} for row in c.d(n).sparse_rows()]
+        if cols and any(r for i, r in enumerate(sub) if i not in pos[n - 1]):
+            raise InternalError(f"d_{n} takes a fixed basis vector out of the fixed subcomplex")
+        diffs[n] = Mat(c.ring, len(keep[n - 1]), len(cols), [sub[i] for i in keep[n - 1]],
+                       normalize=False)
+    return ChainComplex(c.ring, [len(k) for k in keep[:top + 1]], diffs, validate=False)
+
+
 def orbit_reduction(c: ChainComplex):
     """A smaller complex r with the same homology of C^H for every subgroup H,
     and an equivariant strong deformation retraction of c onto it.

@@ -14,7 +14,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import elmendorf as elm
-from .chains import homology, invariants, normalized_chains, orbit_reduction
+from .chains import fixed_chains, homology, invariants, normalized_chains, orbit_reduction
 from .errors import InternalError
 from .groups import trivial_subgroup
 from .gsets import orbit_analysis
@@ -112,14 +112,15 @@ def cmd_homology(args) -> int:
     group = load_group(args.group) if args.group else None
     x = load_sset(args.sset, group)
     family = load_family(args.family, x.group)
-    c = orbit_reduction(normalized_chains(x, ring))[0]  # equivariant: every C^H keeps its homology
+    chains = normalized_chains(x, ring)
+    c = orbit_reduction(chains)[0]  # equivariant: every C^H keeps its homology
     lines = []
     payload = {}
     for h in family:
         inv, _ = invariants(c, h)
         col_a = homology(inv)
-        col_b = col_a if h.is_trivial() else homology(  # X^e = X: c is its chains, reduced
-            normalized_chains(fixed_sset(x, h)[0], ring))
+        # C(X^H) is C(X) on its H-fixed basis; X^e = X, and c is its chains, reduced
+        col_b = col_a if h.is_trivial() else homology(fixed_chains(chains, h))
         text_a = format_homology(col_a, ring.name)
         text_b = format_homology(col_b, ring.name)
         if h.is_trivial():

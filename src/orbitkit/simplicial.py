@@ -275,25 +275,26 @@ def point_sset() -> GSSet:
 def build_sset(spec, group: Group | None = None) -> GSSet:
     """Build a validated GSSet from a dict spec or a built-in name.
 
-    Built-in names: "point", "empty", "delta:n", "boundary:n".  The dict
-    layout matches the JSON file format: dims, simplices, faces, action
-    (action may be omitted for a trivial group).
+    Built-in names: "point", "empty", "delta:n", "boundary:n", each with the
+    group's trivial action.  The dict layout matches the JSON file format:
+    dims, simplices, faces, action (action may be omitted for a trivial group).
     """
+    group = group or TRIVIAL_GROUP
     if isinstance(spec, str):
-        if spec == "point":
-            return point_sset()
-        if spec == "empty":
-            return empty_sset(group or TRIVIAL_GROUP)
         kind, _, n = spec.partition(":")
-        if kind in ("delta", "boundary") and n.isascii() and n.isdigit():
+        if spec in ("point", "empty"):
+            x = point_sset() if spec == "point" else empty_sset()
+        elif kind in ("delta", "boundary") and n.isascii() and n.isdigit():
             try:
                 top = int(n)
             except ValueError:  # int() reads at most 4,300 digits
                 raise ValueError(f"built-in simplicial set {kind}:<{len(n)} digits> exceeds "
                                  f"the cap {TOP_DIM_CAP} on top dimensions") from None
-            return (standard_simplex if kind == "delta" else boundary_simplex)(top)
-        raise ValueError(f"unknown built-in simplicial set {spec!r}")
-    group = group or TRIVIAL_GROUP
+            x = (standard_simplex if kind == "delta" else boundary_simplex)(top)
+        else:
+            raise ValueError(f"unknown built-in simplicial set {spec!r}")
+        return x if group.order == 1 else GSSet(group, x.dim_of, x.faces, {
+            g: x.action[0] for g in group.elements()})
     dim_of = {}
     for n, id_list in int_keys(spec.get("simplices", {}), "dimension").items():
         for x in id_list:

@@ -19,17 +19,17 @@ One exact solve from the system's sparse rows, on every ring
 (Hermite-style over Z and Q, Gauss-Jordan over F_p), then either produces
 a certificate or proves that none exists over the ring; no system is
 solved when the reduced cone is 0.  The certificate is re-verified on f's
-own complexes against the full identities for every group element before
-it is returned.  Over Z a failure does not rule out a rational
-certificate; query the rings separately.
+own complexes against the full identities, equivariance on the group's
+generators (the actions are homomorphisms), before it is returned.  Over Z
+a failure does not rule out a rational certificate; query the rings separately.
 
 ``whitehead_verify`` packages the hypothesis checks for a simplicial map:
 isotropy of all simplices against the family, quasi-isomorphy of the
 invariant subcomplexes (route (a)) and of the chains of fixed-point
-subcomplexes (route (b)), then attempts the certificate.  The equivariant
-cone of f is reduced once and serves route (a), as (cone f)^H = cone(f^H),
-and the certificate search.  Route (b) at e reads f's own chain map, as
-X^e = X; each route still decides on its own cone, (b) on the unreduced one.
+subcomplexes (route (b)), then attempts the certificate.  f's equivariant
+cone is built once.  Reduced, it serves route (a), as (cone f)^H = cone(f^H),
+and the certificate search; route (b) reads cone(f^H) off it unreduced, on
+the H-fixed basis (``chains.fixed_chains``), so each route decides on its own cone.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .chains import ChainHomotopy, ChainMap, compose_chain_maps, equivariance_defect, \
-    homotopy_defect, identity_chain_map, invariants, is_acyclic, is_quasi_iso, mapping_cone, \
-    normalized_chain_map, normalized_chains, orbit_reduction
+    fixed_chains, homotopy_defect, identity_chain_map, invariants, is_acyclic, mapping_cone, \
+    normalized_chain_map, orbit_reduction
 from .errors import InternalError
 from .exactla import Mat, solve_exact
 from .groups import conjugating_element
 from .gsets import orbits, stabilizer
-from .simplicial import SMap, fixed_sset
+from .simplicial import SMap
 
 # a size bound on rows x unknowns of the system on the orbit-reduced cone (the whole
 # cone for complexes without an action); every system stays sparse
@@ -56,21 +56,15 @@ class Certificate(NamedTuple):
     backward_homotopy: ChainHomotopy   # t : g f - id_C = d t + t d
 
     def to_json(self) -> dict:
-        g = self.backward
-        top = max(g.source.top, g.target.top)
-        return {
-            "g": {str(n): g.mat(n).to_json() for n in range(top + 1)},
-            "s": {str(n): self.forward_homotopy.mat(n).to_json()
-                  for n in range(top + 1)},
-            "t": {str(n): self.backward_homotopy.mat(n).to_json()
-                  for n in range(top + 1)},
-        }
+        top = max(self.backward.source.top, self.backward.target.top)
+        return {key: {str(n): m.mat(n).to_json() for n in range(top + 1)}
+                for key, m in zip("gst", self)}  # g, s and t, in field order
 
 
 def verify_certificate(cert: Certificate, cf: ChainMap) -> bool:
     """Re-check every certificate identity by exact arithmetic on cf's own complexes:
     the shape of every block, the chain-map law for g, both homotopies, and
-    equivariance of g, s and t under every group element."""
+    equivariance of g, s and t under the group's generators."""
     src, tgt = cf.source, cf.target
     degrees = range(max(src.top, tgt.top) + 1)
     try:  # the constructors refuse a wrong shape, and ChainMap a g off the chain-map law
@@ -82,10 +76,9 @@ def verify_certificate(cert: Certificate, cf: ChainMap) -> bool:
     if homotopy_defect(s, identity_chain_map(tgt), compose_chain_maps(cf, g)) \
             or homotopy_defect(t, identity_chain_map(src), compose_chain_maps(g, cf)):
         return False
-    group = src.group if tgt.group is not None else None
-    return group is None or all(
-        equivariance_defect(out, into, m.mat, degrees, shift, group.elements()) is None
-        for out, into, m, shift in ((src, tgt, g, 0), (tgt, tgt, s, 1), (src, src, t, 1)))
+    return src.group is None or tgt.group is None or g.equivariant and all(  # ChainMap checked g
+        equivariance_defect(c, c, h.mat, degrees, 1, src.group.generators) is None
+        for c, h in ((tgt, s), (src, t)))
 
 
 class _LinearSystem:
@@ -353,7 +346,8 @@ def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
     Hypothesis (a) passes for a subgroup H when the induced map of H-invariant
     subcomplexes is a quasi-isomorphism (one orbit-reduced cone serves every H);
     hypothesis (b) when the chains of the H-fixed simplicial subsets compare by
-    a quasi-isomorphism, read at H = e off f's own chain map on the unreduced cone.
+    a quasi-isomorphism, read for every H off the same cone, unreduced, on its
+    H-fixed basis.
     When either hypothesis holds for every member of the family, the
     certificate search runs on the equivariant chain map, solved on the same
     orbit-reduced cone and re-verified on the full map.
@@ -364,21 +358,11 @@ def whitehead_verify(f: SMap, family, ring) -> WhiteheadReport:
         raise ValueError("whitehead_verify needs an equivariant simplicial map")
     fam = list(family)
     isotropy = isotropy_check(f, fam)
-    cx = normalized_chains(f.source, ring)
-    cy = normalized_chains(f.target, ring)
-    cf = normalized_chain_map(f, ring, cx, cy)
-    reduced = orbit_reduction(mapping_cone(cf))
+    cf = normalized_chain_map(f, ring)
+    cone = mapping_cone(cf)
+    reduced = orbit_reduction(cone)
     hyp_a = _invariant_quasi_isos(reduced[0], fam)
-    hyp_b = {}
-    for h in fam:
-        if h.is_trivial():  # X^e = X, and cf was validated when it was built
-            fh = ChainMap(cx.forget_action(), cy.forget_action(), dict(enumerate(cf)),
-                          validate=False)
-        else:
-            fx, _ = fixed_sset(f.source, h)
-            fy, _ = fixed_sset(f.target, h)
-            fh = normalized_chain_map(SMap(fx, fy, {s: f.values[s] for s in fx.ids()}), ring)
-        hyp_b[h.label] = is_quasi_iso(fh)
+    hyp_b = {h.label: is_acyclic(fixed_chains(cone, h)) for h in fam}  # cone(f^H), unreduced
     searched = all(hyp_a.values()) or all(hyp_b.values())
     return WhiteheadReport(isotropy, hyp_a, hyp_b,
                            certificate_search(cf, reduced) if searched else None, searched)

@@ -1,19 +1,27 @@
 """Chain complexes: normalized chains, invariants, homology, prism homotopies."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
+import orbitkit
 from conftest import action_matrix, dense, dense_mat, from_columns, reference_kernel, \
-    swap_boundary1, vee
+    stock_groups, swap_boundary1, vee
 from orbitkit import chains, exactla
 from orbitkit.chains import ChainComplex, ChainHomotopy, ChainMap, HomologyGroup, \
     chain_maps_equal, compose_chain_maps, concentrated, corestrict, disk, equivariance_defect, \
-    homology, homotopy_defect, identity_chain_map, invariants, is_acyclic, is_quasi_iso, \
-    mapping_cone, normalized_chain_map, normalized_chains, orbit_reduction, prism_homotopy, \
-    restrict_to_invariants, zero_complex
+    fixed_chains, homology, homotopy_defect, identity_chain_map, invariants, is_acyclic, \
+    is_quasi_iso, mapping_cone, normalized_chain_map, normalized_chains, orbit_reduction, \
+    prism_homotopy, restrict_to_invariants, zero_complex
 from hypothesis import given, settings, strategies as st
 
+from orbitkit.cli import main
 from orbitkit.elmendorf import ChainCat
 from orbitkit.errors import InternalError
 from orbitkit.exactla import Mat, rank
@@ -23,7 +31,7 @@ from orbitkit.gsets import GSet, coset_gset, make_gset, regular_gset, trivial_gs
 from orbitkit.rings import PrimeField, QQ, ZZ
 from orbitkit.simplicial import TRIVIAL_GROUP, GSSet, SimplexRef, SMap, boundary_simplex, \
     compose_smaps, fixed_sset, gtensor, identity_smap, make_smap, point_sset, prism, \
-    standard_simplex
+    sset_to_json, standard_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +145,18 @@ def test_invariants_reject_a_differential_that_does_not_restrict(c2):
         invariants(c, full_subgroup(c2))
 
 
+def moore_space(m: int) -> GSSet:
+    """M(Z/m, 1): a vertex 0, loops 1..m, a triangle m + k with faces (1, k + 1, k)
+    for k < m, so loop k is k times loop 1 in homology, and a triangle 2m with
+    faces (m, s0 0, s0 0); for m = 2, triangle 3 has faces (1, 2, 1)."""
+    loop, s0v = (SimplexRef(0), SimplexRef(0)), SimplexRef(0, (0,))
+    dim_of = {0: 0, **{e: 1 for e in range(1, m + 1)}, **{t: 2 for t in range(m + 1, 2 * m + 1)}}
+    faces = {**{e: loop for e in range(1, m + 1)},
+             **{m + k: (SimplexRef(1), SimplexRef(k + 1), SimplexRef(k)) for k in range(1, m)},
+             2 * m: (SimplexRef(m), s0v, s0v)}
+    return GSSet(TRIVIAL_GROUP, dim_of, faces, {0: {s: s for s in dim_of}})
+
+
 def fixed_chains_comparison(x, h, ring) -> ChainMap:
     """The canonical map C(X^H) -> C(X)^H: fixed simplices are singleton orbit sums."""
     c = normalized_chains(x, ring)
@@ -187,6 +207,103 @@ def test_fixed_chains_comparison_is_injective(group, data, base, n, ring):
         cmp_map = fixed_chains_comparison(x, h, ring)
         for d in range(cmp_map.source.top + 1):
             assert rank(cmp_map.mat(d)) == cmp_map.source.rank(d), (h, d)
+
+
+SMALL_GROUPS = [g for g in stock_groups() if g.order <= 12]
+FIXED_CHAINS_BASES = st.one_of(st.builds(standard_simplex, st.integers(0, 2)),
+                               st.builds(boundary_simplex, st.integers(1, 3)),
+                               st.builds(moore_space, st.integers(2, 4)))
+RING_TAGS = {"Z": ZZ, "Q": QQ, "Fp:2": PrimeField(2)}
+
+
+def disjoint_union(x: GSSet, y: GSSet) -> GSSet:
+    """x and y side by side over their common group, y's ids shifted past x's."""
+    shift = max(x.dim_of, default=-1) + 1
+    return GSSet(x.group, {**x.dim_of, **{s + shift: n for s, n in y.dim_of.items()}},
+                 {**x.faces, **{s + shift: tuple(r._replace(base=r.base + shift) for r in fs)
+                                for s, fs in y.faces.items()}},
+                 {g: {**x.action[g], **{s + shift: t + shift for s, t in y.action[g].items()}}
+                  for g in x.group.elements()})
+
+
+@st.composite
+def orbit_tensors(draw) -> GSSet:
+    """G/K (x) A for a stock group of order <= 12, each of its subgroups K, and A
+    one of Delta[n], the boundary of Delta[n] and M(Z/m, 1); or two such side by side."""
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    subgroups = all_subgroups(group)
+    x, y = (gtensor(coset_gset(group, draw(st.sampled_from(subgroups))),
+                    draw(FIXED_CHAINS_BASES)) for _ in range(2))
+    return disjoint_union(x, y) if draw(st.booleans()) else x
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=orbit_tensors())
+def test_fixed_chains_are_the_chains_of_the_fixed_points(x):
+    # for every H and ring: C(X) on its H-fixed basis has the ranks, degrees and
+    # differentials of C(X^H), and homology's fixed-point column is its homology
+    with tempfile.TemporaryDirectory() as tmp:
+        group, sset, out = (os.path.join(tmp, name) for name in ("g.json", "x.json", "out"))
+        with open(group, "w", encoding="utf-8") as fh:
+            json.dump({"order": x.group.order, "mult": x.group.mult}, fh)
+        with open(sset, "w", encoding="utf-8") as fh:
+            json.dump(sset_to_json(x), fh)
+        for tag, ring in RING_TAGS.items():
+            c = normalized_chains(x, ring)
+            assert main(["homology", "--group", group, "--sset", sset, "--family", "all",
+                         "--ring", tag, "--format", "json", "--out", out]) == 0
+            with open(out, encoding="utf-8") as fh:
+                report = json.load(fh)
+            for h in all_subgroups(x.group):
+                got, want = fixed_chains(c, h), normalized_chains(fixed_sset(x, h)[0], ring)
+                assert got.group is None and (got.ranks, got.top) == (want.ranks, want.top)
+                assert all(got.d(n) == want.d(n) for n in range(1, want.top + 1)), (tag, h)
+                assert report[h.label]["chains_of_fixed_points"] == [
+                    {"degree": g.degree, "free": g.free_rank, "torsion": list(g.torsion)}
+                    for g in homology(want)], (tag, h)
+
+
+def test_fixed_chains_share_the_matrices_when_h_moves_nothing(c2):
+    c = normalized_chains(vee(c2), ZZ)
+    plain = fixed_chains(c, trivial_subgroup(c2))
+    assert plain.group is None and plain.d(1) is c.d(1)
+    free = normalized_chains(gtensor(coset_gset(c2, trivial_subgroup(c2)),
+                                     standard_simplex(2)), ZZ)
+    assert fixed_chains(free, full_subgroup(c2)).ranks == (0,)  # ends at degree 0
+    middle = fixed_chains(c, full_subgroup(c2))  # the vertex m
+    assert (middle.ranks, middle.top) == ((1,), 0)
+
+
+# a C2 complex whose d is equivariant but takes the fixed vector e to a + b,
+# a and b swapped: the fixed basis vectors are not a subcomplex
+UNCLOSED = """
+from orbitkit.chains import ChainComplex, fixed_chains
+from orbitkit.errors import InternalError
+from orbitkit.exactla import Mat
+from orbitkit.groups import cyclic_group, full_subgroup
+from orbitkit.gsets import GSet
+from orbitkit.rings import ZZ
+c2 = cyclic_group(2)
+c = ChainComplex(ZZ, (2, 1), {1: Mat(ZZ, 2, 1, [{0: 1}, {0: 1}])},
+                 [GSet(c2, 2, ((0, 1), (1, 0))), GSet(c2, 1, ((0,), (0,)))])
+try:
+    fixed_chains(c, full_subgroup(c2))
+    refused = None
+except InternalError as exc:
+    refused = str(exc)
+"""
+
+
+def test_fixed_chains_refuse_a_differential_that_leaves_the_fixed_basis():
+    namespace = {}
+    exec(UNCLOSED, namespace)
+    assert "d_1 takes a fixed basis vector out" in (namespace["refused"] or "")
+    script = UNCLOSED + "import sys\nsys.exit(0 if refused and sys.flags.optimize else 1)\n"
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -791,16 +908,6 @@ def test_derived_objects_pass_the_checks_they_skip(group, data, base, n):
 # orbit reduction
 
 
-def moore_space_2() -> GSSet:
-    """M(Z/2, 1): a vertex 0, loops 1 and 2, a triangle 3 with faces (1, 2, 1),
-    so 2 = 2 * 1 in homology, and a triangle 4 with faces (2, s0 0, s0 0)."""
-    loop, s0v = (SimplexRef(0), SimplexRef(0)), SimplexRef(0, (0,))
-    dim_of = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}
-    faces = {1: loop, 2: loop, 3: (SimplexRef(1), SimplexRef(2), SimplexRef(1)),
-             4: (SimplexRef(2), s0v, s0v)}
-    return GSSet(TRIVIAL_GROUP, dim_of, faces, {0: {s: s for s in dim_of}})
-
-
 def free_c2_circle(c2) -> GSSet:
     """Vertices 0 and 1 and edges 2: 0 -> 1 and 3: 1 -> 0, both pairs swapped:
     the block of d between the two orbits is [[-1, 1], [1, -1]], not a unit."""
@@ -832,7 +939,7 @@ def assert_reduction_keeps_invariant_homology(x):
 
 
 REDUCTION_BASES = [standard_simplex(n) for n in range(4)] \
-    + [boundary_simplex(n) for n in range(1, 4)] + [moore_space_2()]
+    + [boundary_simplex(n) for n in range(1, 4)] + [moore_space(2)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -852,7 +959,7 @@ def test_orbit_reduction_on_free_spheres_and_moore_spaces(d4, c4):
     assert set(ranks.values()) == {(8, 0, 8)}
     # the Z/2 of the attaching map survives: a pivot must square to 1, as
     # 2 = -1 does over F_3 only
-    x = gtensor(coset_gset(c4, subgroup(c4, [0, 2])), moore_space_2())
+    x = gtensor(coset_gset(c4, subgroup(c4, [0, 2])), moore_space(2))
     assert assert_reduction_keeps_invariant_homology(x) == {
         "Z": (2, 2, 2), "Q": (2, 2, 2), "Fp:2": (2, 2, 2), "Fp:3": (2, 0, 0)}
     assert homology(invariants(orbit_reduction(normalized_chains(x, ZZ))[0],
@@ -892,7 +999,7 @@ def test_orbit_reduction_is_an_equivariant_strong_deformation_retraction(group, 
     projection to G/G (x) the same, whose orbits have different stabilizers."""
     k = data.draw(st.sampled_from(all_subgroups(group)))
     base = {"simplex": standard_simplex(n), "boundary": boundary_simplex(max(n, 1)),
-            "moore": moore_space_2()}[sphere]
+            "moore": moore_space(2)}[sphere]
     x = gtensor(coset_gset(group, k), base)
     point = gtensor(coset_gset(group, full_subgroup(group)), base)
     stride = max(base.dim_of) + 1

@@ -167,6 +167,30 @@ def test_fixed_points_sset(files, capsys):
     assert "fixed simplices per dim" in out
 
 
+def test_built_in_simplicial_sets_take_the_group_s_trivial_action(files, capsys):
+    # every subgroup fixes all of delta:1, and homology reports C2's whole family
+    code, out, _ = run(capsys, ["fixed-points", "--sset", "delta:1", "--group", files["group"],
+                                "--family", "all", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {h: {"simplices": {"0": [0, 1], "1": [2]}} for h in ("0", "0,1")}
+    code, out, _ = run(capsys, ["homology", "--sset", "boundary:2", "--group", files["group"],
+                                "--family", "all", "--ring", "Z", "--format", "json"])
+    assert code == 0
+    circle = [{"degree": 0, "free": 1, "torsion": []}, {"degree": 1, "free": 1, "torsion": []}]
+    assert json.loads(out) == {h: {"invariants_of_chains": circle,
+                                   "chains_of_fixed_points": circle} for h in ("0", "0,1")}
+
+
+def test_whitehead_takes_a_built_in_source_over_the_group(files, capsys):
+    # the point, as a built-in name, into the fixed middle vertex of the C2 vee
+    to_vee = json.loads(Path(files["to_vee"]).read_text())
+    path = files["tmp"] / "builtin_point_to_vee.json"
+    path.write_text(json.dumps({**to_vee, "source": "point", "values": {"0": [2, []]}}))
+    code, out, _ = run(capsys, ["whitehead", "--group", files["group"], "--map", str(path),
+                                "--family", "all", "--ring", "Z"])
+    assert code == 0 and "certificate: found and verified" in out
+
+
 def test_elmendorf_verb(files, capsys):
     code, out, _ = run(capsys, ["elmendorf", "--group", files["group"],
                                 "--family", "all", "--ring", "Z",

@@ -1,4 +1,4 @@
-"""tools/lockstep.py: two trees timed side by side on one workload."""
+"""tools/lockstep.py: two trees timed side by side on one workload or kind of CLI case."""
 
 import shutil
 import subprocess
@@ -25,10 +25,11 @@ def copy_tree(dest: Path, sleep_in_cofib_check: bool = False) -> Path:
     return dest
 
 
-def lockstep(old: Path, new: Path, rounds: int) -> list[str]:
+def lockstep(old: Path, new: Path, rounds: int, workload: str = "lattice",
+             only: str = "Sk1 C") -> list[str]:
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "lockstep.py"), str(old),
-                           str(new), "--workload", "lattice", "--seed", "3", "--rounds",
-                           str(rounds), "--filter", "Sk1 C"], capture_output=True, text=True,
+                           str(new), "--workload", workload, "--seed", "3", "--rounds",
+                           str(rounds), "--filter", only], capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
@@ -57,3 +58,13 @@ def test_the_jobs_of_a_slowed_verb_move_most(tmp_path):
     assert len(names) == 10
     assert all(name.startswith("cofib-check Sk1 ") for name in names[:7]), lines
     assert ratio(lines) > 1, lines
+
+
+def test_a_kind_of_cli_case_is_timed_as_a_workload(tmp_path):
+    # the identities of S3/C2 x Delta[1] over Z and F_2, written by tools/same_outputs.py
+    lines = lockstep(copy_tree(tmp_path / "a"), copy_tree(tmp_path / "b"), rounds=2,
+                     workload="nonfree", only="identity")
+    assert "2 jobs" in lines[0], lines
+    assert set(moved(lines)) == {f"identity of S3/C2 x Delta[1] over {ring}"
+                                 for ring in ("Z", "Fp:2")}
+    assert 1 / SAME_TREE_BOUND < ratio(lines) < SAME_TREE_BOUND, lines

@@ -1,10 +1,14 @@
-"""Time one benchmark workload on two orbitkit source trees, side by side.
+"""Time one benchmark workload, or one kind of CLI case, on two orbitkit source trees,
+side by side.
 
     python3 tools/lockstep.py <old_src> <new_src> --workload W --seed N --rounds R [--filter S]
 
-The workload's jobs for the seed are written once with ``bench/gen.py`` and
-``bench/workloads.py`` (imported read-only, with orbitkit taken from
-``old_src``), and both trees run the same files.  Each round starts one
+A benchmark workload's jobs for the seed are written once with ``bench/gen.py``
+and ``bench/workloads.py``; any other W names a kind of case of
+``tools/same_outputs.py`` (``prism``, ``nonfree``, ``elmendorf``, ``hfamily``, ...),
+whose cases are written once with that tool's own writers and do not depend on
+the seed.  Either is imported read-only, with orbitkit taken from ``old_src``,
+and both trees run the same files.  Each round starts one
 worker process per tree, and the rounds alternate which tree goes first.  A
 worker imports orbitkit from its tree, warms up on the first job, then calls
 ``orbitkit.cli.main(argv + ["--format", "json", "--out", <file>])`` once
@@ -30,7 +34,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH = os.path.join(ROOT, "bench")
+BENCH, TESTS, TOOLS = (os.path.join(ROOT, d) for d in ("bench", "tests", "tools"))
 MOVED = 10  # how many of the jobs that moved most are printed
 
 WORKER = """
@@ -56,10 +60,15 @@ print(json.dumps(times[1:]))
 
 
 def workload_jobs(workload: str, seed: int, outdir: str) -> list:
-    """(name, argv) of the workload's jobs for the seed, inputs written under outdir."""
+    """(name, argv) of the workload's jobs for the seed, or of the CLI cases of
+    ``tools/same_outputs.py`` of that kind, inputs written under outdir."""
     from gen import Inputs
     from workloads import WORKLOADS
-    return [(job.name, job.argv) for job in WORKLOADS[workload](Inputs(seed, outdir))]
+    if workload in WORKLOADS:
+        return [(job.name, job.argv) for job in WORKLOADS[workload](Inputs(seed, outdir))]
+    from same_outputs import cli_cases
+    os.makedirs(outdir)
+    return [(name, argv) for kind, name, argv in cli_cases(outdir) if kind == workload]
 
 
 def run_worker(src: str, jobs_file: str, out: str) -> list[float]:
@@ -127,15 +136,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
-    sys.path[:0] = [os.path.abspath(args.old_src), BENCH]
-    from workloads import WORKLOADS
-    if args.workload not in WORKLOADS:
-        ap.error(f"--workload must be one of {', '.join(WORKLOADS)}")
+    sys.path[:0] = [os.path.abspath(args.old_src), BENCH, TESTS, TOOLS]
     with tempfile.TemporaryDirectory() as tmp:
         jobs = [j for j in workload_jobs(args.workload, args.seed, os.path.join(tmp, "in"))
                 if args.filter in j[0]]
         if not jobs:
-            ap.error(f"no job of {args.workload} matches {args.filter!r}")
+            ap.error(f"no job of {args.workload} matches {args.filter!r}: --workload is a "
+                     f"benchmark workload or a kind of case of tools/same_outputs.py")
         times = lockstep((args.old_src, args.new_src), jobs, args.rounds, tmp)
     print(report(args, summary([name for name, _ in jobs], times)))
     return 0

@@ -288,6 +288,15 @@ def invalid_cases(outdir: str):
                                                    "--ring", tag]) for tag in INVALID_RINGS]
 
 
+def cli_cases(outdir: str):
+    """(kind, name, argv) for every case but the benchmark's, inputs written under outdir;
+    ``tools/lockstep.py`` times the cases of one kind."""
+    groups = stock_groups(outdir)
+    return (golden_cases() + whitehead_cases(outdir, groups) + elmendorf_cases(groups)
+            + lattice_cases(groups) + gsset_cases(outdir, groups)
+            + homology_cases(outdir, groups) + invalid_cases(outdir))
+
+
 def without_certificate(stdout: str) -> str:
     """A ``whitehead`` JSON report with its certificate matrices cut out: the
     keys are sorted, so ``"hyp_a"`` follows ``"certificate"``."""
@@ -350,10 +359,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.abspath(args.parent_src), os.path.abspath(BENCH),
                     os.path.abspath(TESTS)]
     with tempfile.TemporaryDirectory() as tmp:
-        groups = stock_groups(tmp)
-        jobs = (benchmark_jobs(args.seed, tmp) + golden_cases() + whitehead_cases(tmp, groups)
-                + elmendorf_cases(groups) + lattice_cases(groups) + gsset_cases(tmp, groups)
-                + homology_cases(tmp, groups) + invalid_cases(tmp))
+        jobs = benchmark_jobs(args.seed, tmp) + cli_cases(tmp)
         cases = [(kind, name, fmt) for kind, name, _ in jobs for fmt in FORMATS]
         argvs = [argv + list(fmt) for _, _, argv in jobs for fmt in FORMATS]
         with ThreadPoolExecutor(2) as pool:
